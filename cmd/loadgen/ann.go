@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"strings"
 	"time"
 
 	"repro/internal/dataset"
@@ -16,187 +14,124 @@ import (
 // The ann scenario measures the large-cache index tiers directly — no
 // server in the loop, because at hundreds of thousands of entries the
 // encode and HTTP costs would drown the quantity under test. It builds a
-// clustered synthetic corpus, indexes it under each requested
-// implementation, and reports build time, search latency percentiles and
-// recall@k against the exact Flat ground truth, plus the speedup the
-// acceptance gate cares about (HNSW ≥ 5× Flat at recall@10 ≥ 0.95 on a
-// 200k corpus).
-
-// annConfig carries the -ann-* flags.
-type annConfig struct {
-	n       int
-	dim     int
-	queries int
-	k       int
-	seed    int64
-	indexes string // csv: flat,ivf,hnsw,hnsw8,adaptive
-	m       int
-	efCons  int
-	ef      int
-	accept  bool // enforce the acceptance gate via exit code
-}
+// clustered synthetic corpus, indexes it under each implementation, and
+// reports build time, search latency percentiles and recall@k against
+// the exact Flat ground truth.
+//
+// Gate: HNSW ≥ 5× Flat at recall@10 ≥ 0.95 (on the default 200k corpus).
+const (
+	annDim        = 64
+	annK          = 10
+	annMinSpeedup = 5.0
+	annMinRecall  = 0.95
+)
 
 // annIndex is one measured implementation.
 type annIndex struct {
 	name  string
+	build func(n int, seed int64) index.Index
+
 	idx   index.Index
-	build time.Duration
 	lat   metrics.LatencyRecorder
-	// recall bookkeeping vs Flat ground truth
-	inter, truth int
+	inter int // results shared with the Flat ground truth
 }
 
-func runANN(cfg annConfig) {
-	rng := rand.New(rand.NewSource(cfg.seed))
+func annHNSW(quantized bool) func(int, int64) index.Index {
+	return func(_ int, seed int64) index.Index {
+		return index.NewHNSW(annDim, index.HNSWConfig{
+			M: 16, EfConstruction: 100, EfSearch: 96, Seed: seed, Quantized: quantized,
+		})
+	}
+}
+
+func runANN(e env) ([]gate, error) {
+	rng := rand.New(rand.NewSource(e.seed))
 	fmt.Printf("=== ann scenario: %d vectors × %d dims, %d queries, k=%d ===\n",
-		cfg.n, cfg.dim, cfg.queries, cfg.k)
+		e.annN, annDim, e.annQueries, annK)
 
 	// Clustered corpus — the geometry both IVF and HNSW's diversity
 	// heuristic are built for, and what real query embeddings look like
 	// (intents form clusters).
 	nClusters := 256
-	if nClusters > cfg.n/16 && cfg.n >= 32 {
-		nClusters = cfg.n / 16
+	if nClusters > e.annN/16 && e.annN >= 32 {
+		nClusters = e.annN / 16
 	}
-	if nClusters < 1 {
-		nClusters = 1
-	}
-	corpus := dataset.ClusteredVectors(rng, cfg.n, nClusters, cfg.dim, 0.35)
+	corpus := dataset.ClusteredVectors(rng, e.annN, max(nClusters, 1), annDim, 0.35)
 	// Queries perturb random corpus points: near-duplicate probes, the
 	// semantic-cache access pattern.
-	queries := make([][]float32, cfg.queries)
+	queries := make([][]float32, e.annQueries)
 	for i := range queries {
 		queries[i] = dataset.PerturbUnit(rng, corpus[rng.Intn(len(corpus))], 0.2)
 	}
 
-	var runs []*annIndex
-	for _, name := range strings.Split(cfg.indexes, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		idx, err := annBuildIndex(name, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ann: %v\n", err)
-			os.Exit(2)
-		}
-		runs = append(runs, &annIndex{name: name, idx: idx})
+	hnsw := &annIndex{name: "hnsw", build: annHNSW(false)}
+	runs := []*annIndex{
+		{name: "flat", build: func(int, int64) index.Index { return index.NewFlat(annDim) }},
+		{name: "ivf", build: func(n int, seed int64) index.Index {
+			nlist := int(math.Sqrt(float64(n))) + 1
+			return index.NewIVF(annDim, index.IVFConfig{NList: nlist, NProbe: max(nlist/16, 8), Seed: seed})
+		}},
+		hnsw,
+		{name: "hnsw8", build: annHNSW(true)},
 	}
-	if len(runs) == 0 || runs[0].name != "flat" {
-		fmt.Fprintln(os.Stderr, "ann: the index list must start with flat (the ground truth)")
-		os.Exit(2)
-	}
-
 	for _, r := range runs {
+		r.idx = r.build(e.annN, e.seed)
 		start := time.Now()
 		for id, v := range corpus {
 			if err := r.idx.Add(id, v); err != nil {
-				fmt.Fprintf(os.Stderr, "ann: %s add: %v\n", r.name, err)
-				os.Exit(2)
+				return nil, fmt.Errorf("%s add: %w", r.name, err)
 			}
-		}
-		if a, ok := r.idx.(*index.Adaptive); ok {
-			a.WaitMigration() // charge tier promotion to build, not search
 		}
 		if ivf, ok := r.idx.(*index.IVF); ok {
 			ivf.Train() // re-cluster on the full corpus, not the bootstrap sample
 		}
-		r.build = time.Since(start)
-		fmt.Printf("built %-8s %8d entries in %v\n", r.name, r.idx.Len(), r.build.Round(time.Millisecond))
+		fmt.Printf("built %-8s %8d entries in %v\n", r.name, r.idx.Len(), time.Since(start).Round(time.Millisecond))
 	}
 
 	// Warm up, then measure each index on every query. The timed flat
-	// search doubles as the ground truth for that query, so the exact
-	// scan — the most expensive index here — runs exactly once per probe.
+	// search (first in runs) doubles as the ground truth for that query,
+	// so the exact scan — the most expensive index here — runs exactly
+	// once per probe.
 	for _, r := range runs {
-		r.idx.Search(queries[0], cfg.k, -1)
+		r.idx.Search(queries[0], annK, -1)
 	}
+	truthTotal := 0
 	for _, q := range queries {
-		start := time.Now()
-		truth := runs[0].idx.Search(q, cfg.k, -1)
-		runs[0].lat.Record(time.Since(start))
-		truthIDs := make(map[int]bool, len(truth))
-		for _, h := range truth {
-			truthIDs[h.ID] = true
-		}
-		runs[0].truth += len(truth)
-		runs[0].inter += len(truth)
-		for _, r := range runs[1:] {
+		truthIDs := map[int]bool{}
+		for i, r := range runs {
 			start := time.Now()
-			hits := r.idx.Search(q, cfg.k, -1)
+			hits := r.idx.Search(q, annK, -1)
 			r.lat.Record(time.Since(start))
-			r.truth += len(truth)
 			for _, h := range hits {
+				if i == 0 {
+					truthIDs[h.ID] = true
+				}
 				if truthIDs[h.ID] {
 					r.inter++
 				}
 			}
 		}
+		truthTotal += len(truthIDs)
 	}
 
 	flatMean := runs[0].lat.Mean()
+	recall := func(r *annIndex) float64 { return float64(r.inter) / float64(max(truthTotal, 1)) }
+	speedup := func(r *annIndex) float64 { return float64(flatMean) / float64(r.lat.Mean()) }
 	fmt.Printf("\n%-8s %10s %10s %10s %10s %9s %9s\n",
 		"index", "mean", "p50", "p99", "qps", "recall@k", "speedup")
 	for _, r := range runs {
-		recall := 1.0
-		if r.truth > 0 {
-			recall = float64(r.inter) / float64(r.truth)
-		}
 		mean := r.lat.Mean()
-		speedup := float64(flatMean) / float64(mean)
 		fmt.Printf("%-8s %10v %10v %10v %10.0f %9.3f %8.1fx\n",
 			r.name,
 			mean.Round(time.Microsecond),
 			r.lat.Percentile(50).Round(time.Microsecond),
 			r.lat.Percentile(99).Round(time.Microsecond),
-			1/mean.Seconds(),
-			recall,
-			speedup)
+			1/mean.Seconds(), recall(r), speedup(r))
 	}
 
-	// Acceptance gate: the first hnsw-family run must be ≥5× Flat at
-	// recall@k ≥ 0.95.
-	for _, r := range runs {
-		if r.name != "hnsw" && r.name != "hnsw8" && r.name != "adaptive" {
-			continue
-		}
-		recall := float64(r.inter) / float64(max(r.truth, 1))
-		speedup := float64(flatMean) / float64(r.lat.Mean())
-		ok := recall >= 0.95 && speedup >= 5
-		verdict := "PASS"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Printf("\nacceptance (%s): speedup %.1fx (need ≥5x), recall@%d %.3f (need ≥0.95) — %s\n",
-			r.name, speedup, cfg.k, recall, verdict)
-		if cfg.accept && !ok {
-			os.Exit(1)
-		}
-		break
-	}
-}
-
-// annBuildIndex maps a scenario index name to a fresh instance.
-func annBuildIndex(name string, cfg annConfig) (index.Index, error) {
-	hnswCfg := index.HNSWConfig{
-		M: cfg.m, EfConstruction: cfg.efCons, EfSearch: cfg.ef, Seed: cfg.seed,
-	}
-	switch name {
-	case "flat":
-		return index.NewFlat(cfg.dim), nil
-	case "ivf":
-		nlist := int(math.Sqrt(float64(cfg.n))) + 1
-		return index.NewIVF(cfg.dim, index.IVFConfig{
-			NList: nlist, NProbe: max(nlist/16, 8), Seed: cfg.seed,
-		}), nil
-	case "hnsw":
-		return index.NewHNSW(cfg.dim, hnswCfg), nil
-	case "hnsw8":
-		hnswCfg.Quantized = true
-		return index.NewHNSW(cfg.dim, hnswCfg), nil
-	case "adaptive":
-		return index.NewAdaptive(cfg.dim, index.AdaptiveConfig{HNSW: hnswCfg}), nil
-	default:
-		return nil, fmt.Errorf("unknown index %q (want flat, ivf, hnsw, hnsw8 or adaptive)", name)
-	}
+	return []gate{
+		check("acceptance (hnsw)", recall(hnsw) >= annMinRecall && speedup(hnsw) >= annMinSpeedup,
+			"speedup %.1fx (need ≥%.0fx), recall@%d %.3f (need ≥%.2f)",
+			speedup(hnsw), annMinSpeedup, annK, recall(hnsw), annMinRecall),
+	}, nil
 }

@@ -1,117 +1,53 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
-	"math/rand"
-	"net/http"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/llmsim"
-	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
-// The cluster scenario is the failover acceptance run: it spins an
-// N-node cacheserve cluster inside this process (internal/cluster's
+// The cluster scenario is the failover acceptance run: it spins a
+// 3-node cacheserve cluster inside this process (internal/cluster's
 // harness — real loopback HTTP between nodes, virtual-time upstream),
 // warms a tenant population, checkpoints to shared storage, measures a
-// steady-state probe phase, then kills one node abruptly partway into a
-// second phase and measures again. The gate: zero lost tenants (every
-// tenant still answers after failover) and duplicate-probe hit rate in
-// the post-kill phase retaining ≥ 90% of the steady-state rate.
+// steady-state probe phase, then kills one node abruptly a quarter of
+// the way into a second phase and measures again.
+//
+// Gates: zero request errors in the failover phase, zero lost tenants
+// (every tenant still answers after failover) and a duplicate-probe hit
+// rate in the failover phase retaining ≥ 90% of the steady-state rate.
+const (
+	clusterNodes     = 3
+	clusterVNodes    = 64
+	clusterKill      = 1   // index of the node killed mid-phase-2
+	clusterRetention = 0.9 // dup-hit-rate retention floor after failover
+)
 
-// clusterConfig carries the -cluster-* flags (plus the shared workload
-// knobs).
-type clusterConfig struct {
-	nodes       int
-	vnodes      int
-	killIndex   int // node killed mid-phase-2 (-1 = no kill)
-	users       int
-	cached      int
-	probes      int // per phase, per user
-	dup         float64
-	concurrency int
-	seed        int64
-	timeout     time.Duration
-	accept      bool
-	retention   float64 // dup-hit-rate retention floor for the gate
-}
-
-// phaseStats aggregates one measured probe phase.
-type phaseStats struct {
-	mu       sync.Mutex
-	queries  int
-	hits     int
-	dups     int
-	dupHits  int
-	errors   int
-	latency  metrics.LatencyRecorder
-	duration time.Duration
-}
-
-func (p *phaseStats) record(dup, hit bool, lat time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.queries++
-	if hit {
-		p.hits++
-	}
-	if dup {
-		p.dups++
-		if hit {
-			p.dupHits++
-		}
-	}
-	p.latency.Record(lat)
-}
-
-func (p *phaseStats) dupHitRate() float64 {
-	if p.dups == 0 {
-		return 0
-	}
-	return float64(p.dupHits) / float64(p.dups)
-}
-
-func (p *phaseStats) report(name string) {
-	hitRate := 0.0
-	if p.queries > 0 {
-		hitRate = float64(p.hits) / float64(p.queries)
-	}
-	fmt.Printf("%-14s %5d probes  %4d errors  hit %5.1f%%  dup-hit %5.1f%% (%d/%d)  p50 %v  p99 %v  (%.1f qps)\n",
-		name, p.queries, p.errors, 100*hitRate, 100*p.dupHitRate(), p.dupHits, p.dups,
-		p.latency.Percentile(50).Round(time.Microsecond),
-		p.latency.Percentile(99).Round(time.Microsecond),
-		float64(p.queries)/p.duration.Seconds())
-}
-
-func runCluster(cfg clusterConfig) {
+func runCluster(e env) ([]gate, error) {
 	dir, err := os.MkdirTemp("", "loadgen-cluster-*")
 	if err != nil {
-		log.Fatalf("cluster: temp persist dir: %v", err)
+		return nil, fmt.Errorf("temp persist dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
 
 	// One shared encoder and virtual-time upstream: encoders are
 	// concurrency-safe once training stops, and sharing keeps an
 	// in-process 3-node cluster cheap enough for CI.
-	enc := embed.NewModel(embed.MPNetSim, cfg.seed)
+	enc := embed.NewModel(embed.MPNetSim, e.seed)
 	llm := llmsim.New(llmsim.DefaultConfig())
 
 	log.Printf("cluster scenario: %d nodes (%d vnodes), %d users, %d+%d probes/user, kill node %d mid-phase-2",
-		cfg.nodes, cfg.vnodes, cfg.users, cfg.probes, cfg.probes, cfg.killIndex)
+		clusterNodes, clusterVNodes, e.users, e.probes, e.probes, clusterKill)
 	h, err := cluster.StartHarness(cluster.HarnessConfig{
-		Nodes:      cfg.nodes,
-		VNodes:     cfg.vnodes,
+		Nodes:      clusterNodes,
+		VNodes:     clusterVNodes,
 		Heartbeat:  50 * time.Millisecond,
 		DeadAfter:  3,
 		DrainWait:  2 * time.Second,
@@ -146,103 +82,71 @@ func runCluster(cfg clusterConfig) {
 		},
 	})
 	if err != nil {
-		log.Fatalf("cluster: starting harness: %v", err)
+		return nil, fmt.Errorf("starting harness: %w", err)
 	}
 	defer h.Close()
 	if err := h.WaitConverged(10 * time.Second); err != nil {
-		log.Fatalf("cluster: %v", err)
+		return nil, err
 	}
 
-	// Workloads: one per user, 2×probes so both phases see the same
-	// per-user dup mix (probes are pre-shuffled by the generator).
-	rng := rand.New(rand.NewSource(cfg.seed))
-	var warmup, phase1, phase2 []job
-	for u := 0; u < cfg.users; u++ {
-		wcfg := dataset.DefaultConfig()
-		wcfg.Seed = cfg.seed + int64(u)*7919
-		w := dataset.GenerateCacheWorkload(wcfg, cfg.cached, 2*cfg.probes, cfg.dup)
-		user := fmt.Sprintf("user-%04d", u)
-		for _, q := range w.Cached {
-			warmup = append(warmup, job{user: user, text: q})
-		}
-		for i, p := range w.Probes {
-			j := job{user: user, text: p.Text, dup: p.DupOf >= 0, probe: true}
-			if i < cfg.probes {
-				phase1 = append(phase1, j)
-			} else {
-				phase2 = append(phase2, j)
-			}
-		}
-	}
-	for _, jobs := range [][]job{warmup, phase1, phase2} {
-		rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
-	}
+	warmup, phases := buildJobs(e.seed, e.users, e.cached, e.dup, e.probes, e.probes)
+	t := newTarget(e.timeout)
+	t.entries = h.LiveURLs
 
-	d := &clusterDriver{h: h, client: &http.Client{Timeout: cfg.timeout}}
-
-	log.Printf("warmup: %d queries across %d entry nodes", len(warmup), cfg.nodes)
-	warmStats := &phaseStats{}
-	d.drive(warmup, cfg.concurrency, warmStats, nil)
-	if warmStats.errors > 0 {
-		log.Fatalf("cluster: %d warmup errors", warmStats.errors)
+	log.Printf("warmup: %d queries across %d entry nodes", len(warmup), clusterNodes)
+	warm := newPhase()
+	t.run(warm, warmup, e.concurrency, nil)
+	if warm.failed() > 0 {
+		return nil, fmt.Errorf("warmup: %s", warm.failures())
 	}
 	// Checkpoint: the durability boundary the abrupt kill is measured
 	// against (production would run this on a timer).
 	if err := h.Checkpoint(); err != nil {
-		log.Fatalf("cluster: checkpoint: %v", err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 
-	log.Printf("phase 1 (steady state): %d probes", len(phase1))
-	p1 := &phaseStats{}
-	d.drive(phase1, cfg.concurrency, p1, nil)
+	log.Printf("phase 1 (steady state): %d probes", len(phases[0]))
+	p1 := newPhase()
+	t.run(p1, phases[0], e.concurrency, nil)
 
-	log.Printf("phase 2 (failover): %d probes, killing node %d after 25%%", len(phase2), cfg.killIndex)
-	p2 := &phaseStats{}
-	var killAt func(dispatched int)
-	var killed atomic.Bool
-	if cfg.killIndex >= 0 && cfg.killIndex < cfg.nodes {
-		killAfter := max(1, len(phase2)/4)
-		killAt = func(dispatched int) {
-			if dispatched == killAfter && killed.CompareAndSwap(false, true) {
-				go func() {
-					log.Printf("killing node %d (%s) abruptly", cfg.killIndex, h.Nodes()[cfg.killIndex].Addr)
-					h.Kill(cfg.killIndex, false)
-				}()
-			}
+	log.Printf("phase 2 (failover): %d probes, killing node %d after 25%%", len(phases[1]), clusterKill)
+	p2 := newPhase()
+	killAfter := max(1, len(phases[1])/4)
+	var killed chan struct{} // closed once the node is down
+	t.run(p2, phases[1], e.concurrency, func(dispatched int) {
+		if dispatched == killAfter {
+			killed = make(chan struct{})
+			go func() {
+				defer close(killed)
+				log.Printf("killing node %d (%s) abruptly", clusterKill, h.Nodes()[clusterKill].Addr)
+				h.Kill(clusterKill, false)
+			}()
 		}
+	})
+	if killed == nil {
+		return nil, fmt.Errorf("the mid-run kill never fired — the failover result would be meaningless")
 	}
-	d.drive(phase2, cfg.concurrency, p2, killAt)
-	if killAt != nil && !killed.Load() {
-		log.Fatal("cluster: the mid-run kill never fired — the failover result would be meaningless")
-	}
+	<-killed
 
 	// Lost-tenant audit: after the ring heals, every tenant must answer.
 	if err := h.WaitConverged(10 * time.Second); err != nil {
-		log.Fatalf("cluster: post-kill convergence: %v", err)
+		return nil, fmt.Errorf("post-kill convergence: %w", err)
 	}
 	lost := 0
-	for u := 0; u < cfg.users; u++ {
-		user := fmt.Sprintf("user-%04d", u)
-		if _, _, err := d.post("/v1/query", server.QueryRequest{User: user, Query: "post-failover liveness probe"}, u); err != nil {
+	for u := 0; u < e.users; u++ {
+		o := t.send(job{user: userName(u), text: "post-failover liveness probe"})
+		if !o.served() {
 			lost++
 			if lost == 1 {
-				log.Printf("lost tenant %s: %v", user, err)
+				log.Printf("lost tenant %s: %s", userName(u), o.problem())
 			}
 		}
 	}
 
 	fmt.Printf("\n=== cluster failover report (%d nodes, %d vnodes, %d tenants) ===\n",
-		cfg.nodes, cfg.vnodes, cfg.users)
-	p1.duration = max(p1.duration, time.Millisecond)
-	p2.duration = max(p2.duration, time.Millisecond)
+		clusterNodes, clusterVNodes, e.users)
 	p1.report("steady state")
 	p2.report("failover")
-	retention := 0.0
-	if p1.dupHitRate() > 0 {
-		retention = p2.dupHitRate() / p1.dupHitRate()
-	}
-	fmt.Printf("hit-rate retention  %.1f%% of steady state (gate ≥ %.0f%%)\n", 100*retention, 100*cfg.retention)
-	fmt.Printf("lost tenants        %d of %d (gate 0)\n", lost, cfg.users)
 	for _, hn := range h.Nodes() {
 		if !hn.Alive() {
 			fmt.Printf("node %s          killed\n", hn.Addr)
@@ -253,122 +157,15 @@ func runCluster(cfg clusterConfig) {
 			hn.Addr, st.Resident, st.Forwards, st.ForwardErrors, st.Hedges, st.LocalFallbacks, st.Handoffs, st.HandoffBusy)
 	}
 
-	if cfg.accept {
-		fail := false
-		if lost > 0 {
-			fmt.Printf("ACCEPT FAIL: %d tenants lost after failover\n", lost)
-			fail = true
-		}
-		if retention < cfg.retention {
-			fmt.Printf("ACCEPT FAIL: hit-rate retention %.3f < %.2f\n", retention, cfg.retention)
-			fail = true
-		}
-		if p2.errors > 0 {
-			fmt.Printf("ACCEPT FAIL: %d request errors during failover phase\n", p2.errors)
-			fail = true
-		}
-		if fail {
-			os.Exit(1)
-		}
-		fmt.Printf("ACCEPT PASS: survived node kill with %.1f%% retention and no lost tenants\n", 100*retention)
+	retention := 0.0
+	if p1.dupHitRate() > 0 {
+		retention = p2.dupHitRate() / p1.dupHitRate()
 	}
-}
-
-// clusterDriver is the multi-entry closed-loop worker pool: each request
-// enters through a live node (round-robin) and retries through a
-// different entry if the connection itself fails — client-side endpoint
-// failover, so a dying entry node costs latency, not errors.
-type clusterDriver struct {
-	h      *cluster.Harness
-	client *http.Client
-	rr     atomic.Int64
-}
-
-// post sends one request with entry failover, returning the decoded
-// response and the wall time of the winning attempt.
-func (d *clusterDriver) post(path string, body any, salt int) (server.QueryResponse, time.Duration, error) {
-	var qr server.QueryResponse
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		urls := d.h.LiveURLs()
-		if len(urls) == 0 {
-			return qr, 0, fmt.Errorf("no live entry nodes")
-		}
-		entry := urls[(int(d.rr.Add(1))+salt+attempt)%len(urls)]
-		start := time.Now()
-		qr2, status, err := postJSONStatus(d.client, entry+path, body)
-		if err == nil {
-			return qr2, time.Since(start), nil
-		}
-		lastErr = err
-		if status != 0 {
-			// The cluster answered with an error status — not an entry
-			// failure, so another entry would answer the same.
-			return qr, time.Since(start), err
-		}
-	}
-	return qr, 0, lastErr
-}
-
-// drive pushes jobs through the pool, invoking onDispatch (when set)
-// with the running dispatch count — how the failover phase triggers its
-// mid-run kill.
-func (d *clusterDriver) drive(jobs []job, concurrency int, stats *phaseStats, onDispatch func(int)) {
-	start := time.Now()
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for j := range ch {
-				qr, rtt, err := d.post("/v1/query", server.QueryRequest{User: j.user, Query: j.text}, w)
-				if err != nil {
-					stats.mu.Lock()
-					stats.errors++
-					first := stats.errors == 1
-					stats.mu.Unlock()
-					if first {
-						log.Printf("request error (first): %v", err)
-					}
-					continue
-				}
-				if j.probe {
-					lat := rtt
-					if sim := time.Duration(qr.LatencyMicros) * time.Microsecond; sim > lat {
-						lat = sim
-					}
-					stats.record(j.dup, qr.Hit, lat)
-				}
-			}
-		}(w)
-	}
-	for i, j := range jobs {
-		ch <- j
-		if onDispatch != nil {
-			onDispatch(i + 1)
-		}
-	}
-	close(ch)
-	wg.Wait()
-	stats.duration = time.Since(start)
-}
-
-// postJSONStatus posts body and decodes a QueryResponse; status is 0
-// when the failure was transport-level (retryable on another entry).
-func postJSONStatus(client *http.Client, url string, body any) (server.QueryResponse, int, error) {
-	var qr server.QueryResponse
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return qr, 0, err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return qr, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return qr, resp.StatusCode, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return qr, resp.StatusCode, json.NewDecoder(resp.Body).Decode(&qr)
+	return []gate{
+		check("failover errors", p2.failed() == 0, "%s during the failover phase (gate 0)", p2.failures()),
+		check("lost tenants", lost == 0, "%d of %d (gate 0)", lost, e.users),
+		check("hit-rate retention", retention >= clusterRetention,
+			"%.1f%% of steady state: dup-hit %.1f%% vs %.1f%% (gate ≥ %.0f%%)",
+			100*retention, 100*p2.dupHitRate(), 100*p1.dupHitRate(), 100*clusterRetention),
+	}, nil
 }

@@ -14,100 +14,77 @@ package main
 // Cycle schedule: cycle 0 and every 6th cycle shut down cleanly (SIGINT,
 // which flushes every resident tenant — those users join the "synced"
 // set the next verification asserts on); every other cycle is killed
-// with SIGKILL while traffic is in flight. The default 26 cycles give
-// 21 SIGKILLs, clearing the ≥20 acceptance floor.
+// with SIGKILL while traffic is in flight. 26 cycles give 21 SIGKILLs,
+// clearing the ≥20 acceptance floor.
 //
-// Gate (-crash-accept): every restart healthy, every synced tenant's
-// canonical probe hits, zero unexpected request failures outside kill
-// windows, and exactly one quarantine — in the injected-corruption
-// cycle, nowhere else.
+// Gates: every restart healthy, every synced tenant's canonical probe
+// hits, zero unexpected request failures outside kill windows, and
+// exactly one quarantine — in the injected-corruption cycle, nowhere
+// else.
 
 import (
-	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/server"
 	"repro/internal/store"
 )
 
-// tenantSnapshotPath mirrors the registry's persistPath layout: the user
-// ID hex-encoded, ".cache" suffix, in the persist dir.
-func tenantSnapshotPath(dir, userID string) string {
-	return filepath.Join(dir, hex.EncodeToString([]byte(userID))+".cache")
-}
-
-type crashConfig struct {
-	bin         string // cacheserve binary
-	dir         string // persist dir shared across incarnations
-	addr        string
-	cycles      int
-	users       int
-	maxTenants  int
-	concurrency int
-	seed        int64
-	timeout     time.Duration
-	accept      bool
-}
-
-// corruptAtCycle is the cycle before which a synced tenant's snapshot is
-// bit-mangled on disk (while the server is down).
-const corruptAtCycle = 14
+const (
+	crashAddr       = "127.0.0.1:18095" // where the spawned server listens
+	crashCycles     = 26                // every 6th is a clean shutdown, the rest SIGKILL
+	crashMinKills   = 20
+	crashUsers      = 24
+	crashMaxTenants = 8 // server resident-tenant bound (< users forces eviction churn)
+	// crashCorruptAt is the cycle before which a synced tenant's snapshot
+	// is bit-mangled on disk (while the server is down).
+	crashCorruptAt = 14
+)
 
 func crashUser(u int) string { return fmt.Sprintf("crash-user-%03d", u) }
-func crashCanonical(u int) string {
-	return fmt.Sprintf("what is the canonical answer for user %03d", u)
+
+// crashCanonical is the entry user u re-asserts every cycle: the one a
+// synced tenant must never lose.
+func crashCanonical(u int) job {
+	return job{user: crashUser(u), text: fmt.Sprintf("what is the canonical answer for user %03d", u)}
 }
 
-type crashGate struct {
-	startFailures   int
-	lostSynced      int
-	unexpectedErrs  int
-	quarantineFails int
-	sigkills        int
-	cleanShutdowns  int
-}
-
-func (g crashGate) failed() bool {
-	return g.startFailures > 0 || g.lostSynced > 0 || g.unexpectedErrs > 0 || g.quarantineFails > 0
-}
-
-func runCrash(cfg crashConfig) {
-	if cfg.cycles < 2 {
-		log.Fatal("crash: need at least 2 cycles")
-	}
-	client := &http.Client{Timeout: cfg.timeout}
-	base := "http://" + cfg.addr
-	rng := rand.New(rand.NewSource(cfg.seed))
+func runCrash(e env) ([]gate, error) {
+	t := newTarget(e.timeout, "http://"+crashAddr)
+	rng := rand.New(rand.NewSource(e.seed))
 
 	synced := map[int]bool{} // users whose canonical entry is durably persisted
-	victim := -1             // user whose snapshot was corrupted (this cycle only)
-	var gate crashGate
+	var startFailures, lostSynced, unexpected, quarantineFails, sigkills, cleanShutdowns int
 
-	for cycle := 0; cycle < cfg.cycles; cycle++ {
+	for cycle := 0; cycle < crashCycles; cycle++ {
 		clean := cycle%6 == 0
-		if cycle == corruptAtCycle {
-			victim = corruptSnapshot(cfg, rng, synced)
+		victim := -1 // user whose snapshot was corrupted (this cycle only)
+		if cycle == crashCorruptAt {
+			var err error
+			if victim, err = corruptSnapshot(e.crashDir, rng, synced); err != nil {
+				return nil, err
+			}
 		}
 
-		proc, err := startServer(cfg)
-		if err != nil {
-			log.Fatalf("crash: cycle %d: starting %s: %v", cycle, cfg.bin, err)
+		proc := exec.Command(e.crashBin,
+			"-addr", crashAddr,
+			"-max-tenants", strconv.Itoa(crashMaxTenants),
+			"-persist-dir", e.crashDir,
+		)
+		proc.Stderr = os.Stderr
+		if err := proc.Start(); err != nil {
+			return nil, fmt.Errorf("cycle %d: starting %s: %w", cycle, e.crashBin, err)
 		}
-		if err := waitHealthy(client, base, 15*time.Second); err != nil {
-			gate.startFailures++
+		if err := t.waitHealthy(15 * time.Second); err != nil {
+			startFailures++
 			log.Printf("crash: cycle %d: FAIL: server not healthy after restart: %v", cycle, err)
 			proc.Process.Kill()
 			proc.Wait()
@@ -118,206 +95,100 @@ func runCrash(cfg crashConfig) {
 		// entry; the corrupted one must be served cold (quarantined, not
 		// crashed on).
 		for u := range synced {
-			hit, err := crashQuery(client, base, crashUser(u), crashCanonical(u))
-			switch {
-			case err != nil:
-				gate.unexpectedErrs++
-				log.Printf("crash: cycle %d: verify %s: %v", cycle, crashUser(u), err)
-			case !hit:
-				gate.lostSynced++
+			switch o := t.send(crashCanonical(u)); {
+			case !o.served():
+				unexpected++
+				log.Printf("crash: cycle %d: verify %s: %s", cycle, crashUser(u), o.problem())
+			case !o.reply.Hit:
+				lostSynced++
 				log.Printf("crash: cycle %d: FAIL: synced tenant %s lost its canonical entry", cycle, crashUser(u))
-			}
-		}
-		if victim >= 0 {
-			hit, err := crashQuery(client, base, crashUser(victim), crashCanonical(victim))
-			if err != nil {
-				gate.unexpectedErrs++
-				log.Printf("crash: cycle %d: corrupt-snapshot probe errored: %v", cycle, err)
-			} else if hit {
-				gate.quarantineFails++
-				log.Printf("crash: cycle %d: FAIL: corrupted snapshot served a hit (not quarantined?)", cycle)
 			}
 		}
 		wantQuarantines := int64(0)
 		if victim >= 0 {
 			wantQuarantines = 1
+			if o := t.send(crashCanonical(victim)); !o.served() {
+				unexpected++
+				log.Printf("crash: cycle %d: corrupt-snapshot probe: %s", cycle, o.problem())
+			} else if o.reply.Hit {
+				quarantineFails++
+				log.Printf("crash: cycle %d: FAIL: corrupted snapshot served a hit (not quarantined?)", cycle)
+			}
 		}
-		if q, err := fetchQuarantines(client, base); err != nil {
-			gate.unexpectedErrs++
+		if s, err := t.scrape(); err != nil {
+			unexpected++
 			log.Printf("crash: cycle %d: stats: %v", cycle, err)
-		} else if q != wantQuarantines {
-			gate.quarantineFails++
+		} else if q := s.stats.Registry.Quarantines; q != wantQuarantines {
+			quarantineFails++
 			log.Printf("crash: cycle %d: FAIL: quarantines = %d, want %d", cycle, q, wantQuarantines)
 		}
-		victim = -1
 
 		// Traffic: every user re-asserts their canonical entry (teaching
 		// it on a miss) plus fresh queries forcing eviction churn, so
 		// snapshots are constantly being rewritten when the kill lands.
-		var jobs []crashJob
-		for u := 0; u < cfg.users; u++ {
-			jobs = append(jobs, crashJob{user: u, text: crashCanonical(u)})
+		var jobs []job
+		for u := 0; u < crashUsers; u++ {
+			jobs = append(jobs, crashCanonical(u))
 			for p := 0; p < 3; p++ {
-				jobs = append(jobs, crashJob{user: u, text: fmt.Sprintf("novel question %d from user %03d in cycle %d", p, u, cycle)})
+				jobs = append(jobs, job{user: crashUser(u), text: fmt.Sprintf("novel question %d from user %03d in cycle %d", p, u, cycle)})
 			}
 		}
 		rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
 
+		// The kill lands two fifths of the way through the dispatch, with
+		// a full worker pool of requests in flight. Failures from then on
+		// are its expected collateral; any earlier one is a gate failure.
+		killAt := len(jobs) * 2 / 5
 		var killFired atomic.Bool
-		var done atomic.Int64
-		killAt := int64(len(jobs)) * 2 / 5
-		var killWG sync.WaitGroup
-		if !clean {
-			killWG.Add(1)
-			go func() {
-				defer killWG.Done()
-				for done.Load() < killAt {
-					time.Sleep(2 * time.Millisecond)
-				}
+		p := newPhase()
+		drive(jobs, e.concurrency, func(j job) {
+			if o := t.send(j); o.served() || !killFired.Load() {
+				p.record(j, o)
+			}
+		}, func(dispatched int) {
+			if !clean && dispatched == killAt {
 				killFired.Store(true)
 				proc.Process.Kill() // SIGKILL: no flush, no goodbye
-			}()
+			}
+		})
+		if p.failed() > 0 {
+			unexpected += p.failed()
+			log.Printf("crash: cycle %d: %s outside the kill window", cycle, p.failures())
 		}
-
-		errsBeforeKill := driveCrashJobs(client, base, jobs, cfg.concurrency, &done, &killFired)
-		gate.unexpectedErrs += errsBeforeKill
 
 		if clean {
 			proc.Process.Signal(os.Interrupt) // graceful: flushes every resident tenant
 			if err := waitExit(proc, 20*time.Second); err != nil {
-				gate.unexpectedErrs++
+				unexpected++
 				log.Printf("crash: cycle %d: clean shutdown: %v", cycle, err)
 			}
-			gate.cleanShutdowns++
+			cleanShutdowns++
 			// Every user has queried at least once, so every tenant was
 			// either evicted (persisting) or flushed at shutdown: all are
 			// durably synced now.
-			for u := 0; u < cfg.users; u++ {
+			for u := 0; u < crashUsers; u++ {
 				synced[u] = true
 			}
-			log.Printf("crash: cycle %d: clean shutdown, %d tenants synced", cycle, cfg.users)
+			log.Printf("crash: cycle %d: clean shutdown, %d tenants synced", cycle, crashUsers)
 		} else {
-			killWG.Wait()
 			proc.Wait()
-			gate.sigkills++
+			sigkills++
 			log.Printf("crash: cycle %d: SIGKILL after %d/%d requests (%d tolerated in-flight failures)",
-				cycle, done.Load(), len(jobs), len(jobs)-int(done.Load()))
+				cycle, p.served, len(jobs), len(jobs)-p.served)
 		}
 	}
 
 	fmt.Printf("\n=== crashtest report ===\n")
-	fmt.Printf("cycles             %d (%d SIGKILL, %d clean)\n", cfg.cycles, gate.sigkills, gate.cleanShutdowns)
+	fmt.Printf("cycles             %d (%d SIGKILL, %d clean)\n", crashCycles, sigkills, cleanShutdowns)
 	fmt.Printf("synced tenants     %d\n", len(synced))
-	fmt.Printf("start failures     %d\n", gate.startFailures)
-	fmt.Printf("lost synced        %d\n", gate.lostSynced)
-	fmt.Printf("unexpected errors  %d\n", gate.unexpectedErrs)
-	fmt.Printf("quarantine checks  %s\n", map[bool]string{true: "FAIL", false: "ok (exactly the injected one)"}[gate.quarantineFails > 0])
-	if gate.failed() || gate.sigkills < 20 {
-		fmt.Printf("crashtest gate     FAIL\n")
-		if cfg.accept {
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("crashtest gate     PASS (%d kill/restart cycles, zero corrupt opens, zero lost synced tenants)\n", gate.sigkills)
-}
-
-type crashJob struct {
-	user int
-	text string
-}
-
-// driveCrashJobs pushes jobs through a closed-loop pool, returning the
-// number of failures that happened OUTSIDE the kill window (failures
-// after killFired are the kill's expected collateral).
-func driveCrashJobs(client *http.Client, base string, jobs []crashJob, concurrency int, done *atomic.Int64, killFired *atomic.Bool) int {
-	var unexpected atomic.Int64
-	ch := make(chan crashJob)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				_, err := crashQuery(client, base, crashUser(j.user), j.text)
-				if err == nil {
-					done.Add(1)
-					continue
-				}
-				if !killFired.Load() {
-					if unexpected.Add(1) == 1 {
-						log.Printf("crash: unexpected request failure (first): %v", err)
-					}
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	return int(unexpected.Load())
-}
-
-func crashQuery(client *http.Client, base, user, text string) (hit bool, err error) {
-	body, _ := json.Marshal(server.QueryRequest{User: user, Query: text})
-	resp, err := client.Post(base+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var qr server.QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		return false, err
-	}
-	return qr.Hit, nil
-}
-
-func fetchQuarantines(client *http.Client, base string) (int64, error) {
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var st server.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return 0, err
-	}
-	return st.Registry.Quarantines, nil
-}
-
-func startServer(cfg crashConfig) (*exec.Cmd, error) {
-	cmd := exec.Command(cfg.bin,
-		"-addr", cfg.addr,
-		"-max-tenants", strconv.Itoa(cfg.maxTenants),
-		"-persist-dir", cfg.dir,
-	)
-	cmd.Stderr = os.Stderr
-	return cmd, cmd.Start()
-}
-
-func waitHealthy(client *http.Client, base string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for {
-		resp, err := client.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			if err == nil {
-				return fmt.Errorf("healthz not OK within %v", budget)
-			}
-			return fmt.Errorf("not reachable within %v: %w", budget, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	return []gate{
+		check("kill cycles", sigkills >= crashMinKills, "%d kill/restart cycles (gate ≥ %d)", sigkills, crashMinKills),
+		check("start failures", startFailures == 0, "%d restarts came up unhealthy (gate 0)", startFailures),
+		check("lost synced", lostSynced == 0, "%d synced tenants lost their canonical entry (gate 0)", lostSynced),
+		check("unexpected errors", unexpected == 0, "%d request errors outside kill windows (gate 0)", unexpected),
+		check("quarantine checks", quarantineFails == 0,
+			"%d cycles off the expected quarantine count (gate: exactly the injected one)", quarantineFails),
+	}, nil
 }
 
 func waitExit(proc *exec.Cmd, budget time.Duration) error {
@@ -338,29 +209,27 @@ func waitExit(proc *exec.Cmd, budget time.Duration) error {
 // not the gob stream the cache loader expects. The server is down when
 // this runs. Returns the victim user, removed from the synced set (its
 // canonical entry is gone with the quarantined file).
-func corruptSnapshot(cfg crashConfig, rng *rand.Rand, synced map[int]bool) int {
+func corruptSnapshot(dir string, rng *rand.Rand, synced map[int]bool) (int, error) {
 	var candidates []int
 	for u := range synced {
 		candidates = append(candidates, u)
 	}
 	sort.Ints(candidates) // map order is random; keep the seeded pick reproducible
-	if len(candidates) == 0 {
-		log.Printf("crash: no synced tenant to corrupt; skipping injection")
-		return -1
-	}
 	victim := candidates[rng.Intn(len(candidates))]
-	path := tenantSnapshotPath(cfg.dir, crashUser(victim))
+	// The registry's persistPath layout: the user ID hex-encoded, ".cache"
+	// suffix, in the persist dir.
+	path := filepath.Join(dir, hex.EncodeToString([]byte(crashUser(victim)))+".cache")
 	st, err := store.Open(path)
 	if err != nil {
-		log.Fatalf("crash: opening snapshot to corrupt: %v", err)
+		return 0, fmt.Errorf("opening snapshot to corrupt: %w", err)
 	}
 	if err := st.Put("entry/0", []byte("deliberately not a gob stream")); err != nil {
-		log.Fatalf("crash: corrupting snapshot: %v", err)
+		return 0, fmt.Errorf("corrupting snapshot: %w", err)
 	}
 	if err := st.Close(); err != nil {
-		log.Fatalf("crash: closing corrupted snapshot: %v", err)
+		return 0, fmt.Errorf("closing corrupted snapshot: %w", err)
 	}
 	delete(synced, victim)
 	log.Printf("crash: corrupted snapshot of %s (%s)", crashUser(victim), path)
-	return victim
+	return victim, nil
 }

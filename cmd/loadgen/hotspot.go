@@ -1,15 +1,10 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
-	"os"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -24,192 +19,216 @@ import (
 // The hotspot scenario is the search-batcher acceptance run: traffic is
 // skewed onto one hot tenant with a Zipf draw, so concurrent queries
 // pile up against a single large cache — exactly the shape the
-// per-tenant search batcher exists for. The same warmup and probe
-// stream is driven twice through two in-process cacheserve stacks,
-// identical except that one wires the SearchBatcher into the lookup
-// path, and the runs are compared head to head.
+// per-tenant search batcher exists for. Two in-process cacheserve
+// stacks, identical except that one wires the SearchBatcher into the
+// lookup path, are warmed with the same entries and then driven with
+// the same probe stream, head to head.
 //
-// The gate (-hotspot-accept): both runs are clean, the batched stack
-// demonstrably coalesces (mean search pass > 1 request with Coalesced >
-// 0, read from /v1/stats), duplicate probes hit identically in both
-// stacks (MultiSearch parity observed end to end, not just in unit
-// tests), and the batched hit-path p99 does not exceed the unbatched
-// p99 (times an optional slack multiplier for noisy CI machines).
+// The batched stack runs the search batcher at MaxBatch 8, MaxWait
+// 200µs — NOT cacheserve's shipped -search-batch 32 -search-batch-wait 0.
+// The gather window is what makes coalescing visible on a 2-core box:
+// with the shipped drain-mode values one 4,000-probe pass measured a
+// mean search pass of 1.00–1.01 (9–54 of 8,624 searches coalesced over
+// five runs), against ~1.5 (well over half of all searches coalesced)
+// in the configuration gated here.
+//
+// A single unbatched run followed by a single batched run put the p99
+// comparison on ~1,260 hit samples per side taken seconds apart, and
+// read 1.18, 0.91, 1.16, 1.02 over four runs of one binary on 2 cores.
+// A hit's round trip here is mostly queueing behind 23 other in-flight
+// requests, so the tail is set by scheduling stalls that arrive in
+// bursts: the same stack's p99 over 500 consecutive hits swings between
+// 75 and 370 ms within one run, and a p99 pooled over a whole run is
+// decided by which side the few worst bursts happened to land on (two
+// identical unbatched stacks compared that way read 0.94–1.04, a
+// batched against an unbatched one 0.72–1.18). The comparison is made
+// robust by how it samples, not by a wider allowance:
+//
+//   - The probes are sent once fresh (the cold pass: novel probes miss
+//     and are inserted, which is where hit parity can drift) and then
+//     hotReplays more times (the steady passes: every probe now hits its
+//     own entry, the caches stop growing, and every request is a
+//     hit-path sample).
+//   - The stacks take turns at slices of hotSlice probes (U B, B U, …),
+//     so both see the same machine from second to second.
+//   - Each side's p99 is the median, over its steady slices, of the
+//     slice's hit-RTT p99: 32 slices of 500 hits each, where a burst can
+//     spoil a slice but not the figure. 13 consecutive runs read
+//     0.82–1.04 this way, half of them with `go test ./...` competing
+//     for the two cores, and a 100 ms stall put into one in twenty
+//     coalesced passes reads 1.67.
+//
+// Gates: both stacks clean, the batched stack demonstrably coalesces
+// (mean search pass > 1 request with Coalesced > 0, read from
+// /v1/stats), duplicate probes hit identically in both stacks within 1%
+// (MultiSearch parity observed end to end, not just in unit tests), and
+// the batched hit-path p99 (as defined above) is at most hotLatencyX ×
+// the unbatched one.
+const (
+	hotTenants     = 12   // tenant 0 is the hot one
+	hotCached      = 48   // warmup entries per cold tenant
+	hotCachedHot   = 4096 // warmup entries for the hot tenant (bigger = longer scans)
+	hotProbes      = 4000 // fresh probes across all tenants (the cold pass)
+	hotReplays     = 4    // times the same probes are sent again (the steady passes)
+	hotSlice       = 500  // probes a stack takes before the other has its turn
+	hotDup         = 0.95
+	hotTau         = 0.80 // serving threshold (higher prunes more of the scan)
+	hotConcurrency = 24   // the burst
+	hotSkew        = 2.5  // Zipf s of the tenant draw (>1; higher = hotter hot tenant)
+	hotBatch       = 8    // batched stack's group-size cap (MaxBatch)
+	hotWait        = 200 * time.Microsecond
+	// hotLatencyX is the batched hit-path p99 ceiling, × the unbatched
+	// p99. The allowance absorbs scheduler noise on shared 2-core
+	// runners; the batcher typically lands within a few percent either
+	// side.
+	hotLatencyX = 1.10
+	// hotParity is the tolerated duplicate-hit disagreement between the
+	// stacks. Duplicate probes target entries warmed before any probe
+	// ran, so their hits are arrival-order independent — except for the
+	// handful of near-τ paraphrases that only hit via a novel probe
+	// inserted earlier, whose presence depends on closed-loop arrival
+	// order. A batching correctness bug (wrong scores, dropped matches)
+	// moves hits by far more.
+	hotParity = 0.01
+)
 
-// hotspotConfig carries the -hotspot-* flags plus the shared workload
-// knobs.
-type hotspotConfig struct {
-	tenants     int
-	cached      int // warmup entries per cold tenant
-	hotCached   int // warmup entries for the hot tenant (bigger = longer scans)
-	probes      int // total measured probes across all tenants
-	dup         float64
-	tau         float64
-	concurrency int
-	skew        float64       // Zipf s parameter (>1; higher = hotter hot tenant)
-	batch       int           // batched stack's group-size cap (MaxBatch)
-	wait        time.Duration // batched stack's gather window (MaxWait)
-	seed        int64
-	timeout     time.Duration
-	accept      bool
-	latX        float64 // batched p99 ceiling, × the unbatched p99
+// hotspotJobs builds the warmup and the fresh probes. The hot tenant
+// (index 0) gets a much larger warmed cache so its scans are long
+// enough to overlap under burst; every tenant's probe pool is sized for
+// the worst case (the Zipf draw routing every probe to it). Tenant
+// choice per probe is a Zipf draw, so the hot tenant soaks up most of
+// the burst while the tail keeps the cross-tenant mix honest (groups
+// must partition by cache). hotShare is the fraction it drew.
+func hotspotJobs(seed int64) (warmup, probes []job, hotShare float64) {
+	pools := make([][]dataset.Probe, hotTenants)
+	for u := range pools {
+		n := hotCached
+		if u == 0 {
+			n = hotCachedHot
+		}
+		cfg := dataset.DefaultConfig()
+		cfg.Seed = seed + int64(u)*7919
+		w := dataset.GenerateCacheWorkload(cfg, n, hotProbes, hotDup)
+		pools[u] = w.Probes
+		for _, q := range w.Cached {
+			warmup = append(warmup, job{user: userName(u), text: q})
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(warmup), func(i, j int) { warmup[i], warmup[j] = warmup[j], warmup[i] })
+
+	zipf := rand.NewZipf(rng, hotSkew, 1, hotTenants-1)
+	cursor := make([]int, hotTenants)
+	for i := 0; i < hotProbes; i++ {
+		u := int(zipf.Uint64())
+		p := pools[u][cursor[u]]
+		cursor[u]++
+		probes = append(probes, job{user: userName(u), text: p.Text, dup: p.DupOf >= 0})
+	}
+	return warmup, probes, float64(cursor[0]) / hotProbes
 }
 
-// hotspotPhase aggregates one driven run.
-type hotspotPhase struct {
-	mu       sync.Mutex
-	requests int
-	hits     int
-	dupHits  int // hits on probes whose duplicate was warmed up-front
-	errors   int
-	firstBad string
-	hitLat   metrics.LatencyRecorder // server-reported hit serving time
-	hitRTT   metrics.LatencyRecorder // client-observed hit round trip
-	duration time.Duration
-}
-
-func (p *hotspotPhase) report(name string) {
-	fmt.Printf("%-9s %6d req  %5d hits (%d dup)  %3d errors  %8.0f req/s  hit RTT p50 %v  p99 %v  (server-side p99 %v)\n",
-		name, p.requests, p.hits, p.dupHits, p.errors,
-		float64(p.requests)/p.duration.Seconds(),
-		p.hitRTT.Percentile(50).Round(time.Microsecond),
-		p.hitRTT.Percentile(99).Round(time.Microsecond),
-		p.hitLat.Percentile(99).Round(time.Microsecond))
-}
-
-// hotspotStack is one in-process cacheserve instance; batched selects
-// whether the SearchBatcher is wired into the tenant factory.
-type hotspotStack struct {
-	hts *httptest.Server
-	sb  *server.SearchBatcher
-}
-
-func newHotspotStack(cfg hotspotConfig, batched bool) *hotspotStack {
+// newHotspotStack starts one in-process cacheserve instance; batched
+// selects whether the SearchBatcher is wired into the tenant factory.
+func newHotspotStack(e env, batched bool) (t *target, stop func(), err error) {
 	simCfg := llmsim.DefaultConfig() // virtual time: misses cost no wall clock
-	simCfg.Seed = cfg.seed
+	simCfg.Seed = e.seed
 	sim := llmsim.New(simCfg)
-	enc := embed.NewModel(embed.MPNetSim, cfg.seed)
+	enc := embed.NewModel(embed.MPNetSim, e.seed)
 
 	var sb *server.SearchBatcher
 	var searcher cache.Searcher
 	if batched {
-		sb = server.NewSearchBatcher(server.BatcherConfig{MaxBatch: cfg.batch, MaxWait: cfg.wait})
+		sb = server.NewSearchBatcher(server.BatcherConfig{MaxBatch: hotBatch, MaxWait: hotWait})
 		searcher = sb
 	}
-	// Capacity holds every warmed entry plus every novel probe the hot
-	// tenant can absorb, so hit parity cannot be skewed by eviction.
-	capacity := cfg.hotCached + cfg.probes + 64
 	reg, err := server.NewRegistry(server.RegistryConfig{
 		Shards: 8,
 		Factory: func(userID string) *core.Client {
 			return core.New(core.Options{
-				Encoder:      enc,
-				LLM:          sim,
-				Tau:          float32(cfg.tau),
-				TopK:         5,
-				Capacity:     capacity,
+				Encoder: enc,
+				LLM:     sim,
+				Tau:     hotTau,
+				TopK:    5,
+				// Capacity holds every warmed entry plus every novel probe
+				// the hot tenant can absorb, so hit parity cannot be skewed
+				// by eviction.
+				Capacity:     hotCachedHot + hotProbes + 64,
 				FeedbackStep: 0.01,
 				Searcher:     searcher,
 			})
 		},
 	})
 	if err != nil {
-		log.Fatalf("hotspot: registry: %v", err)
+		return nil, nil, fmt.Errorf("registry: %w", err)
 	}
 	srv, err := server.New(server.Config{Registry: reg, SearchBatcher: sb})
 	if err != nil {
-		log.Fatalf("hotspot: server: %v", err)
+		return nil, nil, fmt.Errorf("server: %w", err)
 	}
-	return &hotspotStack{hts: httptest.NewServer(srv.Handler()), sb: sb}
+	hts := httptest.NewServer(srv.Handler())
+	return newTarget(e.timeout, hts.URL), func() {
+		hts.Close()
+		if sb != nil {
+			sb.Close()
+		}
+	}, nil
 }
 
-func (s *hotspotStack) close() {
-	s.hts.Close()
-	if s.sb != nil {
-		s.sb.Close()
-	}
-}
+func runHotspot(e env) ([]gate, error) {
+	warmup, probes, hotShare := hotspotJobs(e.seed)
+	log.Printf("hotspot scenario: %d tenants, hot tenant holds %d entries and draws %.0f%% of %d probes (skew %.2f), sent 1+%d times, %d workers",
+		hotTenants, hotCachedHot, 100*hotShare, hotProbes, hotSkew, hotReplays, hotConcurrency)
 
-func runHotspot(cfg hotspotConfig) {
-	// Per-tenant workloads: the hot tenant (index 0) gets a much larger
-	// warmed cache so its scans are long enough to overlap under burst;
-	// every tenant's probe pool is sized for the worst case (the Zipf
-	// draw routing every probe to it).
-	type tenantWork struct {
-		user   string
-		cached []string
-		probes []dataset.Probe
-	}
-	works := make([]tenantWork, cfg.tenants)
-	for u := 0; u < cfg.tenants; u++ {
-		n := cfg.cached
-		if u == 0 {
-			n = cfg.hotCached
+	// Index 0 is the unbatched stack, 1 the batched one; phases[i] pools
+	// all of stack i's slices.
+	names := [2]string{"unbatched", "batched"}
+	var stacks [2]*target
+	phases := [2]*phase{newPhase(), newPhase()}
+	var sliceP99 [2]metrics.LatencyRecorder // hit-RTT p99 of each steady slice
+	for i, name := range names {
+		t, stop, err := newHotspotStack(e, i == 1)
+		if err != nil {
+			return nil, err
 		}
-		wcfg := dataset.DefaultConfig()
-		wcfg.Seed = cfg.seed + int64(u)*7919
-		w := dataset.GenerateCacheWorkload(wcfg, n, cfg.probes, cfg.dup)
-		works[u] = tenantWork{
-			user:   fmt.Sprintf("user-%04d", u),
-			cached: w.Cached,
-			probes: w.Probes,
+		defer stop()
+		warm := newPhase()
+		t.run(warm, warmup, hotConcurrency, nil)
+		if warm.failed() > 0 {
+			return nil, fmt.Errorf("%s warmup: %s", name, warm.failures())
+		}
+		stacks[i] = t
+	}
+	for pass := 0; pass <= hotReplays; pass++ {
+		for at := 0; at < len(probes); at += hotSlice {
+			first := at / hotSlice % 2 // alternate which stack goes first
+			for _, i := range []int{first, 1 - first} {
+				t, pooled, slice := stacks[i], phases[i], newPhase()
+				pooled.duration += drive(probes[at:at+hotSlice], hotConcurrency, func(j job) {
+					o := t.send(j)
+					pooled.record(j, o)
+					slice.record(j, o)
+				}, nil)
+				if pass > 0 {
+					sliceP99[i].Record(slice.hitRTT.Percentile(99))
+				}
+			}
 		}
 	}
+	direct, batched := phases[0], phases[1]
 
-	var warmup []job
-	for _, w := range works {
-		for _, q := range w.cached {
-			warmup = append(warmup, job{user: w.user, text: q})
-		}
-	}
-	rng := rand.New(rand.NewSource(cfg.seed))
-	rng.Shuffle(len(warmup), func(i, j int) { warmup[i], warmup[j] = warmup[j], warmup[i] })
-
-	// The probe stream: tenant choice per probe is a Zipf draw, so the
-	// hot tenant soaks up most of the burst while the tail keeps the
-	// cross-tenant mix honest (groups must partition by cache).
-	zipf := rand.NewZipf(rng, cfg.skew, 1, uint64(cfg.tenants-1))
-	cursor := make([]int, cfg.tenants)
-	hotProbes := 0
-	var probeJobs []job
-	for i := 0; i < cfg.probes; i++ {
-		t := int(zipf.Uint64())
-		if t == 0 {
-			hotProbes++
-		}
-		w := works[t]
-		p := w.probes[cursor[t]%len(w.probes)]
-		cursor[t]++
-		probeJobs = append(probeJobs, job{user: w.user, text: p.Text, dup: p.DupOf >= 0, probe: true})
-	}
-
-	log.Printf("hotspot scenario: %d tenants, hot tenant holds %d entries and draws %.0f%% of %d probes (skew %.2f), %d workers",
-		cfg.tenants, cfg.hotCached, 100*float64(hotProbes)/float64(cfg.probes), cfg.probes, cfg.skew, cfg.concurrency)
-
-	// Identical warmup + probe stream through both stacks; unbatched
-	// first so its numbers anchor the comparison.
-	run := func(name string, batched bool) (*hotspotPhase, *server.BatcherStats) {
-		stack := newHotspotStack(cfg, batched)
-		defer stack.close()
-		d := &hotspotDriver{client: &http.Client{Timeout: cfg.timeout}, base: stack.hts.URL}
-		warm := &hotspotPhase{}
-		d.drive(warmup, cfg.concurrency, warm)
-		if warm.errors > 0 {
-			log.Fatalf("hotspot: %s warmup failed (%d errors, first: %s)", name, warm.errors, warm.firstBad)
-		}
-		phase := &hotspotPhase{}
-		d.drive(probeJobs, cfg.concurrency, phase)
-		return phase, d.searchBatcherStats()
-	}
-	direct, _ := run("unbatched", false)
-	batched, sbStats := run("batched", true)
-
-	fmt.Printf("\n=== hotspot search-batching report (%d tenants, %d probes) ===\n", cfg.tenants, cfg.probes)
+	fmt.Printf("\n=== hotspot search-batching report (%d tenants, %d probes sent 1+%d times, batcher MaxBatch %d MaxWait %v) ===\n",
+		hotTenants, hotProbes, hotReplays, hotBatch, hotWait)
 	direct.report("unbatched")
 	batched.report("batched")
-	if sbStats != nil {
+	// The coalescing counters come from /v1/stats — the same surface
+	// operators see.
+	var sb server.BatcherStats
+	s, err := stacks[1].scrape()
+	if err == nil && s.stats.SearchBatcher != nil {
+		sb = *s.stats.SearchBatcher
 		fmt.Printf("batcher          %d searches in %d passes (mean %.2f, %d coalesced)\n",
-			sbStats.Requests, sbStats.Batches, sbStats.MeanBatch, sbStats.Coalesced)
+			sb.Requests, sb.Batches, sb.MeanBatch, sb.Coalesced)
 	}
 
 	// The p99 gate compares the client-observed hit round trip: on an
@@ -217,148 +236,26 @@ func runHotspot(cfg hotspotConfig) {
 	// that clients pay anyway from the accept queue into the server-side
 	// measurement window, so the server-reported serving time would
 	// penalise batching for latency the client never sees twice.
-	directP99 := direct.hitRTT.Percentile(99)
-	batchedP99 := batched.hitRTT.Percentile(99)
-	gates := []struct {
-		name   string
-		pass   bool
-		detail string
-	}{
-		{"clean run", direct.errors == 0 && batched.errors == 0,
-			fmt.Sprintf("%d + %d errors (first: %s%s)", direct.errors, batched.errors, direct.firstBad, batched.firstBad)},
-		{"coalescing", sbStats != nil && sbStats.Coalesced > 0 && sbStats.MeanBatch > 1,
-			func() string {
-				if sbStats == nil {
-					return "no search_batcher block in /v1/stats"
-				}
-				return fmt.Sprintf("mean pass %.2f requests, %d coalesced (gate > 1 mean, > 0 coalesced)",
-					sbStats.MeanBatch, sbStats.Coalesced)
-			}()},
-		// Duplicate probes target entries warmed before any probe ran, so
-		// their hits are arrival-order independent — except for the handful
-		// of near-τ paraphrases that only hit via a novel probe inserted
-		// earlier in the same phase, whose presence depends on closed-loop
-		// arrival order. The parity bar therefore allows 1% drift; a
-		// batching correctness bug (wrong scores, dropped matches) moves
-		// hits by far more.
-		{"hit parity", parityDrift(batched.dupHits, direct.dupHits) <= 0.01 && batched.dupHits > 0,
-			fmt.Sprintf("%d batched vs %d unbatched duplicate hits (gate ≤ 1%% drift)", batched.dupHits, direct.dupHits)},
-		{"hit-path p99", directP99 > 0 && float64(batchedP99) <= cfg.latX*float64(directP99),
-			fmt.Sprintf("%v batched vs %v unbatched (gate ≤ %.2f×)", batchedP99, directP99, cfg.latX)},
+	directP99, batchedP99 := sliceP99[0].Percentile(50), sliceP99[1].Percentile(50)
+	for i, name := range names {
+		pct := sliceP99[i].Percentiles(0, 50, 100)
+		fmt.Printf("%-12s hit RTT p99 per steady slice: median %v (min %v, max %v) over %d slices of %d probes\n",
+			name, pct[1], pct[0], pct[2], sliceP99[i].Count(), hotSlice)
 	}
-	fail := false
-	for _, g := range gates {
-		verdict := "PASS"
-		if !g.pass {
-			verdict = "FAIL"
-			fail = true
-		}
-		fmt.Printf("%s %-18s %s\n", verdict, g.name, g.detail)
+	drift := 1.0
+	if direct.dupHits > 0 {
+		drift = float64(max(batched.dupHits-direct.dupHits, direct.dupHits-batched.dupHits)) / float64(direct.dupHits)
 	}
-	if cfg.accept && fail {
-		fmt.Println("ACCEPT FAIL: the search-batching gate did not hold")
-		os.Exit(1)
-	}
-	if cfg.accept {
-		fmt.Printf("ACCEPT PASS: coalesced %.2f searches per pass with hit-path p99 %v vs %v unbatched\n",
-			sbStats.MeanBatch, batchedP99, directP99)
-	}
-}
-
-// parityDrift is the relative duplicate-hit disagreement between the
-// two stacks.
-func parityDrift(a, b int) float64 {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	if b == 0 {
-		return 1
-	}
-	return float64(diff) / float64(b)
-}
-
-// hotspotDriver is the closed-loop worker pool for one stack.
-type hotspotDriver struct {
-	client *http.Client
-	base   string
-}
-
-func (d *hotspotDriver) drive(jobs []job, concurrency int, st *hotspotPhase) {
-	start := time.Now()
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				d.one(j, st)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	st.duration = time.Since(start)
-}
-
-func (d *hotspotDriver) one(j job, st *hotspotPhase) {
-	body, _ := json.Marshal(server.QueryRequest{User: j.user, Query: j.text})
-	start := time.Now()
-	resp, err := d.client.Post(d.base+"/v1/query", "application/json", bytes.NewReader(body))
-	rtt := time.Since(start)
-	if err != nil {
-		d.fail(st, fmt.Sprintf("transport: %v", err))
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		d.fail(st, fmt.Sprintf("status %d", resp.StatusCode))
-		return
-	}
-	var qr server.QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		d.fail(st, fmt.Sprintf("decoding response: %v", err))
-		return
-	}
-	st.mu.Lock()
-	st.requests++
-	if qr.Hit {
-		st.hits++
-		if j.dup {
-			st.dupHits++
-		}
-		st.hitRTT.Record(rtt)
-		st.hitLat.Record(time.Duration(qr.LatencyMicros) * time.Microsecond)
-	}
-	st.mu.Unlock()
-}
-
-func (d *hotspotDriver) fail(st *hotspotPhase, msg string) {
-	st.mu.Lock()
-	st.requests++
-	st.errors++
-	if st.firstBad == "" {
-		st.firstBad = msg
-	}
-	st.mu.Unlock()
-}
-
-// searchBatcherStats reads the batched stack's coalescing counters from
-// /v1/stats — the same surface operators see, so the gate asserts the
-// observable contract rather than process internals.
-func (d *hotspotDriver) searchBatcherStats() *server.BatcherStats {
-	resp, err := d.client.Get(d.base + "/v1/stats")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var st server.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil
-	}
-	return st.SearchBatcher
+	return []gate{
+		check("clean run", direct.failed() == 0 && batched.failed() == 0,
+			"unbatched %s, batched %s", direct.failures(), batched.failures()),
+		check("coalescing", sb.Coalesced > 0 && sb.MeanBatch > 1,
+			"mean pass %.2f requests, %d coalesced (gate > 1 mean, > 0 coalesced)", sb.MeanBatch, sb.Coalesced),
+		check("hit parity", drift <= hotParity && batched.dupHits > 0,
+			"%d batched vs %d unbatched duplicate hits (gate ≤ %.0f%% drift)", batched.dupHits, direct.dupHits, 100*hotParity),
+		check("hit-path p99", directP99 > 0 && float64(batchedP99) <= hotLatencyX*float64(directP99),
+			"%v batched vs %v unbatched = %.2f×, medians of %d steady slices each (gate ≤ %.2f×)",
+			batchedP99, directP99, float64(batchedP99)/float64(max(directP99, 1)),
+			sliceP99[0].Count(), hotLatencyX),
+	}, nil
 }

@@ -1,443 +1,192 @@
-// Command loadgen is a closed-loop multi-user load generator for
-// cmd/cacheserve. Each simulated user gets their own workload
-// (internal/dataset, with ground-truth duplicate labels): a warmup phase
-// populates the user's cache, then a probe phase measures serving
-// behaviour. A fixed pool of workers drives the server at the configured
-// concurrency; every request waits for its response before the worker
-// takes the next job (closed loop).
+// Command loadgen is the acceptance-gate harness of the serving stack:
+// one closed-loop load driver and six scenarios that each put a gate on
+// one claim. (Performance measurement lives in bench/; loadgen only
+// answers pass or fail.)
 //
-// The report covers throughput, hit ratio, cache-decision quality against
-// ground truth (precision/recall/F1 via internal/metrics), and latency
-// percentiles, plus the server's own /v1/stats aggregate. Against a
-// cacheserve started with -metrics, /metrics is scraped at each phase
-// boundary and the report adds a per-stage server-side latency
-// breakdown (decode/encode/search/upstream/cachefill/respond).
+// Every scenario builds a seeded workload of simulated users
+// (internal/dataset, with ground-truth duplicate labels), drives it
+// through one shared worker pool in which every request waits for its
+// reply before the worker takes the next job (driver.go), classifies
+// each reply into one phase record, and returns a list of named gates.
+// The gates are printed PASS/FAIL in one format; with -accept a failed
+// gate makes the exit status non-zero.
 //
-// With -fl N the generator instead drives the online federated-learning
-// scenario against a cacheserve started with -fl: users share one lexicon
-// (so federated averaging genuinely pools knowledge) but hold private
-// intent sets; each probe phase files the user feedback the FL collector
-// learns from (missed_dup for duplicates the cache failed to serve,
-// false_hit for wrong hits), then triggers one FL round and measures the
-// next phase under the rolled-out model. The report is the
-// hit-ratio/F1/τ trajectory across rounds against the phase-0
-// frozen-model baseline.
-//
-// With -scenario ann the generator instead benchmarks the large-cache
-// index tiers in process (no server): it builds a clustered corpus under
-// each requested index (-ann-indexes) and reports recall@k plus latency
-// percentiles against the exact Flat ground truth, with an optional
-// acceptance gate (-ann-accept: HNSW ≥5× Flat at recall@10 ≥ 0.95).
-//
-// With -scenario overload the generator runs the degraded-serving
-// acceptance run in process: a full cacheserve stack (resilience
-// governor, guarded sleeping llmsim upstream) is driven through a
-// healthy baseline, an upstream brown-out, a full outage at ≥10×
-// capacity, and a recovery, asserting via /metrics and the structured
-// shed responses that the limiter adapts, the breaker trips to
-// cache-only serving and re-closes, and hit throughput/latency hold
-// (-overload-accept gates on it).
-//
-// With -scenario hotspot the generator runs the search-batching
-// acceptance run in process: a Zipf draw skews probe traffic onto one
-// hot tenant, and the same stream is driven through two otherwise
-// identical stacks — one with the per-tenant search batcher wired in,
-// one without. The gate (-hotspot-accept) asserts both runs are clean,
-// the batched stack coalesces (mean search pass > 1 via /v1/stats),
-// duplicate hits match exactly across the stacks, and the batched
-// hit-path p99 does not exceed the unbatched p99.
+//	serve     drive a running cacheserve (-addr): warm every user's
+//	          cache, then measure probes; reports throughput, hit ratio,
+//	          cache-decision precision/recall/F1, latency percentiles,
+//	          the server's /v1/stats and, against a -metrics server, a
+//	          per-stage latency breakdown. Gate: zero request errors.
+//	          With -fl N (against cacheserve -fl) it drives the online
+//	          federated-learning loop instead: users share one lexicon
+//	          but hold private intents, each probe phase files the
+//	          feedback the FL collector learns from, then triggers a
+//	          round; the report is the hit-ratio/F1/τ trajectory against
+//	          the frozen-model baseline.
+//	ann       in process, no server: a clustered 64-d corpus (-ann-n)
+//	          indexed under Flat, IVF, HNSW and int8 HNSW. Gate: HNSW
+//	          ≥5× Flat at recall@10 ≥ 0.95.
+//	cluster   in process: a 3-node cluster over shared storage takes an
+//	          abrupt node kill mid-run. Gates: zero errors, zero lost
+//	          tenants, ≥90% duplicate-hit-rate retention.
+//	overload  in process: a governed stack with a sleeping upstream goes
+//	          through a brown-out and a full outage at ≥10× offered load.
+//	          Gates: the limiter sheds, the breaker trips to cache-only
+//	          serving and re-closes, served throughput ≥90% of capacity,
+//	          hit p99 <5× unloaded, nothing unexpected.
+//	hotspot   in process: Zipf-skewed traffic on one hot tenant through
+//	          two stacks, with and without the search batcher. Gates:
+//	          clean, coalescing, hit parity ≤1%, batched hit p99 ≤1.10×.
+//	crash     a real cacheserve (-crash-bin) over one persist dir
+//	          (-crash-dir) is SIGKILLed mid-traffic 21 times with one
+//	          corrupt snapshot injected. Gates: every restart healthy,
+//	          zero lost synced tenants, exactly one quarantine, zero
+//	          errors outside kill windows.
 //
 // Usage:
 //
-//	loadgen -addr 127.0.0.1:8090 -users 100 -probes 12 -concurrency 32
-//	loadgen -addr 127.0.0.1:8090 -users 50 -fl 3
-//	loadgen -scenario ann -ann-n 200000 -ann-accept
-//	loadgen -scenario overload -users 60 -overload-accept
-//	loadgen -scenario hotspot -hotspot-accept
+//	loadgen -addr 127.0.0.1:8090 -users 100 -probes 12 -concurrency 32 -accept
+//	loadgen -addr 127.0.0.1:8090 -users 50 -fl 3 -accept
+//	loadgen -scenario ann -ann-n 200000 -accept
+//	loadgen -scenario cluster -users 80 -accept
+//	loadgen -scenario overload -users 60 -accept
+//	loadgen -scenario hotspot -accept
+//	loadgen -scenario crash -crash-bin ./bin/cacheserve -accept
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-	"math/rand"
-	"net/http"
+	"io"
 	"os"
-	"sync"
+	"strings"
 	"time"
-
-	"repro/internal/dataset"
-	"repro/internal/metrics"
-	"repro/internal/server"
 )
 
-type job struct {
-	user  string
-	text  string
-	dup   bool // ground truth: a cached duplicate exists
-	probe bool // measurement phase (false = warmup)
+// env carries the flags to the scenarios.
+type env struct {
+	addr        string
+	users       int
+	cached      int
+	probes      int
+	dup         float64
+	concurrency int
+	seed        int64
+	timeout     time.Duration
+	flRounds    int
 
-	// fl-scenario fields
-	fl      bool   // file feedback from the outcome (online FL mode)
-	dupText string // the cached query this probe duplicates (for missed_dup)
+	annN, annQueries   int
+	crashBin, crashDir string
+	overloadFactor     int
 }
 
-// runner aggregates results across workers.
-type runner struct {
-	client *http.Client
-	base   string
+// scenario is one acceptance run. It owns its workload, the stack it
+// runs against, and its gate predicates; the driver, the reply
+// classification, the phase record and the verdict are shared. A
+// returned error means the run could not be carried out at all.
+type scenario struct {
+	name string
+	run  func(env) ([]gate, error)
+}
 
-	mu        sync.Mutex
-	confusion metrics.Confusion
-	latency   metrics.LatencyRecorder
-	hits      int
-	queries   int
-	errors    int
+var scenarios = []scenario{
+	{"serve", runServe},
+	{"ann", runANN},
+	{"cluster", runCluster},
+	{"overload", runOverload},
+	{"hotspot", runHotspot},
+	{"crash", runCrash},
+}
+
+func scenarioNames() string {
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.name
+	}
+	return strings.Join(names, ", ")
+}
+
+func lookupScenario(name string) (scenario, error) {
+	for _, sc := range scenarios {
+		if sc.name == name {
+			return sc, nil
+		}
+	}
+	return scenario{}, fmt.Errorf("unknown -scenario %q (want one of: %s)", name, scenarioNames())
+}
+
+// gate is one named acceptance predicate and the numbers it judged.
+type gate struct {
+	name   string
+	ok     bool
+	detail string
+}
+
+func check(name string, ok bool, format string, args ...any) gate {
+	return gate{name: name, ok: ok, detail: fmt.Sprintf(format, args...)}
+}
+
+// verdict prints one PASS/FAIL line per gate and returns the process
+// exit status: non-zero only when a gate failed and accept is set.
+func verdict(w io.Writer, gates []gate, accept bool) int {
+	failed := 0
+	for _, g := range gates {
+		word := "PASS"
+		if !g.ok {
+			word = "FAIL"
+			failed++
+		}
+		fmt.Fprintf(w, "%s %-18s %s\n", word, g.name, g.detail)
+	}
+	switch {
+	case failed == 0:
+		fmt.Fprintf(w, "ACCEPT PASS: %d of %d gates held\n", len(gates), len(gates))
+		return 0
+	case accept:
+		fmt.Fprintf(w, "ACCEPT FAIL: %d of %d gates did not hold\n", failed, len(gates))
+		return 1
+	default:
+		fmt.Fprintf(w, "%d of %d gates did not hold (not enforced without -accept)\n", failed, len(gates))
+		return 0
+	}
+}
+
+// realMain is main without the process exit, so tests can call it.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	var e env
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("scenario", "serve", "acceptance run: "+scenarioNames()+" (see the package comment)")
+	accept := fs.Bool("accept", false, "exit non-zero if any gate of the scenario fails")
+	fs.StringVar(&e.addr, "addr", "127.0.0.1:8090", "serve: cacheserve address (host:port)")
+	fs.IntVar(&e.users, "users", 100, "number of simulated users")
+	fs.IntVar(&e.cached, "cached", 8, "warmup queries per user (populate the tenant cache)")
+	fs.IntVar(&e.probes, "probes", 12, "measured probes per user (per phase)")
+	fs.Float64Var(&e.dup, "dup", 0.3, "serve, cluster: fraction of probes that duplicate a cached query")
+	fs.IntVar(&e.concurrency, "concurrency", 32, "concurrent in-flight requests")
+	fs.Int64Var(&e.seed, "seed", 42, "workload generation seed")
+	fs.DurationVar(&e.timeout, "timeout", 30*time.Second, "per-request timeout")
+	fs.IntVar(&e.flRounds, "fl", 0, "serve: online FL rounds to drive (0 = plain load test)")
+	fs.IntVar(&e.annN, "ann-n", 200000, "ann: corpus size")
+	fs.IntVar(&e.annQueries, "ann-queries", 500, "ann: measured queries")
+	fs.StringVar(&e.crashBin, "crash-bin", "./bin/cacheserve", "crash: cacheserve binary to run and kill")
+	fs.StringVar(&e.crashDir, "crash-dir", "bin/crashtenants", "crash: persist dir shared across incarnations")
+	fs.IntVar(&e.overloadFactor, "overload-factor", 10, "overload: offered-load multiple of healthy capacity the outage phase must reach")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	sc, err := lookupScenario(*name)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	gates, err := sc.run(e)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", sc.name, err)
+		return 1
+	}
+	return verdict(stdout, gates, *accept)
 }
 
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:8090", "cacheserve address (host:port)")
-		users       = flag.Int("users", 100, "number of simulated users")
-		cached      = flag.Int("cached", 8, "warmup queries per user (populate the tenant cache)")
-		probes      = flag.Int("probes", 12, "measured probes per user")
-		dup         = flag.Float64("dup", 0.3, "fraction of probes that duplicate a cached query")
-		concurrency = flag.Int("concurrency", 32, "concurrent in-flight requests")
-		seed        = flag.Int64("seed", 42, "workload generation seed")
-		timeout     = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		flRounds    = flag.Int("fl", 0, "online FL rounds to drive (0 = classic load test)")
-
-		scenario   = flag.String("scenario", "serve", "serve (drive a cacheserve instance), ann (in-process large-cache index comparison), cluster (in-process N-node failover run) or overload (in-process degraded-serving run)")
-		annN       = flag.Int("ann-n", 200000, "ann: corpus size")
-		annDim     = flag.Int("ann-dim", 64, "ann: vector dimensionality")
-		annQueries = flag.Int("ann-queries", 500, "ann: measured queries")
-		annK       = flag.Int("ann-k", 10, "ann: neighbors per query (recall@k)")
-		annIndexes = flag.String("ann-indexes", "flat,ivf,hnsw,hnsw8", "ann: indexes to compare (must start with flat)")
-		annM       = flag.Int("ann-m", 16, "ann: HNSW links per node")
-		annEfCons  = flag.Int("ann-ef-construction", 100, "ann: HNSW insertion beam width")
-		annEf      = flag.Int("ann-ef-search", 96, "ann: HNSW query beam width")
-		annAccept  = flag.Bool("ann-accept", false, "ann: exit non-zero if the acceptance gate fails")
-
-		clusterNodes     = flag.Int("cluster-nodes", 3, "cluster: in-process nodes")
-		clusterVNodes    = flag.Int("cluster-vnodes", 64, "cluster: virtual nodes per member")
-		clusterKill      = flag.Int("cluster-kill", 1, "cluster: node index killed mid-run (-1 = no kill)")
-		clusterAccept    = flag.Bool("cluster-accept", false, "cluster: exit non-zero if the failover gate fails")
-		clusterRetention = flag.Float64("cluster-retention", 0.9, "cluster: dup-hit-rate retention floor after failover")
-
-		hotTenants     = flag.Int("hotspot-tenants", 12, "hotspot: simulated tenants (tenant 0 is the hot one)")
-		hotCached      = flag.Int("hotspot-cached", 48, "hotspot: warmup entries per cold tenant")
-		hotCachedHot   = flag.Int("hotspot-hot-cached", 4096, "hotspot: warmup entries for the hot tenant")
-		hotProbes      = flag.Int("hotspot-probes", 4000, "hotspot: total measured probes across all tenants")
-		hotDup         = flag.Float64("hotspot-dup", 0.95, "hotspot: duplicate fraction of probe traffic")
-		hotTau         = flag.Float64("hotspot-tau", 0.80, "hotspot: serving similarity threshold (higher prunes more of the scan)")
-		hotConcurrency = flag.Int("hotspot-concurrency", 24, "hotspot: concurrent in-flight requests (the burst)")
-		hotSkew        = flag.Float64("hotspot-skew", 2.5, "hotspot: Zipf skew of the tenant draw (>1)")
-		hotBatch       = flag.Int("hotspot-batch", 8, "hotspot: batched stack's group-size cap (-search-batch equivalent)")
-		hotWait        = flag.Duration("hotspot-wait", 200*time.Microsecond, "hotspot: batched stack's gather window (-search-batch-wait equivalent)")
-		hotLatX        = flag.Float64("hotspot-latency-x", 1.0, "hotspot: batched hit-path p99 ceiling, × the unbatched p99")
-		hotAccept      = flag.Bool("hotspot-accept", false, "hotspot: exit non-zero if the search-batching gate fails")
-
-		crashBin        = flag.String("crash-bin", "./bin/cacheserve", "crash: cacheserve binary to run and kill")
-		crashDir        = flag.String("crash-dir", "bin/crashtenants", "crash: persist dir shared across incarnations")
-		crashAddr       = flag.String("crash-addr", "127.0.0.1:18095", "crash: address the spawned server listens on")
-		crashCycles     = flag.Int("crash-cycles", 26, "crash: restart cycles (every 6th is a clean shutdown, the rest SIGKILL)")
-		crashUsers      = flag.Int("crash-users", 24, "crash: simulated tenants")
-		crashMaxTenants = flag.Int("crash-max-tenants", 8, "crash: server resident-tenant bound (< users forces eviction churn)")
-		crashAccept     = flag.Bool("crash-accept", false, "crash: exit non-zero if the crash-loop gate fails")
-
-		overloadFactor    = flag.Int("overload-factor", 10, "overload: offered-load multiple of healthy capacity the outage phase must reach")
-		overloadDup       = flag.Float64("overload-dup", 0.6, "overload: duplicate fraction of probe traffic (cache-only serving needs hits to serve)")
-		overloadRetention = flag.Float64("overload-retention", 0.9, "overload: served-throughput floor during the outage, as a fraction of healthy capacity")
-		overloadLatX      = flag.Float64("overload-latency-x", 5, "overload: hit-path p99 inflation ceiling during the outage (× the unloaded p99)")
-		overloadAccept    = flag.Bool("overload-accept", false, "overload: exit non-zero if the degraded-serving gate fails")
-	)
-	flag.Parse()
-
-	if *scenario == "ann" {
-		runANN(annConfig{
-			n: *annN, dim: *annDim, queries: *annQueries, k: *annK,
-			seed: *seed, indexes: *annIndexes,
-			m: *annM, efCons: *annEfCons, ef: *annEf, accept: *annAccept,
-		})
-		return
-	}
-	if *scenario == "cluster" {
-		runCluster(clusterConfig{
-			nodes: *clusterNodes, vnodes: *clusterVNodes, killIndex: *clusterKill,
-			users: *users, cached: *cached, probes: *probes, dup: *dup,
-			concurrency: *concurrency, seed: *seed, timeout: *timeout,
-			accept: *clusterAccept, retention: *clusterRetention,
-		})
-		return
-	}
-	if *scenario == "overload" {
-		runOverload(overloadConfig{
-			users: *users, cached: *cached, probes: *probes, dup: *overloadDup,
-			concurrency: *concurrency, factor: *overloadFactor, seed: *seed,
-			timeout: *timeout, accept: *overloadAccept,
-			retention: *overloadRetention, latencyX: *overloadLatX,
-		})
-		return
-	}
-	if *scenario == "hotspot" {
-		runHotspot(hotspotConfig{
-			tenants: *hotTenants, cached: *hotCached, hotCached: *hotCachedHot,
-			probes: *hotProbes, dup: *hotDup, tau: *hotTau, concurrency: *hotConcurrency,
-			skew: *hotSkew, batch: *hotBatch, wait: *hotWait, seed: *seed, timeout: *timeout,
-			accept: *hotAccept, latX: *hotLatX,
-		})
-		return
-	}
-	if *scenario == "crash" {
-		runCrash(crashConfig{
-			bin: *crashBin, dir: *crashDir, addr: *crashAddr,
-			cycles: *crashCycles, users: *crashUsers, maxTenants: *crashMaxTenants,
-			concurrency: *concurrency, seed: *seed, timeout: *timeout,
-			accept: *crashAccept,
-		})
-		return
-	}
-	if *scenario != "serve" {
-		log.Fatalf("unknown -scenario %q (want serve, ann, cluster, overload, hotspot or crash)", *scenario)
-	}
-
-	r := &runner{
-		client: &http.Client{Timeout: *timeout},
-		base:   "http://" + *addr,
-	}
-	if err := r.health(); err != nil {
-		log.Fatalf("server not healthy at %s: %v", *addr, err)
-	}
-
-	if *flRounds > 0 {
-		runFL(r, flConfig{
-			users:       *users,
-			cached:      *cached,
-			probes:      *probes,
-			dup:         *dup,
-			concurrency: *concurrency,
-			rounds:      *flRounds,
-			seed:        *seed,
-		})
-		return
-	}
-
-	log.Printf("generating workloads for %d users (%d warmup + %d probes each, %.0f%% duplicates)",
-		*users, *cached, *probes, 100**dup)
-	warmup, probeJobs := buildJobs(*users, *cached, *probes, *dup, *seed)
-
-	// /metrics is scraped at every phase boundary: diffing the server's
-	// stage histograms across a phase gives the per-stage latency
-	// breakdown the wire-level RTT cannot see. A server without -metrics
-	// simply yields no breakdown.
-	preWarm := scrapeStages(r.client, r.base)
-
-	log.Printf("warmup: %d queries", len(warmup))
-	r.drive(warmup, *concurrency)
-	warmQueries, warmErrors := r.queries, r.errors
-	r.resetMeasurement()
-	postWarm := scrapeStages(r.client, r.base)
-
-	log.Printf("measuring: %d probes at concurrency %d", len(probeJobs), *concurrency)
-	start := time.Now()
-	r.drive(probeJobs, *concurrency)
-	elapsed := time.Since(start)
-	postProbe := scrapeStages(r.client, r.base)
-
-	r.report(*users, warmQueries, warmErrors, elapsed)
-	if bd := stageBreakdown(postWarm, postProbe); bd != "" {
-		fmt.Printf("server stages    %s (mean per request, probe phase)\n", bd)
-	}
-	if bd := stageBreakdown(preWarm, postWarm); bd != "" {
-		fmt.Printf("                 %s (warmup phase)\n", bd)
-	}
-	if r.errors > 0 {
-		os.Exit(1)
-	}
-}
-
-// buildJobs derives every user's workload. Per-user seeds give each user
-// distinct intents; the shuffle interleaves users so concurrent traffic
-// mixes tenants (exercising cross-tenant encode batching server-side).
-func buildJobs(users, cached, probes int, dup float64, seed int64) (warmup, probeJobs []job) {
-	rng := rand.New(rand.NewSource(seed))
-	for u := 0; u < users; u++ {
-		cfg := dataset.DefaultConfig()
-		cfg.Seed = seed + int64(u)*7919
-		w := dataset.GenerateCacheWorkload(cfg, cached, probes, dup)
-		user := fmt.Sprintf("user-%04d", u)
-		for _, q := range w.Cached {
-			warmup = append(warmup, job{user: user, text: q})
-		}
-		for _, p := range w.Probes {
-			probeJobs = append(probeJobs, job{user: user, text: p.Text, dup: p.DupOf >= 0, probe: true})
-		}
-	}
-	rng.Shuffle(len(warmup), func(i, j int) { warmup[i], warmup[j] = warmup[j], warmup[i] })
-	rng.Shuffle(len(probeJobs), func(i, j int) { probeJobs[i], probeJobs[j] = probeJobs[j], probeJobs[i] })
-	return warmup, probeJobs
-}
-
-// drive runs jobs through a closed-loop worker pool.
-func (r *runner) drive(jobs []job, concurrency int) {
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				r.one(j)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-}
-
-func (r *runner) one(j job) {
-	body, _ := json.Marshal(server.QueryRequest{User: j.user, Query: j.text})
-	start := time.Now()
-	resp, err := r.client.Post(r.base+"/v1/query", "application/json", bytes.NewReader(body))
-	rtt := time.Since(start)
-	if err != nil {
-		r.recordError(err)
-		return
-	}
-	defer resp.Body.Close()
-	var qr server.QueryResponse
-	if resp.StatusCode != http.StatusOK {
-		r.recordError(fmt.Errorf("status %d", resp.StatusCode))
-		return
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		r.recordError(err)
-		return
-	}
-	// Latency blends the wire round trip with the server-reported
-	// simulated upstream time, mirroring llmsim.Client: in virtual-time
-	// deployments the simulated inference is not in the wire time.
-	lat := rtt
-	if sim := time.Duration(qr.LatencyMicros) * time.Microsecond; sim > lat {
-		lat = sim
-	}
-	r.mu.Lock()
-	r.queries++
-	if qr.Hit {
-		r.hits++
-	}
-	if j.probe {
-		r.confusion.Add(j.dup, qr.Hit)
-		r.latency.Record(lat)
-	}
-	r.mu.Unlock()
-
-	if j.fl {
-		r.fileFeedback(j, qr)
-	}
-}
-
-// fileFeedback plays the user's role in the online FL loop: a duplicate
-// the cache failed to serve is reported as missed_dup (pointing at the
-// earlier question), a hit on a genuinely new query as false_hit. Correct
-// outcomes need no report — the hit itself already taught the collector a
-// positive pair.
-func (r *runner) fileFeedback(j job, qr server.QueryResponse) {
-	var fb server.FeedbackRequest
-	switch {
-	case j.dup && !qr.Hit && j.dupText != "":
-		fb = server.FeedbackRequest{
-			User: j.user, Kind: server.FeedbackMissedDup,
-			Query: j.text, DuplicateOf: j.dupText,
-		}
-	case !j.dup && qr.Hit:
-		fb = server.FeedbackRequest{
-			User: j.user, Kind: server.FeedbackFalseHit,
-			Query: j.text, DuplicateOf: qr.Matched,
-		}
-	default:
-		return
-	}
-	body, _ := json.Marshal(fb)
-	resp, err := r.client.Post(r.base+"/v1/feedback", "application/json", bytes.NewReader(body))
-	if err != nil {
-		r.recordError(err)
-		return
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		r.recordError(fmt.Errorf("feedback status %d", resp.StatusCode))
-	}
-}
-
-func (r *runner) recordError(err error) {
-	r.mu.Lock()
-	r.errors++
-	first := r.errors == 1
-	r.mu.Unlock()
-	if first {
-		log.Printf("request error (first): %v", err)
-	}
-}
-
-func (r *runner) resetMeasurement() {
-	r.mu.Lock()
-	r.queries, r.hits, r.errors = 0, 0, 0
-	r.mu.Unlock()
-}
-
-func (r *runner) health() error {
-	resp, err := r.client.Get(r.base + "/healthz")
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-func (r *runner) report(users, warmQueries, warmErrors int, elapsed time.Duration) {
-	fmt.Printf("\n=== loadgen report ===\n")
-	fmt.Printf("users            %d\n", users)
-	fmt.Printf("warmup           %d queries (%d errors)\n", warmQueries, warmErrors)
-	fmt.Printf("probes           %d queries in %v (%.1f qps)\n",
-		r.queries, elapsed.Round(time.Millisecond), float64(r.queries)/elapsed.Seconds())
-	fmt.Printf("errors           %d\n", r.errors)
-	if r.queries > 0 {
-		fmt.Printf("hit ratio        %.1f%% (%d hits)\n", 100*float64(r.hits)/float64(r.queries), r.hits)
-	}
-	fmt.Printf("cache decisions  precision %.3f  recall %.3f  F1 %.3f  accuracy %.3f\n",
-		r.confusion.Precision(), r.confusion.Recall(), r.confusion.F1(), r.confusion.Accuracy())
-	fmt.Printf("latency          mean %v  p50 %v  p95 %v  p99 %v\n",
-		r.latency.Mean().Round(time.Microsecond),
-		r.latency.Percentile(50).Round(time.Microsecond),
-		r.latency.Percentile(95).Round(time.Microsecond),
-		r.latency.Percentile(99).Round(time.Microsecond))
-
-	resp, err := r.client.Get(r.base + "/v1/stats")
-	if err != nil {
-		log.Printf("fetching server stats: %v", err)
-		return
-	}
-	defer resp.Body.Close()
-	var st server.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		log.Printf("decoding server stats: %v", err)
-		return
-	}
-	fmt.Printf("server aggregate %d queries, hit ratio %.1f%%, search mean %dµs, p95 %dµs\n",
-		st.Aggregate.Queries, 100*st.Aggregate.HitRatio, st.Aggregate.SearchMicros, st.Aggregate.P95Micros)
-	fmt.Printf("server registry  %d resident tenants, %d activations, %d evictions\n",
-		st.Registry.Resident, st.Registry.Activations, st.Registry.Evictions)
-	if st.Batcher != nil {
-		fmt.Printf("server batcher   %d requests in %d batches (mean %.2f, %d coalesced)\n",
-			st.Batcher.Requests, st.Batcher.Batches, st.Batcher.MeanBatch, st.Batcher.Coalesced)
-	}
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }

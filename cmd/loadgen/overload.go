@@ -1,23 +1,14 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log"
-	"math/rand"
-	"net/http"
 	"net/http/httptest"
-	"os"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/llmsim"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/server"
@@ -41,88 +32,26 @@ import (
 //	heal      the upstream recovers; half-open probes must re-close the
 //	          breaker and full serving must resume
 //
-// The gate (-overload-accept): offered load during the outage reaches
-// the configured multiple of healthy capacity, served throughput stays
-// within the retention floor of capacity, the hit-path p99 stays under
-// the inflation ceiling, the breaker demonstrably trips open (asserted
-// via /metrics) and recovers after the upstream heals, and no phase sees
-// a single transport error, panic, or unexpected status.
+// Gates: offered load during the outage reaches -overload-factor × the
+// healthy capacity, served throughput stays within the retention floor
+// of capacity, the hit-path p99 stays under the inflation ceiling, the
+// limiter sheds the brown-out overflow, the breaker demonstrably trips
+// open (asserted via /metrics) and recovers after the upstream heals,
+// and no phase sees a single transport error, panic, or unexpected
+// status.
+const (
+	// overloadDup is the duplicate fraction of probe traffic: cache-only
+	// serving needs hits to serve.
+	overloadDup = 0.6
+	// overloadRetention is the served-throughput floor during the
+	// outage, as a fraction of healthy capacity.
+	overloadRetention = 0.9
+	// overloadLatencyX is the hit-path p99 inflation ceiling during the
+	// outage, × the unloaded p99.
+	overloadLatencyX = 5.0
+)
 
-// overloadConfig carries the -overload-* flags plus the shared workload
-// knobs.
-type overloadConfig struct {
-	users       int
-	cached      int
-	probes      int // per phase, per user (the outage phase runs factor× this)
-	dup         float64
-	concurrency int // healthy-phase worker pool
-	factor      int // offered-load multiple the outage must reach
-	seed        int64
-	timeout     time.Duration
-	accept      bool
-	retention   float64 // served-throughput floor during the outage (× capacity)
-	latencyX    float64 // hit-path p99 inflation ceiling (× unloaded p99)
-}
-
-// overloadPhase aggregates one driven phase by response class.
-type overloadPhase struct {
-	mu         sync.Mutex
-	requests   int
-	served     int // 200s
-	hits       int
-	degraded   int            // hits flagged cache-only degraded
-	sheds      map[string]int // structured shed code -> count (429/503)
-	upstream   int            // 502 upstream_error responses
-	unexpected int            // transport failures, unknown statuses, bad bodies
-	firstBad   string
-	hitLat     metrics.LatencyRecorder // server-reported hit serving time
-	duration   time.Duration
-}
-
-func newOverloadPhase() *overloadPhase {
-	return &overloadPhase{sheds: map[string]int{}}
-}
-
-func (p *overloadPhase) fail(msg string) {
-	p.mu.Lock()
-	p.requests++
-	p.unexpected++
-	if p.firstBad == "" {
-		p.firstBad = msg
-	}
-	p.mu.Unlock()
-}
-
-func (p *overloadPhase) shedTotal() int {
-	n := 0
-	for _, c := range p.sheds {
-		n += c
-	}
-	return n
-}
-
-// offeredRate is every request the closed loop pushed, served or shed.
-func (p *overloadPhase) offeredRate() float64 {
-	if p.duration <= 0 {
-		return 0
-	}
-	return float64(p.requests) / p.duration.Seconds()
-}
-
-func (p *overloadPhase) servedRate() float64 {
-	if p.duration <= 0 {
-		return 0
-	}
-	return float64(p.served) / p.duration.Seconds()
-}
-
-func (p *overloadPhase) report(name string) {
-	fmt.Printf("%-9s %6d req  %6d served  %5d hits (%d degraded)  %5d shed  %4d 502  %3d unexpected  %8.0f served/s  hit-p99 %v\n",
-		name, p.requests, p.served, p.hits, p.degraded, p.shedTotal(), p.upstream, p.unexpected,
-		p.servedRate(), p.hitLat.Percentile(99).Round(time.Microsecond))
-}
-
-func runOverload(cfg overloadConfig) {
+func runOverload(e env) ([]gate, error) {
 	// The upstream sleeps for real so healthy capacity is genuinely
 	// upstream-bound (~100 ms per miss): the outage phase then offers a
 	// large multiple of it even on a small CI machine. Latencies are cut
@@ -133,7 +62,7 @@ func runOverload(cfg overloadConfig) {
 		JitterFrac:  0.1,
 		MaxTokens:   50,
 		Sleep:       true,
-		Seed:        cfg.seed,
+		Seed:        e.seed,
 	})
 
 	gov := resilience.NewGovernor(resilience.GovernorConfig{
@@ -150,7 +79,7 @@ func runOverload(cfg overloadConfig) {
 	})
 	guard := resilience.NewGuard(sim, gov, 0)
 
-	enc := embed.NewModel(embed.MPNetSim, cfg.seed)
+	enc := embed.NewModel(embed.MPNetSim, e.seed)
 	reg, err := server.NewRegistry(server.RegistryConfig{
 		Shards: 8,
 		Factory: func(userID string) *core.Client {
@@ -170,72 +99,43 @@ func runOverload(cfg overloadConfig) {
 		},
 	})
 	if err != nil {
-		log.Fatalf("overload: registry: %v", err)
+		return nil, fmt.Errorf("registry: %w", err)
 	}
-	obsReg := obs.NewRegistry()
-	srv, err := server.New(server.Config{Registry: reg, Metrics: obsReg, Governor: gov})
+	srv, err := server.New(server.Config{Registry: reg, Metrics: obs.NewRegistry(), Governor: gov})
 	if err != nil {
-		log.Fatalf("overload: server: %v", err)
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
+	t := newTarget(e.timeout, hts.URL)
 
-	// Workloads: each user's probes are drawn in one pass so every phase
-	// sees the same duplicate mix, then split baseline / brownout /
-	// outage (factor× volume) / heal.
-	rng := rand.New(rand.NewSource(cfg.seed))
-	var warmup, baseline, brownout, outage, heal []job
-	for u := 0; u < cfg.users; u++ {
-		wcfg := dataset.DefaultConfig()
-		wcfg.Seed = cfg.seed + int64(u)*7919
-		w := dataset.GenerateCacheWorkload(wcfg, cfg.cached, cfg.probes*(cfg.factor+3), cfg.dup)
-		user := fmt.Sprintf("user-%04d", u)
-		for _, q := range w.Cached {
-			warmup = append(warmup, job{user: user, text: q})
-		}
-		for i, p := range w.Probes {
-			j := job{user: user, text: p.Text, dup: p.DupOf >= 0, probe: true}
-			switch {
-			case i < cfg.probes:
-				baseline = append(baseline, j)
-			case i < 2*cfg.probes:
-				brownout = append(brownout, j)
-			case i < (2+cfg.factor)*cfg.probes:
-				outage = append(outage, j)
-			default:
-				heal = append(heal, j)
-			}
-		}
-	}
-	for _, js := range [][]job{warmup, baseline, brownout, outage, heal} {
-		rng.Shuffle(len(js), func(i, j int) { js[i], js[j] = js[j], js[i] })
-	}
-
-	d := &overloadDriver{client: &http.Client{Timeout: cfg.timeout}, base: hts.URL}
+	// Phases: baseline / brownout / outage (factor× volume) / heal.
+	factor := e.overloadFactor
+	warmup, phases := buildJobs(e.seed, e.users, e.cached, overloadDup,
+		e.probes, e.probes, factor*e.probes, e.probes)
 
 	log.Printf("overload scenario: %d users, %d workers healthy, %d probes/user/phase, outage at %d× volume",
-		cfg.users, cfg.concurrency, cfg.probes, cfg.factor)
-	warm := newOverloadPhase()
-	d.drive(warmup, cfg.concurrency, warm)
-	if warm.served != warm.requests {
-		log.Fatalf("overload: warmup not fully served (%d/%d, first: %s)",
-			warm.served, warm.requests, warm.firstBad)
+		e.users, e.concurrency, e.probes, factor)
+	warm := newPhase()
+	t.run(warm, warmup, e.concurrency, nil)
+	if warm.failed() > 0 {
+		return nil, fmt.Errorf("warmup not fully served: %s", warm.failures())
 	}
 
-	log.Printf("baseline (healthy): %d probes at %d workers", len(baseline), cfg.concurrency)
-	base := newOverloadPhase()
-	d.drive(baseline, cfg.concurrency, base)
-	capacity := base.servedRate()
+	log.Printf("baseline (healthy): %d probes at %d workers", len(phases[0]), e.concurrency)
+	base := newPhase()
+	t.run(base, phases[0], e.concurrency, nil)
+	capacity := base.rate(base.served)
 
 	// Brown-out: the upstream slows 4× while the offered load jumps to
 	// factor× the healthy worker pool — the limiter, not a queue, must
 	// absorb the difference.
 	sim.SetSlowdown(4)
-	brownWorkers := cfg.factor * cfg.concurrency
-	log.Printf("brown-out (upstream 4× slower): %d probes at %d workers", len(brownout), brownWorkers)
-	brown := newOverloadPhase()
-	d.drive(brownout, brownWorkers, brown)
-	brownScrape := scrapeGovernor(d.client, d.base)
+	brownWorkers := factor * e.concurrency
+	log.Printf("brown-out (upstream 4× slower): %d probes at %d workers", len(phases[1]), brownWorkers)
+	brown := newPhase()
+	t.run(brown, phases[1], brownWorkers, nil)
+	brownScrape, _ := t.scrape()
 
 	// Outage: the upstream fails outright. The worker pool is kept at a
 	// moderate multiple — beyond CPU saturation extra closed-loop workers
@@ -243,256 +143,97 @@ func runOverload(cfg overloadConfig) {
 	// the measured rate, which must still reach factor× capacity because
 	// shed responses return in microseconds, not upstream milliseconds.
 	sim.SetFailing(true)
-	outageWorkers := 3 * cfg.concurrency
-	log.Printf("outage (upstream failing): %d probes at %d workers", len(outage), outageWorkers)
-	out := newOverloadPhase()
-	d.drive(outage, outageWorkers, out)
-	outScrape := scrapeGovernor(d.client, d.base)
+	outageWorkers := 3 * e.concurrency
+	log.Printf("outage (upstream failing): %d probes at %d workers", len(phases[2]), outageWorkers)
+	out := newPhase()
+	t.run(out, phases[2], outageWorkers, nil)
+	outScrape, _ := t.scrape()
 
 	// Heal: the upstream recovers; after the breaker's cool-off its
 	// half-open probes must see the recovery and re-close it. The breaker
-	// is primed back to closed with a trickle of sequential probes before
-	// the measured phase — production traffic arriving after an upstream
-	// heals finds the breaker already re-closed by the requests before it,
-	// and the gate is that full serving then resumes.
+	// is primed back to closed with a trickle of sequential unique-miss
+	// probes from a dedicated tenant before the measured phase —
+	// production traffic arriving after an upstream heals finds the
+	// breaker already re-closed by the requests before it, and the gate
+	// is that full serving then resumes. Probes that land while the
+	// breaker is still in its cool-off shed instantly, so the loop paces
+	// itself.
 	sim.SetFailing(false)
 	sim.SetSlowdown(1)
-	primeAttempts, recovered := d.waitRecovered(10 * time.Second)
+	primeAttempts, recovered := 0, false
+	for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(20 * time.Millisecond) {
+		if s, err := t.scrape(); err == nil && s.exp != nil && s.metric(breakerState, nil) == 0 {
+			recovered = true
+			break
+		}
+		primeAttempts++
+		t.send(job{user: "heal-probe", text: fmt.Sprintf("recovery probe %d", primeAttempts)})
+	}
 	log.Printf("heal (upstream recovered): breaker re-closed after %d probes (ok=%v); %d probes at %d workers",
-		primeAttempts, recovered, len(heal), cfg.concurrency)
-	rec := newOverloadPhase()
-	d.drive(heal, cfg.concurrency, rec)
-	endScrape := scrapeGovernor(d.client, d.base)
+		primeAttempts, recovered, len(phases[3]), e.concurrency)
+	heal := newPhase()
+	t.run(heal, phases[3], e.concurrency, nil)
+	endScrape, _ := t.scrape()
 
 	fmt.Printf("\n=== overload degraded-serving report (%d users, capacity %.0f served/s) ===\n",
-		cfg.users, capacity)
+		e.users, capacity)
 	base.report("baseline")
 	brown.report("brownout")
 	out.report("outage")
-	rec.report("heal")
-	if brownScrape.ok {
-		fmt.Printf("limiter          limit %.0f after brown-out (%.0f decreases), saturated sheds %d\n",
-			brownScrape.limiterLimit, brownScrape.limiterDecreases, brown.sheds["saturated"])
-	}
-	if outScrape.ok {
-		fmt.Printf("breaker          state %s during outage, %.0f trips, breaker_open sheds %d, degraded hits %.0f\n",
-			breakerStateName(outScrape.breakerState), outScrape.breakerOpens,
-			out.sheds["breaker_open"], outScrape.degradedHits)
-	}
-	if endScrape.ok {
-		fmt.Printf("after heal       breaker state %s\n", breakerStateName(endScrape.breakerState))
-	}
+	heal.report("heal")
+	fmt.Printf("limiter          limit %.0f after brown-out (%.0f decreases), saturated sheds %d\n",
+		brownScrape.metric("meancache_limiter_limit", nil),
+		brownScrape.metric("meancache_limiter_decreases_total", nil), brown.sheds["saturated"])
+	fmt.Printf("breaker          state %s during outage, %.0f trips, breaker_open sheds %d, degraded hits %.0f\n",
+		breakerStateName(outScrape), outScrape.metric(breakerOpens, nil),
+		out.sheds["breaker_open"], outScrape.metric("meancache_degraded_hits_total", nil))
+	fmt.Printf("after heal       breaker state %s\n", breakerStateName(endScrape))
 
-	unexpected := warm.unexpected + base.unexpected + brown.unexpected + out.unexpected + rec.unexpected
-	firstBad := warm.firstBad
-	for _, s := range []string{base.firstBad, brown.firstBad, out.firstBad, rec.firstBad} {
+	unexpected, firstBad := 0, ""
+	for _, p := range []*phase{warm, base, brown, out, heal} {
+		unexpected += p.unexpected
 		if firstBad == "" {
-			firstBad = s
+			firstBad = p.firstBad
 		}
 	}
-	baseP99 := base.hitLat.Percentile(99)
-	outP99 := out.hitLat.Percentile(99)
-	gates := []struct {
-		name   string
-		pass   bool
-		detail string
-	}{
-		{"clean run", unexpected == 0,
-			fmt.Sprintf("%d unexpected errors (first: %s)", unexpected, firstBad)},
-		{"healthy baseline", base.served == base.requests && base.shedTotal() == 0,
-			fmt.Sprintf("%d/%d served, %d shed", base.served, base.requests, base.shedTotal())},
-		{"offered load", out.offeredRate() >= float64(cfg.factor)*capacity,
-			fmt.Sprintf("%.0f req/s = %.1f× capacity (gate ≥ %d×)",
-				out.offeredRate(), out.offeredRate()/capacity, cfg.factor)},
-		{"limiter brown-out", brown.sheds["saturated"] > 0,
-			fmt.Sprintf("%d saturated sheds", brown.sheds["saturated"])},
-		{"served throughput", out.servedRate() >= cfg.retention*capacity,
-			fmt.Sprintf("%.0f served/s vs capacity %.0f (gate ≥ %.0f%%)",
-				out.servedRate(), capacity, 100*cfg.retention)},
-		{"hit-path p99", baseP99 > 0 && outP99 < time.Duration(cfg.latencyX*float64(baseP99)),
-			fmt.Sprintf("%v under outage vs %v unloaded (gate < %.0f×)", outP99, baseP99, cfg.latencyX)},
-		{"breaker trips", outScrape.ok && outScrape.breakerOpens >= 1 &&
-			outScrape.breakerState >= 1 && out.sheds["breaker_open"] > 0,
-			fmt.Sprintf("%.0f trips, state %s, %d breaker_open sheds",
-				outScrape.breakerOpens, breakerStateName(outScrape.breakerState), out.sheds["breaker_open"])},
-		{"cache-only serving", out.hits > 0,
-			fmt.Sprintf("%d hits served during the outage (%d degraded)", out.hits, out.degraded)},
-		{"breaker recovers", recovered && endScrape.ok && endScrape.breakerState == 0 &&
-			rec.served == rec.requests && rec.upstream == 0,
-			fmt.Sprintf("re-closed after %d probes, state %s after heal, %d/%d served, %d upstream errors",
-				primeAttempts, breakerStateName(endScrape.breakerState), rec.served, rec.requests, rec.upstream)},
-	}
-	fail := false
-	for _, g := range gates {
-		verdict := "PASS"
-		if !g.pass {
-			verdict = "FAIL"
-			fail = true
-		}
-		fmt.Printf("%s %-18s %s\n", verdict, g.name, g.detail)
-	}
-	if cfg.accept && fail {
-		fmt.Println("ACCEPT FAIL: the degraded-serving gate did not hold")
-		os.Exit(1)
-	}
-	if cfg.accept {
-		fmt.Printf("ACCEPT PASS: served %.0f/s through a dead upstream at %.1f× offered load\n",
-			out.servedRate(), out.offeredRate()/capacity)
-	}
+	offered := out.rate(out.queries) // every request the closed loop pushed, served or shed
+	baseP99, outP99 := base.hitLat.Percentile(99), out.hitLat.Percentile(99)
+	return []gate{
+		check("clean run", unexpected == 0, "%d unexpected errors (first: %s)", unexpected, firstBad),
+		check("healthy baseline", base.failed() == 0, "%d/%d served, %d shed", base.served, base.queries, base.shedTotal()),
+		check("offered load", offered >= float64(factor)*capacity,
+			"%.0f req/s = %.1f× capacity (gate ≥ %d×)", offered, offered/capacity, factor),
+		check("limiter brown-out", brown.sheds["saturated"] > 0, "%d saturated sheds", brown.sheds["saturated"]),
+		check("served throughput", out.rate(out.served) >= overloadRetention*capacity,
+			"%.0f served/s vs capacity %.0f (gate ≥ %.0f%%)", out.rate(out.served), capacity, 100*overloadRetention),
+		check("hit-path p99", baseP99 > 0 && outP99 < time.Duration(overloadLatencyX*float64(baseP99)),
+			"%v under outage vs %v unloaded (gate < %.0f×)", outP99, baseP99, overloadLatencyX),
+		check("breaker trips", outScrape.metric(breakerOpens, nil) >= 1 &&
+			outScrape.metric(breakerState, nil) >= 1 && out.sheds["breaker_open"] > 0,
+			"%.0f trips, state %s, %d breaker_open sheds",
+			outScrape.metric(breakerOpens, nil), breakerStateName(outScrape), out.sheds["breaker_open"]),
+		check("cache-only serving", out.hits > 0, "%d hits served during the outage (%d degraded)", out.hits, out.degraded),
+		check("breaker recovers", recovered && endScrape.exp != nil && endScrape.metric(breakerState, nil) == 0 &&
+			heal.failed() == 0,
+			"re-closed after %d probes, state %s after heal, %d/%d served, %d upstream errors",
+			primeAttempts, breakerStateName(endScrape), heal.served, heal.queries, heal.upstream),
+	}, nil
 }
 
-// overloadDriver is the closed-loop worker pool, classifying every
-// response by the structured error contract rather than treating
-// non-200s uniformly as failures.
-type overloadDriver struct {
-	client *http.Client
-	base   string
-}
+// The governor's state on /metrics, the authoritative surface the
+// gates assert breaker behaviour against.
+const (
+	breakerState = "meancache_breaker_state" // 0 closed, 1 half-open, 2 open
+	breakerOpens = "meancache_breaker_opens_total"
+)
 
-func (d *overloadDriver) drive(jobs []job, concurrency int, st *overloadPhase) {
-	start := time.Now()
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				d.one(j, st)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
-	st.duration = time.Since(start)
-}
-
-func (d *overloadDriver) one(j job, st *overloadPhase) {
-	body, _ := json.Marshal(server.QueryRequest{User: j.user, Query: j.text})
-	resp, err := d.client.Post(d.base+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		st.fail(fmt.Sprintf("transport: %v", err))
-		return
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var qr server.QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			st.fail(fmt.Sprintf("decoding response: %v", err))
-			return
-		}
-		st.mu.Lock()
-		st.requests++
-		st.served++
-		if qr.Hit {
-			st.hits++
-			if qr.Degraded {
-				st.degraded++
-			}
-			// Server-reported serving time: the hit-path gate must measure
-			// the hit path, not client-side queueing in this process.
-			st.hitLat.Record(time.Duration(qr.LatencyMicros) * time.Microsecond)
-		}
-		st.mu.Unlock()
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		var er server.ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&er)
-		code := er.Code
-		if code == "" {
-			code = fmt.Sprintf("status_%d", resp.StatusCode)
-		}
-		st.mu.Lock()
-		st.requests++
-		st.sheds[code]++
-		st.mu.Unlock()
-	case http.StatusBadGateway:
-		// A genuine upstream failure that reached the upstream — expected
-		// only in the trip window before the breaker opens.
-		st.mu.Lock()
-		st.requests++
-		st.upstream++
-		st.mu.Unlock()
-	default:
-		st.fail(fmt.Sprintf("status %d", resp.StatusCode))
-	}
-}
-
-// waitRecovered drives the breaker's half-open recovery with sequential
-// unique-miss probes from a dedicated tenant, returning once /metrics
-// reports the breaker closed (or the deadline expires). Probes that land
-// while the breaker is still in its cool-off shed instantly, so the loop
-// paces itself.
-func (d *overloadDriver) waitRecovered(deadline time.Duration) (attempts int, ok bool) {
-	start := time.Now()
-	for time.Since(start) < deadline {
-		if g := scrapeGovernor(d.client, d.base); g.ok && g.breakerState == 0 {
-			return attempts, true
-		}
-		attempts++
-		body, _ := json.Marshal(server.QueryRequest{
-			User:  "heal-probe",
-			Query: fmt.Sprintf("recovery probe %d", attempts),
-		})
-		if resp, err := d.client.Post(d.base+"/v1/query", "application/json", bytes.NewReader(body)); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return attempts, false
-}
-
-// govScrape is one /metrics snapshot of the governor's state, the
-// authoritative surface the acceptance gates assert breaker behaviour
-// against.
-type govScrape struct {
-	ok               bool
-	breakerState     float64 // 0 closed, 1 half-open, 2 open
-	breakerOpens     float64
-	degradedHits     float64
-	limiterLimit     float64
-	limiterDecreases float64
-}
-
-func scrapeGovernor(client *http.Client, base string) govScrape {
-	var g govScrape
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return g
-	}
-	payload, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || err != nil {
-		return g
-	}
-	exp, err := obs.ParseExposition(payload)
-	if err != nil {
-		return g
-	}
-	value := func(name string) float64 {
-		if fam := exp.Families[name]; fam != nil && len(fam.Samples) > 0 {
-			return fam.Samples[0].Value
-		}
-		return 0
-	}
-	g.breakerState = value("meancache_breaker_state")
-	g.breakerOpens = value("meancache_breaker_opens_total")
-	g.degradedHits = value("meancache_degraded_hits_total")
-	g.limiterLimit = value("meancache_limiter_limit")
-	g.limiterDecreases = value("meancache_limiter_decreases_total")
-	g.ok = true
-	return g
-}
-
-func breakerStateName(code float64) string {
-	switch code {
-	case 0:
+func breakerStateName(s snapshot) string {
+	switch {
+	case s.exp == nil:
+		return "unknown (no /metrics)"
+	case s.metric(breakerState, nil) == 0:
 		return "closed"
-	case 1:
+	case s.metric(breakerState, nil) == 1:
 		return "half_open"
 	default:
 		return "open"

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/raceflag"
 	"repro/internal/vecmath"
 )
 
@@ -26,7 +27,7 @@ func buildAllocFlat(t testing.TB, n int) (*Flat, [][]float32) {
 }
 
 func TestFlatSearchAppendZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")
 	}
 	f, vecs := buildAllocFlat(t, 2000)
@@ -54,7 +55,7 @@ func TestFlatSearchAppendZeroAlloc(t *testing.T) {
 }
 
 func TestIVFSearchAppendZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")
 	}
 	rng := rand.New(rand.NewSource(10))

@@ -124,7 +124,8 @@ const DefaultLatencyReservoir = 4096
 // percentiles come from a uniform reservoir sample, so a long experiment
 // run no longer grows memory per request. The zero value is ready to use
 // with a DefaultLatencyReservoir-sized window; NewLatencyRecorder picks a
-// different one.
+// different one. Not safe for concurrent use: callers synchronise (the
+// serving layer's Collector keeps its rows under one mutex).
 type LatencyRecorder struct {
 	limit   int
 	count   int64
@@ -178,18 +179,21 @@ func (l *LatencyRecorder) Mean() time.Duration {
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) by nearest-rank.
 func (l *LatencyRecorder) Percentile(p float64) time.Duration {
+	return l.Percentiles(p)[0]
+}
+
+// Percentiles returns the requested percentiles (each 0 ≤ p ≤ 100, by
+// nearest-rank) with one sort of the reservoir; zeros when empty.
+func (l *LatencyRecorder) Percentiles(ps ...float64) []time.Duration {
+	out := make([]time.Duration, len(ps))
 	if len(l.samples) == 0 {
-		return 0
+		return out
 	}
-	sorted := make([]time.Duration, len(l.samples))
-	copy(sorted, l.samples)
+	sorted := append([]time.Duration(nil), l.samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
+	for i, p := range ps {
+		rank := int(p/100*float64(len(sorted))+0.5) - 1
+		out[i] = sorted[max(0, min(rank, len(sorted)-1))]
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	return out
 }

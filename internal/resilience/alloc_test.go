@@ -3,6 +3,8 @@ package resilience
 import (
 	"testing"
 	"time"
+
+	"repro/internal/raceflag"
 )
 
 // The admission checks ride the PR 5 zero-alloc query hot path: a
@@ -10,7 +12,7 @@ import (
 // and an uncontended limiter Acquire/Release must all be free.
 
 func TestQuotaAllowZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")
 	}
 	tb := NewTokenBuckets(QuotaConfig{Rate: 1e9, Burst: 1e9})
@@ -25,7 +27,7 @@ func TestQuotaAllowZeroAllocs(t *testing.T) {
 }
 
 func TestBreakerClosedZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")
 	}
 	b := NewBreaker(BreakerConfig{Window: 64})
@@ -40,7 +42,7 @@ func TestBreakerClosedZeroAllocs(t *testing.T) {
 }
 
 func TestLimiterUncontendedZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")
 	}
 	l := NewLimiter(LimiterConfig{MaxLimit: 64, InitialLimit: 64})

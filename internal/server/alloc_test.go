@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/obs"
+	"repro/internal/raceflag"
 	"repro/internal/resilience"
 )
 
@@ -39,7 +40,7 @@ func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 // the bound leaves slack for pool-emptying GCs without letting a
 // per-request allocation regression hide.
 func TestQueryHitAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")
 	}
 	m := embed.NewModel(embed.MPNetSim, 1)
@@ -121,7 +122,7 @@ func newAllocServerGov(t *testing.T, metrics *obs.Registry, tracer *obs.Tracer, 
 // head-sampling draw: metrics histograms record and a pooled trace is
 // taken and recycled, none of which may allocate.
 func TestQueryHitAllocationBudgetTracedUnsampled(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")
 	}
 	tracer := obs.NewTracer(obs.TracerConfig{
@@ -138,7 +139,7 @@ func TestQueryHitAllocationBudgetTracedUnsampled(t *testing.T) {
 // request sampled and published — the worst-case tracing path the
 // ServerQueryHitTraced benchmark row pins.
 func TestQueryHitAllocationBudgetSampled(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")
 	}
 	tracer := obs.NewTracer(obs.TracerConfig{
@@ -160,7 +161,7 @@ func TestQueryHitAllocationBudgetSampled(t *testing.T) {
 // admitted request on a tracked tenant costs a shard map lookup plus
 // token arithmetic, nothing heap-visible.
 func TestQueryHitAdmissionZeroExtra(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")
 	}
 	baseline := newAllocServer(t, nil, nil)
@@ -180,7 +181,7 @@ func TestQueryHitAdmissionZeroExtra(t *testing.T) {
 // exactly nothing: a disabled tracer is a nil pointer, so the hit path's
 // allocation count must equal the no-observability baseline.
 func TestQueryHitTracingDisabledZeroExtra(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")
 	}
 	baseline := newAllocServer(t, nil, nil)

@@ -1,16 +1,17 @@
 package server
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Collector aggregates serving metrics: per-tenant and aggregate
-// hit/miss/feedback counters plus latency distributions (same
-// nearest-rank percentile convention as internal/metrics, but in bounded
-// memory — see boundedRecorder). It outlives tenant eviction — counters
+// hit/miss/feedback counters plus latency distributions held in
+// metrics.LatencyRecorder reservoirs (exact means, sampled percentiles,
+// constant memory per row). It outlives tenant eviction — counters
 // are keyed by user ID, not by resident tenant — so /v1/stats reflects
 // the whole run. Safe for concurrent use.
 type Collector struct {
@@ -24,8 +25,8 @@ type tenantCounters struct {
 	hits      int64
 	feedbacks int64
 	errors    int64
-	latency   boundedRecorder
-	search    boundedRecorder
+	latency   metrics.LatencyRecorder
+	search    metrics.LatencyRecorder
 }
 
 // Reservoir sizes: the aggregate sees every request so it gets a larger
@@ -41,61 +42,6 @@ const (
 	maxTrackedTenants = 10000
 )
 
-// boundedRecorder keeps serving-latency statistics in constant memory: an
-// exact running sum/count for the mean and a uniform reservoir sample for
-// percentiles (metrics.LatencyRecorder keeps every sample, which a
-// long-running server cannot afford). Callers synchronise access —
-// Collector.mu covers all recorder state.
-type boundedRecorder struct {
-	limit   int
-	count   int64
-	sum     time.Duration
-	samples []time.Duration
-}
-
-func (r *boundedRecorder) record(d time.Duration) {
-	r.count++
-	r.sum += d
-	if len(r.samples) < r.limit {
-		r.samples = append(r.samples, d)
-		return
-	}
-	// Uniform reservoir sampling: replace a random slot with probability
-	// limit/count, so every sample ever recorded is equally likely to be
-	// in the window. The shared top-level source keeps the replacement
-	// sequences independent across recorders — a per-recorder rand seeded
-	// with the constant limit made every tenant's reservoir replay the
-	// identical sequence.
-	if i := rand.Int63n(r.count); i < int64(r.limit) {
-		r.samples[i] = d
-	}
-}
-
-func (r *boundedRecorder) mean() time.Duration {
-	if r.count == 0 {
-		return 0
-	}
-	return r.sum / time.Duration(r.count)
-}
-
-// percentiles returns the requested percentiles with one sort of the
-// (bounded) reservoir, using the same nearest-rank convention as
-// metrics.LatencyRecorder.
-func (r *boundedRecorder) percentiles(ps ...float64) []time.Duration {
-	out := make([]time.Duration, len(ps))
-	if len(r.samples) == 0 {
-		return out
-	}
-	sorted := append([]time.Duration(nil), r.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, p := range ps {
-		rank := int(p/100*float64(len(sorted))+0.5) - 1
-		rank = max(0, min(rank, len(sorted)-1))
-		out[i] = sorted[rank]
-	}
-	return out
-}
-
 // NewCollector builds an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
@@ -106,8 +52,8 @@ func NewCollector() *Collector {
 
 func newTenantCounters(reservoir int) *tenantCounters {
 	return &tenantCounters{
-		latency: boundedRecorder{limit: reservoir},
-		search:  boundedRecorder{limit: reservoir},
+		latency: *metrics.NewLatencyRecorder(reservoir),
+		search:  *metrics.NewLatencyRecorder(reservoir),
 	}
 }
 
@@ -137,8 +83,8 @@ func (c *Collector) RecordQuery(userID string, hit bool, latency, search time.Du
 		if hit {
 			tc.hits++
 		}
-		tc.latency.record(latency)
-		tc.search.record(search)
+		tc.latency.Record(latency)
+		tc.search.Record(search)
 	}
 }
 
@@ -181,17 +127,17 @@ type TenantMetrics struct {
 }
 
 func (tc *tenantCounters) snapshot() TenantMetrics {
-	pct := tc.latency.percentiles(50, 95, 99)
+	pct := tc.latency.Percentiles(50, 95, 99)
 	m := TenantMetrics{
 		Queries:      tc.queries,
 		Hits:         tc.hits,
 		Feedbacks:    tc.feedbacks,
 		Errors:       tc.errors,
-		MeanMicros:   tc.latency.mean().Microseconds(),
+		MeanMicros:   tc.latency.Mean().Microseconds(),
 		P50Micros:    pct[0].Microseconds(),
 		P95Micros:    pct[1].Microseconds(),
 		P99Micros:    pct[2].Microseconds(),
-		SearchMicros: tc.search.mean().Microseconds(),
+		SearchMicros: tc.search.Mean().Microseconds(),
 	}
 	if tc.queries > 0 {
 		m.HitRatio = float64(tc.hits) / float64(tc.queries)

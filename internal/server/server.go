@@ -11,8 +11,8 @@
 //   - Batcher: an embedding micro-batcher that coalesces concurrent
 //     encode requests across tenants into single batch calls on the
 //     shared encoder.
-//   - Collector: per-tenant and aggregate hit/miss/latency metrics built
-//     on internal/metrics.
+//   - Collector: per-tenant and aggregate hit/miss counters, with latency
+//     rows held in internal/metrics' bounded LatencyRecorder.
 //   - Server: the JSON HTTP API (POST /v1/query, POST /v1/feedback,
 //     GET /v1/stats, GET /healthz) that routes requests by user ID and
 //     proxies misses to the upstream LLM configured in each tenant's
