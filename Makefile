@@ -99,7 +99,7 @@ loadtest-fl:
 # tenant index, HNSW must beat the exact Flat scan ≥5× at recall@10
 # ≥ 0.95 (build takes a minute or two; the gate is enforced by exit code).
 loadtest-ann:
-	$(GO) run ./cmd/loadgen -scenario ann -ann-n 200000 -ann-queries 300 -accept
+	$(GO) run ./cmd/loadgen -scenario ann -ann-queries 300 -accept
 
 # loadtest-cluster is the failover acceptance run: the ring property
 # tests prove the balance and minimal-movement bounds, then a 3-node
@@ -126,12 +126,16 @@ loadtest-overload:
 # loadtest-hotspot is the search-batching acceptance run: Zipf-skewed
 # traffic hammers one hot tenant through two in-process stacks, one with
 # the per-tenant search batcher wired in (MaxBatch 8, MaxWait 200µs) and
-# one without, taking turns at the rounds of one probe stream. The
-# batched stack must demonstrably coalesce (mean search pass > 1),
-# duplicate hits must match across the stacks (end-to-end MultiSearch
-# parity), and the batched hit-path p99, pooled over all rounds, must
-# not exceed 1.10× the unbatched p99 (the allowance absorbs scheduler
-# noise on shared runners).
+# one without, taking turns at 500-probe slices of one probe stream
+# (4000 fresh probes, then the same probes four more times, when all of
+# them hit). The batched stack must demonstrably coalesce (mean search
+# pass > 1), duplicate hits of the fresh pass must match across the
+# stacks (end-to-end MultiSearch parity), and the batched hit-path p99
+# must not exceed 1.10× the unbatched one, where each side's figure is
+# the median of its 32 replay slices' hit-RTT p99s, not one p99 pooled
+# over the run (the allowance absorbs scheduler noise on shared
+# runners); the 90th percentile of the slice p99s is held to 1.5×, so a
+# stall that comes in bursts fails too.
 loadtest-hotspot:
 	$(GO) run ./cmd/loadgen -scenario hotspot -accept
 

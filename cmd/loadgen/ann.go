@@ -18,8 +18,10 @@ import (
 // reports build time, search latency percentiles and recall@k against
 // the exact Flat ground truth.
 //
-// Gate: HNSW ≥ 5× Flat at recall@10 ≥ 0.95 (on the default 200k corpus).
+// Gate: HNSW ≥ 5× Flat at recall@10 ≥ 0.95 on the annN-vector corpus.
 const (
+	annN          = 200000
+	annClusters   = 256
 	annDim        = 64
 	annK          = 10
 	annMinSpeedup = 5.0
@@ -29,15 +31,15 @@ const (
 // annIndex is one measured implementation.
 type annIndex struct {
 	name  string
-	build func(n int, seed int64) index.Index
+	build func(seed int64) index.Index
 
 	idx   index.Index
 	lat   metrics.LatencyRecorder
 	inter int // results shared with the Flat ground truth
 }
 
-func annHNSW(quantized bool) func(int, int64) index.Index {
-	return func(_ int, seed int64) index.Index {
+func annHNSW(quantized bool) func(int64) index.Index {
+	return func(seed int64) index.Index {
 		return index.NewHNSW(annDim, index.HNSWConfig{
 			M: 16, EfConstruction: 100, EfSearch: 96, Seed: seed, Quantized: quantized,
 		})
@@ -47,16 +49,12 @@ func annHNSW(quantized bool) func(int, int64) index.Index {
 func runANN(e env) ([]gate, error) {
 	rng := rand.New(rand.NewSource(e.seed))
 	fmt.Printf("=== ann scenario: %d vectors × %d dims, %d queries, k=%d ===\n",
-		e.annN, annDim, e.annQueries, annK)
+		annN, annDim, e.annQueries, annK)
 
 	// Clustered corpus — the geometry both IVF and HNSW's diversity
 	// heuristic are built for, and what real query embeddings look like
 	// (intents form clusters).
-	nClusters := 256
-	if nClusters > e.annN/16 && e.annN >= 32 {
-		nClusters = e.annN / 16
-	}
-	corpus := dataset.ClusteredVectors(rng, e.annN, max(nClusters, 1), annDim, 0.35)
+	corpus := dataset.ClusteredVectors(rng, annN, annClusters, annDim, 0.35)
 	// Queries perturb random corpus points: near-duplicate probes, the
 	// semantic-cache access pattern.
 	queries := make([][]float32, e.annQueries)
@@ -66,16 +64,16 @@ func runANN(e env) ([]gate, error) {
 
 	hnsw := &annIndex{name: "hnsw", build: annHNSW(false)}
 	runs := []*annIndex{
-		{name: "flat", build: func(int, int64) index.Index { return index.NewFlat(annDim) }},
-		{name: "ivf", build: func(n int, seed int64) index.Index {
-			nlist := int(math.Sqrt(float64(n))) + 1
+		{name: "flat", build: func(int64) index.Index { return index.NewFlat(annDim) }},
+		{name: "ivf", build: func(seed int64) index.Index {
+			nlist := int(math.Sqrt(annN)) + 1
 			return index.NewIVF(annDim, index.IVFConfig{NList: nlist, NProbe: max(nlist/16, 8), Seed: seed})
 		}},
 		hnsw,
 		{name: "hnsw8", build: annHNSW(true)},
 	}
 	for _, r := range runs {
-		r.idx = r.build(e.annN, e.seed)
+		r.idx = r.build(e.seed)
 		start := time.Now()
 		for id, v := range corpus {
 			if err := r.idx.Add(id, v); err != nil {

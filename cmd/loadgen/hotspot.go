@@ -51,19 +51,36 @@ import (
 //     hit-path sample).
 //   - The stacks take turns at slices of hotSlice probes (U B, B U, …),
 //     so both see the same machine from second to second.
-//   - Each side's p99 is the median, over its steady slices, of the
-//     slice's hit-RTT p99: 32 slices of 500 hits each, where a burst can
-//     spoil a slice but not the figure. 13 consecutive runs read
-//     0.82–1.04 this way, half of them with `go test ./...` competing
-//     for the two cores, and a 100 ms stall put into one in twenty
-//     coalesced passes reads 1.67.
+//   - The gated figure is therefore not one p99 of all hits but, per
+//     side, the median over its steady slices of the slice's hit-RTT
+//     p99: 32 slices of 500 hits each, where a burst can spoil a slice
+//     but not the figure. 35 consecutive runs read 0.82–1.09 this way,
+//     some with `go test ./...` competing for the two cores, and a
+//     100 ms stall put into one in twenty coalesced passes reads
+//     1.33–1.67. It is not proof against the box itself: in an hour when
+//     the guest ran 1.5× slower (a single-threaded spin loop at 230 ms
+//     instead of 148, the unbatched figure at 130 ms and above instead
+//     of 77–115) 4 of 9 runs read 1.12, 1.13, 1.14 and 1.24; why a
+//     slower box costs the batched tail more was not established. The
+//     11 runs after it recovered read 0.85–0.95.
+//   - A median is blind to a regression confined to a minority of the
+//     slices, so the gate also bounds the 90th percentile of the slice
+//     p99s (the 4th worst of 32) at hotBurstX × the unbatched one. That
+//     figure is noisy (0.90–1.20 over 30 runs, hence the wide bound),
+//     so it only catches gross bursts: with every coalesced pass
+//     stalled for 1.5 s out of every 10 s, a 300 ms stall reads 3.06×
+//     there (median 1.17×), a 100 ms one 1.45× (median 1.09×), which
+//     passes. Nothing measurable in 70 s on this box separates the
+//     latter from its run-to-run noise.
 //
 // Gates: both stacks clean, the batched stack demonstrably coalesces
 // (mean search pass > 1 request with Coalesced > 0, read from
-// /v1/stats), duplicate probes hit identically in both stacks within 1%
-// (MultiSearch parity observed end to end, not just in unit tests), and
-// the batched hit-path p99 (as defined above) is at most hotLatencyX ×
-// the unbatched one.
+// /v1/stats), duplicate probes of the cold pass hit identically in both
+// stacks within 1% (MultiSearch parity observed end to end, not just in
+// unit tests; the steady passes are left out because there every probe
+// hits its own entry in both stacks by construction), and the batched
+// hit-path p99 (as defined above) is at most hotLatencyX × the
+// unbatched one.
 const (
 	hotTenants     = 12   // tenant 0 is the hot one
 	hotCached      = 48   // warmup entries per cold tenant
@@ -82,6 +99,9 @@ const (
 	// runners; the batcher typically lands within a few percent either
 	// side.
 	hotLatencyX = 1.10
+	// hotBurstX is the same ceiling for the 90th percentile of the slice
+	// p99s, which catches what the median cannot see.
+	hotBurstX = 1.5
 	// hotParity is the tolerated duplicate-hit disagreement between the
 	// stacks. Duplicate probes target entries warmed before any probe
 	// ran, so their hits are arrival-order independent — except for the
@@ -181,10 +201,11 @@ func runHotspot(e env) ([]gate, error) {
 		hotTenants, hotCachedHot, 100*hotShare, hotProbes, hotSkew, hotReplays, hotConcurrency)
 
 	// Index 0 is the unbatched stack, 1 the batched one; phases[i] pools
-	// all of stack i's slices.
+	// all of stack i's slices, cold[i] those of the cold pass only.
 	names := [2]string{"unbatched", "batched"}
 	var stacks [2]*target
 	phases := [2]*phase{newPhase(), newPhase()}
+	cold := [2]*phase{newPhase(), newPhase()}
 	var sliceP99 [2]metrics.LatencyRecorder // hit-RTT p99 of each steady slice
 	for i, name := range names {
 		t, stop, err := newHotspotStack(e, i == 1)
@@ -208,6 +229,9 @@ func runHotspot(e env) ([]gate, error) {
 					o := t.send(j)
 					pooled.record(j, o)
 					slice.record(j, o)
+					if pass == 0 {
+						cold[i].record(j, o)
+					}
 				}, nil)
 				if pass > 0 {
 					sliceP99[i].Record(slice.hitRTT.Percentile(99))
@@ -236,26 +260,28 @@ func runHotspot(e env) ([]gate, error) {
 	// that clients pay anyway from the accept queue into the server-side
 	// measurement window, so the server-reported serving time would
 	// penalise batching for latency the client never sees twice.
-	directP99, batchedP99 := sliceP99[0].Percentile(50), sliceP99[1].Percentile(50)
-	for i, name := range names {
-		pct := sliceP99[i].Percentiles(0, 50, 100)
-		fmt.Printf("%-12s hit RTT p99 per steady slice: median %v (min %v, max %v) over %d slices of %d probes\n",
-			name, pct[1], pct[0], pct[2], sliceP99[i].Count(), hotSlice)
+	direct99, batched99 := sliceP99[0].Percentiles(0, 50, 90, 100), sliceP99[1].Percentiles(0, 50, 90, 100)
+	for i, pct := range [][]time.Duration{direct99, batched99} {
+		fmt.Printf("%-12s hit RTT p99 per steady slice: median %v, p90 %v (min %v, max %v) over %d slices of %d probes\n",
+			names[i], pct[1], pct[2], pct[0], pct[3], sliceP99[i].Count(), hotSlice)
 	}
+	x := func(q int) float64 { return float64(batched99[q]) / float64(max(direct99[q], 1)) }
+	// Parity is judged on the cold pass alone: a replayed probe hits its
+	// own entry in both stacks, which would only dilute the drift.
+	coldDirect, coldBatched := cold[0].dupHits, cold[1].dupHits
 	drift := 1.0
-	if direct.dupHits > 0 {
-		drift = float64(max(batched.dupHits-direct.dupHits, direct.dupHits-batched.dupHits)) / float64(direct.dupHits)
+	if coldDirect > 0 {
+		drift = float64(max(coldBatched-coldDirect, coldDirect-coldBatched)) / float64(coldDirect)
 	}
 	return []gate{
 		check("clean run", direct.failed() == 0 && batched.failed() == 0,
 			"unbatched %s, batched %s", direct.failures(), batched.failures()),
 		check("coalescing", sb.Coalesced > 0 && sb.MeanBatch > 1,
 			"mean pass %.2f requests, %d coalesced (gate > 1 mean, > 0 coalesced)", sb.MeanBatch, sb.Coalesced),
-		check("hit parity", drift <= hotParity && batched.dupHits > 0,
-			"%d batched vs %d unbatched duplicate hits (gate ≤ %.0f%% drift)", batched.dupHits, direct.dupHits, 100*hotParity),
-		check("hit-path p99", directP99 > 0 && float64(batchedP99) <= hotLatencyX*float64(directP99),
-			"%v batched vs %v unbatched = %.2f×, medians of %d steady slices each (gate ≤ %.2f×)",
-			batchedP99, directP99, float64(batchedP99)/float64(max(directP99, 1)),
-			sliceP99[0].Count(), hotLatencyX),
+		check("hit parity", drift <= hotParity && coldBatched > 0,
+			"%d batched vs %d unbatched duplicate hits in the cold pass (gate ≤ %.0f%% drift)", coldBatched, coldDirect, 100*hotParity),
+		check("hit-path p99", direct99[1] > 0 && x(1) <= hotLatencyX && x(2) <= hotBurstX,
+			"median of %d steady slices' p99s: %v batched vs %v unbatched = %.2f× (gate ≤ %.2f×); their p90: %.2f× (gate ≤ %.2f×)",
+			sliceP99[0].Count(), batched99[1], direct99[1], x(1), hotLatencyX, x(2), hotBurstX),
 	}, nil
 }

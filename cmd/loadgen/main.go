@@ -22,7 +22,7 @@
 //	          feedback the FL collector learns from, then triggers a
 //	          round; the report is the hit-ratio/F1/τ trajectory against
 //	          the frozen-model baseline.
-//	ann       in process, no server: a clustered 64-d corpus (-ann-n)
+//	ann       in process, no server: a clustered 200k × 64-d corpus
 //	          indexed under Flat, IVF, HNSW and int8 HNSW. Gate: HNSW
 //	          ≥5× Flat at recall@10 ≥ 0.95.
 //	cluster   in process: a 3-node cluster over shared storage takes an
@@ -34,8 +34,11 @@
 //	          serving and re-closes, served throughput ≥90% of capacity,
 //	          hit p99 <5× unloaded, nothing unexpected.
 //	hotspot   in process: Zipf-skewed traffic on one hot tenant through
-//	          two stacks, with and without the search batcher. Gates:
-//	          clean, coalescing, hit parity ≤1%, batched hit p99 ≤1.10×.
+//	          two stacks, with and without the search batcher, taking
+//	          turns at slices of one stream. Gates: clean, coalescing,
+//	          cold-pass hit parity ≤1%, batched hit p99 ≤1.10× unbatched
+//	          (medians of the per-slice hit-RTT p99s; their 90th
+//	          percentile ≤1.5×).
 //	crash     a real cacheserve (-crash-bin) over one persist dir
 //	          (-crash-dir) is SIGKILLed mid-traffic 21 times with one
 //	          corrupt snapshot injected. Gates: every restart healthy,
@@ -46,7 +49,7 @@
 //
 //	loadgen -addr 127.0.0.1:8090 -users 100 -probes 12 -concurrency 32 -accept
 //	loadgen -addr 127.0.0.1:8090 -users 50 -fl 3 -accept
-//	loadgen -scenario ann -ann-n 200000 -accept
+//	loadgen -scenario ann -accept
 //	loadgen -scenario cluster -users 80 -accept
 //	loadgen -scenario overload -users 60 -accept
 //	loadgen -scenario hotspot -accept
@@ -74,9 +77,8 @@ type env struct {
 	timeout     time.Duration
 	flRounds    int
 
-	annN, annQueries   int
+	annQueries         int
 	crashBin, crashDir string
-	overloadFactor     int
 }
 
 // scenario is one acceptance run. It owns its workload, the stack it
@@ -166,11 +168,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&e.seed, "seed", 42, "workload generation seed")
 	fs.DurationVar(&e.timeout, "timeout", 30*time.Second, "per-request timeout")
 	fs.IntVar(&e.flRounds, "fl", 0, "serve: online FL rounds to drive (0 = plain load test)")
-	fs.IntVar(&e.annN, "ann-n", 200000, "ann: corpus size")
 	fs.IntVar(&e.annQueries, "ann-queries", 500, "ann: measured queries")
 	fs.StringVar(&e.crashBin, "crash-bin", "./bin/cacheserve", "crash: cacheserve binary to run and kill")
 	fs.StringVar(&e.crashDir, "crash-dir", "bin/crashtenants", "crash: persist dir shared across incarnations")
-	fs.IntVar(&e.overloadFactor, "overload-factor", 10, "overload: offered-load multiple of healthy capacity the outage phase must reach")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -32,7 +32,7 @@ import (
 //	heal      the upstream recovers; half-open probes must re-close the
 //	          breaker and full serving must resume
 //
-// Gates: offered load during the outage reaches -overload-factor × the
+// Gates: offered load during the outage reaches overloadFactor × the
 // healthy capacity, served throughput stays within the retention floor
 // of capacity, the hit-path p99 stays under the inflation ceiling, the
 // limiter sheds the brown-out overflow, the breaker demonstrably trips
@@ -40,6 +40,9 @@ import (
 // and no phase sees a single transport error, panic, or unexpected
 // status.
 const (
+	// overloadFactor is the offered-load multiple of healthy capacity
+	// the outage phase must reach.
+	overloadFactor = 10
 	// overloadDup is the duplicate fraction of probe traffic: cache-only
 	// serving needs hits to serve.
 	overloadDup = 0.6
@@ -109,13 +112,12 @@ func runOverload(e env) ([]gate, error) {
 	defer hts.Close()
 	t := newTarget(e.timeout, hts.URL)
 
-	// Phases: baseline / brownout / outage (factor× volume) / heal.
-	factor := e.overloadFactor
+	// Phases: baseline / brownout / outage (overloadFactor× volume) / heal.
 	warmup, phases := buildJobs(e.seed, e.users, e.cached, overloadDup,
-		e.probes, e.probes, factor*e.probes, e.probes)
+		e.probes, e.probes, overloadFactor*e.probes, e.probes)
 
 	log.Printf("overload scenario: %d users, %d workers healthy, %d probes/user/phase, outage at %d× volume",
-		e.users, e.concurrency, e.probes, factor)
+		e.users, e.concurrency, e.probes, overloadFactor)
 	warm := newPhase()
 	t.run(warm, warmup, e.concurrency, nil)
 	if warm.failed() > 0 {
@@ -128,10 +130,10 @@ func runOverload(e env) ([]gate, error) {
 	capacity := base.rate(base.served)
 
 	// Brown-out: the upstream slows 4× while the offered load jumps to
-	// factor× the healthy worker pool — the limiter, not a queue, must
-	// absorb the difference.
+	// overloadFactor× the healthy worker pool — the limiter, not a
+	// queue, must absorb the difference.
 	sim.SetSlowdown(4)
-	brownWorkers := factor * e.concurrency
+	brownWorkers := overloadFactor * e.concurrency
 	log.Printf("brown-out (upstream 4× slower): %d probes at %d workers", len(phases[1]), brownWorkers)
 	brown := newPhase()
 	t.run(brown, phases[1], brownWorkers, nil)
@@ -140,8 +142,9 @@ func runOverload(e env) ([]gate, error) {
 	// Outage: the upstream fails outright. The worker pool is kept at a
 	// moderate multiple — beyond CPU saturation extra closed-loop workers
 	// only queue client-side — while the offered-load gate is asserted on
-	// the measured rate, which must still reach factor× capacity because
-	// shed responses return in microseconds, not upstream milliseconds.
+	// the measured rate, which must still reach overloadFactor× capacity
+	// because shed responses return in microseconds, not upstream
+	// milliseconds.
 	sim.SetFailing(true)
 	outageWorkers := 3 * e.concurrency
 	log.Printf("outage (upstream failing): %d probes at %d workers", len(phases[2]), outageWorkers)
@@ -201,8 +204,8 @@ func runOverload(e env) ([]gate, error) {
 	return []gate{
 		check("clean run", unexpected == 0, "%d unexpected errors (first: %s)", unexpected, firstBad),
 		check("healthy baseline", base.failed() == 0, "%d/%d served, %d shed", base.served, base.queries, base.shedTotal()),
-		check("offered load", offered >= float64(factor)*capacity,
-			"%.0f req/s = %.1f× capacity (gate ≥ %d×)", offered, offered/capacity, factor),
+		check("offered load", offered >= overloadFactor*capacity,
+			"%.0f req/s = %.1f× capacity (gate ≥ %d×)", offered, offered/capacity, overloadFactor),
 		check("limiter brown-out", brown.sheds["saturated"] > 0, "%d saturated sheds", brown.sheds["saturated"]),
 		check("served throughput", out.rate(out.served) >= overloadRetention*capacity,
 			"%.0f served/s vs capacity %.0f (gate ≥ %.0f%%)", out.rate(out.served), capacity, 100*overloadRetention),

@@ -153,8 +153,11 @@ func (l *LatencyRecorder) Record(d time.Duration) {
 		l.samples = append(l.samples, d)
 		return
 	}
-	// Uniform reservoir sampling off the shared top-level source: every
-	// sample ever recorded is equally likely to be in the window.
+	// Uniform reservoir sampling: every sample ever recorded is equally
+	// likely to be in the window. The shared top-level source keeps the
+	// replacement sequences independent across recorders — a per-recorder
+	// rand seeded with the constant limit made every tenant's reservoir
+	// replay the identical sequence.
 	if i := rand.Int63n(l.count); i < int64(l.limit) {
 		l.samples[i] = d
 	}
