@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build check test race vet bench bench-json benchdiff loadtest \
+.PHONY: build check test race vet bench bench-json benchdiff bench-e2e loadtest \
 	loadtest-fl conformance fuzz-smoke loadtest-ann loadtest-cluster \
 	loadtest-overload loadtest-hotspot crashtest gates sim clean
 
@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/server/ ./internal/cache/ \
 		./internal/store/... ./internal/fl/ ./internal/flserve/ ./internal/llmsim/ \
 		./internal/index/ ./internal/cluster/ ./internal/obs/ ./internal/resilience/ \
-		./internal/sim/ ./internal/sim/scenario/
+		./internal/sim/ ./internal/sim/scenario/ ./internal/stack/
 
 check: vet build test race
 
@@ -70,6 +70,13 @@ bench-json:
 # committed BENCH_serving.json.
 benchdiff:
 	$(GO) run ./cmd/benchrunner -bench-diff BENCH_serving.json
+
+# bench-e2e is the end-to-end benchmark BENCHMARK.json declares: the
+# shipped cacheserve as a subprocess under four traffic mixes, plus a
+# traced in-process replay for the per-layer ledger (bench/README.md
+# defines every metric). Run from the repo root; ~2 min.
+bench-e2e:
+	$(GO) run ./bench -seed 7 -out bin/bench/result.json
 
 # loadtest reproduces the serving acceptance run: cacheserve (race-built,
 # in-process virtual-time upstream) driven by loadgen with 100 users and

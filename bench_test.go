@@ -24,12 +24,12 @@ import (
 	"time"
 
 	"repro/internal/benchfix"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/experiments"
 	"repro/internal/llmsim"
 	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 // lab is shared across benchmarks; building it (FL-training two encoders)
@@ -241,31 +241,19 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 	}
 }
 
-// newBenchServer assembles the serving stack (internal/server) over HTTP:
-// untrained MPNet-sim encoder behind the micro-batcher, virtual-time
-// llmsim upstream.
+// newBenchServer serves the shipped stack (stack.Default(): untrained
+// MPNet-sim encoder behind the micro-batcher, virtual-time llmsim
+// upstream) over HTTP.
 func newBenchServer(b *testing.B) (*httptest.Server, *server.Batcher) {
 	b.Helper()
-	enc := embed.NewModel(embed.MPNetSim, 1)
-	batcher := server.NewBatcher(enc, server.BatcherConfig{MaxBatch: 32, MaxWait: 100 * time.Microsecond})
-	b.Cleanup(batcher.Close)
-	llm := llmsim.New(llmsim.DefaultConfig())
-	reg, err := server.NewRegistry(server.RegistryConfig{
-		Shards: 16,
-		Factory: func(string) *core.Client {
-			return core.New(core.Options{Encoder: batcher, LLM: llm, Tau: 0.83, TopK: 5})
-		},
-	})
+	st, err := stack.Build(stack.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Registry: reg, Batcher: batcher})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
+	b.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(st.Handler())
 	b.Cleanup(ts.Close)
-	return ts, batcher
+	return ts, st.Batcher
 }
 
 func benchQuery(b *testing.B, client *http.Client, url, user, query string) server.QueryResponse {

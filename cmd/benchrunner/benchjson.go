@@ -16,10 +16,9 @@ import (
 
 	"repro/internal/benchfix"
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/embed"
-	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/stack"
 	"repro/internal/vecmath"
 )
 
@@ -215,35 +214,25 @@ func benchReembed(b *testing.B) {
 	}
 }
 
-type instantLLM struct{}
-
-func (instantLLM) Query(q string) (string, time.Duration) { return "r", 0 }
-
-// newHitServer assembles the single-tenant hit-path fixture: untrained
-// encoder, instant upstream, one warmed cached query. searcher, when
-// non-nil, routes tenant lookups through it (the batched row wires the
-// search batcher in with it); mod, when non-nil, adjusts the server
-// config before construction (the traced row turns observability on with
-// it).
-func newHitServer(b *testing.B, searcher cache.Searcher, mod func(*server.Config)) (*server.Server, *httptest.Server, []byte) {
-	m := embed.NewModel(embed.MPNetSim, 1)
-	reg, err := server.NewRegistry(server.RegistryConfig{
-		Factory: func(string) *core.Client {
-			return core.New(core.Options{Encoder: m, LLM: instantLLM{}, Tau: 0.8, TopK: 5, Searcher: searcher})
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := server.Config{Registry: reg}
+// newHitServer assembles the single-tenant hit-path fixture: a
+// stack.Default() cacheserve (untrained encoder, in-process virtual-time
+// upstream) with both batchers off, adjusted by mod when non-nil, and one
+// warmed cached query.
+func newHitServer(b *testing.B, mod func(*stack.Config)) (http.Handler, *httptest.Server, []byte) {
+	cfg := stack.Default()
+	// The rows time the handler's own work: the encode batcher's gather
+	// window would be ~90% of every hit, and a search batcher hop belongs
+	// to the one row that turns it back on.
+	cfg.NoBatch, cfg.NoSearchBatch = true, true
 	if mod != nil {
 		mod(&cfg)
 	}
-	srv, err := server.New(cfg)
+	st, err := stack.Build(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	b.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(st.Handler())
 	b.Cleanup(ts.Close)
 	body, _ := json.Marshal(server.QueryRequest{User: "u", Query: "warm question"})
 	// Warm the cache so the measured path is a hit.
@@ -252,7 +241,7 @@ func newHitServer(b *testing.B, searcher cache.Searcher, mod func(*server.Config
 		b.Fatal(err)
 	}
 	resp.Body.Close()
-	return srv, ts, body
+	return st.Handler(), ts, body
 }
 
 // benchServerQueryHit measures the full server request lifecycle over a
@@ -263,7 +252,7 @@ func newHitServer(b *testing.B, searcher cache.Searcher, mod func(*server.Config
 // is the server; the remaining per-op allocations are the server's
 // accept-to-respond path.
 func benchServerQueryHit(b *testing.B) {
-	_, ts, body := newHitServer(b, nil, nil)
+	_, ts, body := newHitServer(b, nil)
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
 		b.Fatal(err)
@@ -314,12 +303,7 @@ func benchServerQueryHit(b *testing.B) {
 // batched route's latency and allocation count stay budgeted alongside
 // the direct route's.
 func benchServerQueryHitBatched(b *testing.B) {
-	sb := server.NewSearchBatcher(server.BatcherConfig{})
-	b.Cleanup(sb.Close)
-	srv, _, body := newHitServer(b, sb, func(cfg *server.Config) {
-		cfg.SearchBatcher = sb
-	})
-	h := srv.Handler()
+	h, _, body := newHitServer(b, func(cfg *stack.Config) { cfg.NoSearchBatch = false })
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -339,8 +323,8 @@ func benchServerQueryHitBatched(b *testing.B) {
 // benchServerQueryHitDirect measures the uninstrumented handler (see
 // benchHandlerHit).
 func benchServerQueryHitDirect(b *testing.B) {
-	srv, _, body := newHitServer(b, nil, nil)
-	benchHandlerHit(b, srv, body)
+	h, _, body := newHitServer(b, nil)
+	benchHandlerHit(b, h, body)
 }
 
 // benchServerQueryHitTraced is the direct hit path with observability
@@ -348,19 +332,18 @@ func benchServerQueryHitDirect(b *testing.B) {
 // 1, the worst case: each query records spans and publishes into the
 // ring). Pinned in benchdiff so instrumentation overhead stays bounded.
 func benchServerQueryHitTraced(b *testing.B) {
-	srv, _, body := newHitServer(b, nil, func(cfg *server.Config) {
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Tracer = obs.NewTracer(obs.TracerConfig{Node: "bench", SampleRate: 1})
+	h, _, body := newHitServer(b, func(cfg *stack.Config) {
+		cfg.Metrics = true
+		cfg.Trace.SampleRate = 1
 	})
-	benchHandlerHit(b, srv, body)
+	benchHandlerHit(b, h, body)
 }
 
 // benchHandlerHit drives the handler in isolation — no sockets, no
 // net/http connection machinery: decode, tenant lookup, encode, pruned
 // search, respond. This is the pooled request lifecycle itself; after
 // warmup it runs in single-digit allocations.
-func benchHandlerHit(b *testing.B, srv *server.Server, body []byte) {
-	h := srv.Handler()
+func benchHandlerHit(b *testing.B, h http.Handler, body []byte) {
 	rdr := bytes.NewReader(body)
 	req := httptest.NewRequest("POST", "/v1/query", rdr)
 	req.Header.Set("Content-Type", "application/json")

@@ -1,65 +1,7 @@
-// Command cacheserve runs the multi-tenant semantic-cache serving layer:
-// one HTTP process hosting a MeanCache client per user (internal/server),
-// fronting an upstream LLM service. Misses are proxied upstream; hits are
-// answered from the requesting user's local semantic cache.
-//
-// The upstream is either a network llmsim service (started with
-// cmd/llmserve, the Figure 1 topology) or, with -upstream "", an
-// in-process simulator in virtual-time mode — convenient for load tests
-// that should not spend wall-clock time sleeping.
-//
-// With -fl the process additionally runs the online federated-learning
-// coordinator (internal/flserve): live tenants' feedback and hit/miss
-// signals accumulate into private per-tenant training shards, rounds
-// sample cohorts of active tenants, fine-tune the shared encoder and
-// aggregate the global threshold, and every new global model is committed
-// to a versioned registry and hot-rolled into the running tenants.
-//
-// With -cluster the process becomes one node of a horizontally sharded
-// deployment (internal/cluster): tenants place deterministically on a
-// consistent-hash ring over the live members, requests for tenants owned
-// by a peer are forwarded to it (bounded retries, one hedge on slow
-// peers), and when membership changes — join, leave, or death detected by
-// health probes — each node drains the tenants it no longer owns through
-// the store-persistence path so the new owner revives them (τ, model
-// version and index config intact). -persist-dir must point at storage
-// all nodes share. GET /v1/cluster/status reports ring and peer health.
-//
-// Each tenant's similarity search runs on the index tier picked with
-// -index: the built-in exact scan (default), flat, ivf, hnsw (optionally
-// int8-quantized with -hnsw-int8), or adaptive — which starts every
-// tenant on the exact scan and promotes to IVF and then HNSW as the
-// cache grows (-tier-flat-max / -tier-ivf-max), migrating in the
-// background. -tier-auto replaces those hard-coded thresholds with ones
-// derived from a startup micro-calibration of this machine's scan speed.
-// Indexed tenants stay indexed across evict/revive cycles.
-//
-// Concurrent searches against one hot tenant coalesce into single
-// multi-probe index passes through the per-tenant search batcher
-// (-search-batch / -search-batch-wait; -no-search-batch disables it).
-// The default zero wait means batching adds no latency: requests share a
-// pass only when they genuinely overlap.
-//
-// Resilience: -quota-rate enforces per-tenant token-bucket admission
-// (429 + Retry-After past the burst), -limit-max puts an AIMD adaptive
-// concurrency limiter with a bounded wait queue on the upstream miss
-// path, and -breaker-window arms a circuit breaker over upstream
-// outcomes. While the breaker is open the node serves cache-only: hits
-// still answer (at τ relaxed by -tau-degraded), misses shed with 503 +
-// Retry-After until half-open probes confirm the upstream healed. The
-// same breaker tuning guards cluster peer forwards, hedged duplicates
-// are suppressed while the limiter is saturated, and -maintenance-weight
-// bounds background work (re-embeds, FL rounds) under a weighted
-// semaphore. All error responses are structured JSON
-// {"error","code","retry_after_ms"}.
-//
-// Observability: -metrics exposes a Prometheus text exposition at
-// GET /metrics covering serving outcomes, per-stage and per-tier
-// latency, registry/arena occupancy, the batcher, and — when enabled —
-// the cluster and FL layers. -trace-sample head-samples per-request
-// traces (decode → encode → search → upstream → respond spans, stitched
-// across a cluster forward) into a recent ring at GET /v1/debug/traces;
-// -trace-slow additionally keeps any trace at least that slow.
+// Command cacheserve runs the multi-tenant semantic-cache serving layer
+// internal/stack defines (its package comment explains every flag): bind
+// stack.Config to the command line, build, serve until SIGINT or SIGTERM,
+// close in order (resident tenants are flushed to -persist-dir).
 //
 // Usage:
 //
@@ -76,481 +18,93 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux (side listener only)
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
-	"time"
+	"syscall"
 
-	"repro/internal/cache"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/embed"
-	"repro/internal/flserve"
-	"repro/internal/index"
-	"repro/internal/llmsim"
-	"repro/internal/obs"
-	"repro/internal/resilience"
-	"repro/internal/server"
-	"repro/internal/store"
-	"repro/internal/train"
+	"repro/internal/stack"
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:8090", "listen address")
-		upstream = flag.String("upstream", "", "llmsim service address (host:port); empty runs an in-process simulator")
-		sleep    = flag.Bool("sleep", false, "in-process upstream only: simulate inference latency with real sleeps")
-		model    = flag.String("model", "", "path to a trained encoder saved by cmd/fltrain (overrides -arch)")
-		arch     = flag.String("arch", "mpnet-sim", "encoder architecture when no -model is given")
-		seed     = flag.Int64("seed", 1, "weight init seed for an untrained encoder")
-
-		tau      = flag.Float64("tau", 0.83, "similarity threshold τ")
-		ctxTau   = flag.Float64("ctx-tau", 0, "context-turn threshold (0 = same as -tau)")
-		topK     = flag.Int("topk", 5, "candidates context-checked per query")
-		capacity = flag.Int("tenant-capacity", 4096, "cache entries per tenant (0 = unbounded)")
-		step     = flag.Float64("feedback-step", 0.01, "τ increase per false-hit report (0 disables)")
-
-		indexKind  = flag.String("index", "scan", "per-tenant vector index: scan (the default slab-backed exact scan), flat (same, explicit), ivf, hnsw or adaptive")
-		hnswM      = flag.Int("hnsw-m", 16, "HNSW links per node (level 0 allows 2×)")
-		hnswEfCons = flag.Int("hnsw-ef-construction", 200, "HNSW insertion beam width")
-		hnswEf     = flag.Int("hnsw-ef-search", 96, "HNSW query beam width")
-		hnswInt8   = flag.Bool("hnsw-int8", false, "HNSW: score traversal against int8 codes, rescore top candidates in float32")
-		ivfNList   = flag.Int("ivf-nlist", 64, "IVF inverted lists")
-		ivfNProbe  = flag.Int("ivf-nprobe", 8, "IVF lists probed per query")
-		tierFlat   = flag.Int("tier-flat-max", 4096, "adaptive: promote Flat→IVF past this entry count")
-		tierIVF    = flag.Int("tier-ivf-max", 65536, "adaptive: promote IVF→HNSW past this entry count")
-		tierAuto   = flag.Bool("tier-auto", false, "adaptive: derive the promotion thresholds from a startup micro-calibration of scan speed (overrides -tier-flat-max/-tier-ivf-max)")
-
-		shards     = flag.Int("shards", 16, "tenant registry shards")
-		maxTenants = flag.Int("max-tenants", 0, "resident tenant bound (0 = unbounded)")
-		persistDir = flag.String("persist-dir", "", "directory for evicted tenants' caches (empty = drop on eviction)")
-
-		clusterOn        = flag.Bool("cluster", false, "cluster mode: shard tenants across peers on a consistent-hash ring")
-		peers            = flag.String("peers", "", "cluster: comma-separated peer addresses (host:port)")
-		vnodes           = flag.Int("vnodes", cluster.DefaultVNodes, "cluster: virtual nodes per ring member")
-		clusterHeartbeat = flag.Duration("cluster-heartbeat", 500*time.Millisecond, "cluster: peer health-probe period")
-		clusterDeadAfter = flag.Int("cluster-dead-after", 3, "cluster: consecutive probe failures before a peer is dead")
-
-		batch     = flag.Int("batch", 32, "embedding micro-batch size cap")
-		batchWait = flag.Duration("batch-wait", 200*time.Microsecond, "micro-batch gather window")
-		noBatch   = flag.Bool("no-batch", false, "disable the embedding micro-batcher")
-
-		searchBatch     = flag.Int("search-batch", 32, "per-tenant search batch size cap")
-		searchBatchWait = flag.Duration("search-batch-wait", 0, "search-batch gather window (0 = coalesce only already-queued searches, adding no latency)")
-		noSearchBatch   = flag.Bool("no-search-batch", false, "disable the per-tenant search batcher")
-
-		statsTenants = flag.Int("stats-tenants", 20, "per-tenant rows in /v1/stats (-1 = all)")
-
-		quotaRate        = flag.Float64("quota-rate", 0, "per-tenant admission quota in requests/second (0 disables quotas)")
-		quotaBurst       = flag.Float64("quota-burst", 0, "per-tenant quota burst capacity (0 = same as -quota-rate)")
-		limitMax         = flag.Int("limit-max", 0, "upstream AIMD concurrency limiter ceiling (0 disables the limiter)")
-		limitMin         = flag.Int("limit-min", 4, "limiter: concurrency floor the multiplicative decrease never goes below")
-		limitQueue       = flag.Int("limit-queue", 128, "limiter: bounded wait-queue depth; arrivals beyond it are shed with 503")
-		upstreamTimeout  = flag.Duration("upstream-timeout", 0, "per-call upstream deadline on the miss path (0 = none)")
-		breakerWindow    = flag.Int("breaker-window", 0, "upstream circuit-breaker outcome window (0 disables the breaker)")
-		breakerThreshold = flag.Float64("breaker-threshold", 0.5, "breaker: windowed failure ratio that trips it open")
-		breakerCooloff   = flag.Duration("breaker-cooloff", 5*time.Second, "breaker: open-state cool-off before half-open probes")
-		breakerProbes    = flag.Int("breaker-probes", 3, "breaker: half-open trial calls that must all succeed to close")
-		tauDegraded      = flag.Float64("tau-degraded", 0.05, "cache-only degraded serving: relax τ by this delta while the breaker is open (0 disables)")
-		maintWeight      = flag.Int64("maintenance-weight", 2, "weighted-semaphore capacity for background work (re-embeds, FL rounds); 0 ungates")
-
-		metricsOn   = flag.Bool("metrics", false, "serve Prometheus text metrics at GET /metrics")
-		traceSample = flag.Float64("trace-sample", 0, "request-trace head-sampling rate in (0, 1]; 0 disables tracing")
-		traceSlow   = flag.Duration("trace-slow", 0, "with tracing on, also keep any trace at least this slow (GET /v1/debug/traces)")
-
-		flOn       = flag.Bool("fl", false, "enable the online federated-learning coordinator")
-		flInterval = flag.Duration("fl-interval", 0, "run FL rounds on this period (0 = only on POST /v1/fl/round)")
-		flCohort   = flag.Int("fl-cohort", 4, "tenants sampled per FL round")
-		flMinPairs = flag.Int("fl-min-pairs", 8, "collected pairs a tenant needs to join a cohort")
-		flEpochs   = flag.Int("fl-epochs", 2, "local fine-tuning epochs per round")
-		flSecure   = flag.Bool("fl-secure", false, "aggregate through pairwise-masked updates (secure agg)")
-		flDir      = flag.String("fl-dir", "", "directory persisting model versions + collected shards (empty = in-memory)")
-		flPCA      = flag.Int("fl-pca", 0, "attach a PCA basis of this dimension to committed versions (0 = off)")
-		flBeta     = flag.Float64("fl-beta", 0.5, "F-beta of the clients' threshold search")
-
-		pprofAddr = flag.String("pprof", "", "expose net/http/pprof on this side listener (e.g. 127.0.0.1:6060; empty = off)")
-	)
+	var cfg stack.Config
+	cfg.Bind(flag.CommandLine)
 	flag.Parse()
+	if err := run(cfg); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	if *pprofAddr != "" {
+// run serves cfg until a shutdown signal; a failure comes back after
+// whatever was built has been closed.
+func run(cfg stack.Config) error {
+	if cfg.Pprof != "" {
 		// The profiler gets its own listener so profiling traffic (and the
 		// default mux it registers on) never mixes with the serving API.
 		go func() {
-			log.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			log.Printf("pprof listening on http://%s/debug/pprof/", cfg.Pprof)
+			if err := http.ListenAndServe(cfg.Pprof, nil); err != nil {
 				log.Printf("pprof listener failed: %v", err)
 			}
 		}()
 	}
-
-	var enc embed.Encoder
-	if *model != "" {
-		f, err := os.Open(*model)
-		if err != nil {
-			log.Fatalf("opening model: %v", err)
-		}
-		m, err := embed.Load(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("loading model: %v", err)
-		}
-		enc = m
-	} else {
-		a, err := embed.ArchByName(*arch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc = embed.NewModel(a, *seed)
-		log.Printf("warning: serving with an untrained %s encoder; pass -model for a trained one", *arch)
+	if cfg.Model == "" {
+		log.Printf("warning: serving with an untrained %s encoder; pass -model for a trained one", cfg.Arch)
+	}
+	upstream := cfg.Upstream
+	if upstream == "" {
+		upstream = "in-process"
+		log.Printf("using in-process simulated LLM upstream (sleep=%v)", cfg.Sleep)
 	}
 
-	// With FL on, the base model serves through a swappable holder so
-	// round rollouts can replace it atomically under live traffic. The
-	// micro-batcher wraps the holder, so batches follow the swap.
-	var swap *embed.Swappable
-	var flArch embed.Arch
-	if *flOn {
-		m, ok := enc.(*embed.Model)
-		if !ok || !m.Trainable() {
-			log.Fatalf("-fl requires a trainable encoder (got %s)", enc.Name())
-		}
-		flArch = m.Cfg
-		swap = embed.NewSwappable(m)
-		enc = swap
-	}
-
-	var batcher *server.Batcher
-	if !*noBatch {
-		batcher = server.NewBatcher(enc, server.BatcherConfig{MaxBatch: *batch, MaxWait: *batchWait})
-		defer batcher.Close()
-		enc = batcher
-	}
-
-	// The search batcher coalesces concurrent probes against one hot
-	// tenant into single multi-probe index passes. Tenants reach it via
-	// core.Options.Searcher; the structural nil dance keeps a disabled
-	// batcher a true nil interface.
-	var searchBatcher *server.SearchBatcher
-	var searcher cache.Searcher
-	if !*noSearchBatch {
-		searchBatcher = server.NewSearchBatcher(server.BatcherConfig{
-			MaxBatch: *searchBatch, MaxWait: *searchBatchWait,
-		})
-		defer searchBatcher.Close()
-		searcher = searchBatcher
-	}
-
-	var llm core.LLM
-	var upstreamCaller resilience.Caller
-	if *upstream != "" {
-		c := llmsim.NewClient(*upstream)
-		llm, upstreamCaller = c, c
-	} else {
-		cfg := llmsim.DefaultConfig()
-		cfg.Sleep = *sleep
-		s := llmsim.New(cfg)
-		llm, upstreamCaller = s, s
-		log.Printf("using in-process simulated LLM upstream (sleep=%v)", *sleep)
-	}
-
-	// The resilience governor assembles whichever overload-protection
-	// mechanisms the flags enable: per-tenant quotas at the front door,
-	// AIMD limiter + circuit breaker on the upstream miss path (the
-	// Guard below), and the maintenance semaphore for background work.
-	gov := resilience.NewGovernor(resilience.GovernorConfig{
-		Quota: resilience.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
-		Limiter: resilience.LimiterConfig{
-			MinLimit: *limitMin, MaxLimit: *limitMax, MaxQueue: *limitQueue,
-		},
-		Breaker: resilience.BreakerConfig{
-			Window: *breakerWindow, FailureRatio: *breakerThreshold,
-			OpenFor: *breakerCooloff, HalfOpenProbes: *breakerProbes,
-		},
-		MaintenanceWeight: *maintWeight,
-	})
-	if gov.Limiter != nil || gov.Breaker != nil || *upstreamTimeout > 0 {
-		llm = resilience.NewGuard(upstreamCaller, gov, *upstreamTimeout)
-	}
-	// The gate interfaces are structural; hand the semaphore over only
-	// when it exists, so a disabled gate stays a true nil.
-	var maintGate cache.Gate
-	var flGate flserve.Gate
-	if gov.Maintenance != nil {
-		maintGate, flGate = gov.Maintenance, gov.Maintenance
-	}
-
-	var collector *flserve.Collector
-	var flHooks *flserve.LateHooks
-	if *flOn {
-		collector = flserve.NewCollector(flserve.CollectorConfig{Seed: *seed})
-		flHooks = &flserve.LateHooks{}
-	}
-
-	tierFlatMax, tierIVFMax := *tierFlat, *tierIVF
-	if *tierAuto {
-		calNs := index.Calibrate()
-		if fm, im := index.TierThresholds(calNs, enc.Dim()); fm > 0 {
-			tierFlatMax, tierIVFMax = fm, im
-			log.Printf("tier auto-calibration: %.0f ns per 4096×64 sweep → tier-flat-max=%d tier-ivf-max=%d (dim %d)",
-				calNs, fm, im, enc.Dim())
-		} else {
-			log.Printf("tier auto-calibration produced no usable measurement; keeping -tier-flat-max=%d -tier-ivf-max=%d",
-				tierFlatMax, tierIVFMax)
-		}
-	}
-
-	idxFactory, err := indexFactory(*indexKind, indexParams{
-		hnsw: index.HNSWConfig{
-			M: *hnswM, EfConstruction: *hnswEfCons, EfSearch: *hnswEf,
-			Seed: *seed, Quantized: *hnswInt8,
-		},
-		ivf:     index.IVFConfig{NList: *ivfNList, NProbe: *ivfNProbe, Seed: *seed},
-		flatMax: tierFlatMax,
-		ivfMax:  tierIVFMax,
-	})
+	st, err := stack.Build(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	reg, err := server.NewRegistry(server.RegistryConfig{
-		Shards:     *shards,
-		MaxTenants: *maxTenants,
-		PersistDir: *persistDir,
-		Factory: func(userID string) *core.Client {
-			return core.New(core.Options{
-				Encoder:          enc,
-				LLM:              llm,
-				Tau:              float32(*tau),
-				CtxTau:           float32(*ctxTau),
-				TopK:             *topK,
-				Capacity:         *capacity,
-				FeedbackStep:     float32(*step),
-				IndexFactory:     idxFactory,
-				DegradedTauDelta: float32(*tauDegraded),
-				MaintenanceGate:  maintGate,
-				Searcher:         searcher,
-			})
-		},
-		Hooks: tenantHooks(flHooks),
-	})
-	if err != nil {
-		log.Fatal(err)
+	if err := st.Serve(); err != nil {
+		st.Close()
+		return err
 	}
-
-	var flsvc *flserve.Service
-	if *flOn {
-		var flStore *store.Store
-		if *flDir != "" {
-			flStore, err = store.Open(filepath.Join(*flDir, "flserve.store"))
-			if err != nil {
-				log.Fatalf("opening FL store: %v", err)
-			}
-			defer flStore.Close()
-		}
-		trainCfg := train.DefaultConfig()
-		trainCfg.Epochs = *flEpochs
-		flsvc, err = flserve.New(flserve.Config{
-			Registry:   reg,
-			Collector:  collector,
-			Encoder:    swap,
-			Arch:       flArch,
-			Store:      flStore,
-			Train:      trainCfg,
-			Beta:       *flBeta,
-			Cohort:     *flCohort,
-			MinPairs:   *flMinPairs,
-			Secure:     *flSecure,
-			InitialTau: *tau,
-			Seed:       *seed,
-			Interval:   *flInterval,
-			PCADim:     *flPCA,
-			Gate:       flGate,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		flHooks.Bind(flsvc)
-	}
-
-	// Observability: one shared metrics registry for every layer of this
-	// process, and a tracer named after the cluster identity so stitched
-	// spans attribute to the right node.
-	var obsReg *obs.Registry
-	if *metricsOn {
-		obsReg = obs.NewRegistry()
-	}
-	traceNode := "local"
-	if *clusterOn {
-		traceNode = *addr
-	}
-	tracer := obs.NewTracer(obs.TracerConfig{
-		Node:          traceNode,
-		SampleRate:    *traceSample,
-		SlowThreshold: *traceSlow,
-	})
-
-	srv, err := server.New(server.Config{
-		Registry:      reg,
-		Batcher:       batcher,
-		SearchBatcher: searchBatcher,
-		StatsTenants:  *statsTenants,
-		Observer:      observer(collector),
-		Metrics:       obsReg,
-		Tracer:        tracer,
-		Governor:      gov,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var node *cluster.Node
-	if *clusterOn {
-		if *persistDir == "" {
-			log.Fatal("-cluster requires -persist-dir (on storage all nodes share: tenant handoff travels through it)")
-		}
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		node, err = cluster.New(cluster.Config{
-			Self:      *addr,
-			Peers:     peerList,
-			VNodes:    *vnodes,
-			Registry:  reg,
-			Heartbeat: *clusterHeartbeat,
-			DeadAfter: *clusterDeadAfter,
-			Logf:      log.Printf,
-			Tracer:    tracer,
-			// Peer forwards share the upstream breaker's tuning, and
-			// hedged duplicates are suppressed while the local limiter is
-			// saturated — an overloaded node must not multiply its load.
-			HedgeVeto: gov.Saturated,
-			PeerBreaker: resilience.BreakerConfig{
-				Window: *breakerWindow, FailureRatio: *breakerThreshold,
-				OpenFor: *breakerCooloff, HalfOpenProbes: *breakerProbes,
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		node.Register(srv)
-		srv.Wrap(node.Wrap)
-		if obsReg != nil {
-			node.RegisterMetrics(obsReg)
-		}
-	}
-	if flsvc != nil {
-		if obsReg != nil {
-			flsvc.RegisterMetrics(obsReg)
-		}
-		flsvc.Register(srv)
-		flsvc.Start()
+	if st.FL != nil {
 		log.Printf("online FL coordinator enabled (cohort=%d, min-pairs=%d, interval=%v, secure=%v)",
-			*flCohort, *flMinPairs, *flInterval, *flSecure)
+			cfg.FLCohort, cfg.FLMinPairs, cfg.FLInterval, cfg.FLSecure)
 	}
-	if err := srv.Serve(*addr); err != nil {
-		log.Fatal(err)
-	}
-	if node != nil {
-		node.Start()
+	if st.Node != nil {
 		log.Printf("cluster mode: self=%s, peers=%v, vnodes=%d, heartbeat=%v",
-			*addr, *peers, *vnodes, *clusterHeartbeat)
+			cfg.Addr, cfg.Peers, cfg.VNodes, cfg.ClusterHeartbeat)
 	}
-	if obsReg != nil || tracer != nil {
+	if cfg.Metrics || cfg.Trace.SampleRate > 0 {
 		log.Printf("observability: metrics=%v, trace-sample=%g, trace-slow=%v",
-			*metricsOn, *traceSample, *traceSlow)
+			cfg.Metrics, cfg.Trace.SampleRate, cfg.Trace.SlowThreshold)
 	}
-	if gov.Quotas != nil || gov.Limiter != nil || gov.Breaker != nil || gov.Maintenance != nil {
+	if g := st.Governor; g.Quotas != nil || g.Limiter != nil || g.Breaker != nil || g.Maintenance != nil {
 		log.Printf("resilience: quota-rate=%g limit-max=%d breaker-window=%d upstream-timeout=%v tau-degraded=%g maintenance-weight=%d",
-			*quotaRate, *limitMax, *breakerWindow, *upstreamTimeout, *tauDegraded, *maintWeight)
+			cfg.Governor.Quota.Rate, cfg.Governor.Limiter.MaxLimit, cfg.Governor.Breaker.Window,
+			cfg.UpstreamTimeout, cfg.TauDegraded, cfg.Governor.MaintenanceWeight)
 	}
 	log.Printf("cacheserve listening on %s (encoder=%s, shards=%d, upstream=%s)",
-		srv.Addr(), enc.Name(), *shards, orInProcess(*upstream))
+		st.Server.Addr(), st.Encoder.Name(), cfg.Shards, upstream)
 
+	// SIGTERM (kill, docker stop, systemd) takes the same path as ^C.
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	agg := srv.Collector().Aggregate()
+	agg := st.Server.Collector().Aggregate()
 	log.Printf("shutting down: %d queries, %d hits (%.1f%% hit ratio), %d resident tenants",
-		agg.Queries, agg.Hits, 100*agg.HitRatio, reg.Resident())
-	srv.Close()
-	if node != nil {
-		node.Close()
-	}
-	if flsvc != nil {
-		if rec, ok := flsvc.Models().Latest(); ok {
+		agg.Queries, agg.Hits, 100*agg.HitRatio, st.Registry.Resident())
+	if st.FL != nil {
+		if rec, ok := st.FL.Models().Latest(); ok {
 			log.Printf("online FL: model version %s (tau=%.3f) after rollouts %+v",
-				rec.Version, rec.Tau, flsvc.RolloutSnapshot())
-		}
-		if err := flsvc.Close(); err != nil {
-			log.Printf("closing FL coordinator: %v", err)
+				rec.Version, rec.Tau, st.FL.RolloutSnapshot())
 		}
 	}
-	if *persistDir != "" {
-		if err := reg.Flush(); err != nil {
-			log.Printf("flushing resident tenants: %v", err)
-		} else {
-			log.Printf("flushed %d resident tenants to %s", reg.Resident(), *persistDir)
-		}
+	if err := st.Close(); err != nil {
+		return err
 	}
-}
-
-func orInProcess(upstream string) string {
-	if upstream == "" {
-		return "in-process"
+	if cfg.PersistDir != "" {
+		log.Printf("flushed %d resident tenants to %s", st.Registry.Resident(), cfg.PersistDir)
 	}
-	return upstream
-}
-
-// indexParams carries the per-tier knobs from flags to the factory.
-type indexParams struct {
-	hnsw    index.HNSWConfig
-	ivf     index.IVFConfig
-	flatMax int
-	ivfMax  int
-}
-
-// indexFactory maps the -index flag to a per-tenant index constructor
-// (nil = the cache's default slab-backed exact scan, index.Flat).
-func indexFactory(kind string, p indexParams) (func(dim int) index.Index, error) {
-	switch kind {
-	case "scan", "":
-		return nil, nil
-	case "flat":
-		return func(dim int) index.Index { return index.NewFlat(dim) }, nil
-	case "ivf":
-		return func(dim int) index.Index { return index.NewIVF(dim, p.ivf) }, nil
-	case "hnsw":
-		return func(dim int) index.Index { return index.NewHNSW(dim, p.hnsw) }, nil
-	case "adaptive":
-		return func(dim int) index.Index {
-			return index.NewAdaptive(dim, index.AdaptiveConfig{
-				FlatMax: p.flatMax, IVFMax: p.ivfMax, IVF: p.ivf, HNSW: p.hnsw,
-			})
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown -index %q (want scan, flat, ivf, hnsw or adaptive)", kind)
-	}
-}
-
-// tenantHooks/observer avoid typed-nil interfaces when FL is off.
-func tenantHooks(h *flserve.LateHooks) server.TenantHooks {
-	if h == nil {
-		return nil
-	}
-	return h
-}
-
-func observer(c *flserve.Collector) server.Observer {
-	if c == nil {
-		return nil
-	}
-	return c
+	return nil
 }

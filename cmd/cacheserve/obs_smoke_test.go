@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"syscall"
 	"testing"
 	"time"
 
@@ -18,11 +19,13 @@ import (
 
 var listenRE = regexp.MustCompile(`cacheserve listening on ([0-9.]+:[0-9]+)`)
 
-// TestMetricsSmoke is the CI observability smoke: build the real binary,
-// start it with -metrics and tracing on, drive a miss + hit through
-// /v1/query, and lint the /metrics output with the in-repo exposition
-// parser. It proves the flag wiring end to end, not just the packages.
-func TestMetricsSmoke(t *testing.T) {
+// startCacheserve builds the real binary, starts it with args on a free
+// port and waits for the listen address it logs. Everything the process
+// prints is collected in logged; stop signals it and reports how it exited
+// (it is also run at cleanup, so a failing test never leaves a server
+// behind).
+func startCacheserve(t *testing.T, args ...string) (addr string, logged *bytes.Buffer, stop func(os.Signal) error) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the cacheserve binary")
 	}
@@ -33,12 +36,7 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Fatalf("building cacheserve: %v\n%s", err, out)
 	}
 
-	cmd := exec.Command(bin,
-		"-addr", "127.0.0.1:0",
-		"-metrics",
-		"-trace-sample", "1",
-		"-trace-slow", "1ms",
-	)
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -46,24 +44,14 @@ func TestMetricsSmoke(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting cacheserve: %v", err)
 	}
-	defer func() {
-		cmd.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { cmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			cmd.Process.Kill()
-			<-done
-		}
-	}()
-
-	// The listen address is logged once the server is up; everything the
-	// process prints is replayed on failure.
-	var logged bytes.Buffer
+	// The scanner goroutine owns the pipe until EOF; cmd.Wait closes it,
+	// so Wait runs only after the scan is done.
+	logged = &bytes.Buffer{}
 	addrCh := make(chan string, 1)
+	scanned := make(chan struct{})
 	go func() {
-		sc := bufio.NewScanner(io.TeeReader(stderr, &logged))
+		defer close(scanned)
+		sc := bufio.NewScanner(io.TeeReader(stderr, logged))
 		for sc.Scan() {
 			if m := listenRE.FindStringSubmatch(sc.Text()); m != nil {
 				select {
@@ -73,12 +61,69 @@ func TestMetricsSmoke(t *testing.T) {
 			}
 		}
 	}()
-	var addr string
+	var exited bool
+	var exitErr error
+	stop = func(sig os.Signal) error {
+		if exited {
+			return exitErr
+		}
+		exited = true
+		cmd.Process.Signal(sig)
+		done := make(chan struct{})
+		go func() { <-scanned; exitErr = cmd.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			cmd.Process.Kill()
+			<-done
+			exitErr = fmt.Errorf("did not exit within 5s of %v: %v", sig, exitErr)
+		}
+		return exitErr
+	}
+	t.Cleanup(func() { stop(os.Interrupt) })
+
 	select {
 	case addr = <-addrCh:
 	case <-time.After(10 * time.Second):
+		stop(os.Interrupt)
 		t.Fatalf("cacheserve never reported its listen address; log:\n%s", logged.String())
 	}
+	return addr, logged, stop
+}
+
+// TestSIGTERMFlushesTenants: SIGTERM (kill, docker stop, systemd) must
+// take the same shutdown path as ^C — exit status 0 with the resident
+// tenant's snapshot on disk — not the runtime's default kill, which lost
+// everything the tenant learned since its last eviction.
+func TestSIGTERMFlushesTenants(t *testing.T) {
+	dir := t.TempDir()
+	addr, logged, stop := startCacheserve(t, "-persist-dir", dir)
+	body := bytes.NewReader([]byte(`{"user":"sigterm","query":"does kill lose my cache"}`))
+	resp, err := http.Post("http://"+addr+"/v1/query", "application/json", body)
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d", resp.StatusCode)
+	}
+	if err := stop(syscall.SIGTERM); err != nil {
+		t.Fatalf("exit after SIGTERM: %v; log:\n%s", err, logged)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "*.cache")); len(snaps) != 1 {
+		t.Errorf("%d tenant snapshots in -persist-dir after SIGTERM, want 1; log:\n%s", len(snaps), logged)
+	}
+	if !bytes.Contains(logged.Bytes(), []byte("flushed 1 resident tenants")) {
+		t.Errorf("no flush line in the log:\n%s", logged)
+	}
+}
+
+// TestMetricsSmoke is the CI observability smoke: build the real binary,
+// start it with -metrics and tracing on, drive a miss + hit through
+// /v1/query, and lint the /metrics output with the in-repo exposition
+// parser. It proves the flag wiring end to end, not just the packages.
+func TestMetricsSmoke(t *testing.T) {
+	addr, _, _ := startCacheserve(t, "-metrics", "-trace-sample", "1", "-trace-slow", "1ms")
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	query := func() {

@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/llmsim"
 	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 // The cluster scenario is the failover acceptance run: it spins a
@@ -37,14 +37,29 @@ func runCluster(e env) ([]gate, error) {
 	}
 	defer os.RemoveAll(dir)
 
+	// The nodes are stack.Default() cacheserves apart from what follows.
 	// One shared encoder and virtual-time upstream: encoders are
 	// concurrency-safe once training stops, and sharing keeps an
 	// in-process 3-node cluster cheap enough for CI.
-	enc := embed.NewModel(embed.MPNetSim, e.seed)
-	llm := llmsim.New(llmsim.DefaultConfig())
+	cfg := stack.Default()
+	cfg.Encoder = embed.NewModel(embed.MPNetSim, e.seed)
+	cfg.LLM = llmsim.New(llmsim.DefaultConfig())
+	cfg.PersistDir = dir // shared — the harness's stand-in for shared storage
+	// τ sits below the serving default: the scenario runs the untrained
+	// encoder, and the retention gate needs a healthy duplicate hit rate
+	// to measure degradation against.
+	cfg.Tau = 0.70
 
 	log.Printf("cluster scenario: %d nodes (%d vnodes), %d users, %d+%d probes/user, kill node %d mid-phase-2",
 		clusterNodes, clusterVNodes, e.users, e.probes, e.probes, clusterKill)
+	// The harness owns each node's listener and cluster.Node; the stacks
+	// are closed here, after it, to stop their batchers.
+	var stacks []*stack.Stack
+	defer func() {
+		for _, st := range stacks {
+			st.Close()
+		}
+	}()
 	h, err := cluster.StartHarness(cluster.HarnessConfig{
 		Nodes:      clusterNodes,
 		VNodes:     clusterVNodes,
@@ -53,32 +68,12 @@ func runCluster(e env) ([]gate, error) {
 		DrainWait:  2 * time.Second,
 		SweepEvery: 200 * time.Millisecond,
 		MakeNode: func(self string) (*server.Registry, *server.Server, error) {
-			reg, err := server.NewRegistry(server.RegistryConfig{
-				Shards:     8,
-				PersistDir: dir, // shared — the harness's stand-in for shared storage
-				Factory: func(userID string) *core.Client {
-					return core.New(core.Options{
-						Encoder: enc,
-						LLM:     llm,
-						// τ sits below the serving default: the scenario
-						// runs the untrained encoder, and the retention
-						// gate needs a healthy duplicate hit rate to
-						// measure degradation against.
-						Tau:          0.70,
-						TopK:         5,
-						Capacity:     4096,
-						FeedbackStep: 0.01,
-					})
-				},
-			})
+			st, err := stack.Build(cfg)
 			if err != nil {
 				return nil, nil, err
 			}
-			srv, err := server.New(server.Config{Registry: reg})
-			if err != nil {
-				return nil, nil, err
-			}
-			return reg, srv, nil
+			stacks = append(stacks, st)
+			return st.Registry, st.Server, nil
 		},
 	})
 	if err != nil {

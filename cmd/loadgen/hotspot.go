@@ -7,13 +7,10 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/embed"
-	"repro/internal/llmsim"
 	"repro/internal/metrics"
 	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 // The hotspot scenario is the search-batcher acceptance run: traffic is
@@ -151,47 +148,30 @@ func hotspotJobs(seed int64) (warmup, probes []job, hotShare float64) {
 // newHotspotStack starts one in-process cacheserve instance; batched
 // selects whether the SearchBatcher is wired into the tenant factory.
 func newHotspotStack(e env, batched bool) (t *target, stop func(), err error) {
-	simCfg := llmsim.DefaultConfig() // virtual time: misses cost no wall clock
-	simCfg.Seed = e.seed
-	sim := llmsim.New(simCfg)
-	enc := embed.NewModel(embed.MPNetSim, e.seed)
-
-	var sb *server.SearchBatcher
-	var searcher cache.Searcher
-	if batched {
-		sb = server.NewSearchBatcher(server.BatcherConfig{MaxBatch: hotBatch, MaxWait: hotWait})
-		searcher = sb
-	}
-	reg, err := server.NewRegistry(server.RegistryConfig{
-		Shards: 8,
-		Factory: func(userID string) *core.Client {
-			return core.New(core.Options{
-				Encoder: enc,
-				LLM:     sim,
-				Tau:     hotTau,
-				TopK:    5,
-				// Capacity holds every warmed entry plus every novel probe
-				// the hot tenant can absorb, so hit parity cannot be skewed
-				// by eviction.
-				Capacity:     hotCachedHot + hotProbes + 64,
-				FeedbackStep: 0.01,
-				Searcher:     searcher,
-			})
-		},
-	})
+	// A stack.Default() cacheserve (virtual-time upstream: misses cost no
+	// wall clock) apart from what follows.
+	cfg := stack.Default()
+	cfg.Seed = e.seed
+	cfg.Tau = hotTau
+	// Capacity holds every warmed entry plus every novel probe the hot
+	// tenant can absorb, so hit parity cannot be skewed by eviction.
+	cfg.Capacity = hotCachedHot + hotProbes + 64
+	// No encode batcher: the stacks are compared on hit RTT, and the
+	// encode gather window would add the same ~1ms to both sides and
+	// shrink the search share the comparison is about.
+	cfg.NoBatch = true
+	// 8 / 200µs, not the shipped 32 / 0, which barely coalesces on a
+	// 2-core box (see the scenario comment).
+	cfg.SearchBatch = server.BatcherConfig{MaxBatch: hotBatch, MaxWait: hotWait}
+	cfg.NoSearchBatch = !batched
+	st, err := stack.Build(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("registry: %w", err)
+		return nil, nil, fmt.Errorf("building stack: %w", err)
 	}
-	srv, err := server.New(server.Config{Registry: reg, SearchBatcher: sb})
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: %w", err)
-	}
-	hts := httptest.NewServer(srv.Handler())
+	hts := httptest.NewServer(st.Handler())
 	return newTarget(e.timeout, hts.URL), func() {
 		hts.Close()
-		if sb != nil {
-			sb.Close()
-		}
+		st.Close()
 	}, nil
 }
 

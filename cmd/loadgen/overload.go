@@ -6,12 +6,9 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/embed"
 	"repro/internal/llmsim"
-	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/server"
+	"repro/internal/stack"
 )
 
 // The overload scenario is the degraded-serving acceptance run: a full
@@ -68,47 +65,43 @@ func runOverload(e env) ([]gate, error) {
 		Seed:        e.seed,
 	})
 
-	gov := resilience.NewGovernor(resilience.GovernorConfig{
-		// The limiter starts at its ceiling (no cold-start throttling of
-		// the healthy baseline) and adapts downward under congestion.
-		Limiter: resilience.LimiterConfig{
-			MinLimit: 4, MaxLimit: 32, InitialLimit: 32, MaxQueue: 32,
-		},
-		Breaker: resilience.BreakerConfig{
-			Window: 20, FailureRatio: 0.5,
-			OpenFor: 400 * time.Millisecond, HalfOpenProbes: 3,
-		},
-		MaintenanceWeight: 2,
-	})
-	guard := resilience.NewGuard(sim, gov, 0)
-
-	enc := embed.NewModel(embed.MPNetSim, e.seed)
-	reg, err := server.NewRegistry(server.RegistryConfig{
-		Shards: 8,
-		Factory: func(userID string) *core.Client {
-			return core.New(core.Options{
-				Encoder: enc,
-				LLM:     guard,
-				// τ below the serving default: the untrained encoder must
-				// produce a healthy duplicate hit rate for cache-only
-				// serving to have anything to serve.
-				Tau:              0.70,
-				TopK:             5,
-				Capacity:         4096,
-				FeedbackStep:     0.01,
-				DegradedTauDelta: 0.10,
-				MaintenanceGate:  gov.Maintenance,
-			})
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
+	// A stack.Default() cacheserve apart from what follows; the scenario
+	// keeps the simulator to slow and fail it mid-run.
+	cfg := stack.Default()
+	cfg.LLM = sim
+	cfg.Seed = e.seed
+	cfg.Metrics = true // the breaker gates are asserted against /metrics
+	// The limiter starts at its ceiling (no cold-start throttling of the
+	// healthy baseline) and adapts downward under congestion.
+	cfg.Governor.Limiter = resilience.LimiterConfig{
+		MinLimit: 4, MaxLimit: 32, InitialLimit: 32, MaxQueue: 32,
 	}
-	srv, err := server.New(server.Config{Registry: reg, Metrics: obs.NewRegistry(), Governor: gov})
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
+	// A short window and cool-off so the trip and the recovery both land
+	// inside a CI-sized run.
+	cfg.Governor.Breaker = resilience.BreakerConfig{
+		Window: 20, FailureRatio: 0.5,
+		OpenFor: 400 * time.Millisecond, HalfOpenProbes: 3,
 	}
-	hts := httptest.NewServer(srv.Handler())
+	// τ below the serving default: the untrained encoder must produce a
+	// healthy duplicate hit rate for cache-only serving to have anything
+	// to serve; the cache-only retry relaxes it by 0.10, not the shipped
+	// 0.05, so near-τ duplicates are served degraded during the outage
+	// (the report counts them).
+	cfg.Tau = 0.70
+	cfg.TauDegraded = 0.10
+	// Neither batcher: the hit-path p99 gate compares an unloaded phase
+	// with 48 workers on two cores. The encode gather window (200µs asked,
+	// ~1.1ms on this kernel) would pad the unloaded side, and the search
+	// batcher's dispatcher hop queues under that load: with the shipped
+	// 32 / 0 the outage p99 read 2.6–7.8ms over six runs against 0.2–0.3ms
+	// (once 2.5ms) without it; unloaded, 0.4–0.6ms either way.
+	cfg.NoBatch, cfg.NoSearchBatch = true, true
+	st, err := stack.Build(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("building stack: %w", err)
+	}
+	defer st.Close()
+	hts := httptest.NewServer(st.Handler())
 	defer hts.Close()
 	t := newTarget(e.timeout, hts.URL)
 

@@ -2,7 +2,7 @@
 // against a live serving process — the deployment shape of §III-A rather
 // than an offline simulation.
 //
-// An in-process cacheserve (internal/server + internal/flserve) hosts a
+// An in-process cacheserve (internal/stack, with -fl on) hosts a
 // fleet of tenants. Simulated users query it over HTTP and file the two
 // feedback signals of the online loop: missed_dup when a paraphrase of an
 // earlier question wasn't served from cache, and false_hit when a wrong
@@ -25,13 +25,10 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/embed"
-	"repro/internal/flserve"
-	"repro/internal/llmsim"
 	"repro/internal/server"
-	"repro/internal/train"
+	"repro/internal/stack"
 )
 
 const (
@@ -44,54 +41,26 @@ const (
 
 func main() {
 	// --- the serving process, with the online FL coordinator enabled ---
-	base := embed.NewModel(embed.AlbertSim, 1)
-	swap := embed.NewSwappable(base)
-	collector := flserve.NewCollector(flserve.CollectorConfig{Seed: 1})
-	hooks := &flserve.LateHooks{}
-	reg, err := server.NewRegistry(server.RegistryConfig{
-		Factory: func(string) *core.Client {
-			return core.New(core.Options{
-				Encoder:      swap,
-				LLM:          llmsim.New(llmsim.DefaultConfig()),
-				Tau:          0.83,
-				TopK:         5,
-				Capacity:     1024,
-				FeedbackStep: 0.01,
-			})
-		},
-		Hooks: hooks,
-	})
+	// stack.Default() is what cacheserve ships; the example turns FL on
+	// (rounds run only when it posts /v1/fl/round), federates the small
+	// ALBERT-sized encoder so three rounds train in seconds, and lets a
+	// tenant join a cohort on the 6 pairs its 8 probes per phase can yield.
+	cfg := stack.Default()
+	cfg.Addr = "127.0.0.1:0"
+	cfg.FL = true
+	cfg.Arch = embed.AlbertSim.Name
+	cfg.FLMinPairs = 6
+	st, err := stack.Build(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	trainCfg := train.DefaultConfig()
-	trainCfg.Epochs = 2
-	svc, err := flserve.New(flserve.Config{
-		Registry:  reg,
-		Collector: collector,
-		Encoder:   swap,
-		Arch:      embed.AlbertSim,
-		Train:     trainCfg,
-		Cohort:    4,
-		MinPairs:  6,
-		Seed:      1,
-	})
-	if err != nil {
+	defer st.Close()
+	if err := st.Serve(); err != nil {
 		log.Fatal(err)
 	}
-	hooks.Bind(svc)
-	defer svc.Close()
-	srv, err := server.New(server.Config{Registry: reg, Observer: collector})
-	if err != nil {
-		log.Fatal(err)
-	}
-	svc.Register(srv)
-	if err := srv.Serve("127.0.0.1:0"); err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	url := "http://" + srv.Addr()
-	fmt.Printf("cacheserve with online FL listening on %s\n\n", srv.Addr())
+	svc := st.FL
+	url := "http://" + st.Server.Addr()
+	fmt.Printf("cacheserve with online FL listening on %s\n\n", st.Server.Addr())
 
 	// --- simulated users: shared lexicon, private intents ---
 	rng := rand.New(rand.NewSource(7))

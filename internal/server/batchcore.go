@@ -16,7 +16,8 @@ import (
 //   - MaxWait > 0: after the first request of a batch arrives, the
 //     dispatcher lingers up to MaxWait (or until MaxBatch) collecting
 //     company. Right when the batched operation is expensive relative to
-//     the wait (encoding: ~ms vs µs).
+//     the wait. (The encode batcher always runs in this mode, although a
+//     measured encode is ~0.1ms against a 200µs window: see NewBatcher.)
 //   - MaxWait <= 0: the dispatcher takes whatever is already queued and
 //     runs immediately — coalescing costs zero added latency and batches
 //     form only under genuine concurrency. Right when the batched

@@ -53,8 +53,11 @@ type encodeReq struct {
 }
 
 // NewBatcher wraps enc in a micro-batcher and starts its dispatcher.
-// MaxBatch defaults to 32 and MaxWait to 200µs — small against the ~ms
-// encode cost it amortises.
+// MaxBatch defaults to 32. MaxWait <= 0 is mapped to 200µs, so
+// batchCore's drain mode is unreachable for encodes: an encode batch
+// always gathers behind a timer. That window is not small against the
+// work it amortises: bench/README.md measures one mpnet-sim encode at
+// ~0.1ms and the 200µs timer firing after ~1.1ms on the reference kernel.
 func NewBatcher(enc embed.Encoder, cfg BatcherConfig) *Batcher {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32

@@ -82,10 +82,10 @@ func newServerObs(cfg Config, collector *Collector) *serverObs {
 	registerRegistryMetrics(reg, cfg.Registry)
 	registerCollectorMetrics(reg, collector)
 	if cfg.Batcher != nil {
-		registerBatcherMetrics(reg, cfg.Batcher)
+		registerBatcherMetrics(reg, encodeBatcherNames, cfg.Batcher)
 	}
 	if cfg.SearchBatcher != nil {
-		registerSearchBatcherMetrics(reg, cfg.SearchBatcher)
+		registerBatcherMetrics(reg, searchBatcherNames, cfg.SearchBatcher)
 	}
 	if cfg.Governor != nil {
 		registerGovernorMetrics(reg, cfg.Governor)
@@ -305,47 +305,52 @@ func registerGovernorMetrics(reg *obs.Registry, g *resilience.Governor) {
 	}
 }
 
-func registerBatcherMetrics(reg *obs.Registry, b *Batcher) {
-	reg.GaugeFunc("meancache_batch_queue_depth",
-		"Encode requests queued for the batch dispatcher.", func() float64 {
-			return float64(b.QueueDepth())
-		})
-	sizes := reg.Histogram("meancache_batch_size",
-		"Dispatched encode batch sizes.", obs.DefBatchBounds)
-	b.OnBatch(func(size int) { sizes.Observe(float64(size)) })
-	bstat := func(get func(BatcherStats) float64) func() float64 {
-		return func() float64 { return get(b.Stats()) }
-	}
-	reg.CounterFunc("meancache_batch_requests_total",
-		"Encode calls served through the batcher.",
-		bstat(func(s BatcherStats) float64 { return float64(s.Requests) }))
-	reg.CounterFunc("meancache_batch_batches_total",
-		"Batch dispatches.",
-		bstat(func(s BatcherStats) float64 { return float64(s.Batches) }))
-	reg.CounterFunc("meancache_batch_coalesced_total",
-		"Encode calls that shared a batch with at least one other.",
-		bstat(func(s BatcherStats) float64 { return float64(s.Coalesced) }))
+// batcherNames is one batcher's exposition: the metric-name prefix and
+// the help string of each of its five series.
+type batcherNames struct {
+	prefix                                    string
+	queue, size, requests, batches, coalesced string
 }
 
-func registerSearchBatcherMetrics(reg *obs.Registry, sb *SearchBatcher) {
-	reg.GaugeFunc("meancache_search_batch_queue_depth",
-		"Searches queued for the search-batch dispatcher.", func() float64 {
-			return float64(sb.QueueDepth())
-		})
-	sizes := reg.Histogram("meancache_search_batch_size",
-		"Per-tenant search group sizes (1 = handed back for direct execution).",
-		obs.DefBatchBounds)
-	sb.OnBatch(func(size int) { sizes.Observe(float64(size)) })
-	sstat := func(get func(BatcherStats) float64) func() float64 {
-		return func() float64 { return get(sb.Stats()) }
+var (
+	encodeBatcherNames = batcherNames{
+		prefix:    "meancache_batch",
+		queue:     "Encode requests queued for the batch dispatcher.",
+		size:      "Dispatched encode batch sizes.",
+		requests:  "Encode calls served through the batcher.",
+		batches:   "Batch dispatches.",
+		coalesced: "Encode calls that shared a batch with at least one other.",
 	}
-	reg.CounterFunc("meancache_search_batch_requests_total",
-		"Searches routed through the search batcher.",
-		sstat(func(s BatcherStats) float64 { return float64(s.Requests) }))
-	reg.CounterFunc("meancache_search_batch_batches_total",
-		"Search passes (coalesced groups plus handed-back singletons).",
-		sstat(func(s BatcherStats) float64 { return float64(s.Batches) }))
-	reg.CounterFunc("meancache_search_batch_coalesced_total",
-		"Searches that shared a multi-probe index pass.",
-		sstat(func(s BatcherStats) float64 { return float64(s.Coalesced) }))
+	searchBatcherNames = batcherNames{
+		prefix:    "meancache_search_batch",
+		queue:     "Searches queued for the search-batch dispatcher.",
+		size:      "Per-tenant search group sizes (1 = handed back for direct execution).",
+		requests:  "Searches routed through the search batcher.",
+		batches:   "Search passes (coalesced groups plus handed-back singletons).",
+		coalesced: "Searches that shared a multi-probe index pass.",
+	}
+)
+
+// registerBatcherMetrics exposes a batcher's queue depth, batch-size
+// histogram and coalescing counters; the encode and search batchers share
+// the QueueDepth/OnBatch/Stats trio it reads.
+func registerBatcherMetrics(reg *obs.Registry, n batcherNames, b interface {
+	QueueDepth() int
+	OnBatch(fn func(size int))
+	Stats() BatcherStats
+}) {
+	reg.GaugeFunc(n.prefix+"_queue_depth", n.queue, func() float64 {
+		return float64(b.QueueDepth())
+	})
+	sizes := reg.Histogram(n.prefix+"_size", n.size, obs.DefBatchBounds)
+	b.OnBatch(func(size int) { sizes.Observe(float64(size)) })
+	reg.CounterFunc(n.prefix+"_requests_total", n.requests, func() float64 {
+		return float64(b.Stats().Requests)
+	})
+	reg.CounterFunc(n.prefix+"_batches_total", n.batches, func() float64 {
+		return float64(b.Stats().Batches)
+	})
+	reg.CounterFunc(n.prefix+"_coalesced_total", n.coalesced, func() float64 {
+		return float64(b.Stats().Coalesced)
+	})
 }

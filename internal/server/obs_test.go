@@ -158,7 +158,7 @@ func TestBatcherObsHooks(t *testing.T) {
 	b := NewBatcher(m, BatcherConfig{MaxBatch: 8, MaxWait: time.Millisecond})
 	defer b.Close()
 	metrics := obs.NewRegistry()
-	registerBatcherMetrics(metrics, b)
+	registerBatcherMetrics(metrics, encodeBatcherNames, b)
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func(i int) {
