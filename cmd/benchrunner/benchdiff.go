@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -50,6 +53,29 @@ func runBenchDiff(baselinePath string) error {
 	// division by CalibrationNs downstream is then safe by construction.
 	if baseline.CalibrationNs <= 0 {
 		return fmt.Errorf("benchdiff: baseline %s has no calibration_ns row — regenerate it with `make bench-json` and commit the result", baselinePath)
+	}
+	// The rows run at the parallelism the baseline was captured at:
+	// allocs/op is gated at zero tolerance, and the parallel scan row
+	// allocates per worker (IndexScan64x20k: 4 at one CPU, 11 at two).
+	// vecmath sizes its worker pool from GOMAXPROCS once, at package
+	// init, so runtime.GOMAXPROCS here would come too late: a process
+	// started at another setting runs the gate in a child that has the
+	// baseline's in its environment (and a child never spawns another).
+	if baseline.NumCPU < 1 {
+		return fmt.Errorf("benchdiff: baseline %s has no num_cpu row — regenerate it with `make bench-json` and commit the result", baselinePath)
+	}
+	procs := strconv.Itoa(baseline.NumCPU)
+	if runtime.GOMAXPROCS(0) != baseline.NumCPU && os.Getenv("GOMAXPROCS") != procs {
+		self, err := os.Executable()
+		if err != nil {
+			return fmt.Errorf("benchdiff: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "[benchdiff] re-running at GOMAXPROCS=%s, the baseline's num_cpu (this process started at %d)\n",
+			procs, runtime.GOMAXPROCS(0))
+		child := exec.Command(self, os.Args[1:]...)
+		child.Env = append(os.Environ(), "GOMAXPROCS="+procs)
+		child.Stdout, child.Stderr = os.Stdout, os.Stderr
+		return child.Run()
 	}
 	committed := make(map[string]benchResult, len(baseline.Results))
 	for _, r := range baseline.Results {

@@ -216,14 +216,12 @@ func benchReembed(b *testing.B) {
 
 // newHitServer assembles the single-tenant hit-path fixture: a
 // stack.Default() cacheserve (untrained encoder, in-process virtual-time
-// upstream) with both batchers off, adjusted by mod when non-nil, and one
-// warmed cached query.
+// upstream) with the search batcher off, adjusted by mod when non-nil,
+// and one warmed cached query.
 func newHitServer(b *testing.B, mod func(*stack.Config)) (http.Handler, *httptest.Server, []byte) {
 	cfg := stack.Default()
-	// The rows time the handler's own work: the encode batcher's gather
-	// window would be ~90% of every hit, and a search batcher hop belongs
-	// to the one row that turns it back on.
-	cfg.NoBatch, cfg.NoSearchBatch = true, true
+	// A search batcher hop belongs to the one row that turns it back on.
+	cfg.NoSearchBatch = true
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -299,9 +297,8 @@ func benchServerQueryHit(b *testing.B) {
 // benchServerQueryHitBatched is the handler hit path with the per-tenant
 // search batcher wired in, driven in parallel so concurrent requests
 // against the one tenant genuinely coalesce into multi-probe index
-// passes (drain mode: no gather wait). Pinned in benchdiff so the
-// batched route's latency and allocation count stay budgeted alongside
-// the direct route's.
+// passes. Pinned in benchdiff so the batched route's latency and
+// allocation count stay budgeted alongside the direct route's.
 func benchServerQueryHitBatched(b *testing.B) {
 	h, _, body := newHitServer(b, func(cfg *stack.Config) { cfg.NoSearchBatch = false })
 	b.ReportAllocs()

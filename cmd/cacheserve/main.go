@@ -40,6 +40,13 @@ func main() {
 // run serves cfg until a shutdown signal; a failure comes back after
 // whatever was built has been closed.
 func run(cfg stack.Config) error {
+	// Installed before anything is built or announced: a signal that
+	// beats Notify kills the process with nothing flushed. One that lands
+	// during Build waits in the channel and shuts the stack down as soon
+	// as it is up. SIGTERM (kill, docker stop, systemd) takes ^C's path.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	if cfg.Pprof != "" {
 		// The profiler gets its own listener so profiling traffic (and the
 		// default mux it registers on) never mixes with the serving API.
@@ -87,9 +94,6 @@ func run(cfg stack.Config) error {
 	log.Printf("cacheserve listening on %s (encoder=%s, shards=%d, upstream=%s)",
 		st.Server.Addr(), st.Encoder.Name(), cfg.Shards, upstream)
 
-	// SIGTERM (kill, docker stop, systemd) takes the same path as ^C.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	agg := st.Server.Collector().Aggregate()
 	log.Printf("shutting down: %d queries, %d hits (%.1f%% hit ratio), %d resident tenants",

@@ -17,14 +17,19 @@ import (
 	"repro/internal/obs"
 )
 
-var listenRE = regexp.MustCompile(`cacheserve listening on ([0-9.]+:[0-9]+)`)
+var (
+	// buildingRE matches the first line run logs, before stack.Build.
+	buildingRE = regexp.MustCompile(`(serving with an untrained)`)
+	listenRE   = regexp.MustCompile(`cacheserve listening on ([0-9.]+:[0-9]+)`)
+)
 
 // startCacheserve builds the real binary, starts it with args on a free
-// port and waits for the listen address it logs. Everything the process
+// port and waits for a log line matching until, whose first submatch it
+// returns (with listenRE, the listen address). Everything the process
 // prints is collected in logged; stop signals it and reports how it exited
 // (it is also run at cleanup, so a failing test never leaves a server
 // behind).
-func startCacheserve(t *testing.T, args ...string) (addr string, logged *bytes.Buffer, stop func(os.Signal) error) {
+func startCacheserve(t *testing.T, until *regexp.Regexp, args ...string) (match string, logged *bytes.Buffer, stop func(os.Signal) error) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the cacheserve binary")
@@ -47,15 +52,15 @@ func startCacheserve(t *testing.T, args ...string) (addr string, logged *bytes.B
 	// The scanner goroutine owns the pipe until EOF; cmd.Wait closes it,
 	// so Wait runs only after the scan is done.
 	logged = &bytes.Buffer{}
-	addrCh := make(chan string, 1)
+	matched := make(chan string, 1)
 	scanned := make(chan struct{})
 	go func() {
 		defer close(scanned)
 		sc := bufio.NewScanner(io.TeeReader(stderr, logged))
 		for sc.Scan() {
-			if m := listenRE.FindStringSubmatch(sc.Text()); m != nil {
+			if m := until.FindStringSubmatch(sc.Text()); m != nil {
 				select {
-				case addrCh <- m[1]:
+				case matched <- m[1]:
 				default:
 				}
 			}
@@ -83,38 +88,57 @@ func startCacheserve(t *testing.T, args ...string) (addr string, logged *bytes.B
 	t.Cleanup(func() { stop(os.Interrupt) })
 
 	select {
-	case addr = <-addrCh:
+	case match = <-matched:
 	case <-time.After(10 * time.Second):
 		stop(os.Interrupt)
-		t.Fatalf("cacheserve never reported its listen address; log:\n%s", logged.String())
+		t.Fatalf("cacheserve never logged %q; log:\n%s", until, logged.String())
 	}
-	return addr, logged, stop
+	return match, logged, stop
 }
 
 // TestSIGTERMFlushesTenants: SIGTERM (kill, docker stop, systemd) must
-// take the same shutdown path as ^C — exit status 0 with the resident
+// take the same shutdown path as ^C — exit status 0 with every resident
 // tenant's snapshot on disk — not the runtime's default kill, which lost
-// everything the tenant learned since its last eviction.
+// everything the tenants learned since their last eviction. That holds
+// whenever the signal lands: while the stack is still being built (a
+// handler installed only after readiness dies here every time), the
+// moment readiness is announced, and after traffic.
 func TestSIGTERMFlushesTenants(t *testing.T) {
-	dir := t.TempDir()
-	addr, logged, stop := startCacheserve(t, "-persist-dir", dir)
-	body := bytes.NewReader([]byte(`{"user":"sigterm","query":"does kill lose my cache"}`))
-	resp, err := http.Post("http://"+addr+"/v1/query", "application/json", body)
-	if err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d", resp.StatusCode)
-	}
-	if err := stop(syscall.SIGTERM); err != nil {
-		t.Fatalf("exit after SIGTERM: %v; log:\n%s", err, logged)
-	}
-	if snaps, _ := filepath.Glob(filepath.Join(dir, "*.cache")); len(snaps) != 1 {
-		t.Errorf("%d tenant snapshots in -persist-dir after SIGTERM, want 1; log:\n%s", len(snaps), logged)
-	}
-	if !bytes.Contains(logged.Bytes(), []byte("flushed 1 resident tenants")) {
-		t.Errorf("no flush line in the log:\n%s", logged)
+	for _, tc := range []struct {
+		name  string
+		until *regexp.Regexp
+		query bool
+	}{
+		{"during build", buildingRE, false},
+		{"at the listen line", listenRE, false},
+		{"after a query", listenRE, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			addr, logged, stop := startCacheserve(t, tc.until, "-persist-dir", dir)
+			tenants := 0
+			if tc.query {
+				body := bytes.NewReader([]byte(`{"user":"sigterm","query":"does kill lose my cache"}`))
+				resp, err := http.Post("http://"+addr+"/v1/query", "application/json", body)
+				if err != nil {
+					t.Fatalf("query: %v", err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("query status %d", resp.StatusCode)
+				}
+				tenants = 1
+			}
+			if err := stop(syscall.SIGTERM); err != nil {
+				t.Fatalf("exit after SIGTERM: %v; log:\n%s", err, logged)
+			}
+			if snaps, _ := filepath.Glob(filepath.Join(dir, "*.cache")); len(snaps) != tenants {
+				t.Errorf("%d tenant snapshots in -persist-dir after SIGTERM, want %d; log:\n%s", len(snaps), tenants, logged)
+			}
+			if want := fmt.Sprintf("flushed %d resident tenants", tenants); !bytes.Contains(logged.Bytes(), []byte(want)) {
+				t.Errorf("no %q line in the log:\n%s", want, logged)
+			}
+		})
 	}
 }
 
@@ -123,7 +147,7 @@ func TestSIGTERMFlushesTenants(t *testing.T) {
 // /v1/query, and lint the /metrics output with the in-repo exposition
 // parser. It proves the flag wiring end to end, not just the packages.
 func TestMetricsSmoke(t *testing.T) {
-	addr, _, _ := startCacheserve(t, "-metrics", "-trace-sample", "1", "-trace-slow", "1ms")
+	addr, _, _ := startCacheserve(t, listenRE, "-metrics", "-trace-sample", "1", "-trace-slow", "1ms")
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	query := func() {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
-	"repro/internal/server"
 	"repro/internal/stack"
 )
 
@@ -21,13 +20,17 @@ import (
 // lookup path, are warmed with the same entries and then driven with
 // the same probe stream, head to head.
 //
-// The batched stack runs the search batcher at MaxBatch 8, MaxWait
-// 200µs — NOT cacheserve's shipped -search-batch 32 -search-batch-wait 0.
-// The gather window is what makes coalescing visible on a 2-core box:
-// with the shipped drain-mode values one 4,000-probe pass measured a
-// mean search pass of 1.00–1.01 (9–54 of 8,624 searches coalesced over
-// five runs), against ~1.5 (well over half of all searches coalesced)
-// in the configuration gated here.
+// The batched stack is the shipped one. Its dispatcher never waits for
+// company, so on a 2-core box few searches find another already queued
+// (27–54 of 24,624 over three runs here, and it can be none): how many
+// coalesced is reported, not gated. That overlapping searches do share a
+// pass is pinned with exact counts by internal/server's TestSearchBatcher
+// tests; what this run gates is that the batcher's hop costs a hot
+// tenant nothing and changes no answer (the three runs read 1.00×, 1.00×
+// and 1.03×). The run counts quoted below were taken while the batched
+// stack still gathered behind a 200µs timer at MaxBatch 8, a
+// configuration no default ever shipped; they calibrate the sampling
+// method, which is unchanged.
 //
 // A single unbatched run followed by a single batched run put the p99
 // comparison on ~1,260 hit samples per side taken seconds apart, and
@@ -70,14 +73,12 @@ import (
 //     passes. Nothing measurable in 70 s on this box separates the
 //     latter from its run-to-run noise.
 //
-// Gates: both stacks clean, the batched stack demonstrably coalesces
-// (mean search pass > 1 request with Coalesced > 0, read from
-// /v1/stats), duplicate probes of the cold pass hit identically in both
-// stacks within 1% (MultiSearch parity observed end to end, not just in
-// unit tests; the steady passes are left out because there every probe
-// hits its own entry in both stacks by construction), and the batched
-// hit-path p99 (as defined above) is at most hotLatencyX × the
-// unbatched one.
+// Gates: both stacks clean, duplicate probes of the cold pass hit
+// identically in both stacks within 1% (MultiSearch parity observed end
+// to end, not just in unit tests; the steady passes are left out because
+// there every probe hits its own entry in both stacks by construction),
+// and the batched hit-path p99 (as defined above) is at most
+// hotLatencyX × the unbatched one.
 const (
 	hotTenants     = 12   // tenant 0 is the hot one
 	hotCached      = 48   // warmup entries per cold tenant
@@ -89,8 +90,6 @@ const (
 	hotTau         = 0.80 // serving threshold (higher prunes more of the scan)
 	hotConcurrency = 24   // the burst
 	hotSkew        = 2.5  // Zipf s of the tenant draw (>1; higher = hotter hot tenant)
-	hotBatch       = 8    // batched stack's group-size cap (MaxBatch)
-	hotWait        = 200 * time.Microsecond
 	// hotLatencyX is the batched hit-path p99 ceiling, × the unbatched
 	// p99. The allowance absorbs scheduler noise on shared 2-core
 	// runners; the batcher typically lands within a few percent either
@@ -156,13 +155,6 @@ func newHotspotStack(e env, batched bool) (t *target, stop func(), err error) {
 	// Capacity holds every warmed entry plus every novel probe the hot
 	// tenant can absorb, so hit parity cannot be skewed by eviction.
 	cfg.Capacity = hotCachedHot + hotProbes + 64
-	// No encode batcher: the stacks are compared on hit RTT, and the
-	// encode gather window would add the same ~1ms to both sides and
-	// shrink the search share the comparison is about.
-	cfg.NoBatch = true
-	// 8 / 200µs, not the shipped 32 / 0, which barely coalesces on a
-	// 2-core box (see the scenario comment).
-	cfg.SearchBatch = server.BatcherConfig{MaxBatch: hotBatch, MaxWait: hotWait}
 	cfg.NoSearchBatch = !batched
 	st, err := stack.Build(cfg)
 	if err != nil {
@@ -221,16 +213,14 @@ func runHotspot(e env) ([]gate, error) {
 	}
 	direct, batched := phases[0], phases[1]
 
-	fmt.Printf("\n=== hotspot search-batching report (%d tenants, %d probes sent 1+%d times, batcher MaxBatch %d MaxWait %v) ===\n",
-		hotTenants, hotProbes, hotReplays, hotBatch, hotWait)
+	fmt.Printf("\n=== hotspot search-batching report (%d tenants, %d probes sent 1+%d times) ===\n",
+		hotTenants, hotProbes, hotReplays)
 	direct.report("unbatched")
 	batched.report("batched")
 	// The coalescing counters come from /v1/stats — the same surface
 	// operators see.
-	var sb server.BatcherStats
-	s, err := stacks[1].scrape()
-	if err == nil && s.stats.SearchBatcher != nil {
-		sb = *s.stats.SearchBatcher
+	if s, err := stacks[1].scrape(); err == nil && s.stats.SearchBatcher != nil {
+		sb := s.stats.SearchBatcher
 		fmt.Printf("batcher          %d searches in %d passes (mean %.2f, %d coalesced)\n",
 			sb.Requests, sb.Batches, sb.MeanBatch, sb.Coalesced)
 	}
@@ -256,8 +246,6 @@ func runHotspot(e env) ([]gate, error) {
 	return []gate{
 		check("clean run", direct.failed() == 0 && batched.failed() == 0,
 			"unbatched %s, batched %s", direct.failures(), batched.failures()),
-		check("coalescing", sb.Coalesced > 0 && sb.MeanBatch > 1,
-			"mean pass %.2f requests, %d coalesced (gate > 1 mean, > 0 coalesced)", sb.MeanBatch, sb.Coalesced),
 		check("hit parity", drift <= hotParity && coldBatched > 0,
 			"%d batched vs %d unbatched duplicate hits in the cold pass (gate ≤ %.0f%% drift)", coldBatched, coldDirect, 100*hotParity),
 		check("hit-path p99", direct99[1] > 0 && x(1) <= hotLatencyX && x(2) <= hotBurstX,

@@ -34,11 +34,11 @@
 //	          serving and re-closes, served throughput ≥90% of capacity,
 //	          hit p99 <5× unloaded, nothing unexpected.
 //	hotspot   in process: Zipf-skewed traffic on one hot tenant through
-//	          two stacks, with and without the search batcher, taking
-//	          turns at slices of one stream. Gates: clean, coalescing,
-//	          cold-pass hit parity ≤1%, batched hit p99 ≤1.10× unbatched
-//	          (medians of the per-slice hit-RTT p99s; their 90th
-//	          percentile ≤1.5×).
+//	          two stacks, the shipped one and one without the search
+//	          batcher, taking turns at slices of one stream. Gates:
+//	          clean, cold-pass hit parity ≤1%, batched hit p99 ≤1.10×
+//	          unbatched (medians of the per-slice hit-RTT p99s; their
+//	          90th percentile ≤1.5×).
 //	crash     a real cacheserve (-crash-bin) over one persist dir
 //	          (-crash-dir) is SIGKILLed mid-traffic 21 times with one
 //	          corrupt snapshot injected. Gates: every restart healthy,

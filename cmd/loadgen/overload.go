@@ -90,11 +90,11 @@ func runOverload(e env) ([]gate, error) {
 	cfg.Tau = 0.70
 	cfg.TauDegraded = 0.10
 	// Neither batcher: the hit-path p99 gate compares an unloaded phase
-	// with 48 workers on two cores. The encode gather window (200µs asked,
-	// ~1.1ms on this kernel) would pad the unloaded side, and the search
-	// batcher's dispatcher hop queues under that load: with the shipped
-	// 32 / 0 the outage p99 read 2.6–7.8ms over six runs against 0.2–0.3ms
-	// (once 2.5ms) without it; unloaded, 0.4–0.6ms either way.
+	// with 48 workers on two cores, and under that load requests queue at
+	// a batcher's single dispatcher. With the shipped encode batcher the
+	// outage p99 read 9.7–15ms over six runs, with the shipped search
+	// batcher 2.6–7.8ms, against 0.2–0.3ms (or this box's 4.2ms mode)
+	// with neither; unloaded, 0.3–1.1ms in every case.
 	cfg.NoBatch, cfg.NoSearchBatch = true, true
 	st, err := stack.Build(cfg)
 	if err != nil {

@@ -213,7 +213,7 @@ type Result struct {
 	// (probe encoding included — the historical meaning).
 	SearchTime time.Duration
 	// EncodeTime isolates the probe-encoding portion of SearchTime,
-	// batch-wait included when the encoder micro-batches. The index
+	// dispatcher queueing included when the encoder micro-batches. The index
 	// search proper is SearchTime - EncodeTime.
 	EncodeTime time.Duration
 	// UpstreamTime is the LLM call duration (misses only).

@@ -3,7 +3,6 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // batchCore is the gather/dispatch machinery shared by the encode batcher
@@ -11,33 +10,25 @@ import (
 // that gathers requests into batches, and a Close protocol that can never
 // strand a request or race a sender onto a closed channel.
 //
-// Two gather modes, selected by cfg.MaxWait:
+// One gather rule: the dispatcher takes the first request, appends
+// whatever has already queued behind it (up to MaxBatch) and runs. It
+// never waits for company, so batching adds no latency of its own, and
+// batches form exactly when requests arrive while the dispatcher is busy
+// with the previous batch.
 //
-//   - MaxWait > 0: after the first request of a batch arrives, the
-//     dispatcher lingers up to MaxWait (or until MaxBatch) collecting
-//     company. Right when the batched operation is expensive relative to
-//     the wait. (The encode batcher always runs in this mode, although a
-//     measured encode is ~0.1ms against a 200µs window: see NewBatcher.)
-//   - MaxWait <= 0: the dispatcher takes whatever is already queued and
-//     runs immediately — coalescing costs zero added latency and batches
-//     form only under genuine concurrency. Right when the batched
-//     operation is itself microseconds (index search).
-//
-// The stranded-request hazard of timer-based flushers (flusher loses the
-// wake race and a request waits past MaxWait for the next arrival) cannot
-// occur here: the dispatcher blocks receiving on the request channel, so
-// every request either starts a batch or joins one that is already
-// gathering, and Close's channel close aborts any in-progress gather
-// immediately.
+// A request can never be stranded: the dispatcher blocks receiving on the
+// request channel, so every request either starts a batch or joins the
+// one being assembled, and there is no timer whose wake-up a request
+// could lose a race against.
 //
 // The run callback owns batch semantics: it delivers replies and advances
 // the batches/batched counters (grouping rules differ per batcher). The
 // core owns only the requests counter and the channel lifecycle.
 type batchCore[R any] struct {
-	cfg  BatcherConfig
-	reqs chan R
-	done chan struct{}
-	run  func([]R)
+	maxBatch int
+	reqs     chan R
+	done     chan struct{}
+	run      func([]R)
 
 	// mu/senders fence close against in-flight submit sends, so reqs is
 	// only closed once no sender can touch it again.
@@ -59,12 +50,14 @@ type batchCore[R any] struct {
 	batch []R
 }
 
-// newBatchCore starts the dispatcher. cfg.MaxBatch must already be
-// normalised (> 0); cfg.MaxWait <= 0 selects drain mode.
-func newBatchCore[R any](cfg BatcherConfig, run func([]R)) *batchCore[R] {
+// newBatchCore starts the dispatcher. maxBatch must already be
+// normalised (> 0).
+func newBatchCore[R any](maxBatch int, run func([]R)) *batchCore[R] {
 	b := &batchCore[R]{
-		cfg:  cfg,
-		reqs: make(chan R, cfg.MaxBatch*4),
+		maxBatch: maxBatch,
+		// Room for a few batches to queue while one runs, so senders
+		// rarely block on the dispatcher.
+		reqs: make(chan R, maxBatch*4),
 		done: make(chan struct{}),
 		run:  run,
 	}
@@ -128,39 +121,22 @@ func (b *batchCore[R]) stats() BatcherStats {
 	return s
 }
 
-// dispatch is the batching loop: take one request, gather more according
-// to the configured mode, hand the batch to run, recycle the buffer.
+// dispatch is the batching loop: take one request, append whatever has
+// already arrived, hand the batch to run, recycle the buffer.
 func (b *batchCore[R]) dispatch() {
 	defer close(b.done)
 	for first := range b.reqs {
 		batch := append(b.batch[:0], first)
-		if b.cfg.MaxWait > 0 {
-			timer := time.NewTimer(b.cfg.MaxWait)
-		gather:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case req, ok := <-b.reqs:
-					if !ok {
-						break gather
-					}
-					batch = append(batch, req)
-				case <-timer.C:
+	gather:
+		for len(batch) < b.maxBatch {
+			select {
+			case req, ok := <-b.reqs:
+				if !ok {
 					break gather
 				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case req, ok := <-b.reqs:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, req)
-				default:
-					break drain
-				}
+				batch = append(batch, req)
+			default:
+				break gather
 			}
 		}
 		b.run(batch)
@@ -168,5 +144,26 @@ func (b *batchCore[R]) dispatch() {
 		// buffers) so the reused gather buffer does not pin them.
 		clear(batch)
 		b.batch = batch
+	}
+}
+
+// replyPool recycles the one-shot reply channels a batcher's callers wait
+// on, so a warmed request allocates nothing for its rendezvous. A full
+// pool drops the channel; an empty one makes a new one.
+type replyPool[T any] chan chan T
+
+func (p replyPool[T]) get() chan T {
+	select {
+	case ch := <-p:
+		return ch
+	default:
+		return make(chan T, 1)
+	}
+}
+
+func (p replyPool[T]) put(ch chan T) {
+	select {
+	case p <- ch:
+	default:
 	}
 }

@@ -15,16 +15,17 @@ type batchCapable interface {
 	EncodeBatch(texts []string) *vecmath.Matrix
 }
 
-// BatcherConfig tunes a micro-batching window (shared by the encode and
-// search batchers; each applies its own defaults).
+// BatcherConfig sizes a micro-batcher (shared by the encode and search
+// batchers; both default MaxBatch to 32). There is no gather window to
+// tune: a batch is whatever had already arrived when the dispatcher came
+// back for more (see batchCore).
 type BatcherConfig struct {
 	// MaxBatch caps how many pending requests are folded into one batch.
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch is dispatched anyway. Zero or negative
-	// selects drain mode: dispatch immediately with whatever has already
-	// queued, so batching adds no latency and coalescing happens only
-	// under genuine concurrency.
+	// Deprecated: MaxWait is read by nothing. It was the timer gather's
+	// window; the field stays only because the frozen bench/stack.go sets
+	// it in two struct literals, and goes in the benchmark PR that
+	// re-captures BENCHMARK.json.
 	MaxWait time.Duration
 }
 
@@ -40,7 +41,7 @@ type BatcherConfig struct {
 type Batcher struct {
 	enc     embed.Encoder
 	core    *batchCore[encodeReq]
-	replies chan chan []float32 // recycled one-shot reply channels
+	replies replyPool[[]float32]
 }
 
 type encodeReq struct {
@@ -53,23 +54,18 @@ type encodeReq struct {
 }
 
 // NewBatcher wraps enc in a micro-batcher and starts its dispatcher.
-// MaxBatch defaults to 32. MaxWait <= 0 is mapped to 200µs, so
-// batchCore's drain mode is unreachable for encodes: an encode batch
-// always gathers behind a timer. That window is not small against the
-// work it amortises: bench/README.md measures one mpnet-sim encode at
-// ~0.1ms and the 200µs timer firing after ~1.1ms on the reference kernel.
+// MaxBatch defaults to 32. A lone Encode is dispatched at once; Encodes
+// that arrive while the dispatcher is inside the encoder share the next
+// batch.
 func NewBatcher(enc embed.Encoder, cfg BatcherConfig) *Batcher {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32
 	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 200 * time.Microsecond
-	}
 	b := &Batcher{
 		enc:     enc,
-		replies: make(chan chan []float32, cfg.MaxBatch*4),
+		replies: make(replyPool[[]float32], cfg.MaxBatch*4),
 	}
-	b.core = newBatchCore[encodeReq](cfg, b.run)
+	b.core = newBatchCore(cfg.MaxBatch, b.run)
 	return b
 }
 
@@ -92,35 +88,17 @@ func (b *Batcher) EncodeInto(text string, dst []float32) []float32 {
 }
 
 func (b *Batcher) encode(text string, dst []float32) []float32 {
-	req := encodeReq{text: text, dst: dst, reply: b.getReply()}
+	req := encodeReq{text: text, dst: dst, reply: b.replies.get()}
 	if !b.core.submit(req) {
-		b.putReply(req.reply)
+		b.replies.put(req.reply)
 		if dst != nil {
 			return append(dst[:0], b.enc.Encode(text)...)
 		}
 		return b.enc.Encode(text)
 	}
 	out := <-req.reply
-	b.putReply(req.reply)
+	b.replies.put(req.reply)
 	return out
-}
-
-// getReply/putReply recycle the one-shot reply channels so a warmed
-// Encode allocates nothing for its rendezvous.
-func (b *Batcher) getReply() chan []float32 {
-	select {
-	case ch := <-b.replies:
-		return ch
-	default:
-		return make(chan []float32, 1)
-	}
-}
-
-func (b *Batcher) putReply(ch chan []float32) {
-	select {
-	case b.replies <- ch:
-	default:
-	}
 }
 
 // Dim implements embed.Encoder.
@@ -149,7 +127,7 @@ type BatcherStats struct {
 }
 
 // QueueDepth reports encode requests currently waiting for the
-// dispatcher — the live backlog behind the batching window.
+// dispatcher — the live backlog behind the batch it is running.
 func (b *Batcher) QueueDepth() int { return b.core.queueDepth() }
 
 // OnBatch installs fn to run on the dispatcher goroutine after each

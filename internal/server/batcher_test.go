@@ -2,6 +2,7 @@ package server
 
 import (
 	"hash/fnv"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,10 +14,9 @@ import (
 // stubEncoder is a deterministic test encoder: the embedding of a text is
 // a unit vector derived from its hash, so equal texts match at cosine 1
 // and distinct texts (almost surely) do not. It counts calls so tests can
-// observe coalescing, and can simulate per-call latency.
+// observe coalescing.
 type stubEncoder struct {
 	dim        int
-	delay      time.Duration
 	encodes    atomic.Int64
 	batchCalls atomic.Int64
 	batchSizes atomic.Int64
@@ -37,18 +37,12 @@ func (e *stubEncoder) embed(text string) []float32 {
 
 func (e *stubEncoder) Encode(text string) []float32 {
 	e.encodes.Add(1)
-	if e.delay > 0 {
-		time.Sleep(e.delay)
-	}
 	return e.embed(text)
 }
 
 func (e *stubEncoder) EncodeBatch(texts []string) *vecmath.Matrix {
 	e.batchCalls.Add(1)
 	e.batchSizes.Add(int64(len(texts)))
-	if e.delay > 0 {
-		time.Sleep(e.delay)
-	}
 	out := vecmath.NewMatrix(len(texts), e.dim)
 	for i, t := range texts {
 		copy(out.Row(i), e.embed(t))
@@ -59,9 +53,112 @@ func (e *stubEncoder) EncodeBatch(texts []string) *vecmath.Matrix {
 func (e *stubEncoder) Dim() int     { return e.dim }
 func (e *stubEncoder) Name() string { return "stub" }
 
+// dispatcher is what coalescedBurst needs of either batcher.
+type dispatcher interface {
+	OnBatch(fn func(size int))
+	QueueDepth() int
+}
+
+// coalescedBurst makes coalescing deterministic under the one gather rule
+// (a batch is whatever queued while the dispatcher was busy). It parks b's
+// dispatcher inside its OnBatch hook, which runs on the dispatcher
+// goroutine, behind one plug request (an extra send(0)), launches
+// send(0..n-1) concurrently, waits until all n sit in the queue, and only
+// then lets the dispatcher go: it finds the whole burst already arrived.
+// n must fit the queue (4 × MaxBatch). Returns the sizes OnBatch saw, in
+// dispatch order, the plug's 1 first.
+func coalescedBurst(t *testing.T, b dispatcher, n int, send func(i int)) []int {
+	t.Helper()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var mu sync.Mutex
+	var sizes []int
+	b.OnBatch(func(size int) {
+		mu.Lock()
+		sizes = append(sizes, size)
+		mu.Unlock()
+		once.Do(func() { close(parked) })
+		<-release
+	})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); send(0) }()
+	<-parked
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); send(i) }(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); b.QueueDepth() < n; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("only %d of %d requests queued behind the parked dispatcher", b.QueueDepth(), n)
+		}
+	}
+	close(release)
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	return sizes
+}
+
+// TestBatchCoreGathersWhatHasArrived pins the one gather rule and the
+// Close protocol on the core itself, with run gated so the queue's
+// content at each dispatch is known exactly.
+func TestBatchCoreGathersWhatHasArrived(t *testing.T) {
+	const maxBatch = 4
+	entered, release := make(chan struct{}), make(chan struct{})
+	var got [][]int // written by the dispatcher only, read after close returns
+	core := newBatchCore(maxBatch, func(batch []int) {
+		got = append(got, append([]int(nil), batch...))
+		if len(got) == 1 {
+			close(entered)
+			<-release
+		}
+	})
+	// A lone request is dispatched at once, as a batch of one.
+	if !core.submit(0) {
+		t.Fatal("submit refused on an open core")
+	}
+	<-entered
+	// Six more arrive while the dispatcher is busy.
+	for i := 1; i <= 6; i++ {
+		if !core.submit(i) {
+			t.Fatalf("submit(%d) refused on an open core", i)
+		}
+	}
+	if d := core.queueDepth(); d != 6 {
+		t.Fatalf("queueDepth = %d with the dispatcher blocked, want 6", d)
+	}
+	// Close lands while they are still queued.
+	closed := make(chan struct{})
+	go func() { core.close(); close(closed) }()
+	for closing := false; !closing; time.Sleep(100 * time.Microsecond) {
+		core.mu.RLock()
+		closing = core.closing
+		core.mu.RUnlock()
+	}
+	if core.submit(7) {
+		t.Error("submit accepted after close began")
+	}
+	select {
+	case <-closed:
+		t.Fatal("close returned with accepted requests undelivered")
+	default:
+	}
+	close(release)
+	<-closed
+	// The next batch is what had arrived, capped at MaxBatch, in arrival
+	// order; the rest follow; nothing accepted is dropped by close.
+	want := [][]int{{0}, {1, 2, 3, 4}, {5, 6}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatched batches %v, want %v", got, want)
+	}
+	core.close() // redundant close just returns
+}
+
 func TestBatcherMatchesDirectEncode(t *testing.T) {
 	enc := &stubEncoder{dim: 16}
-	b := NewBatcher(enc, BatcherConfig{MaxBatch: 8, MaxWait: time.Millisecond})
+	b := NewBatcher(enc, BatcherConfig{MaxBatch: 8})
 	defer b.Close()
 	for _, text := range []string{"alpha", "beta", "gamma", "alpha"} {
 		got := b.Encode(text)
@@ -77,43 +174,34 @@ func TestBatcherMatchesDirectEncode(t *testing.T) {
 	}
 }
 
+// TestBatcherCoalescesConcurrentRequests: 20 Encodes that arrive while the
+// dispatcher is busy are served in exactly ⌈20/8⌉ EncodeBatch calls, each
+// with its own text's embedding.
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
-	// The dispatcher lingers MaxWait after the first request, so a burst
-	// launched together must land in far fewer dispatches than requests.
-	enc := &stubEncoder{dim: 16, delay: 200 * time.Microsecond}
-	b := NewBatcher(enc, BatcherConfig{MaxBatch: 64, MaxWait: 50 * time.Millisecond})
+	enc := &stubEncoder{dim: 16}
+	b := NewBatcher(enc, BatcherConfig{MaxBatch: 8})
 	defer b.Close()
 
-	const n = 32
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			text := []string{"red", "green", "blue", "cyan"}[i%4]
-			got := b.Encode(text)
-			if len(got) != 16 {
-				t.Errorf("Encode returned %d dims, want 16", len(got))
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
+	const n = 20
+	texts := []string{"red", "green", "blue", "cyan"}
+	sizes := coalescedBurst(t, b, n, func(i int) {
+		got, want := b.Encode(texts[i%4]), enc.embed(texts[i%4])
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Encode(%q) returned another text's embedding", texts[i%4])
+		}
+	})
 
-	st := b.Stats()
-	if st.Requests != n {
-		t.Fatalf("Requests = %d, want %d", st.Requests, n)
+	if want := []int{1, 8, 8, 4}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("batch sizes %v, want %v", sizes, want)
 	}
-	if st.Batches >= n {
-		t.Errorf("Batches = %d: no coalescing happened across %d concurrent requests", st.Batches, n)
+	if st := b.Stats(); st.Requests != n+1 || st.Batches != 4 || st.Coalesced != n {
+		t.Errorf("Stats = %+v, want %d requests in 4 batches, %d coalesced", st, n+1, n)
 	}
-	if st.Coalesced == 0 {
-		t.Error("Coalesced = 0: expected at least one multi-request batch")
+	if calls, rows := enc.batchCalls.Load(), enc.batchSizes.Load(); calls != 3 || rows != n {
+		t.Errorf("EncodeBatch ran %d times over %d texts, want 3 over %d", calls, rows, n)
 	}
-	if calls := enc.batchCalls.Load(); calls == 0 {
-		t.Error("underlying EncodeBatch was never used for a multi-request batch")
+	if singles := enc.encodes.Load(); singles != 1 {
+		t.Errorf("Encode ran %d times, want 1 (the plug)", singles)
 	}
 }
 
@@ -130,63 +218,31 @@ func TestBatcherEncodeAfterClose(t *testing.T) {
 	}
 }
 
-// TestBatcherSingleRequestNotStranded pins the no-stranding guarantee: a
-// lone request with a huge MaxBatch must come back once MaxWait expires,
-// not wait for company that never arrives. (This is the classic flusher
-// wake-race failure mode in timer-based batchers; the channel-based
-// dispatcher starts its timer only after receiving the request, so the
-// race cannot happen — this test keeps it that way.)
+// TestBatcherSingleRequestNotStranded: a lone request is dispatched
+// without waiting for company, however large MaxBatch is. (A dispatcher
+// that held out for a fuller batch would block here forever.)
 func TestBatcherSingleRequestNotStranded(t *testing.T) {
 	enc := &stubEncoder{dim: 8}
-	b := NewBatcher(enc, BatcherConfig{MaxBatch: 1024, MaxWait: 5 * time.Millisecond})
+	b := NewBatcher(enc, BatcherConfig{MaxBatch: 1024})
 	defer b.Close()
-	start := time.Now()
-	got := b.Encode("lonely")
-	elapsed := time.Since(start)
-	if len(got) != 8 {
-		t.Fatalf("Encode returned %d dims, want 8", len(got))
-	}
-	// Generous bound: MaxWait is 5ms; a stranded request would block until
-	// the next Encode (forever, here).
-	if elapsed > 2*time.Second {
-		t.Fatalf("single request took %v: stranded past MaxWait", elapsed)
-	}
-}
-
-// TestBatcherCloseReleasesGatheringBatch pins the Close-drains guarantee
-// from the other side: a request already gathering under an effectively
-// infinite MaxWait must be released promptly when Close lands, with the
-// correct result — Close's channel close aborts the gather.
-func TestBatcherCloseReleasesGatheringBatch(t *testing.T) {
-	enc := &stubEncoder{dim: 8}
-	b := NewBatcher(enc, BatcherConfig{MaxBatch: 1024, MaxWait: time.Hour})
 	done := make(chan []float32, 1)
-	go func() { done <- b.Encode("in flight") }()
-	// Wait for the request to reach the dispatcher's gather loop.
-	for i := 0; b.QueueDepth() > 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	start := time.Now()
-	b.Close()
+	go func() { done <- b.Encode("lonely") }()
 	select {
 	case got := <-done:
-		want := enc.embed("in flight")
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("drained Encode mismatch at %d", i)
-			}
+		if len(got) != 8 {
+			t.Fatalf("Encode returned %d dims, want 8", len(got))
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Encode still blocked 10s after Close: request stranded in gather")
+		t.Fatal("lone Encode still blocked after 10s: stranded waiting for company")
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Close took %v to release the gathering batch", elapsed)
+	if st := b.Stats(); st.Batches != 1 || st.Coalesced != 0 {
+		t.Errorf("Stats = %+v, want one batch of one", st)
 	}
 }
 
 func TestBatcherConcurrentEncodeAndClose(t *testing.T) {
 	enc := &stubEncoder{dim: 8}
-	b := NewBatcher(enc, BatcherConfig{MaxBatch: 4, MaxWait: 100 * time.Microsecond})
+	b := NewBatcher(enc, BatcherConfig{MaxBatch: 4})
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)

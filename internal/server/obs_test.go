@@ -155,7 +155,7 @@ func TestServerObservability(t *testing.T) {
 // metrics layer consumes.
 func TestBatcherObsHooks(t *testing.T) {
 	m := embed.NewModel(embed.MPNetSim, 3)
-	b := NewBatcher(m, BatcherConfig{MaxBatch: 8, MaxWait: time.Millisecond})
+	b := NewBatcher(m, BatcherConfig{MaxBatch: 8})
 	defer b.Close()
 	metrics := obs.NewRegistry()
 	registerBatcherMetrics(metrics, encodeBatcherNames, b)

@@ -10,15 +10,15 @@ import (
 // SearchBatcher coalesces concurrent similarity searches against the SAME
 // tenant cache into single multi-probe index passes — the per-tenant
 // counterpart of the cross-tenant encode Batcher. When a hot tenant takes
-// a burst of queries, the requests that land inside one dispatch window
-// share a single cache.FindSimilarMultiAppend call: one lock acquisition
-// and one slab scan sweep (on tiers implementing index.MultiSearcher)
-// instead of N independent ones. Results are bit-identical to the direct
+// a burst of queries, the requests that queue up behind one another share
+// a single cache.FindSimilarMultiAppend call: one lock acquisition and
+// one slab scan sweep (on tiers implementing index.MultiSearcher) instead
+// of N independent ones. Results are bit-identical to the direct
 // path — same matches, same scores, same order.
 //
 // SearchBatcher implements cache.Searcher, so it plugs into
 // core.Options.Searcher. Requests for different caches (or different
-// k/tau) that land in the same window are split into per-cache groups.
+// k/tau) that land in the same batch are split into per-cache groups.
 // The dispatcher goroutine only partitions: a request alone in its group
 // is handed back to its caller unexecuted (the caller runs the direct
 // FindSimilarAppend itself), and a coalesced group is handed to its
@@ -27,17 +27,14 @@ import (
 // therefore never runs on the dispatcher, so a slow pass for one hot
 // tenant cannot stall unrelated tenants' searches behind it.
 //
-// The default MaxWait of 0 selects drain mode: the dispatcher never
-// lingers, so batching adds no latency and coalescing happens exactly
-// when requests genuinely overlap. A positive MaxWait trades tail latency
-// for larger batches, which only pays off when searches cost much more
-// than the wait (very large tenants).
+// The dispatcher never lingers (see batchCore), so batching adds no
+// latency and coalescing happens exactly when requests genuinely overlap.
 //
 // It is safe for unrestricted concurrent use. Close stops the dispatcher;
 // searches during and after Close run directly.
 type SearchBatcher struct {
 	core    *batchCore[searchReq]
-	replies chan chan searchResp
+	replies replyPool[searchResp]
 	groups  sync.Pool // *searchGroup
 }
 
@@ -71,32 +68,31 @@ type searchGroup struct {
 	dsts      [][]cache.Match
 }
 
-// NewSearchBatcher starts a search batcher. MaxBatch defaults to 32;
-// MaxWait defaults to 0 (drain mode — see the type comment).
+// NewSearchBatcher starts a search batcher. MaxBatch defaults to 32.
 func NewSearchBatcher(cfg BatcherConfig) *SearchBatcher {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32
 	}
 	s := &SearchBatcher{
-		replies: make(chan chan searchResp, cfg.MaxBatch*4),
+		replies: make(replyPool[searchResp], cfg.MaxBatch*4),
 	}
-	s.core = newBatchCore[searchReq](cfg, s.run)
+	s.core = newBatchCore(cfg.MaxBatch, s.run)
 	return s
 }
 
 // FindSimilar implements cache.Searcher: the probe either joins a
-// coalesced multi-probe pass or (when alone in its window, or when the
+// coalesced multi-probe pass or (when alone in its batch, or when the
 // batcher is closed) runs directly. emb must stay valid until the call
 // returns; matches are appended to dst exactly as FindSimilarAppend
 // would.
 func (s *SearchBatcher) FindSimilar(c *cache.Cache, emb []float32, k int, tau float32, dst []cache.Match) []cache.Match {
-	req := searchReq{c: c, emb: emb, k: k, tau: tau, dst: dst, reply: s.getReply()}
+	req := searchReq{c: c, emb: emb, k: k, tau: tau, dst: dst, reply: s.replies.get()}
 	if !s.core.submit(req) {
-		s.putReply(req.reply)
+		s.replies.put(req.reply)
 		return c.FindSimilarAppend(emb, k, tau, dst)
 	}
 	resp := <-req.reply
-	s.putReply(req.reply)
+	s.replies.put(req.reply)
 	switch {
 	case resp.group != nil:
 		return s.lead(resp.group)
@@ -104,22 +100,6 @@ func (s *SearchBatcher) FindSimilar(c *cache.Cache, emb []float32, k int, tau fl
 		return c.FindSimilarAppend(emb, k, tau, dst)
 	default:
 		return resp.matches
-	}
-}
-
-func (s *SearchBatcher) getReply() chan searchResp {
-	select {
-	case ch := <-s.replies:
-		return ch
-	default:
-		return make(chan searchResp, 1)
-	}
-}
-
-func (s *SearchBatcher) putReply(ch chan searchResp) {
-	select {
-	case s.replies <- ch:
-	default:
 	}
 }
 
@@ -145,7 +125,7 @@ func (s *SearchBatcher) QueueDepth() int { return s.core.queueDepth() }
 // goroutine (the metrics hook). Semantics match Batcher.OnBatch.
 func (s *SearchBatcher) OnBatch(fn func(size int)) { s.core.setOnBatch(fn) }
 
-// run splits one gathered window into per-(cache, k, tau) groups and
+// run splits one gathered batch into per-(cache, k, tau) groups and
 // hands each off. Group peeling partitions in place: requests matching
 // the head are swapped to the front, dispatched, and the tail re-peeled.
 func (s *SearchBatcher) run(batch []searchReq) {

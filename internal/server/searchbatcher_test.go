@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,64 +47,43 @@ func matchesEqual(got, want []cache.Match) error {
 	return nil
 }
 
-// TestSearchBatcherMatchesDirect drives a concurrent burst against one
-// cache through the batcher and checks every reply is bit-identical —
-// same entries, same scores, same order — to the direct FindSimilarAppend
-// path. MaxWait is large so the burst genuinely coalesces.
+// TestSearchBatcherMatchesDirect queues 200 probes of one cache behind a
+// busy dispatcher and checks every reply is bit-identical — same entries,
+// same scores, same order — to the direct FindSimilarAppend path, and that
+// they were served in exactly ⌈200/64⌉ multi-probe passes.
 func TestSearchBatcherMatchesDirect(t *testing.T) {
 	const dim, n, k = 16, 200, 5
 	const tau = float32(0.1)
 	c, embs := newSearchTestCache(t, dim, n, 31)
-	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 64, MaxWait: 20 * time.Millisecond})
+	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 64})
 	defer sb.Close()
 
 	want := make([][]cache.Match, len(embs))
 	for i, e := range embs {
 		want[i] = c.FindSimilarAppend(e, k, tau, nil)
 	}
+	sizes := coalescedBurst(t, sb, n, func(i int) {
+		if err := matchesEqual(sb.FindSimilar(c, embs[i], k, tau, nil), want[i]); err != nil {
+			t.Errorf("probe %d: %v", i, err)
+		}
+	})
 
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, len(embs))
-	for i, e := range embs {
-		wg.Add(1)
-		go func(i int, e []float32) {
-			defer wg.Done()
-			<-start
-			got := sb.FindSimilar(c, e, k, tau, nil)
-			if err := matchesEqual(got, want[i]); err != nil {
-				errs <- fmt.Errorf("probe %d: %w", i, err)
-			}
-		}(i, e)
+	if want := []int{1, 64, 64, 64, 8}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("pass sizes %v, want %v", sizes, want)
 	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	st := sb.Stats()
-	if st.Requests != int64(len(embs)) {
-		t.Fatalf("Requests = %d, want %d", st.Requests, len(embs))
-	}
-	if st.Coalesced == 0 {
-		t.Error("Coalesced = 0: the concurrent burst never shared a pass")
-	}
-	if st.Batches >= st.Requests {
-		t.Errorf("Batches = %d of %d requests: no coalescing", st.Batches, st.Requests)
+	if st := sb.Stats(); st.Requests != n+1 || st.Batches != 5 || st.Coalesced != n {
+		t.Errorf("Stats = %+v, want %d requests in 5 passes, %d coalesced", st, n+1, n)
 	}
 }
 
 // TestSearchBatcherMixedGroups interleaves two caches and two (k, tau)
-// settings in one burst: the dispatcher must split the window into
-// per-(cache, k, tau) groups and every reply must still match its own
-// direct path.
+// settings in one batch: the dispatcher must split it into one group per
+// (cache, k, tau) and every reply must still match its own direct path.
 func TestSearchBatcherMixedGroups(t *testing.T) {
 	const dim = 16
 	c1, embs1 := newSearchTestCache(t, dim, 100, 7)
 	c2, embs2 := newSearchTestCache(t, dim, 100, 8)
-	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 64, MaxWait: 20 * time.Millisecond})
+	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 256}) // the whole burst is one batch
 	defer sb.Close()
 
 	type job struct {
@@ -125,39 +105,28 @@ func TestSearchBatcherMixedGroups(t *testing.T) {
 	for i, j := range jobs {
 		want[i] = j.c.FindSimilarAppend(j.emb, j.k, j.tau, nil)
 	}
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, len(jobs))
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			<-start
-			got := sb.FindSimilar(j.c, j.emb, j.k, j.tau, nil)
-			if err := matchesEqual(got, want[i]); err != nil {
-				errs <- fmt.Errorf("job %d: %w", i, err)
-			}
-		}(i, j)
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	sizes := coalescedBurst(t, sb, len(jobs), func(i int) {
+		j := jobs[i]
+		if err := matchesEqual(sb.FindSimilar(j.c, j.emb, j.k, j.tau, nil), want[i]); err != nil {
+			t.Errorf("job %d: %v", i, err)
+		}
+	})
+	if want := []int{1, 50, 50, 50, 50}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("group sizes %v, want %v", sizes, want)
 	}
 }
 
-// TestSearchBatcherSingletonHandback pins drain mode's zero-latency
-// promise: a lone request must come straight back (handed to the caller
-// for direct execution), not linger hoping for company.
+// TestSearchBatcherSingletonHandback pins the zero-latency promise: a
+// lone request must come straight back (handed to the caller for direct
+// execution), not linger hoping for company.
 func TestSearchBatcherSingletonHandback(t *testing.T) {
 	c, embs := newSearchTestCache(t, 8, 50, 13)
-	sb := NewSearchBatcher(BatcherConfig{}) // MaxWait 0: drain mode
+	sb := NewSearchBatcher(BatcherConfig{})
 	defer sb.Close()
 	start := time.Now()
 	got := sb.FindSimilar(c, embs[3], 5, 0.1, nil)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("lone drain-mode search took %v", elapsed)
+		t.Fatalf("lone search took %v", elapsed)
 	}
 	want := c.FindSimilarAppend(embs[3], 5, 0.1, nil)
 	if err := matchesEqual(got, want); err != nil {
@@ -170,30 +139,28 @@ func TestSearchBatcherSingletonHandback(t *testing.T) {
 }
 
 // TestSearchBatcherAppendsToDst pins the append contract: matches land
-// after the caller's existing elements, whichever route the request took.
+// after the caller's existing elements, on the direct route (the plug) and
+// the coalesced one (the eight probes behind it) alike.
 func TestSearchBatcherAppendsToDst(t *testing.T) {
 	c, embs := newSearchTestCache(t, 8, 50, 17)
-	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 8, MaxWait: 10 * time.Millisecond})
+	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 8})
 	defer sb.Close()
 	sentinel := cache.Match{Score: -42}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dst := append(make([]cache.Match, 0, 16), sentinel)
-			got := sb.FindSimilar(c, embs[i], 3, 0.1, dst)
-			if len(got) < 1 || got[0].Score != -42 {
-				t.Errorf("probe %d: sentinel lost: %+v", i, got)
-				return
-			}
-			want := c.FindSimilarAppend(embs[i], 3, 0.1, nil)
-			if err := matchesEqual(got[1:], want); err != nil {
-				t.Errorf("probe %d: %v", i, err)
-			}
-		}(i)
+	sizes := coalescedBurst(t, sb, 8, func(i int) {
+		dst := append(make([]cache.Match, 0, 16), sentinel)
+		got := sb.FindSimilar(c, embs[i], 3, 0.1, dst)
+		if len(got) < 1 || got[0].Score != -42 {
+			t.Errorf("probe %d: sentinel lost: %+v", i, got)
+			return
+		}
+		want := c.FindSimilarAppend(embs[i], 3, 0.1, nil)
+		if err := matchesEqual(got[1:], want); err != nil {
+			t.Errorf("probe %d: %v", i, err)
+		}
+	})
+	if want := []int{1, 8}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("pass sizes %v, want %v", sizes, want)
 	}
-	wg.Wait()
 }
 
 // TestSearchBatcherConcurrentSearchAndClose races searches against Close
@@ -201,7 +168,7 @@ func TestSearchBatcherAppendsToDst(t *testing.T) {
 // the other, with no send-on-closed-channel and no stranded caller.
 func TestSearchBatcherConcurrentSearchAndClose(t *testing.T) {
 	c, embs := newSearchTestCache(t, 8, 50, 19)
-	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 4, MaxWait: 100 * time.Microsecond})
+	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 4})
 	want := c.FindSimilarAppend(embs[0], 5, 0.1, nil)
 	var wg sync.WaitGroup
 	var served atomic.Int64

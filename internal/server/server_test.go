@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/llmsim"
@@ -19,7 +18,7 @@ import (
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	enc := &stubEncoder{dim: 32}
-	batcher := NewBatcher(enc, BatcherConfig{MaxBatch: 16, MaxWait: 200 * time.Microsecond})
+	batcher := NewBatcher(enc, BatcherConfig{MaxBatch: 16})
 	t.Cleanup(batcher.Close)
 	llm := llmsim.New(llmsim.DefaultConfig())
 	reg, err := NewRegistry(RegistryConfig{

@@ -45,9 +45,10 @@
 //
 // Concurrent searches against one hot tenant coalesce into single
 // multi-probe index passes through the per-tenant search batcher
-// (-search-batch / -search-batch-wait; -no-search-batch disables it).
-// The default zero wait means batching adds no latency: requests share a
-// pass only when they genuinely overlap.
+// (-search-batch; -no-search-batch disables it), as concurrent encodes
+// share one EncodeBatch call through the encode batcher (-batch,
+// -no-batch). Neither waits for company: a batch is whatever had already
+// queued while the previous one ran, so batching adds no latency.
 //
 // Resilience: -quota-rate enforces per-tenant token-bucket admission
 // (429 + Retry-After past the burst), -limit-max puts an AIMD adaptive
@@ -194,11 +195,9 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.ClusterDeadAfter, "cluster-dead-after", 3, "cluster: consecutive probe failures before a peer is dead")
 
 	fs.IntVar(&c.Batch.MaxBatch, "batch", 32, "embedding micro-batch size cap")
-	fs.DurationVar(&c.Batch.MaxWait, "batch-wait", 200*time.Microsecond, "micro-batch gather window")
 	fs.BoolVar(&c.NoBatch, "no-batch", false, "disable the embedding micro-batcher")
 
 	fs.IntVar(&c.SearchBatch.MaxBatch, "search-batch", 32, "per-tenant search batch size cap")
-	fs.DurationVar(&c.SearchBatch.MaxWait, "search-batch-wait", 0, "search-batch gather window (0 = coalesce only already-queued searches, adding no latency)")
 	fs.BoolVar(&c.NoSearchBatch, "no-search-batch", false, "disable the per-tenant search batcher")
 
 	fs.IntVar(&c.StatsTenants, "stats-tenants", 20, "per-tenant rows in /v1/stats (-1 = all)")

@@ -10,11 +10,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/embed"
 	"repro/internal/server"
+	"repro/internal/vecmath"
 )
 
 // TestFlagSurfaceGolden pins cacheserve's command line: names, defaults
@@ -27,8 +30,8 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	c.Bind(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 61 {
-		t.Errorf("Bind registers %d flags, want 61", n)
+	if n != 59 {
+		t.Errorf("Bind registers %d flags, want 59", n)
 	}
 	var got bytes.Buffer
 	fs.SetOutput(&got)
@@ -53,11 +56,12 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 		name      string
 		got, want any
 	}{
+		// No "batch wait" rows: the waits bench/stack.go still writes into
+		// its two BatcherConfig literals are inert (nothing in
+		// internal/server reads that field), so there is no default to match.
 		{"encode batch cap", d.Batch.MaxBatch, 32},
-		{"encode batch wait", d.Batch.MaxWait, 200 * time.Microsecond},
 		{"encode batcher on", d.NoBatch, false},
 		{"search batch cap", d.SearchBatch.MaxBatch, 32},
-		{"search batch wait", d.SearchBatch.MaxWait, time.Duration(0)},
 		{"search batcher on", d.NoSearchBatch, false},
 		{"limiter min", d.Governor.Limiter.MinLimit, 4},
 		{"limiter max (off)", d.Governor.Limiter.MaxLimit, 0},
@@ -90,6 +94,18 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 				c.name, c.got, c.want)
 		}
 	}
+}
+
+// countingEncoder counts the EncodeBatch calls that reach the model.
+type countingEncoder struct {
+	*embed.Model
+	batchCalls, batchTexts atomic.Int64
+}
+
+func (e *countingEncoder) EncodeBatch(texts []string) *vecmath.Matrix {
+	e.batchCalls.Add(1)
+	e.batchTexts.Add(int64(len(texts)))
+	return e.Model.EncodeBatch(texts)
 }
 
 // query posts one /v1/query straight into h and decodes the reply.
@@ -179,6 +195,51 @@ func TestBuildModes(t *testing.T) {
 			}
 			if s.tenant.IndexFactory != nil {
 				t.Error("-index scan is the cache's built-in scan (nil factory)")
+			}
+		}},
+		{name: "overlapping encodes share a batch", set: func(c *Config) {
+			c.Encoder = &countingEncoder{Model: enc}
+		}, check: func(t *testing.T, s *Stack) {
+			// The encode batcher never waits for company, so overlap is
+			// arranged: hold its dispatcher inside the OnBatch hook (which
+			// runs on the dispatcher goroutine) on a first query's encode,
+			// queue two more queries behind it, then let it go.
+			parked, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			s.Batcher.OnBatch(func(int) {
+				once.Do(func() { close(parked) })
+				<-release
+			})
+			var wg sync.WaitGroup
+			serve := func(user string) {
+				defer wg.Done()
+				body := strings.NewReader(`{"user":"` + user + `","query":"do overlapping encodes share a batch"}`)
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", body))
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s: query status %d: %s", user, rec.Code, rec.Body)
+				}
+			}
+			wg.Add(1)
+			go serve("plug")
+			<-parked
+			wg.Add(2)
+			go serve("a")
+			go serve("b")
+			for deadline := time.Now().Add(10 * time.Second); s.Batcher.QueueDepth() < 2; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("%d of 2 encodes queued behind the held dispatcher", s.Batcher.QueueDepth())
+					break
+				}
+			}
+			close(release)
+			wg.Wait()
+			ce := s.cfg.Encoder.(*countingEncoder)
+			if calls, texts := ce.batchCalls.Load(), ce.batchTexts.Load(); calls != 1 || texts != 2 {
+				t.Errorf("EncodeBatch ran %d times over %d texts, want once over the 2 overlapping encodes", calls, texts)
+			}
+			if st := s.Batcher.Stats(); st.Coalesced != 2 {
+				t.Errorf("batcher stats %+v, want 2 coalesced", st)
 			}
 		}},
 		{name: "no batchers, no gate", set: func(c *Config) {
