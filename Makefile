@@ -10,8 +10,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite, so CI's check job
+# (make vet build test) enforces formatting.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -37,14 +41,17 @@ conformance:
 # result invariants, 30s of the same programs with batched searches
 # checked for exact MultiSearch-vs-sequential parity, 30s of arbitrary
 # bytes against the cluster wire codec (no panics, no over-allocation,
-# canonical round trips), and 30s of fuzzer-shaped churn storms through
+# canonical round trips), 30s of fuzzer-shaped churn storms through
 # the deterministic cluster simulation (no panics, every safety
-# invariant holds at settle).
+# invariant holds at settle), and 30s of arbitrary bytes against the
+# persisted entry codec, binary and legacy gob (no panics, whatever
+# decodes re-encodes to the same entry).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSearchParity -fuzztime=30s -run xxx ./internal/index/
 	$(GO) test -fuzz=FuzzMultiSearchParity -fuzztime=30s -run xxx ./internal/index/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s -run xxx ./internal/cluster/
 	$(GO) test -fuzz=FuzzSimScenario -fuzztime=30s -run xxx ./internal/sim/scenario/
+	$(GO) test -fuzz=FuzzDecodeEntry -fuzztime=30s -run xxx ./internal/cache/
 
 # sim is the deterministic-simulation gate: the virtual-clock and
 # simulated-network engine suites, the 100k-tenant churn-storm

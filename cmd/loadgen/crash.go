@@ -206,8 +206,9 @@ func waitExit(proc *exec.Cmd, budget time.Duration) error {
 
 // corruptSnapshot picks a synced tenant and wrecks its persisted cache
 // payload in place — a structurally valid store record whose value is
-// not the gob stream the cache loader expects. The server is down when
-// this runs. Returns the victim user, removed from the synced set (its
+// neither entry format the cache loader reads (no 0x81 format byte, so
+// it falls to the legacy gob decode, which rejects it). The server is
+// down when this runs. Returns the victim user, removed from the synced set (its
 // canonical entry is gone with the quarantined file).
 func corruptSnapshot(dir string, rng *rand.Rand, synced map[int]bool) (int, error) {
 	var candidates []int

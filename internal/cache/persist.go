@@ -2,8 +2,11 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,13 +18,104 @@ import (
 // can keep their own records (other prefixes) in the same log.
 const entryPrefix = "entry/"
 
-// entryWire is the persistent form of an Entry.
+// entryWire is the persistent form of an Entry. Its field names and
+// types are also the legacy gob schema, so they must not change.
 type entryWire struct {
 	ID        int
 	Query     string
 	Response  string
 	Embedding []float32
 	Parent    int
+}
+
+// entryFormat is the first byte of an entry record's value:
+//
+//	entryFormat(1) id(varint) parent(varint)
+//	len(uvarint) query  len(uvarint) response
+//	n(uvarint) n × float32 bits, little-endian
+//
+// and nothing after it. Earlier versions wrote one self-describing gob
+// stream per entry; those still load (decodeEntry), but are never
+// written. A gob stream opens with its first message's byte count, which
+// encoding/gob writes as a single byte ≤ 0x7f or as 0xf8–0xff followed
+// by the count, so 0x81 never starts one and the first byte alone tells
+// the two formats apart.
+const entryFormat byte = 0x81
+
+// appendEntry appends e's record value to dst.
+func appendEntry(dst []byte, e *Entry) []byte {
+	dst = append(dst, entryFormat)
+	dst = binary.AppendVarint(dst, int64(e.ID))
+	dst = binary.AppendVarint(dst, int64(e.Parent))
+	dst = binary.AppendUvarint(dst, uint64(len(e.Query)))
+	dst = append(dst, e.Query...)
+	dst = binary.AppendUvarint(dst, uint64(len(e.Response)))
+	dst = append(dst, e.Response...)
+	dst = binary.AppendUvarint(dst, uint64(len(e.Embedding)))
+	for _, x := range e.Embedding {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
+	}
+	return dst
+}
+
+var errEntryTruncated = errors.New("truncated entry record")
+
+// decodeEntry parses one entry record value, in either format. The value
+// comes from disk: every length is checked against the bytes actually
+// present before anything is sliced or allocated from it.
+func decodeEntry(raw []byte) (entryWire, error) {
+	var w entryWire
+	if len(raw) == 0 || raw[0] != entryFormat {
+		err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w)
+		return w, err
+	}
+	rest := raw[1:]
+	var err error
+	if w.ID, rest, err = readInt(rest); err != nil {
+		return w, err
+	}
+	if w.Parent, rest, err = readInt(rest); err != nil {
+		return w, err
+	}
+	if w.Query, rest, err = readString(rest); err != nil {
+		return w, err
+	}
+	if w.Response, rest, err = readString(rest); err != nil {
+		return w, err
+	}
+	n, k := binary.Uvarint(rest)
+	if k <= 0 {
+		return w, errEntryTruncated
+	}
+	rest = rest[k:]
+	if n != uint64(len(rest))/4 || len(rest)%4 != 0 {
+		return w, fmt.Errorf("embedding count %d does not match the %d bytes that follow", n, len(rest))
+	}
+	w.Embedding = make([]float32, n)
+	for i := range w.Embedding {
+		w.Embedding[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:]))
+	}
+	return w, nil
+}
+
+func readInt(b []byte) (int, []byte, error) {
+	v, k := binary.Varint(b)
+	if k <= 0 {
+		return 0, b, errEntryTruncated
+	}
+	if int64(int(v)) != v {
+		return 0, b, fmt.Errorf("integer %d overflows int", v)
+	}
+	return int(v), b[k:], nil
+}
+
+func readString(b []byte) (string, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return "", b, errEntryTruncated
+	}
+	end := k + int(n)
+	return string(b[k:end]), b[end:], nil
 }
 
 // SaveTo writes every live entry into st (one record per entry, keyed by
@@ -35,17 +129,12 @@ func (c *Cache) SaveTo(st *store.Store) error {
 	c.mu.RUnlock()
 
 	live := make(map[string]bool, len(entries))
+	var buf []byte // one scratch for every record: Put has written it out when it returns
 	for _, e := range entries {
 		key := entryKey(e.ID)
 		live[key] = true
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(entryWire{
-			ID: e.ID, Query: e.Query, Response: e.Response,
-			Embedding: e.Embedding, Parent: e.Parent,
-		}); err != nil {
-			return fmt.Errorf("cache: encoding entry %d: %w", e.ID, err)
-		}
-		if err := st.Put(key, buf.Bytes()); err != nil {
+		buf = appendEntry(buf[:0], e)
+		if err := st.Put(key, buf); err != nil {
 			return fmt.Errorf("cache: persisting entry %d: %w", e.ID, err)
 		}
 	}
@@ -85,8 +174,8 @@ func loadEntries(c *Cache, st *store.Store, dim int) error {
 		if err != nil {
 			return fmt.Errorf("cache: reading %s: %w", key, err)
 		}
-		var w entryWire
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
+		w, err := decodeEntry(raw)
+		if err != nil {
 			return fmt.Errorf("cache: decoding %s: %w", key, err)
 		}
 		if len(w.Embedding) != dim {

@@ -13,8 +13,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/llmsim"
 	"repro/internal/resilience"
-	"repro/internal/sim"
 	"repro/internal/server"
+	"repro/internal/sim"
 )
 
 // TestPeerBreakerShortCircuits: a peer that keeps failing forwards trips

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -15,9 +16,13 @@ import (
 // suite, while any real per-call allocation (≥1) still fails.
 
 func buildAllocFlat(t testing.TB, n int) (*Flat, [][]float32) {
+	return buildClusteredFlat(t, n, 16, 32)
+}
+
+func buildClusteredFlat(t testing.TB, n, clusters, dim int) (*Flat, [][]float32) {
 	rng := rand.New(rand.NewSource(9))
-	vecs := dataset.ClusteredVectors(rng, n, 16, 32, 0.4)
-	f := NewFlat(32)
+	vecs := dataset.ClusteredVectors(rng, n, clusters, dim, 0.4)
+	f := NewFlat(dim)
 	for i, v := range vecs {
 		if err := f.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -106,22 +111,55 @@ func buildProbeMatrix(rng *rand.Rand, vecs [][]float32, m int) *vecmath.Matrix {
 }
 
 func TestFlatMultiSearchMatchesSearch(t *testing.T) {
-	f, vecs := buildAllocFlat(t, 1500)
-	rng := rand.New(rand.NewSource(12))
-	probes := buildProbeMatrix(rng, vecs, 8)
-	for _, tau := range []float32{-1, 0.5, 0.8} {
-		batch := f.MultiSearch(probes, 5, tau)
-		for p := 0; p < probes.Rows; p++ {
-			want := f.Search(probes.Row(p), 5, tau)
-			got := batch[p]
-			if len(got) != len(want) {
-				t.Fatalf("tau=%v probe %d: %d hits, Search %d", tau, p, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("tau=%v probe %d hit %d: %+v != %+v", tau, p, i, got[i], want[i])
+	for _, tc := range []struct{ n, clusters, dim int }{
+		{1500, 16, 32},
+		// Serving dimension: the leaders slab's chunks hold 16 rows, so
+		// 40 clusters put the multi-probe leader scan across ≥ 3 chunks.
+		{400, 40, 768},
+	} {
+		f, vecs := buildClusteredFlat(t, tc.n, tc.clusters, tc.dim)
+		if tc.dim == 768 && f.leaders.Slots() <= 2*f.leaders.ChunkRows() {
+			t.Fatalf("dim 768: %d leaders in %d-row chunks, want > 2 chunks", f.leaders.Slots(), f.leaders.ChunkRows())
+		}
+		rng := rand.New(rand.NewSource(12))
+		probes := buildProbeMatrix(rng, vecs, 8)
+		for _, tau := range []float32{-1, 0.5, 0.8} {
+			batch := f.MultiSearch(probes, 5, tau)
+			for p := 0; p < probes.Rows; p++ {
+				want := f.Search(probes.Row(p), 5, tau)
+				got := batch[p]
+				if len(got) != len(want) {
+					t.Fatalf("dim %d tau=%v probe %d: %d hits, Search %d", tc.dim, tau, p, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("dim %d tau=%v probe %d hit %d: %+v != %+v", tc.dim, tau, p, i, got[i], want[i])
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestFlatSmallTenantBytes pins what activating a serving tenant costs in
+// memory: a 768-d Flat holding 32 rows (the benchmark's tenant) must
+// allocate a small multiple of its 96 KB of vectors. With the leaders
+// slab in 256-row chunks it allocated 786 KB for ≈20 leader rows alone.
+func TestFlatSmallTenantBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	vecs := dataset.ClusteredVectors(rng, 32, 20, 768, 0.4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := NewFlat(768)
+	for i, v := range vecs {
+		if err := f.Add(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("32-row 768-d Flat: %d KB allocated, %d leaders", got>>10, f.leaders.Len())
+	if got >= 300<<10 {
+		t.Fatalf("allocated %d KB, want < 300 KB", got>>10)
 	}
 }

@@ -394,11 +394,12 @@ func (f *Flat) MultiSearchAppend(probes *vecmath.Matrix, k int, tau float32, dst
 	if cap(sc.multi) < m*slots {
 		sc.multi = make([]float32, m*slots+(m*slots)/2+8)
 	}
-	if cap(sc.chunk) < m*vecmath.SlabChunkRows {
-		sc.chunk = make([]float32, m*vecmath.SlabChunkRows)
+	per := f.leaders.ChunkRows()
+	if cap(sc.chunk) < m*per {
+		sc.chunk = make([]float32, m*per)
 	}
 	all := sc.multi[:m*slots]
-	f.leaderScanMulti(probes, all, sc.chunk[:m*vecmath.SlabChunkRows])
+	f.leaderScanMulti(probes, all, sc.chunk[:m*per])
 	thr := tau - boundMargin
 	for p := 0; p < m; p++ {
 		vec := probes.Row(p)
@@ -416,16 +417,14 @@ func (f *Flat) MultiSearchAppend(probes *vecmath.Matrix, k int, tau float32, dst
 
 // leaderScanMulti fills all (m probes × Slots scores, probe-major) using
 // the blocked multi-probe kernel chunk by chunk, staging each chunk's
-// kernel output in chunkOut (m×SlabChunkRows, caller-provided).
+// kernel output in chunkOut (m×leaders.ChunkRows(), caller-provided).
 func (f *Flat) leaderScanMulti(probes *vecmath.Matrix, all, chunkOut []float32) {
 	m := probes.Rows
 	slots := f.leaders.Slots()
-	for base := 0; base < slots; base += vecmath.SlabChunkRows {
-		rows := slots - base
-		if rows > vecmath.SlabChunkRows {
-			rows = vecmath.SlabChunkRows
-		}
-		vecmath.ScanDotMulti(probes.Data, f.leaders.Chunk(base / vecmath.SlabChunkRows)[:rows*f.dim], chunkOut[:m*rows], m)
+	per := f.leaders.ChunkRows()
+	for base := 0; base < slots; base += per {
+		rows := min(per, slots-base)
+		vecmath.ScanDotMulti(probes.Data, f.leaders.Chunk(base / per)[:rows*f.dim], chunkOut[:m*rows], m)
 		for p := 0; p < m; p++ {
 			copy(all[p*slots+base:p*slots+base+rows], chunkOut[p*rows:(p+1)*rows])
 		}

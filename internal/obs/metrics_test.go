@@ -102,7 +102,7 @@ func TestParserRejectsMalformed(t *testing.T) {
 		"unterminated":     "# TYPE foo counter\nfoo{a=\"x} 1\n",
 		"bad type":         "# TYPE foo banana\nfoo 1\n",
 		"histogram no inf": "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-		"histogram cum": "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+		"histogram cum":    "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
 	}
 	for name, text := range cases {
 		if _, err := ParseExposition([]byte(text)); err == nil {

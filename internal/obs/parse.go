@@ -292,10 +292,10 @@ func canonicalLabelKey(labels map[string]string) string {
 // +Inf, and agree with _count; _sum and _count must be present.
 func lintHistogram(fam *MetricFamily) error {
 	type hist struct {
-		les      []float64
-		cums     []float64
-		sum      *float64
-		count    *float64
+		les   []float64
+		cums  []float64
+		sum   *float64
+		count *float64
 	}
 	groups := make(map[string]*hist)
 	group := func(labels map[string]string) *hist {

@@ -104,8 +104,8 @@ const MaxSpans = 16
 // (clocks across nodes are not compared — only durations are).
 type Span struct {
 	Kind       SpanKind
-	Tier       uint8 // search spans: serving index tier
-	Candidates int32 // search spans: matches the index returned
+	Tier       uint8  // search spans: serving index tier
+	Candidates int32  // search spans: matches the index returned
 	Node       string // non-empty on spans stitched in from a remote node
 	Start      time.Duration
 	Dur        time.Duration

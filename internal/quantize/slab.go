@@ -2,8 +2,12 @@ package quantize
 
 import "fmt"
 
-// slabChunkRows mirrors vecmath.SlabChunkRows: codes live in fixed-size
-// chunks so rows never move and growth never copies.
+// slabChunkRows is the rows per code chunk: codes live in fixed-size
+// chunks so rows never move and growth never copies. It is a fixed row
+// count at every dimension (vecmath.Slab sizes its chunks by bytes
+// instead): a code row is dim bytes, so a chunk is 192 KB at 768-d, and
+// the only holder is the HNSW tier, whose indexes run to thousands of
+// rows.
 const slabChunkRows = 256
 
 // Slab is the int8 twin of vecmath.Slab: a contiguous row-major arena of

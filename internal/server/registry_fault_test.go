@@ -8,6 +8,8 @@ package server
 // counters.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"os"
@@ -171,6 +173,55 @@ func TestCorruptSnapshotQuarantinedAndServedCold(t *testing.T) {
 	}
 	if s := r2.Stats(); s.Reloads != 1 || s.Quarantines != 0 {
 		t.Fatalf("stats after healthy revive: %+v", s)
+	}
+}
+
+// TestLegacyGobSnapshotRevivesWarm is the upgrade path at the registry: a
+// snapshot whose entries are gob streams (what every release before the
+// binary entry format wrote) is a reload, not a quarantine, and the next
+// persist rewrites it in the current format.
+func TestLegacyGobSnapshotRevivesWarm(t *testing.T) {
+	fs := faultfs.New()
+	st, err := store.OpenFS(fs, tenantSnapshotPath("alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The legacy schema, spelled out: gob matches struct fields by name.
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(struct {
+		ID        int
+		Query     string
+		Response  string
+		Embedding []float32
+		Parent    int
+	}{0, "what is alice", "answer for alice", (&stubEncoder{dim: 16}).embed("what is alice"), cache.NoParent}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("entry/0", legacy.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	cfg := RegistryConfig{Shards: 1, PersistDir: faultPersistDir, Factory: testFactory(nil), FS: fs, Logf: t.Logf}
+	for pass, want := range []string{"legacy gob", "rewritten"} {
+		r, err := NewRegistry(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ten, err := r.Get("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := ten.Client.Lookup("what is alice", nil); !res.Hit || res.Response != "answer for alice" {
+			t.Fatalf("pass %d (%s snapshot): tenant revived cold: %+v", pass, want, res)
+		}
+		ten.Release()
+		if s := r.Stats(); s.Reloads != 1 || s.Quarantines != 0 {
+			t.Fatalf("pass %d (%s snapshot): stats %+v, want 1 reload and no quarantine", pass, want, s)
+		}
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -101,10 +101,10 @@ func TestInvalidSchedulesRejected(t *testing.T) {
 			{At: time.Second, Kind: Kill, Node: 0},
 			{At: 2 * time.Second, Kind: Kill, Node: 1},
 		},
-		"double kill":          {{At: time.Second, Kind: Kill, Node: 0}, {At: 2 * time.Second, Kind: Kill, Node: 0}},
-		"revive live node":     {{At: time.Second, Kind: Revive, Node: 0}},
-		"node out of range":    {{At: time.Second, Kind: Kill, Node: 9}},
-		"inside settle tail":   {{At: 4900 * time.Millisecond, Kind: Kill, Node: 0}},
+		"double kill":        {{At: time.Second, Kind: Kill, Node: 0}, {At: 2 * time.Second, Kind: Kill, Node: 0}},
+		"revive live node":   {{At: time.Second, Kind: Revive, Node: 0}},
+		"node out of range":  {{At: time.Second, Kind: Kill, Node: 9}},
+		"inside settle tail": {{At: 4900 * time.Millisecond, Kind: Kill, Node: 0}},
 	}
 	for name, churn := range cases {
 		cfg := base

@@ -17,7 +17,7 @@ func FuzzSimScenario(f *testing.F) {
 	f.Add(int64(-7), uint8(2), uint8(1), uint8(9))
 	f.Add(int64(0), uint8(16), uint8(8), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, nodes, events, lossPct uint8) {
-		n := 2 + int(nodes)%15      // 2..16
+		n := 2 + int(nodes)%15              // 2..16
 		loss := float64(lossPct%10) / 100.0 // 0%..9%
 		cfg := Config{
 			Seed:            seed,

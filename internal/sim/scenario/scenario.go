@@ -107,10 +107,10 @@ type Result struct {
 	Failovers int64 // requests served by the entry from the store because the routed owner was dead
 	Dropped   int64 // requests lost — zero on every valid schedule
 
-	Handoffs  int64 // tenant migrations between nodes
-	Hydrates  int64 // store loads on first touch after a move or crash
-	Deaths    int64 // dead declarations across membership views
-	Revivals  int64 // peer revivals observed across views
+	Handoffs int64 // tenant migrations between nodes
+	Hydrates int64 // store loads on first touch after a move or crash
+	Deaths   int64 // dead declarations across membership views
+	Revivals int64 // peer revivals observed across views
 
 	Rounds       int64  // federated rounds completed
 	ModelVersion uint64 // final global model version

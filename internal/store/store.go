@@ -163,8 +163,9 @@ func (s *Store) replay() error {
 	var off int64
 	salvaging := false
 	r := bufio.NewReader(io.NewSectionReader(s.f, 0, size))
+	var body []byte // record scratch, grown to the largest record and reused
 	for off < size {
-		rec, key, valOff, valLen, err := readRecord(r, off)
+		rec, key, valOff, valLen, err := readRecord(r, off, &body)
 		if err == io.EOF {
 			break
 		}
@@ -270,7 +271,10 @@ func (s *Store) validRecordAt(off, size int64) bool {
 	return crc.Sum32() == binary.LittleEndian.Uint32(body[keyLen+valLen:])
 }
 
-func readRecord(r *bufio.Reader, off int64) (op byte, key string, valOff int64, valLen int32, err error) {
+// readRecord reads and CRC-checks the record at off. Nothing returned
+// aliases *scratch (the key is copied into a string), so the caller
+// passes the same scratch for every record.
+func readRecord(r *bufio.Reader, off int64, scratch *[]byte) (op byte, key string, valOff int64, valLen int32, err error) {
 	var hdr [9]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -285,7 +289,13 @@ func readRecord(r *bufio.Reader, off int64) (op byte, key string, valOff int64, 
 		err = errors.New("store: invalid record header")
 		return
 	}
-	buf := make([]byte, int(keyLen)+int(valLen)+4)
+	need := int(keyLen) + int(valLen) + 4
+	if cap(*scratch) < need {
+		// Headroom: a snapshot's records differ by a few text bytes, and
+		// an exact fit would reallocate on every slightly longer one.
+		*scratch = make([]byte, need+need/4)
+	}
+	buf := (*scratch)[:need]
 	if _, err = io.ReadFull(r, buf); err != nil {
 		err = errors.New("store: torn record body")
 		return

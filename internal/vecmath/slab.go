@@ -2,12 +2,28 @@ package vecmath
 
 import "fmt"
 
-// SlabChunkRows is how many rows each slab chunk holds. Chunks are
-// allocated whole, so rows never move once written: a Row view stays
-// valid for the lifetime of its slot, and growth never copies vector
-// data. 256 rows × 64 dims ≈ 64 KB per chunk — large enough to stream,
-// small enough that a sparsely used slab wastes little.
-const SlabChunkRows = 256
+// SlabChunkRows is the most rows a slab chunk holds. Chunks are allocated
+// whole, so rows never move once written: a Row view stays valid for the
+// lifetime of its slot, and growth never copies vector data. A chunk is
+// sized by bytes, not rows: the largest power of two of rows that fits
+// slabChunkBytes, at most SlabChunkRows and at least 2 (the scan kernels
+// score rows in pairs). That is 256 rows up to 64-d and 16 rows (48 KB)
+// at 768-d — large enough to stream, small enough that a sparsely used
+// slab wastes little: a serving tenant's Flat index holds ≈20 leader
+// rows, and a 256-row chunk at 768-d cost every activation 786 KB.
+const (
+	SlabChunkRows  = 256
+	slabChunkBytes = 64 << 10
+)
+
+// chunkShiftFor returns log2 of the rows per chunk for dim-d rows.
+func chunkShiftFor(dim int) uint {
+	shift := uint(8) // log2(SlabChunkRows)
+	for shift > 1 && (4*dim)<<shift > slabChunkBytes {
+		shift--
+	}
+	return shift
+}
 
 // Slab is a contiguous row-major float32 arena with free-slot recycling
 // and precomputed row norms — the storage layout behind the index
@@ -27,7 +43,8 @@ const SlabChunkRows = 256
 // their own RWMutex).
 type Slab struct {
 	dim    int
-	chunks [][]float32 // each SlabChunkRows×dim, allocated on demand
+	shift  uint        // log2 of the rows per chunk, fixed at NewSlab
+	chunks [][]float32 // each ChunkRows()×dim, allocated on demand
 	norms  []float32   // per-slot L2 norm, precomputed at Put
 	free   []int32     // freed slots awaiting reuse
 	next   int32       // first never-used slot
@@ -39,11 +56,15 @@ func NewSlab(dim int) *Slab {
 	if dim <= 0 {
 		panic("vecmath: Slab dim must be positive")
 	}
-	return &Slab{dim: dim}
+	return &Slab{dim: dim, shift: chunkShiftFor(dim)}
 }
 
 // Dim reports the row dimensionality.
 func (s *Slab) Dim() int { return s.dim }
+
+// ChunkRows reports how many rows each of this slab's chunks holds (a
+// power of two; see SlabChunkRows). Slot s lives in chunk s/ChunkRows().
+func (s *Slab) ChunkRows() int { return 1 << s.shift }
 
 // Len reports the number of live rows.
 func (s *Slab) Len() int { return s.live }
@@ -67,8 +88,8 @@ func (s *Slab) Put(vec []float32) int32 {
 	} else {
 		slot = s.next
 		s.next++
-		if int(slot)/SlabChunkRows >= len(s.chunks) {
-			s.chunks = append(s.chunks, make([]float32, SlabChunkRows*s.dim))
+		if int(slot)>>s.shift >= len(s.chunks) {
+			s.chunks = append(s.chunks, make([]float32, s.dim<<s.shift))
 		}
 		s.norms = append(s.norms, 0)
 	}
@@ -93,15 +114,15 @@ func (s *Slab) Free(slot int32) {
 // which is why Free zeroes eagerly and callers must not retain views
 // past Free.
 func (s *Slab) Row(slot int32) []float32 {
-	c := int(slot) / SlabChunkRows
-	r := int(slot) % SlabChunkRows
+	c := int(slot) >> s.shift
+	r := int(slot) & (1<<s.shift - 1)
 	return s.chunks[c][r*s.dim : (r+1)*s.dim]
 }
 
 // Norm returns the slot's precomputed L2 norm (0 for freed slots).
 func (s *Slab) Norm(slot int32) float32 { return s.norms[slot] }
 
-// Chunk exposes chunk c's backing array (SlabChunkRows×Dim, rows beyond
+// Chunk exposes chunk c's backing array (ChunkRows()×Dim, rows beyond
 // Slots() zero) for callers that stream the arena with their own kernel
 // calls, e.g. the multi-probe scan.
 func (s *Slab) Chunk(c int) []float32 { return s.chunks[c] }
@@ -118,11 +139,9 @@ func (s *Slab) ScanDot(probe []float32, out []float32) {
 	if len(out) < n {
 		panic(fmt.Sprintf("vecmath: Slab.ScanDot out len %d, need %d", len(out), n))
 	}
-	for c := 0; c*SlabChunkRows < n; c++ {
-		rows := n - c*SlabChunkRows
-		if rows > SlabChunkRows {
-			rows = SlabChunkRows
-		}
-		ScanDot(probe, s.chunks[c][:rows*s.dim], out[c*SlabChunkRows:c*SlabChunkRows+rows])
+	per := s.ChunkRows()
+	for base := 0; base < n; base += per {
+		rows := min(per, n-base)
+		ScanDot(probe, s.chunks[base>>s.shift][:rows*s.dim], out[base:base+rows])
 	}
 }

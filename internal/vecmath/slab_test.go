@@ -124,28 +124,55 @@ func TestSlabRowsStableAcrossGrowth(t *testing.T) {
 }
 
 func TestSlabScanDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := NewSlab(16)
-	var slots []int32
-	var vecs [][]float32
-	for i := 0; i < SlabChunkRows+40; i++ { // span two chunks
-		v := slabRandVec(rng, 16)
-		slots = append(slots, s.Put(v))
-		vecs = append(vecs, v)
-	}
-	s.Free(slots[7])
-	probe := slabRandVec(rng, 16)
-	out := make([]float32, s.Slots())
-	s.ScanDot(probe, out)
-	for i, slot := range slots {
-		if i == 7 {
-			if out[slot] != 0 {
-				t.Fatalf("freed slot scored %v, want 0", out[slot])
-			}
-			continue
+	// 16-d chunks hold SlabChunkRows rows, 768-d chunks 16: both cases
+	// span a chunk boundary with a partly filled last chunk.
+	for _, dim := range []int{16, 768} {
+		rng := rand.New(rand.NewSource(5))
+		s := NewSlab(dim)
+		var slots []int32
+		var vecs [][]float32
+		for i := 0; i < s.ChunkRows()+40; i++ {
+			v := slabRandVec(rng, dim)
+			slots = append(slots, s.Put(v))
+			vecs = append(vecs, v)
 		}
-		if want := Dot(probe, vecs[i]); out[slot] != want {
-			t.Fatalf("slot %d: %v != %v", slot, out[slot], want)
+		s.Free(slots[7])
+		probe := slabRandVec(rng, dim)
+		out := make([]float32, s.Slots())
+		s.ScanDot(probe, out)
+		for i, slot := range slots {
+			if i == 7 {
+				if out[slot] != 0 {
+					t.Fatalf("dim %d: freed slot scored %v, want 0", dim, out[slot])
+				}
+				continue
+			}
+			if want := Dot(probe, vecs[i]); out[slot] != want {
+				t.Fatalf("dim %d slot %d: %v != %v", dim, slot, out[slot], want)
+			}
+			if got := s.Row(slot); &got[0] != &s.Chunk(int(slot) / s.ChunkRows())[int(slot)%s.ChunkRows()*dim] {
+				t.Fatalf("dim %d slot %d: Row is not at slot/ChunkRows, slot%%ChunkRows", dim, slot)
+			}
+		}
+	}
+}
+
+// TestSlabChunkSizedByBytes pins the chunk size rule: ≈64 KB of rows, a
+// power of two between 2 and SlabChunkRows. Up to 64-d that is the
+// 256-row layout BENCH_serving.json's rows were captured on; at the
+// serving dimension (768) it is 16 rows, so an index with a handful of
+// rows does not pay for 256.
+func TestSlabChunkSizedByBytes(t *testing.T) {
+	for _, tc := range []struct{ dim, rows int }{
+		{1, 256}, {16, 256}, {64, 256}, {65, 128}, {128, 128}, {384, 32}, {768, 16}, {1024, 16}, {1 << 16, 2},
+	} {
+		s := NewSlab(tc.dim)
+		if got := s.ChunkRows(); got != tc.rows {
+			t.Errorf("dim %d: %d rows per chunk, want %d", tc.dim, got, tc.rows)
+		}
+		s.Put(make([]float32, tc.dim))
+		if got := len(s.Chunk(0)); got != tc.rows*tc.dim {
+			t.Errorf("dim %d: chunk holds %d floats, want %d", tc.dim, got, tc.rows*tc.dim)
 		}
 	}
 }
