@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build check test race vet bench bench-json benchdiff bench-e2e loadtest \
+.PHONY: build check test race vet bench bench-e2e loadtest \
 	loadtest-fl conformance fuzz-smoke loadtest-ann loadtest-cluster \
 	loadtest-overload loadtest-hotspot crashtest gates sim clean
 
@@ -66,17 +66,6 @@ sim:
 # micro-benchmarks in the internal packages).
 bench:
 	$(GO) test -bench . -benchmem -run xxx ./...
-
-# bench-json captures the serving-path micro-benchmarks as JSON, seeding
-# the benchmark trajectory tracked across PRs.
-bench-json:
-	$(GO) run ./cmd/benchrunner -bench-json BENCH_serving.json
-
-# benchdiff is the perf-regression gate: re-run the pinned hot-path
-# subset and fail on >25% ns/op or any allocs/op regression against the
-# committed BENCH_serving.json.
-benchdiff:
-	$(GO) run ./cmd/benchrunner -bench-diff BENCH_serving.json
 
 # bench-e2e is the end-to-end benchmark BENCHMARK.json declares: the
 # shipped cacheserve as a subprocess under four traffic mixes, plus a

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -23,10 +24,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchfix"
+	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/experiments"
+	"repro/internal/index"
 	"repro/internal/llmsim"
 	"repro/internal/server"
 	"repro/internal/stack"
@@ -324,22 +326,58 @@ func BenchmarkServerCrossTenantBatchedEncode(b *testing.B) {
 	b.ReportMetric(batcher.Stats().MeanBatch, "mean-batch")
 }
 
+// The large-tenant operating point: a cache big enough that the index
+// tiers separate clearly, at the PCA-compressed dimensionality
+// (§III-A.4).
+const (
+	largeTenantN   = 20000
+	largeTenantDim = 64
+)
+
+// largeTenantCache builds the benchmark cache for the named tier,
+// populated with the fixed-seed clustered corpus, plus a near-duplicate
+// probe.
+func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
+	hnswCfg := index.HNSWConfig{M: 16, EfConstruction: 80, EfSearch: 96, Seed: 1}
+	var c *cache.Cache
+	switch tier {
+	case "scan":
+		c = cache.New(largeTenantDim, 0, cache.LRU{})
+	case "ivf":
+		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{},
+			index.NewIVF(largeTenantDim, index.IVFConfig{NList: 141, NProbe: 12, Seed: 1}))
+	case "hnsw":
+		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{}, index.NewHNSW(largeTenantDim, hnswCfg))
+	case "hnsw-int8":
+		hnswCfg.Quantized = true
+		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{}, index.NewHNSW(largeTenantDim, hnswCfg))
+	default:
+		b.Fatalf("unknown tier %q", tier)
+	}
+	rng := rand.New(rand.NewSource(7))
+	vecs := dataset.ClusteredVectors(rng, largeTenantN, 128, largeTenantDim, 0.4)
+	for i, v := range vecs {
+		if _, err := c.Put(fmt.Sprintf("q%d", i), "r", v, cache.NoParent); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return c, dataset.PerturbUnit(rng, vecs[0], 0.2)
+}
+
 // BenchmarkLargeCacheSearch compares the cache's similarity-search path
-// across the index tiers at the shared benchfix large-tenant operating
-// point (20k entries × 64 dims): the built-in parallel scan versus IVF,
-// HNSW and the int8-quantized HNSW. This is the quantity the adaptive
-// tiering trades on — the same FindSimilar call, orders of magnitude
-// apart in work. cmd/benchrunner publishes the same measurements to
-// BENCH_serving.json.
+// across the index tiers at the large-tenant operating point (20k
+// entries × 64 dims): the built-in parallel scan versus IVF, HNSW and the
+// int8-quantized HNSW. This is the quantity the adaptive tiering trades
+// on — the same FindSimilar call, orders of magnitude apart in work.
 func BenchmarkLargeCacheSearch(b *testing.B) {
-	for _, tier := range benchfix.LargeTenantTiers {
+	for _, tier := range []string{"scan", "ivf", "hnsw", "hnsw-int8"} {
+		// Built here, not inside b.Run: the testing package calls this
+		// function once but re-invokes each sub-benchmark with growing
+		// b.N, and a 20k HNSW graph per calibration round would dominate
+		// the run.
+		c, probe := largeTenantCache(b, tier)
 		b.Run(tier, func(b *testing.B) {
-			c, probe, err := benchfix.LargeTenantCache(tier)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.FindSimilar(probe, 5, 0.8)
 			}

@@ -26,28 +26,13 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'; known: "+strings.Join(experiments.Names(), ","))
-		quick     = flag.Bool("quick", false, "use the scaled-down test configuration")
-		seed      = flag.Int64("seed", 1, "master random seed")
-		outPath   = flag.String("o", "", "also write results to this file")
-		quiet     = flag.Bool("q", false, "suppress progress logging")
-		benchJSON = flag.String("bench-json", "", "skip the experiments; run the serving micro-benchmarks and write JSON here")
-		benchDiff = flag.String("bench-diff", "", "skip the experiments; re-run the pinned hot-path benchmarks and fail on regression against this committed JSON baseline")
+		expFlag = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'; known: "+strings.Join(experiments.Names(), ","))
+		quick   = flag.Bool("quick", false, "use the scaled-down test configuration")
+		seed    = flag.Int64("seed", 1, "master random seed")
+		outPath = flag.String("o", "", "also write results to this file")
+		quiet   = flag.Bool("q", false, "suppress progress logging")
 	)
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *benchDiff != "" {
-		if err := runBenchDiff(*benchDiff); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	cfg := experiments.DefaultConfig()
 	if *quick {

@@ -344,12 +344,6 @@ func (c *Cache) FindSimilar(emb []float32, k int, tau float32) []Match {
 	return c.FindSimilarAppend(emb, k, tau, nil)
 }
 
-// searchAppender is the allocation-free search surface index.Flat
-// exposes: hits are appended into a caller-owned buffer.
-type searchAppender interface {
-	SearchAppend(vec []float32, k int, tau float32, dst []index.Hit) []index.Hit
-}
-
 // FindSimilarAppend is FindSimilar appending into dst — the pooled-buffer
 // form the serving hot path uses. With a dst of sufficient capacity and
 // the exact index attached, a warmed call performs no heap allocation.
@@ -368,7 +362,7 @@ func (c *Cache) FindSimilarAppend(emb []float32, k int, tau float32, dst []Match
 		buf = new([]index.Hit)
 	}
 	var hits []index.Hit
-	if sa, ok := c.idx.(searchAppender); ok {
+	if sa, ok := c.idx.(index.SearchAppender); ok {
 		hits = sa.SearchAppend(emb, k, tau, (*buf)[:0])
 	} else {
 		hits = append((*buf)[:0], c.idx.Search(emb, k, tau)...)
@@ -452,7 +446,7 @@ func (c *Cache) FindSimilarMultiAppend(probes *vecmath.Matrix, k int, tau float3
 	}
 	if ms, ok := c.idx.(index.MultiSearcher); ok {
 		ms.MultiSearchAppend(probes, k, tau, bufs)
-	} else if sa, ok := c.idx.(searchAppender); ok {
+	} else if sa, ok := c.idx.(index.SearchAppender); ok {
 		for p := 0; p < m; p++ {
 			bufs[p] = sa.SearchAppend(probes.Row(p), k, tau, bufs[p])
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/raceflag"
 	"repro/internal/store"
 )
 
@@ -213,6 +214,31 @@ func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 		if ms := c.FindSimilar(e.Embedding, 1, 0.999); len(ms) == 0 {
 			t.Fatalf("live entry %d missing from promoted index", e.ID)
 		}
+	}
+}
+
+// TestAdaptiveFindSimilarAppendZeroAlloc: a cache built with -index
+// adaptive reaches its index through SearchAppend, the pooled branch of
+// FindSimilarAppend, not through the allocating Search.
+func TestAdaptiveFindSimilarAppendZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("pooled buffers are intentionally dropped under -race")
+	}
+	c := NewWithIndex(16, 0, LRU{}, index.NewAdaptive(16, index.AdaptiveConfig{}))
+	for i := int64(0); i < 200; i++ {
+		if _, err := c.Put(fmt.Sprintf("q%d", i), "r", unit(16, i), NoParent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := unit(16, 7)
+	dst := make([]Match, 0, 8)
+	if dst = c.FindSimilarAppend(probe, 5, 0.8, dst[:0]); len(dst) == 0 {
+		t.Fatal("warmup search found nothing")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		dst = c.FindSimilarAppend(probe, 5, 0.8, dst[:0])
+	}); n >= 1 {
+		t.Fatalf("FindSimilarAppend over an Adaptive index allocates %v per warmed call, want 0", n)
 	}
 }
 

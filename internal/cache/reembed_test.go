@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/embed"
 	"repro/internal/index"
 	"repro/internal/vecmath"
 )
@@ -119,5 +120,27 @@ func TestReembedReplacesEntriesInsteadOfMutating(t *testing.T) {
 	cur, _ := c.Get(id)
 	if vecmath.Dot(cur.Embedding, hashEmb(16, 2, "q")) < 0.999 {
 		t.Fatal("cache's current entry not migrated")
+	}
+}
+
+// BenchmarkReembed768x500 times migrating a 500-entry tenant to a new
+// model version at the serving dimension: 500 encodes plus the index
+// rebuild, what one FL rollout costs each resident tenant.
+func BenchmarkReembed768x500(b *testing.B) {
+	m := embed.NewModel(embed.MPNetSim, 1)
+	c := New(m.Dim(), 0, LRU{})
+	for i := 0; i < 500; i++ {
+		q := fmt.Sprintf("cached question number %d", i)
+		if _, err := c.Put(q, "r", m.Encode(q), NoParent); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m2 := embed.NewModel(embed.MPNetSim, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Reembed(m2.Encode); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -283,26 +283,13 @@ func (c *Client) Lookup(q string, ctxTexts []string) Result {
 	}
 	matches := c.opts.Searcher.FindSimilar(c.cache, eq, c.opts.TopK, c.Tau(), mbuf[:0])
 	var res Result
-	for _, m := range matches {
-		if c.contextMatches(m.Entry, ctxTexts) {
-			c.cache.Touch(m.Entry.ID)
-			res = Result{
-				Response: m.Entry.Response,
-				Hit:      true,
-				Entry:    m.Entry,
-				Score:    m.Score,
-			}
-			break
+	if m, ok := c.pickMatch(matches, ctxTexts); ok {
+		res = Result{
+			Response: m.Entry.Response,
+			Hit:      true,
+			Entry:    m.Entry,
+			Score:    m.Score,
 		}
-	}
-	// The match buffer is dead past this point (the Result keeps only the
-	// matched *Entry); scrub the entry pointers and recycle it.
-	for i := range matches {
-		matches[i] = cache.Match{}
-	}
-	select {
-	case c.matchBufs <- matches[:0]:
-	default:
 	}
 	res.ProbeEmbedding = eq
 	res.Candidates = len(matches)
@@ -318,12 +305,46 @@ func (c *Client) Lookup(q string, ctxTexts []string) Result {
 	return res
 }
 
+// pickMatch returns the best of matches whose context chain agrees with
+// ctxTexts, marked used, and recycles the match buffer: matches is dead
+// once it returns (a Result keeps only the matched *Entry). However many
+// candidates it checks, each context turn is encoded at most once.
+func (c *Client) pickMatch(matches []cache.Match, ctxTexts []string) (hit cache.Match, ok bool) {
+	// turns[i] is the embedding of ctxTexts[i], nil until a candidate's
+	// chain reaches that turn.
+	var turns [][]float32
+	for _, m := range matches {
+		if c.contextMatches(m.Entry, ctxTexts, &turns) {
+			c.cache.Touch(m.Entry.ID)
+			hit, ok = m, true
+			break
+		}
+	}
+	for _, ce := range turns {
+		if ce == nil {
+			continue
+		}
+		select {
+		case c.probeBufs <- ce[:0]:
+		default:
+		}
+	}
+	for i := range matches { // scrub the entry pointers
+		matches[i] = cache.Match{}
+	}
+	select {
+	case c.matchBufs <- matches[:0]:
+	default:
+	}
+	return hit, ok
+}
+
 // contextMatches verifies Algorithm 1's context check: a standalone entry
 // (empty chain) matches only an empty conversation context, and a
 // contextual entry matches when each turn of its chain is semantically
 // similar (≥ CtxTau) to the corresponding trailing turn of the submitted
-// context.
-func (c *Client) contextMatches(e *cache.Entry, ctxTexts []string) bool {
+// context. turns is pickMatch's memo of the context embeddings.
+func (c *Client) contextMatches(e *cache.Entry, ctxTexts []string, turns *[][]float32) bool {
 	chain := c.cache.Chain(e.ID)
 	if len(chain) == 0 {
 		return len(ctxTexts) == 0
@@ -331,15 +352,16 @@ func (c *Client) contextMatches(e *cache.Entry, ctxTexts []string) bool {
 	if len(ctxTexts) < len(chain) {
 		return false
 	}
-	tail := ctxTexts[len(ctxTexts)-len(chain):]
+	if *turns == nil {
+		*turns = make([][]float32, len(ctxTexts))
+	}
+	first := len(ctxTexts) - len(chain) // the turn the chain's oldest entry answers to
 	for i, ancestor := range chain {
-		ce := c.encodeProbe(tail[i])
-		match := vecmath.Dot(ce, ancestor.Embedding) >= c.opts.CtxTau
-		select { // the turn embedding is consumed; recycle its buffer
-		case c.probeBufs <- ce[:0]:
-		default:
+		turn := first + i
+		if (*turns)[turn] == nil {
+			(*turns)[turn] = c.encodeProbe(ctxTexts[turn])
 		}
-		if !match {
+		if !(vecmath.Dot((*turns)[turn], ancestor.Embedding) >= c.opts.CtxTau) { // a NaN score is a mismatch
 			return false
 		}
 	}
@@ -441,23 +463,12 @@ func (c *Client) degradedLookup(res *Result, ctxTexts []string) bool {
 	default:
 	}
 	matches := c.cache.FindSimilarAppend(res.ProbeEmbedding, c.opts.TopK, tau, mbuf[:0])
-	for _, m := range matches {
-		if c.contextMatches(m.Entry, ctxTexts) {
-			c.cache.Touch(m.Entry.ID)
-			res.Response = m.Entry.Response
-			res.Hit = true
-			res.Degraded = true
-			res.Entry = m.Entry
-			res.Score = m.Score
-			break
-		}
-	}
-	for i := range matches {
-		matches[i] = cache.Match{}
-	}
-	select {
-	case c.matchBufs <- matches[:0]:
-	default:
+	if m, ok := c.pickMatch(matches, ctxTexts); ok {
+		res.Response = m.Entry.Response
+		res.Hit = true
+		res.Degraded = true
+		res.Entry = m.Entry
+		res.Score = m.Score
 	}
 	res.SearchTime += time.Since(start)
 	res.Latency = res.SearchTime + res.UpstreamTime

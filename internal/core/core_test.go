@@ -372,3 +372,72 @@ func TestSessionSurvivesParentEviction(t *testing.T) {
 		t.Fatalf("Ask after re-root: %v", err)
 	}
 }
+
+// countingEncoder counts Encode calls on top of the stub.
+type countingEncoder struct {
+	*stubEncoder
+	encodes int
+}
+
+func (e *countingEncoder) Encode(text string) []float32 {
+	e.encodes++
+	return e.stubEncoder.Encode(text)
+}
+
+// TestLookupEncodesEachContextTurnOnce: four cached follow-ups share one
+// intent under four different histories (two one-turn chains, two
+// two-turn chains), so a follow-up probe draws all four as candidates
+// and the context check decides. The probe costs one encode plus one per
+// distinct context turn a candidate's chain reaches, not one per
+// candidate per turn, and the decision is what re-encoding would give.
+func TestLookupEncodesEachContextTurnOnce(t *testing.T) {
+	enc := &countingEncoder{stubEncoder: newStub(64)}
+	c := New(Options{Encoder: enc, Tau: 0.8, TopK: 5})
+	// Scores fall with i, so candidates are checked in order 0..3 and the
+	// matching history (3) is reached only after three rejections.
+	sims := []float32{0.99, 0.96, 0.93, 0.90}
+	ids := make([]int, len(sims))
+	for i, sim := range sims {
+		n := string(rune('0' + i))
+		grand, parent, child := "grand "+n, "parent "+n, "make it red "+n
+		enc.alias(int64(100+i), grand)
+		enc.alias(int64(200+i), parent)
+		enc.aliasNear(int64(300+i), sim, "make it red", child)
+		at := cache.NoParent
+		var err error
+		if i >= 2 { // entries 2 and 3 sit two turns deep
+			if at, err = c.Insert(grand, "r", at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if at, err = c.Insert(parent, "r", at); err != nil {
+			t.Fatal(err)
+		}
+		if ids[i], err = c.Insert(child, "red "+n, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	enc.encodes = 0
+	r := c.Lookup("make it red", []string{"grand 3", "parent 3"})
+	if !r.Hit || r.Entry.ID != ids[3] || r.Response != "red 3" || r.Candidates != 4 {
+		t.Fatalf("matching history: hit=%v entry=%v response=%q candidates=%d, want entry %d of 4", r.Hit, r.Entry, r.Response, r.Candidates, ids[3])
+	}
+	if d := r.Score - sims[3]; d > 1e-4 || d < -1e-4 {
+		t.Fatalf("matching history: score %v, want %v", r.Score, sims[3])
+	}
+	if enc.encodes != 3 {
+		t.Fatalf("matching history: %d encodes, want 3 (probe + two context turns)", enc.encodes)
+	}
+
+	// Entry 3's grandparent agrees and its parent does not: still both
+	// turns, once each.
+	enc.encodes = 0
+	r = c.Lookup("make it red", []string{"grand 3", "some other parent"})
+	if r.Hit || r.Candidates != 4 {
+		t.Fatalf("mismatching history: hit=%v candidates=%d, want a miss over 4", r.Hit, r.Candidates)
+	}
+	if enc.encodes != 3 {
+		t.Fatalf("mismatching history: %d encodes, want 3 (probe + two context turns)", enc.encodes)
+	}
+}

@@ -274,6 +274,21 @@ func BenchmarkEncodeMPNetSim(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeBatch32MPNetSim times one EncodeBatch call over 32
+// texts, the encode micro-batcher's full batch.
+func BenchmarkEncodeBatch32MPNetSim(b *testing.B) {
+	m := NewModel(MPNetSim, 1)
+	texts := make([]string, 32)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("query %d about rotating api credentials", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.EncodeBatch(texts)
+	}
+}
+
 func BenchmarkEncodeAlbertSim(b *testing.B) {
 	m := NewModel(AlbertSim, 1)
 	q := "How can I increase the battery life of my smartphone"

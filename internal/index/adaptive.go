@@ -205,6 +205,17 @@ func (a *Adaptive) Search(vec []float32, k int, tau float32) []Hit {
 	return a.cur.Load().idx.Search(vec, k, tau)
 }
 
+// SearchAppend implements SearchAppender through the serving tier's own
+// SearchAppend when it has one, so a tenant on Flat or IVF keeps the
+// allocation-free path behind the wrapper.
+func (a *Adaptive) SearchAppend(vec []float32, k int, tau float32, dst []Hit) []Hit {
+	idx := a.cur.Load().idx
+	if sa, ok := idx.(SearchAppender); ok {
+		return sa.SearchAppend(vec, k, tau, dst)
+	}
+	return append(dst, idx.Search(vec, k, tau)...)
+}
+
 // MultiSearchAppend implements MultiSearcher with the same lock-free
 // tier resolution as Search: one atomic load pins the serving tier for
 // the whole batch, so every probe in the batch answers against the same

@@ -59,6 +59,36 @@ func TestFlatSearchAppendZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestAdaptiveFlatTierSearchAppendZeroAlloc: the tiering wrapper hands
+// SearchAppend through to its serving tier, so a tenant still on Flat
+// searches as allocation-free behind Adaptive as on a bare Flat.
+func TestAdaptiveFlatTierSearchAppendZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("pooled buffers are intentionally dropped under -race")
+	}
+	_, vecs := buildAllocFlat(t, 2000) // the corpus TestFlatSearchAppendZeroAlloc searches
+	a := NewAdaptive(32, AdaptiveConfig{})
+	for i, v := range vecs {
+		if err := a.Add(i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.Tier() != "flat" {
+		t.Fatalf("serving tier %q at %d entries, want flat", a.Tier(), len(vecs))
+	}
+	probe := vecs[3]
+	dst := make([]Hit, 0, 16)
+	dst = a.SearchAppend(probe, 5, 0.8, dst[:0])
+	if len(dst) == 0 {
+		t.Fatal("warmup search found nothing")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		dst = a.SearchAppend(probe, 5, 0.8, dst[:0])
+	}); n >= 1 {
+		t.Fatalf("Adaptive.SearchAppend on the flat tier allocates %v per warmed call, want 0", n)
+	}
+}
+
 func TestIVFSearchAppendZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")

@@ -6,8 +6,7 @@ import "time"
 // hard-coded FlatMax/IVFMax defaults encode one machine's crossover
 // points; on a faster box the exact Flat scan stays competitive far
 // longer, and on a slow shared runner it falls behind much earlier. Fast
-// to run (~tens of milliseconds), Calibrate measures the same fixed
-// workload benchrunner records as calibration_ns in BENCH_serving.json —
+// to run (~tens of milliseconds), Calibrate measures a fixed workload —
 // a scalar dot-product sweep over a private array, deliberately not a
 // call into the index kernels, so the yardstick cannot move with the
 // code under test — and TierThresholds converts that measurement into
@@ -30,8 +29,7 @@ const (
 )
 
 // Calibrate measures the reference workload — a 4-accumulator scalar
-// dot-product sweep of 4096 rows × 64 dims, identical to the one behind
-// benchrunner's calibration_ns field — and returns its ns per sweep.
+// dot-product sweep of 4096 rows × 64 dims — and returns its ns per sweep.
 func Calibrate() float64 {
 	data := make([]float32, calibRows*calibDim)
 	x := float32(1)

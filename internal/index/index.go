@@ -64,6 +64,13 @@ type MultiSearcher interface {
 	MultiSearchAppend(probes *vecmath.Matrix, k int, tau float32, dst [][]Hit)
 }
 
+// SearchAppender is the optional allocation-free search surface: Search
+// appending its hits into a caller-owned buffer. Flat and IVF implement
+// it, and Adaptive hands it through to whichever of them is serving.
+type SearchAppender interface {
+	SearchAppend(vec []float32, k int, tau float32, dst []Hit) []Hit
+}
+
 // TierNamer is the optional serving-tier identity: implementations
 // report which tier answers their searches ("flat", "ivf", "hnsw").
 // Adaptive reports whichever tier currently serves. The observability

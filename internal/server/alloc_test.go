@@ -136,8 +136,7 @@ func TestQueryHitAllocationBudgetTracedUnsampled(t *testing.T) {
 }
 
 // TestQueryHitAllocationBudgetSampled is the same gate with every
-// request sampled and published — the worst-case tracing path the
-// ServerQueryHitTraced benchmark row pins.
+// request sampled and published — the worst-case tracing path.
 func TestQueryHitAllocationBudgetSampled(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")

@@ -7,8 +7,8 @@
 // Config is what can be configured, (*Config).Bind is cmd/cacheserve's
 // command line (each Bind line's default argument is the only place a
 // default is written) and Build assembles the process. cmd/cacheserve,
-// loadgen's scenarios, benchrunner's hit-path rows, the root serving
-// benchmarks and examples/federated all Build from Default, so a changed
+// loadgen's scenarios, the root serving benchmarks and
+// examples/federated all Build from Default, so a changed
 // default or wiring reaches every gate. (bench/stack.go still copies the
 // defaults by hand; TestDefaultMatchesBenchStack pins them.)
 //

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/embed"
+	"repro/internal/raceflag"
 	"repro/internal/server"
 	"repro/internal/vecmath"
 )
@@ -400,5 +401,50 @@ func TestServeAndClose(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + s.Server.Addr() + "/healthz"); err == nil {
 		t.Error("listener still accepting after Close")
+	}
+}
+
+type nopBody struct{ *bytes.Reader }
+
+func (nopBody) Close() error { return nil }
+
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestDefaultStackHitAllocs is the allocation budget of a cache hit
+// through the stack that ships: Default(), so the encode micro-batcher
+// and the per-tenant search batcher are both on the path (the pins in
+// internal/server build their servers without either). The bound is the
+// measured count, with no slack: AllocsPerRun floors its mean over 200
+// requests, so a GC emptying the pools mid-run cannot reach it and one
+// allocation more per request does.
+func TestDefaultStackHitAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("pooled buffers are intentionally dropped under -race")
+	}
+	s, err := Build(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	body, _ := json.Marshal(server.QueryRequest{User: "u", Query: "warm question"})
+	rdr := bytes.NewReader(body)
+	req := httptest.NewRequest("POST", "/v1/query", rdr)
+	req.Header.Set("Content-Type", "application/json")
+	rc := nopBody{rdr}
+	w := &discardWriter{h: make(http.Header)}
+	serve := func() {
+		rdr.Seek(0, 0)
+		req.Body = rc
+		h.ServeHTTP(w, req)
+	}
+	serve() // warm: populates the cache (miss) …
+	serve() // … and the buffer pools (hit)
+	if n := testing.AllocsPerRun(200, serve); n > 10 {
+		t.Fatalf("default-stack hit path allocates %v per request, budget 10", n)
 	}
 }

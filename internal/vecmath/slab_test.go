@@ -158,10 +158,11 @@ func TestSlabScanDot(t *testing.T) {
 }
 
 // TestSlabChunkSizedByBytes pins the chunk size rule: ≈64 KB of rows, a
-// power of two between 2 and SlabChunkRows. Up to 64-d that is the
-// 256-row layout BENCH_serving.json's rows were captured on; at the
-// serving dimension (768) it is 16 rows, so an index with a handful of
-// rows does not pay for 256.
+// power of two between 2 and SlabChunkRows. Up to 64-d that is 256
+// rows, the layout the 64-d benchmarks (BenchmarkScanDot64x20k,
+// BenchmarkLargeCacheSearch) have always run on; at the serving dimension
+// (768) it is 16 rows, so an index with a handful of rows does not pay
+// for 256.
 func TestSlabChunkSizedByBytes(t *testing.T) {
 	for _, tc := range []struct{ dim, rows int }{
 		{1, 256}, {16, 256}, {64, 256}, {65, 128}, {128, 128}, {384, 32}, {768, 16}, {1024, 16}, {1 << 16, 2},
