@@ -20,17 +20,19 @@ import (
 // lookup path, are warmed with the same entries and then driven with
 // the same probe stream, head to head.
 //
-// The batched stack is the shipped one. Its dispatcher never waits for
-// company, so on a 2-core box few searches find another already queued
-// (27–54 of 24,624 over three runs here, and it can be none): how many
-// coalesced is reported, not gated. That overlapping searches do share a
-// pass is pinned with exact counts by internal/server's TestSearchBatcher
-// tests; what this run gates is that the batcher's hop costs a hot
-// tenant nothing and changes no answer (the three runs read 1.00×, 1.00×
-// and 1.03×). The run counts quoted below were taken while the batched
-// stack still gathered behind a 200µs timer at MaxBatch 8, a
-// configuration no default ever shipped; they calibrate the sampling
-// method, which is unchanged.
+// The batched stack is the shipped one. Its batcher has no dispatcher and
+// never waits for company: a search parks only while as many searches of
+// its cache as there are processors are already in flight, and the first
+// of those to finish hands what parked to its first member. On a 2-core
+// box 3,101–3,866 of 24,624 searches shared a pass over three runs here
+// (27–54 behind the old dispatcher): how many coalesced is reported, not
+// gated. That overlapping searches do share a pass is pinned with exact
+// counts by internal/server's TestSearchBatcher tests; what this run
+// gates is that the batcher costs a hot tenant nothing and changes no
+// answer (the three runs read 1.01×, 0.98× and 1.02×). The run counts
+// quoted below were taken while the batched stack still gathered behind
+// a 200µs timer at MaxBatch 8, a configuration no default ever shipped;
+// they calibrate the sampling method, which is unchanged.
 //
 // A single unbatched run followed by a single batched run put the p99
 // comparison on ~1,260 hit samples per side taken seconds apart, and

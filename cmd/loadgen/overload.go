@@ -89,13 +89,6 @@ func runOverload(e env) ([]gate, error) {
 	// (the report counts them).
 	cfg.Tau = 0.70
 	cfg.TauDegraded = 0.10
-	// Neither batcher: the hit-path p99 gate compares an unloaded phase
-	// with 48 workers on two cores, and under that load requests queue at
-	// a batcher's single dispatcher. With the shipped encode batcher the
-	// outage p99 read 9.7–15ms over six runs, with the shipped search
-	// batcher 2.6–7.8ms, against 0.2–0.3ms (or this box's 4.2ms mode)
-	// with neither; unloaded, 0.3–1.1ms in every case.
-	cfg.NoBatch, cfg.NoSearchBatch = true, true
 	st, err := stack.Build(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("building stack: %w", err)

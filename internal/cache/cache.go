@@ -32,7 +32,7 @@ type Entry struct {
 
 	// eviction bookkeeping
 	lastUsed int64
-	hits     int
+	hits     int64
 	seq      int64 // insertion order
 }
 
@@ -259,14 +259,19 @@ func (c *Cache) Get(id int) (*Entry, bool) {
 	return c.entries[idx], true
 }
 
-// Touch records a cache hit on id for the eviction policy.
+// Touch records a cache hit on id for the eviction policy. It follows
+// every served hit, so it takes the lock shared, like the search before
+// it, and updates its counters atomically: under the write lock each hit
+// on a busy tenant waited out the searches in flight while holding back
+// every search that arrived behind it. The policies read the counters
+// under the write lock, which excludes Touch.
 func (c *Cache) Touch(id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if idx, ok := c.byID[id]; ok {
-		c.clock++
-		c.entries[idx].lastUsed = c.clock
-		c.entries[idx].hits++
+		e := c.entries[idx]
+		atomic.StoreInt64(&e.lastUsed, atomic.AddInt64(&c.clock, 1))
+		atomic.AddInt64(&e.hits, 1)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 	"repro/internal/vecmath"
@@ -151,6 +152,42 @@ func TestLFUEviction(t *testing.T) {
 	c.Put("d", "r", unit(4, 3), NoParent)
 	if _, ok := c.Get(id0); !ok {
 		t.Fatal("most-hit entry evicted under LFU")
+	}
+}
+
+// TestTouchDoesNotExcludeSearches: a hit's Touch goes through while a
+// search holds the cache (as a writer it would wait for the search, and
+// stall every search that arrives meanwhile), and concurrent touches all
+// count.
+func TestTouchDoesNotExcludeSearches(t *testing.T) {
+	c := New(4, 2, LFU{})
+	id0, _ := c.Put("a", "r", unit(4, 0), NoParent)
+	id1, _ := c.Put("b", "r", unit(4, 1), NoParent)
+	c.mu.RLock() // a search in flight
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); c.Touch(id0) }()
+		}
+		wg.Wait()
+		c.Touch(id1)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Touch is waiting for a search in flight to finish")
+	}
+	c.mu.RUnlock()
+	if e, _ := c.Get(id0); e.hits != 8 {
+		t.Errorf("8 concurrent touches counted %d hits", e.hits)
+	}
+	// id1 has the fewest hits: LFU's victim, although touched last.
+	c.Put("c", "r", unit(4, 2), NoParent)
+	if _, ok := c.Get(id1); ok {
+		t.Error("LFU kept the least-hit entry")
 	}
 }
 

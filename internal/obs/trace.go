@@ -18,8 +18,8 @@ type SpanKind uint8
 const (
 	// SpanDecode covers reading and unmarshalling the request body.
 	SpanDecode SpanKind = iota + 1
-	// SpanEncode covers probe embedding, dispatcher queueing included
-	// when the tenant encodes through the micro-batcher.
+	// SpanEncode covers probe embedding, time parked behind a pass in
+	// flight included when the tenant encodes through the micro-batcher.
 	SpanEncode
 	// SpanSearch covers the index search proper; it carries the serving
 	// tier and candidate count.

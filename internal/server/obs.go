@@ -315,7 +315,7 @@ type batcherNames struct {
 var (
 	encodeBatcherNames = batcherNames{
 		prefix:    "meancache_batch",
-		queue:     "Encode requests queued for the batch dispatcher.",
+		queue:     "Encode requests parked behind the passes in flight.",
 		size:      "Dispatched encode batch sizes.",
 		requests:  "Encode calls served through the batcher.",
 		batches:   "Batch dispatches.",
@@ -323,10 +323,10 @@ var (
 	}
 	searchBatcherNames = batcherNames{
 		prefix:    "meancache_search_batch",
-		queue:     "Searches queued for the search-batch dispatcher.",
-		size:      "Per-tenant search group sizes (1 = handed back for direct execution).",
+		queue:     "Searches parked behind the passes in flight.",
+		size:      "Per-tenant search pass sizes (1 = a direct search).",
 		requests:  "Searches routed through the search batcher.",
-		batches:   "Search passes (coalesced groups plus handed-back singletons).",
+		batches:   "Search passes (coalesced passes plus direct searches).",
 		coalesced: "Searches that shared a multi-probe index pass.",
 	}
 )

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,8 +48,8 @@ func matchesEqual(got, want []cache.Match) error {
 	return nil
 }
 
-// TestSearchBatcherMatchesDirect queues 200 probes of one cache behind a
-// busy dispatcher and checks every reply is bit-identical — same entries,
+// TestSearchBatcherMatchesDirect parks 200 probes of one cache behind a
+// search in flight and checks every reply is bit-identical — same entries,
 // same scores, same order — to the direct FindSimilarAppend path, and that
 // they were served in exactly ⌈200/64⌉ multi-probe passes.
 func TestSearchBatcherMatchesDirect(t *testing.T) {
@@ -62,28 +63,30 @@ func TestSearchBatcherMatchesDirect(t *testing.T) {
 	for i, e := range embs {
 		want[i] = c.FindSimilarAppend(e, k, tau, nil)
 	}
-	sizes := coalescedBurst(t, sb, n, func(i int) {
+	sizes := coalescedBurst(t, sb, 1, n, func(i int) {
 		if err := matchesEqual(sb.FindSimilar(c, embs[i], k, tau, nil), want[i]); err != nil {
 			t.Errorf("probe %d: %v", i, err)
 		}
 	})
 
-	if want := []int{1, 64, 64, 64, 8}; !reflect.DeepEqual(sizes, want) {
+	if want := []int{64, 64, 64, 8}; !reflect.DeepEqual(sizes, want) {
 		t.Errorf("pass sizes %v, want %v", sizes, want)
 	}
-	if st := sb.Stats(); st.Requests != n+1 || st.Batches != 5 || st.Coalesced != n {
-		t.Errorf("Stats = %+v, want %d requests in 5 passes, %d coalesced", st, n+1, n)
+	leaders := int64(runtime.GOMAXPROCS(0))
+	if st := sb.Stats(); st.Requests != n+leaders || st.Batches != 4+leaders || st.Coalesced != n {
+		t.Errorf("Stats = %+v, want %d requests in %d passes, %d coalesced", st, n+leaders, 4+leaders, n)
 	}
 }
 
 // TestSearchBatcherMixedGroups interleaves two caches and two (k, tau)
-// settings in one batch: the dispatcher must split it into one group per
-// (cache, k, tau) and every reply must still match its own direct path.
+// settings in one burst: it must be served as one pass per (cache, k,
+// tau), each kind behind its own leaders (the first four jobs are one of
+// each kind), and every reply must still match its own direct path.
 func TestSearchBatcherMixedGroups(t *testing.T) {
 	const dim = 16
 	c1, embs1 := newSearchTestCache(t, dim, 100, 7)
 	c2, embs2 := newSearchTestCache(t, dim, 100, 8)
-	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 256}) // the whole burst is one batch
+	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 256}) // each kind's 50 are one pass
 	defer sb.Close()
 
 	type job struct {
@@ -105,20 +108,20 @@ func TestSearchBatcherMixedGroups(t *testing.T) {
 	for i, j := range jobs {
 		want[i] = j.c.FindSimilarAppend(j.emb, j.k, j.tau, nil)
 	}
-	sizes := coalescedBurst(t, sb, len(jobs), func(i int) {
+	sizes := coalescedBurst(t, sb, 4, len(jobs), func(i int) {
 		j := jobs[i]
 		if err := matchesEqual(sb.FindSimilar(j.c, j.emb, j.k, j.tau, nil), want[i]); err != nil {
 			t.Errorf("job %d: %v", i, err)
 		}
 	})
-	if want := []int{1, 50, 50, 50, 50}; !reflect.DeepEqual(sizes, want) {
+	if want := []int{50, 50, 50, 50}; !reflect.DeepEqual(sizes, want) {
 		t.Errorf("group sizes %v, want %v", sizes, want)
 	}
 }
 
 // TestSearchBatcherSingletonHandback pins the zero-latency promise: a
-// lone request must come straight back (handed to the caller for direct
-// execution), not linger hoping for company.
+// lone request runs directly on its caller's goroutine at once, it does
+// not linger hoping for company.
 func TestSearchBatcherSingletonHandback(t *testing.T) {
 	c, embs := newSearchTestCache(t, 8, 50, 13)
 	sb := NewSearchBatcher(BatcherConfig{})
@@ -139,14 +142,14 @@ func TestSearchBatcherSingletonHandback(t *testing.T) {
 }
 
 // TestSearchBatcherAppendsToDst pins the append contract: matches land
-// after the caller's existing elements, on the direct route (the plug) and
-// the coalesced one (the eight probes behind it) alike.
+// after the caller's existing elements, on the direct route (the held
+// leaders) and the coalesced one (the eight probes behind them) alike.
 func TestSearchBatcherAppendsToDst(t *testing.T) {
 	c, embs := newSearchTestCache(t, 8, 50, 17)
 	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 8})
 	defer sb.Close()
 	sentinel := cache.Match{Score: -42}
-	sizes := coalescedBurst(t, sb, 8, func(i int) {
+	sizes := coalescedBurst(t, sb, 1, 8, func(i int) {
 		dst := append(make([]cache.Match, 0, 16), sentinel)
 		got := sb.FindSimilar(c, embs[i], 3, 0.1, dst)
 		if len(got) < 1 || got[0].Score != -42 {
@@ -158,20 +161,22 @@ func TestSearchBatcherAppendsToDst(t *testing.T) {
 			t.Errorf("probe %d: %v", i, err)
 		}
 	})
-	if want := []int{1, 8}; !reflect.DeepEqual(sizes, want) {
+	if want := []int{8}; !reflect.DeepEqual(sizes, want) {
 		t.Errorf("pass sizes %v, want %v", sizes, want)
 	}
 }
 
 // TestSearchBatcherConcurrentSearchAndClose races searches against Close
 // under -race: every call must return correct results via one route or
-// the other, with no send-on-closed-channel and no stranded caller.
+// the other, with no stranded caller, and be counted with the pass that
+// served it.
 func TestSearchBatcherConcurrentSearchAndClose(t *testing.T) {
 	c, embs := newSearchTestCache(t, 8, 50, 19)
 	sb := NewSearchBatcher(BatcherConfig{MaxBatch: 4})
 	want := c.FindSimilarAppend(embs[0], 5, 0.1, nil)
 	var wg sync.WaitGroup
-	var served atomic.Int64
+	var served, sizes atomic.Int64
+	sb.OnBatch(func(size int) { sizes.Add(int64(size)) })
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
 		go func() {
@@ -189,6 +194,51 @@ func TestSearchBatcherConcurrentSearchAndClose(t *testing.T) {
 	if served.Load() != 64 {
 		t.Fatalf("served %d of 64 racing searches", served.Load())
 	}
+	if st := sb.Stats(); st.Requests != 64 || st.Requests != sizes.Load() {
+		t.Errorf("Stats = %+v with pass sizes summing to %d, want 64 requests = Σ sizes", st, sizes.Load())
+	}
 	// Close is idempotent.
 	sb.Close()
+}
+
+// TestSearchBatcherIndependentCachesDoNotSerialise: while a leader is held
+// inside its pass on one cache, a search of another cache returns without
+// waiting for it, and when both are done the batcher holds no per-cache
+// state.
+func TestSearchBatcherIndependentCachesDoNotSerialise(t *testing.T) {
+	a, embsA := newSearchTestCache(t, 8, 50, 29)
+	b, embsB := newSearchTestCache(t, 8, 50, 30)
+	sb := NewSearchBatcher(BatcherConfig{})
+	defer sb.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	var passes atomic.Int64
+	sb.OnBatch(func(int) {
+		if passes.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+	})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		sb.FindSimilar(a, embsA[0], 5, 0.1, nil)
+	}()
+	<-held
+	other := make(chan []cache.Match, 1)
+	go func() { other <- sb.FindSimilar(b, embsB[0], 5, 0.1, nil) }()
+	select {
+	case got := <-other:
+		if err := matchesEqual(got, b.FindSimilarAppend(embsB[0], 5, 0.1, nil)); err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a search of cache B is waiting behind the pass in flight on cache A")
+	}
+	close(release)
+	<-leaderDone
+	sb.comb.mu.Lock()
+	defer sb.comb.mu.Unlock()
+	if n := len(sb.comb.lanes); n != 0 {
+		t.Errorf("%d caches still marked in flight with no search running", n)
+	}
 }

@@ -45,10 +45,12 @@
 //
 // Concurrent searches against one hot tenant coalesce into single
 // multi-probe index passes through the per-tenant search batcher
-// (-search-batch; -no-search-batch disables it), as concurrent encodes
-// share one EncodeBatch call through the encode batcher (-batch,
-// -no-batch). Neither waits for company: a batch is whatever had already
-// queued while the previous one ran, so batching adds no latency.
+// (-search-batch caps a pass; -no-search-batch disables it), as
+// concurrent encodes share one EncodeBatch call through the encode
+// batcher (-batch). Neither owns a goroutine or waits for company: a
+// request runs at once on its own goroutine unless as many passes as
+// there are processors are already in flight for the same encoder or
+// cache, and a batch is whatever parked behind those.
 //
 // Resilience: -quota-rate enforces per-tenant token-bucket admission
 // (429 + Retry-After past the burst), -limit-max puts an AIMD adaptive
@@ -136,8 +138,8 @@ type Config struct {
 	VNodes, ClusterDeadAfter int
 	ClusterHeartbeat         time.Duration
 
-	Batch, SearchBatch     server.BatcherConfig
-	NoBatch, NoSearchBatch bool
+	Batch, SearchBatch server.BatcherConfig
+	NoSearchBatch      bool
 
 	Governor resilience.GovernorConfig
 	Metrics  bool
@@ -195,7 +197,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.ClusterDeadAfter, "cluster-dead-after", 3, "cluster: consecutive probe failures before a peer is dead")
 
 	fs.IntVar(&c.Batch.MaxBatch, "batch", 32, "embedding micro-batch size cap")
-	fs.BoolVar(&c.NoBatch, "no-batch", false, "disable the embedding micro-batcher")
 
 	fs.IntVar(&c.SearchBatch.MaxBatch, "search-batch", 32, "per-tenant search batch size cap")
 	fs.BoolVar(&c.NoSearchBatch, "no-search-batch", false, "disable the per-tenant search batcher")
@@ -243,7 +244,7 @@ func Default() Config {
 // callers drive or inspect; those cfg disables are nil.
 type Stack struct {
 	// Encoder is what tenants encode through: the model, in the FL holder
-	// (with FL on), in the micro-batcher (unless off).
+	// (with FL on), in the micro-batcher.
 	Encoder       embed.Encoder
 	Batcher       *server.Batcher
 	SearchBatcher *server.SearchBatcher
@@ -301,10 +302,8 @@ func Build(cfg Config) (_ *Stack, err error) {
 		flHooks = &flserve.LateHooks{}
 		s.hooks, s.observer = flHooks, collector
 	}
-	if !cfg.NoBatch {
-		s.Batcher = server.NewBatcher(enc, cfg.Batch)
-		enc = s.Batcher
-	}
+	s.Batcher = server.NewBatcher(enc, cfg.Batch)
+	enc = s.Batcher
 	s.Encoder = enc
 
 	// The resilience governor assembles whichever overload-protection

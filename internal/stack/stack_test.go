@@ -31,8 +31,8 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	c.Bind(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 59 {
-		t.Errorf("Bind registers %d flags, want 59", n)
+	if n != 58 {
+		t.Errorf("Bind registers %d flags, want 58", n)
 	}
 	var got bytes.Buffer
 	fs.SetOutput(&got)
@@ -61,7 +61,6 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 		// its two BatcherConfig literals are inert (nothing in
 		// internal/server reads that field), so there is no default to match.
 		{"encode batch cap", d.Batch.MaxBatch, 32},
-		{"encode batcher on", d.NoBatch, false},
 		{"search batch cap", d.SearchBatch.MaxBatch, 32},
 		{"search batcher on", d.NoSearchBatch, false},
 		{"limiter min", d.Governor.Limiter.MinLimit, 4},
@@ -126,14 +125,14 @@ func query(t *testing.T, h http.Handler, user, text string) server.QueryResponse
 }
 
 // stackGoroutines lists the running goroutines that belong to a Stack's
-// own background workers: batcher dispatchers, the FL round ticker, the
-// cluster loops.
+// own background workers: the FL round ticker and the cluster loops (the
+// batchers own no goroutine).
 func stackGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	var out []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		for _, owner := range []string{"server.(*batchCore", "flserve.(*Service)", "cluster.(*Node)"} {
+		for _, owner := range []string{"flserve.(*Service)", "cluster.(*Node)"} {
 			if strings.Contains(g, owner) {
 				out = append(out, g)
 				break
@@ -202,13 +201,17 @@ func TestBuildModes(t *testing.T) {
 			c.Encoder = &countingEncoder{Model: enc}
 		}, check: func(t *testing.T, s *Stack) {
 			// The encode batcher never waits for company, so overlap is
-			// arranged: hold its dispatcher inside the OnBatch hook (which
-			// runs on the dispatcher goroutine) on a first query's encode,
-			// queue two more queries behind it, then let it go.
-			parked, release := make(chan struct{}), make(chan struct{})
-			var once sync.Once
+			// arranged: hold as many queries' encodes as it lets run at
+			// once inside the OnBatch hook (which runs on the leader's
+			// goroutine, its pass marked in flight), park two more queries
+			// behind them, then let them go.
+			leaders := int32(runtime.GOMAXPROCS(0))
+			held, release := make(chan struct{}), make(chan struct{})
+			var passes atomic.Int32
 			s.Batcher.OnBatch(func(int) {
-				once.Do(func() { close(parked) })
+				if passes.Add(1) == leaders {
+					close(held)
+				}
 				<-release
 			})
 			var wg sync.WaitGroup
@@ -221,15 +224,17 @@ func TestBuildModes(t *testing.T) {
 					t.Errorf("%s: query status %d: %s", user, rec.Code, rec.Body)
 				}
 			}
-			wg.Add(1)
-			go serve("plug")
-			<-parked
+			for i := int32(0); i < leaders; i++ {
+				wg.Add(1)
+				go serve("leader" + string(rune('a'+i)))
+			}
+			<-held
 			wg.Add(2)
 			go serve("a")
 			go serve("b")
 			for deadline := time.Now().Add(10 * time.Second); s.Batcher.QueueDepth() < 2; time.Sleep(100 * time.Microsecond) {
 				if time.Now().After(deadline) {
-					t.Errorf("%d of 2 encodes queued behind the held dispatcher", s.Batcher.QueueDepth())
+					t.Errorf("%d of 2 encodes parked behind the held passes", s.Batcher.QueueDepth())
 					break
 				}
 			}
@@ -243,11 +248,11 @@ func TestBuildModes(t *testing.T) {
 				t.Errorf("batcher stats %+v, want 2 coalesced", st)
 			}
 		}},
-		{name: "no batchers, no gate", set: func(c *Config) {
-			c.NoBatch, c.NoSearchBatch, c.Governor.MaintenanceWeight = true, true, 0
+		{name: "no search batcher, no gate", set: func(c *Config) {
+			c.NoSearchBatch, c.Governor.MaintenanceWeight = true, 0
 		}, check: func(t *testing.T, s *Stack) {
-			if s.Batcher != nil || s.SearchBatcher != nil || s.Encoder.Name() != "albert-sim" {
-				t.Errorf("batchers built although disabled (encoder %s)", s.Encoder.Name())
+			if s.SearchBatcher != nil {
+				t.Error("search batcher built although disabled")
 			}
 			if s.tenant.Searcher != nil || s.tenant.MaintenanceGate != nil {
 				t.Error("a disabled searcher or gate must be a true nil interface")
