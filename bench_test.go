@@ -338,7 +338,6 @@ const (
 // populated with the fixed-seed clustered corpus, plus a near-duplicate
 // probe.
 func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
-	hnswCfg := index.HNSWConfig{M: 16, EfConstruction: 80, EfSearch: 96, Seed: 1}
 	var c *cache.Cache
 	switch tier {
 	case "scan":
@@ -347,10 +346,8 @@ func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
 		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{},
 			index.NewIVF(largeTenantDim, index.IVFConfig{NList: 141, NProbe: 12, Seed: 1}))
 	case "hnsw":
-		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{}, index.NewHNSW(largeTenantDim, hnswCfg))
-	case "hnsw-int8":
-		hnswCfg.Quantized = true
-		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{}, index.NewHNSW(largeTenantDim, hnswCfg))
+		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{},
+			index.NewHNSW(largeTenantDim, index.HNSWConfig{M: 16, EfConstruction: 80, EfSearch: 96, Seed: 1}))
 	default:
 		b.Fatalf("unknown tier %q", tier)
 	}
@@ -366,11 +363,11 @@ func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
 
 // BenchmarkLargeCacheSearch compares the cache's similarity-search path
 // across the index tiers at the large-tenant operating point (20k
-// entries × 64 dims): the built-in parallel scan versus IVF, HNSW and the
-// int8-quantized HNSW. This is the quantity the adaptive tiering trades
-// on — the same FindSimilar call, orders of magnitude apart in work.
+// entries × 64 dims): the exact scan versus IVF and HNSW. This is the
+// quantity the adaptive tiering trades on — the same FindSimilar call,
+// orders of magnitude apart in work.
 func BenchmarkLargeCacheSearch(b *testing.B) {
-	for _, tier := range []string{"scan", "ivf", "hnsw", "hnsw-int8"} {
+	for _, tier := range []string{"scan", "ivf", "hnsw"} {
 		// Built here, not inside b.Run: the testing package calls this
 		// function once but re-invokes each sub-benchmark with growing
 		// b.N, and a 20k HNSW graph per calibration round would dominate

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	cacheserve -addr 127.0.0.1:8090 -upstream 127.0.0.1:8080
-//	cacheserve -index adaptive -hnsw-int8
 //	cacheserve -fl -fl-interval 30s -fl-dir /var/lib/cacheserve/fl
 //	cacheserve -addr 10.0.0.1:8090 -cluster -peers 10.0.0.2:8090,10.0.0.3:8090 \
 //	    -vnodes 128 -persist-dir /mnt/shared/tenants

@@ -38,14 +38,6 @@ type annIndex struct {
 	inter int // results shared with the Flat ground truth
 }
 
-func annHNSW(quantized bool) func(int64) index.Index {
-	return func(seed int64) index.Index {
-		return index.NewHNSW(annDim, index.HNSWConfig{
-			M: 16, EfConstruction: 100, EfSearch: 96, Seed: seed, Quantized: quantized,
-		})
-	}
-}
-
 func runANN(e env) ([]gate, error) {
 	rng := rand.New(rand.NewSource(e.seed))
 	fmt.Printf("=== ann scenario: %d vectors × %d dims, %d queries, k=%d ===\n",
@@ -62,7 +54,9 @@ func runANN(e env) ([]gate, error) {
 		queries[i] = dataset.PerturbUnit(rng, corpus[rng.Intn(len(corpus))], 0.2)
 	}
 
-	hnsw := &annIndex{name: "hnsw", build: annHNSW(false)}
+	hnsw := &annIndex{name: "hnsw", build: func(seed int64) index.Index {
+		return index.NewHNSW(annDim, index.HNSWConfig{M: 16, EfConstruction: 100, EfSearch: 96, Seed: seed})
+	}}
 	runs := []*annIndex{
 		{name: "flat", build: func(int64) index.Index { return index.NewFlat(annDim) }},
 		{name: "ivf", build: func(seed int64) index.Index {
@@ -70,7 +64,6 @@ func runANN(e env) ([]gate, error) {
 			return index.NewIVF(annDim, index.IVFConfig{NList: nlist, NProbe: max(nlist/16, 8), Seed: seed})
 		}},
 		hnsw,
-		{name: "hnsw8", build: annHNSW(true)},
 	}
 	for _, r := range runs {
 		r.idx = r.build(e.seed)

@@ -1,10 +1,10 @@
 // Largescale: semantic search beyond user-side cache sizes.
 //
 // §III-B notes the semantic search must scale toward a million cached
-// entries. This example indexes 100,000 PCA-compressed embeddings four
-// ways — the exact parallel flat scan, the IVF inverted-file index, the
-// HNSW graph and its int8-quantized variant — and compares search latency
-// and top-1 agreement with the exact scan.
+// entries. This example indexes 100,000 PCA-compressed embeddings three
+// ways — the exact parallel flat scan, the IVF inverted-file index and
+// the HNSW graph, the tiers a growing cache is promoted through — and
+// compares search latency and top-1 agreement with the exact scan.
 //
 // Run with: go run ./examples/largescale
 package main
@@ -31,17 +31,13 @@ func main() {
 	// dimension).
 	vecs := dataset.ClusteredVectors(rng, n, 256, dim, 0.35)
 
-	hnswCfg := index.HNSWConfig{M: 16, EfConstruction: 100, EfSearch: 96, Seed: 2}
-	hnsw8Cfg := hnswCfg
-	hnsw8Cfg.Quantized = true
 	indexes := []struct {
 		name string
 		idx  index.Index
 	}{
 		{"flat (exact)", index.NewFlat(dim)},
 		{"ivf (nprobe=16)", index.NewIVF(dim, index.IVFConfig{NList: 317, NProbe: 16, Seed: 2})},
-		{"hnsw (ef=96)", index.NewHNSW(dim, hnswCfg)},
-		{"hnsw-int8 (ef=96)", index.NewHNSW(dim, hnsw8Cfg)},
+		{"hnsw (ef=96)", index.NewHNSW(dim, index.HNSWConfig{M: 16, EfConstruction: 100, EfSearch: 96, Seed: 2})},
 	}
 	for _, e := range indexes {
 		start := time.Now()

@@ -54,11 +54,10 @@ type Cache struct {
 	byID    map[int]int // entry ID -> index in entries
 	nextID  int
 	clock   int64
-	// idx owns similarity search. New installs the slab-backed exact
-	// index.Flat; NewWithIndex substitutes an approximate index for very
-	// large caches (external = true).
-	idx      index.Index
-	external bool
+	// idx owns similarity search: the exact index.Flat under New, the
+	// caller's under NewWithIndex (core hands every tenant an
+	// index.Adaptive, which picks its tier from the entry count).
+	idx index.Index
 
 	// hitBufs recycles the []index.Hit scratch FindSimilarAppend hands
 	// to the index, so a warmed search allocates nothing but its result.
@@ -88,7 +87,9 @@ type Stats struct {
 // New creates a cache for embeddings of the given dimension. capacity
 // bounds the entry count (0 = unbounded); policy picks the eviction victim
 // when full. Similarity search runs on the slab-backed exact index
-// (index.Flat) — one search implementation serves every cache size.
+// (index.Flat) at every size: the paper's search, and what the
+// experiments and probes that measure it construct. A serving tenant's
+// cache comes from NewWithIndex (see core.New).
 //
 // Each embedding is stored twice: Entry.Embedding is an immutable
 // per-entry copy (stale *Entry holders — context-chain checks, in-flight
@@ -100,12 +101,16 @@ func New(dim, capacity int, policy Policy) *Cache {
 	if dim <= 0 {
 		panic("cache: dim must be positive")
 	}
+	return newCache(dim, capacity, policy, index.NewFlat(dim))
+}
+
+func newCache(dim, capacity int, policy Policy, idx index.Index) *Cache {
 	return &Cache{
 		dim:      dim,
 		capacity: capacity,
 		policy:   policy,
 		byID:     make(map[int]int),
-		idx:      index.NewFlat(dim),
+		idx:      idx,
 	}
 }
 

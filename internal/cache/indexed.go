@@ -8,12 +8,11 @@ import (
 )
 
 // NewWithIndex creates a cache whose similarity search is delegated to the
-// given vector index instead of the default slab-backed exact scan: an
-// index.IVF or index.HNSW for very large caches (§III-B cites
-// million-entry semantic search), or an index.Adaptive to let each tenant
-// start on the exact scan and promote as it grows. The exact index
-// remains the default for user-side cache sizes. The index must be empty
-// and match dim.
+// given vector index instead of New's exact scan: the index.Adaptive
+// core.New gives every tenant, which starts on the exact scan and
+// promotes as the cache grows (§III-B cites million-entry semantic
+// search), or one tier pinned by a test. The index must be empty and
+// match dim.
 func NewWithIndex(dim, capacity int, policy Policy, idx index.Index) *Cache {
 	if idx.Dim() != dim {
 		panic(fmt.Sprintf("cache: index dim %d != cache dim %d", idx.Dim(), dim))
@@ -21,17 +20,14 @@ func NewWithIndex(dim, capacity int, policy Policy, idx index.Index) *Cache {
 	if idx.Len() != 0 {
 		panic("cache: index must start empty")
 	}
-	c := New(dim, capacity, policy)
-	c.idx = idx
-	c.external = true
-	return c
+	return newCache(dim, capacity, policy, idx)
 }
 
 // LoadFromWithIndex rebuilds a cache from records written by SaveTo, like
 // LoadFrom, and attaches the given (empty) vector index, inserting every
-// revived embedding into it — the revival path for tenants served through
-// an external index. The index is installed before the entries load, so
-// each revived embedding is indexed exactly once.
+// revived embedding into it — the serving layer's revival path. The index
+// is installed before the entries load, so each revived embedding is
+// indexed exactly once.
 func LoadFromWithIndex(st *store.Store, dim, capacity int, policy Policy, idx index.Index) (*Cache, error) {
 	if idx.Dim() != dim {
 		return nil, fmt.Errorf("cache: index dim %d != cache dim %d", idx.Dim(), dim)
@@ -39,15 +35,9 @@ func LoadFromWithIndex(st *store.Store, dim, capacity int, policy Policy, idx in
 	if idx.Len() != 0 {
 		return nil, fmt.Errorf("cache: index must start empty")
 	}
-	c := New(dim, capacity, policy)
-	c.idx = idx
-	c.external = true
+	c := newCache(dim, capacity, policy, idx)
 	if err := loadEntries(c, st, dim); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
-
-// Indexed reports whether an external (typically approximate) vector
-// index is attached in place of the default exact index.
-func (c *Cache) Indexed() bool { return c.external }

@@ -18,8 +18,8 @@ func TestIndexedCacheMatchesFlatCache(t *testing.T) {
 	ivf := NewWithIndex(16, 0, LRU{}, index.NewIVF(16, index.IVFConfig{
 		NList: 8, NProbe: 8, TrainSize: 30, Seed: 1,
 	}))
-	if !ivf.Indexed() || flat.Indexed() {
-		t.Fatal("Indexed() wiring wrong")
+	if ivf.ServingTier() != "ivf" || flat.ServingTier() != "flat" {
+		t.Fatalf("ServingTier() = %q / %q, want ivf / flat", ivf.ServingTier(), flat.ServingTier())
 	}
 	for i := int64(0); i < 120; i++ {
 		e := unit(16, i)
@@ -217,8 +217,8 @@ func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFindSimilarAppendZeroAlloc: a cache built with -index
-// adaptive reaches its index through SearchAppend, the pooled branch of
+// TestAdaptiveFindSimilarAppendZeroAlloc: a cache on the adaptive index
+// every tenant gets reaches it through SearchAppend, the pooled branch of
 // FindSimilarAppend, not through the allocating Search.
 func TestAdaptiveFindSimilarAppendZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
@@ -269,8 +269,8 @@ func TestLoadFromWithIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadFromWithIndex: %v", err)
 	}
-	if !revived.Indexed() || revived.Len() != 20 {
-		t.Fatalf("revived: Indexed=%v Len=%d", revived.Indexed(), revived.Len())
+	if revived.ServingTier() != "hnsw" || revived.Len() != 20 {
+		t.Fatalf("revived: ServingTier=%q Len=%d", revived.ServingTier(), revived.Len())
 	}
 	for i := int64(0); i < 20; i++ {
 		ms := revived.FindSimilar(unit(8, i), 1, 0.999)

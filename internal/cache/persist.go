@@ -162,8 +162,8 @@ func LoadFrom(st *store.Store, dim, capacity int, policy Policy) (*Cache, error)
 }
 
 // loadEntries reads SaveTo records into c, indexing each entry into
-// c.idx exactly once — callers install the index (default or external)
-// before loading, so revival never builds a throwaway index.
+// c.idx exactly once — callers install the index before loading, so
+// revival never builds a throwaway index.
 func loadEntries(c *Cache, st *store.Store, dim int) error {
 	var wires []entryWire
 	for _, key := range st.Keys() {

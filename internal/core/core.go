@@ -66,11 +66,13 @@ type Options struct {
 	// eviction victims (default LRU, as in Figure 1).
 	Capacity int
 	Policy   cache.Policy
-	// IndexFactory, when non-nil, builds the vector index backing the
-	// cache's similarity search (index.NewHNSW, index.NewAdaptive, …)
-	// instead of the built-in parallel flat scan. The serving layer also
-	// uses it when reviving a persisted tenant, so indexed tenants stay
-	// indexed across evictions.
+	// IndexFactory builds the vector index backing the cache's
+	// similarity search. Nil, which is what every serving stack passes,
+	// means index.NewAdaptive with its zero config: the cache's size
+	// picks the tier (exact scan, then IVF, then HNSW) at thresholds
+	// measured on this machine. Tests and internal/experiments set it to
+	// pin one tier. The serving layer calls it again when reviving a
+	// persisted tenant.
 	IndexFactory func(dim int) index.Index
 	// FeedbackStep is how much a false-hit report raises Tau (§III-A.2:
 	// the threshold adapts from user feedback). Zero disables adjustment.
@@ -147,20 +149,29 @@ func New(opts Options) *Client {
 	if opts.Policy == nil {
 		opts.Policy = cache.LRU{}
 	}
-	dim := opts.Encoder.Dim()
-	if opts.IndexFactory != nil {
-		return NewWithCache(opts, cache.NewWithIndex(dim, opts.Capacity, opts.Policy, opts.IndexFactory(dim)))
+	if opts.IndexFactory == nil {
+		opts.IndexFactory = adaptiveIndex
 	}
-	return NewWithCache(opts, cache.New(dim, opts.Capacity, opts.Policy))
+	dim := opts.Encoder.Dim()
+	return NewWithCache(opts, cache.NewWithIndex(dim, opts.Capacity, opts.Policy, opts.IndexFactory(dim)))
+}
+
+// adaptiveIndex is the index every tenant's cache gets unless a test or
+// experiment pins another: the one place a serving index is chosen.
+func adaptiveIndex(dim int) index.Index {
+	return index.NewAdaptive(dim, index.AdaptiveConfig{})
 }
 
 // NewWithCache builds a Client around an existing cache — typically one
-// rebuilt from persistent storage with cache.LoadFrom, as the serving
-// layer does when it revives an evicted tenant. The cache's dimension must
-// match the encoder's.
+// rebuilt from persistent storage with cache.LoadFromWithIndex, as the
+// serving layer does when it revives an evicted tenant. The cache's
+// dimension must match the encoder's.
 func NewWithCache(opts Options, cc *cache.Cache) *Client {
 	if opts.Encoder == nil {
 		panic("core: Options.Encoder is required")
+	}
+	if opts.IndexFactory == nil {
+		opts.IndexFactory = adaptiveIndex
 	}
 	if opts.TopK <= 0 {
 		opts.TopK = 5

@@ -215,11 +215,12 @@ func AblationEviction(lab *Lab) *AblationResult {
 
 	for _, policy := range []cache.Policy{cache.LRU{}, cache.LFU{}, cache.FIFO{}} {
 		client := core.New(core.Options{
-			Encoder:  tm.Model,
-			LLM:      llmsim.New(llmsim.DefaultConfig()),
-			Tau:      float32(tm.Tau),
-			Capacity: nIntents / 4,
-			Policy:   policy,
+			Encoder:      tm.Model,
+			LLM:          llmsim.New(llmsim.DefaultConfig()),
+			Tau:          float32(tm.Tau),
+			Capacity:     nIntents / 4,
+			Policy:       policy,
+			IndexFactory: exactIndex,
 		})
 		hits := 0
 		seen := make(map[int]bool)

@@ -48,9 +48,10 @@ func Savings(lab *Lab) *SavingsResult {
 	for u, stream := range streams {
 		n := min(len(stream.Queries), maxPerUser)
 		client := core.New(core.Options{
-			Encoder: tm.Model,
-			LLM:     llmsim.New(llmsim.DefaultConfig()),
-			Tau:     float32(tm.Tau),
+			Encoder:      tm.Model,
+			LLM:          llmsim.New(llmsim.DefaultConfig()),
+			Tau:          float32(tm.Tau),
+			IndexFactory: exactIndex,
 		})
 		us := UserSavings{User: u + 1, Queries: n}
 		// Track the intent of each cached entry to grade hits.

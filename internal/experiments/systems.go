@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/gptcache"
+	"repro/internal/index"
 	"repro/internal/llmsim"
 	"repro/internal/metrics"
 )
@@ -31,6 +32,12 @@ type System interface {
 	StorageBytes() int64
 }
 
+// exactIndex pins every experiment's MeanCache client to the exact scan:
+// the paper's FindSimilarQueriesInCache is exact, and Figure 10 caches
+// 1,000–3,000 entries at 768-d, past where a serving tenant's adaptive
+// index would have promoted to an approximate tier.
+func exactIndex(dim int) index.Index { return index.NewFlat(dim) }
+
 // meanCacheSystem wraps core.Client.
 type meanCacheSystem struct {
 	name   string
@@ -45,9 +52,10 @@ func NewMeanCacheSystem(name string, enc embed.Encoder, tau float64) System {
 	return &meanCacheSystem{
 		name: name,
 		client: core.New(core.Options{
-			Encoder: enc,
-			Tau:     float32(tau),
-			TopK:    5,
+			Encoder:      enc,
+			Tau:          float32(tau),
+			TopK:         5,
+			IndexFactory: exactIndex,
 		}),
 	}
 }

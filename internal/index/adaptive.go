@@ -20,10 +20,10 @@ import (
 // vector — so neither a writer nor, through RWMutex writer preference,
 // any later reader is ever parked behind a long snapshot pass.
 //
-// The zero-value thresholds give Flat → IVF at 4096 entries and
-// IVF → HNSW at 65536 — Flat's parallel scan genuinely wins below the
-// first threshold, and IVF's probe-list scan beats graph traversal until
-// lists grow long.
+// The zero-value thresholds are DefaultThresholds: measured once per
+// process from this machine's scan speed, not set. Flat's exact scan
+// wins below the first, and IVF's probe-list scan beats graph traversal
+// until lists grow long.
 type Adaptive struct {
 	dim int
 	cfg AdaptiveConfig
@@ -53,17 +53,18 @@ type tierOp struct {
 }
 
 // AdaptiveConfig tunes the tier thresholds and the promoted tiers'
-// parameters. Zero values select the defaults.
+// parameters. Zero values select the defaults; the serving stack passes
+// the zero value, tests pin thresholds to reach a tier with few entries.
 type AdaptiveConfig struct {
 	// FlatMax is the entry count past which the Flat tier promotes to
-	// IVF. Default 4096.
+	// IVF. Default: DefaultThresholds' first value.
 	FlatMax int
 	// IVFMax is the entry count past which the IVF tier promotes to
-	// HNSW. Default 65536 (raised to 4·FlatMax when FlatMax alone is set
-	// at or past it, so the default never silently disables IVF). Set
-	// IVFMax explicitly at or below FlatMax — negative values are
-	// normalised to FlatMax — to skip the IVF tier entirely: Flat then
-	// promotes straight to HNSW at FlatMax.
+	// HNSW. Default: DefaultThresholds' second value (raised to
+	// 4·FlatMax when FlatMax alone is set at or past it, so the default
+	// never silently disables IVF). Set IVFMax explicitly at or below
+	// FlatMax — negative values are normalised to FlatMax — to skip the
+	// IVF tier entirely: Flat then promotes straight to HNSW at FlatMax.
 	IVFMax int
 	// IVF configures the middle tier (NList/TrainSize are sized from
 	// FlatMax when zero, so the promoted index trains immediately).
@@ -77,17 +78,20 @@ func NewAdaptive(dim int, cfg AdaptiveConfig) *Adaptive {
 	if dim <= 0 {
 		panic("index: dim must be positive")
 	}
-	if cfg.FlatMax <= 0 {
-		cfg.FlatMax = 4096
-	}
-	if cfg.IVFMax == 0 {
-		// Default the second threshold — but never let the default itself
-		// imply skip-IVF: a caller raising only FlatMax past 65536 would
-		// otherwise silently lose the middle tier. Skipping IVF stays an
-		// explicit choice (IVFMax set at or below FlatMax).
-		cfg.IVFMax = 65536
-		if cfg.IVFMax <= cfg.FlatMax {
-			cfg.IVFMax = 4 * cfg.FlatMax
+	if cfg.FlatMax <= 0 || cfg.IVFMax == 0 {
+		flatMax, ivfMax := DefaultThresholds(dim)
+		if cfg.FlatMax <= 0 {
+			cfg.FlatMax = flatMax
+		}
+		if cfg.IVFMax == 0 {
+			// Default the second threshold — but never let the default
+			// itself imply skip-IVF: a caller raising only FlatMax past it
+			// would otherwise silently lose the middle tier. Skipping IVF
+			// stays an explicit choice (IVFMax set at or below FlatMax).
+			cfg.IVFMax = ivfMax
+			if cfg.IVFMax <= cfg.FlatMax {
+				cfg.IVFMax = 4 * cfg.FlatMax
+			}
 		}
 	}
 	if cfg.IVFMax < 0 {
@@ -150,13 +154,6 @@ func (a *Adaptive) ArenaStats() ArenaStats {
 // skip-IVF is in effect) and past which IVF promotes to HNSW.
 func (a *Adaptive) Thresholds() (flatMax, ivfMax int) {
 	return a.cfg.FlatMax, a.cfg.IVFMax
-}
-
-// Migrating reports whether a background promotion is in flight.
-func (a *Adaptive) Migrating() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.migrating
 }
 
 // WaitMigration blocks until no migration is in flight — deterministic

@@ -7,34 +7,60 @@ import (
 )
 
 // TestAdaptiveThresholdNormalization pins the NewAdaptive threshold
-// hardening: the IVFMax default must never silently disable the IVF
-// tier just because FlatMax was raised past it, and negative IVFMax is
-// normalised to the canonical skip-IVF marker.
+// hardening: unset thresholds are the calibrated DefaultThresholds, the
+// IVFMax default must never silently disable the IVF tier just because
+// FlatMax was raised past it, and negative IVFMax is normalised to the
+// canonical skip-IVF marker.
 func TestAdaptiveThresholdNormalization(t *testing.T) {
+	const dim = 8
+	defFlat, defIVF := DefaultThresholds(dim)
+	if defFlat < 1024 || defFlat > 1<<17 || defIVF < 4*defFlat {
+		t.Fatalf("DefaultThresholds(%d) = (%d, %d), outside the calibrated band [1024, 128k] with IVFMax ≥ 4·FlatMax", dim, defFlat, defIVF)
+	}
 	cases := []struct {
 		name            string
 		cfg             AdaptiveConfig
 		flatMax, ivfMax int
 	}{
-		{"defaults", AdaptiveConfig{}, 4096, 65536},
-		{"flatmax-below-default-ivfmax", AdaptiveConfig{FlatMax: 10000}, 10000, 65536},
-		{"flatmax-at-default-ivfmax", AdaptiveConfig{FlatMax: 65536}, 65536, 4 * 65536},
-		{"flatmax-past-default-ivfmax", AdaptiveConfig{FlatMax: 100000}, 100000, 400000},
+		{"defaults", AdaptiveConfig{}, defFlat, defIVF},
+		{"flatmax-below-default-ivfmax", AdaptiveConfig{FlatMax: defIVF - 1}, defIVF - 1, defIVF},
+		{"flatmax-at-default-ivfmax", AdaptiveConfig{FlatMax: defIVF}, defIVF, 4 * defIVF},
+		{"flatmax-past-default-ivfmax", AdaptiveConfig{FlatMax: defIVF + 1}, defIVF + 1, 4 * (defIVF + 1)},
 		{"explicit-skip-equal", AdaptiveConfig{FlatMax: 150, IVFMax: 150}, 150, 150},
 		{"explicit-skip-below", AdaptiveConfig{FlatMax: 150, IVFMax: 10}, 150, 10},
 		{"negative-skip", AdaptiveConfig{FlatMax: 150, IVFMax: -1}, 150, 150},
-		{"negative-skip-default-flatmax", AdaptiveConfig{IVFMax: -7}, 4096, 4096},
+		{"negative-skip-default-flatmax", AdaptiveConfig{IVFMax: -7}, defFlat, defFlat},
 		{"full-ladder", AdaptiveConfig{FlatMax: 150, IVFMax: 500}, 150, 500},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := NewAdaptive(8, tc.cfg)
+			a := NewAdaptive(dim, tc.cfg)
 			flatMax, ivfMax := a.Thresholds()
 			if flatMax != tc.flatMax || ivfMax != tc.ivfMax {
 				t.Fatalf("Thresholds() = (%d, %d), want (%d, %d)", flatMax, ivfMax, tc.flatMax, tc.ivfMax)
 			}
 		})
 	}
+	// Calibration runs once per process: a second zero-config index is
+	// built from the kept measurement, not a fresh one. Two measurements
+	// agreeing to the last bit of a float64 nanosecond mean do not
+	// happen, and at 64-d FlatMax is far from its clamps.
+	t.Run("calibrated-once", func(t *testing.T) {
+		DefaultThresholds(64)
+		kept := calibration.ns
+		if kept <= 0 {
+			t.Fatalf("no calibration kept after DefaultThresholds: %v", kept)
+		}
+		for i := 0; i < 2; i++ {
+			flatMax, ivfMax := NewAdaptive(64, AdaptiveConfig{}).Thresholds()
+			if calibration.ns != kept {
+				t.Fatalf("NewAdaptive #%d recalibrated: %v → %v ns", i+1, kept, calibration.ns)
+			}
+			if wf, wi := TierThresholds(kept, 64); flatMax != wf || ivfMax != wi {
+				t.Fatalf("NewAdaptive #%d thresholds (%d, %d), want TierThresholds of the kept measurement (%d, %d)", i+1, flatMax, ivfMax, wf, wi)
+			}
+		}
+	})
 }
 
 // TestAdaptiveSkipIVFBoundary drives the skip-IVF mode at the exact

@@ -1,12 +1,15 @@
 package index
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
-// Startup micro-calibration for the Adaptive tier thresholds. The
-// hard-coded FlatMax/IVFMax defaults encode one machine's crossover
-// points; on a faster box the exact Flat scan stays competitive far
-// longer, and on a slow shared runner it falls behind much earlier. Fast
-// to run (~tens of milliseconds), Calibrate measures a fixed workload —
+// Micro-calibration for the Adaptive tier thresholds. Fixed
+// FlatMax/IVFMax values encode one machine's crossover points; on a
+// faster box the exact Flat scan stays competitive far longer, and on a
+// slow shared runner it falls behind much earlier. Fast to run (~tens
+// of milliseconds), Calibrate measures a fixed workload —
 // a scalar dot-product sweep over a private array, deliberately not a
 // call into the index kernels, so the yardstick cannot move with the
 // code under test — and TierThresholds converts that measurement into
@@ -76,6 +79,24 @@ func Calibrate() float64 {
 	}
 }
 
+// calibration holds the one Calibrate measurement a process takes.
+var calibration struct {
+	once sync.Once
+	ns   float64
+}
+
+// DefaultThresholds reports the promotion thresholds NewAdaptive gives a
+// dim-dimensional index whose config sets none: TierThresholds of a
+// Calibrate measurement taken on the first call and kept for the life
+// of the process, so every tenant of a server walks the same ladder.
+func DefaultThresholds(dim int) (flatMax, ivfMax int) {
+	calibration.once.Do(func() { calibration.ns = Calibrate() })
+	if flatMax, ivfMax = TierThresholds(calibration.ns, dim); flatMax == 0 {
+		return 4096, 65536 // no usable measurement
+	}
+	return flatMax, ivfMax
+}
+
 // TierThresholds converts a Calibrate measurement into Adaptive
 // promotion thresholds for dim-dimensional vectors. The model costs a
 // row at calNs/(4096·64) per dimension; FlatMax is the largest tenant
@@ -87,7 +108,7 @@ func Calibrate() float64 {
 // never produce a degenerate ladder.
 func TierThresholds(calNs float64, dim int) (flatMax, ivfMax int) {
 	if dim <= 0 || calNs <= 0 {
-		return 0, 0 // let NewAdaptive apply its static defaults
+		return 0, 0 // DefaultThresholds falls back to its static pair
 	}
 	rowNs := calNs / float64(calibRows*calibDim) * float64(dim)
 	flatMax = clampInt(int(flatScanBudgetNs/rowNs), 1024, 1<<17)

@@ -16,8 +16,8 @@ func TestCalibrateReturnsPositive(t *testing.T) {
 }
 
 func TestTierThresholds(t *testing.T) {
-	// Degenerate inputs fall back to the static defaults (signalled by
-	// zeros, which NewAdaptive then normalises).
+	// Degenerate inputs are signalled by zeros (DefaultThresholds then
+	// falls back to its static pair).
 	if f, i := TierThresholds(0, 64); f != 0 || i != 0 {
 		t.Fatalf("TierThresholds(0, 64) = (%d, %d), want (0, 0)", f, i)
 	}

@@ -49,13 +49,6 @@ func implSpecs() []implSpec {
 			minRecall: 0.9,
 		},
 		{
-			name: "hnsw-int8",
-			build: func(dim int) Index {
-				return NewHNSW(dim, HNSWConfig{M: 8, EfConstruction: 60, EfSearch: 80, Seed: 7, Quantized: true})
-			},
-			minRecall: 0.9,
-		},
-		{
 			name: "adaptive-small", // stays Flat: must be exact
 			build: func(dim int) Index {
 				return NewAdaptive(dim, AdaptiveConfig{FlatMax: 1 << 20})

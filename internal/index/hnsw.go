@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/quantize"
 	"repro/internal/vecmath"
 )
 
@@ -21,11 +20,6 @@ import (
 // former neighbor is reconnected through the removed node's own links, so
 // connectivity (and therefore recall) survives churn, and tombstoned slots
 // are recycled by later Adds.
-//
-// With Quantized set, traversal scores against int8 codes
-// (quantize.DotF32 — a quarter of the memory traffic of float32 rows) and
-// only the surviving top-ef candidates are rescored exactly in float32
-// before ranking, so the returned scores stay full precision.
 type HNSW struct {
 	mu   sync.RWMutex
 	dim  int
@@ -33,11 +27,10 @@ type HNSW struct {
 	mult float64 // level multiplier 1/ln(M)
 	rng  *rand.Rand
 
-	nodes    []*hnswNode    // slot-addressed; tombstoned slots recycled
-	codes    *quantize.Slab // per-slot int8 codes, Quantized mode only
-	slots    map[int]int32  // external id → slot
-	freeList []int32        // tombstoned slots awaiting reuse
-	entry    int32          // slot of the top-level entry point, -1 when empty
+	nodes    []*hnswNode   // slot-addressed; tombstoned slots recycled
+	slots    map[int]int32 // external id → slot
+	freeList []int32       // tombstoned slots awaiting reuse
+	entry    int32         // slot of the top-level entry point, -1 when empty
 	maxLevel int
 	live     int
 
@@ -85,7 +78,7 @@ func (v *visitedSet) visit(s int32) bool {
 
 type hnswNode struct {
 	id    int
-	vec   []float32 // full-precision vector (rescoring + repair)
+	vec   []float32
 	level int
 	links [][]int32 // per level 0..level; slot indices
 	dead  bool      // tombstoned: unlinked, invisible, slot reusable
@@ -104,10 +97,6 @@ type HNSWConfig struct {
 	EfSearch int
 	// Seed drives the level distribution.
 	Seed int64
-	// Quantized stores int8 codes next to each vector and scores graph
-	// traversal against them; the final top-ef candidates are rescored
-	// in float32.
-	Quantized bool
 }
 
 // NewHNSW creates an HNSW index for dim-dimensional unit vectors.
@@ -130,7 +119,7 @@ func NewHNSW(dim int, cfg HNSWConfig) *HNSW {
 	if cfg.EfSearch <= 0 {
 		cfg.EfSearch = 96
 	}
-	h := &HNSW{
+	return &HNSW{
 		dim:   dim,
 		cfg:   cfg,
 		mult:  1 / math.Log(float64(cfg.M)),
@@ -138,12 +127,6 @@ func NewHNSW(dim int, cfg HNSWConfig) *HNSW {
 		slots: make(map[int]int32),
 		entry: -1,
 	}
-	if cfg.Quantized {
-		// Codes live in a chunked slot-addressed int8 arena next to the
-		// node table; tombstoned slots recycle their code row in place.
-		h.codes = quantize.NewSlab(dim)
-	}
-	return h
 }
 
 // Dim implements Index.
@@ -155,9 +138,6 @@ func (h *HNSW) Len() int {
 	defer h.mu.RUnlock()
 	return h.live
 }
-
-// Quantized reports whether the int8 distance path is active.
-func (h *HNSW) Quantized() bool { return h.cfg.Quantized }
 
 // Tier implements TierNamer.
 func (h *HNSW) Tier() string { return "hnsw" }
@@ -183,22 +163,14 @@ func (h *HNSW) maxLinks(level int) int {
 	return h.cfg.M
 }
 
-// score is the traversal similarity of the stored slot to a float32
-// query: asymmetric int8·f32 against the code slab in quantized mode,
-// exact otherwise.
+// score is the similarity of the stored slot to a query.
 func (h *HNSW) score(q []float32, s int32) float32 {
-	if h.cfg.Quantized {
-		return quantize.DotF32(h.codes.At(s), q)
-	}
 	return vecmath.Dot(q, h.nodes[s].vec)
 }
 
 // simNodes is the slot-to-slot similarity used by neighbor selection and
 // repair.
 func (h *HNSW) simNodes(a, b int32) float32 {
-	if h.cfg.Quantized {
-		return quantize.Dot(h.codes.At(a), h.codes.At(b))
-	}
 	return vecmath.Dot(h.nodes[a].vec, h.nodes[b].vec)
 }
 
@@ -229,9 +201,6 @@ func (h *HNSW) Add(id int, vec []float32) error {
 		links: make([][]int32, level+1),
 	}
 	slot := h.claimSlot(n)
-	if h.cfg.Quantized {
-		h.codes.SetAt(slot, vec) // overwrites any recycled slot's codes
-	}
 	h.slots[id] = slot
 	h.live++
 
@@ -582,9 +551,7 @@ func (h *HNSW) vecClone(id int) []float32 {
 }
 
 // Search implements Index: greedy descent to layer 1, then an
-// ef-wide beam over layer 0. In quantized mode the surviving candidates
-// are rescored exactly in float32, so returned scores (and the tau cut)
-// are full precision.
+// ef-wide beam over layer 0.
 func (h *HNSW) Search(vec []float32, k int, tau float32) []Hit {
 	if len(vec) != h.dim {
 		panic(fmt.Sprintf("index: Search dim %d, want %d", len(vec), h.dim))
@@ -612,13 +579,8 @@ func (h *HNSW) searchLocked(vec []float32, k int, tau float32, dst []Hit) []Hit 
 	cands := h.searchLayer(vec, ep, ef, 0)
 	base := len(dst)
 	for _, c := range cands {
-		n := h.nodes[c.slot]
-		s := c.score
-		if h.cfg.Quantized {
-			s = vecmath.Dot(vec, n.vec) // exact rescore
-		}
-		if s >= tau {
-			dst = append(dst, Hit{ID: n.id, Score: s})
+		if c.score >= tau {
+			dst = append(dst, Hit{ID: h.nodes[c.slot].id, Score: c.score})
 		}
 	}
 	tail := topKHits(dst[base:], k)
@@ -627,8 +589,7 @@ func (h *HNSW) searchLocked(vec []float32, k int, tau float32, dst []Hit) []Hit 
 
 // MultiSearchAppend implements MultiSearcher: each probe runs the full
 // graph traversal, but the whole batch shares one read-lock acquisition
-// and the pooled visited sets stay hot across probes (in quantized mode
-// the int8 code slab likewise stays cache-resident for the batch). A
+// and the pooled visited sets stay hot across probes. A
 // graph traversal visits probe-dependent nodes, so unlike Flat/IVF there
 // is no shared full-matrix pass — batching amortises the fixed costs and
 // keeps results exactly per-probe identical to Search.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"repro/internal/vecmath"
 )
 
 func TestHNSWBasics(t *testing.T) {
@@ -92,30 +90,6 @@ func TestHNSWEntryPointRemoval(t *testing.T) {
 	}
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d", h.Len())
-	}
-}
-
-// TestHNSWQuantizedRescore verifies the int8 mode reports full-precision
-// scores: the tau cut and the returned Score must come from the float32
-// rescore, not the quantised traversal estimate.
-func TestHNSWQuantizedRescore(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	h := NewHNSW(32, HNSWConfig{M: 8, EfConstruction: 40, EfSearch: 48, Seed: 6, Quantized: true})
-	if !h.Quantized() {
-		t.Fatal("Quantized() = false")
-	}
-	vecs := make([][]float32, 200)
-	for i := range vecs {
-		vecs[i] = unit(rng, 32)
-		h.Add(i, vecs[i])
-	}
-	probe := unit(rng, 32)
-	for _, hit := range h.Search(probe, 10, -1) {
-		exact := vecmath.Dot(probe, vecs[hit.ID])
-		if absDiff(hit.Score, exact) > 1e-6 {
-			t.Fatalf("id %d: reported %f, exact %f — rescore must be full precision",
-				hit.ID, hit.Score, exact)
-		}
 	}
 }
 

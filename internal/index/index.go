@@ -1,7 +1,10 @@
 // Package index provides the vector-similarity indexes behind the semantic
 // cache's FindSimilarQueriesinCache step (Algorithm 1).
 //
-// Four implementations share one interface:
+// A cache does not choose among them: core.New gives every tenant an
+// Adaptive, and the entry count picks the tier at thresholds measured on
+// the machine (DefaultThresholds). The three tiers and the wrapper share
+// one interface:
 //
 //   - Flat: exact brute-force cosine scan, parallelised across the worker
 //     pool. Right for user-side caches (thousands of entries).
@@ -10,11 +13,9 @@
 //     sub-linear, for the million-entry regime §III-B cites (SBERT's
 //     semantic search "can handle up to 1 million entries").
 //   - HNSW: a hierarchical navigable-small-world graph with logarithmic
-//     search, tunable via M/efConstruction/efSearch, and an optional int8
-//     storage mode (internal/quantize) that scores graph traversal against
-//     quantised codes and rescores the top candidates in float32.
-//   - Adaptive: a tiering wrapper that starts Flat and promotes to IVF and
-//     then HNSW as the tenant's cache grows past configurable thresholds,
+//     search, tunable via M/efConstruction/efSearch.
+//   - Adaptive: the tiering wrapper that starts Flat and promotes to IVF
+//     and then HNSW as the tenant's cache grows past its thresholds,
 //     migrating in the background so searches keep being served.
 //
 // All vectors must be unit-norm (dot product = cosine), which is the

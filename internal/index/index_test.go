@@ -278,9 +278,6 @@ func BenchmarkIVF768x50k(b *testing.B) {
 func BenchmarkHNSW768x10k(b *testing.B) {
 	benchmarkSearch(b, NewHNSW(768, HNSWConfig{M: 16, EfConstruction: 64, EfSearch: 96, Seed: 1}), 768, 10000)
 }
-func BenchmarkHNSWInt8_768x10k(b *testing.B) {
-	benchmarkSearch(b, NewHNSW(768, HNSWConfig{M: 16, EfConstruction: 64, EfSearch: 96, Seed: 1, Quantized: true}), 768, 10000)
-}
 
 func ExampleIVF() {
 	rng := rand.New(rand.NewSource(1))

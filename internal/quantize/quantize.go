@@ -6,8 +6,9 @@
 //
 // Quantization is symmetric per-vector: q_i = round(x_i / scale) with
 // scale = max|x_i| / 127. Unit-norm inputs keep the cosine error small
-// (≈0.1% for 768-d embeddings), and dequantised similarity search is a
-// drop-in replacement for float32 search.
+// (≈0.1% for 768-d embeddings). It is a storage format, measured by the
+// abl-quantize experiment; serving indexes score float32 rows (int8
+// graph traversal measured slower at 64-d and at 768-d).
 package quantize
 
 import (
@@ -31,8 +32,7 @@ func Quantize(x []float32) Vector {
 }
 
 // QuantizeInto quantises x into the caller-provided code row (which must
-// have len(x) elements) and returns the reconstruction scale — the
-// allocation-free form the code slab uses.
+// have len(x) elements) and returns the reconstruction scale.
 func QuantizeInto(x []float32, dst []int8) float32 {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("quantize: QuantizeInto dst len %d, want %d", len(dst), len(x)))
@@ -76,33 +76,6 @@ func (q Vector) Dequantize() []float32 {
 // Bytes reports the storage footprint: one byte per element plus the
 // 4-byte scale.
 func (q Vector) Bytes() int { return len(q.Data) + 4 }
-
-// Dot returns the inner product of two quantised vectors without
-// dequantising: int32 accumulation scaled once at the end.
-func Dot(a, b Vector) float32 {
-	if len(a.Data) != len(b.Data) {
-		panic(fmt.Sprintf("quantize: Dot length mismatch %d != %d", len(a.Data), len(b.Data)))
-	}
-	var acc int32
-	for i, av := range a.Data {
-		acc += int32(av) * int32(b.Data[i])
-	}
-	return float32(acc) * a.Scale * b.Scale
-}
-
-// DotF32 returns the inner product of a quantised vector with a float32
-// query — the asymmetric search mode: cached entries are quantised, the
-// probe stays full precision.
-func DotF32(q Vector, x []float32) float32 {
-	if len(q.Data) != len(x) {
-		panic(fmt.Sprintf("quantize: DotF32 length mismatch %d != %d", len(q.Data), len(x)))
-	}
-	var acc float32
-	for i, qv := range q.Data {
-		acc += float32(qv) * x[i]
-	}
-	return acc * q.Scale
-}
 
 // CosineError measures the absolute cosine deviation introduced by
 // quantising both sides of a pair, for calibration and tests.

@@ -67,27 +67,20 @@ func TestCosinePreservedLowDim(t *testing.T) {
 	}
 }
 
-func TestDotMatchesDequantized(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		a, b := unit(rng, 256), unit(rng, 256)
-		qa, qb := Quantize(a), Quantize(b)
-		intDot := Dot(qa, qb)
-		deqDot := vecmath.Dot(qa.Dequantize(), qb.Dequantize())
-		if math.Abs(float64(intDot-deqDot)) > 1e-4 {
-			t.Fatalf("int8 dot %v != dequantised dot %v", intDot, deqDot)
+func TestQuantizeIntoMatchesQuantize(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, dim := range []int{1, 8, 64, 768} {
+		v := unit(rng, dim)
+		want := Quantize(v)
+		dst := make([]int8, dim)
+		scale := QuantizeInto(v, dst)
+		if scale != want.Scale {
+			t.Fatalf("dim %d: scale %v != %v", dim, scale, want.Scale)
 		}
-	}
-}
-
-func TestDotF32Asymmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		a, b := unit(rng, 256), unit(rng, 256)
-		got := DotF32(Quantize(a), b)
-		want := vecmath.Dot(a, b)
-		if math.Abs(float64(got-want)) > 0.02 {
-			t.Fatalf("asymmetric dot %v vs exact %v", got, want)
+		for i := range dst {
+			if dst[i] != want.Data[i] {
+				t.Fatalf("dim %d: code %d differs", dim, i)
+			}
 		}
 	}
 }
@@ -124,29 +117,11 @@ func TestCodeRangeProperty(t *testing.T) {
 	}
 }
 
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot accepted mismatched lengths")
-		}
-	}()
-	Dot(Quantize([]float32{1}), Quantize([]float32{1, 2}))
-}
-
 func BenchmarkQuantize768(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	x := unit(rng, 768)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Quantize(x)
-	}
-}
-
-func BenchmarkDotInt8_768(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	qa, qb := Quantize(unit(rng, 768)), Quantize(unit(rng, 768))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Dot(qa, qb)
 	}
 }

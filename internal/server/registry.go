@@ -87,13 +87,6 @@ func (t *Tenant) session(id string) *tenantSession {
 	return ts
 }
 
-// Sessions reports how many live conversations the tenant holds.
-func (t *Tenant) Sessions() int {
-	t.sessMu.Lock()
-	defer t.sessMu.Unlock()
-	return len(t.sessions)
-}
-
 // TenantHooks lets an optional subsystem (the online FL coordinator)
 // observe tenant lifecycle and piggyback records on tenant persistence.
 // Hook methods run under the owning shard's lock: they must not call back
@@ -422,12 +415,7 @@ func (r *Registry) reload(userID string, fresh *core.Client) (*core.Client, map[
 	}
 	opts := fresh.Options()
 	dim, capacity := fresh.Cache().Dim(), fresh.Cache().Capacity()
-	var cc *cache.Cache
-	if opts.IndexFactory != nil {
-		cc, err = cache.LoadFromWithIndex(st, dim, capacity, opts.Policy, opts.IndexFactory(dim))
-	} else {
-		cc, err = cache.LoadFrom(st, dim, capacity, opts.Policy)
-	}
+	cc, err := cache.LoadFromWithIndex(st, dim, capacity, opts.Policy, opts.IndexFactory(dim))
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: reloading cache for %q: %w", userID, err)
 	}

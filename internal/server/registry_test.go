@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -282,10 +283,10 @@ func TestRegistryFlushPersistsResidentTenants(t *testing.T) {
 	}
 }
 
-// TestRegistryIndexedTenantRevival: a tenant whose cache runs on an
-// external vector index (Options.IndexFactory) must come back indexed
-// after an evict/revive cycle, with every persisted entry searchable
-// through the rebuilt index.
+// TestRegistryIndexedTenantRevival: a tenant whose cache runs on a
+// pinned vector index (Options.IndexFactory) must come back on it after
+// an evict/revive cycle, with every persisted entry searchable through
+// the rebuilt index.
 func TestRegistryIndexedTenantRevival(t *testing.T) {
 	dir := t.TempDir()
 	factory := func(userID string) *core.Client {
@@ -308,8 +309,8 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !alice.Client.Cache().Indexed() {
-		t.Fatal("fresh tenant cache is not indexed")
+	if tier := alice.Client.Cache().ServingTier(); tier != "hnsw" {
+		t.Fatalf("fresh tenant cache serves from %q, want the factory's hnsw", tier)
 	}
 	queries := make([]string, 10)
 	for i := range queries {
@@ -331,12 +332,81 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer revived.Release()
-	if !revived.Client.Cache().Indexed() {
-		t.Fatal("revived tenant cache lost its index")
+	if tier := revived.Client.Cache().ServingTier(); tier != "hnsw" {
+		t.Fatalf("revived tenant cache serves from %q, want the factory's hnsw", tier)
 	}
 	for _, q := range queries {
 		if res := revived.Client.Lookup(q, nil); !res.Hit {
 			t.Fatalf("revived indexed lookup missed %q", q)
+		}
+	}
+}
+
+// TestRegistryPromotedTenantRevival: with no IndexFactory a tenant's
+// size picks its index. One filled past the Flat threshold of its
+// dimension is promoted to the IVF tier, and after an evict/revive cycle
+// walks the same ladder again: every entry searchable, back on IVF.
+func TestRegistryPromotedTenantRevival(t *testing.T) {
+	const dim = 768
+	flatMax, _ := index.DefaultThresholds(dim)
+	r, err := NewRegistry(RegistryConfig{
+		Shards: 1, MaxTenants: 1, PersistDir: t.TempDir(),
+		Factory: func(string) *core.Client {
+			return core.New(core.Options{Encoder: &stubEncoder{dim: dim}, Tau: 0.9, TopK: 4})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Promotion runs in the background and the cache exposes only the
+	// serving tier, so that is what there is to wait on.
+	waitIVF := func(tn *Tenant, when string) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); tn.Client.Cache().ServingTier() != "ivf"; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d entries past a Flat threshold of %d still serve from %q",
+					when, tn.Client.Cache().Len(), flatMax, tn.Client.Cache().ServingTier())
+			}
+		}
+	}
+	alice, err := r.Get("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier := alice.Client.Cache().ServingTier(); tier != "flat" {
+		t.Fatalf("empty tenant serves from %q, want flat", tier)
+	}
+	queries := make([]string, flatMax+64)
+	for i := range queries {
+		queries[i] = fmt.Sprintf("promoted question %d", i)
+		if _, err := alice.Client.Insert(queries[i], "a", cache.NoParent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitIVF(alice, "filled")
+	alice.Release()
+
+	bob, err := r.Get("bob") // evicts alice
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob.Release()
+
+	revived, err := r.Get("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer revived.Release()
+	if st := r.Stats(); st.Reloads != 1 || st.Quarantines != 0 {
+		t.Fatalf("reloads %d quarantines %d, want 1 and 0", st.Reloads, st.Quarantines)
+	}
+	if n := revived.Client.Cache().Len(); n != len(queries) {
+		t.Fatalf("revived %d entries, want %d", n, len(queries))
+	}
+	waitIVF(revived, "revived")
+	for _, q := range queries {
+		if res := revived.Client.Lookup(q, nil); !res.Hit {
+			t.Fatalf("revived lookup missed %q on tier %s", q, res.Tier)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is the injectable deterministic random source the simulation
 // stack uses instead of math/rand: SplitMix64 under the hood, so the
 // stream for a given seed is fixed by this file alone — never by a Go
@@ -55,16 +53,6 @@ func (r *RNG) Duration(min, max int64) int64 {
 		return min
 	}
 	return min + int64(r.Uint64()%uint64(max-min+1))
-}
-
-// ExpFloat64 returns an exponentially distributed value with mean 1 —
-// inter-arrival jitter for simulated traffic.
-func (r *RNG) ExpFloat64() float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1 - u)
 }
 
 // Shuffle permutes n elements via swap (Fisher–Yates).

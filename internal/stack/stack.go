@@ -30,18 +30,16 @@
 // by a peer are forwarded to it (bounded retries, one hedge on slow
 // peers), and when membership changes — join, leave, or death detected by
 // health probes — each node drains the tenants it no longer owns through
-// the store-persistence path so the new owner revives them (τ, model
-// version and index config intact). -persist-dir must point at storage
-// all nodes share. GET /v1/cluster/status reports ring and peer health.
+// the store-persistence path so the new owner revives them (τ and model
+// version intact). -persist-dir must point at storage all nodes share.
+// GET /v1/cluster/status reports ring and peer health.
 //
-// Each tenant's similarity search runs on the index tier picked with
-// -index: the built-in exact scan (default), flat, ivf, hnsw (optionally
-// int8-quantized with -hnsw-int8), or adaptive — which starts every
-// tenant on the exact scan and promotes to IVF and then HNSW as the
-// cache grows (-tier-flat-max / -tier-ivf-max), migrating in the
-// background. -tier-auto replaces those hard-coded thresholds with ones
-// derived from a startup micro-calibration of this machine's scan speed.
-// Indexed tenants stay indexed across evict/revive cycles.
+// Each tenant's similarity search runs on the index its cache's size
+// picks (core.New's default, index.Adaptive): the exact scan, then IVF,
+// then HNSW, promoted in the background at thresholds derived from a
+// startup micro-calibration of this machine's scan speed, which Build
+// logs. No flag chooses or tunes a tier, and a revived tenant walks the
+// same ladder.
 //
 // Concurrent searches against one hot tenant coalesce into single
 // multi-probe index passes through the per-tenant search batcher
@@ -120,15 +118,10 @@ type Config struct {
 	UpstreamTimeout time.Duration
 
 	Model, Arch string // trained encoder file (wins) or architecture name
-	Seed        int64  // untrained-encoder init; also seeds indexes and FL sampling
+	Seed        int64  // untrained-encoder init; also seeds FL sampling
 
 	Tau, CtxTau, FeedbackStep, TauDegraded float64
 	TopK, Capacity                         int
-
-	Index string
-	// Tiers: its HNSW and IVF serve -index hnsw/ivf, all of it -index adaptive.
-	Tiers    index.AdaptiveConfig
-	TierAuto bool
 
 	Shards, MaxTenants, StatsTenants int
 	PersistDir                       string
@@ -174,17 +167,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.TopK, "topk", 5, "candidates context-checked per query")
 	fs.IntVar(&c.Capacity, "tenant-capacity", 4096, "cache entries per tenant (0 = unbounded)")
 	fs.Float64Var(&c.FeedbackStep, "feedback-step", 0.01, "τ increase per false-hit report (0 disables)")
-
-	fs.StringVar(&c.Index, "index", "scan", "per-tenant vector index: scan (the default slab-backed exact scan), flat (same, explicit), ivf, hnsw or adaptive")
-	fs.IntVar(&c.Tiers.HNSW.M, "hnsw-m", 16, "HNSW links per node (level 0 allows 2×)")
-	fs.IntVar(&c.Tiers.HNSW.EfConstruction, "hnsw-ef-construction", 200, "HNSW insertion beam width")
-	fs.IntVar(&c.Tiers.HNSW.EfSearch, "hnsw-ef-search", 96, "HNSW query beam width")
-	fs.BoolVar(&c.Tiers.HNSW.Quantized, "hnsw-int8", false, "HNSW: score traversal against int8 codes, rescore top candidates in float32")
-	fs.IntVar(&c.Tiers.IVF.NList, "ivf-nlist", 64, "IVF inverted lists")
-	fs.IntVar(&c.Tiers.IVF.NProbe, "ivf-nprobe", 8, "IVF lists probed per query")
-	fs.IntVar(&c.Tiers.FlatMax, "tier-flat-max", 4096, "adaptive: promote Flat→IVF past this entry count")
-	fs.IntVar(&c.Tiers.IVFMax, "tier-ivf-max", 65536, "adaptive: promote IVF→HNSW past this entry count")
-	fs.BoolVar(&c.TierAuto, "tier-auto", false, "adaptive: derive the promotion thresholds from a startup micro-calibration of scan speed (overrides -tier-flat-max/-tier-ivf-max)")
 
 	fs.IntVar(&c.Shards, "shards", 16, "tenant registry shards")
 	fs.IntVar(&c.MaxTenants, "max-tenants", 0, "resident tenant bound (0 = unbounded)")
@@ -317,10 +299,10 @@ func Build(cfg Config) (_ *Stack, err error) {
 		llm = resilience.NewGuard(upstream, s.Governor, cfg.UpstreamTimeout)
 	}
 
-	idxFactory, err := indexFactory(cfg, enc.Dim())
-	if err != nil {
-		return nil, err
-	}
+	// Tenants take core.New's index; naming its thresholds here also
+	// takes the ~10 ms calibration off the first request.
+	flatMax, ivfMax := index.DefaultThresholds(enc.Dim())
+	log.Printf("index tiers at dim %d: flat up to %d entries, ivf up to %d, hnsw beyond", enc.Dim(), flatMax, ivfMax)
 	s.tenant = core.Options{
 		Encoder:          enc,
 		LLM:              llm,
@@ -329,7 +311,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		TopK:             cfg.TopK,
 		Capacity:         cfg.Capacity,
 		FeedbackStep:     float32(cfg.FeedbackStep),
-		IndexFactory:     idxFactory,
 		DegradedTauDelta: float32(cfg.TauDegraded),
 	}
 	// The search batcher coalesces concurrent probes against one hot
@@ -490,38 +471,6 @@ func newUpstream(cfg Config) Upstream {
 	sim := llmsim.DefaultConfig()
 	sim.Sleep = cfg.Sleep
 	return llmsim.New(sim)
-}
-
-// indexFactory maps cfg.Index to a per-tenant index constructor (nil =
-// the cache's default slab-backed exact scan, index.Flat).
-func indexFactory(cfg Config, dim int) (func(dim int) index.Index, error) {
-	tiers := cfg.Tiers
-	tiers.HNSW.Seed, tiers.IVF.Seed = cfg.Seed, cfg.Seed
-	if cfg.TierAuto {
-		calNs := index.Calibrate()
-		if fm, im := index.TierThresholds(calNs, dim); fm > 0 {
-			tiers.FlatMax, tiers.IVFMax = fm, im
-			log.Printf("tier auto-calibration: %.0f ns per 4096×64 sweep → tier-flat-max=%d tier-ivf-max=%d (dim %d)",
-				calNs, fm, im, dim)
-		} else {
-			log.Printf("tier auto-calibration produced no usable measurement; keeping -tier-flat-max=%d -tier-ivf-max=%d",
-				tiers.FlatMax, tiers.IVFMax)
-		}
-	}
-	switch cfg.Index {
-	case "scan", "":
-		return nil, nil
-	case "flat":
-		return func(dim int) index.Index { return index.NewFlat(dim) }, nil
-	case "ivf":
-		return func(dim int) index.Index { return index.NewIVF(dim, tiers.IVF) }, nil
-	case "hnsw":
-		return func(dim int) index.Index { return index.NewHNSW(dim, tiers.HNSW) }, nil
-	case "adaptive":
-		return func(dim int) index.Index { return index.NewAdaptive(dim, tiers) }, nil
-	default:
-		return nil, fmt.Errorf("unknown -index %q (want scan, flat, ivf, hnsw or adaptive)", cfg.Index)
-	}
 }
 
 // Handler serves the stack in-process, cluster routing included.

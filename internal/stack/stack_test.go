@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/embed"
+	"repro/internal/index"
 	"repro/internal/raceflag"
 	"repro/internal/server"
 	"repro/internal/vecmath"
@@ -31,8 +34,8 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	c.Bind(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 58 {
-		t.Errorf("Bind registers %d flags, want 58", n)
+	if n != 48 {
+		t.Errorf("Bind registers %d flags, want 48", n)
 	}
 	var got bytes.Buffer
 	fs.SetOutput(&got)
@@ -79,7 +82,6 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 		{"degraded tau delta", d.TauDegraded, 0.05},
 		{"registry shards", d.Shards, 16},
 		{"stats rows", d.StatsTenants, 20},
-		{"index", d.Index, "scan"},
 		{"upstream (in-process)", d.Upstream, ""},
 		{"upstream sleep", d.Sleep, false},
 		{"upstream timeout", d.UpstreamTimeout, time.Duration(0)},
@@ -125,14 +127,14 @@ func query(t *testing.T, h http.Handler, user, text string) server.QueryResponse
 }
 
 // stackGoroutines lists the running goroutines that belong to a Stack's
-// own background workers: the FL round ticker and the cluster loops (the
-// batchers own no goroutine).
+// own background workers: the FL round ticker, the cluster loops and a
+// tenant index's tier promotion (the batchers own no goroutine).
 func stackGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	var out []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		for _, owner := range []string{"flserve.(*Service)", "cluster.(*Node)"} {
+		for _, owner := range []string{"flserve.(*Service)", "cluster.(*Node)", "index.(*Adaptive)"} {
 			if strings.Contains(g, owner) {
 				out = append(out, g)
 				break
@@ -194,7 +196,7 @@ func TestBuildModes(t *testing.T) {
 				}
 			}
 			if s.tenant.IndexFactory != nil {
-				t.Error("-index scan is the cache's built-in scan (nil factory)")
+				t.Error("Build chose an index: a tenant's comes from core.New's default")
 			}
 		}},
 		{name: "overlapping encodes share a batch", set: func(c *Config) {
@@ -290,11 +292,6 @@ func TestBuildModes(t *testing.T) {
 				t.Errorf("cluster routes not served: node %v, status %d", s.Node, rec.Code)
 			}
 		}},
-		{name: "index flat", set: func(c *Config) { c.Index = "flat" }},
-		{name: "index ivf", set: func(c *Config) { c.Index = "ivf" }},
-		{name: "index hnsw int8", set: func(c *Config) { c.Index, c.Tiers.HNSW.Quantized = "hnsw", true }},
-		{name: "index adaptive", set: func(c *Config) { c.Index = "adaptive" }},
-		{name: "index unknown", set: func(c *Config) { c.Index = "btree" }, wantErr: "unknown -index"},
 		{name: "unknown arch", set: func(c *Config) { c.Encoder, c.Arch = nil, "gpt" }, wantErr: "unknown architecture"},
 		{name: "model missing", set: func(c *Config) {
 			c.Encoder, c.Model = nil, filepath.Join(notADir, "m.gob")
@@ -373,6 +370,81 @@ func TestBuildModes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDefaultStackTenantSizePicksTier drives the shipped stack until one
+// tenant outgrows the exact scan: nothing but its entry count moves it to
+// the IVF tier, a small tenant beside it stays on Flat, both surfaces
+// that report tiers agree, and Close right after the promotion leaves no
+// goroutine behind.
+func TestDefaultStackTenantSizePicksTier(t *testing.T) {
+	cfg := Default()
+	cfg.Metrics = true
+	s, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	flatMax, _ := index.DefaultThresholds(s.Encoder.Dim())
+	// Only a miss fills the cache, and to an untrained encoder questions
+	// that share words are paraphrases: each is three random "words".
+	rng := rand.New(rand.NewSource(1))
+	fill := func(user string, entries int) (first string) {
+		for n := 0; n < entries; {
+			q := fmt.Sprintf("%x %x %x", rng.Uint32(), rng.Uint32(), rng.Uint32())
+			if qr := query(t, h, user, q); !qr.Hit {
+				if n++; n == 1 {
+					first = q
+				}
+			}
+		}
+		return first
+	}
+	cached := fill("big", flatMax+1)
+	fill("small", 32)
+	residents := func() map[string]server.ResidentStats {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+		var stats server.StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		rows := make(map[string]server.ResidentStats)
+		for _, r := range stats.Residents {
+			rows[r.User] = r
+		}
+		return rows
+	}
+	// The promotion runs in the background; the stats row is what an
+	// operator would watch.
+	rows := residents()
+	for deadline := time.Now().Add(30 * time.Second); rows["big"].Tier != "ivf"; rows = residents() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d entries past a Flat threshold of %d still serve from %q", rows["big"].Entries, flatMax, rows["big"].Tier)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if rows["big"].Entries != flatMax+1 || rows["small"].Tier != "flat" || rows["small"].Entries != 32 {
+		t.Errorf("/v1/stats residents: %+v", rows)
+	}
+	if qr := query(t, h, "big", cached); !qr.Hit {
+		t.Error("an entry cached before the promotion misses on the IVF tier")
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		`meancache_tenants_by_tier{tier="flat"} 1`,
+		`meancache_tenants_by_tier{tier="ivf"} 1`,
+		`meancache_tenants_by_tier{tier="hnsw"} 0`,
+	} {
+		if !strings.Contains(rec.Body.String(), want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	wantNoStackGoroutines(t)
 }
 
 // TestServeAndClose binds a real listener, as cacheserve does.
