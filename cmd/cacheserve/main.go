@@ -13,6 +13,7 @@
 //	curl -X POST localhost:8090/v1/fl/round
 //	curl localhost:8090/v1/fl/status
 //	curl localhost:8090/v1/stats
+//	curl localhost:8090/metrics
 package main
 
 import (
@@ -81,9 +82,8 @@ func run(cfg stack.Config) error {
 		log.Printf("cluster mode: self=%s, peers=%v, vnodes=%d, heartbeat=%v",
 			cfg.Addr, cfg.Peers, cfg.VNodes, cfg.ClusterHeartbeat)
 	}
-	if cfg.Metrics || cfg.Trace.SampleRate > 0 {
-		log.Printf("observability: metrics=%v, trace-sample=%g, trace-slow=%v",
-			cfg.Metrics, cfg.Trace.SampleRate, cfg.Trace.SlowThreshold)
+	if cfg.Trace.SampleRate > 0 {
+		log.Printf("tracing: trace-sample=%g, trace-slow=%v", cfg.Trace.SampleRate, cfg.Trace.SlowThreshold)
 	}
 	if g := st.Governor; g.Quotas != nil || g.Limiter != nil || g.Breaker != nil || g.Maintenance != nil {
 		log.Printf("resilience: quota-rate=%g limit-max=%d breaker-window=%d upstream-timeout=%v tau-degraded=%g maintenance-weight=%d",
@@ -94,7 +94,7 @@ func run(cfg stack.Config) error {
 		st.Server.Addr(), st.Encoder.Name(), cfg.Shards, upstream)
 
 	<-sig
-	agg := st.Server.Collector().Aggregate()
+	agg := st.Server.Stats().Aggregate
 	log.Printf("shutting down: %d queries, %d hits (%.1f%% hit ratio), %d resident tenants",
 		agg.Queries, agg.Hits, 100*agg.HitRatio, st.Registry.Resident())
 	if st.FL != nil {

@@ -143,11 +143,12 @@ func TestSIGTERMFlushesTenants(t *testing.T) {
 }
 
 // TestMetricsSmoke is the CI observability smoke: build the real binary,
-// start it with -metrics and tracing on, drive a miss + hit through
-// /v1/query, and lint the /metrics output with the in-repo exposition
-// parser. It proves the flag wiring end to end, not just the packages.
+// start it with tracing on (metrics need no flag), drive a miss + hit
+// through /v1/query, and lint the /metrics output with the in-repo
+// exposition parser. It proves the wiring end to end, not just the
+// packages.
 func TestMetricsSmoke(t *testing.T) {
-	addr, _, _ := startCacheserve(t, listenRE, "-metrics", "-trace-sample", "1", "-trace-slow", "1ms")
+	addr, _, _ := startCacheserve(t, listenRE, "-trace-sample", "1", "-trace-slow", "1ms")
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	query := func() {

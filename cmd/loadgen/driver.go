@@ -318,33 +318,33 @@ func (t *target) waitHealthy(budget time.Duration) error {
 	}
 }
 
-// snapshot is the server's observable state at one instant: /v1/stats,
-// plus /metrics when the server exposes it. Gates assert on these, the
-// same surfaces operators see, rather than on process internals.
+// snapshot is the server's observable state at one instant: /v1/stats
+// and /metrics. Gates assert on these, the same surfaces operators see,
+// rather than on process internals.
 type snapshot struct {
 	stats server.StatsResponse
-	exp   *obs.Exposition // nil when the server runs without -metrics
+	exp   *obs.Exposition
 }
 
-// scrape snapshots the server. Only a missing or undecodable /v1/stats
-// is an error: load generation must not fail because observability is
-// off.
+// scrape snapshots the server. Every cacheserve serves both surfaces, so
+// a missing or malformed one is an error, never a silent zero.
 func (t *target) scrape() (snapshot, error) {
 	var s snapshot
 	if err := t.getJSON("/v1/stats", &s.stats); err != nil {
 		return s, fmt.Errorf("/v1/stats: %w", err)
 	}
-	if body, err := t.get("/metrics"); err == nil {
-		s.exp, _ = obs.ParseExposition(body)
+	body, err := t.get("/metrics")
+	if err == nil {
+		s.exp, err = obs.ParseExposition(body)
+	}
+	if err != nil {
+		return s, fmt.Errorf("/metrics: %w", err)
 	}
 	return s, nil
 }
 
-// metric reads one sample (0 when absent or /metrics is off).
+// metric reads one sample (0 when the series is absent).
 func (s snapshot) metric(name string, labels map[string]string) float64 {
-	if s.exp == nil {
-		return 0
-	}
 	v, _ := s.exp.Value(name, labels)
 	return v
 }

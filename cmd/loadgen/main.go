@@ -14,8 +14,8 @@
 //	serve     drive a running cacheserve (-addr): warm every user's
 //	          cache, then measure probes; reports throughput, hit ratio,
 //	          cache-decision precision/recall/F1, latency percentiles,
-//	          the server's /v1/stats and, against a -metrics server, a
-//	          per-stage latency breakdown. Gate: zero request errors.
+//	          the server's /v1/stats and a per-stage latency breakdown
+//	          from its /metrics. Gate: zero request errors.
 //	          With -fl N (against cacheserve -fl) it drives the online
 //	          federated-learning loop instead: users share one lexicon
 //	          but hold private intents, each probe phase files the

@@ -70,7 +70,6 @@ func runOverload(e env) ([]gate, error) {
 	cfg := stack.Default()
 	cfg.LLM = sim
 	cfg.Seed = e.seed
-	cfg.Metrics = true // the breaker gates are asserted against /metrics
 	// The limiter starts at its ceiling (no cold-start throttling of the
 	// healthy baseline) and adapts downward under congestion.
 	cfg.Governor.Limiter = resilience.LimiterConfig{
@@ -123,7 +122,10 @@ func runOverload(e env) ([]gate, error) {
 	log.Printf("brown-out (upstream 4× slower): %d probes at %d workers", len(phases[1]), brownWorkers)
 	brown := newPhase()
 	t.run(brown, phases[1], brownWorkers, nil)
-	brownScrape, _ := t.scrape()
+	brownScrape, err := t.scrape()
+	if err != nil {
+		return nil, err
+	}
 
 	// Outage: the upstream fails outright. The worker pool is kept at a
 	// moderate multiple — beyond CPU saturation extra closed-loop workers
@@ -136,7 +138,10 @@ func runOverload(e env) ([]gate, error) {
 	log.Printf("outage (upstream failing): %d probes at %d workers", len(phases[2]), outageWorkers)
 	out := newPhase()
 	t.run(out, phases[2], outageWorkers, nil)
-	outScrape, _ := t.scrape()
+	outScrape, err := t.scrape()
+	if err != nil {
+		return nil, err
+	}
 
 	// Heal: the upstream recovers; after the breaker's cool-off its
 	// half-open probes must see the recovery and re-close it. The breaker
@@ -151,7 +156,11 @@ func runOverload(e env) ([]gate, error) {
 	sim.SetSlowdown(1)
 	primeAttempts, recovered := 0, false
 	for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(20 * time.Millisecond) {
-		if s, err := t.scrape(); err == nil && s.exp != nil && s.metric(breakerState, nil) == 0 {
+		s, err := t.scrape()
+		if err != nil {
+			return nil, err
+		}
+		if s.metric(breakerState, nil) == 0 {
 			recovered = true
 			break
 		}
@@ -162,7 +171,10 @@ func runOverload(e env) ([]gate, error) {
 		primeAttempts, recovered, len(phases[3]), e.concurrency)
 	heal := newPhase()
 	t.run(heal, phases[3], e.concurrency, nil)
-	endScrape, _ := t.scrape()
+	endScrape, err := t.scrape()
+	if err != nil {
+		return nil, err
+	}
 
 	fmt.Printf("\n=== overload degraded-serving report (%d users, capacity %.0f served/s) ===\n",
 		e.users, capacity)
@@ -202,7 +214,7 @@ func runOverload(e env) ([]gate, error) {
 			"%.0f trips, state %s, %d breaker_open sheds",
 			outScrape.metric(breakerOpens, nil), breakerStateName(outScrape), out.sheds["breaker_open"]),
 		check("cache-only serving", out.hits > 0, "%d hits served during the outage (%d degraded)", out.hits, out.degraded),
-		check("breaker recovers", recovered && endScrape.exp != nil && endScrape.metric(breakerState, nil) == 0 &&
+		check("breaker recovers", recovered && endScrape.metric(breakerState, nil) == 0 &&
 			heal.failed() == 0,
 			"re-closed after %d probes, state %s after heal, %d/%d served, %d upstream errors",
 			primeAttempts, breakerStateName(endScrape), heal.served, heal.queries, heal.upstream),
@@ -218,8 +230,6 @@ const (
 
 func breakerStateName(s snapshot) string {
 	switch {
-	case s.exp == nil:
-		return "unknown (no /metrics)"
 	case s.metric(breakerState, nil) == 0:
 		return "closed"
 	case s.metric(breakerState, nil) == 1:

@@ -7,9 +7,9 @@ import (
 )
 
 // runServe drives a running cacheserve: a warmup phase populates every
-// user's cache, a probe phase measures serving behaviour. /metrics is
-// scraped at each phase boundary; a server without -metrics simply
-// yields no stage breakdown.
+// user's cache, a probe phase measures serving behaviour. /v1/stats and
+// /metrics are scraped at each phase boundary; the stage breakdown is
+// the difference between two scrapes.
 func runServe(e env) ([]gate, error) {
 	t := newTarget(e.timeout, "http://"+e.addr)
 	if err := t.waitHealthy(0); err != nil {
@@ -23,16 +23,25 @@ func runServe(e env) ([]gate, error) {
 		e.users, e.cached, e.probes, 100*e.dup)
 	warmup, phases := buildJobs(e.seed, e.users, e.cached, e.dup, e.probes)
 
-	preWarm, _ := t.scrape()
+	preWarm, err := t.scrape()
+	if err != nil {
+		return nil, err
+	}
 	log.Printf("warmup: %d queries", len(warmup))
 	warm := newPhase()
 	t.run(warm, warmup, e.concurrency, nil)
-	postWarm, _ := t.scrape()
+	postWarm, err := t.scrape()
+	if err != nil {
+		return nil, err
+	}
 
 	log.Printf("measuring: %d probes at concurrency %d", len(phases[0]), e.concurrency)
 	p := newPhase()
 	t.run(p, phases[0], e.concurrency, nil)
 	postProbe, err := t.scrape()
+	if err != nil {
+		return nil, err
+	}
 
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	fmt.Printf("\n=== loadgen report ===\n")
@@ -47,18 +56,14 @@ func runServe(e env) ([]gate, error) {
 	pct := p.latency.Percentiles(50, 95, 99)
 	fmt.Printf("latency          mean %v  p50 %v  p95 %v  p99 %v\n",
 		us(p.latency.Mean()), us(pct[0]), us(pct[1]), us(pct[2]))
-	if err != nil {
-		log.Printf("fetching server stats: %v", err)
-	} else {
-		st := postProbe.stats
-		fmt.Printf("server aggregate %d queries, hit ratio %.1f%%, search mean %dµs, p95 %dµs\n",
-			st.Aggregate.Queries, 100*st.Aggregate.HitRatio, st.Aggregate.SearchMicros, st.Aggregate.P95Micros)
-		fmt.Printf("server registry  %d resident tenants, %d activations, %d evictions\n",
-			st.Registry.Resident, st.Registry.Activations, st.Registry.Evictions)
-		if st.Batcher != nil {
-			fmt.Printf("server batcher   %d requests in %d batches (mean %.2f, %d coalesced)\n",
-				st.Batcher.Requests, st.Batcher.Batches, st.Batcher.MeanBatch, st.Batcher.Coalesced)
-		}
+	st := postProbe.stats
+	fmt.Printf("server aggregate %d queries, hit ratio %.1f%%, handler mean %dµs, search mean %dµs\n",
+		st.Aggregate.Queries, 100*st.Aggregate.HitRatio, st.Aggregate.MeanMicros, st.Aggregate.SearchMicros)
+	fmt.Printf("server registry  %d resident tenants, %d activations, %d evictions\n",
+		st.Registry.Resident, st.Registry.Activations, st.Registry.Evictions)
+	if st.Batcher != nil {
+		fmt.Printf("server batcher   %d requests in %d batches (mean %.2f, %d coalesced)\n",
+			st.Batcher.Requests, st.Batcher.Batches, st.Batcher.MeanBatch, st.Batcher.Coalesced)
 	}
 	if bd := stageBreakdown(postWarm, postProbe); bd != "" {
 		fmt.Printf("server stages    %s (mean per request, probe phase)\n", bd)

@@ -124,8 +124,8 @@ const DefaultLatencyReservoir = 4096
 // percentiles come from a uniform reservoir sample, so a long experiment
 // run no longer grows memory per request. The zero value is ready to use
 // with a DefaultLatencyReservoir-sized window; NewLatencyRecorder picks a
-// different one. Not safe for concurrent use: callers synchronise (the
-// serving layer's Collector keeps its rows under one mutex).
+// different one. Not safe for concurrent use: callers synchronise
+// (loadgen's phase records it under the phase's mutex).
 type LatencyRecorder struct {
 	limit   int
 	count   int64

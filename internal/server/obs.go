@@ -9,14 +9,13 @@ import (
 	"repro/internal/resilience"
 )
 
-// serverObs is the server's observability wiring: the tracer plus
-// pre-resolved metric handles, looked up once at construction so the
-// request path never touches the registry's maps. A Server without
-// Config.Metrics and Config.Tracer has a nil *serverObs and pays one
-// nil check per request.
+// serverObs is the only place a serving outcome is counted: the tracer
+// plus pre-resolved metric handles, looked up once at construction so the
+// request path never touches the registry's maps. /metrics exports the
+// handles and /v1/stats reads them (stats), so every number has one
+// source. Every Server has one; only the tracer may be nil.
 type serverObs struct {
-	tracer  *obs.Tracer
-	metrics bool
+	tracer *obs.Tracer
 
 	queriesHit      *obs.Counter
 	queriesMiss     *obs.Counter
@@ -37,17 +36,8 @@ type serverObs struct {
 	searchTier [4]*obs.Histogram
 }
 
-func newServerObs(cfg Config, collector *Collector) *serverObs {
-	if cfg.Metrics == nil && cfg.Tracer == nil {
-		return nil
-	}
+func newServerObs(cfg Config, reg *obs.Registry) *serverObs {
 	o := &serverObs{tracer: cfg.Tracer}
-	reg := cfg.Metrics
-	if reg == nil {
-		return o
-	}
-	o.metrics = true
-
 	o.queriesHit = reg.Counter("meancache_queries_total",
 		"Queries served, by cache outcome.", obs.Label{Name: "result", Value: "hit"})
 	o.queriesMiss = reg.Counter("meancache_queries_total",
@@ -80,7 +70,6 @@ func newServerObs(cfg Config, collector *Collector) *serverObs {
 	}
 
 	registerRegistryMetrics(reg, cfg.Registry)
-	registerCollectorMetrics(reg, collector)
 	if cfg.Batcher != nil {
 		registerBatcherMetrics(reg, encodeBatcherNames, cfg.Batcher)
 	}
@@ -93,32 +82,39 @@ func newServerObs(cfg Config, collector *Collector) *serverObs {
 	return o
 }
 
-// recordQuery records metrics and trace spans for one successful query.
-// res's stage fields carry the core-measured timings; decodeDur and
-// respondStart/total are the server-side measurements around them.
-func (o *serverObs) recordQuery(t *obs.Trace, user string, res *core.Result, decodeDur, respondStart, total time.Duration) {
+// countQuery counts one answered query, in the totals and on its tenant's
+// row. It runs before the reply is written, so a client that has its
+// answer finds it counted in /v1/stats.
+func (o *serverObs) countQuery(tenant *Tenant, res *core.Result) {
+	tenant.queries.Add(1)
+	if !res.Hit {
+		o.queriesMiss.Inc()
+		return
+	}
+	tenant.hits.Add(1)
+	o.queriesHit.Inc()
+	if res.Degraded {
+		o.queriesDegraded.Inc()
+	}
+}
+
+// observeQuery records the latency histograms and trace spans of one
+// answered query, after its reply is written. res's stage fields carry
+// the core-measured timings; decodeDur and respondStart/total are the
+// server-side measurements around them.
+func (o *serverObs) observeQuery(t *obs.Trace, user string, res *core.Result, decodeDur, respondStart, total time.Duration) {
 	searchDur := res.SearchTime - res.EncodeTime
 	tier := obs.TierID(res.Tier)
-	if o.metrics {
-		if res.Hit {
-			o.queriesHit.Inc()
-			if res.Degraded {
-				o.queriesDegraded.Inc()
-			}
-		} else {
-			o.queriesMiss.Inc()
-		}
-		o.reqDur.ObserveDuration(total)
-		o.stageDecode.ObserveDuration(decodeDur)
-		o.stageEncode.ObserveDuration(res.EncodeTime)
-		o.stageSearch.ObserveDuration(searchDur)
-		o.searchTier[tier].ObserveDuration(searchDur)
-		if !res.Hit {
-			o.stageUpstream.ObserveDuration(res.UpstreamTime)
-			o.stageFill.ObserveDuration(res.FillTime)
-		}
-		o.stageRespond.ObserveDuration(total - respondStart)
+	o.reqDur.ObserveDuration(total)
+	o.stageDecode.ObserveDuration(decodeDur)
+	o.stageEncode.ObserveDuration(res.EncodeTime)
+	o.stageSearch.ObserveDuration(searchDur)
+	o.searchTier[tier].ObserveDuration(searchDur)
+	if !res.Hit {
+		o.stageUpstream.ObserveDuration(res.UpstreamTime)
+		o.stageFill.ObserveDuration(res.FillTime)
 	}
+	o.stageRespond.ObserveDuration(total - respondStart)
 	if t != nil {
 		t.User = user
 		t.Hit = res.Hit
@@ -138,11 +134,11 @@ func (o *serverObs) recordQuery(t *obs.Trace, user string, res *core.Result, dec
 	}
 }
 
-// recordError counts one failed request on its route's counter.
-func (o *serverObs) recordError(route string) {
-	if o == nil || !o.metrics {
-		return
-	}
+// countFeedback counts one accepted feedback report.
+func (o *serverObs) countFeedback() { o.feedbacks.Inc() }
+
+// countError counts one failed request on its route's counter.
+func (o *serverObs) countError(route string) {
 	if route == routeFeedback {
 		o.errFeedback.Inc()
 	} else {
@@ -150,13 +146,30 @@ func (o *serverObs) recordError(route string) {
 	}
 }
 
-// dropTrace abandons a trace on a request error path (remote traces stay
-// with their forward handler). Nil-safe all the way down.
-func (o *serverObs) dropTrace(t *obs.Trace) {
-	if o == nil {
-		return
+// stats is /v1/stats' aggregate, read from the handles /metrics exports.
+func (o *serverObs) stats() ServingStats {
+	hits := int64(o.queriesHit.Value())
+	st := ServingStats{
+		Queries:      hits + int64(o.queriesMiss.Value()),
+		Hits:         hits,
+		Feedbacks:    int64(o.feedbacks.Value()),
+		Errors:       int64(o.errQuery.Value() + o.errFeedback.Value()),
+		MeanMicros:   meanMicros(o.reqDur),
+		SearchMicros: meanMicros(o.stageSearch),
 	}
-	o.tracer.Abandon(t)
+	if st.Queries > 0 {
+		st.HitRatio = float64(hits) / float64(st.Queries)
+	}
+	return st
+}
+
+// meanMicros is a seconds histogram's exact mean in microseconds.
+func meanMicros(h *obs.Histogram) int64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	return int64(h.Sum() / float64(n) * 1e6)
 }
 
 func registerRegistryMetrics(reg *obs.Registry, r *Registry) {
@@ -228,20 +241,6 @@ func registerRegistryMetrics(reg *obs.Registry, r *Registry) {
 				return float64(n)
 			}, obs.Label{Name: "tier", Value: tier})
 	}
-}
-
-func registerCollectorMetrics(reg *obs.Registry, c *Collector) {
-	reg.GaugeFunc("meancache_collector_tracked_tenants",
-		"Tenants with per-tenant serving counters.", func() float64 {
-			return float64(c.Status().TrackedTenants)
-		})
-	reg.GaugeFunc("meancache_collector_saturated",
-		"1 when the per-tenant counter map hit maxTrackedTenants.", func() float64 {
-			if c.Status().Saturated {
-				return 1
-			}
-			return 0
-		})
 }
 
 // registerGovernorMetrics exposes admission-control state: everything is

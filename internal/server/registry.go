@@ -37,6 +37,10 @@ type Tenant struct {
 	// persisted and dropped.
 	refs atomic.Int32
 
+	// queries and hits count the queries this tenant answered while
+	// resident (serverObs counts them; /v1/stats residents report them).
+	queries, hits atomic.Int64
+
 	// sessions maps session IDs to live conversations, capped at
 	// maxTenantSessions with LRU drop. sessMu guards the map and the
 	// clock; each session additionally carries its own mutex because

@@ -11,12 +11,14 @@
 //   - Batcher: an embedding micro-batcher that coalesces concurrent
 //     encode requests across tenants into single batch calls on the
 //     shared encoder.
-//   - Collector: per-tenant and aggregate hit/miss counters, with latency
-//     rows held in internal/metrics' bounded LatencyRecorder.
+//   - serverObs: the one place a serving outcome is counted — obs
+//     counters and histograms exported at GET /metrics, which GET
+//     /v1/stats reads back as JSON, plus per-tenant query and hit
+//     atomics on each resident Tenant.
 //   - Server: the JSON HTTP API (POST /v1/query, POST /v1/feedback,
-//     GET /v1/stats, GET /healthz) that routes requests by user ID and
-//     proxies misses to the upstream LLM configured in each tenant's
-//     client.
+//     GET /v1/stats, GET /metrics, GET /healthz) that routes requests by
+//     user ID and proxies misses to the upstream LLM configured in each
+//     tenant's client.
 //
 // cmd/cacheserve runs this process; cmd/loadgen drives it.
 package server
@@ -87,13 +89,15 @@ type Config struct {
 	// use it through core.Options.Searcher; the server itself never
 	// searches.)
 	SearchBatcher *SearchBatcher
-	// StatsTenants caps how many per-tenant rows /v1/stats returns,
+	// StatsTenants caps how many resident-tenant rows /v1/stats returns,
 	// largest traffic first. Defaults to 20; -1 means all.
 	StatsTenants int
 	// Observer, when non-nil, sees every query and feedback signal.
 	Observer Observer
-	// Metrics, when non-nil, receives the serving metrics and gains a
-	// GET /metrics route serving Prometheus text exposition.
+	// Metrics, when non-nil, is the registry the serving metrics join (a
+	// process shares one across its layers); otherwise the server keeps a
+	// registry of its own. Either way GET /metrics serves it as Prometheus
+	// text exposition.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, traces requests (head-sampled plus
 	// slow-capture) and gains a GET /v1/debug/traces route serving the
@@ -109,13 +113,12 @@ type Config struct {
 
 // Server is the HTTP serving process.
 type Server struct {
-	cfg       Config
-	collector *Collector
-	obs       *serverObs // nil unless Config.Metrics or Config.Tracer is set
-	mux       *http.ServeMux
-	wrapper   func(http.Handler) http.Handler
-	http      *http.Server
-	ln        net.Listener
+	cfg     Config
+	obs     *serverObs
+	mux     *http.ServeMux
+	wrapper func(http.Handler) http.Handler
+	http    *http.Server
+	ln      net.Listener
 }
 
 // New builds a Server (not yet listening; use Serve, or Handler with a
@@ -127,17 +130,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StatsTenants == 0 {
 		cfg.StatsTenants = 20
 	}
-	s := &Server{cfg: cfg, collector: NewCollector(), mux: http.NewServeMux()}
+	metrics := cfg.Metrics
+	if metrics == nil {
+		metrics = obs.NewRegistry()
+	}
+	s := &Server{cfg: cfg, obs: newServerObs(cfg, metrics), mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/feedback", s.handleFeedback)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, s.Stats())
+	})
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	s.obs = newServerObs(cfg, s.collector)
-	if cfg.Metrics != nil {
-		s.mux.Handle("GET /metrics", cfg.Metrics.Handler())
-	}
+	s.mux.Handle("GET /metrics", metrics.Handler())
 	if cfg.Tracer != nil {
 		s.mux.Handle("GET /v1/debug/traces", cfg.Tracer.Handler())
 	}
@@ -165,9 +171,6 @@ func (s *Server) Wrap(mw func(http.Handler) http.Handler) { s.wrapper = mw }
 func (s *Server) Handle(pattern string, handler http.Handler) {
 	s.mux.Handle(pattern, handler)
 }
-
-// Collector exposes the server's metrics collector.
-func (s *Server) Collector() *Collector { return s.collector }
 
 // Serve binds addr (e.g. "127.0.0.1:0") and serves until Close.
 func (s *Server) Serve(addr string) error {
@@ -254,17 +257,15 @@ type FeedbackResponse struct {
 
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
-	Aggregate TenantMetrics            `json:"aggregate"`
-	Tenants   map[string]TenantMetrics `json:"tenants"`
-	Registry  RegistryStats            `json:"registry"`
-	Batcher   *BatcherStats            `json:"batcher,omitempty"`
+	Aggregate ServingStats  `json:"aggregate"`
+	Registry  RegistryStats `json:"registry"`
+	Batcher   *BatcherStats `json:"batcher,omitempty"`
 	// SearchBatcher reports per-tenant search coalescing when a search
 	// batcher is configured.
 	SearchBatcher *BatcherStats `json:"search_batcher,omitempty"`
-	// Collector reports the per-tenant counter map's saturation state.
-	Collector CollectorStatus `json:"collector"`
-	// Residents lists per-resident-tenant serving state (index tier,
-	// arena occupancy), capped by Config.StatsTenants like Tenants.
+	// Residents lists per-resident-tenant serving state (traffic, index
+	// tier, arena occupancy), largest traffic first, capped by
+	// Config.StatsTenants.
 	Residents []ResidentStats `json:"residents,omitempty"`
 	// Resilience reports admission-control state (quota buckets, AIMD
 	// limiter, circuit breaker, maintenance semaphore) when a Governor
@@ -272,9 +273,32 @@ type StatsResponse struct {
 	Resilience *resilience.GovernorStats `json:"resilience,omitempty"`
 }
 
+// ServingStats is the JSON view of the serving counters /metrics
+// exports: each field is read from the series named beside it, so the
+// two surfaces cannot disagree.
+type ServingStats struct {
+	Queries   int64   `json:"queries"` // meancache_queries_total, hit + miss
+	Hits      int64   `json:"hits"`    // meancache_queries_total{result="hit"}
+	HitRatio  float64 `json:"hit_ratio"`
+	Feedbacks int64   `json:"feedbacks"` // meancache_feedbacks_total
+	Errors    int64   `json:"errors"`    // meancache_request_errors_total, both routes
+	// MeanMicros is the handler's mean wall time per answered query
+	// (meancache_request_duration_seconds). A virtual-time upstream's
+	// simulated inference is not in it; each reply's latency_micros and
+	// the upstream stage histogram carry that.
+	MeanMicros int64 `json:"latency_mean_micros"`
+	// SearchMicros is the mean index search
+	// (meancache_stage_duration_seconds{stage="search"}).
+	SearchMicros int64 `json:"search_mean_micros"`
+}
+
 // ResidentStats is one resident tenant's serving-state row.
 type ResidentStats struct {
 	User string `json:"user"`
+	// Queries and Hits count what the tenant answered since it became
+	// resident.
+	Queries int64 `json:"queries"`
+	Hits    int64 `json:"hits"`
 	// Tier is the index tier currently serving this tenant's searches.
 	Tier    string `json:"tier,omitempty"`
 	Entries int    `json:"entries"`
@@ -293,45 +317,40 @@ const (
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Observability prologue: in cluster mode a forwarded request carries
-	// the origin's trace in its context; otherwise this node opens one.
-	// Everything is nil-tolerant so the untraced path pays one branch.
+	// the origin's trace in its context; otherwise this node opens one (a
+	// nil trace when tracing is off; every trace call tolerates it). An
+	// error path abandons the trace (a remote one stays with its forward
+	// handler).
 	o := s.obs
-	var t0 time.Time
-	var trace *obs.Trace
-	if o != nil {
-		t0 = time.Now()
-		trace = obs.TraceFrom(r.Context())
-		if trace == nil {
-			trace = o.tracer.Start("/v1/query")
-		}
+	t0 := time.Now()
+	trace := obs.TraceFrom(r.Context())
+	if trace == nil {
+		trace = o.tracer.Start("/v1/query")
 	}
 	var req QueryRequest
 	if err := readJSON(r, &req); err != nil {
-		o.dropTrace(trace)
-		s.fail(w, "", routeQuery, http.StatusBadRequest, "decoding request: %v", err)
+		o.tracer.Abandon(trace)
+		s.fail(w, routeQuery, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	var decodeDur time.Duration
-	if o != nil {
-		decodeDur = time.Since(t0)
-	}
+	decodeDur := time.Since(t0)
 	if req.User == "" || req.Query == "" {
-		o.dropTrace(trace)
-		s.fail(w, req.User, routeQuery, http.StatusBadRequest, "user and query are required")
+		o.tracer.Abandon(trace)
+		s.fail(w, routeQuery, http.StatusBadRequest, "user and query are required")
 		return
 	}
 	// Front-door admission: the tenant's token bucket is checked before
 	// any per-request work (tenant activation, encoding, search) so an
 	// over-quota tenant costs one map lookup, nothing more.
 	if rej := s.cfg.Governor.Admit(req.User); rej != nil {
-		o.dropTrace(trace)
-		s.reject(w, req.User, routeQuery, rej)
+		o.tracer.Abandon(trace)
+		s.reject(w, routeQuery, rej)
 		return
 	}
 	tenant, err := s.cfg.Registry.Get(req.User)
 	if err != nil {
-		o.dropTrace(trace)
-		s.fail(w, req.User, routeQuery, http.StatusInternalServerError, "activating tenant: %v", err)
+		o.tracer.Abandon(trace)
+		s.fail(w, routeQuery, http.StatusInternalServerError, "activating tenant: %v", err)
 		return
 	}
 	defer tenant.Release()
@@ -345,18 +364,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res.Result, res.err = tenant.Client.QueryContext(r.Context(), req.Query)
 	}
 	if res.err != nil {
-		o.dropTrace(trace)
+		o.tracer.Abandon(trace)
 		// Shed decisions (limiter saturated, breaker open with no
 		// degraded match) map to 429/503 + Retry-After; real upstream
 		// failures stay 502.
 		if rej, ok := resilience.AsRejection(res.err); ok {
-			s.reject(w, req.User, routeQuery, rej)
+			s.reject(w, routeQuery, rej)
 			return
 		}
-		s.fail(w, req.User, routeQuery, http.StatusBadGateway, "querying: %v", res.err)
+		s.fail(w, routeQuery, http.StatusBadGateway, "querying: %v", res.err)
 		return
 	}
-	s.collector.RecordQuery(req.User, res.Hit, res.Latency, res.SearchTime)
+	o.countQuery(tenant, &res.Result)
 	var matched string
 	if res.Hit && res.Entry != nil {
 		matched = res.Entry.Query
@@ -364,10 +383,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.ObserveQuery(req.User, req.Query, res.Hit, matched, res.Score)
 	}
-	var respondStart time.Duration
-	if o != nil {
-		respondStart = time.Since(t0)
-	}
+	respondStart := time.Since(t0)
 	writeJSON(w, QueryResponse{
 		Response:      res.Response,
 		Hit:           res.Hit,
@@ -378,9 +394,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		SearchMicros:  res.SearchTime.Microseconds(),
 		Tau:           tenant.Client.Tau(),
 	})
-	if o != nil {
-		o.recordQuery(trace, req.User, &res.Result, decodeDur, respondStart, time.Since(t0))
-	}
+	o.observeQuery(trace, req.User, &res.Result, decodeDur, respondStart, time.Since(t0))
 	// The response is on the wire; return the probe-embedding buffer to
 	// the tenant's pool.
 	tenant.Client.Recycle(&res.Result)
@@ -396,11 +410,11 @@ type queryResult struct {
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
 	if err := readJSON(r, &req); err != nil {
-		s.fail(w, "", routeFeedback, http.StatusBadRequest, "decoding request: %v", err)
+		s.fail(w, routeFeedback, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if req.User == "" {
-		s.fail(w, "", routeFeedback, http.StatusBadRequest, "user is required")
+		s.fail(w, routeFeedback, http.StatusBadRequest, "user is required")
 		return
 	}
 	kind := req.Kind
@@ -408,16 +422,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		kind = FeedbackFalseHit
 	}
 	if kind != FeedbackFalseHit && kind != FeedbackMissedDup {
-		s.fail(w, req.User, routeFeedback, http.StatusBadRequest, "unknown feedback kind %q", req.Kind)
+		s.fail(w, routeFeedback, http.StatusBadRequest, "unknown feedback kind %q", req.Kind)
 		return
 	}
 	if kind == FeedbackMissedDup && (req.Query == "" || req.DuplicateOf == "") {
-		s.fail(w, req.User, routeFeedback, http.StatusBadRequest, "missed_dup feedback requires query and duplicate_of")
+		s.fail(w, routeFeedback, http.StatusBadRequest, "missed_dup feedback requires query and duplicate_of")
 		return
 	}
 	tenant, err := s.cfg.Registry.Get(req.User)
 	if err != nil {
-		s.fail(w, req.User, routeFeedback, http.StatusInternalServerError, "activating tenant: %v", err)
+		s.fail(w, routeFeedback, http.StatusInternalServerError, "activating tenant: %v", err)
 		return
 	}
 	defer tenant.Release()
@@ -426,22 +440,18 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	} else {
 		tenant.Client.ReportMissedHit()
 	}
-	s.collector.RecordFeedback(req.User)
-	if o := s.obs; o != nil && o.metrics {
-		o.feedbacks.Inc()
-	}
+	s.obs.countFeedback()
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.ObserveFeedback(req.User, Feedback{Kind: kind, Query: req.Query, Other: req.DuplicateOf})
 	}
 	writeJSON(w, FeedbackResponse{Tau: tenant.Client.Tau()})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+// Stats is the body GET /v1/stats serves.
+func (s *Server) Stats() StatsResponse {
 	resp := StatsResponse{
-		Aggregate: s.collector.Aggregate(),
-		Tenants:   s.collector.Tenants(s.cfg.StatsTenants),
+		Aggregate: s.obs.stats(),
 		Registry:  s.cfg.Registry.Stats(),
-		Collector: s.collector.Status(),
 		Residents: s.residentStats(s.cfg.StatsTenants),
 	}
 	if s.cfg.Batcher != nil {
@@ -456,13 +466,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		gs := s.cfg.Governor.Stats()
 		resp.Resilience = &gs
 	}
-	writeJSON(w, resp)
+	return resp
 }
 
-// residentStats snapshots per-resident serving state: the index tier
-// answering each tenant's searches and its arena occupancy. Rows are
-// sorted by user ID and capped at limit (≤ 0 means all) so the response
-// stays bounded and deterministic.
+// residentStats snapshots per-resident serving state: the tenant's
+// traffic, the index tier answering its searches and its arena
+// occupancy. Rows are sorted by queries, most first, then user ID, and
+// capped at limit (≤ 0 means all) so the response stays bounded and
+// deterministic.
 func (s *Server) residentStats(limit int) []ResidentStats {
 	var out []ResidentStats
 	s.cfg.Registry.Range(func(t *Tenant) {
@@ -470,6 +481,8 @@ func (s *Server) residentStats(limit int) []ResidentStats {
 		a := c.ArenaStats()
 		out = append(out, ResidentStats{
 			User:           t.ID,
+			Queries:        t.queries.Load(),
+			Hits:           t.hits.Load(),
 			Tier:           c.ServingTier(),
 			Entries:        c.Len(),
 			ArenaRows:      a.Rows,
@@ -477,7 +490,12 @@ func (s *Server) residentStats(limit int) []ResidentStats {
 			ArenaFreeSlots: a.FreeSlots,
 		})
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Queries != out[j].Queries {
+			return out[i].Queries > out[j].Queries
+		}
+		return out[i].User < out[j].User
+	})
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
@@ -511,17 +529,15 @@ func errorCode(status int) string {
 	}
 }
 
-func (s *Server) fail(w http.ResponseWriter, userID, route string, code int, format string, args ...any) {
-	s.collector.RecordError(userID)
-	s.obs.recordError(route)
+func (s *Server) fail(w http.ResponseWriter, route string, code int, format string, args ...any) {
+	s.obs.countError(route)
 	writeError(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...), Code: errorCode(code)})
 }
 
 // reject answers a load-shed decision: 429 for per-tenant quota, 503 for
 // saturation and open-breaker sheds, both with Retry-After.
-func (s *Server) reject(w http.ResponseWriter, userID, route string, rej *resilience.Rejection) {
-	s.collector.RecordError(userID)
-	s.obs.recordError(route)
+func (s *Server) reject(w http.ResponseWriter, route string, rej *resilience.Rejection) {
+	s.obs.countError(route)
 	status := http.StatusServiceUnavailable
 	if rej.Reason == resilience.ReasonQuota {
 		status = http.StatusTooManyRequests

@@ -160,8 +160,8 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if st.Aggregate.Queries != 3 || st.Aggregate.Hits != 2 {
 		t.Errorf("aggregate = %d queries / %d hits, want 3/2", st.Aggregate.Queries, st.Aggregate.Hits)
 	}
-	if tm, ok := st.Tenants["alice"]; !ok || tm.Queries != 3 {
-		t.Errorf("per-tenant stats missing or wrong: %+v", st.Tenants)
+	if len(st.Residents) != 1 || st.Residents[0].User != "alice" || st.Residents[0].Queries != 3 || st.Residents[0].Hits != 2 {
+		t.Errorf("resident rows wrong: %+v", st.Residents)
 	}
 	if st.Registry.Resident != 1 {
 		t.Errorf("registry resident = %d, want 1", st.Registry.Resident)
@@ -183,8 +183,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	if agg := srv.Collector().Aggregate(); agg.Errors != 4 {
-		t.Errorf("Errors = %d, want 4", agg.Errors)
+	if agg := srv.Stats().Aggregate; agg.Errors != 4 || agg.Queries != 0 {
+		t.Errorf("aggregate = %+v, want 4 errors and no queries", agg)
 	}
 }
 

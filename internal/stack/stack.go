@@ -63,10 +63,11 @@
 // semaphore. All error responses are structured JSON
 // {"error","code","retry_after_ms"}.
 //
-// Observability: -metrics exposes a Prometheus text exposition at
+// Observability: every cacheserve serves a Prometheus text exposition at
 // GET /metrics covering serving outcomes, per-stage and per-tier
 // latency, registry/arena occupancy, the batchers, and — when enabled —
-// the cluster and FL layers. -trace-sample head-samples per-request
+// the cluster and FL layers; GET /v1/stats is a JSON view of the same
+// counters. Tracing is opt-in: -trace-sample head-samples per-request
 // traces (decode → encode → search → upstream → respond spans, stitched
 // across a cluster forward) into a recent ring at GET /v1/debug/traces;
 // -trace-slow additionally keeps any trace at least that slow.
@@ -123,8 +124,8 @@ type Config struct {
 	Tau, CtxTau, FeedbackStep, TauDegraded float64
 	TopK, Capacity                         int
 
-	Shards, MaxTenants, StatsTenants int
-	PersistDir                       string
+	Shards, MaxTenants int
+	PersistDir         string
 
 	Cluster                  bool
 	Peers                    string // comma-separated host:port list
@@ -135,7 +136,6 @@ type Config struct {
 	NoSearchBatch      bool
 
 	Governor resilience.GovernorConfig
-	Metrics  bool
 	Trace    obs.TracerConfig
 
 	FL, FLSecure                          bool
@@ -183,8 +183,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.SearchBatch.MaxBatch, "search-batch", 32, "per-tenant search batch size cap")
 	fs.BoolVar(&c.NoSearchBatch, "no-search-batch", false, "disable the per-tenant search batcher")
 
-	fs.IntVar(&c.StatsTenants, "stats-tenants", 20, "per-tenant rows in /v1/stats (-1 = all)")
-
 	fs.Float64Var(&c.Governor.Quota.Rate, "quota-rate", 0, "per-tenant admission quota in requests/second (0 disables quotas)")
 	fs.Float64Var(&c.Governor.Quota.Burst, "quota-burst", 0, "per-tenant quota burst capacity (0 = same as -quota-rate)")
 	fs.IntVar(&c.Governor.Limiter.MaxLimit, "limit-max", 0, "upstream AIMD concurrency limiter ceiling (0 disables the limiter)")
@@ -198,7 +196,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.Float64Var(&c.TauDegraded, "tau-degraded", 0.05, "cache-only degraded serving: relax τ by this delta while the breaker is open (0 disables)")
 	fs.Int64Var(&c.Governor.MaintenanceWeight, "maintenance-weight", 2, "weighted-semaphore capacity for background work (re-embeds, FL rounds); 0 ungates")
 
-	fs.BoolVar(&c.Metrics, "metrics", false, "serve Prometheus text metrics at GET /metrics")
 	fs.Float64Var(&c.Trace.SampleRate, "trace-sample", 0, "request-trace head-sampling rate in (0, 1]; 0 disables tracing")
 	fs.DurationVar(&c.Trace.SlowThreshold, "trace-slow", 0, "with tracing on, also keep any trace at least this slow (GET /v1/debug/traces)")
 
@@ -369,10 +366,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 	// Observability: one shared metrics registry for every layer of this
 	// process, and a tracer named after the cluster identity so stitched
 	// spans attribute to the right node.
-	var metrics *obs.Registry
-	if cfg.Metrics {
-		metrics = obs.NewRegistry()
-	}
+	metrics := obs.NewRegistry()
 	trace := cfg.Trace
 	if cfg.Cluster {
 		trace.Node = cfg.Addr
@@ -383,7 +377,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		Registry:      s.Registry,
 		Batcher:       s.Batcher,
 		SearchBatcher: s.SearchBatcher,
-		StatsTenants:  cfg.StatsTenants,
 		Observer:      s.observer,
 		Metrics:       metrics,
 		Tracer:        tracer,
@@ -420,14 +413,10 @@ func Build(cfg Config) (_ *Stack, err error) {
 		}
 		s.Node.Register(s.Server)
 		s.Server.Wrap(s.Node.Wrap)
-		if metrics != nil {
-			s.Node.RegisterMetrics(metrics)
-		}
+		s.Node.RegisterMetrics(metrics)
 	}
 	if s.FL != nil {
-		if metrics != nil {
-			s.FL.RegisterMetrics(metrics)
-		}
+		s.FL.RegisterMetrics(metrics)
 		s.FL.Register(s.Server)
 		s.FL.Start()
 	}

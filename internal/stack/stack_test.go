@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/raceflag"
 	"repro/internal/server"
 	"repro/internal/vecmath"
@@ -34,8 +35,8 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	c.Bind(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 48 {
-		t.Errorf("Bind registers %d flags, want 48", n)
+	if n != 46 {
+		t.Errorf("Bind registers %d flags, want 46", n)
 	}
 	var got bytes.Buffer
 	fs.SetOutput(&got)
@@ -81,12 +82,10 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 		{"context tau", d.CtxTau, 0.0},
 		{"degraded tau delta", d.TauDegraded, 0.05},
 		{"registry shards", d.Shards, 16},
-		{"stats rows", d.StatsTenants, 20},
 		{"upstream (in-process)", d.Upstream, ""},
 		{"upstream sleep", d.Sleep, false},
 		{"upstream timeout", d.UpstreamTimeout, time.Duration(0)},
 		{"tracing (off)", d.Trace.SampleRate, 0.0},
-		{"metrics (off)", d.Metrics, false},
 		{"FL (off)", d.FL, false},
 		{"cluster (off)", d.Cluster, false},
 	} {
@@ -188,12 +187,15 @@ func TestBuildModes(t *testing.T) {
 			if s.hooks != nil || s.observer != nil || s.FL != nil || s.Node != nil {
 				t.Error("FL and cluster are off by default, hooks and observer true nils")
 			}
-			for _, path := range []string{"/metrics", "/v1/debug/traces"} {
-				rec := httptest.NewRecorder()
-				s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-				if rec.Code != http.StatusNotFound {
-					t.Errorf("%s is served (%d) although observability is off by default", path, rec.Code)
-				}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			if _, err := obs.ParseExposition(rec.Body.Bytes()); rec.Code != http.StatusOK || err != nil {
+				t.Errorf("/metrics: status %d, exposition error %v: metrics are always on", rec.Code, err)
+			}
+			rec = httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/debug/traces", nil))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("/v1/debug/traces is served (%d) although tracing is off by default", rec.Code)
 			}
 			if s.tenant.IndexFactory != nil {
 				t.Error("Build chose an index: a tenant's comes from core.New's default")
@@ -284,7 +286,7 @@ func TestBuildModes(t *testing.T) {
 		{name: "cluster without persist-dir", set: func(c *Config) { c.Cluster = true }, wantErr: "-persist-dir"},
 		{name: "cluster", set: func(c *Config) {
 			c.Cluster, c.PersistDir, c.Addr = true, t.TempDir(), "127.0.0.1:1"
-			c.Metrics, c.Trace.SampleRate = true, 1
+			c.Trace.SampleRate = 1
 		}, check: func(t *testing.T, s *Stack) {
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/cluster/status", nil))
@@ -315,7 +317,7 @@ func TestBuildModes(t *testing.T) {
 			}
 		}},
 		{name: "metrics and tracing", set: func(c *Config) {
-			c.Metrics, c.Trace.SampleRate, c.Trace.SlowThreshold = true, 1, time.Millisecond
+			c.Trace.SampleRate, c.Trace.SlowThreshold = 1, time.Millisecond
 		}, check: func(t *testing.T, s *Stack) {
 			for _, path := range []string{"/metrics", "/v1/debug/traces"} {
 				rec := httptest.NewRecorder()
@@ -378,9 +380,7 @@ func TestBuildModes(t *testing.T) {
 // that report tiers agree, and Close right after the promotion leaves no
 // goroutine behind.
 func TestDefaultStackTenantSizePicksTier(t *testing.T) {
-	cfg := Default()
-	cfg.Metrics = true
-	s, err := Build(cfg)
+	s, err := Build(Default())
 	if err != nil {
 		t.Fatal(err)
 	}
