@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build check test race vet bench bench-e2e loadtest \
 	loadtest-fl conformance fuzz-smoke loadtest-ann loadtest-cluster \
-	loadtest-overload loadtest-hotspot crashtest gates sim clean
+	loadtest-overload crashtest gates sim clean
 
 build:
 	$(GO) build ./...
@@ -38,9 +38,7 @@ conformance:
 
 # fuzz-smoke is the nightly-style fuzz check: 30s of randomized
 # Add/Remove/Search programs checked for exact Flat parity and HNSW
-# result invariants, 30s of the same programs with batched searches
-# checked for exact MultiSearch-vs-sequential parity, 30s of arbitrary
-# bytes against the cluster wire codec (no panics, no over-allocation,
+# result invariants, 30s of arbitrary bytes against the cluster wire codec (no panics, no over-allocation,
 # canonical round trips), 30s of fuzzer-shaped churn storms through
 # the deterministic cluster simulation (no panics, every safety
 # invariant holds at settle), and 30s of arbitrary bytes against the
@@ -48,7 +46,6 @@ conformance:
 # decodes re-encodes to the same entry).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSearchParity -fuzztime=30s -run xxx ./internal/index/
-	$(GO) test -fuzz=FuzzMultiSearchParity -fuzztime=30s -run xxx ./internal/index/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s -run xxx ./internal/cluster/
 	$(GO) test -fuzz=FuzzSimScenario -fuzztime=30s -run xxx ./internal/sim/scenario/
 	$(GO) test -fuzz=FuzzDecodeEntry -fuzztime=30s -run xxx ./internal/cache/
@@ -126,23 +123,6 @@ loadtest-overload:
 	$(GO) run ./cmd/loadgen -scenario overload -users 60 -cached 6 -probes 10 \
 		-concurrency 16 -accept
 
-# loadtest-hotspot is the search-batching acceptance run: Zipf-skewed
-# traffic hammers one hot tenant through two in-process stacks, the
-# shipped one and one without the per-tenant search batcher, taking
-# turns at 500-probe slices of one probe stream (4000 fresh probes, then
-# the same probes four more times, when all of them hit). Duplicate hits
-# of the fresh pass must match across the stacks (end-to-end MultiSearch
-# parity), and the batched hit-path p99 must not exceed 1.10× the
-# unbatched one (the shipped batcher costs a hot tenant nothing), where
-# each side's figure is the median of its 32 replay slices' hit-RTT
-# p99s, not one p99 pooled over the run (the allowance absorbs scheduler
-# noise on shared runners); the 90th percentile of the slice p99s is held
-# to 1.5×, so a stall that comes in bursts fails too. How many searches
-# coalesced is a report line: with no gather window that is up to the
-# scheduler, and internal/server's exact-count tests pin it instead.
-loadtest-hotspot:
-	$(GO) run ./cmd/loadgen -scenario hotspot -accept
-
 # crashtest is the crash-consistency acceptance run: a real cacheserve
 # process over one persist dir is SIGKILLed mid-traffic 21 times (plus 5
 # clean shutdowns that flush and mark tenants durably synced), with one
@@ -160,11 +140,10 @@ crashtest:
 
 # gates runs every loadgen acceptance target in sequence (never in
 # parallel: several gates compare latencies) and prints one summary line
-# per target; it fails if any target failed. 23 gate lines in all (24
-# until hotspot's coalescing line became a report line). Full logs land
-# in bin/gates/.
+# per target; it fails if any target failed. 20 gate lines in all. Full
+# logs land in bin/gates/.
 GATES = loadtest loadtest-fl loadtest-ann loadtest-cluster loadtest-overload \
-	loadtest-hotspot crashtest
+	crashtest
 gates:
 	@mkdir -p bin/gates; failed=0; summary=; \
 	for t in $(GATES); do \

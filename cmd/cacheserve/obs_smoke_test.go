@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -146,7 +147,8 @@ func TestSIGTERMFlushesTenants(t *testing.T) {
 // start it with tracing on (metrics need no flag), drive a miss + hit
 // through /v1/query, and lint the /metrics output with the in-repo
 // exposition parser. It proves the wiring end to end, not just the
-// packages.
+// packages, and that tenants search directly: neither surface reports a
+// search batcher.
 func TestMetricsSmoke(t *testing.T) {
 	addr, _, _ := startCacheserve(t, listenRE, "-trace-sample", "1", "-trace-slow", "1ms")
 
@@ -192,6 +194,25 @@ func TestMetricsSmoke(t *testing.T) {
 		if v, ok := exp.Value(check.name, check.labels); !ok || v < check.min {
 			t.Errorf("%s%v = %v (present %v), want >= %v", check.name, check.labels, v, ok, check.min)
 		}
+	}
+	if bytes.Contains(payload, []byte("meancache_search_batch")) {
+		t.Error("/metrics exports meancache_search_batch_* series: the shipped stack has no search batcher")
+	}
+	sresp, err := client.Get("http://" + addr + "/v1/stats")
+	if err != nil {
+		t.Fatalf("fetching /v1/stats: %v", err)
+	}
+	var stats map[string]json.RawMessage
+	err = json.NewDecoder(sresp.Body).Decode(&stats)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /v1/stats: %v", err)
+	}
+	if _, ok := stats["batcher"]; !ok {
+		t.Error("/v1/stats lacks the encode batcher block")
+	}
+	if _, ok := stats["search_batcher"]; ok {
+		t.Error("/v1/stats has a search_batcher block: the shipped stack has no search batcher")
 	}
 
 	traces, err := client.Get(fmt.Sprintf("http://%s/v1/debug/traces", addr))

@@ -260,18 +260,6 @@ func TestWorkloadsRepeatForEqualSeeds(t *testing.T) {
 			t.Fatalf("FL probe %+v: dup label and dupText disagree", j)
 		}
 	}
-
-	hw1, hp1, share1 := hotspotJobs(7)
-	hw2, hp2, share2 := hotspotJobs(7)
-	if !reflect.DeepEqual(hw1, hw2) || !reflect.DeepEqual(hp1, hp2) || share1 != share2 {
-		t.Error("hotspotJobs differs between two calls with the same seed")
-	}
-	if len(hw1) != hotCachedHot+(hotTenants-1)*hotCached || len(hp1) != hotProbes || hotProbes%hotSlice != 0 {
-		t.Errorf("hotspotJobs sizes: warmup %d, %d probes in slices of %d", len(hw1), len(hp1), hotSlice)
-	}
-	if share1 < 0.5 {
-		t.Errorf("hot tenant drew %.0f%% of the probes, want a majority", 100*share1)
-	}
 }
 
 func TestVerdictExitsNonZeroOnlyWithAcceptAndAFailedGate(t *testing.T) {
@@ -308,7 +296,7 @@ func TestScenarioFlagRejectsUnknownNames(t *testing.T) {
 	if code := realMain([]string{"-scenario", "bogus", "-accept"}, &stdout, &stderr); code != 2 {
 		t.Errorf("exit code %d, want 2", code)
 	}
-	for _, name := range []string{"serve", "ann", "cluster", "overload", "hotspot", "crash"} {
+	for _, name := range []string{"serve", "ann", "cluster", "overload", "crash"} {
 		if !strings.Contains(stderr.String(), name) {
 			t.Errorf("the error %q does not list scenario %q", stderr.String(), name)
 		}
@@ -316,8 +304,8 @@ func TestScenarioFlagRejectsUnknownNames(t *testing.T) {
 			t.Errorf("lookupScenario(%q): %v", name, err)
 		}
 	}
-	if len(scenarios) != 6 {
-		t.Errorf("%d scenarios in the table, want 6", len(scenarios))
+	if len(scenarios) != 5 {
+		t.Errorf("%d scenarios in the table, want 5", len(scenarios))
 	}
 	// A run that cannot be carried out exits 1 even without -accept.
 	stderr.Reset()

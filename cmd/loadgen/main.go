@@ -1,5 +1,5 @@
 // Command loadgen is the acceptance-gate harness of the serving stack:
-// one closed-loop load driver and six scenarios that each put a gate on
+// one closed-loop load driver and five scenarios that each put a gate on
 // one claim. (Performance measurement lives in bench/; loadgen only
 // answers pass or fail.)
 //
@@ -33,12 +33,6 @@
 //	          Gates: the limiter sheds, the breaker trips to cache-only
 //	          serving and re-closes, served throughput ≥90% of capacity,
 //	          hit p99 <5× unloaded, nothing unexpected.
-//	hotspot   in process: Zipf-skewed traffic on one hot tenant through
-//	          two stacks, the shipped one and one without the search
-//	          batcher, taking turns at slices of one stream. Gates:
-//	          clean, cold-pass hit parity ≤1%, batched hit p99 ≤1.10×
-//	          unbatched (medians of the per-slice hit-RTT p99s; their
-//	          90th percentile ≤1.5×).
 //	crash     a real cacheserve (-crash-bin) over one persist dir
 //	          (-crash-dir) is SIGKILLed mid-traffic 21 times with one
 //	          corrupt snapshot injected. Gates: every restart healthy,
@@ -52,7 +46,6 @@
 //	loadgen -scenario ann -accept
 //	loadgen -scenario cluster -users 80 -accept
 //	loadgen -scenario overload -users 60 -accept
-//	loadgen -scenario hotspot -accept
 //	loadgen -scenario crash -crash-bin ./bin/cacheserve -accept
 package main
 
@@ -95,7 +88,6 @@ var scenarios = []scenario{
 	{"ann", runANN},
 	{"cluster", runCluster},
 	{"overload", runOverload},
-	{"hotspot", runHotspot},
 	{"crash", runCrash},
 }
 

@@ -62,9 +62,6 @@ type Cache struct {
 	// hitBufs recycles the []index.Hit scratch FindSimilarAppend hands
 	// to the index, so a warmed search allocates nothing but its result.
 	hitBufs sync.Pool
-	// multiBufs recycles the per-probe hit matrix FindSimilarMultiAppend
-	// hands to the index, for the same reason.
-	multiBufs sync.Pool
 
 	// gate, when non-nil, bounds background maintenance (Reembed) so
 	// migrations yield to foreground traffic under pressure.
@@ -391,11 +388,9 @@ func (c *Cache) FindSimilarAppend(emb []float32, k int, tau float32, dst []Match
 	return dst
 }
 
-// Searcher abstracts how a lookup runs its similarity search against a
-// tenant cache. The default implementation calls FindSimilarAppend
-// directly; a batching implementation may coalesce concurrent searches
-// against the same cache into one FindSimilarMultiAppend pass. Whatever
-// the route, the matches delivered for a probe must be exactly what
+// Searcher is the seam a lookup's similarity search runs through. The
+// default, DirectSearcher, calls FindSimilarAppend; a substitute (a
+// timing decorator, for one) must deliver exactly the matches
 // FindSimilarAppend would have returned.
 type Searcher interface {
 	FindSimilar(c *Cache, emb []float32, k int, tau float32, dst []Match) []Match
@@ -408,77 +403,6 @@ type DirectSearcher struct{}
 // FindSimilar implements Searcher.
 func (DirectSearcher) FindSimilar(c *Cache, emb []float32, k int, tau float32, dst []Match) []Match {
 	return c.FindSimilarAppend(emb, k, tau, dst)
-}
-
-// multiScratch is the pooled working set for FindSimilarMultiAppend: one
-// reusable []index.Hit per probe slot.
-type multiScratch struct {
-	bufs [][]index.Hit
-}
-
-// FindSimilarMultiAppend runs one similarity search per row of probes,
-// appending row p's matches into dsts[p]. Results are bit-identical to m
-// sequential FindSimilarAppend calls — same entries, same scores, same
-// order — and the hit/search counters advance exactly as m sequential
-// calls would. What batching buys is one lock acquisition and, when the
-// index implements index.MultiSearcher, one shared slab pass across all
-// probes instead of m independent scans.
-//
-// len(dsts) must be at least probes.Rows; rows beyond probes.Rows are
-// left untouched.
-func (c *Cache) FindSimilarMultiAppend(probes *vecmath.Matrix, k int, tau float32, dsts [][]Match) {
-	if probes.Cols != c.dim {
-		panic(fmt.Sprintf("cache: FindSimilarMulti dim %d, want %d", probes.Cols, c.dim))
-	}
-	m := probes.Rows
-	if m == 0 {
-		return
-	}
-	if len(dsts) < m {
-		panic(fmt.Sprintf("cache: FindSimilarMulti dsts len %d, want >= %d", len(dsts), m))
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	c.searches.Add(int64(m))
-	if len(c.entries) == 0 || k <= 0 {
-		return
-	}
-	sc, _ := c.multiBufs.Get().(*multiScratch)
-	if sc == nil {
-		sc = &multiScratch{}
-	}
-	for len(sc.bufs) < m {
-		sc.bufs = append(sc.bufs, nil)
-	}
-	bufs := sc.bufs[:m]
-	for p := range bufs {
-		bufs[p] = bufs[p][:0]
-	}
-	if ms, ok := c.idx.(index.MultiSearcher); ok {
-		ms.MultiSearchAppend(probes, k, tau, bufs)
-	} else if sa, ok := c.idx.(index.SearchAppender); ok {
-		for p := 0; p < m; p++ {
-			bufs[p] = sa.SearchAppend(probes.Row(p), k, tau, bufs[p])
-		}
-	} else {
-		for p := 0; p < m; p++ {
-			bufs[p] = append(bufs[p], c.idx.Search(probes.Row(p), k, tau)...)
-		}
-	}
-	for p := 0; p < m; p++ {
-		dst := dsts[p]
-		before := len(dst)
-		for _, h := range bufs[p] {
-			if pos, ok := c.byID[h.ID]; ok {
-				dst = append(dst, Match{Entry: c.entries[pos], Score: h.Score})
-			}
-		}
-		if len(dst) > before {
-			c.hits.Add(1)
-		}
-		dsts[p] = dst
-	}
-	c.multiBufs.Put(sc)
 }
 
 // EmbeddingBytes reports the memory consumed by stored embeddings (4 bytes

@@ -83,13 +83,10 @@ type Options struct {
 	// at τ − DegradedTauDelta. A stale-ish cached answer beats a 503
 	// while the upstream heals. Zero disables the degraded retry.
 	DegradedTauDelta float32
-	// Searcher, when non-nil, routes Lookup's similarity search (a
-	// batching searcher coalesces concurrent probes against one hot
-	// tenant into a single multi-probe index pass). Nil means the direct
-	// per-call FindSimilarAppend path. Results must be identical either
-	// way; only lock/scan amortisation differs. The degraded (cache-only)
-	// retry path always searches directly — it runs when the system is
-	// shedding load, exactly when a batching window would add harm.
+	// Searcher, when non-nil, routes Lookup's similarity search through
+	// a substitute for the direct FindSimilarAppend (nil), such as a
+	// timing decorator; its matches must be identical. The degraded
+	// (cache-only) retry path always searches directly.
 	Searcher cache.Searcher
 	// MaintenanceGate, when non-nil, bounds the client's background
 	// maintenance (cache re-embedding) under a shared weighted

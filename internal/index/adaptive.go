@@ -213,21 +213,6 @@ func (a *Adaptive) SearchAppend(vec []float32, k int, tau float32, dst []Hit) []
 	return append(dst, idx.Search(vec, k, tau)...)
 }
 
-// MultiSearchAppend implements MultiSearcher with the same lock-free
-// tier resolution as Search: one atomic load pins the serving tier for
-// the whole batch, so every probe in the batch answers against the same
-// index even if a migration swaps tiers mid-call.
-func (a *Adaptive) MultiSearchAppend(probes *vecmath.Matrix, k int, tau float32, dst [][]Hit) {
-	idx := a.cur.Load().idx
-	if ms, ok := idx.(MultiSearcher); ok {
-		ms.MultiSearchAppend(probes, k, tau, dst)
-		return
-	}
-	for p := 0; p < probes.Rows; p++ {
-		dst[p] = append(dst[p], idx.Search(probes.Row(p), k, tau)...)
-	}
-}
-
 // forEach implements iterable.
 func (a *Adaptive) forEach(fn func(id int, vec []float32)) {
 	a.cur.Load().idx.(iterable).forEach(fn)

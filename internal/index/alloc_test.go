@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/raceflag"
-	"repro/internal/vecmath"
 )
 
 // Allocation-regression gates for the query hot path: the slab-backed
@@ -16,13 +15,9 @@ import (
 // suite, while any real per-call allocation (≥1) still fails.
 
 func buildAllocFlat(t testing.TB, n int) (*Flat, [][]float32) {
-	return buildClusteredFlat(t, n, 16, 32)
-}
-
-func buildClusteredFlat(t testing.TB, n, clusters, dim int) (*Flat, [][]float32) {
 	rng := rand.New(rand.NewSource(9))
-	vecs := dataset.ClusteredVectors(rng, n, clusters, dim, 0.4)
-	f := NewFlat(dim)
+	vecs := dataset.ClusteredVectors(rng, n, 16, 32, 0.4)
+	f := NewFlat(32)
 	for i, v := range vecs {
 		if err := f.Add(i, v); err != nil {
 			t.Fatal(err)
@@ -129,45 +124,6 @@ func TestTopKSelectionZeroAlloc(t *testing.T) {
 		topKHits(scratch, 64)
 	}); n >= 1 {
 		t.Fatalf("topKHits allocates %v per run, want 0 (in-place heap selection)", n)
-	}
-}
-
-func buildProbeMatrix(rng *rand.Rand, vecs [][]float32, m int) *vecmath.Matrix {
-	pm := vecmath.NewMatrix(m, len(vecs[0]))
-	for p := 0; p < m; p++ {
-		copy(pm.Row(p), dataset.PerturbUnit(rng, vecs[rng.Intn(len(vecs))], 0.3))
-	}
-	return pm
-}
-
-func TestFlatMultiSearchMatchesSearch(t *testing.T) {
-	for _, tc := range []struct{ n, clusters, dim int }{
-		{1500, 16, 32},
-		// Serving dimension: the leaders slab's chunks hold 16 rows, so
-		// 40 clusters put the multi-probe leader scan across ≥ 3 chunks.
-		{400, 40, 768},
-	} {
-		f, vecs := buildClusteredFlat(t, tc.n, tc.clusters, tc.dim)
-		if tc.dim == 768 && f.leaders.Slots() <= 2*f.leaders.ChunkRows() {
-			t.Fatalf("dim 768: %d leaders in %d-row chunks, want > 2 chunks", f.leaders.Slots(), f.leaders.ChunkRows())
-		}
-		rng := rand.New(rand.NewSource(12))
-		probes := buildProbeMatrix(rng, vecs, 8)
-		for _, tau := range []float32{-1, 0.5, 0.8} {
-			batch := f.MultiSearch(probes, 5, tau)
-			for p := 0; p < probes.Rows; p++ {
-				want := f.Search(probes.Row(p), 5, tau)
-				got := batch[p]
-				if len(got) != len(want) {
-					t.Fatalf("dim %d tau=%v probe %d: %d hits, Search %d", tc.dim, tau, p, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("dim %d tau=%v probe %d hit %d: %+v != %+v", tc.dim, tau, p, i, got[i], want[i])
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -335,125 +335,6 @@ func TestConformanceRemovedNeverLeak(t *testing.T) {
 	}
 }
 
-// TestConformanceMultiSearchParity pins the batched-search contract on
-// every implementation: MultiSearchAppend must be bit-identical — same
-// IDs, same scores, same order, per probe — to running the probes through
-// Search one at a time, including after removals have left tombstoned or
-// swap-deleted rows behind, and it must append after whatever the caller
-// already had in each destination slice.
-func TestConformanceMultiSearchParity(t *testing.T) {
-	const (
-		dim = 16
-		n   = 600
-		m   = 24
-	)
-	for _, spec := range implSpecs() {
-		t.Run(spec.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(77))
-			anchors := makeAnchors(rng, 10, dim)
-			idx := spec.build(dim)
-			ms, ok := idx.(MultiSearcher)
-			if !ok {
-				t.Fatalf("%T does not implement MultiSearcher", idx)
-			}
-			vecs := make([][]float32, n)
-			for i := 0; i < n; i++ {
-				v := tightUnit(rng, anchors)
-				if len(vecs) > 0 && i > 0 && rng.Float64() < 0.1 {
-					v = vecmath.Clone(vecs[rng.Intn(i)]) // score ties
-				}
-				if err := idx.Add(i, v); err != nil {
-					t.Fatal(err)
-				}
-				vecs[i] = v
-			}
-			// Leave removal scars mid-structure: tombstones in HNSW,
-			// swap-deleted arena rows in Flat/IVF.
-			for i := 0; i < n; i += 5 {
-				idx.Remove(i)
-			}
-			if a, ok := idx.(*Adaptive); ok {
-				a.WaitMigration() // pin the tier so both paths query one index
-			}
-			for _, cfg := range []struct {
-				k   int
-				tau float32
-			}{{5, 0.8}, {10, 0.5}, {3, -1}, {10, 0.99}, {0, 0.5}} {
-				probes := vecmath.NewMatrix(m, dim)
-				for p := 0; p < m; p++ {
-					var q []float32
-					switch p % 3 {
-					case 0:
-						q = vecs[rng.Intn(n)] // possibly a removed entry's vector
-					case 1:
-						q = tightUnit(rng, anchors)
-					default:
-						q = dataset.RandomUnit(rng, dim)
-					}
-					copy(probes.Row(p), q)
-				}
-				sentinel := Hit{ID: -99, Score: -99}
-				dst := make([][]Hit, m)
-				for p := range dst {
-					if p%2 == 0 {
-						dst[p] = append(dst[p], sentinel)
-					}
-				}
-				ms.MultiSearchAppend(probes, cfg.k, cfg.tau, dst)
-				for p := 0; p < m; p++ {
-					got := dst[p]
-					if p%2 == 0 {
-						if len(got) == 0 || got[0] != sentinel {
-							t.Fatalf("%s k=%d tau=%v probe %d: append contract broken, sentinel lost", spec.name, cfg.k, cfg.tau, p)
-						}
-						got = got[1:]
-					}
-					want := idx.Search(probes.Row(p), cfg.k, cfg.tau)
-					if len(got) != len(want) {
-						t.Fatalf("%s k=%d tau=%v probe %d: %d batched hits, %d sequential", spec.name, cfg.k, cfg.tau, p, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s k=%d tau=%v probe %d hit %d: batched %+v, sequential %+v — not bit-identical",
-								spec.name, cfg.k, cfg.tau, p, i, got[i], want[i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestConformanceMultiSearchEmptyAndOversizedDst pins the edge contract:
-// zero probes is a no-op, and destination tables longer than the probe
-// count leave the excess rows untouched.
-func TestConformanceMultiSearchEmptyAndOversizedDst(t *testing.T) {
-	const dim = 8
-	for _, spec := range implSpecs() {
-		t.Run(spec.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5))
-			idx := spec.build(dim)
-			for i := 0; i < 50; i++ {
-				if err := idx.Add(i, unit(rng, dim)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ms := idx.(MultiSearcher)
-			empty := vecmath.NewMatrix(0, dim)
-			ms.MultiSearchAppend(empty, 5, 0.1, nil) // must not panic
-			probes := vecmath.NewMatrix(2, dim)
-			copy(probes.Row(0), unit(rng, dim))
-			copy(probes.Row(1), unit(rng, dim))
-			marker := []Hit{{ID: -1, Score: 42}}
-			dst := [][]Hit{nil, nil, marker}
-			ms.MultiSearchAppend(probes, 5, -1, dst)
-			if len(dst[2]) != 1 || dst[2][0] != marker[0] {
-				t.Fatalf("dst row beyond probes.Rows was touched: %+v", dst[2])
-			}
-		})
-	}
-}
-
 // TestConformanceConcurrentSearchDuringAdd drives concurrent Search
 // against a writer interleaving Add and Remove — run under -race, this is
 // the locking conformance check. Results can lag the writer, so only

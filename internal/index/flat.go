@@ -54,16 +54,11 @@ type flatRef struct {
 
 // flatScratch is the pooled per-search working set: leader scores, one
 // group-scan score buffer, and the candidate hit list. Pooling it makes
-// a warmed Search allocate only its result slice. multi and chunk are
-// the batched-search extensions (the m×slots score matrix and the
-// per-chunk kernel output), sized lazily so single-probe searches never
-// pay for them.
+// a warmed Search allocate only its result slice.
 type flatScratch struct {
 	scores []float32
 	group  []float32
 	hits   []Hit
-	multi  []float32
-	chunk  []float32
 }
 
 const (
@@ -352,81 +347,4 @@ func (f *Flat) scanGroupsParallel(vec []float32, scores []float32, pnorm, tau, t
 		f.scratch.Put(wsc)
 	}
 	return hits
-}
-
-// MultiSearch scores a micro-batch of probes in one call: the leader
-// slab is scanned once for the whole batch with the multi-probe kernel,
-// and each probe then resolves its surviving groups from the shared
-// score matrix. Results are per probe, identical to calling Search with
-// each probe individually. The serving-path form is MultiSearchAppend;
-// this wrapper allocates the result slices.
-func (f *Flat) MultiSearch(probes *vecmath.Matrix, k int, tau float32) [][]Hit {
-	out := make([][]Hit, probes.Rows)
-	f.MultiSearchAppend(probes, k, tau, out)
-	return out
-}
-
-// MultiSearchAppend implements MultiSearcher: one leader-slab pass for
-// the whole batch, then the per-probe bound-pruned group scans, with
-// each probe's hits appended to dst[p]. The score matrix and kernel
-// chunk buffer come from the pooled scratch, so a warmed call allocates
-// nothing beyond what the dst slices need to grow — this is the surface
-// the per-tenant search batcher drives.
-func (f *Flat) MultiSearchAppend(probes *vecmath.Matrix, k int, tau float32, dst [][]Hit) {
-	if probes.Cols != f.dim {
-		panic(fmt.Sprintf("index: MultiSearch dim %d, want %d", probes.Cols, f.dim))
-	}
-	m := probes.Rows
-	if m == 0 {
-		return
-	}
-	if len(dst) < m {
-		panic(fmt.Sprintf("index: MultiSearch dst len %d, need %d", len(dst), m))
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.n == 0 || k <= 0 {
-		return
-	}
-	slots := f.leaders.Slots()
-	sc := f.getScratch()
-	defer f.scratch.Put(sc)
-	if cap(sc.multi) < m*slots {
-		sc.multi = make([]float32, m*slots+(m*slots)/2+8)
-	}
-	per := f.leaders.ChunkRows()
-	if cap(sc.chunk) < m*per {
-		sc.chunk = make([]float32, m*per)
-	}
-	all := sc.multi[:m*slots]
-	f.leaderScanMulti(probes, all, sc.chunk[:m*per])
-	thr := tau - boundMargin
-	for p := 0; p < m; p++ {
-		vec := probes.Row(p)
-		scores := all[p*slots : (p+1)*slots]
-		pnorm := vecmath.Norm(vec)
-		hits := sc.hits[:0]
-		for _, g := range f.groups {
-			hits = f.scanGroup(g, vec, scores[g.leader], pnorm, tau, thr, sc, hits)
-		}
-		top := topKHits(hits, k)
-		dst[p] = append(dst[p], top...)
-		sc.hits = hits[:0]
-	}
-}
-
-// leaderScanMulti fills all (m probes × Slots scores, probe-major) using
-// the blocked multi-probe kernel chunk by chunk, staging each chunk's
-// kernel output in chunkOut (m×leaders.ChunkRows(), caller-provided).
-func (f *Flat) leaderScanMulti(probes *vecmath.Matrix, all, chunkOut []float32) {
-	m := probes.Rows
-	slots := f.leaders.Slots()
-	per := f.leaders.ChunkRows()
-	for base := 0; base < slots; base += per {
-		rows := min(per, slots-base)
-		vecmath.ScanDotMulti(probes.Data, f.leaders.Chunk(base / per)[:rows*f.dim], chunkOut[:m*rows], m)
-		for p := 0; p < m; p++ {
-			copy(all[p*slots+base:p*slots+base+rows], chunkOut[p*rows:(p+1)*rows])
-		}
-	}
 }

@@ -128,111 +128,3 @@ func FuzzSearchParity(f *testing.F) {
 		}
 	})
 }
-
-// FuzzMultiSearchParity interprets the fuzz input as an op program of
-// adds, removes and batched searches: every MultiSearchAppend over Flat
-// and HNSW must be bit-identical — IDs, scores, order — to running the
-// same probes through Search one at a time. Run as a smoke in CI
-// (-fuzz=FuzzMultiSearchParity -fuzztime=30s) and at will locally.
-func FuzzMultiSearchParity(f *testing.F) {
-	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 9, 9, 9, 9, 9, 9, 9, 3, 2, 100})
-	f.Add([]byte{0, 200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64, 32, 16, 8, 4, 2, 3, 3, 40})
-	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 2, 0, 3, 1, 180})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const dim = 8
-		if len(data) > 512 {
-			data = data[:512] // bound per-input work
-		}
-		flat := NewFlat(dim)
-		hnsw := NewHNSW(dim, HNSWConfig{M: 4, EfConstruction: 20, EfSearch: 24, Seed: 9})
-		var ids []int
-		nextID := 0
-
-		next := func(n int) []byte {
-			if len(data) < n {
-				return nil
-			}
-			b := data[:n]
-			data = data[n:]
-			return b
-		}
-		vecFrom := func(b []byte) []float32 {
-			v := make([]float32, dim)
-			for i := range v {
-				v[i] = float32(int(b[i])-128) / 128
-			}
-			if vecmath.Normalize(v) == 0 {
-				v[0] = 1
-			}
-			return v
-		}
-		parity := func(name string, idx Index, ms MultiSearcher, probes *vecmath.Matrix, k int, tau float32) {
-			dst := make([][]Hit, probes.Rows)
-			ms.MultiSearchAppend(probes, k, tau, dst)
-			for p := 0; p < probes.Rows; p++ {
-				want := idx.Search(probes.Row(p), k, tau)
-				if len(dst[p]) != len(want) {
-					t.Fatalf("%s probe %d: %d batched hits, %d sequential (k=%d tau=%f)", name, p, len(dst[p]), len(want), k, tau)
-				}
-				for i := range want {
-					if dst[p][i] != want[i] {
-						t.Fatalf("%s probe %d hit %d: batched %+v, sequential %+v", name, p, i, dst[p][i], want[i])
-					}
-				}
-			}
-		}
-
-		for {
-			op := next(1)
-			if op == nil {
-				break
-			}
-			switch op[0] % 4 {
-			case 0, 1: // add
-				b := next(dim)
-				if b == nil {
-					return
-				}
-				v := vecFrom(b)
-				id := nextID
-				nextID++
-				if err := flat.Add(id, v); err != nil {
-					t.Fatalf("flat.Add: %v", err)
-				}
-				if err := hnsw.Add(id, v); err != nil {
-					t.Fatalf("hnsw.Add: %v", err)
-				}
-				ids = append(ids, id)
-			case 2: // remove
-				b := next(1)
-				if b == nil || len(ids) == 0 {
-					return
-				}
-				i := int(b[0]) % len(ids)
-				id := ids[i]
-				ids[i] = ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-				flat.Remove(id)
-				hnsw.Remove(id)
-			default: // batched search
-				hdr := next(3)
-				if hdr == nil {
-					return
-				}
-				m := int(hdr[0])%4 + 1
-				k := int(hdr[1])%8 + 1
-				tau := float32(int(hdr[2])-128) / 128
-				b := next(m * dim)
-				if b == nil {
-					return
-				}
-				probes := vecmath.NewMatrix(m, dim)
-				for p := 0; p < m; p++ {
-					copy(probes.Row(p), vecFrom(b[p*dim:(p+1)*dim]))
-				}
-				parity("flat", flat, flat, probes, k, tau)
-				parity("hnsw", hnsw, hnsw, probes, k, tau)
-			}
-		}
-	})
-}

@@ -564,9 +564,8 @@ func (h *HNSW) Search(vec []float32, k int, tau float32) []Hit {
 	return h.searchLocked(vec, k, tau, nil)
 }
 
-// searchLocked is the traversal body shared by Search and
-// MultiSearchAppend, appending its hits to dst. Callers hold the read
-// lock and have handled the empty-index cases.
+// searchLocked is Search's traversal body, appending its hits to dst.
+// Callers hold the read lock and have handled the empty-index cases.
 func (h *HNSW) searchLocked(vec []float32, k int, tau float32, dst []Hit) []Hit {
 	ef := h.cfg.EfSearch
 	if ef < k {
@@ -585,31 +584,4 @@ func (h *HNSW) searchLocked(vec []float32, k int, tau float32, dst []Hit) []Hit 
 	}
 	tail := topKHits(dst[base:], k)
 	return dst[:base+len(tail)]
-}
-
-// MultiSearchAppend implements MultiSearcher: each probe runs the full
-// graph traversal, but the whole batch shares one read-lock acquisition
-// and the pooled visited sets stay hot across probes. A
-// graph traversal visits probe-dependent nodes, so unlike Flat/IVF there
-// is no shared full-matrix pass — batching amortises the fixed costs and
-// keeps results exactly per-probe identical to Search.
-func (h *HNSW) MultiSearchAppend(probes *vecmath.Matrix, k int, tau float32, dst [][]Hit) {
-	if probes.Cols != h.dim {
-		panic(fmt.Sprintf("index: MultiSearch dim %d, want %d", probes.Cols, h.dim))
-	}
-	m := probes.Rows
-	if m == 0 {
-		return
-	}
-	if len(dst) < m {
-		panic(fmt.Sprintf("index: MultiSearch dst len %d, need %d", len(dst), m))
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if h.live == 0 || k <= 0 || h.entry < 0 {
-		return
-	}
-	for p := 0; p < m; p++ {
-		dst[p] = h.searchLocked(probes.Row(p), k, tau, dst[p])
-	}
 }

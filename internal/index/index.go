@@ -22,8 +22,6 @@
 // contract internal/embed guarantees.
 package index
 
-import "repro/internal/vecmath"
-
 // Hit is one search result: the stored ID and its cosine similarity.
 type Hit struct {
 	ID    int
@@ -49,20 +47,6 @@ type Index interface {
 	Len() int
 	// Dim reports the vector dimensionality.
 	Dim() int
-}
-
-// MultiSearcher is the optional batched-search surface: one call scores
-// a micro-batch of probes (probes.Rows × probes.Cols, row-major) and
-// appends each probe's hits to dst[p] (len(dst) must be at least
-// probes.Rows). The contract is strict per-probe parity: dst[p] receives
-// exactly the hits — same IDs, same scores, same order — that
-// Search(probes.Row(p), k, tau) would return. The payoff is shared
-// work: one lock acquisition, one pass through shared structures (the
-// Flat leader slab, the IVF centroid matrix), pooled scratch amortised
-// across the batch. All four implementations satisfy it; the per-tenant
-// search batcher in internal/server is the serving caller.
-type MultiSearcher interface {
-	MultiSearchAppend(probes *vecmath.Matrix, k int, tau float32, dst [][]Hit)
 }
 
 // SearchAppender is the optional allocation-free search surface: Search

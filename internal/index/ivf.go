@@ -51,15 +51,12 @@ type listRef struct {
 }
 
 // ivfScratch is the pooled per-search working set: centroid scores, the
-// ranked probe selection, and score/hit buffers. multi is the batched
-// extension (the m×nlist centroid score matrix), sized lazily so
-// single-probe searches never pay for it.
+// ranked probe selection, and score/hit buffers.
 type ivfScratch struct {
 	scores []float32
 	probes []int
 	list   []float32
 	hits   []Hit
-	multi  []float32
 }
 
 // IVFConfig tunes the index.
@@ -360,9 +357,7 @@ func (x *IVF) SearchAppend(vec []float32, k int, tau float32, dst []Hit) []Hit {
 
 // selectProbes ranks the nprobe best centroid scores into sel (ties to
 // the lower list index, matching the historical full insertion sort, so
-// probe sets — and therefore recall — are stable). Both the single- and
-// multi-probe searches route through this one selection so their probe
-// sets cannot drift apart.
+// probe sets — and therefore recall — are stable).
 func (x *IVF) selectProbes(scores []float32, sel []int) []int {
 	probes := x.nprobe
 	if probes > len(scores) {
@@ -383,56 +378,6 @@ func (x *IVF) selectProbes(scores []float32, sel []int) []int {
 		}
 	}
 	return sel
-}
-
-// MultiSearchAppend implements MultiSearcher: the centroid matrix is
-// scored once for the whole batch with the multi-probe kernel (the
-// kernel is accumulation-order-identical to the per-probe ScanDot, so
-// probe selection cannot drift), then each probe runs its own
-// bound-pruned list scans and appends its hits to dst[p]. One read lock
-// covers the batch; all scratch is pooled.
-func (x *IVF) MultiSearchAppend(probes *vecmath.Matrix, k int, tau float32, dst [][]Hit) {
-	if probes.Cols != x.dim {
-		panic(fmt.Sprintf("index: MultiSearch dim %d, want %d", probes.Cols, x.dim))
-	}
-	m := probes.Rows
-	if m == 0 {
-		return
-	}
-	if len(dst) < m {
-		panic(fmt.Sprintf("index: MultiSearch dst len %d, need %d", len(dst), m))
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if !x.trained {
-		x.bootstrap.MultiSearchAppend(probes, k, tau, dst)
-		return
-	}
-	if k <= 0 || len(x.where) == 0 {
-		return
-	}
-	sc := x.getScratch()
-	defer x.scratch.Put(sc)
-	nc := x.centroids.Rows
-	if cap(sc.multi) < m*nc {
-		sc.multi = make([]float32, m*nc+(m*nc)/2+8)
-	}
-	all := sc.multi[:m*nc]
-	vecmath.ScanDotMulti(probes.Data, x.centroids.Data, all, m)
-	thr := tau - boundMargin
-	for p := 0; p < m; p++ {
-		vec := probes.Row(p)
-		scores := all[p*nc : (p+1)*nc]
-		sel := x.selectProbes(scores, sc.probes[:0])
-		pnorm := vecmath.Norm(vec)
-		hits := sc.hits[:0]
-		for _, li := range sel {
-			hits = x.lists[li].scanBounded(vec, x.dim, scores[li], pnorm, tau, thr, &sc.list, hits)
-		}
-		top := topKHits(hits, k)
-		dst[p] = append(dst[p], top...)
-		sc.hits = hits[:0]
-	}
 }
 
 // sphericalKMeans clusters unit vectors by cosine with k-means++ style

@@ -15,10 +15,9 @@ type batchCapable interface {
 	EncodeBatch(texts []string) *vecmath.Matrix
 }
 
-// BatcherConfig sizes a micro-batcher (shared by the encode and search
-// batchers; both default MaxBatch to 32). There is no gather window to
-// tune: a batch is whatever parked behind the passes in flight (see
-// combiner).
+// BatcherConfig sizes the encode micro-batcher (MaxBatch defaults to
+// 32). There is no gather window to tune: a batch is whatever parked
+// behind the passes in flight (see combiner).
 type BatcherConfig struct {
 	// MaxBatch caps how many parked requests are folded into one pass.
 	MaxBatch int
@@ -46,7 +45,7 @@ type BatcherConfig struct {
 // encode directly.
 type Batcher struct {
 	enc  embed.Encoder
-	comb combiner[struct{}, encodeReq, []float32]
+	comb combiner[encodeReq, []float32]
 }
 
 type encodeReq struct {
@@ -66,7 +65,7 @@ func NewBatcher(enc embed.Encoder, cfg BatcherConfig) *Batcher {
 // Encode implements embed.Encoder: the call returns once its text has
 // been embedded, alone or as part of some batch.
 func (b *Batcher) Encode(text string) []float32 {
-	return b.comb.do(struct{}{}, encodeReq{text: text})
+	return b.comb.do(encodeReq{text: text})
 }
 
 // EncodeInto is the pooled-buffer encode: the embedding lands in
@@ -78,7 +77,7 @@ func (b *Batcher) EncodeInto(text string, dst []float32) []float32 {
 		// it capacity so ownership stays with us.
 		dst = make([]float32, 0, b.enc.Dim())
 	}
-	return b.comb.do(struct{}{}, encodeReq{text: text, dst: dst})
+	return b.comb.do(encodeReq{text: text, dst: dst})
 }
 
 // Dim implements embed.Encoder.

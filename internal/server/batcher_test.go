@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/raceflag"
 	"repro/internal/vecmath"
 )
@@ -58,26 +57,19 @@ func (e *stubEncoder) EncodeBatch(texts []string) *vecmath.Matrix {
 func (e *stubEncoder) Dim() int     { return e.dim }
 func (e *stubEncoder) Name() string { return "stub" }
 
-// parker is what coalescedBurst needs of either batcher.
-type parker interface {
-	OnBatch(fn func(size int))
-	QueueDepth() int
-}
-
 // coalescedBurst makes coalescing deterministic under the one rule (a
-// batch is whatever parked while every pass its key may have in flight
-// was running). It fills kinds keys' passes: send(0..kinds-1), which must
-// be requests that cannot share a pass, are each sent GOMAXPROCS times
-// and held inside the OnBatch hook (it runs on the leader's goroutine,
-// the pass marked in flight). It then launches send(0..n-1) concurrently,
+// batch is whatever parked while every pass that may be in flight was
+// running). It fills the passes: send(0) is sent GOMAXPROCS times and
+// held inside the OnBatch hook (it runs on the leader's goroutine, the
+// pass marked in flight). It then launches send(0..n-1) concurrently,
 // waits until all n have parked, and only then lets the leaders go: they
 // hand on a burst that has already arrived. Returns the sizes OnBatch saw
 // after the held leaders' 1s, largest first: passes are formed one at a
 // time from the parked queue, so the sizes are exact, but two leaders'
 // hooks may fire in either order.
-func coalescedBurst(t *testing.T, b parker, kinds, n int, send func(i int)) []int {
+func coalescedBurst(t *testing.T, b *Batcher, n int, send func(i int)) []int {
 	t.Helper()
-	leaders := kinds * runtime.GOMAXPROCS(0)
+	leaders := runtime.GOMAXPROCS(0)
 	held, release := make(chan struct{}), make(chan struct{})
 	var mu sync.Mutex
 	var sizes []int
@@ -93,7 +85,7 @@ func coalescedBurst(t *testing.T, b parker, kinds, n int, send func(i int)) []in
 	var wg sync.WaitGroup
 	for i := 0; i < leaders; i++ {
 		wg.Add(1)
-		go func(i int) { defer wg.Done(); send(i % kinds) }(i)
+		go func() { defer wg.Done(); send(0) }()
 	}
 	<-held
 	for i := 0; i < n; i++ {
@@ -135,7 +127,7 @@ func TestBatchCoreGathersWhatHasArrived(t *testing.T) {
 				got = append(got, pass)
 				mu.Unlock()
 			}
-			var c combiner[struct{}, int, int]
+			var c combiner[int, int]
 			c.init(4, func(r int) int {
 				record([]int{r})
 				if r < width {
@@ -155,7 +147,7 @@ func TestBatchCoreGathersWhatHasArrived(t *testing.T) {
 			var wg sync.WaitGroup
 			submit := func(r int) {
 				defer wg.Done()
-				if out := c.do(struct{}{}, r); out != -r {
+				if out := c.do(r); out != -r {
 					t.Errorf("do(%d) = %d, want %d", r, out, -r)
 				}
 			}
@@ -217,8 +209,8 @@ func TestBatchCoreGathersWhatHasArrived(t *testing.T) {
 			if st := c.stats(); st.Requests != int64(width+8) || st.Batches != int64(width+4) || st.Coalesced != 6 {
 				t.Errorf("stats = %+v, want %d requests in %d passes, 6 coalesced", st, width+8, width+4)
 			}
-			if len(c.lanes) != 0 {
-				t.Errorf("%d keys still marked in flight with nothing running", len(c.lanes))
+			if c.running != 0 {
+				t.Errorf("%d passes still marked in flight with nothing running", c.running)
 			}
 			c.close() // redundant close just returns
 		})
@@ -253,7 +245,7 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 
 	const n = 20
 	texts := []string{"red", "green", "blue", "cyan"}
-	sizes := coalescedBurst(t, b, 1, n, func(i int) {
+	sizes := coalescedBurst(t, b, n, func(i int) {
 		got, want := b.Encode(texts[i%4]), enc.embed(texts[i%4])
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Encode(%q) returned another text's embedding", texts[i%4])
@@ -334,33 +326,26 @@ func TestBatcherConcurrentEncodeAndClose(t *testing.T) {
 	}
 }
 
-// TestBatchersStartNoGoroutine: building either batcher starts nothing,
-// and a lone request through either is a mutex and a direct call: no
-// goroutine, no allocation.
+// TestBatchersStartNoGoroutine: building the encode batcher starts
+// nothing, and a lone request through it is a mutex and a direct call:
+// no goroutine, no allocation.
 func TestBatchersStartNoGoroutine(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	c, embs := newSearchTestCache(t, 16, 50, 23)
 	enc := &zeroAllocEncoder{stubEncoder{dim: 16}}
 	before := runtime.NumGoroutine()
 	b := NewBatcher(enc, BatcherConfig{})
 	defer b.Close()
-	sb := NewSearchBatcher(BatcherConfig{})
-	defer sb.Close()
 	emb := make([]float32, 0, enc.Dim())
-	dst := make([]cache.Match, 0, 8)
 	if n := testing.AllocsPerRun(100, func() { emb = b.EncodeInto("a lone encode", emb) }); n != 0 {
 		t.Errorf("a lone EncodeInto allocates %v times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { dst = sb.FindSimilar(c, embs[0], 5, 0.1, dst[:0]) }); n != 0 {
-		t.Errorf("a lone FindSimilar allocates %v times, want 0", n)
-	}
-	if len(dst) == 0 || len(emb) != enc.Dim() {
-		t.Errorf("lone requests returned %d matches, %d dims", len(dst), len(emb))
+	if len(emb) != enc.Dim() {
+		t.Errorf("a lone EncodeInto returned %d dims", len(emb))
 	}
 	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("%d goroutines before the batchers were built, %d after they served", before, after)
+		t.Errorf("%d goroutines before the batcher was built, %d after it served", before, after)
 	}
 }
 
@@ -394,7 +379,7 @@ func TestBatcherPanickingPassDoesNotWedge(t *testing.T) {
 			b := NewBatcher(enc, BatcherConfig{})
 			defer b.Close()
 			var panics atomic.Int64
-			sizes := coalescedBurst(t, b, 1, tc.parked, func(i int) {
+			sizes := coalescedBurst(t, b, tc.parked, func(i int) {
 				defer func() {
 					if r := recover(); r != nil {
 						panics.Add(1)

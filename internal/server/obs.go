@@ -71,10 +71,7 @@ func newServerObs(cfg Config, reg *obs.Registry) *serverObs {
 
 	registerRegistryMetrics(reg, cfg.Registry)
 	if cfg.Batcher != nil {
-		registerBatcherMetrics(reg, encodeBatcherNames, cfg.Batcher)
-	}
-	if cfg.SearchBatcher != nil {
-		registerBatcherMetrics(reg, searchBatcherNames, cfg.SearchBatcher)
+		registerBatcherMetrics(reg, cfg.Batcher)
 	}
 	if cfg.Governor != nil {
 		registerGovernorMetrics(reg, cfg.Governor)
@@ -304,52 +301,21 @@ func registerGovernorMetrics(reg *obs.Registry, g *resilience.Governor) {
 	}
 }
 
-// batcherNames is one batcher's exposition: the metric-name prefix and
-// the help string of each of its five series.
-type batcherNames struct {
-	prefix                                    string
-	queue, size, requests, batches, coalesced string
-}
-
-var (
-	encodeBatcherNames = batcherNames{
-		prefix:    "meancache_batch",
-		queue:     "Encode requests parked behind the passes in flight.",
-		size:      "Dispatched encode batch sizes.",
-		requests:  "Encode calls served through the batcher.",
-		batches:   "Batch dispatches.",
-		coalesced: "Encode calls that shared a batch with at least one other.",
-	}
-	searchBatcherNames = batcherNames{
-		prefix:    "meancache_search_batch",
-		queue:     "Searches parked behind the passes in flight.",
-		size:      "Per-tenant search pass sizes (1 = a direct search).",
-		requests:  "Searches routed through the search batcher.",
-		batches:   "Search passes (coalesced passes plus direct searches).",
-		coalesced: "Searches that shared a multi-probe index pass.",
-	}
-)
-
-// registerBatcherMetrics exposes a batcher's queue depth, batch-size
-// histogram and coalescing counters; the encode and search batchers share
-// the QueueDepth/OnBatch/Stats trio it reads.
-func registerBatcherMetrics(reg *obs.Registry, n batcherNames, b interface {
-	QueueDepth() int
-	OnBatch(fn func(size int))
-	Stats() BatcherStats
-}) {
-	reg.GaugeFunc(n.prefix+"_queue_depth", n.queue, func() float64 {
+// registerBatcherMetrics exposes the encode batcher's queue depth,
+// batch-size histogram and coalescing counters.
+func registerBatcherMetrics(reg *obs.Registry, b *Batcher) {
+	reg.GaugeFunc("meancache_batch_queue_depth", "Encode requests parked behind the passes in flight.", func() float64 {
 		return float64(b.QueueDepth())
 	})
-	sizes := reg.Histogram(n.prefix+"_size", n.size, obs.DefBatchBounds)
+	sizes := reg.Histogram("meancache_batch_size", "Dispatched encode batch sizes.", obs.DefBatchBounds)
 	b.OnBatch(func(size int) { sizes.Observe(float64(size)) })
-	reg.CounterFunc(n.prefix+"_requests_total", n.requests, func() float64 {
+	reg.CounterFunc("meancache_batch_requests_total", "Encode calls served through the batcher.", func() float64 {
 		return float64(b.Stats().Requests)
 	})
-	reg.CounterFunc(n.prefix+"_batches_total", n.batches, func() float64 {
+	reg.CounterFunc("meancache_batch_batches_total", "Batch dispatches.", func() float64 {
 		return float64(b.Stats().Batches)
 	})
-	reg.CounterFunc(n.prefix+"_coalesced_total", n.coalesced, func() float64 {
+	reg.CounterFunc("meancache_batch_coalesced_total", "Encode calls that shared a batch with at least one other.", func() float64 {
 		return float64(b.Stats().Coalesced)
 	})
 }

@@ -359,7 +359,7 @@ func TestBatcherObsHooks(t *testing.T) {
 	b := NewBatcher(m, BatcherConfig{MaxBatch: 8})
 	defer b.Close()
 	metrics := obs.NewRegistry()
-	registerBatcherMetrics(metrics, encodeBatcherNames, b)
+	registerBatcherMetrics(metrics, b)
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func(i int) {

@@ -85,9 +85,9 @@ type Config struct {
 	// Batcher, when non-nil, is reported under /v1/stats. (Tenants use it
 	// through their encoder; the server itself never encodes.)
 	Batcher *Batcher
-	// SearchBatcher, when non-nil, is reported under /v1/stats. (Tenants
-	// use it through core.Options.Searcher; the server itself never
-	// searches.)
+	// Deprecated: SearchBatcher is read by nothing. The field stays only
+	// because the frozen bench/stack.go sets it, and goes in the benchmark
+	// PR that re-captures BENCHMARK.json.
 	SearchBatcher *SearchBatcher
 	// StatsTenants caps how many resident-tenant rows /v1/stats returns,
 	// largest traffic first. Defaults to 20; -1 means all.
@@ -260,9 +260,6 @@ type StatsResponse struct {
 	Aggregate ServingStats  `json:"aggregate"`
 	Registry  RegistryStats `json:"registry"`
 	Batcher   *BatcherStats `json:"batcher,omitempty"`
-	// SearchBatcher reports per-tenant search coalescing when a search
-	// batcher is configured.
-	SearchBatcher *BatcherStats `json:"search_batcher,omitempty"`
 	// Residents lists per-resident-tenant serving state (traffic, index
 	// tier, arena occupancy), largest traffic first, capped by
 	// Config.StatsTenants.
@@ -457,10 +454,6 @@ func (s *Server) Stats() StatsResponse {
 	if s.cfg.Batcher != nil {
 		bs := s.cfg.Batcher.Stats()
 		resp.Batcher = &bs
-	}
-	if s.cfg.SearchBatcher != nil {
-		sbs := s.cfg.SearchBatcher.Stats()
-		resp.SearchBatcher = &sbs
 	}
 	if s.cfg.Governor != nil {
 		gs := s.cfg.Governor.Stats()

@@ -41,14 +41,12 @@
 // logs. No flag chooses or tunes a tier, and a revived tenant walks the
 // same ladder.
 //
-// Concurrent searches against one hot tenant coalesce into single
-// multi-probe index passes through the per-tenant search batcher
-// (-search-batch caps a pass; -no-search-batch disables it), as
-// concurrent encodes share one EncodeBatch call through the encode
-// batcher (-batch). Neither owns a goroutine or waits for company: a
-// request runs at once on its own goroutine unless as many passes as
-// there are processors are already in flight for the same encoder or
-// cache, and a batch is whatever parked behind those.
+// A tenant's search runs directly on its request's goroutine, one probe
+// at a time, as the paper's lookup does. Concurrent encodes share one
+// EncodeBatch call through the encode batcher (-batch caps a batch). It
+// owns no goroutine and waits for no company: an encode runs at once on
+// its own goroutine unless as many encodes as there are processors are
+// already in flight, and a batch is whatever parked behind those.
 //
 // Resilience: -quota-rate enforces per-tenant token-bucket admission
 // (429 + Retry-After past the burst), -limit-max puts an AIMD adaptive
@@ -65,12 +63,13 @@
 //
 // Observability: every cacheserve serves a Prometheus text exposition at
 // GET /metrics covering serving outcomes, per-stage and per-tier
-// latency, registry/arena occupancy, the batchers, and — when enabled —
-// the cluster and FL layers; GET /v1/stats is a JSON view of the same
-// counters. Tracing is opt-in: -trace-sample head-samples per-request
-// traces (decode → encode → search → upstream → respond spans, stitched
-// across a cluster forward) into a recent ring at GET /v1/debug/traces;
-// -trace-slow additionally keeps any trace at least that slow.
+// latency, registry/arena occupancy, the encode batcher, and — when
+// enabled — the cluster and FL layers; GET /v1/stats is a JSON view of
+// the same counters. Tracing is opt-in: -trace-sample head-samples
+// per-request traces (decode → encode → search → upstream → respond
+// spans, stitched across a cluster forward) into a recent ring at GET
+// /v1/debug/traces; -trace-slow additionally keeps any trace at least
+// that slow.
 package stack
 
 import (
@@ -132,8 +131,7 @@ type Config struct {
 	VNodes, ClusterDeadAfter int
 	ClusterHeartbeat         time.Duration
 
-	Batch, SearchBatch server.BatcherConfig
-	NoSearchBatch      bool
+	Batch server.BatcherConfig
 
 	Governor resilience.GovernorConfig
 	Trace    obs.TracerConfig
@@ -180,9 +178,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 
 	fs.IntVar(&c.Batch.MaxBatch, "batch", 32, "embedding micro-batch size cap")
 
-	fs.IntVar(&c.SearchBatch.MaxBatch, "search-batch", 32, "per-tenant search batch size cap")
-	fs.BoolVar(&c.NoSearchBatch, "no-search-batch", false, "disable the per-tenant search batcher")
-
 	fs.Float64Var(&c.Governor.Quota.Rate, "quota-rate", 0, "per-tenant admission quota in requests/second (0 disables quotas)")
 	fs.Float64Var(&c.Governor.Quota.Burst, "quota-burst", 0, "per-tenant quota burst capacity (0 = same as -quota-rate)")
 	fs.IntVar(&c.Governor.Limiter.MaxLimit, "limit-max", 0, "upstream AIMD concurrency limiter ceiling (0 disables the limiter)")
@@ -224,19 +219,18 @@ func Default() Config {
 type Stack struct {
 	// Encoder is what tenants encode through: the model, in the FL holder
 	// (with FL on), in the micro-batcher.
-	Encoder       embed.Encoder
-	Batcher       *server.Batcher
-	SearchBatcher *server.SearchBatcher
-	Governor      *resilience.Governor
-	Registry      *server.Registry
-	Server        *server.Server
-	FL            *flserve.Service
-	Node          *cluster.Node
+	Encoder  embed.Encoder
+	Batcher  *server.Batcher
+	Governor *resilience.Governor
+	Registry *server.Registry
+	Server   *server.Server
+	FL       *flserve.Service
+	Node     *cluster.Node
 
 	cfg     Config
 	flStore *store.Store
 	// The tenant template and the optional registry and server seams.
-	// Their gate, searcher, hooks and observer interfaces are assigned
+	// Their gate, hooks and observer interfaces are assigned
 	// only when the implementation exists: a disabled feature must be a
 	// true nil, not a typed nil pointer the callee would call into.
 	tenant   core.Options
@@ -310,12 +304,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		FeedbackStep:     float32(cfg.FeedbackStep),
 		DegradedTauDelta: float32(cfg.TauDegraded),
 	}
-	// The search batcher coalesces concurrent probes against one hot
-	// tenant into single multi-probe index passes.
-	if !cfg.NoSearchBatch {
-		s.SearchBatcher = server.NewSearchBatcher(cfg.SearchBatch)
-		s.tenant.Searcher = s.SearchBatcher
-	}
 	var flGate flserve.Gate
 	if m := s.Governor.Maintenance; m != nil {
 		s.tenant.MaintenanceGate, flGate = m, m
@@ -374,13 +362,12 @@ func Build(cfg Config) (_ *Stack, err error) {
 	tracer := obs.NewTracer(trace)
 
 	s.Server, err = server.New(server.Config{
-		Registry:      s.Registry,
-		Batcher:       s.Batcher,
-		SearchBatcher: s.SearchBatcher,
-		Observer:      s.observer,
-		Metrics:       metrics,
-		Tracer:        tracer,
-		Governor:      s.Governor,
+		Registry: s.Registry,
+		Batcher:  s.Batcher,
+		Observer: s.observer,
+		Metrics:  metrics,
+		Tracer:   tracer,
+		Governor: s.Governor,
 	})
 	if err != nil {
 		return nil, err
@@ -478,8 +465,8 @@ func (s *Stack) Serve() error {
 
 // Close shuts down in dependency order: listener, cluster loops, FL
 // rounds (persisting their shards), a flush of every resident tenant to
-// PersistDir, and only then the batchers tenants encode and search
-// through and the FL store. It works on a partly built stack and reports
+// PersistDir, and only then the batcher tenants encode through and the
+// FL store. It works on a partly built stack and reports
 // every step that failed.
 func (s *Stack) Close() error {
 	var errs []error
@@ -504,9 +491,6 @@ func (s *Stack) Close() error {
 	}
 	if s.Batcher != nil {
 		s.Batcher.Close()
-	}
-	if s.SearchBatcher != nil {
-		s.SearchBatcher.Close()
 	}
 	if s.flStore != nil {
 		failed("closing FL store", s.flStore.Close())

@@ -35,8 +35,8 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	c.Bind(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 46 {
-		t.Errorf("Bind registers %d flags, want 46", n)
+	if n != 44 {
+		t.Errorf("Bind registers %d flags, want 44", n)
 	}
 	var got bytes.Buffer
 	fs.SetOutput(&got)
@@ -65,8 +65,6 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 		// its two BatcherConfig literals are inert (nothing in
 		// internal/server reads that field), so there is no default to match.
 		{"encode batch cap", d.Batch.MaxBatch, 32},
-		{"search batch cap", d.SearchBatch.MaxBatch, 32},
-		{"search batcher on", d.NoSearchBatch, false},
 		{"limiter min", d.Governor.Limiter.MinLimit, 4},
 		{"limiter max (off)", d.Governor.Limiter.MaxLimit, 0},
 		{"limiter queue", d.Governor.Limiter.MaxQueue, 128},
@@ -127,7 +125,7 @@ func query(t *testing.T, h http.Handler, user, text string) server.QueryResponse
 
 // stackGoroutines lists the running goroutines that belong to a Stack's
 // own background workers: the FL round ticker, the cluster loops and a
-// tenant index's tier promotion (the batchers own no goroutine).
+// tenant index's tier promotion (the encode batcher owns no goroutine).
 func stackGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -175,8 +173,11 @@ func TestBuildModes(t *testing.T) {
 		check   func(t *testing.T, s *Stack)
 	}{
 		{name: "default", check: func(t *testing.T, s *Stack) {
-			if s.Batcher == nil || s.SearchBatcher == nil || s.tenant.Searcher == nil {
-				t.Error("the shipped stack runs both batchers")
+			if s.Batcher == nil {
+				t.Error("the shipped stack encodes through the batcher")
+			}
+			if s.tenant.Searcher != nil {
+				t.Error("the shipped stack wires a searcher: tenants must search directly")
 			}
 			if s.Governor.Maintenance == nil || s.tenant.MaintenanceGate == nil {
 				t.Error("the shipped stack gates maintenance")
@@ -252,14 +253,11 @@ func TestBuildModes(t *testing.T) {
 				t.Errorf("batcher stats %+v, want 2 coalesced", st)
 			}
 		}},
-		{name: "no search batcher, no gate", set: func(c *Config) {
-			c.NoSearchBatch, c.Governor.MaintenanceWeight = true, 0
+		{name: "no maintenance gate", set: func(c *Config) {
+			c.Governor.MaintenanceWeight = 0
 		}, check: func(t *testing.T, s *Stack) {
-			if s.SearchBatcher != nil {
-				t.Error("search batcher built although disabled")
-			}
-			if s.tenant.Searcher != nil || s.tenant.MaintenanceGate != nil {
-				t.Error("a disabled searcher or gate must be a true nil interface")
+			if s.tenant.MaintenanceGate != nil {
+				t.Error("a disabled gate must be a true nil interface")
 			}
 		}},
 		{name: "fl", set: func(c *Config) {
@@ -493,8 +491,8 @@ func (d *discardWriter) WriteHeader(int)             {}
 
 // TestDefaultStackHitAllocs is the allocation budget of a cache hit
 // through the stack that ships: Default(), so the encode micro-batcher
-// and the per-tenant search batcher are both on the path (the pins in
-// internal/server build their servers without either). The bound is the
+// is on the path (the pins in internal/server build their servers
+// without it). The bound is the
 // measured count, with no slack: AllocsPerRun floors its mean over 200
 // requests, so a GC emptying the pools mid-run cannot reach it and one
 // allocation more per request does.

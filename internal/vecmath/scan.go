@@ -65,46 +65,3 @@ func dot2(p, x, y []float32) (float32, float32) {
 	}
 	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
 }
-
-// ScanDotMulti scores a micro-batch of m probes (stored contiguously,
-// m×d row-major) against the same contiguous rows in one pass: each row
-// pair is loaded once and scored against every probe while it is hot in
-// cache, instead of m separate sweeps through the data. Results land in
-// out as m consecutive blocks of rowCount scores: out[p·rows+i] is
-// probe p against row i. It performs no allocation.
-func ScanDotMulti(probes, rows, out []float32, m int) {
-	if m <= 0 {
-		return
-	}
-	d := len(probes) / m
-	if len(probes) != m*d {
-		panic(fmt.Sprintf("vecmath: ScanDotMulti probes len %d not a multiple of m=%d", len(probes), m))
-	}
-	if d == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return
-	}
-	n := len(rows) / d
-	if len(rows) != n*d {
-		panic(fmt.Sprintf("vecmath: ScanDotMulti rows len %d not a multiple of dim %d", len(rows), d))
-	}
-	if len(out) < m*n {
-		panic(fmt.Sprintf("vecmath: ScanDotMulti out len %d, need %d", len(out), m*n))
-	}
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		r0 := rows[i*d : (i+1)*d]
-		r1 := rows[(i+1)*d : (i+2)*d]
-		for p := 0; p < m; p++ {
-			out[p*n+i], out[p*n+i+1] = dot2(probes[p*d:(p+1)*d], r0, r1)
-		}
-	}
-	if i < n {
-		row := rows[i*d : (i+1)*d]
-		for p := 0; p < m; p++ {
-			out[p*n+i] = Dot(probes[p*d:(p+1)*d], row)
-		}
-	}
-}

@@ -44,7 +44,7 @@ func chunkShiftFor(dim int) uint {
 type Slab struct {
 	dim    int
 	shift  uint        // log2 of the rows per chunk, fixed at NewSlab
-	chunks [][]float32 // each ChunkRows()×dim, allocated on demand
+	chunks [][]float32 // each chunkRows()×dim, allocated on demand
 	norms  []float32   // per-slot L2 norm, precomputed at Put
 	free   []int32     // freed slots awaiting reuse
 	next   int32       // first never-used slot
@@ -62,9 +62,9 @@ func NewSlab(dim int) *Slab {
 // Dim reports the row dimensionality.
 func (s *Slab) Dim() int { return s.dim }
 
-// ChunkRows reports how many rows each of this slab's chunks holds (a
-// power of two; see SlabChunkRows). Slot s lives in chunk s/ChunkRows().
-func (s *Slab) ChunkRows() int { return 1 << s.shift }
+// chunkRows reports how many rows each of this slab's chunks holds (a
+// power of two; see SlabChunkRows). Slot s lives in chunk s/chunkRows().
+func (s *Slab) chunkRows() int { return 1 << s.shift }
 
 // Len reports the number of live rows.
 func (s *Slab) Len() int { return s.live }
@@ -122,11 +122,6 @@ func (s *Slab) Row(slot int32) []float32 {
 // Norm returns the slot's precomputed L2 norm (0 for freed slots).
 func (s *Slab) Norm(slot int32) float32 { return s.norms[slot] }
 
-// Chunk exposes chunk c's backing array (ChunkRows()×Dim, rows beyond
-// Slots() zero) for callers that stream the arena with their own kernel
-// calls, e.g. the multi-probe scan.
-func (s *Slab) Chunk(c int) []float32 { return s.chunks[c] }
-
 // ScanDot computes out[slot] = Dot(probe, row(slot)) for every slot in
 // [0, Slots()), one blocked-kernel pass per chunk. Freed slots are zero
 // rows and score 0. out must have at least Slots() elements; it is not
@@ -139,7 +134,7 @@ func (s *Slab) ScanDot(probe []float32, out []float32) {
 	if len(out) < n {
 		panic(fmt.Sprintf("vecmath: Slab.ScanDot out len %d, need %d", len(out), n))
 	}
-	per := s.ChunkRows()
+	per := s.chunkRows()
 	for base := 0; base < n; base += per {
 		rows := min(per, n-base)
 		ScanDot(probe, s.chunks[base>>s.shift][:rows*s.dim], out[base:base+rows])

@@ -35,33 +35,6 @@ func TestScanDotMatchesDotExactly(t *testing.T) {
 	}
 }
 
-func TestScanDotMultiMatchesDotExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dim := range []int{1, 4, 16, 63} {
-		for _, m := range []int{1, 2, 8} {
-			const n = 21
-			probes := make([]float32, m*dim)
-			for i := range probes {
-				probes[i] = float32(rng.NormFloat64())
-			}
-			rows := make([]float32, n*dim)
-			for i := range rows {
-				rows[i] = float32(rng.NormFloat64())
-			}
-			out := make([]float32, m*n)
-			ScanDotMulti(probes, rows, out, m)
-			for p := 0; p < m; p++ {
-				for i := 0; i < n; i++ {
-					want := Dot(probes[p*dim:(p+1)*dim], rows[i*dim:(i+1)*dim])
-					if out[p*n+i] != want {
-						t.Fatalf("dim=%d m=%d probe %d row %d: %v != %v", dim, m, p, i, out[p*n+i], want)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestSlabPutFreeRecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := NewSlab(8)
@@ -131,7 +104,7 @@ func TestSlabScanDot(t *testing.T) {
 		s := NewSlab(dim)
 		var slots []int32
 		var vecs [][]float32
-		for i := 0; i < s.ChunkRows()+40; i++ {
+		for i := 0; i < s.chunkRows()+40; i++ {
 			v := slabRandVec(rng, dim)
 			slots = append(slots, s.Put(v))
 			vecs = append(vecs, v)
@@ -150,7 +123,7 @@ func TestSlabScanDot(t *testing.T) {
 			if want := Dot(probe, vecs[i]); out[slot] != want {
 				t.Fatalf("dim %d slot %d: %v != %v", dim, slot, out[slot], want)
 			}
-			if got := s.Row(slot); &got[0] != &s.Chunk(int(slot) / s.ChunkRows())[int(slot)%s.ChunkRows()*dim] {
+			if got := s.Row(slot); &got[0] != &s.chunks[int(slot)/s.chunkRows()][int(slot)%s.chunkRows()*dim] {
 				t.Fatalf("dim %d slot %d: Row is not at slot/ChunkRows, slot%%ChunkRows", dim, slot)
 			}
 		}
@@ -168,11 +141,11 @@ func TestSlabChunkSizedByBytes(t *testing.T) {
 		{1, 256}, {16, 256}, {64, 256}, {65, 128}, {128, 128}, {384, 32}, {768, 16}, {1024, 16}, {1 << 16, 2},
 	} {
 		s := NewSlab(tc.dim)
-		if got := s.ChunkRows(); got != tc.rows {
+		if got := s.chunkRows(); got != tc.rows {
 			t.Errorf("dim %d: %d rows per chunk, want %d", tc.dim, got, tc.rows)
 		}
 		s.Put(make([]float32, tc.dim))
-		if got := len(s.Chunk(0)); got != tc.rows*tc.dim {
+		if got := len(s.chunks[0]); got != tc.rows*tc.dim {
 			t.Errorf("dim %d: chunk holds %d floats, want %d", tc.dim, got, tc.rows*tc.dim)
 		}
 	}
@@ -187,11 +160,6 @@ func TestScanKernelsZeroAlloc(t *testing.T) {
 	out := make([]float32, 100)
 	if n := testing.AllocsPerRun(50, func() { ScanDot(probe, rows, out) }); n != 0 {
 		t.Fatalf("ScanDot allocates %v per run, want 0", n)
-	}
-	probes := make([]float32, 4*64)
-	mout := make([]float32, 4*100)
-	if n := testing.AllocsPerRun(50, func() { ScanDotMulti(probes, rows, mout, 4) }); n != 0 {
-		t.Fatalf("ScanDotMulti allocates %v per run, want 0", n)
 	}
 	s := NewSlab(64)
 	for i := 0; i < 300; i++ {
@@ -215,23 +183,5 @@ func BenchmarkScanDot64x20k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ScanDot(probe, rows, out)
-	}
-}
-
-func BenchmarkScanDotMulti8x64x20k(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	probes := make([]float32, 8*64)
-	for i := range probes {
-		probes[i] = float32(rng.NormFloat64())
-	}
-	rows := make([]float32, 20000*64)
-	for i := range rows {
-		rows[i] = float32(rng.NormFloat64())
-	}
-	out := make([]float32, 8*20000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScanDotMulti(probes, rows, out, 8)
 	}
 }
