@@ -31,19 +31,21 @@ race:
 
 check: vet build test race
 
-# conformance runs the cross-index property suite (Flat, IVF, HNSW,
-# Adaptive against a brute-force oracle) twice under the race detector.
+# conformance runs the cross-index property suite (Flat, IVF, and
+# Adaptive promoting and regrowing mid-run, against a brute-force
+# oracle) twice under the race detector.
 conformance:
 	$(GO) test -run Conformance -count=2 -race ./internal/index/...
 
 # fuzz-smoke is the nightly-style fuzz check: 30s of randomized
-# Add/Remove/Search programs checked for exact Flat parity and HNSW
-# result invariants, 30s of arbitrary bytes against the cluster wire codec (no panics, no over-allocation,
-# canonical round trips), 30s of fuzzer-shaped churn storms through
-# the deterministic cluster simulation (no panics, every safety
-# invariant holds at settle), and 30s of arbitrary bytes against the
-# persisted entry codec, binary and legacy gob (no panics, whatever
-# decodes re-encodes to the same entry).
+# Add/Remove/Search programs checked for exact Flat parity and for the
+# result invariants of an Adaptive that promotes to IVF and regrows
+# inside one program, 30s of arbitrary bytes against the cluster wire
+# codec (no panics, no over-allocation, canonical round trips), 30s of
+# fuzzer-shaped churn storms through the deterministic cluster
+# simulation (no panics, every safety invariant holds at settle), and
+# 30s of arbitrary bytes against the persisted entry codec, binary and
+# legacy gob (no panics, whatever decodes re-encodes to the same entry).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSearchParity -fuzztime=30s -run xxx ./internal/index/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s -run xxx ./internal/cluster/
@@ -95,9 +97,11 @@ loadtest-fl:
 		./bin/loadgen -addr 127.0.0.1:18091 -users 50 -cached 8 -probes 12 -fl 3 -accept; \
 		rc=$$?; kill -INT $$srv; wait $$srv; exit $$rc
 
-# loadtest-ann is the large-cache ANN acceptance run: 200k entries per
-# tenant index, HNSW must beat the exact Flat scan ≥5× at recall@10
-# ≥ 0.95 (build takes a minute or two; the gate is enforced by exit code).
+# loadtest-ann is the large-cache ANN acceptance run: 200k entries in
+# the Adaptive index every tenant gets (its zero config, so the shipped
+# promotion and regrowths), which must beat the exact Flat scan ≥5× at
+# recall@10 ≥ 0.95 (the build takes about 35 s; the gate is enforced by
+# exit code).
 loadtest-ann:
 	$(GO) run ./cmd/loadgen -scenario ann -ann-queries 300 -accept
 

@@ -345,9 +345,10 @@ func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
 	case "ivf":
 		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{},
 			index.NewIVF(largeTenantDim, index.IVFConfig{NList: 141, NProbe: 12, Seed: 1}))
-	case "hnsw":
-		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{},
-			index.NewHNSW(largeTenantDim, index.HNSWConfig{M: 16, EfConstruction: 80, EfSearch: 96, Seed: 1}))
+	case "adaptive":
+		adaptive := index.NewAdaptive(largeTenantDim, index.AdaptiveConfig{})
+		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{}, adaptive)
+		defer adaptive.WaitMigration()
 	default:
 		b.Fatalf("unknown tier %q", tier)
 	}
@@ -363,15 +364,16 @@ func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
 
 // BenchmarkLargeCacheSearch compares the cache's similarity-search path
 // across the index tiers at the large-tenant operating point (20k
-// entries × 64 dims): the exact scan versus IVF and HNSW. This is the
-// quantity the adaptive tiering trades on — the same FindSimilar call,
-// orders of magnitude apart in work.
+// entries × 64 dims): the exact scan versus a hand-sized IVF and the
+// Adaptive index every tenant gets, settled on whatever tier its size
+// picked. This is the quantity the adaptive tiering trades on — the
+// same FindSimilar call, orders of magnitude apart in work.
 func BenchmarkLargeCacheSearch(b *testing.B) {
-	for _, tier := range []string{"scan", "ivf", "hnsw"} {
+	for _, tier := range []string{"scan", "ivf", "adaptive"} {
 		// Built here, not inside b.Run: the testing package calls this
 		// function once but re-invokes each sub-benchmark with growing
-		// b.N, and a 20k HNSW graph per calibration round would dominate
-		// the run.
+		// b.N, and a 20k-entry index build per calibration round would
+		// dominate the run.
 		c, probe := largeTenantCache(b, tier)
 		b.Run(tier, func(b *testing.B) {
 			b.ReportAllocs()

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -11,14 +10,16 @@ import (
 	"repro/internal/metrics"
 )
 
-// The ann scenario measures the large-cache index tiers directly — no
-// server in the loop, because at hundreds of thousands of entries the
-// encode and HTTP costs would drown the quantity under test. It builds a
-// clustered synthetic corpus, indexes it under each implementation, and
-// reports build time, search latency percentiles and recall@k against
-// the exact Flat ground truth.
+// The ann scenario measures the index a large tenant serves from
+// directly — no server in the loop, because at hundreds of thousands of
+// entries the encode and HTTP costs would drown the quantity under test.
+// It builds a clustered synthetic corpus, indexes it under the exact
+// Flat scan and under the Adaptive index core.New gives every tenant
+// (zero config, so its calibrated threshold, its promotion to IVF and
+// every regrowth are the shipped ones), and reports build time, search
+// latency percentiles and recall@k against the exact Flat ground truth.
 //
-// Gate: HNSW ≥ 5× Flat at recall@10 ≥ 0.95 on the annN-vector corpus.
+// Gate: Adaptive ≥ 5× Flat at recall@10 ≥ 0.95 on the annN-vector corpus.
 const (
 	annN          = 200000
 	annClusters   = 256
@@ -30,10 +31,9 @@ const (
 
 // annIndex is one measured implementation.
 type annIndex struct {
-	name  string
-	build func(seed int64) index.Index
+	name string
+	idx  index.Index
 
-	idx   index.Index
 	lat   metrics.LatencyRecorder
 	inter int // results shared with the Flat ground truth
 }
@@ -43,9 +43,8 @@ func runANN(e env) ([]gate, error) {
 	fmt.Printf("=== ann scenario: %d vectors × %d dims, %d queries, k=%d ===\n",
 		annN, annDim, e.annQueries, annK)
 
-	// Clustered corpus — the geometry both IVF and HNSW's diversity
-	// heuristic are built for, and what real query embeddings look like
-	// (intents form clusters).
+	// Clustered corpus — the geometry IVF's k-means is built for, and
+	// what real query embeddings look like (intents form clusters).
 	corpus := dataset.ClusteredVectors(rng, annN, annClusters, annDim, 0.35)
 	// Queries perturb random corpus points: near-duplicate probes, the
 	// semantic-cache access pattern.
@@ -54,27 +53,17 @@ func runANN(e env) ([]gate, error) {
 		queries[i] = dataset.PerturbUnit(rng, corpus[rng.Intn(len(corpus))], 0.2)
 	}
 
-	hnsw := &annIndex{name: "hnsw", build: func(seed int64) index.Index {
-		return index.NewHNSW(annDim, index.HNSWConfig{M: 16, EfConstruction: 100, EfSearch: 96, Seed: seed})
-	}}
-	runs := []*annIndex{
-		{name: "flat", build: func(int64) index.Index { return index.NewFlat(annDim) }},
-		{name: "ivf", build: func(seed int64) index.Index {
-			nlist := int(math.Sqrt(annN)) + 1
-			return index.NewIVF(annDim, index.IVFConfig{NList: nlist, NProbe: max(nlist/16, 8), Seed: seed})
-		}},
-		hnsw,
-	}
+	adaptive := &annIndex{name: "adaptive", idx: index.NewAdaptive(annDim, index.AdaptiveConfig{})}
+	runs := []*annIndex{{name: "flat", idx: index.NewFlat(annDim)}, adaptive}
 	for _, r := range runs {
-		r.idx = r.build(e.seed)
 		start := time.Now()
 		for id, v := range corpus {
 			if err := r.idx.Add(id, v); err != nil {
 				return nil, fmt.Errorf("%s add: %w", r.name, err)
 			}
 		}
-		if ivf, ok := r.idx.(*index.IVF); ok {
-			ivf.Train() // re-cluster on the full corpus, not the bootstrap sample
+		if a, ok := r.idx.(*index.Adaptive); ok {
+			a.WaitMigration() // measure the tier the load settles on
 		}
 		fmt.Printf("built %-8s %8d entries in %v\n", r.name, r.idx.Len(), time.Since(start).Round(time.Millisecond))
 	}
@@ -121,8 +110,8 @@ func runANN(e env) ([]gate, error) {
 	}
 
 	return []gate{
-		check("acceptance (hnsw)", recall(hnsw) >= annMinRecall && speedup(hnsw) >= annMinSpeedup,
+		check("acceptance (adaptive)", recall(adaptive) >= annMinRecall && speedup(adaptive) >= annMinSpeedup,
 			"speedup %.1fx (need ≥%.0fx), recall@%d %.3f (need ≥%.2f)",
-			speedup(hnsw), annMinSpeedup, annK, recall(hnsw), annMinRecall),
+			speedup(adaptive), annMinSpeedup, annK, recall(adaptive), annMinRecall),
 	}, nil
 }

@@ -23,8 +23,8 @@
 //	          round; the report is the hit-ratio/F1/τ trajectory against
 //	          the frozen-model baseline.
 //	ann       in process, no server: a clustered 200k × 64-d corpus
-//	          indexed under Flat, IVF and HNSW. Gate: HNSW ≥5× Flat at
-//	          recall@10 ≥ 0.95.
+//	          indexed under Flat and the Adaptive index every tenant
+//	          gets. Gate: Adaptive ≥5× Flat at recall@10 ≥ 0.95.
 //	cluster   in process: a 3-node cluster over shared storage takes an
 //	          abrupt node kill mid-run. Gates: zero errors, zero lost
 //	          tenants, ≥90% duplicate-hit-rate retention.

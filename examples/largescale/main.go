@@ -2,9 +2,10 @@
 //
 // §III-B notes the semantic search must scale toward a million cached
 // entries. This example indexes 100,000 PCA-compressed embeddings three
-// ways — the exact parallel flat scan, the IVF inverted-file index and
-// the HNSW graph, the tiers a growing cache is promoted through — and
-// compares search latency and top-1 agreement with the exact scan.
+// ways — the exact parallel flat scan, a hand-sized IVF inverted-file
+// index, and the Adaptive index every tenant's cache runs on, which
+// promotes to IVF and rebuilds it as the corpus grows — and compares
+// search latency and top-1 agreement with the exact scan.
 //
 // Run with: go run ./examples/largescale
 package main
@@ -37,15 +38,18 @@ func main() {
 	}{
 		{"flat (exact)", index.NewFlat(dim)},
 		{"ivf (nprobe=16)", index.NewIVF(dim, index.IVFConfig{NList: 317, NProbe: 16, Seed: 2})},
-		{"hnsw (ef=96)", index.NewHNSW(dim, index.HNSWConfig{M: 16, EfConstruction: 100, EfSearch: 96, Seed: 2})},
+		{"adaptive (shipped)", index.NewAdaptive(dim, index.AdaptiveConfig{})},
 	}
 	for _, e := range indexes {
 		start := time.Now()
 		for i, v := range vecs {
 			e.idx.Add(i, v)
 		}
-		if ivf, ok := e.idx.(*index.IVF); ok {
-			ivf.Train() // re-cluster on the full corpus, not the bootstrap sample
+		switch idx := e.idx.(type) {
+		case *index.IVF:
+			idx.Train() // re-cluster on the full corpus, not the bootstrap sample
+		case *index.Adaptive:
+			idx.WaitMigration() // let the last background build land
 		}
 		fmt.Printf("built %-18s in %v\n", e.name, time.Since(start).Round(time.Millisecond))
 	}

@@ -152,9 +152,10 @@ func TestIndexedCacheConcurrent(t *testing.T) {
 }
 
 // TestAdaptiveIndexedCacheConcurrent runs the same serving mix over an
-// adaptive index with thresholds low enough that both tier promotions
-// (Flat→IVF→HNSW) happen mid-traffic, with background migrations racing
-// live Put/FindSimilar/Remove.
+// adaptive index with a threshold low enough that the promotion and a
+// regrowth (Flat→IVF→regrown IVF: ~1,070 live entries is more than 4 ×
+// the 101 the first IVF is built from) happen mid-traffic, with
+// background builds racing live Put/FindSimilar/Remove.
 func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 	const (
 		dim     = 16
@@ -162,11 +163,7 @@ func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 		readers = 4
 		perG    = 300
 	)
-	adaptive := index.NewAdaptive(dim, index.AdaptiveConfig{
-		FlatMax: 100, IVFMax: 400,
-		IVF:  index.IVFConfig{NList: 8, NProbe: 8, Seed: 1},
-		HNSW: index.HNSWConfig{M: 8, EfConstruction: 60, EfSearch: 64, Seed: 1},
-	})
+	adaptive := index.NewAdaptive(dim, index.AdaptiveConfig{FlatMax: 100})
 	c := NewWithIndex(dim, 0, LRU{}, adaptive)
 
 	var wg sync.WaitGroup
@@ -204,8 +201,8 @@ func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	adaptive.WaitMigration()
 
-	if got := adaptive.Tier(); got != "hnsw" {
-		t.Fatalf("tier = %s after %d puts, want hnsw", got, writers*perG)
+	if got := adaptive.Tier(); got != "ivf" {
+		t.Fatalf("tier = %s after %d puts, want ivf", got, writers*perG)
 	}
 	if c.Len() != adaptive.Len() {
 		t.Fatalf("cache Len %d != index Len %d", c.Len(), adaptive.Len())
@@ -265,11 +262,11 @@ func TestLoadFromWithIndex(t *testing.T) {
 	}
 
 	revived, err := LoadFromWithIndex(st, 8, 0, LRU{},
-		index.NewHNSW(8, index.HNSWConfig{M: 8, EfConstruction: 40, EfSearch: 40, Seed: 2}))
+		index.NewIVF(8, index.IVFConfig{NList: 4, NProbe: 4, TrainSize: 10, Seed: 2}))
 	if err != nil {
 		t.Fatalf("LoadFromWithIndex: %v", err)
 	}
-	if revived.ServingTier() != "hnsw" || revived.Len() != 20 {
+	if revived.ServingTier() != "ivf" || revived.Len() != 20 {
 		t.Fatalf("revived: ServingTier=%q Len=%d", revived.ServingTier(), revived.Len())
 	}
 	for i := int64(0); i < 20; i++ {

@@ -69,10 +69,10 @@ type Options struct {
 	// IndexFactory builds the vector index backing the cache's
 	// similarity search. Nil, which is what every serving stack passes,
 	// means index.NewAdaptive with its zero config: the cache's size
-	// picks the tier (exact scan, then IVF, then HNSW) at thresholds
-	// measured on this machine. Tests and internal/experiments set it to
-	// pin one tier. The serving layer calls it again when reviving a
-	// persisted tenant.
+	// picks the tier (exact scan, then an IVF rebuilt as the cache grows)
+	// at a threshold measured on this machine. Tests and
+	// internal/experiments set it to pin one tier. The serving layer
+	// calls it again when reviving a persisted tenant.
 	IndexFactory func(dim int) index.Index
 	// FeedbackStep is how much a false-hit report raises Tau (§III-A.2:
 	// the threshold adapts from user feedback). Zero disables adjustment.
@@ -231,8 +231,8 @@ type Result struct {
 	// Candidates counts the similar entries the index returned before
 	// context filtering.
 	Candidates int
-	// Tier names the index tier that served the search ("flat", "ivf",
-	// "hnsw"; "" when the index does not report one).
+	// Tier names the index tier that served the search ("flat" or
+	// "ivf"; "" when the index does not report one).
 	Tier string
 	// ProbeEmbedding is the submitted query's embedding, exposed so the
 	// miss path can enrol the response without encoding the query a

@@ -42,8 +42,7 @@ func PerturbUnit(rng *rand.Rand, v []float32, spread float64) []float32 {
 
 // ClusteredVectors generates n unit vectors around nc random anchors
 // (round-robin assignment), each perturbed with total noise norm ≈
-// spread. This is the geometry IVF's k-means and HNSW's diversity
-// heuristic are designed for.
+// spread. This is the geometry IVF's k-means is designed for.
 func ClusteredVectors(rng *rand.Rand, n, nc, dim int, spread float64) [][]float32 {
 	if nc < 1 {
 		nc = 1

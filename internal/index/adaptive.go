@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -10,23 +11,23 @@ import (
 
 // Adaptive tiers a tenant's index by size: it starts as an exact Flat
 // scan (small caches stay exact and allocation-free), promotes to IVF
-// once the entry count crosses FlatMax, and to HNSW past IVFMax. Each
-// promotion builds the next tier in a background goroutine from a
-// snapshot while the current tier keeps serving; writes that land during
-// the build are journaled and replayed before the atomic swap, so no
-// entry is lost and Search never waits on a migration: readers resolve
-// the serving tier through an atomic pointer (never the writer lock), and
-// the snapshot copies incrementally — one short read-lock window per
-// vector — so neither a writer nor, through RWMutex writer preference,
-// any later reader is ever parked behind a long snapshot pass.
+// once the entry count crosses FlatMax, and regrows that IVF into a
+// fresh one, its lists sized to the tenant, whenever the tenant holds
+// more than regrowFactor times the entries the serving IVF was built
+// from. Each build runs in a background goroutine from a snapshot while
+// the current tier keeps serving; writes that land during the build are
+// journaled and replayed before the atomic swap, so no entry is lost and
+// Search never waits on a build: readers resolve the serving tier
+// through an atomic pointer (never the writer lock), and the snapshot
+// copies incrementally — one short read-lock window per vector — so
+// neither a writer nor, through RWMutex writer preference, any later
+// reader is ever parked behind a long snapshot pass.
 //
-// The zero-value thresholds are DefaultThresholds: measured once per
-// process from this machine's scan speed, not set. Flat's exact scan
-// wins below the first, and IVF's probe-list scan beats graph traversal
-// until lists grow long.
+// The zero-value threshold is DefaultFlatMax: measured once per process
+// from this machine's scan speed, not set.
 type Adaptive struct {
-	dim int
-	cfg AdaptiveConfig
+	dim     int
+	flatMax int
 
 	// cur is the serving tier, resolved lock-free by readers.
 	cur atomic.Pointer[tierRef]
@@ -38,11 +39,24 @@ type Adaptive struct {
 	done      *sync.Cond // on mu; broadcast when a migration finishes
 }
 
-// tierRef pairs the serving index with its tier number for one atomic
-// swap.
+// regrowFactor is how far a tenant outgrows its IVF before the tier is
+// rebuilt: past regrowFactor × the entries it was built from.
+const regrowFactor = 4
+
+// tierIndex is what both tiers, Flat and IVF, implement.
+type tierIndex interface {
+	Index
+	SearchAppender
+	ArenaReporter
+	snapshotter
+}
+
+// tierRef pairs the serving index with the entry count its build was
+// decided at (the rows it was built from, less any removed meanwhile),
+// for one atomic swap.
 type tierRef struct {
-	idx  Index
-	tier int // 0 = Flat, 1 = IVF, 2 = HNSW
+	idx   tierIndex
+	built int // 0 while Flat serves
 }
 
 // tierOp journals one write that happened during a migration build.
@@ -52,25 +66,13 @@ type tierOp struct {
 	remove bool
 }
 
-// AdaptiveConfig tunes the tier thresholds and the promoted tiers'
-// parameters. Zero values select the defaults; the serving stack passes
-// the zero value, tests pin thresholds to reach a tier with few entries.
+// AdaptiveConfig sets the one promotion threshold. The serving stack
+// passes the zero value; tests set FlatMax to reach IVF with few
+// entries.
 type AdaptiveConfig struct {
 	// FlatMax is the entry count past which the Flat tier promotes to
-	// IVF. Default: DefaultThresholds' first value.
+	// IVF. Zero or negative: DefaultFlatMax.
 	FlatMax int
-	// IVFMax is the entry count past which the IVF tier promotes to
-	// HNSW. Default: DefaultThresholds' second value (raised to
-	// 4·FlatMax when FlatMax alone is set at or past it, so the default
-	// never silently disables IVF). Set IVFMax explicitly at or below
-	// FlatMax — negative values are normalised to FlatMax — to skip the
-	// IVF tier entirely: Flat then promotes straight to HNSW at FlatMax.
-	IVFMax int
-	// IVF configures the middle tier (NList/TrainSize are sized from
-	// FlatMax when zero, so the promoted index trains immediately).
-	IVF IVFConfig
-	// HNSW configures the top tier.
-	HNSW HNSWConfig
 }
 
 // NewAdaptive creates an adaptive index for dim-dimensional unit vectors.
@@ -78,38 +80,11 @@ func NewAdaptive(dim int, cfg AdaptiveConfig) *Adaptive {
 	if dim <= 0 {
 		panic("index: dim must be positive")
 	}
-	if cfg.FlatMax <= 0 || cfg.IVFMax == 0 {
-		flatMax, ivfMax := DefaultThresholds(dim)
-		if cfg.FlatMax <= 0 {
-			cfg.FlatMax = flatMax
-		}
-		if cfg.IVFMax == 0 {
-			// Default the second threshold — but never let the default
-			// itself imply skip-IVF: a caller raising only FlatMax past it
-			// would otherwise silently lose the middle tier. Skipping IVF
-			// stays an explicit choice (IVFMax set at or below FlatMax).
-			cfg.IVFMax = ivfMax
-			if cfg.IVFMax <= cfg.FlatMax {
-				cfg.IVFMax = 4 * cfg.FlatMax
-			}
-		}
+	if cfg.FlatMax <= 0 {
+		cfg.FlatMax = DefaultFlatMax(dim)
 	}
-	if cfg.IVFMax < 0 {
-		// Negative values are normalised to the canonical skip-IVF marker
-		// so the promotion state machine only ever compares sane counts.
-		cfg.IVFMax = cfg.FlatMax
-	}
-	if cfg.IVF.NList <= 0 {
-		// ~√FlatMax lists at promotion time; the index grows past that,
-		// but re-training is IVF's own concern.
-		cfg.IVF.NList = isqrt(cfg.FlatMax * 4)
-	}
-	if cfg.IVF.TrainSize <= 0 {
-		// Train on the full snapshot the moment the tier is built.
-		cfg.IVF.TrainSize = cfg.FlatMax
-	}
-	a := &Adaptive{dim: dim, cfg: cfg}
-	a.cur.Store(&tierRef{idx: NewFlat(dim), tier: 0})
+	a := &Adaptive{dim: dim, flatMax: cfg.FlatMax}
+	a.cur.Store(&tierRef{idx: NewFlat(dim)})
 	a.done = sync.NewCond(&a.mu)
 	return a
 }
@@ -128,33 +103,17 @@ func (a *Adaptive) Dim() int { return a.dim }
 // Len implements Index.
 func (a *Adaptive) Len() int { return a.cur.Load().idx.Len() }
 
-// Tier reports the currently serving tier: "flat", "ivf" or "hnsw".
+// Tier reports the currently serving tier: "flat" or "ivf".
 func (a *Adaptive) Tier() string {
-	switch a.cur.Load().tier {
-	case 0:
+	if a.cur.Load().built == 0 {
 		return "flat"
-	case 1:
-		return "ivf"
-	default:
-		return "hnsw"
 	}
+	return "ivf"
 }
 
 // ArenaStats implements ArenaReporter by delegating to whichever tier
-// currently serves (every tier implements it).
-func (a *Adaptive) ArenaStats() ArenaStats {
-	if rep, ok := a.cur.Load().idx.(ArenaReporter); ok {
-		return rep.ArenaStats()
-	}
-	return ArenaStats{}
-}
-
-// Thresholds reports the normalised promotion thresholds: the entry
-// counts past which Flat promotes (to IVF, or straight to HNSW when
-// skip-IVF is in effect) and past which IVF promotes to HNSW.
-func (a *Adaptive) Thresholds() (flatMax, ivfMax int) {
-	return a.cfg.FlatMax, a.cfg.IVFMax
-}
+// currently serves.
+func (a *Adaptive) ArenaStats() ArenaStats { return a.cur.Load().idx.ArenaStats() }
 
 // WaitMigration blocks until no migration is in flight — deterministic
 // sequencing for tests and the load generator.
@@ -202,69 +161,55 @@ func (a *Adaptive) Search(vec []float32, k int, tau float32) []Hit {
 	return a.cur.Load().idx.Search(vec, k, tau)
 }
 
-// SearchAppend implements SearchAppender through the serving tier's own
-// SearchAppend when it has one, so a tenant on Flat or IVF keeps the
-// allocation-free path behind the wrapper.
+// SearchAppend implements SearchAppender through the serving tier's
+// own, so the allocation-free path survives the wrapper.
 func (a *Adaptive) SearchAppend(vec []float32, k int, tau float32, dst []Hit) []Hit {
-	idx := a.cur.Load().idx
-	if sa, ok := idx.(SearchAppender); ok {
-		return sa.SearchAppend(vec, k, tau, dst)
-	}
-	return append(dst, idx.Search(vec, k, tau)...)
+	return a.cur.Load().idx.SearchAppend(vec, k, tau, dst)
 }
 
-// forEach implements iterable.
-func (a *Adaptive) forEach(fn func(id int, vec []float32)) {
-	a.cur.Load().idx.(iterable).forEach(fn)
-}
-
-// idList implements snapshotter.
-func (a *Adaptive) idList() []int { return a.cur.Load().idx.(snapshotter).idList() }
-
-// vecClone implements snapshotter.
-func (a *Adaptive) vecClone(id int) []float32 {
-	return a.cur.Load().idx.(snapshotter).vecClone(id)
-}
-
-// maybePromoteLocked kicks off a background promotion when the current
-// tier outgrew its threshold. Callers hold a.mu.
+// maybePromoteLocked kicks off a background build when the serving tier
+// outgrew its limit: FlatMax for Flat, regrowFactor × its build count
+// for IVF. Callers hold a.mu.
 func (a *Adaptive) maybePromoteLocked() {
 	ref := a.cur.Load()
 	n := ref.idx.Len()
-	var next Index
-	var nextTier int
-	switch {
-	case ref.tier == 0 && a.cfg.IVFMax > a.cfg.FlatMax && n > a.cfg.FlatMax:
-		next, nextTier = NewIVF(a.dim, a.cfg.IVF), 1
-	case ref.tier == 0 && a.cfg.IVFMax <= a.cfg.FlatMax && n > a.cfg.FlatMax:
-		next, nextTier = NewHNSW(a.dim, a.cfg.HNSW), 2 // IVF tier disabled
-	case ref.tier == 1 && n > a.cfg.IVFMax:
-		next, nextTier = NewHNSW(a.dim, a.cfg.HNSW), 2
-	default:
+	limit := a.flatMax
+	if ref.built > 0 {
+		limit = regrowFactor * ref.built
+	}
+	if n <= limit {
 		return
 	}
 	a.migrating = true
 	a.journal = a.journal[:0]
-	go a.migrate(ref.idx, next, nextTier)
+	go a.migrate(ref, n)
 }
 
-// migrate snapshots the current tier and builds the next one entirely
-// off a.mu, catches up on journaled writes, and swaps the tier in. The
-// snapshot is incremental — one short read lock for the ID list, then one
-// per vector copy — so the longest the old tier's lock is ever held is a
-// single clone: a concurrent writer queues for microseconds, not for the
-// whole O(n·dim) pass (RWMutex writer preference would otherwise park
-// every Search behind that writer). Entries that mutate between the
-// promotion decision and their copy appear in both the snapshot and the
-// journal — applyOps tolerates the duplicate Adds, vanished IDs simply
-// skip, and replay order makes the journal's last word win.
-func (a *Adaptive) migrate(cur, next Index, nextTier int) {
-	snapper := cur.(snapshotter)
+// migrate snapshots the serving tier, builds a fresh IVF from it
+// entirely off a.mu, catches up on journaled writes, and swaps the new
+// tier in. The snapshot is incremental — one short read lock for the ID
+// list, then one per vector copy — so the longest the old tier's lock
+// is ever held is a single clone: a concurrent writer queues for
+// microseconds, not for the whole O(n·dim) pass (RWMutex writer
+// preference would otherwise park every Search behind that writer).
+// Entries that mutate between the build decision and their copy appear
+// in both the snapshot and the journal — applyOps tolerates the
+// duplicate Adds, vanished IDs simply skip, and replay order makes the
+// journal's last word win.
+func (a *Adaptive) migrate(from *tierRef, n int) {
 	var snap []tierOp
-	for _, id := range snapper.idList() {
-		if vec := snapper.vecClone(id); vec != nil {
+	for _, id := range from.idx.idList() {
+		if vec := from.idx.vecClone(id); vec != nil {
 			snap = append(snap, tierOp{id: id, vec: vec})
 		}
+	}
+	var next *IVF
+	if from.built == 0 {
+		// The first promotion trains on the first FlatMax rows in Flat's
+		// own order, as soon as they land.
+		next = NewIVF(a.dim, IVFConfig{NList: isqrt(4 * a.flatMax), TrainSize: a.flatMax})
+	} else {
+		next, snap = regrownIVF(a.dim, snap)
 	}
 	applyOps(next, snap)
 	// Drain the journal in rounds off-lock until one round's residue is
@@ -291,17 +236,42 @@ func (a *Adaptive) migrate(cur, next Index, nextTier int) {
 		applyOps(next, batch)
 	}
 	// a.mu is held here (both break paths leave it locked).
-	a.cur.Store(&tierRef{idx: next, tier: nextTier})
+	a.cur.Store(&tierRef{idx: next, built: n})
 	a.migrating = false
 	a.journal = nil
-	// The new tier may immediately qualify for the next promotion (a bulk
-	// load that blew past IVFMax while the IVF build ran — later Adds only
-	// journal during a migration, so the chain can only continue here).
-	// Running it before the flag drop is observable keeps WaitMigration
-	// from returning mid-chain on a stale Broadcast.
+	// The new tier may immediately qualify for a regrowth (a bulk load
+	// that blew past regrowFactor × n while the build ran — later Adds
+	// only journal during a migration, so the chain can only continue
+	// here). Running it before the flag drop is observable keeps
+	// WaitMigration from returning mid-chain on a stale Broadcast.
 	a.maybePromoteLocked()
 	a.mu.Unlock()
 	a.done.Broadcast()
+}
+
+// regrownIVF sizes a fresh IVF to the snapshot it is built from —
+// isqrt(4·rows) lists, IVF's default probes — and orders the snapshot so
+// that k-means trains on an even sample of it: the rows are sorted by ID,
+// every (rows/m)-th of them goes first, and a TrainSize of m makes the
+// IVF train the moment the last of those m lands. m is 32 rows per list,
+// capped at the snapshot.
+func regrownIVF(dim int, snap []tierOp) (*IVF, []tierOp) {
+	sort.Slice(snap, func(i, j int) bool { return snap[i].id < snap[j].id })
+	nlist := isqrt(4 * len(snap))
+	m := min(32*nlist, len(snap))
+	ordered := make([]tierOp, 0, len(snap))
+	sampled := make([]bool, len(snap))
+	for i := 0; i < m; i++ {
+		j := i * len(snap) / m
+		sampled[j] = true
+		ordered = append(ordered, snap[j])
+	}
+	for j, op := range snap {
+		if !sampled[j] {
+			ordered = append(ordered, op)
+		}
+	}
+	return NewIVF(dim, IVFConfig{NList: nlist, TrainSize: m}), ordered
 }
 
 // applyOps replays ops in order. Add errors are expected and ignored: a

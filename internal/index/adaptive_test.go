@@ -6,38 +6,28 @@ import (
 	"testing"
 )
 
-// TestAdaptiveThresholdNormalization pins the NewAdaptive threshold
-// hardening: unset thresholds are the calibrated DefaultThresholds, the
-// IVFMax default must never silently disable the IVF tier just because
-// FlatMax was raised past it, and negative IVFMax is normalised to the
-// canonical skip-IVF marker.
+// TestAdaptiveThresholdNormalization pins NewAdaptive's one setting: an
+// unset or negative FlatMax is the calibrated DefaultFlatMax, a positive
+// one is kept as given.
 func TestAdaptiveThresholdNormalization(t *testing.T) {
 	const dim = 8
-	defFlat, defIVF := DefaultThresholds(dim)
-	if defFlat < 1024 || defFlat > 1<<17 || defIVF < 4*defFlat {
-		t.Fatalf("DefaultThresholds(%d) = (%d, %d), outside the calibrated band [1024, 128k] with IVFMax ≥ 4·FlatMax", dim, defFlat, defIVF)
+	def := DefaultFlatMax(dim)
+	if def < 1024 || def > 1<<17 {
+		t.Fatalf("DefaultFlatMax(%d) = %d, outside the calibrated band [1024, 128k]", dim, def)
 	}
 	cases := []struct {
-		name            string
-		cfg             AdaptiveConfig
-		flatMax, ivfMax int
+		name    string
+		cfg     AdaptiveConfig
+		flatMax int
 	}{
-		{"defaults", AdaptiveConfig{}, defFlat, defIVF},
-		{"flatmax-below-default-ivfmax", AdaptiveConfig{FlatMax: defIVF - 1}, defIVF - 1, defIVF},
-		{"flatmax-at-default-ivfmax", AdaptiveConfig{FlatMax: defIVF}, defIVF, 4 * defIVF},
-		{"flatmax-past-default-ivfmax", AdaptiveConfig{FlatMax: defIVF + 1}, defIVF + 1, 4 * (defIVF + 1)},
-		{"explicit-skip-equal", AdaptiveConfig{FlatMax: 150, IVFMax: 150}, 150, 150},
-		{"explicit-skip-below", AdaptiveConfig{FlatMax: 150, IVFMax: 10}, 150, 10},
-		{"negative-skip", AdaptiveConfig{FlatMax: 150, IVFMax: -1}, 150, 150},
-		{"negative-skip-default-flatmax", AdaptiveConfig{IVFMax: -7}, defFlat, defFlat},
-		{"full-ladder", AdaptiveConfig{FlatMax: 150, IVFMax: 500}, 150, 500},
+		{"defaults", AdaptiveConfig{}, def},
+		{"negative-default", AdaptiveConfig{FlatMax: -7}, def},
+		{"explicit", AdaptiveConfig{FlatMax: 150}, 150},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := NewAdaptive(dim, tc.cfg)
-			flatMax, ivfMax := a.Thresholds()
-			if flatMax != tc.flatMax || ivfMax != tc.ivfMax {
-				t.Fatalf("Thresholds() = (%d, %d), want (%d, %d)", flatMax, ivfMax, tc.flatMax, tc.ivfMax)
+			if got := NewAdaptive(dim, tc.cfg).flatMax; got != tc.flatMax {
+				t.Fatalf("flatMax = %d, want %d", got, tc.flatMax)
 			}
 		})
 	}
@@ -46,106 +36,59 @@ func TestAdaptiveThresholdNormalization(t *testing.T) {
 	// agreeing to the last bit of a float64 nanosecond mean do not
 	// happen, and at 64-d FlatMax is far from its clamps.
 	t.Run("calibrated-once", func(t *testing.T) {
-		DefaultThresholds(64)
+		DefaultFlatMax(64)
 		kept := calibration.ns
 		if kept <= 0 {
-			t.Fatalf("no calibration kept after DefaultThresholds: %v", kept)
+			t.Fatalf("no calibration kept after DefaultFlatMax: %v", kept)
 		}
 		for i := 0; i < 2; i++ {
-			flatMax, ivfMax := NewAdaptive(64, AdaptiveConfig{}).Thresholds()
+			flatMax := NewAdaptive(64, AdaptiveConfig{}).flatMax
 			if calibration.ns != kept {
 				t.Fatalf("NewAdaptive #%d recalibrated: %v → %v ns", i+1, kept, calibration.ns)
 			}
-			if wf, wi := TierThresholds(kept, 64); flatMax != wf || ivfMax != wi {
-				t.Fatalf("NewAdaptive #%d thresholds (%d, %d), want TierThresholds of the kept measurement (%d, %d)", i+1, flatMax, ivfMax, wf, wi)
+			if want := FlatMaxFor(kept, 64); flatMax != want {
+				t.Fatalf("NewAdaptive #%d FlatMax %d, want FlatMaxFor of the kept measurement %d", i+1, flatMax, want)
 			}
 		}
 	})
 }
 
-// TestAdaptiveSkipIVFBoundary drives the skip-IVF mode at the exact
-// boundary count: FlatMax entries stay flat, one more promotes straight
-// to HNSW with no intermediate IVF tier.
-func TestAdaptiveSkipIVFBoundary(t *testing.T) {
-	const dim, flatMax = 8, 150
-	rng := rand.New(rand.NewSource(11))
-	a := NewAdaptive(dim, AdaptiveConfig{
-		FlatMax: flatMax,
-		IVFMax:  -1, // skip IVF
-		HNSW:    HNSWConfig{M: 8, EfConstruction: 60, EfSearch: 80, Seed: 7},
-	})
-	for id := 0; id < flatMax; id++ {
-		if err := a.Add(id, unit(rng, dim)); err != nil {
-			t.Fatalf("Add(%d): %v", id, err)
-		}
-	}
-	a.WaitMigration()
-	if tier := a.Tier(); tier != "flat" {
-		t.Fatalf("at exactly FlatMax entries: tier = %q, want flat", tier)
-	}
-	if err := a.Add(flatMax, unit(rng, dim)); err != nil {
-		t.Fatalf("Add(%d): %v", flatMax, err)
-	}
-	a.WaitMigration()
-	if tier := a.Tier(); tier != "hnsw" {
-		t.Fatalf("one past FlatMax in skip-IVF mode: tier = %q, want hnsw", tier)
-	}
-	if n := a.Len(); n != flatMax+1 {
-		t.Fatalf("Len after promotion = %d, want %d", n, flatMax+1)
-	}
-}
-
-// TestAdaptiveDoublePromotionChain is the satellite regression for the
-// promotion state machine: a burst of Adds (and Removes) landing while
-// the Flat→IVF migration is in flight pushes the entry count past
-// IVFMax at the exact boundary, so the chained IVF→HNSW promotion fires
-// from inside migrate's under-lock tail. Every journaled write must
-// survive both hops — the final ID set is compared exactly against an
-// oracle. Run under -race this also exercises journal/migrate
+// TestAdaptiveRegrowUnderRacingWrites bulk-loads an Adaptive far past
+// regrowFactor × the rows its IVF was built from without ever waiting,
+// so Adds and Removes race the Flat→IVF build and every regrowth that
+// chains from it. Afterwards the tier must be a regrown IVF, the ID set
+// must match an oracle exactly, and every live vector must be its own
+// top hit. Run under -race this also exercises journal/migrate
 // synchronisation.
-func TestAdaptiveDoublePromotionChain(t *testing.T) {
-	const dim, flatMax, ivfMax = 8, 150, 500
+func TestAdaptiveRegrowUnderRacingWrites(t *testing.T) {
+	const dim, flatMax, total = 8, 150, 3000
 	rng := rand.New(rand.NewSource(23))
-	a := NewAdaptive(dim, AdaptiveConfig{
-		FlatMax: flatMax,
-		IVFMax:  ivfMax,
-		IVF:     IVFConfig{NList: 12, NProbe: 8, Seed: 7},
-		HNSW:    HNSWConfig{M: 8, EfConstruction: 60, EfSearch: 80, Seed: 7},
-	})
+	a := NewAdaptive(dim, AdaptiveConfig{FlatMax: flatMax})
 	oracle := map[int][]float32{}
-	add := func(id int) {
+	for id := 0; id < total; id++ {
 		v := unit(rng, dim)
 		if err := a.Add(id, v); err != nil {
 			t.Fatalf("Add(%d): %v", id, err)
 		}
 		oracle[id] = v
-	}
-	// Cross FlatMax: the IVF build kicks off in the background.
-	for id := 0; id <= flatMax; id++ {
-		add(id)
-	}
-	// Burst while (likely) migrating: remove a mix of snapshot-era and
-	// burst-era IDs, and add exactly enough to land one past IVFMax so
-	// the chained promotion triggers at the boundary. The interleaving
-	// with the background build is timing-dependent — journal replay and
-	// direct post-swap writes are both valid paths and both must
-	// preserve the ID set.
-	for id := flatMax + 1; len(oracle) <= ivfMax; id++ {
-		add(id)
-		if id%17 == 0 {
+		if id%17 == 0 && id >= 13 {
 			victim := id - 13
 			a.Remove(victim)
 			delete(oracle, victim)
 		}
 	}
 	a.WaitMigration()
-	if tier := a.Tier(); tier != "hnsw" {
-		t.Fatalf("after double promotion: tier = %q, want hnsw (len %d)", tier, a.Len())
+	if tier := a.Tier(); tier != "ivf" {
+		t.Fatalf("after the load: tier = %q, want ivf (len %d)", tier, a.Len())
+	}
+	if built := a.cur.Load().built; built <= flatMax+1 || regrowFactor*built < len(oracle) {
+		t.Fatalf("serving IVF built at %d entries for %d live: want a regrowth past %d and no more than %d× growth since",
+			built, len(oracle), flatMax+1, regrowFactor)
 	}
 	if n := a.Len(); n != len(oracle) {
 		t.Fatalf("Len = %d, want %d", n, len(oracle))
 	}
-	got := a.idList()
+	got := a.cur.Load().idx.idList()
 	sort.Ints(got)
 	want := make([]int, 0, len(oracle))
 	for id := range oracle {
@@ -160,25 +103,48 @@ func TestAdaptiveDoublePromotionChain(t *testing.T) {
 			t.Fatalf("idList[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	// The surviving entries must be searchable: exact self-hit for a
-	// sample (HNSW is approximate, so probe with a generous k).
-	misses := 0
 	for id, v := range oracle {
-		if id%50 != 0 {
-			continue
-		}
-		found := false
-		for _, h := range a.Search(v, 10, 0.99) {
-			if h.ID == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			misses++
+		if hits := a.Search(v, 1, -1); len(hits) != 1 || hits[0].ID != id {
+			t.Fatalf("self-lookup of id %d = %v", id, hits)
 		}
 	}
-	if misses > 1 {
-		t.Fatalf("%d sampled self-lookups missed after promotion chain", misses)
+}
+
+// TestAdaptiveRegrowDeterministic loads two Adaptives with the same
+// vectors, waiting out every build (settled), and requires bit-identical
+// Search results once both have regrown: a regrowth samples its
+// snapshot in ID order, never in the map order of the IVF it replaces.
+func TestAdaptiveRegrowDeterministic(t *testing.T) {
+	const dim, flatMax, total = 16, 150, 2000
+	rng := rand.New(rand.NewSource(5))
+	corpus := clustered(rng, total, 24, dim, 0.3)
+	load := func() *Adaptive {
+		a := NewAdaptive(dim, AdaptiveConfig{FlatMax: flatMax})
+		for id, v := range corpus {
+			if err := a.Add(id, v); err != nil {
+				t.Fatalf("Add(%d): %v", id, err)
+			}
+			a.WaitMigration()
+		}
+		if built := a.cur.Load().built; built <= flatMax+1 {
+			t.Fatalf("serving IVF built at %d entries: no regrowth", built)
+		}
+		return a
+	}
+	x, y := load(), load()
+	for i := 0; i < 200; i++ {
+		q := corpus[rng.Intn(total)]
+		if i%2 == 1 {
+			q = unit(rng, dim)
+		}
+		hx, hy := x.Search(q, 10, -1), y.Search(q, 10, -1)
+		if len(hx) != len(hy) {
+			t.Fatalf("probe %d: %d hits vs %d", i, len(hx), len(hy))
+		}
+		for j := range hx {
+			if hx[j] != hy[j] {
+				t.Fatalf("probe %d hit %d: %+v vs %+v", i, j, hx[j], hy[j])
+			}
+		}
 	}
 }

@@ -5,15 +5,15 @@ import (
 	"time"
 )
 
-// Micro-calibration for the Adaptive tier thresholds. Fixed
-// FlatMax/IVFMax values encode one machine's crossover points; on a
-// faster box the exact Flat scan stays competitive far longer, and on a
-// slow shared runner it falls behind much earlier. Fast to run (~tens
-// of milliseconds), Calibrate measures a fixed workload —
-// a scalar dot-product sweep over a private array, deliberately not a
-// call into the index kernels, so the yardstick cannot move with the
-// code under test — and TierThresholds converts that measurement into
-// promotion points that track actual machine speed.
+// Micro-calibration for the Adaptive promotion threshold. A fixed
+// FlatMax encodes one machine's crossover point; on a faster box the
+// exact Flat scan stays competitive far longer, and on a slow shared
+// runner it falls behind much earlier. Fast to run (~tens of
+// milliseconds), Calibrate measures a fixed workload — a scalar
+// dot-product sweep over a private array, deliberately not a call into
+// the index kernels, so the yardstick cannot move with the code under
+// test — and FlatMaxFor converts that measurement into a promotion point
+// that tracks actual machine speed.
 
 const (
 	calibRows = 4096
@@ -25,10 +25,6 @@ const (
 	// worth their recall loss. The Cauchy–Schwarz pruning only makes the
 	// real scan faster, so the derived threshold is conservative.
 	flatScanBudgetNs = 150_000
-	// ivfProbeBudgetNs is the equivalent budget for one IVF probe pass
-	// (centroid scan + nprobe list scans); past it the graph traversal's
-	// logarithmic work wins despite its constants.
-	ivfProbeBudgetNs = 600_000
 )
 
 // Calibrate measures the reference workload — a 4-accumulator scalar
@@ -85,36 +81,30 @@ var calibration struct {
 	ns   float64
 }
 
-// DefaultThresholds reports the promotion thresholds NewAdaptive gives a
-// dim-dimensional index whose config sets none: TierThresholds of a
-// Calibrate measurement taken on the first call and kept for the life
-// of the process, so every tenant of a server walks the same ladder.
-func DefaultThresholds(dim int) (flatMax, ivfMax int) {
+// DefaultFlatMax reports the promotion threshold NewAdaptive gives a
+// dim-dimensional index whose config sets none: FlatMaxFor a Calibrate
+// measurement taken on the first call and kept for the life of the
+// process, so every tenant of a server walks the same ladder.
+func DefaultFlatMax(dim int) int {
 	calibration.once.Do(func() { calibration.ns = Calibrate() })
-	if flatMax, ivfMax = TierThresholds(calibration.ns, dim); flatMax == 0 {
-		return 4096, 65536 // no usable measurement
+	if flatMax := FlatMaxFor(calibration.ns, dim); flatMax > 0 {
+		return flatMax
 	}
-	return flatMax, ivfMax
+	return 4096 // no usable measurement
 }
 
-// TierThresholds converts a Calibrate measurement into Adaptive
-// promotion thresholds for dim-dimensional vectors. The model costs a
-// row at calNs/(4096·64) per dimension; FlatMax is the largest tenant
-// whose worst-case unpruned scan fits flatScanBudgetNs, and IVFMax the
-// largest whose IVF probe pass — centroid scan plus nprobe list scans at
-// the √(4n)-list sizing NewAdaptive uses, ≈6·√n rows — fits
-// ivfProbeBudgetNs. Both are clamped to sane bands ([1024, 128k] and
-// [4·FlatMax, 1M]) so a wildly throttled or idle-turbo measurement can
-// never produce a degenerate ladder.
-func TierThresholds(calNs float64, dim int) (flatMax, ivfMax int) {
+// FlatMaxFor converts a Calibrate measurement into the Adaptive
+// promotion threshold for dim-dimensional vectors. The model costs a row
+// at calNs/(4096·64) per dimension; FlatMax is the largest tenant whose
+// worst-case unpruned scan fits flatScanBudgetNs, clamped to [1024, 128k]
+// so a wildly throttled or idle-turbo measurement can never produce a
+// degenerate ladder. Degenerate inputs return 0.
+func FlatMaxFor(calNs float64, dim int) int {
 	if dim <= 0 || calNs <= 0 {
-		return 0, 0 // DefaultThresholds falls back to its static pair
+		return 0
 	}
 	rowNs := calNs / float64(calibRows*calibDim) * float64(dim)
-	flatMax = clampInt(int(flatScanBudgetNs/rowNs), 1024, 1<<17)
-	sqrtN := ivfProbeBudgetNs / (6 * rowNs)
-	ivfMax = clampInt(int(sqrtN*sqrtN), 4*flatMax, 1<<20)
-	return flatMax, ivfMax
+	return clampInt(int(flatScanBudgetNs/rowNs), 1024, 1<<17)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -16,38 +16,29 @@ func TestCalibrateReturnsPositive(t *testing.T) {
 }
 
 func TestTierThresholds(t *testing.T) {
-	// Degenerate inputs are signalled by zeros (DefaultThresholds then
-	// falls back to its static pair).
-	if f, i := TierThresholds(0, 64); f != 0 || i != 0 {
-		t.Fatalf("TierThresholds(0, 64) = (%d, %d), want (0, 0)", f, i)
+	// Degenerate inputs are signalled by zero (DefaultFlatMax then falls
+	// back to its static value).
+	if f := FlatMaxFor(0, 64); f != 0 {
+		t.Fatalf("FlatMaxFor(0, 64) = %d, want 0", f)
 	}
-	if f, i := TierThresholds(50_000, 0); f != 0 || i != 0 {
-		t.Fatalf("TierThresholds(_, 0) = (%d, %d), want (0, 0)", f, i)
+	if f := FlatMaxFor(50_000, 0); f != 0 {
+		t.Fatalf("FlatMaxFor(_, 0) = %d, want 0", f)
 	}
 
-	fastFlat, fastIVF := TierThresholds(20_000, 64)
-	slowFlat, slowIVF := TierThresholds(2_000_000, 64)
-	if fastFlat < slowFlat || fastIVF < slowIVF {
-		t.Fatalf("faster machine must not lower thresholds: fast (%d, %d) vs slow (%d, %d)",
-			fastFlat, fastIVF, slowFlat, slowIVF)
+	if fast, slow := FlatMaxFor(20_000, 64), FlatMaxFor(2_000_000, 64); fast < slow {
+		t.Fatalf("faster machine must not lower the threshold: fast %d vs slow %d", fast, slow)
 	}
-	// Clamps: the ladder always has room for every tier, whatever the
-	// measurement says.
+	// Clamps: the threshold stays in its band whatever the measurement
+	// says.
 	for _, calNs := range []float64{1, 20_000, 2_000_000, 1e12} {
 		for _, dim := range []int{8, 64, 768} {
-			flatMax, ivfMax := TierThresholds(calNs, dim)
-			if flatMax < 1024 || flatMax > 1<<17 {
-				t.Fatalf("TierThresholds(%.0f, %d) flatMax = %d outside clamp band", calNs, dim, flatMax)
-			}
-			if ivfMax < 4*flatMax || ivfMax > 1<<20 {
-				t.Fatalf("TierThresholds(%.0f, %d) ivfMax = %d outside clamp band (flatMax %d)", calNs, dim, ivfMax, flatMax)
+			if flatMax := FlatMaxFor(calNs, dim); flatMax < 1024 || flatMax > 1<<17 {
+				t.Fatalf("FlatMaxFor(%.0f, %d) = %d outside clamp band", calNs, dim, flatMax)
 			}
 		}
 	}
-	// Higher dimensionality makes rows costlier, so thresholds shrink.
-	f64, _ := TierThresholds(50_000, 64)
-	f768, _ := TierThresholds(50_000, 768)
-	if f768 > f64 {
+	// Higher dimensionality makes rows costlier, so the threshold shrinks.
+	if f64, f768 := FlatMaxFor(50_000, 64), FlatMaxFor(50_000, 768); f768 > f64 {
 		t.Fatalf("768-dim flatMax %d exceeds 64-dim flatMax %d", f768, f64)
 	}
 }

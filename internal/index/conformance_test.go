@@ -16,7 +16,7 @@ import (
 // are checked against a brute-force oracle — exact result parity for the
 // exact implementations (Flat, Adaptive below its first threshold),
 // invariants plus an aggregate recall floor for the approximate ones
-// (IVF, HNSW, promoted Adaptive). A separate test drives concurrent
+// (IVF, promoted and regrown Adaptive). A separate test drives concurrent
 // Search during Add/Remove for the race detector.
 
 // implSpec describes one implementation under conformance test.
@@ -42,13 +42,6 @@ func implSpecs() []implSpec {
 			minRecall: 0.9,
 		},
 		{
-			name: "hnsw",
-			build: func(dim int) Index {
-				return NewHNSW(dim, HNSWConfig{M: 8, EfConstruction: 60, EfSearch: 80, Seed: 7})
-			},
-			minRecall: 0.9,
-		},
-		{
 			name: "adaptive-small", // stays Flat: must be exact
 			build: func(dim int) Index {
 				return NewAdaptive(dim, AdaptiveConfig{FlatMax: 1 << 20})
@@ -56,13 +49,16 @@ func implSpecs() []implSpec {
 			exact: true,
 		},
 		{
-			name: "adaptive", // promotes Flat→IVF→HNSW mid-run
+			name: "adaptive", // promotes Flat→IVF past 150 entries, regrows past 604
 			build: func(dim int) Index {
-				return NewAdaptive(dim, AdaptiveConfig{
-					FlatMax: 150, IVFMax: 500,
-					IVF:  IVFConfig{NList: 12, NProbe: 8, Seed: 7},
-					HNSW: HNSWConfig{M: 8, EfConstruction: 60, EfSearch: 80, Seed: 7},
-				})
+				return NewAdaptive(dim, AdaptiveConfig{FlatMax: 150})
+			},
+			minRecall: 0.9,
+		},
+		{
+			name: "adaptive-regrowing", // promotes past 8 entries, regrows each time it quadruples
+			build: func(dim int) Index {
+				return NewAdaptive(dim, AdaptiveConfig{FlatMax: 8})
 			},
 			minRecall: 0.9,
 		},
@@ -298,8 +294,8 @@ func TestConformanceTieOrdering(t *testing.T) {
 }
 
 // TestConformanceRemovedNeverLeak hammers the remove path: after heavy
-// churn, no removed ID may ever surface again — the tombstone-leak class
-// of bug (IVF swap-delete bookkeeping, HNSW tombstones).
+// churn, no removed ID may ever surface again — the leak class of bug
+// (IVF swap-delete bookkeeping, a build journal that drops a Remove).
 func TestConformanceRemovedNeverLeak(t *testing.T) {
 	const dim = 16
 	for _, spec := range implSpecs() {

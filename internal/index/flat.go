@@ -225,7 +225,11 @@ func (f *Flat) dropGroup(g *flatGroup) {
 	}
 }
 
-// forEach implements iterable.
+// forEach calls fn on every stored vector under the read lock for the
+// whole pass (IVF training reads its bootstrap buffer this way). fn must
+// not retain vec: it is a view into the slab. Adaptive builds use the
+// snapshotter protocol instead, so one long pass cannot park a writer
+// (and, via RWMutex writer preference, every later reader) behind it.
 func (f *Flat) forEach(fn func(id int, vec []float32)) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

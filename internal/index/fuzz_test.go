@@ -8,21 +8,40 @@ import (
 )
 
 // FuzzSearchParity interprets the fuzz input as an op program run against
-// Flat, HNSW and a brute-force oracle: Flat must match the oracle
-// exactly (IDs, order, scores), HNSW must uphold the result invariants
-// (no removed IDs, ordered, tau respected, true scores). Run as a smoke
-// in CI (-fuzz=FuzzSearchParity -fuzztime=30s) and at will locally.
+// Flat, an Adaptive and a brute-force oracle: Flat must match the oracle
+// exactly (IDs, order, scores), and the Adaptive — whose FlatMax of 8
+// makes it promote to IVF and regrow inside one program — must uphold
+// the result invariants (at most k hits, no duplicate or removed IDs,
+// ordered, tau respected, true scores). Run as a smoke in CI
+// (-fuzz=FuzzSearchParity -fuzztime=30s) and at will locally.
 func FuzzSearchParity(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64, 32, 16, 8, 4, 2})
 	f.Add([]byte{9, 9, 9, 9, 1, 1, 1, 1, 77, 77, 77, 77, 200, 200, 200, 200, 3, 3})
+	// 45 adds, past the first regrowth (more than 4 × 9 entries), then
+	// five searches.
+	var grow []byte
+	for i := 0; i < 45; i++ {
+		grow = append(grow, 0)
+		for j := 0; j < 8; j++ {
+			grow = append(grow, byte(i*37+j*101))
+		}
+	}
+	for i := 0; i < 5; i++ {
+		grow = append(grow, 3)
+		for j := 0; j < 10; j++ {
+			grow = append(grow, byte(i*53+j*29))
+		}
+	}
+	f.Add(grow)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const dim = 8
 		if len(data) > 512 {
 			data = data[:512] // bound per-input work
 		}
 		flat := NewFlat(dim)
-		hnsw := NewHNSW(dim, HNSWConfig{M: 4, EfConstruction: 20, EfSearch: 24, Seed: 9})
+		ada := NewAdaptive(dim, AdaptiveConfig{FlatMax: 8})
+		defer ada.WaitMigration()
 		o := newOracle()
 		var ids []int
 		nextID := 0
@@ -63,8 +82,8 @@ func FuzzSearchParity(f *testing.F) {
 				if err := flat.Add(id, v); err != nil {
 					t.Fatalf("flat.Add: %v", err)
 				}
-				if err := hnsw.Add(id, v); err != nil {
-					t.Fatalf("hnsw.Add: %v", err)
+				if err := ada.Add(id, v); err != nil {
+					t.Fatalf("ada.Add: %v", err)
 				}
 				o.add(id, v)
 				ids = append(ids, id)
@@ -78,7 +97,7 @@ func FuzzSearchParity(f *testing.F) {
 				ids[i] = ids[len(ids)-1]
 				ids = ids[:len(ids)-1]
 				flat.Remove(id)
-				hnsw.Remove(id)
+				ada.Remove(id)
 				o.remove(id)
 			case 3: // search
 				b := next(dim + 2)
@@ -98,33 +117,33 @@ func FuzzSearchParity(f *testing.F) {
 						t.Fatalf("flat hit %d = %+v, oracle %+v", i, got[i], want[i])
 					}
 				}
-				hg := hnsw.Search(q, k, tau)
-				if len(hg) > k {
-					t.Fatalf("hnsw: %d hits for k=%d", len(hg), k)
+				ag := ada.Search(q, k, tau)
+				if len(ag) > k {
+					t.Fatalf("adaptive: %d hits for k=%d", len(ag), k)
 				}
-				seen := make(map[int]bool, len(hg))
-				for i, h := range hg {
+				seen := make(map[int]bool, len(ag))
+				for i, h := range ag {
 					if seen[h.ID] {
-						t.Fatalf("hnsw: duplicate id %d", h.ID)
+						t.Fatalf("adaptive: duplicate id %d", h.ID)
 					}
 					seen[h.ID] = true
 					if !o.has(h.ID) {
-						t.Fatalf("hnsw: removed id %d leaked", h.ID)
+						t.Fatalf("adaptive: removed id %d leaked", h.ID)
 					}
 					if h.Score < tau {
-						t.Fatalf("hnsw: hit %+v below tau %f", h, tau)
+						t.Fatalf("adaptive: hit %+v below tau %f", h, tau)
 					}
 					if s := o.score(h.ID, q); absDiff(h.Score, s) > 1e-5 || math.IsNaN(float64(h.Score)) {
-						t.Fatalf("hnsw: id %d score %f, true %f", h.ID, h.Score, s)
+						t.Fatalf("adaptive: id %d score %f, true %f", h.ID, h.Score, s)
 					}
-					if i > 0 && hitBetter(h, hg[i-1]) {
-						t.Fatalf("hnsw: unordered %+v before %+v", hg[i-1], h)
+					if i > 0 && hitBetter(h, ag[i-1]) {
+						t.Fatalf("adaptive: unordered %+v before %+v", ag[i-1], h)
 					}
 				}
 			}
 		}
-		if flat.Len() != len(o.vecs) || hnsw.Len() != len(o.vecs) {
-			t.Fatalf("Len drift: flat %d hnsw %d oracle %d", flat.Len(), hnsw.Len(), len(o.vecs))
+		if flat.Len() != len(o.vecs) || ada.Len() != len(o.vecs) {
+			t.Fatalf("Len drift: flat %d adaptive %d oracle %d", flat.Len(), ada.Len(), len(o.vecs))
 		}
 	})
 }

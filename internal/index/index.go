@@ -2,8 +2,8 @@
 // cache's FindSimilarQueriesinCache step (Algorithm 1).
 //
 // A cache does not choose among them: core.New gives every tenant an
-// Adaptive, and the entry count picks the tier at thresholds measured on
-// the machine (DefaultThresholds). The three tiers and the wrapper share
+// Adaptive, and the entry count picks the tier at a threshold measured
+// on the machine (DefaultFlatMax). The two tiers and the wrapper share
 // one interface:
 //
 //   - Flat: exact brute-force cosine scan, parallelised across the worker
@@ -12,11 +12,10 @@
 //     lists; a query probes only the nearest lists. Approximate but
 //     sub-linear, for the million-entry regime §III-B cites (SBERT's
 //     semantic search "can handle up to 1 million entries").
-//   - HNSW: a hierarchical navigable-small-world graph with logarithmic
-//     search, tunable via M/efConstruction/efSearch.
-//   - Adaptive: the tiering wrapper that starts Flat and promotes to IVF
-//     and then HNSW as the tenant's cache grows past its thresholds,
-//     migrating in the background so searches keep being served.
+//   - Adaptive: the tiering wrapper that starts Flat, promotes to IVF
+//     past its threshold and rebuilds that IVF, sized to the tenant, each
+//     time the tenant quadruples, building in the background so searches
+//     keep being served.
 //
 // All vectors must be unit-norm (dot product = cosine), which is the
 // contract internal/embed guarantees.
@@ -57,7 +56,7 @@ type SearchAppender interface {
 }
 
 // TierNamer is the optional serving-tier identity: implementations
-// report which tier answers their searches ("flat", "ivf", "hnsw").
+// report which tier answers their searches ("flat", "ivf").
 // Adaptive reports whichever tier currently serves. The observability
 // layer uses this to label per-tier search latency.
 type TierNamer interface {
@@ -74,20 +73,10 @@ type ArenaStats struct {
 	FreeSlots int
 }
 
-// ArenaReporter is the optional arena-occupancy contract implemented by
-// the slab- or slot-backed indexes.
+// ArenaReporter is the optional arena-occupancy contract: Flat reports
+// its slab, IVF its lists, Adaptive whichever of them serves.
 type ArenaReporter interface {
 	ArenaStats() ArenaStats
-}
-
-// iterable is the internal enumeration contract over an index's contents.
-// fn must not retain vec across calls; implementations may pass views
-// into internal storage. forEach holds the index's read lock for the full
-// pass — fine for tests and small indexes, but Adaptive migration uses
-// the snapshotter protocol instead so one long pass cannot park a writer
-// (and, via RWMutex writer preference, every later reader) behind it.
-type iterable interface {
-	forEach(fn func(id int, vec []float32))
 }
 
 // snapshotter is the incremental-snapshot contract Adaptive migration
@@ -102,7 +91,7 @@ type snapshotter interface {
 
 // hitBetter reports whether a ranks before b: descending score, ties by
 // ascending ID. Every search path uses this single comparator so tie
-// ordering is identical across all four index implementations.
+// ordering is identical across every index implementation.
 func hitBetter(a, b Hit) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score

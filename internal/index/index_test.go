@@ -275,10 +275,6 @@ func BenchmarkIVF768x50k(b *testing.B) {
 	benchmarkSearch(b, NewIVF(768, IVFConfig{NList: 224, NProbe: 12, Seed: 1}), 768, 50000)
 }
 
-func BenchmarkHNSW768x10k(b *testing.B) {
-	benchmarkSearch(b, NewHNSW(768, HNSWConfig{M: 16, EfConstruction: 64, EfSearch: 96, Seed: 1}), 768, 10000)
-}
-
 func ExampleIVF() {
 	rng := rand.New(rand.NewSource(1))
 	idx := NewIVF(8, IVFConfig{NList: 4, NProbe: 2, TrainSize: 16, Seed: 1})

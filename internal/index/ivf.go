@@ -193,21 +193,6 @@ func (x *IVF) Remove(id int) {
 	delete(x.where, id)
 }
 
-// forEach implements iterable.
-func (x *IVF) forEach(fn func(id int, vec []float32)) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if !x.trained {
-		x.bootstrap.forEach(fn)
-		return
-	}
-	for _, l := range x.lists {
-		for i, id := range l.ids {
-			fn(id, l.vecs[i*x.dim:(i+1)*x.dim])
-		}
-	}
-}
-
 // idList implements snapshotter.
 func (x *IVF) idList() []int {
 	x.mu.RLock()

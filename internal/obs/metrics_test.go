@@ -69,7 +69,7 @@ func TestExpositionParsesAndLints(t *testing.T) {
 	h := r.Histogram("x_lat_seconds", "latency", DefLatencyBounds, Label{"tier", "flat"})
 	h.ObserveDuration(150 * time.Microsecond)
 	h.ObserveDuration(40 * time.Millisecond)
-	r.Histogram("x_lat_seconds", "latency", DefLatencyBounds, Label{"tier", "hnsw"}).Observe(0.3)
+	r.Histogram("x_lat_seconds", "latency", DefLatencyBounds, Label{"tier", "ivf"}).Observe(0.3)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {

@@ -62,7 +62,6 @@ const (
 	TierUnknown uint8 = iota
 	TierFlat
 	TierIVF
-	TierHNSW
 )
 
 // TierID maps an index tier name to its span identifier.
@@ -72,8 +71,6 @@ func TierID(name string) uint8 {
 		return TierFlat
 	case "ivf":
 		return TierIVF
-	case "hnsw":
-		return TierHNSW
 	default:
 		return TierUnknown
 	}
@@ -86,8 +83,6 @@ func TierName(id uint8) string {
 		return "flat"
 	case TierIVF:
 		return "ivf"
-	case TierHNSW:
-		return "hnsw"
 	default:
 		return ""
 	}

@@ -131,7 +131,7 @@ func TestRemoteTraceStitching(t *testing.T) {
 	rt := owner.StartRemote(ot.ID, "/v1/query")
 	rt.Add(SpanEncode, 0, 200*time.Microsecond)
 	sp := rt.Add(SpanSearch, 200*time.Microsecond, 80*time.Microsecond)
-	sp.Tier = TierHNSW
+	sp.Tier = TierIVF
 	sp.Candidates = 7
 	rt.Add(SpanUpstream, 300*time.Microsecond, 2*time.Millisecond)
 	owner.Finish(rt, 3*time.Millisecond)
@@ -163,7 +163,7 @@ func TestRemoteTraceStitching(t *testing.T) {
 			t.Fatalf("stitched trace missing %s span: %+v", want, tr.Spans)
 		}
 	}
-	if kinds["search"].Node != "b:2" || kinds["search"].Tier != "hnsw" || kinds["search"].Candidates != 7 {
+	if kinds["search"].Node != "b:2" || kinds["search"].Tier != "ivf" || kinds["search"].Candidates != 7 {
 		t.Fatalf("remote search span lost attribution: %+v", kinds["search"])
 	}
 	if kinds["forward"].Node != "" {

@@ -18,8 +18,9 @@
 //     mode: hits are still answered (at a relaxed τ), misses are shed
 //     with Retry-After instead of being queued into a dead upstream.
 //   - Weighted: a weighted semaphore guarding expensive non-request
-//     work (re-embedding, tier migration, FL rounds) so background
-//     maintenance yields to foreground traffic under pressure.
+//     work (re-embedding, FL rounds) so background maintenance yields
+//     to foreground traffic under pressure. Index tier builds do not
+//     take it: each runs on one ungated background goroutine per tenant.
 //
 // Every type is safe for concurrent use and keeps its hot path
 // allocation-free; admission checks are designed to ride the PR 5
@@ -76,8 +77,9 @@ type GovernorConfig struct {
 	// disables it.
 	Breaker BreakerConfig
 	// MaintenanceWeight is the weighted-semaphore capacity for
-	// background work (re-embedding, tier migration, FL rounds);
-	// <= 0 disables gating (background work proceeds unchecked).
+	// background work (re-embedding, FL rounds); <= 0 disables gating
+	// (background work proceeds unchecked). Index tier builds are never
+	// gated: each runs on one background goroutine per tenant.
 	MaintenanceWeight int64
 }
 

@@ -6,10 +6,9 @@ import (
 )
 
 // Weighted is a weighted semaphore with FIFO fairness, guarding
-// expensive non-request work (re-embedding a tenant, migrating an index
-// tier, running an FL round) so background maintenance yields to
-// foreground traffic instead of competing with it for CPU under
-// pressure. It is the in-repo analogue of x/sync/semaphore.Weighted
+// expensive non-request work (re-embedding a tenant, running an FL
+// round) so background maintenance yields to foreground traffic instead
+// of competing with it for CPU under pressure. It is the in-repo analogue of x/sync/semaphore.Weighted
 // (which the module does not vendor).
 //
 // Its method set matches the structural gate interfaces declared by the

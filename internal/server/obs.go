@@ -33,7 +33,7 @@ type serverObs struct {
 	stageRespond  *obs.Histogram
 	// searchTier is indexed by obs.TierID so the hot path labels per-tier
 	// search latency without a map lookup.
-	searchTier [4]*obs.Histogram
+	searchTier [3]*obs.Histogram
 }
 
 func newServerObs(cfg Config, reg *obs.Registry) *serverObs {
@@ -63,7 +63,7 @@ func newServerObs(cfg Config, reg *obs.Registry) *serverObs {
 	o.stageUpstream = stage("upstream")
 	o.stageFill = stage("cachefill")
 	o.stageRespond = stage("respond")
-	for id, tier := range []string{"unknown", "flat", "ivf", "hnsw"} {
+	for id, tier := range []string{"unknown", "flat", "ivf"} {
 		o.searchTier[id] = reg.Histogram("meancache_search_duration_seconds",
 			"Index search latency, by serving tier.", obs.DefLatencyBounds,
 			obs.Label{Name: "tier", Value: tier})
@@ -225,7 +225,7 @@ func registerRegistryMetrics(reg *obs.Registry, r *Registry) {
 	reg.GaugeFunc("meancache_arena_free_slots",
 		"Recycled index arena slots awaiting reuse across resident tenants.",
 		arena(func(_, _, free int) int { return free }))
-	for _, tier := range []string{"flat", "ivf", "hnsw"} {
+	for _, tier := range []string{"flat", "ivf"} {
 		tier := tier
 		reg.GaugeFunc("meancache_tenants_by_tier",
 			"Resident tenants, by serving index tier.", func() float64 {

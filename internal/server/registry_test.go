@@ -295,7 +295,7 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 			Tau:     0.9,
 			TopK:    4,
 			IndexFactory: func(dim int) index.Index {
-				return index.NewHNSW(dim, index.HNSWConfig{M: 8, EfConstruction: 40, EfSearch: 48, Seed: 1})
+				return index.NewIVF(dim, index.IVFConfig{NList: 4, NProbe: 4, TrainSize: 8, Seed: 1})
 			},
 		})
 	}
@@ -309,8 +309,8 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier := alice.Client.Cache().ServingTier(); tier != "hnsw" {
-		t.Fatalf("fresh tenant cache serves from %q, want the factory's hnsw", tier)
+	if tier := alice.Client.Cache().ServingTier(); tier != "ivf" {
+		t.Fatalf("fresh tenant cache serves from %q, want the factory's ivf", tier)
 	}
 	queries := make([]string, 10)
 	for i := range queries {
@@ -332,8 +332,8 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer revived.Release()
-	if tier := revived.Client.Cache().ServingTier(); tier != "hnsw" {
-		t.Fatalf("revived tenant cache serves from %q, want the factory's hnsw", tier)
+	if tier := revived.Client.Cache().ServingTier(); tier != "ivf" {
+		t.Fatalf("revived tenant cache serves from %q, want the factory's ivf", tier)
 	}
 	for _, q := range queries {
 		if res := revived.Client.Lookup(q, nil); !res.Hit {
@@ -348,7 +348,7 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 // walks the same ladder again: every entry searchable, back on IVF.
 func TestRegistryPromotedTenantRevival(t *testing.T) {
 	const dim = 768
-	flatMax, _ := index.DefaultThresholds(dim)
+	flatMax := index.DefaultFlatMax(dim)
 	r, err := NewRegistry(RegistryConfig{
 		Shards: 1, MaxTenants: 1, PersistDir: t.TempDir(),
 		Factory: func(string) *core.Client {

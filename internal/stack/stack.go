@@ -35,11 +35,12 @@
 // GET /v1/cluster/status reports ring and peer health.
 //
 // Each tenant's similarity search runs on the index its cache's size
-// picks (core.New's default, index.Adaptive): the exact scan, then IVF,
-// then HNSW, promoted in the background at thresholds derived from a
-// startup micro-calibration of this machine's scan speed, which Build
-// logs. No flag chooses or tunes a tier, and a revived tenant walks the
-// same ladder.
+// picks (core.New's default, index.Adaptive): the exact scan, then IVF
+// past a threshold derived from a startup micro-calibration of this
+// machine's scan speed, which Build logs; the IVF is rebuilt, sized to
+// the tenant, each time the tenant quadruples. Every build runs in the
+// background. No flag chooses or tunes a tier, and a revived tenant walks
+// the same ladder.
 //
 // A tenant's search runs directly on its request's goroutine, one probe
 // at a time, as the paper's lookup does. Concurrent encodes share one
@@ -290,10 +291,10 @@ func Build(cfg Config) (_ *Stack, err error) {
 		llm = resilience.NewGuard(upstream, s.Governor, cfg.UpstreamTimeout)
 	}
 
-	// Tenants take core.New's index; naming its thresholds here also
+	// Tenants take core.New's index; naming its threshold here also
 	// takes the ~10 ms calibration off the first request.
-	flatMax, ivfMax := index.DefaultThresholds(enc.Dim())
-	log.Printf("index tiers at dim %d: flat up to %d entries, ivf up to %d, hnsw beyond", enc.Dim(), flatMax, ivfMax)
+	log.Printf("index tiers at dim %d: flat up to %d entries, then ivf, rebuilt each time the tenant quadruples",
+		enc.Dim(), index.DefaultFlatMax(enc.Dim()))
 	s.tenant = core.Options{
 		Encoder:          enc,
 		LLM:              llm,

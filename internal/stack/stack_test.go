@@ -383,7 +383,7 @@ func TestDefaultStackTenantSizePicksTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	flatMax, _ := index.DefaultThresholds(s.Encoder.Dim())
+	flatMax := index.DefaultFlatMax(s.Encoder.Dim())
 	// Only a miss fills the cache, and to an untrained encoder questions
 	// that share words are paraphrases: each is three random "words".
 	rng := rand.New(rand.NewSource(1))
@@ -433,7 +433,6 @@ func TestDefaultStackTenantSizePicksTier(t *testing.T) {
 	for _, want := range []string{
 		`meancache_tenants_by_tier{tier="flat"} 1`,
 		`meancache_tenants_by_tier{tier="ivf"} 1`,
-		`meancache_tenants_by_tier{tier="hnsw"} 0`,
 	} {
 		if !strings.Contains(rec.Body.String(), want+"\n") {
 			t.Errorf("/metrics lacks %q", want)
