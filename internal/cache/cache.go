@@ -1,7 +1,9 @@
 // Package cache implements the local semantic cache of Figure 1: entries
-// holding a query, its LLM response, the query embedding, and the context
-// chain (parent entry), with cosine-similarity search over the embeddings,
-// a pluggable eviction policy, and optional persistence via internal/store.
+// holding a query, its LLM response, and the context chain (parent
+// entry), with cosine-similarity search over the query embeddings, a
+// pluggable eviction policy, and optional persistence via internal/store.
+// Each embedding is stored once, in the cache's vector index, which
+// search, persistence and the context-chain check all read.
 //
 // The cache is encoder-agnostic: it stores whatever unit-norm vectors it is
 // given, so the same index serves raw 768-d embeddings and PCA-compressed
@@ -16,19 +18,20 @@ import (
 	"sync/atomic"
 
 	"repro/internal/index"
-	"repro/internal/vecmath"
 )
 
 // NoParent marks a standalone entry (empty context chain).
 const NoParent = -1
 
-// Entry is one cached query/response with its embedding and chain link.
+// Entry is one cached query/response with its chain link. Its embedding
+// lives in the cache's index only: read it with Cache.Vector. The
+// exported fields never change once the entry is made, re-embedding
+// included, so *Entry holders may keep it past the cache lock.
 type Entry struct {
-	ID        int
-	Query     string
-	Response  string
-	Embedding []float32 // unit norm, dimension fixed per cache
-	Parent    int       // entry ID of the conversational parent, or NoParent
+	ID       int
+	Query    string
+	Response string
+	Parent   int // entry ID of the conversational parent, or NoParent
 
 	// eviction bookkeeping
 	lastUsed int64
@@ -88,12 +91,8 @@ type Stats struct {
 // experiments and probes that measure it construct. A serving tenant's
 // cache comes from NewWithIndex (see core.New).
 //
-// Each embedding is stored twice: Entry.Embedding is an immutable
-// per-entry copy (stale *Entry holders — context-chain checks, in-flight
-// match results — must keep seeing a consistent snapshot, and persistence
-// and re-embedding read it), while the index keeps its own copy in the
-// scan arena, where swap-deletes move rows freely. EmbeddingBytes reports
-// the entry-side copy only — the quantity Figure 10a tracks.
+// Each embedding is stored once, in the index; the entries hold only
+// text, the chain link and eviction counters.
 func New(dim, capacity int, policy Policy) *Cache {
 	if dim <= 0 {
 		panic("cache: dim must be positive")
@@ -195,26 +194,19 @@ func (c *Cache) Put(query, response string, emb []float32, parent int) (int, err
 	}
 	id := c.nextID
 	c.nextID++
+	if err := c.idx.Add(id, emb); err != nil { // Add copies emb
+		return 0, fmt.Errorf("cache: indexing entry: %w", err)
+	}
 	c.clock++
-	e := &Entry{
-		ID:        id,
-		Query:     query,
-		Response:  response,
-		Embedding: vecmath.Clone(emb),
-		Parent:    parent,
-		lastUsed:  c.clock,
-		seq:       c.clock,
-	}
 	c.byID[id] = len(c.entries)
-	c.entries = append(c.entries, e)
-	if c.idx != nil {
-		if err := c.idx.Add(id, e.Embedding); err != nil {
-			// Roll back the entry so cache and index stay consistent.
-			c.entries = c.entries[:len(c.entries)-1]
-			delete(c.byID, id)
-			return 0, fmt.Errorf("cache: indexing entry: %w", err)
-		}
-	}
+	c.entries = append(c.entries, &Entry{
+		ID:       id,
+		Query:    query,
+		Response: response,
+		Parent:   parent,
+		lastUsed: c.clock,
+		seq:      c.clock,
+	})
 	c.puts++
 	return id, nil
 }
@@ -248,6 +240,15 @@ func (c *Cache) oldestExcluding(protected map[int]bool) *Entry {
 		}
 	}
 	return best
+}
+
+// Vector appends the embedding of entry id to dst and returns the
+// extended slice, or dst and false when the entry is gone. It reads under
+// the cache's read lock, so it never sees a Reembed batch half-applied.
+func (c *Cache) Vector(id int, dst []float32) ([]float32, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.idx.Vector(id, dst)
 }
 
 // Get returns the entry with the given ID.
@@ -311,9 +312,7 @@ func (c *Cache) removeCascade(id int) {
 		c.byID[moved.ID] = idx
 		c.entries = c.entries[:last]
 		delete(c.byID, did)
-		if c.idx != nil {
-			c.idx.Remove(did)
-		}
+		c.idx.Remove(did)
 		c.evictions++
 	}
 }
@@ -406,15 +405,12 @@ func (DirectSearcher) FindSimilar(c *Cache, emb []float32, k int, tau float32, d
 }
 
 // EmbeddingBytes reports the memory consumed by stored embeddings (4 bytes
-// per float32 element) — the quantity Figure 10a tracks.
+// per float32 element) — the quantity Figure 10a tracks. The index holds
+// the only copy of each, so this is entries × dim × 4.
 func (c *Cache) EmbeddingBytes() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var total int64
-	for _, e := range c.entries {
-		total += int64(len(e.Embedding)) * 4
-	}
-	return total
+	return int64(len(c.entries)) * int64(c.dim) * 4
 }
 
 // StorageBytes reports total cache storage: embeddings plus query and
@@ -422,9 +418,9 @@ func (c *Cache) EmbeddingBytes() int64 {
 func (c *Cache) StorageBytes() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var total int64
+	total := int64(len(c.entries)) * int64(c.dim) * 4
 	for _, e := range c.entries {
-		total += int64(len(e.Embedding))*4 + int64(len(e.Query)) + int64(len(e.Response))
+		total += int64(len(e.Query)) + int64(len(e.Response))
 	}
 	return total
 }

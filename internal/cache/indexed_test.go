@@ -128,7 +128,7 @@ func TestIndexedCacheConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				ms := c.FindSimilar(unit(dim, int64(r*perG+i)), 3, 0.1)
 				for _, m := range ms {
-					if m.Entry == nil || len(m.Entry.Embedding) != dim {
+					if m.Entry == nil {
 						t.Error("FindSimilar returned a malformed match")
 						return
 					}
@@ -144,11 +144,18 @@ func TestIndexedCacheConcurrent(t *testing.T) {
 	// Cache and index must agree on the live set: every live entry is
 	// findable by its own embedding at a near-exact threshold.
 	for _, e := range c.Entries() {
-		ms := c.FindSimilar(e.Embedding, 1, 0.999)
+		ms := c.FindSimilar(putVec(dim, perG, e.Query), 1, 0.999)
 		if len(ms) == 0 {
 			t.Fatalf("live entry %d missing from index", e.ID)
 		}
 	}
+}
+
+// putVec is the embedding the concurrent tests Put under query "w<w>-q<i>".
+func putVec(dim, perG int, query string) []float32 {
+	var w, i int
+	fmt.Sscanf(query, "w%d-q%d", &w, &i)
+	return unit(dim, int64(w*perG+i))
 }
 
 // TestAdaptiveIndexedCacheConcurrent runs the same serving mix over an
@@ -190,7 +197,7 @@ func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				for _, m := range c.FindSimilar(unit(dim, int64(r*perG+i)), 3, 0.1) {
-					if m.Entry == nil || len(m.Entry.Embedding) != dim {
+					if m.Entry == nil {
 						t.Error("FindSimilar returned a malformed match")
 						return
 					}
@@ -208,7 +215,7 @@ func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 		t.Fatalf("cache Len %d != index Len %d", c.Len(), adaptive.Len())
 	}
 	for _, e := range c.Entries() {
-		if ms := c.FindSimilar(e.Embedding, 1, 0.999); len(ms) == 0 {
+		if ms := c.FindSimilar(putVec(dim, perG, e.Query), 1, 0.999); len(ms) == 0 {
 			t.Fatalf("live entry %d missing from promoted index", e.ID)
 		}
 	}

@@ -18,8 +18,9 @@ import (
 // can keep their own records (other prefixes) in the same log.
 const entryPrefix = "entry/"
 
-// entryWire is the persistent form of an Entry. Its field names and
-// types are also the legacy gob schema, so they must not change.
+// entryWire is the persistent form of an Entry and its embedding. Its
+// field names and types are also the legacy gob schema, so they must not
+// change.
 type entryWire struct {
 	ID        int
 	Query     string
@@ -42,8 +43,9 @@ type entryWire struct {
 // the two formats apart.
 const entryFormat byte = 0x81
 
-// appendEntry appends e's record value to dst.
-func appendEntry(dst []byte, e *Entry) []byte {
+// appendEntry appends the record value of e, whose embedding is emb, to
+// dst.
+func appendEntry(dst []byte, e *Entry, emb []float32) []byte {
 	dst = append(dst, entryFormat)
 	dst = binary.AppendVarint(dst, int64(e.ID))
 	dst = binary.AppendVarint(dst, int64(e.Parent))
@@ -51,8 +53,8 @@ func appendEntry(dst []byte, e *Entry) []byte {
 	dst = append(dst, e.Query...)
 	dst = binary.AppendUvarint(dst, uint64(len(e.Response)))
 	dst = append(dst, e.Response...)
-	dst = binary.AppendUvarint(dst, uint64(len(e.Embedding)))
-	for _, x := range e.Embedding {
+	dst = binary.AppendUvarint(dst, uint64(len(emb)))
+	for _, x := range emb {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
 	}
 	return dst
@@ -121,19 +123,22 @@ func readString(b []byte) (string, []byte, error) {
 // SaveTo writes every live entry into st (one record per entry, keyed by
 // entry ID). Existing records in st under colliding keys are overwritten;
 // records for entries that no longer exist are deleted, so st mirrors the
-// cache exactly after the call.
+// cache exactly after the call. The read lock is held for the whole pass,
+// so the records written are one consistent state of the cache: a child
+// is never saved without its parent.
 func (c *Cache) SaveTo(st *store.Store) error {
 	c.mu.RLock()
-	entries := make([]*Entry, len(c.entries))
-	copy(entries, c.entries)
-	c.mu.RUnlock()
-
-	live := make(map[string]bool, len(entries))
-	var buf []byte // one scratch for every record: Put has written it out when it returns
-	for _, e := range entries {
+	defer c.mu.RUnlock()
+	live := make(map[string]bool, len(c.entries))
+	var (
+		buf []byte    // one scratch for every record: Put has written it out when it returns
+		vec []float32 // likewise for every embedding
+	)
+	for _, e := range c.entries {
 		key := entryKey(e.ID)
 		live[key] = true
-		buf = appendEntry(buf[:0], e)
+		vec, _ = c.idx.Vector(e.ID, vec[:0])
+		buf = appendEntry(buf[:0], e, vec)
 		if err := st.Put(key, buf); err != nil {
 			return fmt.Errorf("cache: persisting entry %d: %w", e.ID, err)
 		}
@@ -161,9 +166,9 @@ func LoadFrom(st *store.Store, dim, capacity int, policy Policy) (*Cache, error)
 	return c, nil
 }
 
-// loadEntries reads SaveTo records into c, indexing each entry into
-// c.idx exactly once — callers install the index before loading, so
-// revival never builds a throwaway index.
+// loadEntries reads SaveTo records into c, adding each embedding to
+// c.idx exactly once and keeping no other copy — callers install the
+// index before loading, so revival never builds a throwaway index.
 func loadEntries(c *Cache, st *store.Store, dim int) error {
 	var wires []entryWire
 	for _, key := range st.Keys() {
@@ -197,19 +202,16 @@ func loadEntries(c *Cache, st *store.Store, dim int) error {
 				continue
 			}
 			c.mu.Lock()
-			e := &Entry{
-				ID: w.ID, Query: w.Query, Response: w.Response,
-				Embedding: w.Embedding, Parent: w.Parent,
-			}
-			c.clock++
-			e.lastUsed = c.clock
-			e.seq = c.clock
-			if err := c.idx.Add(w.ID, e.Embedding); err != nil {
+			if err := c.idx.Add(w.ID, w.Embedding); err != nil {
 				c.mu.Unlock()
 				return fmt.Errorf("cache: indexing loaded entry %d: %w", w.ID, err)
 			}
+			c.clock++
 			c.byID[w.ID] = len(c.entries)
-			c.entries = append(c.entries, e)
+			c.entries = append(c.entries, &Entry{
+				ID: w.ID, Query: w.Query, Response: w.Response, Parent: w.Parent,
+				lastUsed: c.clock, seq: c.clock,
+			})
 			if w.ID >= c.nextID {
 				c.nextID = w.ID + 1
 			}

@@ -28,10 +28,16 @@ func sameWire(a, b entryWire) bool {
 }
 
 func (w entryWire) entry() *Entry {
-	return &Entry{ID: w.ID, Query: w.Query, Response: w.Response, Embedding: w.Embedding, Parent: w.Parent}
+	return &Entry{ID: w.ID, Query: w.Query, Response: w.Response, Parent: w.Parent}
 }
 
-func encodeWire(w entryWire) []byte { return appendEntry(nil, w.entry()) }
+func encodeWire(w entryWire) []byte { return appendEntry(nil, w.entry(), w.Embedding) }
+
+// loadedWire is e, a live entry of c, with the embedding c holds for it.
+func loadedWire(c *Cache, e *Entry) entryWire {
+	vec, _ := c.Vector(e.ID, nil)
+	return entryWire{e.ID, e.Query, e.Response, vec, e.Parent}
+}
 
 // gobWire is the value the pre-binary SaveTo wrote for w.
 func gobWire(t testing.TB, w entryWire) []byte {
@@ -82,7 +88,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 func TestEntryCodecScratchReuse(t *testing.T) {
 	big := encodeWire(entryWire{ID: 1, Query: strings.Repeat("x", 100), Embedding: make([]float32, 64), Parent: NoParent})
 	small := entryWire{ID: 2, Query: "y", Response: "z", Embedding: []float32{0.5}, Parent: 1}
-	raw := appendEntry(big[:0], small.entry())
+	raw := appendEntry(big[:0], small.entry(), small.Embedding)
 	if &raw[0] != &big[0] {
 		t.Fatal("appendEntry reallocated a buffer with room to spare")
 	}
@@ -126,7 +132,7 @@ func TestLoadFromLegacyGobRecords(t *testing.T) {
 	}
 	for _, w := range []entryWire{parent, child, fresh} {
 		e, ok := c.Get(w.ID)
-		if !ok || !sameWire(entryWire{e.ID, e.Query, e.Response, e.Embedding, e.Parent}, w) {
+		if !ok || !sameWire(loadedWire(c, e), w) {
 			t.Fatalf("entry %d loaded as %+v, want %+v", w.ID, e, w)
 		}
 	}

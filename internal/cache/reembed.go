@@ -75,30 +75,23 @@ func (c *Cache) Reembed(encode func(string) []float32) (int, error) {
 			}
 		}
 
-		// Apply in bounded batches so searches interleave. Each migrated
-		// entry is REPLACED by a copy rather than mutated: callers hold
-		// *Entry pointers beyond the cache lock (context-chain checks,
-		// in-flight match results), so the old entry must stay immutable —
-		// stale readers see a consistent old snapshot, never a torn write.
+		// Apply in bounded batches so searches interleave. Only the
+		// index changes: the entry itself holds no vector, so *Entry
+		// pointers held past the cache lock stay valid, and Cache.Vector
+		// (read-locked) sees each entry's old vector or its new one.
 		for lo := 0; lo < len(items); lo += applyChunk {
 			hi := min(lo+applyChunk, len(items))
 			c.mu.Lock()
 			for i := lo; i < hi; i++ {
 				it := items[i]
 				done[it.id] = true
-				pos, ok := c.byID[it.id]
-				if !ok {
+				if _, ok := c.byID[it.id]; !ok {
 					continue // evicted while we encoded
 				}
-				ne := *c.entries[pos]
-				ne.Embedding = embs[i]
-				c.entries[pos] = &ne
-				if c.idx != nil {
-					c.idx.Remove(it.id)
-					if err := c.idx.Add(it.id, ne.Embedding); err != nil {
-						c.mu.Unlock()
-						return total, fmt.Errorf("cache: reindexing entry %d: %w", it.id, err)
-					}
+				c.idx.Remove(it.id)
+				if err := c.idx.Add(it.id, embs[i]); err != nil {
+					c.mu.Unlock()
+					return total, fmt.Errorf("cache: reindexing entry %d: %w", it.id, err)
 				}
 				total++
 			}

@@ -95,31 +95,42 @@ func TestReembedDuringConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 	// All surviving entries are in the generation-2 space.
 	for _, e := range c.Entries() {
-		if vecmath.Dot(e.Embedding, hashEmb(16, 2, e.Query)) < 0.999 {
+		if vec, ok := c.Vector(e.ID, nil); !ok || vecmath.Dot(vec, hashEmb(16, 2, e.Query)) < 0.999 {
 			t.Fatalf("entry %q left in the old embedding space", e.Query)
 		}
 	}
 }
 
-func TestReembedReplacesEntriesInsteadOfMutating(t *testing.T) {
+func TestReembedKeepsEntriesAndSwapsVectors(t *testing.T) {
 	// Callers hold *Entry pointers beyond the cache lock (context chains,
-	// in-flight matches): Reembed must leave old snapshots untouched.
+	// in-flight matches): Reembed moves only the index's vector, so those
+	// pointers stay the cache's live entries, and Cache.Vector reads the
+	// new embedding through them.
 	c := New(16, 0, LRU{})
-	id, err := c.Put("q", "r", hashEmb(16, 1, "q"), NoParent)
+	parent, err := c.Put("p", "r", hashEmb(16, 1, "p"), NoParent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, _ := c.Get(id)
-	oldEmb := old.Embedding
+	id, err := c.Put("q", "r", hashEmb(16, 1, "q"), parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, _ := c.Get(id)
+	chain := c.Chain(id)
 	if _, err := c.Reembed(func(q string) []float32 { return hashEmb(16, 2, q) }); err != nil {
 		t.Fatal(err)
 	}
-	if vecmath.Dot(oldEmb, hashEmb(16, 1, "q")) < 0.999 || &old.Embedding[0] != &oldEmb[0] {
-		t.Fatal("Reembed mutated an entry snapshot held by a caller")
+	if cur, ok := c.Get(id); !ok || cur != held {
+		t.Fatal("Reembed replaced an entry held by a caller")
 	}
-	cur, _ := c.Get(id)
-	if vecmath.Dot(cur.Embedding, hashEmb(16, 2, "q")) < 0.999 {
-		t.Fatal("cache's current entry not migrated")
+	if now := c.Chain(id); len(now) != 1 || len(chain) != 1 || now[0] != chain[0] {
+		t.Fatalf("Reembed changed the chain: %v, was %v", now, chain)
+	}
+	for _, e := range []*Entry{held, chain[0]} {
+		vec, ok := c.Vector(e.ID, nil)
+		if !ok || vecmath.Dot(vec, hashEmb(16, 2, e.Query)) < 0.999 {
+			t.Fatalf("Vector(%d) = %v, %v; want the re-embedded vector", e.ID, vec, ok)
+		}
 	}
 }
 

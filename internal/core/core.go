@@ -251,13 +251,25 @@ func (c *Client) encodeProbe(q string) []float32 {
 	if !ok {
 		return c.opts.Encoder.Encode(q)
 	}
-	var buf []float32
+	return ie.EncodeInto(q, c.probeBuf())
+}
+
+// probeBuf takes an empty embedding-sized buffer from the probe pool.
+func (c *Client) probeBuf() []float32 {
 	select {
-	case buf = <-c.probeBufs:
+	case buf := <-c.probeBufs:
+		return buf[:0]
 	default:
-		buf = make([]float32, 0, c.opts.Encoder.Dim())
+		return make([]float32, 0, c.opts.Encoder.Dim())
 	}
-	return ie.EncodeInto(q, buf[:0])
+}
+
+// putProbeBuf returns buf to the probe pool (or drops it when full).
+func (c *Client) putProbeBuf(buf []float32) {
+	select {
+	case c.probeBufs <- buf[:0]:
+	default:
+	}
 }
 
 // Recycle returns res's probe-embedding buffer to the client's pool and
@@ -269,10 +281,7 @@ func (c *Client) Recycle(res *Result) {
 	if res.ProbeEmbedding == nil {
 		return
 	}
-	select {
-	case c.probeBufs <- res.ProbeEmbedding[:0]:
-	default:
-	}
+	c.putProbeBuf(res.ProbeEmbedding)
 	res.ProbeEmbedding = nil
 }
 
@@ -329,12 +338,8 @@ func (c *Client) pickMatch(matches []cache.Match, ctxTexts []string) (hit cache.
 		}
 	}
 	for _, ce := range turns {
-		if ce == nil {
-			continue
-		}
-		select {
-		case c.probeBufs <- ce[:0]:
-		default:
+		if ce != nil {
+			c.putProbeBuf(ce)
 		}
 	}
 	for i := range matches { // scrub the entry pointers
@@ -351,7 +356,9 @@ func (c *Client) pickMatch(matches []cache.Match, ctxTexts []string) (hit cache.
 // (empty chain) matches only an empty conversation context, and a
 // contextual entry matches when each turn of its chain is semantically
 // similar (≥ CtxTau) to the corresponding trailing turn of the submitted
-// context. turns is pickMatch's memo of the context embeddings.
+// context. turns is pickMatch's memo of the context embeddings. Each
+// ancestor's embedding is read from the cache into one pooled buffer; an
+// ancestor evicted since the chain was read is a mismatch.
 func (c *Client) contextMatches(e *cache.Entry, ctxTexts []string, turns *[][]float32) bool {
 	chain := c.cache.Chain(e.ID)
 	if len(chain) == 0 {
@@ -364,16 +371,22 @@ func (c *Client) contextMatches(e *cache.Entry, ctxTexts []string, turns *[][]fl
 		*turns = make([][]float32, len(ctxTexts))
 	}
 	first := len(ctxTexts) - len(chain) // the turn the chain's oldest entry answers to
+	vec := c.probeBuf()
+	match := true
 	for i, ancestor := range chain {
 		turn := first + i
 		if (*turns)[turn] == nil {
 			(*turns)[turn] = c.encodeProbe(ctxTexts[turn])
 		}
-		if !(vecmath.Dot((*turns)[turn], ancestor.Embedding) >= c.opts.CtxTau) { // a NaN score is a mismatch
-			return false
+		var ok bool
+		vec, ok = c.cache.Vector(ancestor.ID, vec[:0])
+		if !ok || !(vecmath.Dot((*turns)[turn], vec) >= c.opts.CtxTau) { // a NaN score is a mismatch
+			match = false
+			break
 		}
 	}
-	return true
+	c.putProbeBuf(vec)
+	return match
 }
 
 // Insert caches a query/response pair. parent is the cache entry ID of the

@@ -89,9 +89,6 @@ func NewGenerator(cfg CorpusConfig, rng *rand.Rand) *Generator {
 	return &Generator{cfg: cfg, lx: NewLexicon(cfg.Concepts, rng), rng: rng}
 }
 
-// Lexicon exposes the generator's lexicon.
-func (g *Generator) Lexicon() *Lexicon { return g.lx }
-
 // NewIntent samples a fresh intent.
 func (g *Generator) NewIntent(id int) Intent {
 	n := g.cfg.MinConcepts + g.rng.Intn(g.cfg.MaxConcepts-g.cfg.MinConcepts+1)

@@ -400,9 +400,16 @@ func (s *Service) RunRound() (RoundReport, error) {
 	rep.Reembedded = s.rollout(rec.Version, newWeights, newTau)
 
 	// 6. Persist collected shards so a restart keeps the training data.
-	if s.cfg.Store != nil {
-		if err := s.cfg.Collector.SaveTo(s.cfg.Store); err != nil {
+	// Each round's commit and prune leave dead records in the log, so it
+	// is compacted once it is over twice its live bytes.
+	if st := s.cfg.Store; st != nil {
+		if err := s.cfg.Collector.SaveTo(st); err != nil {
 			return fail(err)
+		}
+		if st.SizeOnDisk() > 2*st.LiveBytes() {
+			if err := st.Compact(); err != nil {
+				return fail(err)
+			}
 		}
 	}
 

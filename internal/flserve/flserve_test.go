@@ -335,6 +335,47 @@ func TestServicePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestFLStoreCompactsAcrossRounds: every round appends a full model
+// payload and prunes the version past MaxVersions with a tombstone, so
+// the live keys plateau while the log would grow by a payload a round.
+// The round compacts the store once the log is over twice its live
+// bytes, and a restart from the compacted log resumes the latest version.
+func TestFLStoreCompactsAcrossRounds(t *testing.T) {
+	stPath := filepath.Join(t.TempDir(), "fl.store")
+	st, err := store.Open(stPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, "", 0, st)
+	h.seedTraffic(2)
+	var last RoundReport
+	for i := 0; i < 12; i++ {
+		if last, err = h.svc.RunRound(); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if size, live := st.SizeOnDisk(), st.LiveBytes(); size > 2*live {
+			t.Fatalf("after round %d the log is %d bytes for %d live (%d keys): over 2×", i, size, live, st.Len())
+		}
+	}
+	if err := h.svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2, err := store.Open(stPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	h2 := newHarness(t, "", 0, st2)
+	if rec, ok := h2.svc.Models().Latest(); !ok || rec.Version != last.Version {
+		t.Fatalf("restart from the compacted store resumed %+v, want version %s", rec, last.Version)
+	}
+	if got := h2.svc.Round(); got != 12 {
+		t.Fatalf("restart resumed at round %d, want 12", got)
+	}
+}
+
 func TestConcurrentTrafficDuringRounds(t *testing.T) {
 	h := newHarness(t, "", 0, nil)
 	h.seedTraffic(4)

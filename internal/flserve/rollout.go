@@ -95,13 +95,11 @@ func (s *Service) tenantVersion(user string) string {
 	return s.tenantVersions[user]
 }
 
-// Hooks returns the registry lifecycle hooks that keep evicted-and-revived
-// tenants consistent with rollouts: persistence stamps the current model
-// version next to the cache, and activation re-embeds any cache whose
-// stamp is stale (the tenant was on disk when a rollout happened). Wire
-// the result into server.RegistryConfig.Hooks.
-func (s *Service) Hooks() server.TenantHooks { return serviceHooks{s} }
-
+// serviceHooks are the registry lifecycle hooks that keep
+// evicted-and-revived tenants consistent with rollouts: persistence
+// stamps the current model version next to the cache, and activation
+// re-embeds any cache whose stamp is stale (the tenant was on disk when a
+// rollout happened). LateHooks hands them to the registry.
 type serviceHooks struct{ s *Service }
 
 // TenantActivated implements server.TenantHooks. It runs under the shard

@@ -161,6 +161,13 @@ func (a *Adaptive) Search(vec []float32, k int, tau float32) []Hit {
 	return a.cur.Load().idx.Search(vec, k, tau)
 }
 
+// Vector implements Index through the serving tier, lock-free like
+// Search. That tier holds every live vector even while a build is in
+// flight: writes land on it before they are journaled.
+func (a *Adaptive) Vector(id int, dst []float32) ([]float32, bool) {
+	return a.cur.Load().idx.Vector(id, dst)
+}
+
 // SearchAppend implements SearchAppender through the serving tier's
 // own, so the allocation-free path survives the wrapper.
 func (a *Adaptive) SearchAppend(vec []float32, k int, tau float32, dst []Hit) []Hit {
@@ -189,7 +196,7 @@ func (a *Adaptive) maybePromoteLocked() {
 // entirely off a.mu, catches up on journaled writes, and swaps the new
 // tier in. The snapshot is incremental — one short read lock for the ID
 // list, then one per vector copy — so the longest the old tier's lock
-// is ever held is a single clone: a concurrent writer queues for
+// is ever held is a single vector copy: a concurrent writer queues for
 // microseconds, not for the whole O(n·dim) pass (RWMutex writer
 // preference would otherwise park every Search behind that writer).
 // Entries that mutate between the build decision and their copy appear
@@ -199,7 +206,7 @@ func (a *Adaptive) maybePromoteLocked() {
 func (a *Adaptive) migrate(from *tierRef, n int) {
 	var snap []tierOp
 	for _, id := range from.idx.idList() {
-		if vec := from.idx.vecClone(id); vec != nil {
+		if vec, ok := from.idx.Vector(id, nil); ok {
 			snap = append(snap, tierOp{id: id, vec: vec})
 		}
 	}

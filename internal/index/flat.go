@@ -251,16 +251,16 @@ func (f *Flat) idList() []int {
 	return out
 }
 
-// vecClone implements snapshotter.
-func (f *Flat) vecClone(id int) []float32 {
+// Vector implements Index.
+func (f *Flat) Vector(id int, dst []float32) ([]float32, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	ref, ok := f.pos[id]
 	if !ok {
-		return nil
+		return dst, false
 	}
 	i := int(ref.pos)
-	return vecmath.Clone(ref.g.vecs[i*f.dim : (i+1)*f.dim])
+	return append(dst, ref.g.vecs[i*f.dim:(i+1)*f.dim]...), true
 }
 
 // Search implements Index with the bound-pruned exact scan.

@@ -42,6 +42,11 @@ type Index interface {
 	// Search returns up to k hits with score >= tau, ordered by
 	// descending score with ties broken by ascending ID.
 	Search(vec []float32, k int, tau float32) []Hit
+	// Vector appends the vector stored under id to dst and returns the
+	// extended slice; ok is false (and dst returned as is) when id is
+	// absent. The index is the only place a cached vector lives, so this
+	// is how persistence and the context-chain check read one.
+	Vector(id int, dst []float32) (vec []float32, ok bool)
 	// Len reports the number of stored vectors.
 	Len() int
 	// Dim reports the vector dimensionality.
@@ -80,13 +85,12 @@ type ArenaReporter interface {
 }
 
 // snapshotter is the incremental-snapshot contract Adaptive migration
-// uses: idList returns the stored IDs under one short read lock, and
-// vecClone copies a single vector under its own short read lock (nil if
-// the ID is gone). Entries added or removed between calls are reconciled
-// by the migration journal.
+// uses: idList returns the stored IDs under one short read lock, and the
+// migration then copies each vector with Vector, under its own short read
+// lock. Entries added or removed between calls are reconciled by the
+// migration journal.
 type snapshotter interface {
 	idList() []int
-	vecClone(id int) []float32
 }
 
 // hitBetter reports whether a ranks before b: descending score, ties by

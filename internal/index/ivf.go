@@ -207,19 +207,19 @@ func (x *IVF) idList() []int {
 	return out
 }
 
-// vecClone implements snapshotter.
-func (x *IVF) vecClone(id int) []float32 {
+// Vector implements Index.
+func (x *IVF) Vector(id int, dst []float32) ([]float32, bool) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	if !x.trained {
-		return x.bootstrap.vecClone(id)
+		return x.bootstrap.Vector(id, dst)
 	}
 	ref, ok := x.where[id]
 	if !ok {
-		return nil
+		return dst, false
 	}
 	l := x.lists[ref.list]
-	return vecmath.Clone(l.vecs[ref.pos*x.dim : (ref.pos+1)*x.dim])
+	return append(dst, l.vecs[ref.pos*x.dim:(ref.pos+1)*x.dim]...), true
 }
 
 // trainEntry pairs an id with its vector during (re)clustering.

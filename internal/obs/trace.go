@@ -254,14 +254,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // Enabled reports whether the tracer records anything.
 func (tr *Tracer) Enabled() bool { return tr != nil }
 
-// Node reports the tracer's node name ("" when disabled).
-func (tr *Tracer) Node() string {
-	if tr == nil {
-		return ""
-	}
-	return tr.node
-}
-
 func (tr *Tracer) get() *Trace {
 	select {
 	case t := <-tr.free:

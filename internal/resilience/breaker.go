@@ -220,21 +220,6 @@ func (b *Breaker) pushLocked(failed bool) {
 // State reports the current state code (lock-free; for gauges).
 func (b *Breaker) State() int { return int(b.stateCode.Load()) }
 
-// RetryAfter reports how long until an open breaker admits probes
-// (zero when not open).
-func (b *Breaker) RetryAfter() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != StateOpen {
-		return 0
-	}
-	wait := b.openedAt.Add(b.cfg.OpenFor).Sub(b.cfg.Now())
-	if wait < 0 {
-		wait = 0
-	}
-	return wait
-}
-
 // BreakerStats snapshots the breaker.
 type BreakerStats struct {
 	State string `json:"state"`

@@ -429,8 +429,22 @@ func (s *Store) SizeOnDisk() int64 {
 	return s.size
 }
 
+// LiveBytes reports the size the log would have after Compact: one put
+// record per live key.
+func (s *Store) LiveBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var n int64
+	for key, ref := range s.index {
+		n += 13 + int64(len(key)) + int64(ref.length) // header(9) key value crc(4)
+	}
+	return n
+}
+
 // Compact rewrites the log with only live records, reclaiming garbage.
-// The rewrite goes to a sibling temp file that atomically replaces the
+// Put never compacts on its own; the FL coordinator (flserve) calls it
+// after a round's writes once the log is more than twice LiveBytes. The
+// rewrite goes to a sibling temp file that atomically replaces the
 // log — fsynced before the rename and with the directory fsynced after
 // it, so an OS crash at any point yields either the old log or the
 // complete new one, never a truncated or missing file.

@@ -165,13 +165,16 @@ func TestCompact(t *testing.T) {
 		s.Put("churn", payload) // 19 garbage versions
 	}
 	s.Put("keep", []byte("small"))
-	before := s.SizeOnDisk()
+	before, live := s.SizeOnDisk(), s.LiveBytes()
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	after := s.SizeOnDisk()
 	if after >= before/2 {
 		t.Fatalf("compaction ineffective: %d -> %d", before, after)
+	}
+	if after != live || s.LiveBytes() != live {
+		t.Fatalf("compacted log is %d bytes (LiveBytes %d), LiveBytes predicted %d", after, s.LiveBytes(), live)
 	}
 	got, err := s.Get("churn")
 	if err != nil || !bytes.Equal(got, payload) {

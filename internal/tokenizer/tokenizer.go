@@ -63,9 +63,6 @@ func New(mode Mode, vocab int) *Tokenizer {
 	return &Tokenizer{mode: mode, vocab: vocab}
 }
 
-// Vocab reports the number of hash buckets.
-func (t *Tokenizer) Vocab() int { return t.vocab }
-
 // Mode reports the feature mode.
 func (t *Tokenizer) Mode() Mode { return t.mode }
 

@@ -95,18 +95,6 @@ func Cosine(a, b []float32) float32 {
 	return c
 }
 
-// Add returns a newly allocated element-wise sum a+b.
-func Add(a, b []float32) []float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vecmath: Add length mismatch %d != %d", len(a), len(b)))
-	}
-	out := make([]float32, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // Sub returns a newly allocated element-wise difference a-b.
 func Sub(a, b []float32) []float32 {
 	if len(a) != len(b) {
@@ -131,17 +119,4 @@ func Zero(x []float32) {
 	for i := range x {
 		x[i] = 0
 	}
-}
-
-// Mean writes into dst the element-wise mean of the rows. All rows must have
-// len(dst) elements. An empty rows slice leaves dst zeroed.
-func Mean(dst []float32, rows [][]float32) {
-	Zero(dst)
-	if len(rows) == 0 {
-		return
-	}
-	for _, r := range rows {
-		Axpy(1, r, dst)
-	}
-	Scale(1/float32(len(rows)), dst)
 }
