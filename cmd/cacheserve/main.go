@@ -85,10 +85,10 @@ func run(cfg stack.Config) error {
 	if cfg.Trace.SampleRate > 0 {
 		log.Printf("tracing: trace-sample=%g, trace-slow=%v", cfg.Trace.SampleRate, cfg.Trace.SlowThreshold)
 	}
-	if g := st.Governor; g.Quotas != nil || g.Limiter != nil || g.Breaker != nil || g.Maintenance != nil {
-		log.Printf("resilience: quota-rate=%g limit-max=%d breaker-window=%d upstream-timeout=%v tau-degraded=%g maintenance-weight=%d",
+	if g := st.Governor; g.Quotas != nil || g.Limiter != nil || g.Breaker != nil {
+		log.Printf("resilience: quota-rate=%g limit-max=%d breaker-window=%d upstream-timeout=%v tau-degraded=%g",
 			cfg.Governor.Quota.Rate, cfg.Governor.Limiter.MaxLimit, cfg.Governor.Breaker.Window,
-			cfg.UpstreamTimeout, cfg.TauDegraded, cfg.Governor.MaintenanceWeight)
+			cfg.UpstreamTimeout, cfg.TauDegraded)
 	}
 	log.Printf("cacheserve listening on %s (encoder=%s, shards=%d, upstream=%s)",
 		st.Server.Addr(), st.Encoder.Name(), cfg.Shards, upstream)

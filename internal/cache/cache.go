@@ -66,10 +66,6 @@ type Cache struct {
 	// to the index, so a warmed search allocates nothing but its result.
 	hitBufs sync.Pool
 
-	// gate, when non-nil, bounds background maintenance (Reembed) so
-	// migrations yield to foreground traffic under pressure.
-	gate Gate
-
 	// Lifetime counters; searches/hits are atomic because FindSimilar
 	// runs under the read lock.
 	puts, evictions int

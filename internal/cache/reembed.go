@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/vecmath"
@@ -20,21 +19,13 @@ import (
 // already carries the new embedding is harmless, and the pass count is
 // bounded, so a write-heavy cache cannot livelock the migration.
 //
-// When a maintenance Gate is installed (SetGate), the whole migration
-// holds one unit of it, so concurrent re-embeds across tenants — and
-// other gated background work — are bounded instead of competing with
-// foreground traffic for every core at once.
+// Reembed takes no concurrency token of its own: how many tenants migrate
+// at once is the caller's bound (flserve's rollout runs a fixed number).
 //
 // Reembed returns the number of embeddings replaced. It errors if encode
 // produces vectors of the wrong dimension (the rollout path only swaps
 // same-architecture models, so dimensions are stable).
 func (c *Cache) Reembed(encode func(string) []float32) (int, error) {
-	if g := c.maintenanceGate(); g != nil {
-		if err := g.Acquire(context.Background(), 1); err != nil {
-			return 0, fmt.Errorf("cache: reembed gate: %w", err)
-		}
-		defer g.Release(1)
-	}
 	type item struct {
 		id    int
 		query string

@@ -88,12 +88,10 @@ type Options struct {
 	// timing decorator; its matches must be identical. The degraded
 	// (cache-only) retry path always searches directly.
 	Searcher cache.Searcher
-	// MaintenanceGate, when non-nil, bounds the client's background
-	// maintenance (cache re-embedding) under a shared weighted
-	// semaphore, so migrations across many tenants yield to foreground
-	// traffic instead of competing with it. The serving layer passes one
-	// process-wide gate to every tenant factory.
-	MaintenanceGate cache.Gate
+	// Deprecated: MaintenanceGate is read by nothing. The field stays
+	// only because the frozen bench/stack.go sets it, and goes in the
+	// benchmark PR that re-captures BENCHMARK.json.
+	MaintenanceGate struct{}
 }
 
 // Client is a MeanCache instance: one user's local semantic cache plus the
@@ -175,9 +173,6 @@ func NewWithCache(opts Options, cc *cache.Cache) *Client {
 	}
 	if opts.CtxTau == 0 {
 		opts.CtxTau = opts.Tau
-	}
-	if opts.MaintenanceGate != nil {
-		cc.SetGate(opts.MaintenanceGate)
 	}
 	if opts.Searcher == nil {
 		opts.Searcher = cache.DirectSearcher{}

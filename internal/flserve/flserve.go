@@ -6,8 +6,8 @@
 // secure aggregation from internal/fl (Service.RunRound), every
 // aggregated model is committed to a versioned content-addressed registry
 // (ModelRegistry), and a hot rollout path swaps the new encoder into the
-// running process and re-embeds cached entries in the background without
-// blocking queries (rollout.go).
+// running process and re-embeds cached entries in the background, two
+// tenants at a time, without blocking queries (rollout.go).
 //
 // The subsystem lives inside cmd/cacheserve: enable it with -fl. Rounds
 // run on a timer (-fl-interval) or on demand (POST /v1/fl/round); state
@@ -15,7 +15,6 @@
 package flserve
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,7 +32,8 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Config assembles a Service.
+// Config assembles a Service. How many tenants a rollout re-embeds at
+// once is not configured: it is the constant rolloutParallel.
 type Config struct {
 	// Registry is the serving layer's tenant table. Required.
 	Registry *server.Registry
@@ -79,35 +79,17 @@ type Config struct {
 	Seed int64
 	// Interval, when positive, runs rounds on a timer after Start.
 	Interval time.Duration
-	// RolloutParallel bounds concurrent tenant re-embeds during a
-	// rollout (default 4).
-	RolloutParallel int
 	// PCADim, when positive, fits a PCA basis of that dimension on a
 	// sample of shard texts each round and attaches it to the committed
 	// version (§III-A.4's compressed embedding space, for clients that
 	// fetch the model). The serving rollout itself stays in the raw
 	// space, because live caches are sized to the raw dimension.
 	PCADim int
-	// Gate, when non-nil, bounds the round's training/aggregation phase
-	// under a shared maintenance semaphore so FL compute yields to
-	// foreground traffic. It is held only across local training and
-	// aggregation — never across registry calls or the rollout, whose
-	// per-tenant re-embeds gate themselves through the cache's own
-	// maintenance gate (nesting the two would deadlock a capacity-1
-	// semaphore). The interface is structural; resilience.Weighted
-	// satisfies it.
-	Gate Gate
 	// Clock is the round scheduler's time source (the Interval ticker
 	// and round wall-time reporting). Nil defaults to the wall clock;
 	// simulations inject a virtual one so FL rounds fire on virtual
 	// time.
 	Clock sim.Clock
-}
-
-// Gate bounds background maintenance concurrency (see Config.Gate).
-type Gate interface {
-	Acquire(ctx context.Context, n int64) error
-	Release(n int64)
 }
 
 // Service is the online FL coordinator.
@@ -120,6 +102,11 @@ type Service struct {
 	// tenant-activation hooks (which can fire inside RunRound's registry
 	// calls, while s.mu is held) read it without deadlocking.
 	tau atomic.Uint64
+
+	// serving is the record of the version the serving encoder holds
+	// (nil while it is still the seed model). Set only by serve, so it
+	// trails a commit until that commit's rollout swaps the encoder in.
+	serving atomic.Pointer[ModelRecord]
 
 	mu sync.Mutex // serialises rounds (held for a full round's duration)
 
@@ -190,9 +177,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.InitialTau <= 0 {
 		cfg.InitialTau = 0.83
 	}
-	if cfg.RolloutParallel <= 0 {
-		cfg.RolloutParallel = 4
-	}
 	cfg.Clock = sim.Or(cfg.Clock)
 	models, err := NewModelRegistry(cfg.Store, cfg.MaxVersions, cfg.Arch)
 	if err != nil {
@@ -224,9 +208,7 @@ func New(cfg Config) (*Service, error) {
 		s.global.SetWeights(w)
 		s.setTau(rec.Tau)
 		s.round = rec.Round + 1
-		serving := embed.NewModel(cfg.Arch, 0)
-		serving.SetWeights(s.global.Weights())
-		cfg.Encoder.Swap(serving)
+		s.serve(rec, w)
 	}
 	if cfg.Store != nil {
 		if err := cfg.Collector.LoadFrom(cfg.Store); err != nil {
@@ -333,45 +315,27 @@ func (s *Service) RunRound() (RoundReport, error) {
 		return fail(fmt.Errorf("flserve: sampled cohort has no training data"))
 	}
 
-	// 3. Train + aggregate (plaintext FedAvg or masked secure agg). The
-	// maintenance gate is held for this phase only — the CPU-heavy part
-	// with no registry interaction — so foreground serving keeps its
-	// cores; it is released before the rollout, whose re-embeds acquire
-	// the cache-level gate themselves.
-	if s.cfg.Gate != nil {
-		if err := s.cfg.Gate.Acquire(context.Background(), 1); err != nil {
-			return fail(fmt.Errorf("flserve: maintenance gate: %w", err))
-		}
-	}
+	// 3. Train + aggregate (plaintext FedAvg or masked secure agg).
 	global := s.global.Weights()
 	var newWeights []float32
 	var newTau float64
-	var trainErr error
 	if s.cfg.Secure {
 		res, err := fl.RunSecureRound(clients, global, s.Tau(), s.cfg.Seed+int64(round), 1.0)
 		if err != nil {
-			trainErr = err
-		} else {
-			newWeights, newTau = res.Aggregated, res.Tau
-			rep.Trained = len(clients)
-			rep.Samples = res.Samples
+			return fail(err)
 		}
+		newWeights, newTau = res.Aggregated, res.Tau
+		rep.Trained = len(clients)
+		rep.Samples = res.Samples
 	} else {
 		res, err := fl.RunCohort(clients, global, s.Tau(), s.cfg.Aggregator, true)
 		if err != nil {
-			trainErr = err
-		} else {
-			newWeights, newTau = res.Weights, res.Tau
-			rep.Trained = len(res.Trained)
-			rep.Failed = len(res.Failed)
-			rep.Samples = res.Samples
+			return fail(err)
 		}
-	}
-	if s.cfg.Gate != nil {
-		s.cfg.Gate.Release(1)
-	}
-	if trainErr != nil {
-		return fail(trainErr)
+		newWeights, newTau = res.Weights, res.Tau
+		rep.Trained = len(res.Trained)
+		rep.Failed = len(res.Failed)
+		rep.Samples = res.Samples
 	}
 
 	// 4. Commit the version (with an optional PCA basis fitted on shard
@@ -397,7 +361,7 @@ func (s *Service) RunRound() (RoundReport, error) {
 
 	// 5. Hot rollout: swap the serving encoder, then re-embed resident
 	// tenants (bounded parallelism; queries keep flowing).
-	rep.Reembedded = s.rollout(rec.Version, newWeights, newTau)
+	rep.Reembedded = s.rollout(rec, newWeights)
 
 	// 6. Persist collected shards so a restart keeps the training data.
 	// Each round's commit and prune leave dead records in the log, so it

@@ -59,7 +59,19 @@ func newHarness(t *testing.T, persistDir string, maxTenants int, st *store.Store
 
 func newHarnessSharded(t *testing.T, persistDir string, maxTenants, shards int, st *store.Store) *harness {
 	t.Helper()
+	return newHarnessWrapped(t, persistDir, maxTenants, shards, st, nil)
+}
+
+// newHarnessWrapped is newHarnessSharded with every tenant encoding
+// through wrap(serving encoder) instead of the serving encoder itself
+// (nil wrap: no wrapper).
+func newHarnessWrapped(t *testing.T, persistDir string, maxTenants, shards int, st *store.Store, wrap func(embed.Encoder) embed.Encoder) *harness {
+	t.Helper()
 	swap := embed.NewSwappable(embed.NewModel(tinyArch, 1))
+	var enc embed.Encoder = swap
+	if wrap != nil {
+		enc = wrap(swap)
+	}
 	coll := NewCollector(CollectorConfig{MaxPairs: 64, Seed: 1})
 	hooks := &LateHooks{}
 	reg, err := server.NewRegistry(server.RegistryConfig{
@@ -68,7 +80,7 @@ func newHarnessSharded(t *testing.T, persistDir string, maxTenants, shards int, 
 		PersistDir: persistDir,
 		Factory: func(string) *core.Client {
 			return core.New(core.Options{
-				Encoder:      swap,
+				Encoder:      enc,
 				LLM:          stubLLM{},
 				Tau:          0.83,
 				TopK:         4,

@@ -147,24 +147,20 @@ func versionID(arch string, tau float64, weights, basis []float32) string {
 }
 
 // Commit registers a freshly aggregated model and returns its record.
-// basis/mean (the PCA compression layer) may be nil. The latest pointer
-// advances; payloads older than maxVersions are pruned from the store.
+// basis/mean (the PCA compression layer) may be nil. The version is
+// written to the store first; only once it is stored does the latest
+// pointer advance, so a failed commit leaves the registry unchanged.
+// Payloads older than maxVersions are then pruned from the store.
 func (r *ModelRegistry) Commit(rec ModelRecord, weights, basis, mean []float32) (ModelRecord, error) {
 	rec.Version = versionID(rec.Arch, rec.Tau, weights, basis)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec.Parent = r.latest
-	if prev, ok := r.records[rec.Version]; ok {
+	prev, seen := r.records[rec.Version]
+	if seen {
 		// Identical content re-committed: keep the original lineage.
 		rec = prev
-	} else {
-		r.records[rec.Version] = rec
-		r.order = append(r.order, rec.Version)
 	}
-	r.latest = rec.Version
-	r.weights = append([]float32(nil), weights...)
-	r.basis = append([]float32(nil), basis...)
-	r.mean = append([]float32(nil), mean...)
 	if r.st != nil {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(modelWire{Record: rec, Weights: weights, Basis: basis, Mean: mean}); err != nil {
@@ -177,6 +173,14 @@ func (r *ModelRegistry) Commit(rec ModelRecord, weights, basis, mean []float32) 
 			return rec, err
 		}
 	}
+	if !seen {
+		r.records[rec.Version] = rec
+		r.order = append(r.order, rec.Version)
+	}
+	r.latest = rec.Version
+	r.weights = append([]float32(nil), weights...)
+	r.basis = append([]float32(nil), basis...)
+	r.mean = append([]float32(nil), mean...)
 	// Prune versions beyond the retention bound — consistently in both
 	// in-memory and persisted modes, so the registry stays bounded.
 	for len(r.order) > r.maxVersions && r.order[0] != r.latest {

@@ -26,23 +26,39 @@ type RolloutStats struct {
 	ReembedErrors       int64 `json:"reembed_errors,omitempty"`
 }
 
-// rollout installs the new global model into the running process: swap
-// the shared serving encoder (a single atomic pointer — every subsequent
-// encode in every tenant uses the new weights), then walk resident
-// tenants installing τ_global and re-embedding their cached entries so
-// stored vectors rejoin the probe embedding space. Re-embedding runs with
-// bounded parallelism and short write-locked batches, so queries are
-// never blocked; until a tenant's migration completes, its probes
-// (already in the new space) score against old-space vectors — a brief
-// recall dip, never an outage. Returns the number of entries migrated.
-func (s *Service) rollout(version string, weights []float32, tau float64) int {
-	serving := embed.NewModel(s.cfg.Arch, 0)
-	serving.SetWeights(weights)
-	s.cfg.Encoder.Swap(serving)
+// rolloutParallel is how many tenants a rollout re-embeds at once. It is
+// the only bound on background re-embeds: an activation re-embed (the
+// hook below) and a round's training phase take no token, so neither
+// waits on a rollout.
+const rolloutParallel = 2
+
+// serve swaps rec's weights into the shared serving encoder (a single
+// atomic pointer: every subsequent encode in every tenant uses them) and
+// then records rec as the serving version. That order means a tenant
+// revived between the two is re-embedded by the new encoder and stamped
+// with the old version, so its next revival re-embeds again; the reverse
+// order would stamp old-space vectors with the new version.
+func (s *Service) serve(rec ModelRecord, weights []float32) {
+	m := embed.NewModel(s.cfg.Arch, 0)
+	m.SetWeights(weights)
+	s.cfg.Encoder.Swap(m)
+	s.serving.Store(&rec)
+}
+
+// rollout installs a committed global model into the running process:
+// swap the serving encoder (serve), then walk resident tenants installing
+// τ_global and re-embedding their cached entries so stored vectors rejoin
+// the probe embedding space. At most rolloutParallel tenants re-embed at
+// once, each in short write-locked batches, so queries are never
+// blocked; until a tenant's migration completes, its probes (already in
+// the new space) score against old-space vectors — a brief recall dip,
+// never an outage. Returns the number of entries migrated.
+func (s *Service) rollout(rec ModelRecord, weights []float32) int {
+	s.serve(rec, weights)
 	s.rollouts.swaps.Add(1)
 
 	ids := s.cfg.Registry.IDs()
-	sem := make(chan struct{}, s.cfg.RolloutParallel)
+	sem := make(chan struct{}, rolloutParallel)
 	var wg sync.WaitGroup
 	var migrated atomic.Int64
 	for _, id := range ids {
@@ -57,14 +73,14 @@ func (s *Service) rollout(version string, weights []float32, tau float64) int {
 				return
 			}
 			defer t.Release()
-			t.Client.SetTau(float32(tau))
+			t.Client.SetTau(float32(rec.Tau))
 			n, err := t.Client.Reembed()
 			if err != nil {
 				s.rollouts.reembedErrors.Add(1)
 				return
 			}
 			migrated.Add(int64(n))
-			s.noteTenantVersion(id, version)
+			s.noteTenantVersion(id, rec.Version)
 			s.rollouts.tenantsReembedded.Add(1)
 			s.rollouts.entriesReembedded.Add(int64(n))
 		}(id)
@@ -80,7 +96,8 @@ const modelVerMetaKey = "modelver"
 // noteTenantVersion records the model version a tenant's cache entries
 // were last confirmed migrated to. TenantMeta stamps THIS version on
 // eviction — never models.Latest(), which may be ahead of a tenant whose
-// re-embed failed or that was evicted mid-rollout; an out-of-date (or
+// re-embed failed, that was evicted mid-rollout, or that was revived
+// between a commit and its rollout's encoder swap; an out-of-date (or
 // absent) stamp makes revival re-embed, which is always safe.
 func (s *Service) noteTenantVersion(user, version string) {
 	s.tvMu.Lock()
@@ -104,24 +121,25 @@ type serviceHooks struct{ s *Service }
 
 // TenantActivated implements server.TenantHooks. It runs under the shard
 // lock, so the synchronous re-embed stalls only that shard — and only for
-// tenants revived across a model boundary.
+// tenants revived across a model boundary. It compares against, and
+// stamps, the version the serving encoder holds: a version committed but
+// not yet swapped in is not what the re-embed encodes with.
 func (h serviceHooks) TenantActivated(t *server.Tenant, meta map[string][]byte) {
-	cur, ok := h.s.models.Latest()
-	if !ok {
-		return // no committed version yet: nothing to migrate to
+	cur := h.s.serving.Load()
+	if cur == nil {
+		return // the serving encoder is still the seed model
 	}
 	if meta != nil && string(meta[modelVerMetaKey]) == cur.Version {
 		h.s.noteTenantVersion(t.ID, cur.Version)
-		return // persisted under the current model
+		return // persisted under the serving model
 	}
+	t.Client.SetTau(float32(cur.Tau))
 	if meta == nil && t.Client.Cache().Len() == 0 {
 		// Fresh tenant with an empty cache: entries it inserts will use
-		// the current encoder already. Just install the global τ.
-		t.Client.SetTau(float32(h.s.Tau()))
+		// the serving encoder already.
 		h.s.noteTenantVersion(t.ID, cur.Version)
 		return
 	}
-	t.Client.SetTau(float32(cur.Tau))
 	if n, err := t.Client.Reembed(); err != nil {
 		h.s.rollouts.reembedErrors.Add(1)
 	} else {

@@ -17,10 +17,10 @@
 //     probes). While open, the serving layer degrades to cache-only
 //     mode: hits are still answered (at a relaxed τ), misses are shed
 //     with Retry-After instead of being queued into a dead upstream.
-//   - Weighted: a weighted semaphore guarding expensive non-request
-//     work (re-embedding, FL rounds) so background maintenance yields
-//     to foreground traffic under pressure. Index tier builds do not
-//     take it: each runs on one ungated background goroutine per tenant.
+//
+// Background work (FL rounds, rollout re-embeds, index tier builds) is
+// not admitted here: flserve bounds its own re-embeds, and each tier
+// build runs on one background goroutine per tenant.
 //
 // Every type is safe for concurrent use and keeps its hot path
 // allocation-free; admission checks are designed to ride the PR 5
@@ -76,22 +76,24 @@ type GovernorConfig struct {
 	// Breaker configures the upstream circuit breaker; Window <= 0
 	// disables it.
 	Breaker BreakerConfig
-	// MaintenanceWeight is the weighted-semaphore capacity for
-	// background work (re-embedding, FL rounds); <= 0 disables gating
-	// (background work proceeds unchecked). Index tier builds are never
-	// gated: each runs on one background goroutine per tenant.
+	// Deprecated: MaintenanceWeight is read by nothing. The field stays
+	// only because the frozen bench/stack.go sets it, and goes in the
+	// benchmark PR that re-captures BENCHMARK.json.
 	MaintenanceWeight int64
 }
 
 // Governor bundles the serving layer's resilience state: quotas at the
-// front door, limiter + breaker on the upstream path, and the
-// maintenance semaphore for background work. Any field may be nil when
-// the mechanism is disabled.
+// front door, limiter + breaker on the upstream path. Any field may be
+// nil when the mechanism is disabled.
 type Governor struct {
-	Quotas      *TokenBuckets
-	Limiter     *Limiter
-	Breaker     *Breaker
-	Maintenance *Weighted
+	Quotas  *TokenBuckets
+	Limiter *Limiter
+	Breaker *Breaker
+	// Deprecated: Maintenance is read by nothing. The field stays only
+	// because the frozen bench/stack.go passes it to
+	// core.Options.MaintenanceGate, and goes in the benchmark PR that
+	// re-captures BENCHMARK.json.
+	Maintenance struct{}
 }
 
 // NewGovernor builds a Governor from cfg, instantiating only the
@@ -106,9 +108,6 @@ func NewGovernor(cfg GovernorConfig) *Governor {
 	}
 	if cfg.Breaker.Window > 0 {
 		g.Breaker = NewBreaker(cfg.Breaker)
-	}
-	if cfg.MaintenanceWeight > 0 {
-		g.Maintenance = NewWeighted(cfg.MaintenanceWeight)
 	}
 	return g
 }
@@ -135,10 +134,9 @@ func (g *Governor) Saturated() bool {
 
 // Stats snapshots every enabled mechanism (nil sections are disabled).
 type GovernorStats struct {
-	Quota       *QuotaStats   `json:"quota,omitempty"`
-	Limiter     *LimiterStats `json:"limiter,omitempty"`
-	Breaker     *BreakerStats `json:"breaker,omitempty"`
-	Maintenance *WeightedInfo `json:"maintenance,omitempty"`
+	Quota   *QuotaStats   `json:"quota,omitempty"`
+	Limiter *LimiterStats `json:"limiter,omitempty"`
+	Breaker *BreakerStats `json:"breaker,omitempty"`
 }
 
 // Stats snapshots the governor. Nil-safe (returns zero stats).
@@ -158,10 +156,6 @@ func (g *Governor) Stats() GovernorStats {
 	if g.Breaker != nil {
 		bs := g.Breaker.Stats()
 		s.Breaker = &bs
-	}
-	if g.Maintenance != nil {
-		ws := g.Maintenance.Info()
-		s.Maintenance = &ws
 	}
 	return s
 }

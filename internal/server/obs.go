@@ -291,14 +291,6 @@ func registerGovernorMetrics(reg *obs.Registry, g *resilience.Governor) {
 				return float64(b.ShedCount())
 			}, obs.Label{Name: "reason", Value: "breaker_open"})
 	}
-	if m := g.Maintenance; m != nil {
-		reg.GaugeFunc("meancache_maintenance_held",
-			"Weighted-semaphore units held by background maintenance.",
-			func() float64 { return float64(m.Info().Held) })
-		reg.GaugeFunc("meancache_maintenance_waiters",
-			"Background tasks waiting for maintenance capacity.",
-			func() float64 { return float64(m.Info().Waiters) })
-	}
 }
 
 // registerBatcherMetrics exposes the encode batcher's queue depth,

@@ -207,10 +207,9 @@ func TestServerBreakerDegradedServing(t *testing.T) {
 // TestServerStatsReportsResilience: /v1/stats carries the governor block.
 func TestServerStatsReportsResilience(t *testing.T) {
 	_, ts := newResilienceServer(t, resilience.GovernorConfig{
-		Quota:             resilience.QuotaConfig{Rate: 100, Burst: 100},
-		Limiter:           resilience.LimiterConfig{MinLimit: 1, MaxLimit: 8, InitialLimit: 4},
-		Breaker:           resilience.BreakerConfig{Window: 8},
-		MaintenanceWeight: 2,
+		Quota:   resilience.QuotaConfig{Rate: 100, Burst: 100},
+		Limiter: resilience.LimiterConfig{MinLimit: 1, MaxLimit: 8, InitialLimit: 4},
+		Breaker: resilience.BreakerConfig{Window: 8},
 	}, &scriptedUpstream{}, time.Second)
 
 	postRaw(t, ts.URL+"/v1/query", QueryRequest{User: "u", Query: "warm up"})
@@ -235,9 +234,6 @@ func TestServerStatsReportsResilience(t *testing.T) {
 	}
 	if r.Breaker == nil || r.Breaker.State != "closed" {
 		t.Fatalf("breaker stats = %+v, want closed", r.Breaker)
-	}
-	if r.Maintenance == nil || r.Maintenance.Capacity != 2 {
-		t.Fatalf("maintenance stats = %+v, want capacity 2", r.Maintenance)
 	}
 }
 

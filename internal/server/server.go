@@ -265,8 +265,7 @@ type StatsResponse struct {
 	// Config.StatsTenants.
 	Residents []ResidentStats `json:"residents,omitempty"`
 	// Resilience reports admission-control state (quota buckets, AIMD
-	// limiter, circuit breaker, maintenance semaphore) when a Governor
-	// is configured.
+	// limiter, circuit breaker) when a Governor is configured.
 	Resilience *resilience.GovernorStats `json:"resilience,omitempty"`
 }
 

@@ -57,10 +57,10 @@
 // still answer (at τ relaxed by -tau-degraded), misses shed with 503 +
 // Retry-After until half-open probes confirm the upstream healed. The
 // same breaker tuning guards cluster peer forwards, hedged duplicates
-// are suppressed while the limiter is saturated, and -maintenance-weight
-// bounds background work (re-embeds, FL rounds) under a weighted
-// semaphore. All error responses are structured JSON
-// {"error","code","retry_after_ms"}.
+// are suppressed while the limiter is saturated. Background work takes
+// no admission token: an FL rollout re-embeds two tenants at a time, and
+// a revived tenant's re-embed runs at once. All error responses are
+// structured JSON {"error","code","retry_after_ms"}.
 //
 // Observability: every cacheserve serves a Prometheus text exposition at
 // GET /metrics covering serving outcomes, per-stage and per-tier
@@ -190,7 +190,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.DurationVar(&c.Governor.Breaker.OpenFor, "breaker-cooloff", 5*time.Second, "breaker: open-state cool-off before half-open probes")
 	fs.IntVar(&c.Governor.Breaker.HalfOpenProbes, "breaker-probes", 3, "breaker: half-open trial calls that must all succeed to close")
 	fs.Float64Var(&c.TauDegraded, "tau-degraded", 0.05, "cache-only degraded serving: relax τ by this delta while the breaker is open (0 disables)")
-	fs.Int64Var(&c.Governor.MaintenanceWeight, "maintenance-weight", 2, "weighted-semaphore capacity for background work (re-embeds, FL rounds); 0 ungates")
 
 	fs.Float64Var(&c.Trace.SampleRate, "trace-sample", 0, "request-trace head-sampling rate in (0, 1]; 0 disables tracing")
 	fs.DurationVar(&c.Trace.SlowThreshold, "trace-slow", 0, "with tracing on, also keep any trace at least this slow (GET /v1/debug/traces)")
@@ -283,7 +282,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 	// The resilience governor assembles whichever overload-protection
 	// mechanisms cfg enables: per-tenant quotas at the front door, AIMD
 	// limiter + circuit breaker on the upstream miss path (the Guard
-	// below), and the maintenance semaphore for background work.
+	// below).
 	s.Governor = resilience.NewGovernor(cfg.Governor)
 	upstream := newUpstream(cfg)
 	var llm core.LLM = upstream
@@ -304,10 +303,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		Capacity:         cfg.Capacity,
 		FeedbackStep:     float32(cfg.FeedbackStep),
 		DegradedTauDelta: float32(cfg.TauDegraded),
-	}
-	var flGate flserve.Gate
-	if m := s.Governor.Maintenance; m != nil {
-		s.tenant.MaintenanceGate, flGate = m, m
 	}
 	s.Registry, err = server.NewRegistry(server.RegistryConfig{
 		Shards:     cfg.Shards,
@@ -344,7 +339,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 			Seed:       cfg.Seed,
 			Interval:   cfg.FLInterval,
 			PCADim:     cfg.FLPCA,
-			Gate:       flGate,
 		})
 		if err != nil {
 			return nil, err

@@ -35,8 +35,8 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	c.Bind(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 44 {
-		t.Errorf("Bind registers %d flags, want 44", n)
+	if n != 43 {
+		t.Errorf("Bind registers %d flags, want 43", n)
 	}
 	var got bytes.Buffer
 	fs.SetOutput(&got)
@@ -73,7 +73,6 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 		{"breaker cool-off", d.Governor.Breaker.OpenFor, 5 * time.Second},
 		{"breaker probes", d.Governor.Breaker.HalfOpenProbes, 3},
 		{"quota rate (off)", d.Governor.Quota.Rate, 0.0},
-		{"maintenance weight", d.Governor.MaintenanceWeight, int64(2)},
 		{"top-k", d.TopK, 5},
 		{"tenant capacity", d.Capacity, 4096},
 		{"feedback step", d.FeedbackStep, 0.01},
@@ -179,9 +178,6 @@ func TestBuildModes(t *testing.T) {
 			if s.tenant.Searcher != nil {
 				t.Error("the shipped stack wires a searcher: tenants must search directly")
 			}
-			if s.Governor.Maintenance == nil || s.tenant.MaintenanceGate == nil {
-				t.Error("the shipped stack gates maintenance")
-			}
 			if s.Governor.Quotas != nil || s.Governor.Limiter != nil || s.Governor.Breaker != nil {
 				t.Error("quotas, limiter and breaker are off by default")
 			}
@@ -251,13 +247,6 @@ func TestBuildModes(t *testing.T) {
 			}
 			if st := s.Batcher.Stats(); st.Coalesced != 2 {
 				t.Errorf("batcher stats %+v, want 2 coalesced", st)
-			}
-		}},
-		{name: "no maintenance gate", set: func(c *Config) {
-			c.Governor.MaintenanceWeight = 0
-		}, check: func(t *testing.T, s *Stack) {
-			if s.tenant.MaintenanceGate != nil {
-				t.Error("a disabled gate must be a true nil interface")
 			}
 		}},
 		{name: "fl", set: func(c *Config) {
