@@ -40,7 +40,9 @@ conformance:
 # fuzz-smoke is the nightly-style fuzz check: 30s of randomized
 # Add/Remove/Search programs checked for exact Flat parity and for the
 # result invariants of an Adaptive that promotes to IVF and regrows
-# inside one program, 30s of arbitrary bytes against the cluster wire
+# inside one program, 30s of arbitrary widths, row counts and float32
+# bit patterns checked for ScanDot scoring every row exactly as Dot
+# does, 30s of arbitrary bytes against the cluster wire
 # codec (no panics, no over-allocation, canonical round trips), 30s of
 # fuzzer-shaped churn storms through the deterministic cluster
 # simulation (no panics, every safety invariant holds at settle), and
@@ -48,6 +50,7 @@ conformance:
 # legacy gob (no panics, whatever decodes re-encodes to the same entry).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSearchParity -fuzztime=30s -run xxx ./internal/index/
+	$(GO) test -fuzz=FuzzScanDotParity -fuzztime=30s -run xxx ./internal/vecmath/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s -run xxx ./internal/cluster/
 	$(GO) test -fuzz=FuzzSimScenario -fuzztime=30s -run xxx ./internal/sim/scenario/
 	$(GO) test -fuzz=FuzzDecodeEntry -fuzztime=30s -run xxx ./internal/cache/

@@ -33,6 +33,63 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// forwardDot is Model.Forward with the projection written as one
+// vecmath.Dot per row of W, the scalar reference the shipped kernel
+// (Matrix.MulVec through vecmath.ScanDot) must match bit for bit.
+func forwardDot(m *Model, text string) []float32 {
+	ids := m.Tok.TokenizeAppend(text, nil)
+	pooled := make([]float32, m.Cfg.EmbDim)
+	aw := m.Cfg.AnchorWeight
+	if len(ids) > 0 {
+		inv := (1 - aw) / float32(len(ids))
+		for _, id := range ids {
+			vecmath.Axpy(inv, m.E.Row(id), pooled)
+		}
+	}
+	if aw > 0 {
+		vecmath.Axpy(aw, m.E.Row(m.anchorRow()), pooled)
+	}
+	out := make([]float32, m.Cfg.OutDim)
+	for i := range out {
+		out[i] = tanh32(vecmath.Dot(m.W.Row(i), pooled) + m.B[i])
+	}
+	if vecmath.Normalize(out) == 0 {
+		out[0] = 1
+	}
+	for k := 0; k < m.Cfg.ExtraCost; k++ {
+		vecmath.Normalize(out)
+	}
+	return out
+}
+
+// TestEncodeMatchesPerRowDot pins that the projection kernel moves no
+// embedding: every shipped architecture encodes each text to exactly the
+// bits a per-row Dot projection gives, alone and in a batch.
+func TestEncodeMatchesPerRowDot(t *testing.T) {
+	texts := []string{
+		"",
+		"draw a line plot in python",
+		"How can I increase the battery life of my smartphone?",
+		"what is federated learning",
+		"résumé naïve café — ünïcödé tokens",
+		"rotate the api credentials for the staging cluster before friday and notify the on-call engineer",
+	}
+	for _, cfg := range []Arch{MPNetSim, AlbertSim, Llama2Sim} {
+		m := NewModel(cfg, 7)
+		batch := m.EncodeBatch(texts)
+		for i, text := range texts {
+			want := forwardDot(m, text)
+			for name, got := range map[string][]float32{"Encode": m.Encode(text), "EncodeBatch": batch.Row(i)} {
+				for j := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("%s %s(%q)[%d] = %v, per-row Dot gives %v", cfg.Name, name, text, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEncodeUnitNorm(t *testing.T) {
 	for _, cfg := range []Arch{MPNetSim, AlbertSim, Llama2Sim} {
 		m := NewModel(cfg, 1)

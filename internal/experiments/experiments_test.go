@@ -204,10 +204,12 @@ func TestFig10CompressionSavings(t *testing.T) {
 	if res.SpeedupPct < 0 {
 		t.Errorf("compressed search slower than raw: %.0f%%", res.SpeedupPct)
 	}
-	// Compression costs accuracy on this synthetic corpus (more than in
-	// the paper — see EXPERIMENTS.md), but the compressed cache must stay
-	// strictly better than the degenerate hit-everything policy, whose
-	// F0.5 at a 30% duplicate rate is ≈0.35.
+	// Compression costs accuracy on this synthetic corpus, more than in
+	// the paper: at quickLab's seed the compressed MPNet cache scores
+	// F0.5 0.44/0.46/0.40 at 400/800/1200 entries against 0.81/0.84/0.86
+	// uncompressed (Albert: 0.50/0.48/0.41 against 0.75/0.81/0.82). It
+	// must still stay strictly better than the degenerate hit-everything
+	// policy, whose F0.5 at a 30% duplicate rate is ≈0.35.
 	for _, c := range res.Cells {
 		if strings.Contains(c.System, "Compressed") && c.FScore <= 0.37 {
 			t.Errorf("%s at %d entries: F-score %.2f at or below the all-hit baseline",

@@ -14,6 +14,13 @@ import (
 // the index kernels, so the yardstick cannot move with the code under
 // test — and FlatMaxFor converts that measurement into a promotion point
 // that tracks actual machine speed.
+//
+// The yardstick is Dot's scalar loop, but on amd64 the real scan runs
+// vecmath.ScanDot's SSE kernel, roughly 3× faster per row. The budget
+// below is therefore conservative: an exact scan at FlatMax costs about a
+// third of it. Retuning it would move the Flat→IVF boundary and with it
+// the quality of 4,096-entry tenants, so it is left for a change that
+// re-pins those numbers.
 
 const (
 	calibRows = 4096

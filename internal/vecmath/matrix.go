@@ -57,14 +57,14 @@ func (m *Matrix) RandomizeNormal(rng *rand.Rand, std float64) {
 }
 
 // MulVec computes dst = m · x where x has m.Cols elements and dst has m.Rows.
+// It is one ScanDot pass over the rows, so dst[i] is bit-identical to
+// Dot(m.Row(i), x).
 func (m *Matrix) MulVec(dst, x []float32) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("vecmath: MulVec shape mismatch m=%dx%d len(x)=%d len(dst)=%d",
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Dot(m.Row(i), x)
-	}
+	ScanDot(x, m.Data, dst)
 }
 
 // MulVecT computes dst = mᵀ · x where x has m.Rows elements and dst has

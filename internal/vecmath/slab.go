@@ -6,11 +6,11 @@ import "fmt"
 // whole, so rows never move once written: a Row view stays valid for the
 // lifetime of its slot, and growth never copies vector data. A chunk is
 // sized by bytes, not rows: the largest power of two of rows that fits
-// slabChunkBytes, at most SlabChunkRows and at least 2 (the scan kernels
-// score rows in pairs). That is 256 rows up to 64-d and 16 rows (48 KB)
-// at 768-d — large enough to stream, small enough that a sparsely used
-// slab wastes little: a serving tenant's Flat index holds ≈20 leader
-// rows, and a 256-row chunk at 768-d cost every activation 786 KB.
+// slabChunkBytes, at most SlabChunkRows and at least 2. That is 256 rows
+// up to 64-d and 16 rows (48 KB) at 768-d — large enough to stream in
+// ScanDot's 4-row blocks, small enough that a sparsely used slab wastes
+// little: a serving tenant's Flat index holds ≈20 leader rows, and a
+// 256-row chunk at 768-d cost every activation 786 KB.
 const (
 	SlabChunkRows  = 256
 	slabChunkBytes = 64 << 10

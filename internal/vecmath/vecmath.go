@@ -5,8 +5,11 @@
 //
 // The package is deliberately small and allocation-conscious. All kernels
 // operate on plain []float32 slices (vectors) or on the row-major Matrix
-// type, and the hot paths (Dot, Axpy, MatMul, batched cosine search) are
-// written so the compiler can keep operands in registers. Parallel variants
+// type, and are written in Go so the compiler can keep operands in
+// registers, with one exception: ScanDot, the many-rows-one-probe pass
+// behind the encoder's projection (Matrix.MulVec) and every index scan,
+// scores four rows at a time with an SSE kernel on amd64 (scan_amd64.s),
+// bit-identical to Dot, which stays the scalar reference. Parallel variants
 // dispatch work through ParallelFor, a bounded worker pool sized to
 // runtime.GOMAXPROCS(0), following the parallelisation idiom from Effective
 // Go: independent pieces launched per core with a channel to signal
