@@ -2,13 +2,12 @@ package index
 
 import "repro/internal/vecmath"
 
-// rowArena is the contiguous row store shared by Flat's leader groups
-// and IVF's inverted lists: ids, row-major vectors, per-row norms and
-// pivot distances (‖row − pivot‖ + slack), all parallel. Rows append
-// densely and swap-delete on removal, so a scan is one linear pass, and
-// the single scanBounded implementation below is the only place the
-// rigorous tau bound is applied per row — Flat and IVF cannot drift
-// apart on the logic their exactness guarantees depend on.
+// rowArena is the contiguous row store of one of Flat's leader groups:
+// ids, row-major vectors, per-row norms and pivot distances
+// (‖row − pivot‖ + slack), all parallel. Rows append densely and
+// swap-delete on removal, so a scan is one linear pass, and scanBounded
+// below is where Flat applies its rigorous tau bound per row. IVF's
+// inverted lists (ivfList) bound rows with int8 codes instead.
 type rowArena struct {
 	ids      []int
 	vecs     []float32 // row-major, len(ids) × dim

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -175,27 +176,25 @@ func TestIVFRecallAgainstFlat(t *testing.T) {
 	}
 }
 
+// TestIVFNProbeEqualsNListIsExact: probing every list makes IVF an exact
+// scan, so it returns Flat's IDs, order and score bits.
 func TestIVFNProbeEqualsNListIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	dim := 16
-	vecs := clustered(rng, 300, 6, dim, 0.3)
-	flat := NewFlat(dim)
-	ivf := NewIVF(dim, IVFConfig{NList: 10, NProbe: 10, TrainSize: 50, Seed: 8})
-	for i, v := range vecs {
-		flat.Add(i, v)
-		ivf.Add(i, v)
-	}
-	for q := 0; q < 50; q++ {
-		probe := unit(rng, dim)
-		exact := flat.Search(probe, 5, 0.3)
-		approx := ivf.Search(probe, 5, 0.3)
-		if len(exact) != len(approx) {
-			t.Fatalf("probe %d: exact %d hits, full-probe IVF %d", q, len(exact), len(approx))
+	for _, dim := range []int{16, 768} {
+		rng := rand.New(rand.NewSource(7))
+		vecs := clustered(rng, 300, 6, dim, 1.2/math.Sqrt(float64(dim))) // 0.3 at d = 16
+		flat := NewFlat(dim)
+		ivf := NewIVF(dim, IVFConfig{NList: 10, NProbe: 10, TrainSize: 50, Seed: 8})
+		for i, v := range vecs {
+			flat.Add(i, v)
+			ivf.Add(i, v)
 		}
-		for i := range exact {
-			if exact[i].ID != approx[i].ID {
-				t.Fatalf("probe %d: hit %d differs: %v vs %v", q, i, exact[i], approx[i])
+		for q := 0; q < 50; q++ {
+			probe := unit(rng, dim)
+			if q%2 == 1 {
+				probe = vecs[rng.Intn(len(vecs))]
 			}
+			what := fmt.Sprintf("d=%d probe %d", dim, q)
+			sameHits(t, what, ivf.Search(probe, 5, 0.3), flat.Search(probe, 5, 0.3))
 		}
 	}
 }

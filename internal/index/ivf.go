@@ -14,13 +14,15 @@ import (
 // tunable via nprobe; nprobe = nlist degrades gracefully to an exact scan.
 //
 // Each inverted list keeps its rows in one contiguous row-major arena
-// (swap-deleted on Remove, so scans stay dense) with per-row distances to
-// the list centroid. Probed lists are scanned with the blocked vecmath
-// kernels under the same rigorous Cauchy–Schwarz tau bound Flat uses:
-// rows that provably cannot reach tau are skipped without touching their
-// data, and the rows that are scored produce exactly the scores the
-// previous per-entry scan produced — pruning never changes results, only
-// work.
+// (swap-deleted on Remove, so scans stay dense) beside an int8 code of
+// every row (vecmath.Quantize). A probed list is first scored on the
+// codes with the integer kernel vecmath.ScanQ8, which reads a quarter of
+// the bytes; each code score yields a rigorous upper bound on the row's
+// exact score (see q8Probe), and only rows whose bound reaches tau are
+// scored with Dot. Returned IDs and score bits therefore equal a dense
+// vecmath.ScanDot over the same lists — the pre-filter never changes
+// results, only work. Lists where it cannot pay (tau so low no row could
+// be pruned, or more than half the rows survive) are scored densely.
 //
 // Until Train is called (or until the lazily-collected bootstrap sample
 // reaches its target size), vectors accumulate in a flat buffer and
@@ -34,7 +36,7 @@ type IVF struct {
 
 	trainSize int
 	centroids *vecmath.Matrix // nlist × dim, unit norm
-	lists     []*postings     // per-centroid contiguous rows
+	lists     []*ivfList      // per-centroid contiguous rows
 	where     map[int]listRef
 	bootstrap *Flat // pre-training accumulation
 	trained   bool
@@ -42,21 +44,21 @@ type IVF struct {
 	scratch sync.Pool // *ivfScratch
 }
 
-// postings is one inverted list: the shared rowArena with the list
-// centroid as its pivot.
-type postings = rowArena
-
 type listRef struct {
 	list, pos int
 }
 
 // ivfScratch is the pooled per-search working set: centroid scores, the
-// ranked probe selection, and score/hit buffers.
+// ranked probe selection, the probe's int16 code, per-list code and
+// exact scores, the surviving row positions, and the hit buffer.
 type ivfScratch struct {
-	scores []float32
-	probes []int
-	list   []float32
-	hits   []Hit
+	scores    []float32
+	probes    []int
+	code      []int16
+	codeDots  []int32
+	list      []float32
+	survivors []int32
+	hits      []Hit
 }
 
 // IVFConfig tunes the index.
@@ -166,10 +168,8 @@ func (x *IVF) Add(id int, vec []float32) error {
 func (x *IVF) insert(id int, vec []float32) {
 	li := x.nearestCentroid(vec)
 	l := x.lists[li]
-	norm := vecmath.Norm(vec)
-	delta := pivotDistance(norm, vecmath.Dot(vec, x.centroids.Row(li)), vecmath.Norm(x.centroids.Row(li)))
 	x.where[id] = listRef{list: li, pos: len(l.ids)}
-	l.add(id, vec, norm, delta)
+	l.add(id, vec)
 }
 
 // Remove implements Index (swap-delete within the row's list). The
@@ -259,9 +259,9 @@ func (x *IVF) trainLocked() {
 		nlist = len(all)
 	}
 	x.centroids = sphericalKMeans(all, nlist, x.dim, x.seed)
-	x.lists = make([]*postings, x.centroids.Rows)
+	x.lists = make([]*ivfList, x.centroids.Rows)
 	for i := range x.lists {
-		x.lists[i] = &postings{}
+		x.lists[i] = &ivfList{}
 	}
 	x.where = make(map[int]listRef, len(all))
 	x.trained = true
@@ -290,12 +290,16 @@ func (x *IVF) getScratch() *ivfScratch {
 		sc.scores = make([]float32, need)
 		sc.probes = make([]int, need)
 	}
+	if cap(sc.code) < x.dim {
+		sc.code = make([]int16, x.dim)
+	}
 	return sc
 }
 
 // Search implements Index: exact scan before training, nprobe-list scan
-// after. Probed lists are pruned with the same rigorous tau bound Flat
-// applies, so results match the unpruned scan exactly.
+// after. Probed lists are pre-filtered on their int8 codes under a
+// rigorous bound, so results — IDs and score bits — match a dense scan
+// of the same lists exactly.
 func (x *IVF) Search(vec []float32, k int, tau float32) []Hit {
 	hits := x.SearchAppend(vec, k, tau, nil)
 	if len(hits) == 0 {
@@ -328,11 +332,10 @@ func (x *IVF) SearchAppend(vec []float32, k int, tau float32, dst []Hit) []Hit {
 	vecmath.ScanDot(vec, x.centroids.Data, scores)
 	sel := x.selectProbes(scores, sc.probes[:0])
 
-	pnorm := vecmath.Norm(vec)
-	thr := tau - boundMargin
+	q := newQ8Probe(vec, sc.code[:x.dim])
 	hits := sc.hits[:0]
 	for _, li := range sel {
-		hits = x.lists[li].scanBounded(vec, x.dim, scores[li], pnorm, tau, thr, &sc.list, hits)
+		hits = x.lists[li].scan(vec, &q, tau, sc, hits)
 	}
 	top := topKHits(hits, k)
 	dst = append(dst, top...)

@@ -29,3 +29,35 @@ func scanBlocks(probe, rows, out []float32) int {
 //
 //go:noescape
 func dot4rows(p, rows []float32, acc *[16]float32)
+
+// scanQ8Blocks scores a ScanQ8 call's rows in blocks of four through the
+// SSE2 kernel dotQ8x4 and returns how many leading rows it scored; ScanQ8
+// scores the rest with dotQ8. A tail of fewer than four rows is scored by
+// one more block ending at the last row, which re-scores up to three rows
+// with identical results, so only calls of fewer than four rows, or a d
+// that is not a positive multiple of 16 (the kernel's step), reach dotQ8.
+// Each row's four int32 lanes are summed here; integer addition is
+// associative, so the result equals dotQ8's whatever the order.
+func scanQ8Blocks(probe []int16, rows []int8, out []int32) int {
+	d, n := len(probe), len(out)
+	if d == 0 || d%16 != 0 || n < 4 {
+		return 0
+	}
+	var acc [16]int32
+	for i := 0; i < n; i += 4 {
+		i = min(i, n-4)
+		dotQ8x4(probe, rows[i*d:(i+4)*d], &acc)
+		o := out[i : i+4 : i+4]
+		o[0] = acc[0] + acc[1] + acc[2] + acc[3]
+		o[1] = acc[4] + acc[5] + acc[6] + acc[7]
+		o[2] = acc[8] + acc[9] + acc[10] + acc[11]
+		o[3] = acc[12] + acc[13] + acc[14] + acc[15]
+	}
+	return n
+}
+
+// dotQ8x4 is implemented in scan_amd64.s. SSE2 is baseline on amd64, so
+// it needs no CPU-feature check.
+//
+//go:noescape
+func dotQ8x4(p []int16, rows []int8, acc *[16]int32)

@@ -50,3 +50,87 @@ loop:
 	MOVUPS X6, 32(AX)
 	MOVUPS X7, 48(AX)
 	RET
+
+// func dotQ8x4(p []int16, rows []int8, acc *[16]int32)
+//
+// Scores the four int8 rows rows[k·d:(k+1)·d], k = 0…3, against the
+// int16 probe p, where d = len(p) is a positive multiple of 16 and
+// len(rows) ≥ 4·d (scanQ8Blocks checks both). Each step loads 16 probe
+// words and 16 bytes of each row, sign-extends the bytes to words
+// (PUNPCKxBW with itself, then PSRAW $8: SSE2 has no PMOVSXBW), and
+// multiplies with PMADDWD (Go: PMADDWL), which adds adjacent int16
+// products into int32 lanes. Row k's four int32 lanes X(4+k) are stored
+// to acc[4k:4k+4].
+TEXT ·dotQ8x4(SB), NOSPLIT, $0-56
+	MOVQ p_base+0(FP), SI
+	MOVQ p_len+8(FP), CX
+	MOVQ rows_base+24(FP), DI
+	MOVQ acc+48(FP), AX
+
+	LEAQ (DI)(CX*1), R8  // row 1: the row stride is d bytes
+	LEAQ (R8)(CX*1), R9  // row 2
+	LEAQ (R9)(CX*1), R10 // row 3
+	SHRQ $4, CX          // 16-element steps
+	XORQ BX, BX          // element offset: bytes into the rows, words into p
+	PXOR X4, X4
+	PXOR X5, X5
+	PXOR X6, X6
+	PXOR X7, X7
+
+q8loop:
+	MOVOU (SI)(BX*2), X0   // p[j:j+8]
+	MOVOU 16(SI)(BX*2), X1 // p[j+8:j+16]
+
+	MOVOU     (DI)(BX*1), X2
+	MOVO      X2, X3
+	PUNPCKLBW X2, X2
+	PUNPCKHBW X3, X3
+	PSRAW     $8, X2
+	PSRAW     $8, X3
+	PMADDWL   X0, X2
+	PMADDWL   X1, X3
+	PADDL     X2, X4
+	PADDL     X3, X4
+
+	MOVOU     (R8)(BX*1), X2
+	MOVO      X2, X3
+	PUNPCKLBW X2, X2
+	PUNPCKHBW X3, X3
+	PSRAW     $8, X2
+	PSRAW     $8, X3
+	PMADDWL   X0, X2
+	PMADDWL   X1, X3
+	PADDL     X2, X5
+	PADDL     X3, X5
+
+	MOVOU     (R9)(BX*1), X2
+	MOVO      X2, X3
+	PUNPCKLBW X2, X2
+	PUNPCKHBW X3, X3
+	PSRAW     $8, X2
+	PSRAW     $8, X3
+	PMADDWL   X0, X2
+	PMADDWL   X1, X3
+	PADDL     X2, X6
+	PADDL     X3, X6
+
+	MOVOU     (R10)(BX*1), X2
+	MOVO      X2, X3
+	PUNPCKLBW X2, X2
+	PUNPCKHBW X3, X3
+	PSRAW     $8, X2
+	PSRAW     $8, X3
+	PMADDWL   X0, X2
+	PMADDWL   X1, X3
+	PADDL     X2, X7
+	PADDL     X3, X7
+
+	ADDQ $16, BX
+	DECQ CX
+	JNZ  q8loop
+
+	MOVOU X4, 0(AX)
+	MOVOU X5, 16(AX)
+	MOVOU X6, 32(AX)
+	MOVOU X7, 48(AX)
+	RET

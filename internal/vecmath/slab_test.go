@@ -263,6 +263,12 @@ func TestScanKernelsZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { s.ScanDot(probe, sout) }); n != 0 {
 		t.Fatalf("Slab.ScanDot allocates %v per run, want 0", n)
 	}
+	qprobe := make([]int16, 64)
+	qrows := make([]int8, 100*64)
+	qout := make([]int32, 100)
+	if n := testing.AllocsPerRun(50, func() { ScanQ8(qprobe, qrows, qout) }); n != 0 {
+		t.Fatalf("ScanQ8 allocates %v per run, want 0", n)
+	}
 }
 
 func BenchmarkScanDot64x20k(b *testing.B) {

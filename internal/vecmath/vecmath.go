@@ -6,10 +6,13 @@
 // The package is deliberately small and allocation-conscious. All kernels
 // operate on plain []float32 slices (vectors) or on the row-major Matrix
 // type, and are written in Go so the compiler can keep operands in
-// registers, with one exception: ScanDot, the many-rows-one-probe pass
-// behind the encoder's projection (Matrix.MulVec) and every index scan,
-// scores four rows at a time with an SSE kernel on amd64 (scan_amd64.s),
-// bit-identical to Dot, which stays the scalar reference. Parallel variants
+// registers, with two exceptions, both many-rows-one-probe passes that
+// score four rows at a time with an SSE kernel on amd64 (scan_amd64.s)
+// and are exact against a portable reference. ScanDot, behind the
+// encoder's projection (Matrix.MulVec) and every index scan, is
+// bit-identical to Dot, which stays the scalar reference. ScanQ8 scores
+// int8 codes (Quantize) with exact int32 sums; IVF bounds each row's
+// exact score with it before scoring the row with Dot. Parallel variants
 // dispatch work through ParallelFor, a bounded worker pool sized to
 // runtime.GOMAXPROCS(0), following the parallelisation idiom from Effective
 // Go: independent pieces launched per core with a channel to signal
