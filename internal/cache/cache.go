@@ -82,7 +82,7 @@ type Stats struct {
 
 // New creates a cache for embeddings of the given dimension. capacity
 // bounds the entry count (0 = unbounded); policy picks the eviction victim
-// when full. Similarity search runs on the slab-backed exact index
+// when full. Similarity search runs on the dense exact index
 // (index.Flat) at every size: the paper's search, and what the
 // experiments and probes that measure it construct. A serving tenant's
 // cache comes from NewWithIndex (see core.New).
@@ -132,14 +132,9 @@ func (c *Cache) ServingTier() string {
 	return ""
 }
 
-// ArenaStats reports the backing index's storage occupancy (zero value
-// when the index does not expose it).
-func (c *Cache) ArenaStats() index.ArenaStats {
-	if rep, ok := c.idx.(index.ArenaReporter); ok {
-		return rep.ArenaStats()
-	}
-	return index.ArenaStats{}
-}
+// IndexRows reports the number of vectors the backing index holds. The
+// index synchronises internally, so no cache lock is taken.
+func (c *Cache) IndexRows() int { return c.idx.Len() }
 
 // Stats returns a snapshot of the operation counters.
 func (c *Cache) Stats() Stats {

@@ -47,7 +47,6 @@ const regrowFactor = 4
 type tierIndex interface {
 	Index
 	SearchAppender
-	ArenaReporter
 	snapshotter
 }
 
@@ -110,10 +109,6 @@ func (a *Adaptive) Tier() string {
 	}
 	return "ivf"
 }
-
-// ArenaStats implements ArenaReporter by delegating to whichever tier
-// currently serves.
-func (a *Adaptive) ArenaStats() ArenaStats { return a.cur.Load().idx.ArenaStats() }
 
 // WaitMigration blocks until no migration is in flight — deterministic
 // sequencing for tests and the load generator.
@@ -213,7 +208,8 @@ func (a *Adaptive) migrate(from *tierRef, n int) {
 	var next *IVF
 	if from.built == 0 {
 		// The first promotion trains on the first FlatMax rows in Flat's
-		// own order, as soon as they land.
+		// own order (insertion order, except that each removal moved the
+		// then-last row into its hole), as soon as they land.
 		next = NewIVF(a.dim, IVFConfig{NList: isqrt(4 * a.flatMax), TrainSize: a.flatMax})
 	} else {
 		next, snap = regrownIVF(a.dim, snap)

@@ -26,11 +26,11 @@ const (
 	calibRows = 4096
 	calibDim  = 64
 
-	// flatScanBudgetNs is the worst-case latency budget for one exact
-	// unpruned Flat scan: while a full scan of the tenant fits this
-	// budget, exact search is cheap enough that approximate tiers are not
-	// worth their recall loss. The Cauchy–Schwarz pruning only makes the
-	// real scan faster, so the derived threshold is conservative.
+	// flatScanBudgetNs is the latency budget for one exact Flat scan:
+	// while a full scan of the tenant fits this budget, exact search is
+	// cheap enough that approximate tiers are not worth their recall
+	// loss. Flat scores every row, so this is also its real cost, less
+	// the kernel's speed-up over the scalar yardstick.
 	flatScanBudgetNs = 150_000
 )
 
@@ -103,9 +103,9 @@ func DefaultFlatMax(dim int) int {
 // FlatMaxFor converts a Calibrate measurement into the Adaptive
 // promotion threshold for dim-dimensional vectors. The model costs a row
 // at calNs/(4096·64) per dimension; FlatMax is the largest tenant whose
-// worst-case unpruned scan fits flatScanBudgetNs, clamped to [1024, 128k]
-// so a wildly throttled or idle-turbo measurement can never produce a
-// degenerate ladder. Degenerate inputs return 0.
+// full scan fits flatScanBudgetNs, clamped to [1024, 128k] so a wildly
+// throttled or idle-turbo measurement can never produce a degenerate
+// ladder. Degenerate inputs return 0.
 func FlatMaxFor(calNs float64, dim int) int {
 	if dim <= 0 || calNs <= 0 {
 		return 0

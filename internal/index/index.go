@@ -6,8 +6,9 @@
 // on the machine (DefaultFlatMax). The two tiers and the wrapper share
 // one interface:
 //
-//   - Flat: exact brute-force cosine scan, parallelised across the worker
-//     pool. Right for user-side caches (thousands of entries).
+//   - Flat: exact brute-force cosine scan, one vecmath.ScanDot pass over
+//     a dense row-major arena. Right for user-side caches (hundreds to
+//     thousands of entries).
 //   - IVF: an inverted-file index — embeddings are k-means-clustered into
 //     lists; a query probes only the nearest lists. Approximate but
 //     sub-linear, for the million-entry regime §III-B cites (SBERT's
@@ -66,22 +67,6 @@ type SearchAppender interface {
 // layer uses this to label per-tier search latency.
 type TierNamer interface {
 	Tier() string
-}
-
-// ArenaStats reports an index's backing-storage occupancy: live rows,
-// the slot high-water mark, and recycled slots awaiting reuse. For
-// dense append/swap-delete storage (IVF lists) Slots == Rows and
-// FreeSlots is 0.
-type ArenaStats struct {
-	Rows      int
-	Slots     int
-	FreeSlots int
-}
-
-// ArenaReporter is the optional arena-occupancy contract: Flat reports
-// its slab, IVF its lists, Adaptive whichever of them serves.
-type ArenaReporter interface {
-	ArenaStats() ArenaStats
 }
 
 // snapshotter is the incremental-snapshot contract Adaptive migration
@@ -172,6 +157,3 @@ func siftDownHits(heap []Hit, i int) {
 		i = worst
 	}
 }
-
-// Flat — the slab-backed exact index with bound-based pruning — lives
-// in flat.go.

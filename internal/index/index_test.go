@@ -269,6 +269,68 @@ func BenchmarkIVF768x10k(b *testing.B) {
 	benchmarkSearch(b, NewIVF(768, IVFConfig{NList: 100, NProbe: 8, Seed: 1}), 768, 10000)
 }
 
+// nearProbes draws count probes, each a perturbed copy of a random row
+// of rows: the shape of a query that should hit.
+func nearProbes(rng *rand.Rand, rows [][]float32, count int) [][]float32 {
+	d := len(rows[0])
+	probes := make([][]float32, count)
+	for i := range probes {
+		p := vecmath.Clone(rows[rng.Intn(len(rows))])
+		for j := range p {
+			p[j] += float32(rng.NormFloat64() * 0.3 / math.Sqrt(float64(d)))
+		}
+		vecmath.Normalize(p)
+		probes[i] = p
+	}
+	return probes
+}
+
+// BenchmarkFlatSearch768 times one search of a 768-d Flat at the sizes
+// the exact tier serves: 32 rows (a small_tenants tenant), 128, and
+// 1,024 (FlatMax as calibrated on a 2-vCPU guest). Rows are loosely
+// clustered as sentence embeddings are, probes sit near stored rows and
+// tau is a serving threshold: a tenant's hit path.
+func BenchmarkFlatSearch768(b *testing.B) {
+	const dim = 768
+	for _, n := range []int{32, 128, 1024} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(11))
+			rows := clustered(rng, n, 16, dim, 1.2/math.Sqrt(dim))
+			f := NewFlat(dim)
+			for i, v := range rows {
+				if err := f.Add(i, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			probes := nearProbes(rng, rows, 64)
+			dst := make([]Hit, 0, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = f.SearchAppend(probes[i%len(probes)], 5, 0.69, dst[:0])
+			}
+		})
+	}
+}
+
+// BenchmarkFlatAdd768 times filling a fresh 768-d Flat with 64 rows, as
+// a tenant revived from its snapshot is refilled.
+func BenchmarkFlatAdd768(b *testing.B) {
+	const dim, n = 768, 64
+	rng := rand.New(rand.NewSource(12))
+	rows := clustered(rng, n, 16, dim, 1.2/math.Sqrt(dim))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewFlat(dim)
+		for id, v := range rows {
+			if err := f.Add(id, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkFlat768x50k(b *testing.B) { benchmarkSearch(b, NewFlat(768), 768, 50000) }
 func BenchmarkIVF768x50k(b *testing.B) {
 	benchmarkSearch(b, NewIVF(768, IVFConfig{NList: 224, NProbe: 12, Seed: 1}), 768, 50000)

@@ -120,19 +120,6 @@ func (x *IVF) Len() int {
 // Tier implements TierNamer.
 func (x *IVF) Tier() string { return "ivf" }
 
-// ArenaStats implements ArenaReporter. Inverted lists are dense
-// append/swap-delete arenas, so before training it defers to the
-// bootstrap buffer and after training Slots == Rows with no free slots.
-func (x *IVF) ArenaStats() ArenaStats {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if !x.trained {
-		return x.bootstrap.ArenaStats()
-	}
-	n := len(x.where)
-	return ArenaStats{Rows: n, Slots: n}
-}
-
 // Trained reports whether centroids have been fitted.
 func (x *IVF) Trained() bool {
 	x.mu.RLock()

@@ -66,6 +66,10 @@ func (l *ivfList) swapDelete(i, dim int) (movedID int, moved bool) {
 	return movedID, moved
 }
 
+// boundMargin widens the pre-filter's comparison so float32 rounding in
+// the bound can never exclude a row a Dot-based oracle would admit.
+const boundMargin = 1e-3
+
 // q8Range caps ‖q‖·max‖x‖ for the code pre-filter: below it no term of
 // the bound overflows float32 and every rounding error in it is relative,
 // so q8Probe's slack covers it. Lists past it are scored densely.

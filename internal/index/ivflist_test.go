@@ -191,15 +191,7 @@ func BenchmarkIVFSearch768(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	probes := make([][]float32, 64)
-	for i := range probes {
-		p := vecmath.Clone(rows[rng.Intn(n)])
-		for j := range p {
-			p[j] += float32(rng.NormFloat64() * 0.3 / math.Sqrt(dim))
-		}
-		vecmath.Normalize(p)
-		probes[i] = p
-	}
+	probes := nearProbes(rng, rows, 64)
 	dst := make([]Hit, 0, 8)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,15 +11,15 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Recycling conformance: the slab-backed stores reuse freed slots and
-// swap-deleted rows, so the classic failure mode is aliasing — a search
-// scoring a removed vector that still haunts its recycled storage, or a
-// new vector inheriting a stale pivot distance. These tests pin the
-// remove-then-reuse path directly and under concurrent churn.
+// Recycling conformance: Flat's arena and IVF's lists swap-delete rows
+// and reuse the freed storage, so the classic failure mode is aliasing —
+// a search scoring a removed vector that still haunts its recycled
+// storage, or a new vector inheriting a stale code or bound. These tests
+// pin the remove-then-reuse path directly and under concurrent churn.
 
 // TestConformanceRemoveThenReuseAliasing drives the exact aliasing
 // scenario on every implementation: remove a whole cluster (emptying
-// groups/lists so pivot slots recycle), insert fresh vectors under new
+// IVF lists and shrinking Flat's arena), insert fresh vectors under new
 // IDs into the recycled storage, then probe with the removed vectors.
 func TestConformanceRemoveThenReuseAliasing(t *testing.T) {
 	const dim = 16
@@ -37,8 +37,8 @@ func TestConformanceRemoveThenReuseAliasing(t *testing.T) {
 				}
 				o.add(i, v)
 			}
-			// Remove 2/3 of the index — enough to empty many groups and
-			// return their slots to the free lists.
+			// Remove 2/3 of the index — enough to empty many lists and
+			// free most of the arena's rows.
 			for i := 0; i < 600; i++ {
 				if i%3 != 0 {
 					removed[i] = vecmath.Clone(o.vecs[i])
@@ -56,7 +56,7 @@ func TestConformanceRemoveThenReuseAliasing(t *testing.T) {
 			}
 			// Probing with each removed vector must never resurface its
 			// ID, and exact implementations must still match the oracle
-			// bit for bit (stale pivots or un-zeroed rows would show up
+			// bit for bit (stale codes or un-zeroed rows would show up
 			// as phantom or missing hits).
 			checked := 0
 			for id, v := range removed {
@@ -87,10 +87,10 @@ func TestConformanceRemoveThenReuseAliasing(t *testing.T) {
 }
 
 // TestConformanceRecycleChurn hammers concurrent Add/Remove/Search over
-// a small ID universe, so slots recycle constantly while readers are in
-// flight — run under -race this is the locking proof for the slab free
-// lists; the final state is checked exactly against a brute-force
-// replay.
+// a small ID universe, so rows are freed and reused constantly while
+// readers are in flight — run under -race this is the locking proof for
+// the swap-delete stores; the final state is checked exactly against a
+// brute-force replay.
 func TestConformanceRecycleChurn(t *testing.T) {
 	const (
 		dim     = 16
@@ -187,45 +187,6 @@ func TestConformanceRecycleChurn(t *testing.T) {
 	}
 }
 
-// TestFlatParallelScanPartition pins the parallel-scan partition
-// arithmetic: with ceil-sized chunks, worker counts that do not divide
-// the group count leave trailing workers with ranges past the end —
-// those must be skipped, not sliced (a Flat with 9 groups under 8
-// workers used to panic). The worker count is passed explicitly so the
-// case reproduces on any machine, single-core CI included.
-func TestFlatParallelScanPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	anchors := makeAnchors(rng, 9, 16)
-	f := NewFlat(16)
-	oracleIdx := newOracle()
-	for i := 0; i < 900; i++ {
-		// Vectors drawn tightly around 9 anchors: ~9 leader groups.
-		v := dataset.PerturbUnit(rng, anchors[i%9], 0.2)
-		if err := f.Add(i, v); err != nil {
-			t.Fatal(err)
-		}
-		oracleIdx.add(i, v)
-	}
-	probe := dataset.PerturbUnit(rng, anchors[0], 0.2)
-	want := oracleIdx.search(probe, 10, 0.5)
-	for workers := 1; workers <= len(f.groups)+3; workers++ {
-		sc := f.getScratch()
-		scores := sc.scores[:f.leaders.Slots()]
-		f.leaders.ScanDot(probe, scores)
-		hits := f.scanGroupsParallel(probe, scores, vecmath.Norm(probe), 0.5, 0.5-boundMargin, nil, workers)
-		f.scratch.Put(sc)
-		got := topKHits(hits, 10)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d hits, oracle %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: hit %d = %+v, oracle %+v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestCacheRecycleAliasing runs the remove-then-reuse scenario through
 // the cache layer (the serving path's entry point), ensuring evicted
 // entries never shadow the rows that recycled their index storage.
@@ -240,7 +201,7 @@ func TestCacheRecycleAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Remove(1)
-	// The freed leader slot is recycled by the next Add.
+	// The freed row is reused by the next Add.
 	fresh := dataset.RandomUnit(rng, 24)
 	if err := f.Add(2, fresh); err != nil {
 		t.Fatal(err)

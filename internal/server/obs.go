@@ -201,30 +201,15 @@ func registerRegistryMetrics(reg *obs.Registry, r *Registry) {
 		"Unreadable tenant snapshots quarantined at activation.",
 		stat(func(s RegistryStats) float64 { return float64(s.Quarantines) }))
 
-	// Arena occupancy and tier distribution are computed by walking the
+	// Index rows and tier distribution are computed by walking the
 	// resident tenants at scrape time — one cheap pass per gauge, nothing
 	// on the serving path.
-	arena := func(get func(rows, slots, free int) int) func() float64 {
-		return func() float64 {
-			var rows, slots, free int
-			r.Range(func(t *Tenant) {
-				a := t.Client.Cache().ArenaStats()
-				rows += a.Rows
-				slots += a.Slots
-				free += a.FreeSlots
-			})
-			return float64(get(rows, slots, free))
-		}
-	}
 	reg.GaugeFunc("meancache_arena_rows",
-		"Live index rows across resident tenants.",
-		arena(func(rows, _, _ int) int { return rows }))
-	reg.GaugeFunc("meancache_arena_slots",
-		"Index arena slot high-water across resident tenants.",
-		arena(func(_, slots, _ int) int { return slots }))
-	reg.GaugeFunc("meancache_arena_free_slots",
-		"Recycled index arena slots awaiting reuse across resident tenants.",
-		arena(func(_, _, free int) int { return free }))
+		"Live index rows across resident tenants.", func() float64 {
+			rows := 0
+			r.Range(func(t *Tenant) { rows += t.Client.Cache().IndexRows() })
+			return float64(rows)
+		})
 	for _, tier := range []string{"flat", "ivf"} {
 		tier := tier
 		reg.GaugeFunc("meancache_tenants_by_tier",

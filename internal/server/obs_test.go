@@ -24,7 +24,7 @@ func (l slowObsLLM) Query(q string) (string, time.Duration) { return "answer:" +
 // TestServerObservability drives the full instrumented request path and
 // checks all three observability surfaces: /metrics (parseable, with the
 // expected families), /v1/stats (the same counts, and the resident row's
-// traffic, tier and arena), and /v1/debug/traces (span taxonomy per
+// traffic, tier and index rows), and /v1/debug/traces (span taxonomy per
 // request kind).
 func TestServerObservability(t *testing.T) {
 	m := embed.NewModel(embed.MPNetSim, 7)
@@ -99,7 +99,7 @@ func TestServerObservability(t *testing.T) {
 	}
 
 	// /v1/stats: the same counts, and the resident's traffic, tier and
-	// arena.
+	// index rows.
 	var stats StatsResponse
 	if err := json.Unmarshal(get("/v1/stats"), &stats); err != nil {
 		t.Fatalf("stats: %v", err)

@@ -261,7 +261,7 @@ type StatsResponse struct {
 	Registry  RegistryStats `json:"registry"`
 	Batcher   *BatcherStats `json:"batcher,omitempty"`
 	// Residents lists per-resident-tenant serving state (traffic, index
-	// tier, arena occupancy), largest traffic first, capped by
+	// tier, index rows), largest traffic first, capped by
 	// Config.StatsTenants.
 	Residents []ResidentStats `json:"residents,omitempty"`
 	// Resilience reports admission-control state (quota buckets, AIMD
@@ -298,11 +298,8 @@ type ResidentStats struct {
 	// Tier is the index tier currently serving this tenant's searches.
 	Tier    string `json:"tier,omitempty"`
 	Entries int    `json:"entries"`
-	// Arena occupancy of the tenant's index storage: live rows, the slot
-	// high-water mark, and recycled slots awaiting reuse.
-	ArenaRows      int `json:"arena_rows"`
-	ArenaSlots     int `json:"arena_slots"`
-	ArenaFreeSlots int `json:"arena_free_slots"`
+	// ArenaRows is the number of vectors the tenant's index holds.
+	ArenaRows int `json:"arena_rows"`
 }
 
 // Route names for error counters.
@@ -462,24 +459,21 @@ func (s *Server) Stats() StatsResponse {
 }
 
 // residentStats snapshots per-resident serving state: the tenant's
-// traffic, the index tier answering its searches and its arena
-// occupancy. Rows are sorted by queries, most first, then user ID, and
+// traffic, the index tier answering its searches and the rows its index
+// holds. Rows are sorted by queries, most first, then user ID, and
 // capped at limit (≤ 0 means all) so the response stays bounded and
 // deterministic.
 func (s *Server) residentStats(limit int) []ResidentStats {
 	var out []ResidentStats
 	s.cfg.Registry.Range(func(t *Tenant) {
 		c := t.Client.Cache()
-		a := c.ArenaStats()
 		out = append(out, ResidentStats{
-			User:           t.ID,
-			Queries:        t.queries.Load(),
-			Hits:           t.hits.Load(),
-			Tier:           c.ServingTier(),
-			Entries:        c.Len(),
-			ArenaRows:      a.Rows,
-			ArenaSlots:     a.Slots,
-			ArenaFreeSlots: a.FreeSlots,
+			User:      t.ID,
+			Queries:   t.queries.Load(),
+			Hits:      t.hits.Load(),
+			Tier:      c.ServingTier(),
+			Entries:   c.Len(),
+			ArenaRows: c.IndexRows(),
 		})
 	})
 	sort.Slice(out, func(i, j int) bool {

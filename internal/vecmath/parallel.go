@@ -10,10 +10,7 @@ import (
 // are stable for a given machine configuration.
 var maxWorkers = runtime.GOMAXPROCS(0)
 
-// Workers reports the parallelism bound used by ParallelFor.
-func Workers() int { return maxWorkers }
-
-// ParallelFor splits [0, n) into at most Workers() contiguous chunks and
+// ParallelFor splits [0, n) into at most maxWorkers contiguous chunks and
 // invokes body(lo, hi) for each chunk on its own goroutine, waiting for all
 // chunks to finish. body must be safe to run concurrently for disjoint
 // ranges. For n smaller than the worker count the call degrades to a plain

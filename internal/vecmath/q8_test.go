@@ -165,12 +165,12 @@ func TestQuantizeBoundProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	shapes := map[string]func(d int) []float32{
 		"unit": func(d int) []float32 {
-			v := slabRandVec(rng, d)
+			v := randVec(rng, d)
 			Normalize(v)
 			return v
 		},
 		"non-unit": func(d int) []float32 {
-			v := slabRandVec(rng, d)
+			v := randVec(rng, d)
 			Scale(float32(math.Pow(10, rng.Float64()*12-6)), v)
 			return v
 		},

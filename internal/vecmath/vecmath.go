@@ -9,8 +9,8 @@
 // registers, with two exceptions, both many-rows-one-probe passes that
 // score four rows at a time with an SSE kernel on amd64 (scan_amd64.s)
 // and are exact against a portable reference. ScanDot, behind the
-// encoder's projection (Matrix.MulVec) and every index scan, is
-// bit-identical to Dot, which stays the scalar reference. ScanQ8 scores
+// encoder's projection (Matrix.MulVec) and every index scan (Flat's
+// arena, IVF's lists and centroids), is bit-identical to Dot, which stays the scalar reference. ScanQ8 scores
 // int8 codes (Quantize) with exact int32 sums; IVF bounds each row's
 // exact score with it before scoring the row with Dot. Parallel variants
 // dispatch work through ParallelFor, a bounded worker pool sized to
