@@ -244,9 +244,8 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 }
 
 // newBenchServer serves the shipped stack (stack.Default(): untrained
-// MPNet-sim encoder behind the micro-batcher, virtual-time llmsim
-// upstream) over HTTP.
-func newBenchServer(b *testing.B) (*httptest.Server, *server.Batcher) {
+// MPNet-sim encoder, virtual-time llmsim upstream) over HTTP.
+func newBenchServer(b *testing.B) *httptest.Server {
 	b.Helper()
 	st, err := stack.Build(stack.Default())
 	if err != nil {
@@ -255,7 +254,7 @@ func newBenchServer(b *testing.B) (*httptest.Server, *server.Batcher) {
 	b.Cleanup(func() { st.Close() })
 	ts := httptest.NewServer(st.Handler())
 	b.Cleanup(ts.Close)
-	return ts, st.Batcher
+	return ts
 }
 
 func benchQuery(b *testing.B, client *http.Client, url, user, query string) server.QueryResponse {
@@ -277,7 +276,7 @@ func benchQuery(b *testing.B, client *http.Client, url, user, query string) serv
 // search, respond. This is the per-request overhead the serving layer
 // adds on top of BenchmarkEndToEndQuery's in-process path.
 func BenchmarkServerSingleTenantHit(b *testing.B) {
-	ts, _ := newBenchServer(b)
+	ts := newBenchServer(b)
 	queries := []string{
 		"how does federated averaging aggregate client updates",
 		"what storage does the embedding cache consume",
@@ -305,12 +304,11 @@ func BenchmarkServerSingleTenantHit(b *testing.B) {
 	b.ReportMetric(float64(hits.Load())/float64(b.N), "hit-ratio")
 }
 
-// BenchmarkServerCrossTenantBatchedEncode measures concurrent multi-tenant
+// BenchmarkServerCrossTenantEncode measures concurrent multi-tenant
 // serving throughput where every request needs an encode (distinct queries
-// per tenant), so the micro-batcher's cross-tenant coalescing is on the
-// critical path. The reported mean-batch metric tracks how well it packs.
-func BenchmarkServerCrossTenantBatchedEncode(b *testing.B) {
-	ts, batcher := newBenchServer(b)
+// per tenant), each on its own request's goroutine.
+func BenchmarkServerCrossTenantEncode(b *testing.B) {
+	ts := newBenchServer(b)
 	var user atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -322,8 +320,6 @@ func BenchmarkServerCrossTenantBatchedEncode(b *testing.B) {
 			i++
 		}
 	})
-	b.StopTimer()
-	b.ReportMetric(batcher.Stats().MeanBatch, "mean-batch")
 }
 
 // The large-tenant operating point: a cache big enough that the index

@@ -147,8 +147,8 @@ func TestSIGTERMFlushesTenants(t *testing.T) {
 // start it with tracing on (metrics need no flag), drive a miss + hit
 // through /v1/query, and lint the /metrics output with the in-repo
 // exposition parser. It proves the wiring end to end, not just the
-// packages, and that tenants search directly: neither surface reports a
-// search batcher.
+// packages, and that tenants encode and search directly: neither surface
+// reports an encode or a search batcher.
 func TestMetricsSmoke(t *testing.T) {
 	addr, _, _ := startCacheserve(t, listenRE, "-trace-sample", "1", "-trace-slow", "1ms")
 
@@ -198,6 +198,9 @@ func TestMetricsSmoke(t *testing.T) {
 	if bytes.Contains(payload, []byte("meancache_search_batch")) {
 		t.Error("/metrics exports meancache_search_batch_* series: the shipped stack has no search batcher")
 	}
+	if bytes.Contains(payload, []byte("meancache_batch_")) {
+		t.Error("/metrics exports meancache_batch_* series: the shipped stack has no encode batcher")
+	}
 	sresp, err := client.Get("http://" + addr + "/v1/stats")
 	if err != nil {
 		t.Fatalf("fetching /v1/stats: %v", err)
@@ -208,8 +211,8 @@ func TestMetricsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding /v1/stats: %v", err)
 	}
-	if _, ok := stats["batcher"]; !ok {
-		t.Error("/v1/stats lacks the encode batcher block")
+	if _, ok := stats["batcher"]; ok {
+		t.Error("/v1/stats has a batcher block: the shipped stack has no encode batcher")
 	}
 	if _, ok := stats["search_batcher"]; ok {
 		t.Error("/v1/stats has a search_batcher block: the shipped stack has no search batcher")

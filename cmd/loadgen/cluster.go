@@ -53,7 +53,7 @@ func runCluster(e env) ([]gate, error) {
 	log.Printf("cluster scenario: %d nodes (%d vnodes), %d users, %d+%d probes/user, kill node %d mid-phase-2",
 		clusterNodes, clusterVNodes, e.users, e.probes, e.probes, clusterKill)
 	// The harness owns each node's listener and cluster.Node; the stacks
-	// are closed here, after it, to stop their batchers.
+	// are closed here, after it.
 	var stacks []*stack.Stack
 	defer func() {
 		for _, st := range stacks {

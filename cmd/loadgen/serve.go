@@ -61,10 +61,6 @@ func runServe(e env) ([]gate, error) {
 		st.Aggregate.Queries, 100*st.Aggregate.HitRatio, st.Aggregate.MeanMicros, st.Aggregate.SearchMicros)
 	fmt.Printf("server registry  %d resident tenants, %d activations, %d evictions\n",
 		st.Registry.Resident, st.Registry.Activations, st.Registry.Evictions)
-	if st.Batcher != nil {
-		fmt.Printf("server batcher   %d requests in %d batches (mean %.2f, %d coalesced)\n",
-			st.Batcher.Requests, st.Batcher.Batches, st.Batcher.MeanBatch, st.Batcher.Coalesced)
-	}
 	if bd := stageBreakdown(postWarm, postProbe); bd != "" {
 		fmt.Printf("server stages    %s (mean per request, probe phase)\n", bd)
 	}

@@ -14,8 +14,7 @@ func userName(u int) string { return fmt.Sprintf("user-%04d", u) }
 // seeds give each user distinct intents, and a user's probes are drawn
 // in one pass and dealt to the phases in order, so every phase sees the
 // same per-user duplicate mix. The shuffles interleave users so
-// concurrent traffic mixes tenants (exercising cross-tenant encode
-// batching server-side).
+// concurrent traffic mixes tenants.
 func buildJobs(seed int64, users, cached int, dup float64, phaseProbes ...int) (warmup []job, phases [][]job) {
 	total := 0
 	for _, n := range phaseProbes {

@@ -215,9 +215,8 @@ type Result struct {
 	// SearchTime isolates the semantic-search component of Latency
 	// (probe encoding included — the historical meaning).
 	SearchTime time.Duration
-	// EncodeTime isolates the probe-encoding portion of SearchTime, time
-	// parked behind a pass in flight included when the encoder
-	// micro-batches. The index search proper is SearchTime - EncodeTime.
+	// EncodeTime isolates the probe-encoding portion of SearchTime. The
+	// index search proper is SearchTime - EncodeTime.
 	EncodeTime time.Duration
 	// UpstreamTime is the LLM call duration (misses only).
 	UpstreamTime time.Duration

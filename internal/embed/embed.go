@@ -41,8 +41,8 @@ type Encoder interface {
 
 // IntoEncoder is the optional pooled-buffer encode surface: the
 // embedding is appended into dst[:0] (grown if needed) and returned, so
-// buffer-recycling callers encode without per-call allocation. Model,
-// Swappable and the serving micro-batcher implement it.
+// buffer-recycling callers encode without per-call allocation. Model and
+// Swappable implement it.
 type IntoEncoder interface {
 	EncodeInto(text string, dst []float32) []float32
 }

@@ -142,6 +142,3 @@ func (pr *Projected) Dim() int { return pr.p.Rows }
 func (pr *Projected) Name() string {
 	return fmt.Sprintf("%s+pca%d", pr.base.Name(), pr.p.Rows)
 }
-
-// Base returns the wrapped encoder.
-func (pr *Projected) Base() Encoder { return pr.base }

@@ -1,10 +1,6 @@
 package embed
 
-import (
-	"sync/atomic"
-
-	"repro/internal/vecmath"
-)
+import "sync/atomic"
 
 // Swappable is an Encoder whose underlying encoder can be replaced
 // atomically while serving traffic — the hot-rollout primitive of the
@@ -50,22 +46,6 @@ func (s *Swappable) Encode(text string) []float32 { return s.Current().Encode(te
 // callers keep their zero-alloc path across a hot model swap.
 func (s *Swappable) EncodeInto(text string, dst []float32) []float32 {
 	return EncodeInto(s.Current(), text, dst)
-}
-
-// EncodeBatch forwards the batch fast path when the current encoder has
-// one (embed.Model does), so the serving micro-batcher keeps its single
-// parallel sweep through a Swappable.
-func (s *Swappable) EncodeBatch(texts []string) *vecmath.Matrix {
-	if bc, ok := s.Current().(interface {
-		EncodeBatch(texts []string) *vecmath.Matrix
-	}); ok {
-		return bc.EncodeBatch(texts)
-	}
-	out := vecmath.NewMatrix(len(texts), s.Dim())
-	for i, t := range texts {
-		copy(out.Row(i), s.Encode(t))
-	}
-	return out
 }
 
 // Dim implements Encoder.

@@ -136,7 +136,7 @@ func TestModelRegistryLineageAndPrune(t *testing.T) {
 	var versions []string
 	for i := 0; i < 3; i++ {
 		rec, err := r.Commit(ModelRecord{Round: i, Arch: tinyArch.Name, Dim: tinyArch.OutDim, Tau: 0.5 + float64(i)/100},
-			mkWeights(float32(i+1)), nil, nil)
+			mkWeights(float32(i+1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestModelRegistryLineageAndPrune(t *testing.T) {
 		t.Fatalf("latest payload: %v", err)
 	}
 	// Content addressing: identical content yields the identical version.
-	rec, err := r.Commit(ModelRecord{Round: 9, Arch: tinyArch.Name, Tau: 0.5 + 2.0/100}, mkWeights(3), nil, nil)
+	rec, err := r.Commit(ModelRecord{Round: 9, Arch: tinyArch.Name, Tau: 0.5 + 2.0/100}, mkWeights(3))
 	if err != nil {
 		t.Fatal(err)
 	}

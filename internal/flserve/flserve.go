@@ -24,12 +24,10 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/fl"
-	"repro/internal/pca"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/train"
-	"repro/internal/vecmath"
 )
 
 // Config assembles a Service. How many tenants a rollout re-embeds at
@@ -79,12 +77,6 @@ type Config struct {
 	Seed int64
 	// Interval, when positive, runs rounds on a timer after Start.
 	Interval time.Duration
-	// PCADim, when positive, fits a PCA basis of that dimension on a
-	// sample of shard texts each round and attaches it to the committed
-	// version (§III-A.4's compressed embedding space, for clients that
-	// fetch the model). The serving rollout itself stays in the raw
-	// space, because live caches are sized to the raw dimension.
-	PCADim int
 	// Clock is the round scheduler's time source (the Interval ticker
 	// and round wall-time reporting). Nil defaults to the wall clock;
 	// simulations inject a virtual one so FL rounds fire on virtual
@@ -338,21 +330,17 @@ func (s *Service) RunRound() (RoundReport, error) {
 		rep.Samples = res.Samples
 	}
 
-	// 4. Commit the version (with an optional PCA basis fitted on shard
-	// texts in the new embedding space).
+	// 4. Commit the version.
 	s.global.SetWeights(newWeights)
 	s.setTau(newTau)
-	basis, mean, basisRows, basisCols := s.fitBasis(cohortUsers)
 	rec, err := s.models.Commit(ModelRecord{
-		Round:     round,
-		Arch:      s.cfg.Arch.Name,
-		Dim:       s.cfg.Arch.OutDim,
-		Tau:       newTau,
-		Cohort:    len(clients),
-		Samples:   rep.Samples,
-		BasisRows: basisRows,
-		BasisCols: basisCols,
-	}, newWeights, basis, mean)
+		Round:   round,
+		Arch:    s.cfg.Arch.Name,
+		Dim:     s.cfg.Arch.OutDim,
+		Tau:     newTau,
+		Cohort:  len(clients),
+		Samples: rep.Samples,
+	}, newWeights)
 	if err != nil {
 		return fail(err)
 	}
@@ -401,40 +389,4 @@ func (s *Service) pushHistory(rep RoundReport) {
 	if len(s.history) > maxHistory {
 		s.history = s.history[len(s.history)-maxHistory:]
 	}
-}
-
-// fitBasis fits the optional PCA compression basis on the cohort's shard
-// texts, embedded under the just-aggregated global model.
-func (s *Service) fitBasis(cohortUsers []string) (basis, mean []float32, rows, cols int) {
-	k := s.cfg.PCADim
-	if k <= 0 {
-		return nil, nil, 0, 0
-	}
-	var texts []string
-	for _, user := range cohortUsers {
-		for _, p := range s.cfg.Collector.Shard(user) {
-			texts = append(texts, p.A, p.B)
-		}
-	}
-	if len(texts) < 2*k {
-		return nil, nil, 0, 0 // too few samples for a stable basis
-	}
-	const maxSamples = 512
-	if len(texts) > maxSamples {
-		s.rng.Shuffle(len(texts), func(i, j int) { texts[i], texts[j] = texts[j], texts[i] })
-		texts = texts[:maxSamples]
-	}
-	samples := s.global.EncodeBatch(texts)
-	p, err := pca.Fit(samples, k, pca.Options{})
-	if err != nil {
-		return nil, nil, 0, 0
-	}
-	return p.Components.Data, p.Mean, p.Components.Rows, p.Components.Cols
-}
-
-// vecmathMatrix rebuilds a matrix from its persisted flat form.
-func vecmathMatrix(rows, cols int, data []float32) *vecmath.Matrix {
-	m := vecmath.NewMatrix(rows, cols)
-	copy(m.Data, data)
-	return m
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"repro/internal/embed"
 	"repro/internal/server"
 )
 
@@ -87,24 +86,12 @@ func (s *Service) handleModel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, rec)
 		return
 	}
-	enc, err := s.models.Model(version)
+	m, err := s.models.Model(version)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusGone)
 		return
 	}
-	// Serve the raw trainable model (clients wanting the compressed
-	// space apply the basis from the metadata themselves; embed.Load
-	// round-trips this stream).
-	m, ok := enc.(*embed.Model)
-	if !ok {
-		if pr, isProj := enc.(*embed.Projected); isProj {
-			m, _ = pr.Base().(*embed.Model)
-		}
-	}
-	if m == nil {
-		http.Error(w, "version has no servable raw model", http.StatusGone)
-		return
-	}
+	// embed.Load round-trips this stream.
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := m.Save(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -16,12 +16,12 @@ import (
 )
 
 // ModelRecord describes one committed global model version: the encoder
-// weights, the aggregated global threshold, and (optionally) a PCA
-// compression basis, all under one content-derived version ID. Metadata
+// weights and the aggregated global threshold, under one content-derived
+// version ID. Metadata
 // is what /v1/model and /v1/fl/status expose; the weight vector itself is
 // fetched separately (it is megabytes).
 type ModelRecord struct {
-	// Version is the content address: hex(sha256(arch|tau|weights|basis))
+	// Version is the content address: hex(sha256(arch|tau|weights))
 	// truncated to 16 chars. Identical models from identical rounds get
 	// identical versions, so a replayed commit is a no-op.
 	Version string `json:"version"`
@@ -40,17 +40,14 @@ type ModelRecord struct {
 	Cohort int `json:"cohort"`
 	// Samples is the total training-sample count across the cohort.
 	Samples int `json:"samples"`
-	// BasisRows/BasisCols describe the optional PCA basis (0 when absent).
-	BasisRows int `json:"basis_rows,omitempty"`
-	BasisCols int `json:"basis_cols,omitempty"`
 }
 
 // modelWire is the persisted form of a version (record + payload).
+// Versions written when the wire also carried a PCA basis still decode:
+// gob skips the fields this type lacks.
 type modelWire struct {
 	Record  ModelRecord
 	Weights []float32
-	Basis   []float32 // BasisRows×BasisCols, row-major; nil when absent
-	Mean    []float32 // PCA centering mean; nil when absent
 }
 
 // ModelRegistry is the versioned, content-addressed store of global
@@ -68,10 +65,7 @@ type ModelRegistry struct {
 	order   []string     // commit order, oldest first
 	records map[string]ModelRecord
 	latest  string
-	// hot payload of the latest version
-	weights []float32
-	basis   []float32
-	mean    []float32
+	weights []float32 // hot payload of the latest version
 }
 
 const (
@@ -123,7 +117,7 @@ func NewModelRegistry(st *store.Store, maxVersions int, arch embed.Arch) (*Model
 			var w modelWire
 			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err == nil {
 				r.latest = v
-				r.weights, r.basis, r.mean = w.Weights, w.Basis, w.Mean
+				r.weights = w.Weights
 			}
 		}
 	}
@@ -131,28 +125,26 @@ func NewModelRegistry(st *store.Store, maxVersions int, arch embed.Arch) (*Model
 }
 
 // versionID content-addresses a model.
-func versionID(arch string, tau float64, weights, basis []float32) string {
+func versionID(arch string, tau float64, weights []float32) string {
 	h := sha256.New()
 	h.Write([]byte(arch))
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tau))
 	h.Write(buf[:])
-	for _, vec := range [][]float32{weights, basis} {
-		for _, x := range vec {
-			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(x))
-			h.Write(buf[:4])
-		}
+	for _, x := range weights {
+		binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(x))
+		h.Write(buf[:4])
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // Commit registers a freshly aggregated model and returns its record.
-// basis/mean (the PCA compression layer) may be nil. The version is
-// written to the store first; only once it is stored does the latest
-// pointer advance, so a failed commit leaves the registry unchanged.
+// The version is written to the store first; only once it is stored does
+// the latest pointer advance, so a failed commit leaves the registry
+// unchanged.
 // Payloads older than maxVersions are then pruned from the store.
-func (r *ModelRegistry) Commit(rec ModelRecord, weights, basis, mean []float32) (ModelRecord, error) {
-	rec.Version = versionID(rec.Arch, rec.Tau, weights, basis)
+func (r *ModelRegistry) Commit(rec ModelRecord, weights []float32) (ModelRecord, error) {
+	rec.Version = versionID(rec.Arch, rec.Tau, weights)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec.Parent = r.latest
@@ -163,7 +155,7 @@ func (r *ModelRegistry) Commit(rec ModelRecord, weights, basis, mean []float32) 
 	}
 	if r.st != nil {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(modelWire{Record: rec, Weights: weights, Basis: basis, Mean: mean}); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(modelWire{Record: rec, Weights: weights}); err != nil {
 			return rec, err
 		}
 		if err := r.st.Put(modelKeyPrefix+rec.Version, buf.Bytes()); err != nil {
@@ -179,8 +171,6 @@ func (r *ModelRegistry) Commit(rec ModelRecord, weights, basis, mean []float32) 
 	}
 	r.latest = rec.Version
 	r.weights = append([]float32(nil), weights...)
-	r.basis = append([]float32(nil), basis...)
-	r.mean = append([]float32(nil), mean...)
 	// Prune versions beyond the retention bound — consistently in both
 	// in-memory and persisted modes, so the registry stays bounded.
 	for len(r.order) > r.maxVersions && r.order[0] != r.latest {
@@ -240,18 +230,15 @@ func (r *ModelRegistry) History(n int) []ModelRecord {
 	return out
 }
 
-// Model materialises a committed version as a servable encoder: the
-// trainable model rebuilt from the stored weights, wrapped with the PCA
-// projection when the version carries a basis. Only the latest version's
-// payload is guaranteed hot; older versions are read from the store.
-func (r *ModelRegistry) Model(version string) (embed.Encoder, error) {
+// Model materialises a committed version as the trainable model rebuilt
+// from its stored weights. Only the latest version's payload is
+// guaranteed hot; older versions are read from the store.
+func (r *ModelRegistry) Model(version string) (*embed.Model, error) {
 	r.mu.RLock()
-	rec, ok := r.records[version]
-	var weights, basis, mean []float32
+	_, ok := r.records[version]
+	var weights []float32
 	if ok && version == r.latest {
 		weights = append([]float32(nil), r.weights...)
-		basis = append([]float32(nil), r.basis...)
-		mean = append([]float32(nil), r.mean...)
 	}
 	st := r.st
 	r.mu.RUnlock()
@@ -270,7 +257,7 @@ func (r *ModelRegistry) Model(version string) (embed.Encoder, error) {
 		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
 			return nil, err
 		}
-		weights, basis, mean = w.Weights, w.Basis, w.Mean
+		weights = w.Weights
 	}
 	m := embed.NewModel(r.arch, 0)
 	if len(weights) != m.WeightCount() {
@@ -278,9 +265,5 @@ func (r *ModelRegistry) Model(version string) (embed.Encoder, error) {
 			version, len(weights), m.WeightCount())
 	}
 	m.SetWeights(weights)
-	if rec.BasisRows > 0 {
-		p := vecmathMatrix(rec.BasisRows, rec.BasisCols, basis)
-		return embed.WithCenteredProjection(m, p, mean), nil
-	}
 	return m, nil
 }

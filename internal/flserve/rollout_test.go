@@ -170,7 +170,7 @@ func TestActivationStampsServingVersion(t *testing.T) {
 	w[0] += 1
 	next, err := h.svc.Models().Commit(ModelRecord{
 		Round: rep.Round + 1, Arch: tinyArch.Name, Dim: tinyArch.OutDim, Tau: rep.Tau,
-	}, w, nil, nil)
+	}, w)
 	if err != nil || next.Version == rep.Version {
 		t.Fatalf("second commit: %+v, %v", next, err)
 	}

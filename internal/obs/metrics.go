@@ -307,7 +307,3 @@ var DefLatencyBounds = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 	250e-3, 500e-3, 1, 2.5,
 }
-
-// DefBatchBounds bucket encoder batch sizes (powers of two up to the
-// default MaxBatch ×2).
-var DefBatchBounds = []float64{1, 2, 4, 8, 16, 32, 64}

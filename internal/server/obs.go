@@ -70,9 +70,6 @@ func newServerObs(cfg Config, reg *obs.Registry) *serverObs {
 	}
 
 	registerRegistryMetrics(reg, cfg.Registry)
-	if cfg.Batcher != nil {
-		registerBatcherMetrics(reg, cfg.Batcher)
-	}
 	if cfg.Governor != nil {
 		registerGovernorMetrics(reg, cfg.Governor)
 	}
@@ -276,23 +273,4 @@ func registerGovernorMetrics(reg *obs.Registry, g *resilience.Governor) {
 				return float64(b.ShedCount())
 			}, obs.Label{Name: "reason", Value: "breaker_open"})
 	}
-}
-
-// registerBatcherMetrics exposes the encode batcher's queue depth,
-// batch-size histogram and coalescing counters.
-func registerBatcherMetrics(reg *obs.Registry, b *Batcher) {
-	reg.GaugeFunc("meancache_batch_queue_depth", "Encode requests parked behind the passes in flight.", func() float64 {
-		return float64(b.QueueDepth())
-	})
-	sizes := reg.Histogram("meancache_batch_size", "Dispatched encode batch sizes.", obs.DefBatchBounds)
-	b.OnBatch(func(size int) { sizes.Observe(float64(size)) })
-	reg.CounterFunc("meancache_batch_requests_total", "Encode calls served through the batcher.", func() float64 {
-		return float64(b.Stats().Requests)
-	})
-	reg.CounterFunc("meancache_batch_batches_total", "Batch dispatches.", func() float64 {
-		return float64(b.Stats().Batches)
-	})
-	reg.CounterFunc("meancache_batch_coalesced_total", "Encode calls that shared a batch with at least one other.", func() float64 {
-		return float64(b.Stats().Coalesced)
-	})
 }

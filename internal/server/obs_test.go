@@ -351,30 +351,3 @@ func TestQueryCountedBeforeReply(t *testing.T) {
 		}
 	}
 }
-
-// TestBatcherObsHooks covers the queue-depth and batch-size hooks the
-// metrics layer consumes.
-func TestBatcherObsHooks(t *testing.T) {
-	m := embed.NewModel(embed.MPNetSim, 3)
-	b := NewBatcher(m, BatcherConfig{MaxBatch: 8})
-	defer b.Close()
-	metrics := obs.NewRegistry()
-	registerBatcherMetrics(metrics, b)
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			b.Encode("query " + string(rune('a'+i)))
-			done <- struct{}{}
-		}(i)
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	h := metrics.Histogram("meancache_batch_size", "Dispatched encode batch sizes.", obs.DefBatchBounds)
-	if h.Count() == 0 {
-		t.Fatalf("batch-size histogram saw no batches")
-	}
-	if b.QueueDepth() != 0 {
-		t.Fatalf("queue depth = %d after drain, want 0", b.QueueDepth())
-	}
-}

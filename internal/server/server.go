@@ -8,9 +8,6 @@
 //   - Registry: a sharded userID→Tenant table with lazy activation, LRU
 //     idle-tenant eviction, and optional persistence of evicted caches
 //     via internal/store.
-//   - Batcher: an embedding micro-batcher that coalesces concurrent
-//     encode requests across tenants into single batch calls on the
-//     shared encoder.
 //   - serverObs: the one place a serving outcome is counted — obs
 //     counters and histograms exported at GET /metrics, which GET
 //     /v1/stats reads back as JSON, plus per-tenant query and hit
@@ -82,8 +79,9 @@ type Feedback struct {
 type Config struct {
 	// Registry supplies tenants. Required.
 	Registry *Registry
-	// Batcher, when non-nil, is reported under /v1/stats. (Tenants use it
-	// through their encoder; the server itself never encodes.)
+	// Deprecated: Batcher is read by nothing. The field stays only
+	// because the frozen bench/stack.go sets it, and goes in the benchmark
+	// PR that re-captures BENCHMARK.json.
 	Batcher *Batcher
 	// Deprecated: SearchBatcher is read by nothing. The field stays only
 	// because the frozen bench/stack.go sets it, and goes in the benchmark
@@ -259,7 +257,6 @@ type FeedbackResponse struct {
 type StatsResponse struct {
 	Aggregate ServingStats  `json:"aggregate"`
 	Registry  RegistryStats `json:"registry"`
-	Batcher   *BatcherStats `json:"batcher,omitempty"`
 	// Residents lists per-resident-tenant serving state (traffic, index
 	// tier, index rows), largest traffic first, capped by
 	// Config.StatsTenants.
@@ -446,10 +443,6 @@ func (s *Server) Stats() StatsResponse {
 		Aggregate: s.obs.stats(),
 		Registry:  s.cfg.Registry.Stats(),
 		Residents: s.residentStats(s.cfg.StatsTenants),
-	}
-	if s.cfg.Batcher != nil {
-		bs := s.cfg.Batcher.Stats()
-		resp.Batcher = &bs
 	}
 	if s.cfg.Governor != nil {
 		gs := s.cfg.Governor.Stats()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -11,21 +12,43 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/llmsim"
+	"repro/internal/vecmath"
 )
 
-// newTestServer assembles a full serving stack: stub encoder behind a
-// micro-batcher, virtual-time llmsim upstream, sharded registry.
+// stubEncoder is a deterministic test encoder: the embedding of a text is
+// a unit vector derived from its hash, so equal texts match at cosine 1
+// and distinct texts (almost surely) do not.
+type stubEncoder struct{ dim int }
+
+func (e *stubEncoder) embed(text string) []float32 {
+	h := fnv.New64a()
+	h.Write([]byte(text))
+	sum := h.Sum64()
+	v := make([]float32, e.dim)
+	i := int(sum % uint64(e.dim))
+	j := int((sum / uint64(e.dim)) % uint64(e.dim))
+	v[i] += 0.8
+	v[j] += 0.6
+	vecmath.Normalize(v)
+	return v
+}
+
+func (e *stubEncoder) Encode(text string) []float32 { return e.embed(text) }
+func (e *stubEncoder) Dim() int                     { return e.dim }
+func (e *stubEncoder) Name() string                 { return "stub" }
+
+// newTestServer assembles a full serving stack: tenants encoding
+// directly on a stub encoder, virtual-time llmsim upstream, sharded
+// registry.
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	enc := &stubEncoder{dim: 32}
-	batcher := NewBatcher(enc, BatcherConfig{MaxBatch: 16})
-	t.Cleanup(batcher.Close)
 	llm := llmsim.New(llmsim.DefaultConfig())
 	reg, err := NewRegistry(RegistryConfig{
 		Shards: 4,
 		Factory: func(userID string) *core.Client {
 			return core.New(core.Options{
-				Encoder:      batcher,
+				Encoder:      enc,
 				LLM:          llm,
 				Tau:          0.9,
 				TopK:         4,
@@ -36,7 +59,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Registry: reg, Batcher: batcher})
+	srv, err := New(Config{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +189,6 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if st.Registry.Resident != 1 {
 		t.Errorf("registry resident = %d, want 1", st.Registry.Resident)
 	}
-	if st.Batcher == nil || st.Batcher.Requests == 0 {
-		t.Error("batcher stats missing from /v1/stats")
-	}
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
@@ -226,10 +246,10 @@ func TestServerConcurrentOneTenant(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentCrossTenant drives many tenants at once, which also
-// exercises the cross-tenant encode batching path.
+// TestServerConcurrentCrossTenant drives many tenants at once, each
+// encoding on its own request's goroutine through the shared encoder.
 func TestServerConcurrentCrossTenant(t *testing.T) {
-	srv, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 	const users, perUser = 32, 8
 	var wg sync.WaitGroup
 	for u := 0; u < users; u++ {
@@ -250,10 +270,6 @@ func TestServerConcurrentCrossTenant(t *testing.T) {
 	}
 	if st.Registry.Resident != users {
 		t.Errorf("resident tenants = %d, want %d", st.Registry.Resident, users)
-	}
-	if bs := srv.cfg.Batcher.Stats(); bs.Coalesced == 0 {
-		t.Logf("note: no cross-tenant coalescing observed (timing-dependent); batches=%d requests=%d",
-			bs.Batches, bs.Requests)
 	}
 }
 

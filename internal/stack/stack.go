@@ -42,12 +42,9 @@
 // background. No flag chooses or tunes a tier, and a revived tenant walks
 // the same ladder.
 //
-// A tenant's search runs directly on its request's goroutine, one probe
-// at a time, as the paper's lookup does. Concurrent encodes share one
-// EncodeBatch call through the encode batcher (-batch caps a batch). It
-// owns no goroutine and waits for no company: an encode runs at once on
-// its own goroutine unless as many encodes as there are processors are
-// already in flight, and a batch is whatever parked behind those.
+// A tenant encodes its query and searches its cache on its request's
+// goroutine, one text and one probe at a time, as the paper's lookup
+// does: nothing is batched across tenants.
 //
 // Resilience: -quota-rate enforces per-tenant token-bucket admission
 // (429 + Retry-After past the burst), -limit-max puts an AIMD adaptive
@@ -64,8 +61,8 @@
 //
 // Observability: every cacheserve serves a Prometheus text exposition at
 // GET /metrics covering serving outcomes, per-stage and per-tier
-// latency, registry/arena occupancy, the encode batcher, and — when
-// enabled — the cluster and FL layers; GET /v1/stats is a JSON view of
+// latency, registry/arena occupancy, and — when enabled — the cluster
+// and FL layers; GET /v1/stats is a JSON view of
 // the same counters. Tracing is opt-in: -trace-sample head-samples
 // per-request traces (decode → encode → search → upstream → respond
 // spans, stitched across a cluster forward) into a recent ring at GET
@@ -132,16 +129,14 @@ type Config struct {
 	VNodes, ClusterDeadAfter int
 	ClusterHeartbeat         time.Duration
 
-	Batch server.BatcherConfig
-
 	Governor resilience.GovernorConfig
 	Trace    obs.TracerConfig
 
-	FL, FLSecure                          bool
-	FLCohort, FLMinPairs, FLEpochs, FLPCA int
-	FLInterval                            time.Duration
-	FLBeta                                float64
-	FLDir                                 string
+	FL, FLSecure                   bool
+	FLCohort, FLMinPairs, FLEpochs int
+	FLInterval                     time.Duration
+	FLBeta                         float64
+	FLDir                          string
 
 	// Encoder, when non-nil, replaces Model/Arch: loadgen's cluster
 	// scenario shares one encoder across its three in-process nodes.
@@ -177,8 +172,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.DurationVar(&c.ClusterHeartbeat, "cluster-heartbeat", 500*time.Millisecond, "cluster: peer health-probe period")
 	fs.IntVar(&c.ClusterDeadAfter, "cluster-dead-after", 3, "cluster: consecutive probe failures before a peer is dead")
 
-	fs.IntVar(&c.Batch.MaxBatch, "batch", 32, "embedding micro-batch size cap")
-
 	fs.Float64Var(&c.Governor.Quota.Rate, "quota-rate", 0, "per-tenant admission quota in requests/second (0 disables quotas)")
 	fs.Float64Var(&c.Governor.Quota.Burst, "quota-burst", 0, "per-tenant quota burst capacity (0 = same as -quota-rate)")
 	fs.IntVar(&c.Governor.Limiter.MaxLimit, "limit-max", 0, "upstream AIMD concurrency limiter ceiling (0 disables the limiter)")
@@ -201,7 +194,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.FLEpochs, "fl-epochs", 2, "local fine-tuning epochs per round")
 	fs.BoolVar(&c.FLSecure, "fl-secure", false, "aggregate through pairwise-masked updates (secure agg)")
 	fs.StringVar(&c.FLDir, "fl-dir", "", "directory persisting model versions + collected shards (empty = in-memory)")
-	fs.IntVar(&c.FLPCA, "fl-pca", 0, "attach a PCA basis of this dimension to committed versions (0 = off)")
 	fs.Float64Var(&c.FLBeta, "fl-beta", 0.5, "F-beta of the clients' threshold search")
 
 	fs.StringVar(&c.Pprof, "pprof", "", "expose net/http/pprof on this side listener (e.g. 127.0.0.1:6060; empty = off)")
@@ -217,10 +209,9 @@ func Default() Config {
 // Stack is one assembled cacheserve. The exported fields are the parts
 // callers drive or inspect; those cfg disables are nil.
 type Stack struct {
-	// Encoder is what tenants encode through: the model, in the FL holder
-	// (with FL on), in the micro-batcher.
+	// Encoder is what tenants encode through: the model, or the FL
+	// holder around it (with FL on).
 	Encoder  embed.Encoder
-	Batcher  *server.Batcher
 	Governor *resilience.Governor
 	Registry *server.Registry
 	Server   *server.Server
@@ -257,8 +248,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 		return nil, err
 	}
 	// With FL on, the base model serves through a swappable holder so
-	// round rollouts can replace it atomically under live traffic. The
-	// micro-batcher wraps the holder, so batches follow the swap.
+	// round rollouts can replace it atomically under live traffic.
 	var swap *embed.Swappable
 	var flArch embed.Arch
 	var collector *flserve.Collector
@@ -275,8 +265,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		flHooks = &flserve.LateHooks{}
 		s.hooks, s.observer = flHooks, collector
 	}
-	s.Batcher = server.NewBatcher(enc, cfg.Batch)
-	enc = s.Batcher
 	s.Encoder = enc
 
 	// The resilience governor assembles whichever overload-protection
@@ -338,7 +326,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 			InitialTau: cfg.Tau,
 			Seed:       cfg.Seed,
 			Interval:   cfg.FLInterval,
-			PCADim:     cfg.FLPCA,
 		})
 		if err != nil {
 			return nil, err
@@ -358,7 +345,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 
 	s.Server, err = server.New(server.Config{
 		Registry: s.Registry,
-		Batcher:  s.Batcher,
 		Observer: s.observer,
 		Metrics:  metrics,
 		Tracer:   tracer,
@@ -460,9 +446,8 @@ func (s *Stack) Serve() error {
 
 // Close shuts down in dependency order: listener, cluster loops, FL
 // rounds (persisting their shards), a flush of every resident tenant to
-// PersistDir, and only then the batcher tenants encode through and the
-// FL store. It works on a partly built stack and reports
-// every step that failed.
+// PersistDir, and only then the FL store. It works on a partly built
+// stack and reports every step that failed.
 func (s *Stack) Close() error {
 	var errs []error
 	failed := func(step string, err error) {
@@ -483,9 +468,6 @@ func (s *Stack) Close() error {
 	}
 	if s.Registry != nil && s.cfg.PersistDir != "" {
 		failed("flushing resident tenants", s.Registry.Flush())
-	}
-	if s.Batcher != nil {
-		s.Batcher.Close()
 	}
 	if s.flStore != nil {
 		failed("closing FL store", s.flStore.Close())

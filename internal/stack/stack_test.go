@@ -12,8 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/raceflag"
 	"repro/internal/server"
-	"repro/internal/vecmath"
 )
 
 // TestFlagSurfaceGolden pins cacheserve's command line: names, defaults
@@ -35,8 +32,8 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	c.Bind(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 43 {
-		t.Errorf("Bind registers %d flags, want 43", n)
+	if n != 41 {
+		t.Errorf("Bind registers %d flags, want 41", n)
 	}
 	var got bytes.Buffer
 	fs.SetOutput(&got)
@@ -61,10 +58,9 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 		name      string
 		got, want any
 	}{
-		// No "batch wait" rows: the waits bench/stack.go still writes into
-		// its two BatcherConfig literals are inert (nothing in
-		// internal/server reads that field), so there is no default to match.
-		{"encode batch cap", d.Batch.MaxBatch, 32},
+		// No batcher rows: the BatcherConfig literals bench/stack.go still
+		// writes are inert (internal/server's shims read neither field),
+		// so there is no default to match.
 		{"limiter min", d.Governor.Limiter.MinLimit, 4},
 		{"limiter max (off)", d.Governor.Limiter.MaxLimit, 0},
 		{"limiter queue", d.Governor.Limiter.MaxQueue, 128},
@@ -94,18 +90,6 @@ func TestDefaultMatchesBenchStack(t *testing.T) {
 	}
 }
 
-// countingEncoder counts the EncodeBatch calls that reach the model.
-type countingEncoder struct {
-	*embed.Model
-	batchCalls, batchTexts atomic.Int64
-}
-
-func (e *countingEncoder) EncodeBatch(texts []string) *vecmath.Matrix {
-	e.batchCalls.Add(1)
-	e.batchTexts.Add(int64(len(texts)))
-	return e.Model.EncodeBatch(texts)
-}
-
 // query posts one /v1/query straight into h and decodes the reply.
 func query(t *testing.T, h http.Handler, user, text string) server.QueryResponse {
 	t.Helper()
@@ -124,7 +108,7 @@ func query(t *testing.T, h http.Handler, user, text string) server.QueryResponse
 
 // stackGoroutines lists the running goroutines that belong to a Stack's
 // own background workers: the FL round ticker, the cluster loops and a
-// tenant index's tier promotion (the encode batcher owns no goroutine).
+// tenant index's tier promotion.
 func stackGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -172,8 +156,8 @@ func TestBuildModes(t *testing.T) {
 		check   func(t *testing.T, s *Stack)
 	}{
 		{name: "default", check: func(t *testing.T, s *Stack) {
-			if s.Batcher == nil {
-				t.Error("the shipped stack encodes through the batcher")
+			if s.Encoder != embed.Encoder(enc) || s.tenant.Encoder != s.Encoder {
+				t.Errorf("tenants encode through %q: the shipped stack hands them the base encoder itself", s.tenant.Encoder.Name())
 			}
 			if s.tenant.Searcher != nil {
 				t.Error("the shipped stack wires a searcher: tenants must search directly")
@@ -198,65 +182,14 @@ func TestBuildModes(t *testing.T) {
 				t.Error("Build chose an index: a tenant's comes from core.New's default")
 			}
 		}},
-		{name: "overlapping encodes share a batch", set: func(c *Config) {
-			c.Encoder = &countingEncoder{Model: enc}
-		}, check: func(t *testing.T, s *Stack) {
-			// The encode batcher never waits for company, so overlap is
-			// arranged: hold as many queries' encodes as it lets run at
-			// once inside the OnBatch hook (which runs on the leader's
-			// goroutine, its pass marked in flight), park two more queries
-			// behind them, then let them go.
-			leaders := int32(runtime.GOMAXPROCS(0))
-			held, release := make(chan struct{}), make(chan struct{})
-			var passes atomic.Int32
-			s.Batcher.OnBatch(func(int) {
-				if passes.Add(1) == leaders {
-					close(held)
-				}
-				<-release
-			})
-			var wg sync.WaitGroup
-			serve := func(user string) {
-				defer wg.Done()
-				body := strings.NewReader(`{"user":"` + user + `","query":"do overlapping encodes share a batch"}`)
-				rec := httptest.NewRecorder()
-				s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", body))
-				if rec.Code != http.StatusOK {
-					t.Errorf("%s: query status %d: %s", user, rec.Code, rec.Body)
-				}
-			}
-			for i := int32(0); i < leaders; i++ {
-				wg.Add(1)
-				go serve("leader" + string(rune('a'+i)))
-			}
-			<-held
-			wg.Add(2)
-			go serve("a")
-			go serve("b")
-			for deadline := time.Now().Add(10 * time.Second); s.Batcher.QueueDepth() < 2; time.Sleep(100 * time.Microsecond) {
-				if time.Now().After(deadline) {
-					t.Errorf("%d of 2 encodes parked behind the held passes", s.Batcher.QueueDepth())
-					break
-				}
-			}
-			close(release)
-			wg.Wait()
-			ce := s.cfg.Encoder.(*countingEncoder)
-			if calls, texts := ce.batchCalls.Load(), ce.batchTexts.Load(); calls != 1 || texts != 2 {
-				t.Errorf("EncodeBatch ran %d times over %d texts, want once over the 2 overlapping encodes", calls, texts)
-			}
-			if st := s.Batcher.Stats(); st.Coalesced != 2 {
-				t.Errorf("batcher stats %+v, want 2 coalesced", st)
-			}
-		}},
 		{name: "fl", set: func(c *Config) {
 			c.FL, c.FLInterval, c.FLDir = true, time.Hour, t.TempDir()
 		}, check: func(t *testing.T, s *Stack) {
 			if s.FL == nil || s.hooks == nil || s.observer == nil || s.flStore == nil {
 				t.Error("FL parts missing")
 			}
-			if s.Encoder.Name() != "albert-sim+batch" {
-				t.Errorf("encoder %q: want the batcher outermost, over the swappable holder", s.Encoder.Name())
+			if _, ok := s.Encoder.(*embed.Swappable); !ok || s.Encoder.Name() != "albert-sim" {
+				t.Errorf("encoder %T %q: want the swappable holder over albert-sim", s.Encoder, s.Encoder.Name())
 			}
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/fl/status", nil))
@@ -478,12 +411,10 @@ func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardWriter) WriteHeader(int)             {}
 
 // TestDefaultStackHitAllocs is the allocation budget of a cache hit
-// through the stack that ships: Default(), so the encode micro-batcher
-// is on the path (the pins in internal/server build their servers
-// without it). The bound is the
-// measured count, with no slack: AllocsPerRun floors its mean over 200
-// requests, so a GC emptying the pools mid-run cannot reach it and one
-// allocation more per request does.
+// through the stack that ships: Default(), as cmd/cacheserve builds it
+// with no flags. The bound is the measured count, with no slack:
+// AllocsPerRun floors its mean over 200 requests, so a GC emptying the
+// pools mid-run cannot reach it and one allocation more per request does.
 func TestDefaultStackHitAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("pooled buffers are intentionally dropped under -race")
