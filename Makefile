@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build check test race vet bench bench-e2e loadtest \
 	loadtest-fl conformance fuzz-smoke loadtest-ann loadtest-cluster \
-	loadtest-overload crashtest gates sim clean
+	loadtest-overload crashtest gates sim loc clean
 
 build:
 	$(GO) build ./...
@@ -164,6 +164,11 @@ gates:
 			$$(grep -cE '^(PASS|FAIL) ' bin/gates/$$t.log) $$(( $$(date +%s) - start )))\n"; \
 	done; \
 	printf "\n=== gates summary\n$$summary"; exit $$failed
+
+# loc prints the non-test Go line count outside bench/, the size figure
+# ROADMAP.md tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 clean:
 	rm -rf bin

@@ -334,13 +334,18 @@ const (
 // populated with the fixed-seed clustered corpus, plus a near-duplicate
 // probe.
 func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
+	rng := rand.New(rand.NewSource(7))
+	vecs := dataset.ClusteredVectors(rng, largeTenantN, 128, largeTenantDim, 0.4)
 	var c *cache.Cache
 	switch tier {
 	case "scan":
 		c = cache.New(largeTenantDim, 0, cache.LRU{})
 	case "ivf":
-		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{},
-			index.NewIVF(largeTenantDim, index.IVFConfig{NList: 141, NProbe: 12, Seed: 1}))
+		// Trained on the first 32 rows per list, the rows it then adds
+		// first.
+		const nlist = 141
+		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{}, index.NewIVF(largeTenantDim,
+			index.IVFConfig{NList: nlist, NProbe: 12, Seed: 1}, vecs[:32*nlist]))
 	case "adaptive":
 		adaptive := index.NewAdaptive(largeTenantDim, index.AdaptiveConfig{})
 		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{}, adaptive)
@@ -348,8 +353,6 @@ func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
 	default:
 		b.Fatalf("unknown tier %q", tier)
 	}
-	rng := rand.New(rand.NewSource(7))
-	vecs := dataset.ClusteredVectors(rng, largeTenantN, 128, largeTenantDim, 0.4)
 	for i, v := range vecs {
 		if _, err := c.Put(fmt.Sprintf("q%d", i), "r", v, cache.NoParent); err != nil {
 			b.Fatal(err)

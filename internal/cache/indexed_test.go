@@ -12,16 +12,15 @@ import (
 )
 
 func TestIndexedCacheMatchesFlatCache(t *testing.T) {
-	// A cache backed by a full-probe IVF (exact) must make the same
-	// decisions as the built-in scan.
+	// A cache backed by an Adaptive that promoted to a full-probe IVF
+	// (FlatMax 15: 8 lists, all 8 probed, and no regrowth below 65
+	// entries) is exact, so it must make the same decisions as the
+	// built-in scan.
+	const entries = 64
+	adaptive := index.NewAdaptive(16, index.AdaptiveConfig{FlatMax: 15})
 	flat := New(16, 0, LRU{})
-	ivf := NewWithIndex(16, 0, LRU{}, index.NewIVF(16, index.IVFConfig{
-		NList: 8, NProbe: 8, TrainSize: 30, Seed: 1,
-	}))
-	if ivf.ServingTier() != "ivf" || flat.ServingTier() != "flat" {
-		t.Fatalf("ServingTier() = %q / %q, want ivf / flat", ivf.ServingTier(), flat.ServingTier())
-	}
-	for i := int64(0); i < 120; i++ {
+	ivf := NewWithIndex(16, 0, LRU{}, adaptive)
+	for i := int64(0); i < entries; i++ {
 		e := unit(16, i)
 		if _, err := flat.Put(fmt.Sprintf("q%d", i), "r", e, NoParent); err != nil {
 			t.Fatal(err)
@@ -29,6 +28,10 @@ func TestIndexedCacheMatchesFlatCache(t *testing.T) {
 		if _, err := ivf.Put(fmt.Sprintf("q%d", i), "r", e, NoParent); err != nil {
 			t.Fatal(err)
 		}
+	}
+	adaptive.WaitMigration()
+	if ivf.ServingTier() != "ivf" || flat.ServingTier() != "flat" {
+		t.Fatalf("ServingTier() = %q / %q, want ivf / flat", ivf.ServingTier(), flat.ServingTier())
 	}
 	for probe := int64(200); probe < 250; probe++ {
 		p := unit(16, probe)
@@ -99,9 +102,7 @@ func TestIndexedCacheConcurrent(t *testing.T) {
 		readers  = 4
 		perG     = 300
 	)
-	c := NewWithIndex(dim, capacity, LRU{}, index.NewIVF(dim, index.IVFConfig{
-		NList: 8, NProbe: 4, TrainSize: 40, Seed: 1,
-	}))
+	c := NewWithIndex(dim, capacity, LRU{}, index.NewAdaptive(dim, index.AdaptiveConfig{FlatMax: 40}))
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -268,11 +269,12 @@ func TestLoadFromWithIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	revived, err := LoadFromWithIndex(st, 8, 0, LRU{},
-		index.NewIVF(8, index.IVFConfig{NList: 4, NProbe: 4, TrainSize: 10, Seed: 2}))
+	adaptive := index.NewAdaptive(8, index.AdaptiveConfig{FlatMax: 10})
+	revived, err := LoadFromWithIndex(st, 8, 0, LRU{}, adaptive)
 	if err != nil {
 		t.Fatalf("LoadFromWithIndex: %v", err)
 	}
+	adaptive.WaitMigration()
 	if revived.ServingTier() != "ivf" || revived.Len() != 20 {
 		t.Fatalf("revived: ServingTier=%q Len=%d", revived.ServingTier(), revived.Len())
 	}

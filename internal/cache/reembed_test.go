@@ -23,7 +23,7 @@ func hashEmb(dim int, gen int64, text string) []float32 {
 func TestReembedMigratesAllEntries(t *testing.T) {
 	for name, c := range map[string]*Cache{
 		"flat":    New(16, 0, LRU{}),
-		"indexed": NewWithIndex(16, 0, LRU{}, index.NewIVF(16, index.IVFConfig{NList: 4, NProbe: 4, TrainSize: 20, Seed: 1})),
+		"indexed": NewWithIndex(16, 0, LRU{}, index.NewAdaptive(16, index.AdaptiveConfig{FlatMax: 20})),
 	} {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 50; i++ {

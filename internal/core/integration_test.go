@@ -160,22 +160,26 @@ func TestPersistentClientLifecycle(t *testing.T) {
 	}
 }
 
-// TestClientWithIVFIndexedCache verifies core works on top of an
-// IVF-indexed cache (the large-cache configuration).
+// TestClientWithIVFIndexedCache verifies core works on top of a cache
+// whose Adaptive index has promoted to IVF (the large-cache
+// configuration).
 func TestClientWithIVFIndexedCache(t *testing.T) {
 	enc := newStub(32)
 	enc.alias(3, "find me", "find me too")
 	llm := &stubLLM{}
 	c := New(Options{Encoder: enc, LLM: llm, Tau: 0.9})
-	// Swap in an IVF-backed cache via the same options the harness uses.
-	ivfCache := cache.NewWithIndex(32, 0, cache.LRU{},
-		index.NewIVF(32, index.IVFConfig{NList: 4, NProbe: 4, TrainSize: 10, Seed: 1}))
-	c.cache = ivfCache
+	// Swap in a cache whose index promotes to IVF past 10 entries.
+	adaptive := index.NewAdaptive(32, index.AdaptiveConfig{FlatMax: 10})
+	c.cache = cache.NewWithIndex(32, 0, cache.LRU{}, adaptive)
 
 	for i := 0; i < 20; i++ {
 		if _, err := c.Query("filler query number " + string(rune('a'+i))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	adaptive.WaitMigration()
+	if tier := c.cache.ServingTier(); tier != "ivf" {
+		t.Fatalf("20 entries past FlatMax 10 serve from %q, want ivf", tier)
 	}
 	c.Query("find me")
 	res := c.Lookup("find me too", nil)

@@ -4,20 +4,27 @@ import (
 	"fmt"
 
 	"repro/internal/embed"
-	"repro/internal/quantize"
 	"repro/internal/train"
 	"repro/internal/vecmath"
 )
 
 // quantizedEncoder wraps an encoder so its output reflects what the cache
-// would effectively compare after int8 storage: quantise, dequantise,
-// re-normalise. Used to measure the matching-quality cost of int8 storage.
+// would effectively compare after int8 storage: quantise with the codes
+// the serving IVF lists store (vecmath.Quantize), dequantise,
+// re-normalise. Used to measure the matching-quality cost of int8
+// storage.
 type quantizedEncoder struct {
 	base embed.Encoder
 }
 
 func (q quantizedEncoder) Encode(text string) []float32 {
-	v := quantize.Quantize(q.base.Encode(text)).Dequantize()
+	x := q.base.Encode(text)
+	code := make([]int8, len(x))
+	scale, _ := vecmath.Quantize(x, code)
+	v := make([]float32, len(code))
+	for i, c := range code {
+		v[i] = float32(c) * scale
+	}
 	if vecmath.Normalize(v) == 0 {
 		v[0] = 1
 	}

@@ -15,13 +15,17 @@ import (
 // fresh one, its lists sized to the tenant, whenever the tenant holds
 // more than regrowFactor times the entries the serving IVF was built
 // from. Each build runs in a background goroutine from a snapshot while
-// the current tier keeps serving; writes that land during the build are
-// journaled and replayed before the atomic swap, so no entry is lost and
-// Search never waits on a build: readers resolve the serving tier
-// through an atomic pointer (never the writer lock), and the snapshot
-// copies incrementally — one short read-lock window per vector — so
-// neither a writer nor, through RWMutex writer preference, any later
-// reader is ever parked behind a long snapshot pass.
+// the current tier keeps serving. The new IVF is trained on a sample of
+// that snapshot before any row joins it: the first FlatMax rows in
+// Flat's order on the first promotion, an even sample in ID order on a
+// regrowth. A snapshot that concurrent removes emptied builds nothing.
+// Writes that land during the build are journaled and replayed before
+// the atomic swap, so no entry is lost and Search never waits on a
+// build: readers resolve the serving tier through an atomic pointer
+// (never the writer lock), and the snapshot copies incrementally — one
+// short read-lock window per vector — so neither a writer nor, through
+// RWMutex writer preference, any later reader is ever parked behind a
+// long snapshot pass.
 //
 // The zero-value threshold is DefaultFlatMax: measured once per process
 // from this machine's scan speed, not set.
@@ -205,14 +209,27 @@ func (a *Adaptive) migrate(from *tierRef, n int) {
 			snap = append(snap, tierOp{id: id, vec: vec})
 		}
 	}
+	if len(snap) == 0 {
+		// Concurrent removes emptied the snapshot: there is nothing to
+		// train on, so the current tier keeps serving.
+		a.mu.Lock()
+		a.finishMigrationLocked()
+		a.mu.Unlock()
+		a.done.Broadcast()
+		return
+	}
 	var next *IVF
 	if from.built == 0 {
 		// The first promotion trains on the first FlatMax rows in Flat's
 		// own order (insertion order, except that each removal moved the
-		// then-last row into its hole), as soon as they land.
-		next = NewIVF(a.dim, IVFConfig{NList: isqrt(4 * a.flatMax), TrainSize: a.flatMax})
+		// then-last row into its hole).
+		sample := make([][]float32, min(a.flatMax, len(snap)))
+		for i := range sample {
+			sample[i] = snap[i].vec
+		}
+		next = NewIVF(a.dim, IVFConfig{NList: isqrt(4 * a.flatMax)}, sample)
 	} else {
-		next, snap = regrownIVF(a.dim, snap)
+		next = regrownIVF(a.dim, snap)
 	}
 	applyOps(next, snap)
 	// Drain the journal in rounds off-lock until one round's residue is
@@ -240,41 +257,36 @@ func (a *Adaptive) migrate(from *tierRef, n int) {
 	}
 	// a.mu is held here (both break paths leave it locked).
 	a.cur.Store(&tierRef{idx: next, built: n})
-	a.migrating = false
-	a.journal = nil
-	// The new tier may immediately qualify for a regrowth (a bulk load
-	// that blew past regrowFactor × n while the build ran — later Adds
-	// only journal during a migration, so the chain can only continue
-	// here). Running it before the flag drop is observable keeps
-	// WaitMigration from returning mid-chain on a stale Broadcast.
-	a.maybePromoteLocked()
+	a.finishMigrationLocked()
 	a.mu.Unlock()
 	a.done.Broadcast()
 }
 
+// finishMigrationLocked drops the migration state and re-checks the
+// serving tier. The new tier may immediately qualify for a regrowth (a
+// bulk load that blew past regrowFactor × n while the build ran — later
+// Adds only journal during a migration, so the chain can only continue
+// here). Running it before the flag drop is observable keeps
+// WaitMigration from returning mid-chain on a stale Broadcast. Callers
+// hold a.mu and broadcast a.done after unlocking it.
+func (a *Adaptive) finishMigrationLocked() {
+	a.migrating = false
+	a.journal = nil
+	a.maybePromoteLocked()
+}
+
 // regrownIVF sizes a fresh IVF to the snapshot it is built from —
-// isqrt(4·rows) lists, IVF's default probes — and orders the snapshot so
-// that k-means trains on an even sample of it: the rows are sorted by ID,
-// every (rows/m)-th of them goes first, and a TrainSize of m makes the
-// IVF train the moment the last of those m lands. m is 32 rows per list,
-// capped at the snapshot.
-func regrownIVF(dim int, snap []tierOp) (*IVF, []tierOp) {
+// isqrt(4·rows) lists, IVF's default probes — and trains it on an even
+// sample of it: the rows sorted by ID, every (rows/m)-th of them, where m
+// is 32 rows per list, capped at the snapshot. It sorts snap in place.
+func regrownIVF(dim int, snap []tierOp) *IVF {
 	sort.Slice(snap, func(i, j int) bool { return snap[i].id < snap[j].id })
 	nlist := isqrt(4 * len(snap))
-	m := min(32*nlist, len(snap))
-	ordered := make([]tierOp, 0, len(snap))
-	sampled := make([]bool, len(snap))
-	for i := 0; i < m; i++ {
-		j := i * len(snap) / m
-		sampled[j] = true
-		ordered = append(ordered, snap[j])
+	sample := make([][]float32, min(32*nlist, len(snap)))
+	for i := range sample {
+		sample[i] = snap[i*len(snap)/len(sample)].vec
 	}
-	for j, op := range snap {
-		if !sampled[j] {
-			ordered = append(ordered, op)
-		}
-	}
-	return NewIVF(dim, IVFConfig{NList: nlist, TrainSize: m}), ordered
+	return NewIVF(dim, IVFConfig{NList: nlist}, sample)
 }
 
 // applyOps replays ops in order. Add errors are expected and ignored: a

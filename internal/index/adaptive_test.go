@@ -148,3 +148,49 @@ func TestAdaptiveRegrowDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// vanishingFlat is a Flat whose rows are all removed the moment a
+// migration lists them, as concurrent removes landing between the ID
+// list and the vector copies would: the snapshot comes out empty.
+type vanishingFlat struct{ *Flat }
+
+func (v vanishingFlat) idList() []int {
+	ids := v.Flat.idList()
+	for _, id := range ids {
+		v.Remove(id)
+	}
+	return ids
+}
+
+// TestAdaptiveEmptySnapshotBuildsNothing: a promotion whose snapshot
+// lost every row trains no IVF. The current tier keeps serving, the
+// migration flag clears, and the index keeps taking writes.
+func TestAdaptiveEmptySnapshotBuildsNothing(t *testing.T) {
+	const dim, flatMax = 8, 4
+	rng := rand.New(rand.NewSource(29))
+	a := NewAdaptive(dim, AdaptiveConfig{FlatMax: flatMax})
+	flat := vanishingFlat{NewFlat(dim)}
+	a.cur.Store(&tierRef{idx: flat})
+	for id := 0; id <= flatMax; id++ { // the last Add starts the promotion
+		if err := a.Add(id, unit(rng, dim)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.WaitMigration()
+	if ref := a.cur.Load(); ref.idx != tierIndex(flat) || ref.built != 0 {
+		t.Fatalf("serving %T built at %d, want the original flat tier", ref.idx, ref.built)
+	}
+	a.mu.Lock()
+	migrating := a.migrating
+	a.mu.Unlock()
+	if migrating || a.Tier() != "flat" || a.Len() != 0 {
+		t.Fatalf("after an empty snapshot: migrating %v, tier %s, len %d; want false, flat, 0", migrating, a.Tier(), a.Len())
+	}
+	v := unit(rng, dim)
+	if err := a.Add(100, v); err != nil {
+		t.Fatal(err)
+	}
+	if hits := a.Search(v, 1, 0.99); len(hits) != 1 || hits[0].ID != 100 {
+		t.Fatalf("search after the aborted promotion = %v", hits)
+	}
+}

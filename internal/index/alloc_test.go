@@ -90,14 +90,11 @@ func TestIVFSearchAppendZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(10))
 	vecs := dataset.ClusteredVectors(rng, 3000, 16, 32, 0.4)
-	x := NewIVF(32, IVFConfig{NList: 16, NProbe: 4, TrainSize: 500, Seed: 3})
+	x := trainedIVF(32, IVFConfig{NList: 16, NProbe: 4, Seed: 3}, vecs, 500)
 	for i, v := range vecs {
 		if err := x.Add(i, v); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !x.Trained() {
-		t.Fatal("IVF did not self-train")
 	}
 	probe := vecs[7]
 	dst := make([]Hit, 0, 16)

@@ -21,8 +21,10 @@ import (
 
 // implSpec describes one implementation under conformance test.
 type implSpec struct {
-	name      string
-	build     func(dim int) Index
+	name string
+	// build makes an empty index. sample holds rows drawn as the test's
+	// own are: the standalone IVF trains on its first ivfTrainRows.
+	build     func(dim int, sample [][]float32) Index
 	exact     bool    // must match the oracle exactly
 	minRecall float64 // aggregate recall@k floor when !exact
 }
@@ -31,38 +33,54 @@ func implSpecs() []implSpec {
 	return []implSpec{
 		{
 			name:  "flat",
-			build: func(dim int) Index { return NewFlat(dim) },
+			build: func(dim int, _ [][]float32) Index { return NewFlat(dim) },
 			exact: true,
 		},
 		{
 			name: "ivf",
-			build: func(dim int) Index {
-				return NewIVF(dim, IVFConfig{NList: 16, NProbe: 8, TrainSize: 200, Seed: 7})
+			build: func(dim int, sample [][]float32) Index {
+				return trainedIVF(dim, IVFConfig{NList: 16, NProbe: 8, Seed: 7}, sample, ivfTrainRows)
 			},
 			minRecall: 0.9,
 		},
 		{
 			name: "adaptive-small", // stays Flat: must be exact
-			build: func(dim int) Index {
+			build: func(dim int, _ [][]float32) Index {
 				return NewAdaptive(dim, AdaptiveConfig{FlatMax: 1 << 20})
 			},
 			exact: true,
 		},
 		{
 			name: "adaptive", // promotes Flat→IVF past 150 entries, regrows past 604
-			build: func(dim int) Index {
+			build: func(dim int, _ [][]float32) Index {
 				return NewAdaptive(dim, AdaptiveConfig{FlatMax: 150})
 			},
 			minRecall: 0.9,
 		},
 		{
 			name: "adaptive-regrowing", // promotes past 8 entries, regrows each time it quadruples
-			build: func(dim int) Index {
+			build: func(dim int, _ [][]float32) Index {
 				return NewAdaptive(dim, AdaptiveConfig{FlatMax: 8})
 			},
 			minRecall: 0.9,
 		},
 	}
+}
+
+// ivfTrainRows is how many sample rows the conformance IVF trains on.
+const ivfTrainRows = 200
+
+// anchorSample draws ivfTrainRows rows around anchors, as tightUnit draws
+// a test's data, from its own generator so the test's stream is
+// untouched: the training sample for tests whose rows are not all drawn
+// before the index is built.
+func anchorSample(anchors [][]float32) [][]float32 {
+	rng := rand.New(rand.NewSource(ivfTrainRows))
+	sample := make([][]float32, ivfTrainRows)
+	for i := range sample {
+		sample[i] = tightUnit(rng, anchors)
+	}
+	return sample
 }
 
 // oracle is the brute-force ground truth the implementations are checked
@@ -160,7 +178,7 @@ func TestConformanceRandomOps(t *testing.T) {
 		t.Run(spec.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			anchors := makeAnchors(rng, 12, dim)
-			idx := spec.build(dim)
+			idx := spec.build(dim, anchorSample(anchors))
 			o := newOracle()
 			var ids []int
 			nextID := 0
@@ -254,18 +272,25 @@ func TestConformanceTieOrdering(t *testing.T) {
 	for _, spec := range implSpecs() {
 		t.Run(spec.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
-			idx := spec.build(dim)
 			v := unit(rng, dim)
 			// Insert the same vector under shuffled IDs, plus filler so
 			// approximate structures have a real graph/list layout.
 			ids := rng.Perm(40)
-			for _, id := range ids {
-				if err := idx.Add(100+id, v); err != nil {
+			rows := make([][]float32, 0, len(ids)+300)
+			for range ids {
+				rows = append(rows, v)
+			}
+			for i := 0; i < 300; i++ {
+				rows = append(rows, unit(rng, dim))
+			}
+			idx := spec.build(dim, rows)
+			for i, id := range ids {
+				if err := idx.Add(100+id, rows[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 300; i++ {
-				idx.Add(1000+i, unit(rng, dim))
+			for i, filler := range rows[len(ids):] {
+				idx.Add(1000+i, filler)
 			}
 			hits := idx.Search(v, 20, 0.999)
 			if len(hits) == 0 {
@@ -302,14 +327,15 @@ func TestConformanceRemovedNeverLeak(t *testing.T) {
 		t.Run(spec.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			anchors := makeAnchors(rng, 8, dim)
-			idx := spec.build(dim)
-			vecs := make(map[int][]float32)
-			for i := 0; i < 800; i++ {
-				v := tightUnit(rng, anchors)
+			vecs := make([][]float32, 800)
+			for i := range vecs {
+				vecs[i] = tightUnit(rng, anchors)
+			}
+			idx := spec.build(dim, vecs)
+			for i, v := range vecs {
 				if err := idx.Add(i, v); err != nil {
 					t.Fatal(err)
 				}
-				vecs[i] = v
 			}
 			// Remove every third entry, probing each removed vector.
 			for i := 0; i < 800; i += 3 {
@@ -349,7 +375,7 @@ func TestConformanceConcurrentSearchDuringAdd(t *testing.T) {
 			for i := range vecs {
 				vecs[i] = tightUnit(rng, anchors)
 			}
-			idx := spec.build(dim)
+			idx := spec.build(dim, vecs)
 			var stop atomic.Bool
 			var wg sync.WaitGroup
 			errs := make(chan error, readers)

@@ -27,14 +27,16 @@ func TestGoldenRecall(t *testing.T) {
 	)
 	golden := []struct {
 		name   string
-		build  func() Index
+		build  func(corpus [][]float32) Index
 		tier   string  // where an Adaptive must have stopped
 		settle bool    // wait out a promotion before the next Add
 		golden float64 // measured recall@10 at the pinned seed
 	}{
 		{
-			name:   "ivf-nlist64-nprobe8",
-			build:  func() Index { return NewIVF(dim, IVFConfig{NList: 64, NProbe: 8, Seed: seed}) },
+			name: "ivf-nlist64-nprobe8",
+			build: func(corpus [][]float32) Index {
+				return trainedIVF(dim, IVFConfig{NList: 64, NProbe: 8, Seed: seed}, corpus, 32*64)
+			},
 			golden: 0.831,
 		},
 		{
@@ -43,7 +45,7 @@ func TestGoldenRecall(t *testing.T) {
 			// trains on all of them (32 per list would be 2,880).
 			// Settled, so each build sees exactly those rows.
 			name:   "adaptive-regrown",
-			build:  func() Index { return NewAdaptive(dim, AdaptiveConfig{FlatMax: 500}) },
+			build:  func([][]float32) Index { return NewAdaptive(dim, AdaptiveConfig{FlatMax: 500}) },
 			tier:   "ivf",
 			settle: true,
 			golden: 0.850,
@@ -52,11 +54,12 @@ func TestGoldenRecall(t *testing.T) {
 			// What a serving tenant runs once it outgrows the exact scan:
 			// every parameter the package default, FlatMax forced to the
 			// 1024 a 768-d tenant gets so 4000 rows stop on the IVF tier.
-			// Settled, so the tier trains on exactly the first 1025 rows:
+			// Settled, so the tier trains on exactly the first 1024 of the
+			// 1025 rows it promotes at:
 			// a load racing the promotion trains it on a prefix of
 			// whatever Flat held by then, in leader-group order.
 			name:   "default-ivf-tier",
-			build:  func() Index { return NewAdaptive(dim, AdaptiveConfig{FlatMax: 1024}) },
+			build:  func([][]float32) Index { return NewAdaptive(dim, AdaptiveConfig{FlatMax: 1024}) },
 			tier:   "ivf",
 			settle: true,
 			golden: 0.823,
@@ -86,7 +89,7 @@ func TestGoldenRecall(t *testing.T) {
 
 	for _, g := range golden {
 		t.Run(g.name, func(t *testing.T) {
-			idx := g.build()
+			idx := g.build(corpus)
 			for i, v := range corpus {
 				if err := idx.Add(i, v); err != nil {
 					t.Fatal(err)
@@ -94,9 +97,6 @@ func TestGoldenRecall(t *testing.T) {
 				if g.settle {
 					idx.(*Adaptive).WaitMigration()
 				}
-			}
-			if ivf, ok := idx.(*IVF); ok && !ivf.Trained() {
-				ivf.Train()
 			}
 			if a, ok := idx.(*Adaptive); ok {
 				a.WaitMigration()

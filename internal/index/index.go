@@ -7,12 +7,15 @@
 // one interface:
 //
 //   - Flat: exact brute-force cosine scan, one vecmath.ScanDot pass over
-//     a dense row-major arena. Right for user-side caches (hundreds to
+//     a dense row arena. Right for user-side caches (hundreds to
 //     thousands of entries).
-//   - IVF: an inverted-file index — embeddings are k-means-clustered into
-//     lists; a query probes only the nearest lists. Approximate but
-//     sub-linear, for the million-entry regime §III-B cites (SBERT's
-//     semantic search "can handle up to 1 million entries").
+//   - IVF: an inverted-file index, trained on a sample when it is built —
+//     embeddings join the list of their nearest k-means centroid; a query
+//     probes only the nearest lists, pre-filtered on int8 codes. Each
+//     list is the same row arena as Flat plus its code columns.
+//     Approximate but sub-linear, for the million-entry regime §III-B
+//     cites (SBERT's semantic search "can handle up to 1 million
+//     entries").
 //   - Adaptive: the tiering wrapper that starts Flat, promotes to IVF
 //     past its threshold and rebuilds that IVF, sized to the tenant, each
 //     time the tenant quadruples, building in the background so searches

@@ -101,50 +101,10 @@ func TestFlatTopKOrdering(t *testing.T) {
 	}
 }
 
-func TestIVFExactBeforeTraining(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := NewIVF(16, IVFConfig{NList: 4, NProbe: 1, TrainSize: 1000})
-	vecs := clustered(rng, 50, 5, 16, 0.1)
-	for i, v := range vecs {
-		if err := x.Add(i, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if x.Trained() {
-		t.Fatal("index trained before threshold")
-	}
-	hits := x.Search(vecs[3], 1, 0.99)
-	if len(hits) != 1 || hits[0].ID != 3 {
-		t.Fatalf("bootstrap search = %v", hits)
-	}
-}
-
-func TestIVFAutoTrainAndSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := NewIVF(32, IVFConfig{NList: 8, NProbe: 3, TrainSize: 100, Seed: 5})
-	vecs := clustered(rng, 400, 8, 32, 0.15)
-	for i, v := range vecs {
-		if err := x.Add(i, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !x.Trained() {
-		t.Fatal("index did not auto-train")
-	}
-	if x.Len() != 400 {
-		t.Fatalf("Len = %d, want 400", x.Len())
-	}
-	// Self-search must find the vector (it lives in the nearest list).
-	found := 0
-	for i := 0; i < 100; i++ {
-		hits := x.Search(vecs[i], 1, 0.99)
-		if len(hits) == 1 && hits[0].ID == i {
-			found++
-		}
-	}
-	if found < 95 {
-		t.Fatalf("self-recall = %d/100, want >= 95", found)
-	}
+// trainedIVF builds an IVF trained on the first n of rows (all of them
+// when there are fewer), the rows a test then adds in order.
+func trainedIVF(dim int, cfg IVFConfig, rows [][]float32, n int) *IVF {
+	return NewIVF(dim, cfg, rows[:min(n, len(rows))])
 }
 
 // IVF recall vs the exact Flat result on clustered data.
@@ -153,7 +113,7 @@ func TestIVFRecallAgainstFlat(t *testing.T) {
 	dim := 32
 	vecs := clustered(rng, 1000, 16, dim, 0.2)
 	flat := NewFlat(dim)
-	ivf := NewIVF(dim, IVFConfig{NList: 16, NProbe: 4, TrainSize: 200, Seed: 6})
+	ivf := trainedIVF(dim, IVFConfig{NList: 16, NProbe: 4, Seed: 6}, vecs, 200)
 	for i, v := range vecs {
 		flat.Add(i, v)
 		ivf.Add(i, v)
@@ -183,7 +143,7 @@ func TestIVFNProbeEqualsNListIsExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		vecs := clustered(rng, 300, 6, dim, 1.2/math.Sqrt(float64(dim))) // 0.3 at d = 16
 		flat := NewFlat(dim)
-		ivf := NewIVF(dim, IVFConfig{NList: 10, NProbe: 10, TrainSize: 50, Seed: 8})
+		ivf := trainedIVF(dim, IVFConfig{NList: 10, NProbe: 10, Seed: 8}, vecs, 50)
 		for i, v := range vecs {
 			flat.Add(i, v)
 			ivf.Add(i, v)
@@ -201,8 +161,8 @@ func TestIVFNProbeEqualsNListIsExact(t *testing.T) {
 
 func TestIVFRemove(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	x := NewIVF(16, IVFConfig{NList: 4, NProbe: 4, TrainSize: 20, Seed: 10})
 	vecs := clustered(rng, 100, 4, 16, 0.2)
+	x := trainedIVF(16, IVFConfig{NList: 4, NProbe: 4, Seed: 10}, vecs, 20)
 	for i, v := range vecs {
 		x.Add(i, v)
 	}
@@ -227,35 +187,33 @@ func TestIVFRemove(t *testing.T) {
 }
 
 func TestIVFDuplicateID(t *testing.T) {
-	x := NewIVF(4, IVFConfig{NList: 2, NProbe: 2, TrainSize: 2, Seed: 1})
 	v := []float32{1, 0, 0, 0}
-	x.Add(1, v)
-	x.Add(2, []float32{0, 1, 0, 0}) // triggers training at size 2
-	if !x.Trained() {
-		t.Fatal("expected training at threshold")
+	x := NewIVF(4, IVFConfig{NList: 2, NProbe: 2, Seed: 1}, [][]float32{v, {0, 1, 0, 0}})
+	if err := x.Add(1, v); err != nil {
+		t.Fatal(err)
 	}
 	if err := x.Add(1, v); err == nil {
-		t.Fatal("duplicate id accepted after training")
+		t.Fatal("duplicate id accepted")
 	}
 }
 
 func TestIVFEmptySearch(t *testing.T) {
-	x := NewIVF(8, IVFConfig{})
+	x := NewIVF(8, IVFConfig{}, [][]float32{unit(rand.New(rand.NewSource(1)), 8)})
 	if hits := x.Search(make([]float32, 8), 5, 0); len(hits) != 0 {
 		t.Fatalf("empty index returned %v", hits)
 	}
 }
 
-func benchmarkSearch(b *testing.B, idx Index, dim, n int) {
+// benchmarkSearch fills an index built from the corpus by build (for an
+// IVF, its training sample) with n clustered rows and times one search.
+func benchmarkSearch(b *testing.B, build func(rows [][]float32) Index, dim, n int) {
 	rng := rand.New(rand.NewSource(11))
 	vecs := clustered(rng, n, 32, dim, 0.2)
+	idx := build(vecs)
 	for i, v := range vecs {
 		if err := idx.Add(i, v); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if ivf, ok := idx.(*IVF); ok && !ivf.Trained() {
-		ivf.Train()
 	}
 	probe := unit(rng, dim)
 	b.ResetTimer()
@@ -264,9 +222,19 @@ func benchmarkSearch(b *testing.B, idx Index, dim, n int) {
 	}
 }
 
-func BenchmarkFlat768x10k(b *testing.B) { benchmarkSearch(b, NewFlat(768), 768, 10000) }
+func flatOn(rows [][]float32) Index { return NewFlat(len(rows[0])) }
+
+// ivfOn returns a builder of an IVF trained on the first 32 rows per
+// list.
+func ivfOn(cfg IVFConfig) func(rows [][]float32) Index {
+	return func(rows [][]float32) Index {
+		return trainedIVF(len(rows[0]), cfg, rows, 32*cfg.NList)
+	}
+}
+
+func BenchmarkFlat768x10k(b *testing.B) { benchmarkSearch(b, flatOn, 768, 10000) }
 func BenchmarkIVF768x10k(b *testing.B) {
-	benchmarkSearch(b, NewIVF(768, IVFConfig{NList: 100, NProbe: 8, Seed: 1}), 768, 10000)
+	benchmarkSearch(b, ivfOn(IVFConfig{NList: 100, NProbe: 8, Seed: 1}), 768, 10000)
 }
 
 // nearProbes draws count probes, each a perturbed copy of a random row
@@ -331,17 +299,21 @@ func BenchmarkFlatAdd768(b *testing.B) {
 	}
 }
 
-func BenchmarkFlat768x50k(b *testing.B) { benchmarkSearch(b, NewFlat(768), 768, 50000) }
+func BenchmarkFlat768x50k(b *testing.B) { benchmarkSearch(b, flatOn, 768, 50000) }
 func BenchmarkIVF768x50k(b *testing.B) {
-	benchmarkSearch(b, NewIVF(768, IVFConfig{NList: 224, NProbe: 12, Seed: 1}), 768, 50000)
+	benchmarkSearch(b, ivfOn(IVFConfig{NList: 224, NProbe: 12, Seed: 1}), 768, 50000)
 }
 
 func ExampleIVF() {
 	rng := rand.New(rand.NewSource(1))
-	idx := NewIVF(8, IVFConfig{NList: 4, NProbe: 2, TrainSize: 16, Seed: 1})
-	for i := 0; i < 32; i++ {
-		idx.Add(i, unit(rng, 8))
+	rows := make([][]float32, 32)
+	for i := range rows {
+		rows[i] = unit(rng, 8)
 	}
-	fmt.Println("trained:", idx.Trained(), "stored:", idx.Len())
-	// Output: trained: true stored: 32
+	idx := NewIVF(8, IVFConfig{NList: 4, NProbe: 2, Seed: 1}, rows[:16])
+	for i, v := range rows {
+		idx.Add(i, v)
+	}
+	fmt.Println("lists:", len(idx.lists), "stored:", idx.Len())
+	// Output: lists: 4 stored: 32
 }

@@ -2,19 +2,17 @@ package index
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/vecmath"
 )
 
-// ivfList is one inverted list: ids, row-major vectors and norms, all
-// parallel, plus each row's int8 code (row-major, len(ids) × dim), its
-// scale and its quantisation error bound from vecmath.Quantize. Rows
-// append densely and swap-delete on removal, so a scan is one linear pass
+// ivfList is one inverted list: a row arena plus, parallel to its rows,
+// each row's norm and its int8 code (row-major, len(ids) × dim), scale
+// and quantisation error bound from vecmath.Quantize. The code columns
+// move with their rows on every swap-delete, so a scan is one linear pass
 // over the codes.
 type ivfList struct {
-	ids     []int
-	vecs    []float32
+	arena
 	norms   []float32
 	codes   []int8
 	scales  []float32
@@ -22,48 +20,38 @@ type ivfList struct {
 	normMax float32 // ≥ max(norms) over finite norms; stale-high after removals (safe)
 }
 
-// add appends a row, quantising it.
+// add appends a row, quantising it. The codes keep the arena's row
+// capacity.
 func (l *ivfList) add(id int, vec []float32) {
-	dim := len(vec)
 	n := len(l.ids)
-	l.ids = append(l.ids, id)
-	l.vecs = append(l.vecs, vec...)
+	l.arena.add(id, vec)
 	norm := vecmath.Norm(vec)
 	l.norms = append(l.norms, norm)
 	if norm > l.normMax { // not for a NaN norm: that row's err is +Inf
 		l.normMax = norm
 	}
-	l.codes = slices.Grow(l.codes, dim)[:(n+1)*dim]
-	scale, err := vecmath.Quantize(vec, l.codes[n*dim:])
+	l.codes = withCap(l.codes, cap(l.vecs))[:len(l.vecs)]
+	scale, err := vecmath.Quantize(vec, l.codes[n*l.dim:])
 	l.scales = append(l.scales, scale)
 	l.errs = append(l.errs, err)
 }
 
-// swapDelete removes row i, moving the last row into its place. It
-// returns the id that moved into position i (and whether a move
-// happened) so the caller can fix its position map. The vacated tail row
-// and its code are zeroed so the removed vector is not reachable through
-// the backing arrays.
-func (l *ivfList) swapDelete(i, dim int) (movedID int, moved bool) {
-	last := len(l.ids) - 1
+// swapDelete is arena.swapDelete carrying the code columns along; the
+// vacated tail code is zeroed with its row.
+func (l *ivfList) swapDelete(i int) (movedID int, moved bool) {
+	dim, last := l.dim, len(l.ids)-1
 	if i != last {
-		l.ids[i] = l.ids[last]
-		copy(l.vecs[i*dim:(i+1)*dim], l.vecs[last*dim:(last+1)*dim])
-		copy(l.codes[i*dim:(i+1)*dim], l.codes[last*dim:(last+1)*dim])
+		copy(l.codes[i*dim:(i+1)*dim], l.codes[last*dim:])
 		l.norms[i] = l.norms[last]
 		l.scales[i] = l.scales[last]
 		l.errs[i] = l.errs[last]
-		movedID, moved = l.ids[i], true
 	}
-	vecmath.Zero(l.vecs[last*dim : (last+1)*dim])
-	clear(l.codes[last*dim : (last+1)*dim])
-	l.ids = l.ids[:last]
-	l.vecs = l.vecs[:last*dim]
+	clear(l.codes[last*dim:])
 	l.codes = l.codes[:last*dim]
 	l.norms = l.norms[:last]
 	l.scales = l.scales[:last]
 	l.errs = l.errs[:last]
-	return movedID, moved
+	return l.arena.swapDelete(i)
 }
 
 // boundMargin widens the pre-filter's comparison so float32 rounding in
@@ -118,7 +106,7 @@ func newQ8Probe(vec []float32, code []int16) q8Probe {
 
 // scan appends the list's hits ≥ tau to hits. Every returned score is
 // Dot's, bit-identical to a dense ScanDot of the list.
-func (l *ivfList) scan(vec []float32, q *q8Probe, tau float32, sc *ivfScratch, hits []Hit) []Hit {
+func (l *ivfList) scan(vec []float32, q *q8Probe, tau float32, sc *scratch, hits []Hit) []Hit {
 	rows := len(l.ids)
 	if rows == 0 {
 		return hits
@@ -129,15 +117,14 @@ func (l *ivfList) scan(vec []float32, q *q8Probe, tau float32, sc *ivfScratch, h
 	// so low that no row's score could fall below it.
 	reach := q.norm * l.normMax
 	if q.dense || !(reach <= q8Range) || thr <= -reach {
-		return l.scanDense(vec, tau, sc, hits)
+		return l.arena.scan(vec, tau, sc, hits)
 	}
 	surv := l.survivors(q, thr, sc)
 	if 2*len(surv) > rows {
-		return l.scanDense(vec, tau, sc, hits)
+		return l.arena.scan(vec, tau, sc, hits)
 	}
-	dim := len(vec)
 	for _, i := range surv {
-		if s := vecmath.Dot(vec, l.vecs[int(i)*dim:(int(i)+1)*dim]); s >= tau {
+		if s := vecmath.Dot(vec, l.row(int(i))); s >= tau {
 			hits = append(hits, Hit{ID: l.ids[i], Score: s})
 		}
 	}
@@ -146,7 +133,7 @@ func (l *ivfList) scan(vec []float32, q *q8Probe, tau float32, sc *ivfScratch, h
 
 // survivors scores the list's codes against q and returns, in
 // sc.survivors, the positions of the rows whose bound reaches thr.
-func (l *ivfList) survivors(q *q8Probe, thr float32, sc *ivfScratch) []int32 {
+func (l *ivfList) survivors(q *q8Probe, thr float32, sc *scratch) []int32 {
 	rows := len(l.ids)
 	if cap(sc.codeDots) < rows {
 		sc.codeDots = make([]int32, rows+rows/2+8)
@@ -163,20 +150,4 @@ func (l *ivfList) survivors(q *q8Probe, thr float32, sc *ivfScratch) []int32 {
 		}
 	}
 	return surv
-}
-
-// scanDense scores every row with one ScanDot pass.
-func (l *ivfList) scanDense(vec []float32, tau float32, sc *ivfScratch, hits []Hit) []Hit {
-	rows := len(l.ids)
-	if cap(sc.list) < rows {
-		sc.list = make([]float32, rows+rows/2+8)
-	}
-	out := sc.list[:rows]
-	vecmath.ScanDot(vec, l.vecs, out)
-	for i, s := range out {
-		if s >= tau {
-			hits = append(hits, Hit{ID: l.ids[i], Score: s})
-		}
-	}
-	return hits
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/vecmath"
@@ -87,29 +88,65 @@ var prefilterTaus = []float32{-1, 0, 0.5, 0.69, 0.9, 1}
 // TestIVFPrefilterMatchesDenseScan pins the pre-filter's exactness: for
 // every probe and tau, IVF's search returns exactly — IDs, order and
 // score bits — what a dense ScanDot of the same probed lists returns.
+// It checks once after the load and again after a third of the rows were
+// swap-deleted, which moves rows, and their code columns, inside lists.
 func TestIVFPrefilterMatchesDenseScan(t *testing.T) {
 	for _, dim := range []int{16, 768} {
 		rng := rand.New(rand.NewSource(int64(dim)))
 		rows, probes := prefilterRows(rng, 1200, dim)
-		x := NewIVF(dim, IVFConfig{NList: 16, NProbe: 4, TrainSize: 400, Seed: 5})
+		x := trainedIVF(dim, IVFConfig{NList: 16, NProbe: 4, Seed: 5}, rows, 400)
 		for i, v := range rows {
 			if err := x.Add(i, v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !x.Trained() {
-			t.Fatal("IVF did not self-train")
-		}
-		for pi, p := range probes {
-			for _, tau := range prefilterTaus {
-				for _, k := range []int{5, len(rows)} {
-					what := fmt.Sprintf("d=%d probe %d tau %v k %d", dim, pi, tau, k)
-					sameHits(t, what, x.Search(p, k, tau), denseProbedSearch(x, p, k, tau))
+		check := func(phase string) {
+			checkListColumns(t, x)
+			for pi, p := range probes {
+				for _, tau := range prefilterTaus {
+					for _, k := range []int{5, len(rows)} {
+						what := fmt.Sprintf("d=%d %s: probe %d tau %v k %d", dim, phase, pi, tau, k)
+						sameHits(t, what, x.Search(p, k, tau), denseProbedSearch(x, p, k, tau))
+					}
 				}
 			}
 		}
+		check("loaded")
+		for _, id := range rng.Perm(len(rows))[:len(rows)/3] {
+			x.Remove(id)
+		}
+		if want := len(rows) - len(rows)/3; x.Len() != want {
+			t.Fatalf("d=%d: Len %d after removals, want %d", dim, x.Len(), want)
+		}
+		check("after removals")
 	}
 }
+
+// checkListColumns fails t unless every list row's norm, code, scale and
+// error bound are exactly what quantising its vector gives, and every
+// vacated code byte past the live rows is zero.
+func checkListColumns(t *testing.T, x *IVF) {
+	t.Helper()
+	code := make([]int8, x.dim)
+	for li, l := range x.lists {
+		for i := range l.ids {
+			row := l.row(i)
+			scale, err := vecmath.Quantize(row, code)
+			if got := l.codes[i*x.dim : (i+1)*x.dim]; !slices.Equal(got, code) {
+				t.Fatalf("list %d row %d (id %d): code does not match its vector", li, i, l.ids[i])
+			}
+			if !sameBits(l.norms[i], vecmath.Norm(row)) || !sameBits(l.scales[i], scale) || !sameBits(l.errs[i], err) {
+				t.Fatalf("list %d row %d (id %d): norm/scale/err %v/%v/%v, want %v/%v/%v", li, i, l.ids[i],
+					l.norms[i], l.scales[i], l.errs[i], vecmath.Norm(row), scale, err)
+			}
+		}
+		if tail := l.codes[len(l.codes):cap(l.codes)]; slices.ContainsFunc(tail, func(c int8) bool { return c != 0 }) {
+			t.Fatalf("list %d: a vacated code row is not zeroed", li)
+		}
+	}
+}
+
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
 // TestIVFPrefilterBoundHolds checks the bound itself, list by list, where
 // a dense fallback cannot hide a miss: every row whose Dot reaches tau
@@ -119,13 +156,13 @@ func TestIVFPrefilterBoundHolds(t *testing.T) {
 	for _, dim := range []int{16, 768} {
 		rng := rand.New(rand.NewSource(int64(dim) + 1))
 		rows, probes := prefilterRows(rng, 1200, dim)
-		x := NewIVF(dim, IVFConfig{NList: 16, NProbe: 4, TrainSize: 400, Seed: 5})
+		x := trainedIVF(dim, IVFConfig{NList: 16, NProbe: 4, Seed: 5}, rows, 400)
 		for i, v := range rows {
 			if err := x.Add(i, v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		sc := &ivfScratch{}
+		sc := &scratch{}
 		var scanned, kept int
 		for pi, p := range probes {
 			q := newQ8Probe(p, make([]int16, dim))
@@ -185,7 +222,7 @@ func BenchmarkIVFSearch768(b *testing.B) {
 	const dim, n = 768, 4096
 	rng := rand.New(rand.NewSource(11))
 	rows := clustered(rng, n, 48, dim, 1.2/math.Sqrt(dim))
-	x := NewIVF(dim, IVFConfig{NList: 64, TrainSize: 1024, Seed: 1})
+	x := trainedIVF(dim, IVFConfig{NList: 64, Seed: 1}, rows, 1024)
 	for i, v := range rows {
 		if err := x.Add(i, v); err != nil {
 			b.Fatal(err)

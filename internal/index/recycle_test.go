@@ -27,11 +27,14 @@ func TestConformanceRemoveThenReuseAliasing(t *testing.T) {
 		t.Run(spec.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			anchors := makeAnchors(rng, 6, dim)
-			idx := spec.build(dim)
+			rows := make([][]float32, 600)
+			for i := range rows {
+				rows[i] = tightUnit(rng, anchors)
+			}
+			idx := spec.build(dim, rows)
 			o := newOracle()
 			removed := make(map[int][]float32)
-			for i := 0; i < 600; i++ {
-				v := tightUnit(rng, anchors)
+			for i, v := range rows {
 				if err := idx.Add(i, v); err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +105,7 @@ func TestConformanceRecycleChurn(t *testing.T) {
 		t.Run(spec.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(37))
 			anchors := makeAnchors(rng, 6, dim)
-			idx := spec.build(dim)
+			idx := spec.build(dim, anchorSample(anchors))
 			var stop atomic.Bool
 			var wg sync.WaitGroup
 			errs := make(chan error, readers)

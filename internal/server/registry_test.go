@@ -284,20 +284,32 @@ func TestRegistryFlushPersistsResidentTenants(t *testing.T) {
 }
 
 // TestRegistryIndexedTenantRevival: a tenant whose cache runs on a
-// pinned vector index (Options.IndexFactory) must come back on it after
-// an evict/revive cycle, with every persisted entry searchable through
-// the rebuilt index.
+// pinned vector index (Options.IndexFactory, here an Adaptive that
+// promotes past 8 entries) must come back on it after an evict/revive
+// cycle, with every persisted entry searchable through the rebuilt
+// index.
 func TestRegistryIndexedTenantRevival(t *testing.T) {
 	dir := t.TempDir()
+	var mu sync.Mutex
+	var last *index.Adaptive // the index the factory built most recently
 	factory := func(userID string) *core.Client {
 		return core.New(core.Options{
 			Encoder: &stubEncoder{dim: 16},
 			Tau:     0.9,
 			TopK:    4,
 			IndexFactory: func(dim int) index.Index {
-				return index.NewIVF(dim, index.IVFConfig{NList: 4, NProbe: 4, TrainSize: 8, Seed: 1})
+				mu.Lock()
+				defer mu.Unlock()
+				last = index.NewAdaptive(dim, index.AdaptiveConfig{FlatMax: 8})
+				return last
 			},
 		})
+	}
+	settle := func() {
+		mu.Lock()
+		a := last
+		mu.Unlock()
+		a.WaitMigration()
 	}
 	r, err := NewRegistry(RegistryConfig{
 		Shards: 1, MaxTenants: 1, PersistDir: dir, Factory: factory,
@@ -309,15 +321,16 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier := alice.Client.Cache().ServingTier(); tier != "ivf" {
-		t.Fatalf("fresh tenant cache serves from %q, want the factory's ivf", tier)
-	}
 	queries := make([]string, 10)
 	for i := range queries {
 		queries[i] = fmt.Sprintf("indexed question %d", i)
 		if _, err := alice.Client.Insert(queries[i], "a", cache.NoParent); err != nil {
 			t.Fatal(err)
 		}
+	}
+	settle()
+	if tier := alice.Client.Cache().ServingTier(); tier != "ivf" {
+		t.Fatalf("filled tenant cache serves from %q, want the factory's ivf", tier)
 	}
 	alice.Release()
 
@@ -332,6 +345,7 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer revived.Release()
+	settle()
 	if tier := revived.Client.Cache().ServingTier(); tier != "ivf" {
 		t.Fatalf("revived tenant cache serves from %q, want the factory's ivf", tier)
 	}
