@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // q8Ref is the scalar reference for ScanQ8: an int64 sum, so the test
@@ -254,83 +253,6 @@ func TestQuantizeSpecialValues(t *testing.T) {
 	for i, c := range code {
 		if c != 0 {
 			t.Fatalf("zero vector: code[%d] = %d", i, c)
-		}
-	}
-}
-
-// dequantize is a code's float32 reconstruction: code[i]·scale.
-func dequantize(code []int8, scale float32) []float32 {
-	out := make([]float32, len(code))
-	for i, c := range code {
-		out[i] = float32(c) * scale
-	}
-	return out
-}
-
-// TestQuantizeRoundTrip pins the int8 storage format abl-quantize
-// measures: every code lies in [-127, 127] (symmetric, never -128) and
-// every component reconstructs to within half a scale step, for unit
-// 768-d vectors and for arbitrary components squashed into (-1, 1).
-func TestQuantizeRoundTrip(t *testing.T) {
-	check := func(x []float32) bool {
-		code := make([]int8, len(x))
-		scale, _ := Quantize(x, code)
-		y := dequantize(code, scale)
-		for i := range x {
-			if code[i] == -128 || math.Abs(float64(x[i]-y[i])) > float64(scale)/2+1e-7 {
-				t.Logf("component %d: %v → code %d → %v at scale %v", i, x[i], code[i], y[i], scale)
-				return false
-			}
-		}
-		return true
-	}
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 100; trial++ {
-		x := randVec(rng, 768)
-		Normalize(x)
-		if !check(x) {
-			t.Fatalf("unit vector %d does not round-trip", trial)
-		}
-	}
-	squashed := func(raw []float32) bool {
-		x := make([]float32, len(raw))
-		for i, v := range raw {
-			f := float64(v)
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				f = 1
-			}
-			x[i] = float32(math.Tanh(f))
-		}
-		return check(x)
-	}
-	if err := quick.Check(squashed, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuantizeCosinePreserved bounds what int8 storage costs a cosine
-// between two quantised unit vectors: under 1% at 768-d, under 4% at
-// 64-d, where the steps are coarser relative to each component.
-func TestQuantizeCosinePreserved(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	roundTrip := func(x []float32) []float32 {
-		code := make([]int8, len(x))
-		scale, _ := Quantize(x, code)
-		return dequantize(code, scale)
-	}
-	for _, c := range []struct {
-		dim   int
-		bound float64
-	}{{768, 0.01}, {64, 0.04}} {
-		for trial := 0; trial < 50; trial++ {
-			a, b := randVec(rng, c.dim), randVec(rng, c.dim)
-			Normalize(a)
-			Normalize(b)
-			exact := Cosine(a, b)
-			approx := Cosine(roundTrip(a), roundTrip(b))
-			if e := math.Abs(float64(exact - approx)); e > c.bound {
-				t.Fatalf("d=%d: cosine error %v exceeds %v", c.dim, e, c.bound)
-			}
 		}
 	}
 }
