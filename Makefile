@@ -43,9 +43,7 @@ conformance:
 # inside one program, 30s of arbitrary widths, row counts and float32
 # bit patterns checked for ScanDot scoring every row exactly as Dot
 # does, 30s of arbitrary int16 probes and int8 rows checked for ScanQ8
-# summing every row exactly as its portable loop does, 30s of arbitrary
-# bytes against the cluster wire
-# codec (no panics, no over-allocation, canonical round trips), 30s of
+# summing every row exactly as its portable loop does, 30s of
 # fuzzer-shaped churn storms through the deterministic cluster
 # simulation (no panics, every safety invariant holds at settle), and
 # 30s of arbitrary bytes against the persisted entry codec, binary and
@@ -54,7 +52,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSearchParity -fuzztime=30s -run xxx ./internal/index/
 	$(GO) test -fuzz=FuzzScanDotParity -fuzztime=30s -run xxx ./internal/vecmath/
 	$(GO) test -fuzz=FuzzScanQ8Parity -fuzztime=30s -run xxx ./internal/vecmath/
-	$(GO) test -fuzz=FuzzWireCodec -fuzztime=30s -run xxx ./internal/cluster/
 	$(GO) test -fuzz=FuzzSimScenario -fuzztime=30s -run xxx ./internal/sim/scenario/
 	$(GO) test -fuzz=FuzzDecodeEntry -fuzztime=30s -run xxx ./internal/cache/
 

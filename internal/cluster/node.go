@@ -3,13 +3,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,9 +83,9 @@ type Config struct {
 
 	// Tracer, when non-nil, traces routed requests: the forwarding node
 	// records decode/forward spans and stitches in the owner's serving
-	// spans (propagated through the wire envelope), and this node
-	// records serving spans for envelopes that arrive carrying a trace
-	// ID. Nil disables cluster-layer tracing.
+	// spans (returned in a reply header), and this node records serving
+	// spans for forwards that arrive carrying a trace-ID header. Nil
+	// disables cluster-layer tracing.
 	Tracer *obs.Tracer
 
 	// Client, when non-nil, is used for probes and forwards (tests
@@ -111,7 +112,6 @@ type Node struct {
 	ringMu sync.Mutex // serializes rebuildRing's read-modify-write
 	peers  []*peer
 
-	inner  atomic.Pointer[http.Handler] // serving mux, set by Wrap
 	client *http.Client
 	clock  sim.Clock
 
@@ -148,13 +148,47 @@ type peer struct {
 	ringV    uint64 // last ring version the peer reported
 }
 
-// forwardedHeader marks a request already routed by a peer, so the
-// receiving node serves it locally instead of consulting the ring —
-// routing disagreements must never loop a request between nodes.
-const forwardedHeader = "X-Cluster-Forwarded-By"
+// The cluster's HTTP headers. A forward is the client's request
+// re-posted to the owner with the first three; the owner's reply comes
+// back with the last two.
+const (
+	// forwardedHeader marks a request already routed by a peer (its
+	// value is the origin's address), so the receiving node serves it
+	// locally instead of consulting the ring — routing disagreements
+	// must never loop a request between nodes.
+	forwardedHeader = "X-Cluster-Forwarded-By"
+	// ringVersionHeader is the ring version the origin routed on, in
+	// decimal; the owner counts a mismatch with its own as a stale
+	// forward (stale_forwards in /v1/cluster/status), a convergence
+	// diagnostic.
+	ringVersionHeader = "X-Cluster-Ring-Version"
+	// traceIDHeader is the origin's trace ID in hex, sent only when the
+	// origin traces the request: the owner records its serving spans
+	// under the same ID so the origin can stitch one cross-node trace.
+	traceIDHeader = "X-Cluster-Trace-Id"
+	// servedByHeader names the node that actually served a routed
+	// request.
+	servedByHeader = "X-Cluster-Served-By"
+	// spansHeader carries the owner's serving spans back to a tracing
+	// origin: the obs.AppendSpans blob, base64-encoded.
+	spansHeader = "X-Cluster-Spans"
+)
 
-// servedByHeader names the node that actually served a routed request.
-const servedByHeader = "X-Cluster-Served-By"
+// relayedHeaders are the owner's reply headers the origin passes on to
+// the client. An allow-list, so hop-by-hop headers and Content-Length
+// are never relayed.
+var relayedHeaders = []string{"Content-Type", "Retry-After", servedByHeader}
+
+const (
+	// maxForwardBody caps a routed request body the origin reads to find
+	// the tenant (over it, the request is served locally) and an owner's
+	// reply it reads to relay.
+	maxForwardBody = 4 << 20
+	// maxGossipBody caps a peer-status read; maxGossipMembers caps the
+	// alive-member list it may carry.
+	maxGossipBody    = 1 << 20
+	maxGossipMembers = 1 << 10
+)
 
 // New builds a Node. The initial ring presumes every configured peer
 // alive; the first DeadAfter probe rounds correct that for peers that are
@@ -262,16 +296,16 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-// Register installs the cluster routes — /v1/cluster/status (JSON, for
-// humans and load generators), /v1/cluster/gossip (binary PeerStatus, the
-// health-probe endpoint) and /v1/cluster/forward (binary envelope, the
-// peer-forwarding endpoint) — on the serving mux.
+// Register installs the cluster routes — /v1/cluster/status (for humans
+// and load generators) and /v1/cluster/gossip (PeerStatus, the
+// health-probe endpoint), both JSON — on the serving mux. Forwards need
+// no route of their own: they arrive on the serving routes, marked by
+// forwardedHeader.
 func (n *Node) Register(mux interface {
 	Handle(pattern string, handler http.Handler)
 }) {
 	mux.Handle("GET /v1/cluster/status", http.HandlerFunc(n.handleStatus))
 	mux.Handle("GET /v1/cluster/gossip", http.HandlerFunc(n.handleGossip))
-	mux.Handle("POST /v1/cluster/forward", http.HandlerFunc(n.handleForward))
 }
 
 // routedPaths are the tenant-scoped serving routes the cluster router
@@ -289,26 +323,30 @@ var routedPaths = map[string]struct{ hedge bool }{
 
 // Wrap returns the routing middleware around the serving mux: requests
 // for tenants this node owns pass straight through; requests for tenants
-// owned elsewhere are forwarded to the owner. The ownership check is one
-// atomic ring load — no locks on the hot path.
+// owned elsewhere are re-posted, body unchanged, to the same route on
+// the owner, and the owner's reply is relayed as the owner wrote it. The
+// ownership check is one atomic ring load — no locks on the hot path.
 func (n *Node) Wrap(inner http.Handler) http.Handler {
-	n.inner.Store(&inner)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route, routed := routedPaths[r.URL.Path]
-		if r.Method != http.MethodPost || !routed || r.Header.Get(forwardedHeader) != "" {
+		if r.Method != http.MethodPost || !routed {
 			inner.ServeHTTP(w, r)
+			return
+		}
+		if r.Header.Get(forwardedHeader) != "" {
+			n.serveForwarded(inner, w, r)
 			return
 		}
 		var wrapStart time.Time
 		if n.cfg.Tracer.Enabled() {
 			wrapStart = n.clock.Now()
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxWireBody+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, maxForwardBody+1))
 		if err != nil {
 			http.Error(w, fmt.Sprintf("cluster: reading request: %v", err), http.StatusBadRequest)
 			return
 		}
-		if len(body) > maxWireBody {
+		if len(body) > maxForwardBody {
 			// Too large to forward, but not too large to serve: splice
 			// the unread remainder back on and serve locally, preserving
 			// single-node behavior for owned tenants (and a degraded
@@ -345,48 +383,39 @@ func (n *Node) Wrap(inner http.Handler) http.Handler {
 			traceID = trace.ID
 		}
 		fwdStart := n.clock.Now()
-		resp, err := n.forward(r.Context(), owner, r.URL.Path, user, body, route.hedge, traceID)
+		rep, err := n.forward(r.Context(), owner, r.URL.Path, user, body, route.hedge, traceID)
 		if err != nil {
-			n.cfg.Tracer.Abandon(trace)
-			var answered *peerAnsweredError
-			if errors.As(err, &answered) {
-				// The owner is alive and declined — surface its error;
-				// serving locally would double-serve a healthy owner's
-				// tenant.
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-			// The owner is unreachable after retries (and, if the
-			// failures crossed DeadAfter, now off the ring). Serving
+			// No owner answered after retries (and, if the failures
+			// crossed DeadAfter, the owner is now off the ring). Serving
 			// locally keeps the tenant available: the registry revives it
 			// from shared storage, and if this node is not the tenant's
 			// home on the healed ring, the sweep hands it back off. A
 			// request whose forward timed out mid-flight may be processed
 			// twice this way — acceptable for an idempotent query path,
 			// and why hedging is safe to enable at all.
+			n.cfg.Tracer.Abandon(trace)
 			n.localFallbacks.Add(1)
 			serveLocal()
 			return
 		}
 		if trace != nil {
-			trace.Status = int(resp.Status)
-			trace.Hit = peekHit(resp.Body)
+			trace.Status = rep.status
+			trace.Hit = peekHit(rep.body)
 			trace.Add(obs.SpanForward, decodeDur, n.clock.Since(fwdStart))
-			if len(resp.Spans) > 0 {
-				// Corrupt span blobs degrade the trace, never the request.
-				if spans, derr := obs.DecodeSpans(resp.Spans); derr == nil {
-					trace.AddRemote(resp.Node, spans)
+			// A corrupt span header degrades the trace, never the reply.
+			if blob, err := base64.StdEncoding.DecodeString(rep.header.Get(spansHeader)); err == nil {
+				if spans, err := obs.DecodeSpans(blob); err == nil {
+					trace.AddRemote(rep.header.Get(servedByHeader), spans)
 				}
 			}
 		}
-		w.Header().Set(servedByHeader, resp.Node)
-		if resp.Status == http.StatusOK {
-			w.Header().Set("Content-Type", "application/json")
-		} else {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		for _, k := range relayedHeaders {
+			if v := rep.header.Get(k); v != "" {
+				w.Header().Set(k, v)
+			}
 		}
-		w.WriteHeader(int(resp.Status))
-		w.Write(resp.Body)
+		w.WriteHeader(rep.status)
+		w.Write(rep.body)
 		if trace != nil {
 			n.cfg.Tracer.Finish(trace, n.clock.Since(wrapStart))
 		}
@@ -418,8 +447,9 @@ func peekUser(body []byte) string {
 // forward failure usually coincides with a membership change, and the
 // retry should chase the tenant's new home, not hammer the old one.
 // When hedge is set (idempotent routes only), a single duplicate fires
-// if the first attempt is slow.
-func (n *Node) forward(ctx context.Context, owner, path, user string, body []byte, hedge bool, traceID uint64) (*ForwardResponse, error) {
+// if the first attempt is slow. Any HTTP answer, whatever its status,
+// is the owner's reply; only an attempt that got no answer is a failure.
+func (n *Node) forward(ctx context.Context, owner, path, user string, body []byte, hedge bool, traceID uint64) (*reply, error) {
 	var lastErr error
 	for attempt := 0; attempt <= n.cfg.ForwardRetries; attempt++ {
 		if attempt > 0 {
@@ -446,23 +476,8 @@ func (n *Node) forward(ctx context.Context, owner, path, user string, body []byt
 				continue
 			}
 		}
-		env, err := EncodeForwardRequest(&ForwardRequest{
-			Origin:      n.cfg.Self,
-			RingVersion: n.ring.Load().Version(),
-			Hops:        uint8(attempt) + 1,
-			TraceID:     traceID,
-			User:        user,
-			Path:        path,
-			Body:        body,
-		})
-		if err != nil {
-			if pb != nil {
-				pb.Cancel() // the exchange never happened
-			}
-			return nil, err
-		}
 		n.forwards.Add(1)
-		resp, err := n.forwardHedged(ctx, owner, env, hedge)
+		rep, err := n.forwardHedged(ctx, owner, path, body, traceID, hedge)
 		if err == nil {
 			// The peer answered: it is demonstrably alive, so failures
 			// accumulated from unrelated hiccups reset.
@@ -472,23 +487,10 @@ func (n *Node) forward(ctx context.Context, owner, path, user string, body []byt
 			if p != nil && p.noteExchange() {
 				n.rebuildRing("forward success")
 			}
-			return resp, nil
+			return rep, nil
 		}
 		lastErr = err
 		n.forwardErrors.Add(1)
-		var answered *peerAnsweredError
-		if errors.As(err, &answered) {
-			// The peer is alive, it just could not serve this request;
-			// retrying a deterministic application error elsewhere (or
-			// blaming the peer's health) would make things worse.
-			if pb != nil {
-				pb.Record(true)
-			}
-			if p != nil && p.noteExchange() {
-				n.rebuildRing("forward success")
-			}
-			return nil, err
-		}
 		if ctx.Err() != nil {
 			// The *client* gave up (disconnect, short deadline) — that
 			// says nothing about the peer's health, and further attempts
@@ -514,15 +516,15 @@ func (n *Node) forward(ctx context.Context, owner, path, user string, body []byt
 
 // forwardHedged runs one forward attempt and, when hedge is set,
 // launches a single duplicate if the first has not answered within
-// HedgeAfter. The first successful response wins; the loser's
-// connection is cancelled by context.
-func (n *Node) forwardHedged(ctx context.Context, owner string, env []byte, hedge bool) (*ForwardResponse, error) {
+// HedgeAfter. The first answer wins; the loser's connection is
+// cancelled by context.
+func (n *Node) forwardHedged(ctx context.Context, owner, path string, body []byte, traceID uint64, hedge bool) (*reply, error) {
 	ctx, cancel := sim.ContextWithTimeout(ctx, n.clock, n.cfg.ForwardTimeout)
 	defer cancel()
 	results := make(chan forwardResult, 2)
 	post := func() {
-		resp, err := n.postForward(ctx, owner, env)
-		results <- forwardResult{resp, err}
+		rep, err := n.postForward(ctx, owner, path, body, traceID)
+		results <- forwardResult{rep, err}
 	}
 	go post()
 	inFlight := 1
@@ -538,7 +540,7 @@ func (n *Node) forwardHedged(ctx context.Context, owner string, env []byte, hedg
 		case res := <-results:
 			inFlight--
 			if res.err == nil {
-				return res.resp, nil
+				return res.rep, nil
 			}
 			lastErr = res.err
 		case <-hedgeTimer:
@@ -559,160 +561,120 @@ func (n *Node) forwardHedged(ctx context.Context, owner string, env []byte, hedg
 }
 
 type forwardResult struct {
-	resp *ForwardResponse
-	err  error
+	rep *reply
+	err error
 }
 
-// peerAnsweredError reports that the owner's forward endpoint answered
-// but with an application-level error (non-200, or an undecodable
-// envelope from a live listener). The peer is demonstrably alive: the
-// failure must reach the client as an error, not feed the death counter
-// or trigger the local fallback — both of those are for peers that
-// cannot answer at all.
-type peerAnsweredError struct {
-	peer   string
+// reply is an owner's answer to one forward, read whole.
+type reply struct {
 	status int
-	msg    string
+	header http.Header
+	body   []byte
 }
 
-func (e *peerAnsweredError) Error() string {
-	return fmt.Sprintf("cluster: peer %s answered forward with status %d: %s", e.peer, e.status, e.msg)
-}
-
-// postForward performs the HTTP exchange for one forward attempt.
-func (n *Node) postForward(ctx context.Context, owner string, env []byte) (*ForwardResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+owner+"/v1/cluster/forward", bytes.NewReader(env))
+// postForward performs the HTTP exchange for one forward attempt: the
+// client's body, unchanged, posted to the same route on the owner.
+func (n *Node) postForward(ctx context.Context, owner, path string, body []byte, traceID uint64) (*reply, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+owner+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(forwardedHeader, n.cfg.Self)
+	req.Header.Set(ringVersionHeader, strconv.FormatUint(n.ring.Load().Version(), 10))
+	if traceID != 0 {
+		req.Header.Set(traceIDHeader, strconv.FormatUint(traceID, 16))
+	}
 	hr, err := n.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer hr.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(hr.Body, maxWireMessage))
+	raw, err := io.ReadAll(io.LimitReader(hr.Body, maxForwardBody+1))
 	if err != nil {
 		return nil, err
 	}
-	if hr.StatusCode != http.StatusOK {
-		return nil, &peerAnsweredError{peer: owner, status: hr.StatusCode, msg: string(bytes.TrimSpace(raw))}
+	if len(raw) > maxForwardBody {
+		// The owner answered, so this is no failed exchange, but its
+		// answer cannot be relayed whole.
+		return &reply{
+			status: http.StatusBadGateway,
+			header: http.Header{"Content-Type": {"text/plain; charset=utf-8"}},
+			body:   fmt.Appendf(nil, "cluster: owner %s replied with more than %d bytes\n", owner, maxForwardBody),
+		}, nil
 	}
-	resp, err := DecodeForwardResponse(raw)
-	if err != nil {
-		return nil, &peerAnsweredError{peer: owner, status: hr.StatusCode, msg: err.Error()}
-	}
-	return resp, nil
+	return &reply{status: hr.StatusCode, header: hr.Header, body: raw}, nil
 }
 
-// handleForward serves a peer-forwarded request against the local mux.
-// It serves the request even if this node no longer believes it owns the
-// tenant — the forwarder routed on its ring, and re-forwarding on a
-// disagreement would loop; the handoff sweep reconciles ownership
-// afterwards through the persistence path.
-func (n *Node) handleForward(w http.ResponseWriter, r *http.Request) {
-	innerp := n.inner.Load()
-	if innerp == nil {
-		http.Error(w, "cluster: node not serving yet", http.StatusServiceUnavailable)
-		return
-	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxWireMessage))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: reading envelope: %v", err), http.StatusBadRequest)
-		return
-	}
-	env, err := DecodeForwardRequest(raw)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if _, ok := routedPaths[env.Path]; !ok {
-		http.Error(w, fmt.Sprintf("cluster: path %q is not forwardable", env.Path), http.StatusBadRequest)
-		return
-	}
+// serveForwarded serves a request a peer routed here. It serves it even
+// if this node no longer believes it owns the tenant — the forwarder
+// routed on its ring, and re-forwarding on a disagreement would loop;
+// the handoff sweep reconciles ownership afterwards through the
+// persistence path. Malformed cluster headers never fail the request:
+// they only cost the stale-forward count or the trace.
+func (n *Node) serveForwarded(inner http.Handler, w http.ResponseWriter, r *http.Request) {
 	n.forwardedServed.Add(1)
-	if env.RingVersion != n.ring.Load().Version() {
+	if v, err := strconv.ParseUint(r.Header.Get(ringVersionHeader), 10, 64); err == nil && v != n.ring.Load().Version() {
 		// The forwarder routed on a different ring generation — expected
 		// briefly around membership changes; persistent growth of this
 		// counter means a peer's ring is not converging.
 		n.staleForwards.Add(1)
 	}
-	// When the envelope carries the origin's trace ID, serve the request
-	// under a remote trace: the serving handlers record their spans into
-	// it (via the request context) and the blob rides back to the origin
-	// for stitching. The remote trace is never published here.
-	ctx := r.Context()
-	var rt *obs.Trace
-	if env.TraceID != 0 && n.cfg.Tracer.Enabled() {
-		rt = n.cfg.Tracer.StartRemote(env.TraceID, env.Path)
-		ctx = obs.ContextWithTrace(ctx, rt)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, env.Path, bytes.NewReader(env.Body))
-	if err != nil {
-		n.cfg.Tracer.Release(rt)
-		http.Error(w, fmt.Sprintf("cluster: rebuilding request: %v", err), http.StatusInternalServerError)
+	w.Header().Set(servedByHeader, n.cfg.Self)
+	id, err := strconv.ParseUint(r.Header.Get(traceIDHeader), 16, 64)
+	if err != nil || id == 0 || !n.cfg.Tracer.Enabled() {
+		inner.ServeHTTP(w, r)
 		return
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, env.Origin)
-	rec := &responseCapture{status: http.StatusOK}
-	(*innerp).ServeHTTP(rec, req)
-	var spanBlob []byte
-	if rt != nil {
-		spanBlob = obs.AppendSpans(nil, rt.Spans())
-		n.cfg.Tracer.Release(rt)
-	}
-	out, err := EncodeForwardResponse(&ForwardResponse{
-		Node:   n.cfg.Self,
-		Status: uint16(rec.status),
-		Body:   rec.body.Bytes(),
-		Spans:  spanBlob,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(out)
+	// Serve under a remote trace: the serving handlers record their spans
+	// into it through the request context, and the spans ride back to the
+	// origin in a header. The spans are complete only once the handler has
+	// written its reply, so the reply is held until then. The remote trace
+	// is never published here.
+	rt := n.cfg.Tracer.StartRemote(id, r.URL.Path)
+	rec := &responseCapture{ResponseWriter: w, status: http.StatusOK}
+	inner.ServeHTTP(rec, r.WithContext(obs.ContextWithTrace(r.Context(), rt)))
+	w.Header().Set(spansHeader, base64.StdEncoding.EncodeToString(obs.AppendSpans(nil, rt.Spans())))
+	n.cfg.Tracer.Release(rt)
+	w.WriteHeader(rec.status)
+	w.Write(rec.body.Bytes())
 }
 
-// responseCapture buffers the local mux's response for re-encoding.
+// responseCapture holds back a handler's status and body; its headers
+// go straight to the underlying writer.
 type responseCapture struct {
+	http.ResponseWriter
 	status int
 	body   bytes.Buffer
-	header http.Header
-}
-
-func (c *responseCapture) Header() http.Header {
-	if c.header == nil {
-		c.header = make(http.Header)
-	}
-	return c.header
 }
 
 func (c *responseCapture) WriteHeader(status int)      { c.status = status }
 func (c *responseCapture) Write(p []byte) (int, error) { return c.body.Write(p) }
 
+// PeerStatus is a node's answer to a health probe (GET
+// /v1/cluster/gossip): who it is, which ring it is on, what it holds,
+// and who it currently believes is alive.
+type PeerStatus struct {
+	// Node is the responder's advertised address (its ring member ID).
+	Node string `json:"node"`
+	// RingVersion is the responder's current ring version.
+	RingVersion uint64 `json:"ring_version"`
+	// Resident is the responder's resident tenant count.
+	Resident int `json:"resident_tenants"`
+	// Alive lists the members the responder's ring currently includes.
+	Alive []string `json:"alive"`
+}
+
 // handleGossip answers a peer health probe with this node's view.
 func (n *Node) handleGossip(w http.ResponseWriter, _ *http.Request) {
 	ring := n.ring.Load()
-	resident := n.cfg.Registry.Resident()
-	if resident > int(^uint32(0)>>1) {
-		resident = int(^uint32(0) >> 1)
-	}
-	out, err := EncodePeerStatus(&PeerStatus{
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(PeerStatus{
 		Node:        n.cfg.Self,
 		RingVersion: ring.Version(),
-		Resident:    uint32(resident),
+		Resident:    n.cfg.Registry.Resident(),
 		Alive:       ring.Members(),
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(out)
 }
 
 // PeerInfo is one peer's health as reported by /v1/cluster/status.
@@ -899,23 +861,29 @@ func (n *Node) probe(addr string) (*PeerStatus, error) {
 		return nil, err
 	}
 	defer hr.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(hr.Body, maxWireMessage))
+	raw, err := io.ReadAll(io.LimitReader(hr.Body, maxGossipBody+1))
 	if err != nil {
 		return nil, err
 	}
 	if hr.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: probe status %d", hr.StatusCode)
 	}
-	status, err := DecodePeerStatus(raw)
-	if err != nil {
-		return nil, err
+	if len(raw) > maxGossipBody {
+		return nil, fmt.Errorf("cluster: peer status from %s exceeds %d bytes", addr, maxGossipBody)
+	}
+	var status PeerStatus
+	if err := json.Unmarshal(raw, &status); err != nil {
+		return nil, fmt.Errorf("cluster: peer status from %s: %w", addr, err)
+	}
+	if len(status.Alive) > maxGossipMembers {
+		return nil, fmt.Errorf("cluster: peer status from %s lists %d alive members, cap %d", addr, len(status.Alive), maxGossipMembers)
 	}
 	if status.Node != addr {
 		// A different node answering on this address is a deployment
 		// error; trusting it would split the ring.
 		return nil, fmt.Errorf("cluster: peer at %s identifies as %s", addr, status.Node)
 	}
-	return status, nil
+	return &status, nil
 }
 
 // recordFailure notes a failed exchange; reports true when it flips the

@@ -126,12 +126,8 @@ func TestHedgeVetoSuppressesDuplicate(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		time.Sleep(100 * time.Millisecond)
-		out, err := EncodeForwardResponse(&ForwardResponse{Node: "slow", Status: 200, Body: []byte("{}")})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		w.Write(out)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte("{}"))
 	}))
 	defer ts.Close()
 	owner := strings.TrimPrefix(ts.URL, "http://")
@@ -147,7 +143,7 @@ func TestHedgeVetoSuppressesDuplicate(t *testing.T) {
 		clock:  sim.Wall,
 	}
 
-	if _, err := n.forwardHedged(context.Background(), owner, []byte("env"), true); err != nil {
+	if _, err := n.forwardHedged(context.Background(), owner, "/v1/query", []byte("{}"), 0, true); err != nil {
 		t.Fatalf("hedged forward: %v", err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -159,7 +155,7 @@ func TestHedgeVetoSuppressesDuplicate(t *testing.T) {
 
 	calls.Store(0)
 	saturated.Store(true)
-	if _, err := n.forwardHedged(context.Background(), owner, []byte("env"), true); err != nil {
+	if _, err := n.forwardHedged(context.Background(), owner, "/v1/query", []byte("{}"), 0, true); err != nil {
 		t.Fatalf("vetoed forward: %v", err)
 	}
 	if got := calls.Load(); got != 1 {

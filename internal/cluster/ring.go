@@ -13,10 +13,11 @@
 //   - Ring: an immutable consistent-hash ring with virtual nodes.
 //     Placement is deterministic in the member set alone, so every node
 //     computes the same owner for every tenant without coordination.
-//   - Wire codec: a compact binary encoding for the peer-status and
-//     forwarded-request envelopes exchanged between nodes (wire.go).
 //   - Node: membership, health checking, request routing, and tenant
-//     handoff around one serving process (node.go).
+//     handoff around one serving process (node.go). Nodes speak the
+//     serving API's own HTTP and JSON: a forward re-posts the client's
+//     body to the same route on the owner, marked by cluster headers,
+//     and a health probe reads a JSON PeerStatus.
 //   - Harness: an in-process N-node cluster used by the end-to-end
 //     failover tests and `loadgen -scenario cluster` (harness.go).
 package cluster

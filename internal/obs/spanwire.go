@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Span blob codec: the compact binary form of a span list carried in a
-// cluster ForwardResponse so an origin node can stitch the owner's
-// child spans into its trace. Node attribution is not encoded — the
+// Span blob codec: the compact binary form of a span list an owner node
+// returns (base64, in a header of its reply to a forward) so the origin
+// node can stitch the owner's child spans into its trace. Node attribution is not encoded — the
 // origin knows which node answered and stamps it on merge (AddRemote).
 //
 // Layout (little-endian): u16 span count, then per span
@@ -22,10 +22,6 @@ import (
 const MaxWireSpans = 64
 
 const spanWireSize = 1 + 1 + 4 + 8 + 8
-
-// MaxSpanBlob is the largest blob AppendSpans can produce (and DecodeSpans
-// accept) — the size cap transports embedding a blob should enforce.
-const MaxSpanBlob = 2 + MaxWireSpans*spanWireSize
 
 // AppendSpans appends the blob encoding of spans to dst.
 func AppendSpans(dst []byte, spans []Span) []byte {

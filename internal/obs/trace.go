@@ -141,7 +141,7 @@ func (t *Trace) Add(kind SpanKind, start, dur time.Duration) *Span {
 }
 
 // AddRemote stitches child spans collected on node into the trace,
-// typically decoded from a ForwardResponse span blob.
+// typically decoded from the span blob of an owner's reply to a forward.
 func (t *Trace) AddRemote(node string, spans []Span) {
 	if t == nil {
 		return
@@ -296,8 +296,8 @@ func (tr *Tracer) Start(path string) *Trace {
 
 // StartRemote begins a trace on behalf of a forwarding origin node: the
 // origin's trace ID is kept so the stitched trace is one logical trace,
-// and the result is never published here — the forward handler harvests
-// its spans into the ForwardResponse and must Release it.
+// and the result is never published here — the cluster layer that serves
+// the forward harvests its spans into the reply and must Release it.
 func (tr *Tracer) StartRemote(id uint64, path string) *Trace {
 	if tr == nil {
 		return nil
@@ -339,8 +339,8 @@ func (tr *Tracer) Finish(t *Trace, total time.Duration) {
 }
 
 // Abandon releases a trace without publishing — the request-error exit.
-// Remote traces are left alone (their forward handler still harvests and
-// releases them). Nil-safe on both sides.
+// Remote traces are left alone (the cluster layer serving the forward
+// still harvests and releases them). Nil-safe on both sides.
 func (tr *Tracer) Abandon(t *Trace) {
 	if tr == nil || t == nil || t.remote {
 		return

@@ -41,9 +41,6 @@ type LimiterConfig struct {
 	// wall clock; simulations inject a virtual one so the AIMD schedule
 	// runs on virtual time.
 	Clock sim.Clock
-	// Now overrides the clock directly (tests scripting exact
-	// timestamps). Defaults to Clock.Now.
-	Now func() time.Time
 }
 
 // Outcome classifies one guarded upstream call for Release.
@@ -128,9 +125,7 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	if cfg.DecreaseCooldown <= 0 {
 		cfg.DecreaseCooldown = 100 * time.Millisecond
 	}
-	if cfg.Now == nil {
-		cfg.Now = sim.Or(cfg.Clock).Now
-	}
+	cfg.Clock = sim.Or(cfg.Clock)
 	return &Limiter{cfg: cfg, limit: float64(cfg.InitialLimit)}
 }
 
@@ -237,7 +232,7 @@ func (l *Limiter) Release(outcome Outcome, latency time.Duration) {
 // decreaseLocked applies one multiplicative decrease, rate-limited by
 // the cooldown so correlated failures collapse into one event.
 func (l *Limiter) decreaseLocked() {
-	now := l.cfg.Now()
+	now := l.cfg.Clock.Now()
 	if now.Sub(l.lastDecrease) < l.cfg.DecreaseCooldown {
 		return
 	}

@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
-func testLimiter(clk *fakeClock, min, max, initial, queue int) *Limiter {
+func testLimiter(clk *sim.VirtualClock, min, max, initial, queue int) *Limiter {
 	return NewLimiter(LimiterConfig{
 		MinLimit:         min,
 		MaxLimit:         max,
@@ -18,14 +20,14 @@ func testLimiter(clk *fakeClock, min, max, initial, queue int) *Limiter {
 		MDFactor:         0.5,
 		LatencyTolerance: 3,
 		DecreaseCooldown: 100 * time.Millisecond,
-		Now:              clk.now,
+		Clock:            clk,
 	})
 }
 
 // TestLimiterAdditiveIncrease: a limit's worth of healthy responses
 // grows the limit by one step, up to MaxLimit.
 func TestLimiterAdditiveIncrease(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	l := testLimiter(clk, 1, 8, 4, 4)
 
 	if got := l.Limit(); got != 4 {
@@ -56,7 +58,7 @@ func TestLimiterAdditiveIncrease(t *testing.T) {
 // TestLimiterMultiplicativeDecrease: a failure halves the limit; a burst
 // of correlated failures inside the cooldown counts once.
 func TestLimiterMultiplicativeDecrease(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	l := testLimiter(clk, 1, 16, 8, 4)
 
 	for i := 0; i < 4; i++ {
@@ -78,14 +80,14 @@ func TestLimiterMultiplicativeDecrease(t *testing.T) {
 	}
 
 	// After the cooldown, another failure halves again, flooring at Min.
-	clk.advance(200 * time.Millisecond)
+	clk.Advance(200 * time.Millisecond)
 	l.TryAcquire()
 	l.Release(OutcomeFailure, 0)
 	if got := l.Limit(); got != 2 {
 		t.Fatalf("limit = %v, want 2", got)
 	}
 	for i := 0; i < 10; i++ {
-		clk.advance(200 * time.Millisecond)
+		clk.Advance(200 * time.Millisecond)
 		l.TryAcquire()
 		l.Release(OutcomeFailure, 0)
 	}
@@ -97,7 +99,7 @@ func TestLimiterMultiplicativeDecrease(t *testing.T) {
 // TestLimiterLatencyGradient: healthy responses whose latency blows past
 // Tolerance × baseline trigger a decrease without any failure.
 func TestLimiterLatencyGradient(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	l := testLimiter(clk, 1, 16, 8, 4)
 
 	// Establish a ~1ms baseline.
@@ -109,7 +111,7 @@ func TestLimiterLatencyGradient(t *testing.T) {
 	// Upstream slows 50×: EWMA climbs past 3× baseline within a few
 	// responses and the limit backs off despite every call "succeeding".
 	for i := 0; i < 20; i++ {
-		clk.advance(200 * time.Millisecond)
+		clk.Advance(200 * time.Millisecond)
 		l.TryAcquire()
 		l.Release(OutcomeSuccess, 50*time.Millisecond)
 	}
@@ -124,7 +126,7 @@ func TestLimiterLatencyGradient(t *testing.T) {
 // TestLimiterQueueAndShed: at the limit requests queue up to MaxQueue,
 // then shed with a Retry-After hint.
 func TestLimiterQueueAndShed(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	l := testLimiter(clk, 1, 2, 2, 2)
 
 	if rej, err := l.Acquire(context.Background()); rej != nil || err != nil {
@@ -188,7 +190,7 @@ func TestLimiterQueueAndShed(t *testing.T) {
 // TestLimiterAcquireCancellation: a queued waiter whose context dies
 // leaves the queue cleanly and does not leak its (never-granted) slot.
 func TestLimiterAcquireCancellation(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	l := testLimiter(clk, 1, 1, 1, 4)
 
 	if rej, err := l.Acquire(context.Background()); rej != nil || err != nil {
@@ -220,7 +222,7 @@ func TestLimiterAcquireCancellation(t *testing.T) {
 // current inflight, freed slots are retired instead of handed to waiters
 // until inflight fits the new limit again.
 func TestLimiterShrinkBelowInflight(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	l := testLimiter(clk, 1, 8, 8, 8)
 	for i := 0; i < 8; i++ {
 		if !l.TryAcquire() {
@@ -243,7 +245,7 @@ func TestLimiterShrinkBelowInflight(t *testing.T) {
 	}
 	// Draining to 3 in-flight lets the waiter in (3 < 4).
 	for i := 0; i < 4; i++ {
-		clk.advance(time.Second)
+		clk.Advance(time.Second)
 		l.Release(OutcomeSuccess, time.Millisecond)
 	}
 	select {

@@ -49,9 +49,6 @@ type BreakerConfig struct {
 	// clock; simulations inject a virtual one so open→half-open
 	// transitions run on virtual time.
 	Clock sim.Clock
-	// Now overrides the clock directly (tests scripting exact
-	// timestamps). Defaults to Clock.Now.
-	Now func() time.Time
 }
 
 // Breaker is a circuit breaker over a sliding window of call outcomes:
@@ -98,9 +95,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.HalfOpenProbes <= 0 {
 		cfg.HalfOpenProbes = 3
 	}
-	if cfg.Now == nil {
-		cfg.Now = sim.Or(cfg.Clock).Now
-	}
+	cfg.Clock = sim.Or(cfg.Clock)
 	return &Breaker{cfg: cfg, outcomes: make([]bool, cfg.Window)}
 }
 
@@ -115,7 +110,7 @@ func (b *Breaker) Allow() *Rejection {
 		b.mu.Unlock()
 		return nil
 	case StateOpen:
-		now := b.cfg.Now()
+		now := b.cfg.Clock.Now()
 		if wait := b.openedAt.Add(b.cfg.OpenFor).Sub(now); wait > 0 {
 			b.mu.Unlock()
 			b.shedOpen.Add(1)
@@ -183,7 +178,7 @@ func (b *Breaker) Cancel() {
 // tripLocked opens the breaker and stamps the cool-off clock.
 func (b *Breaker) tripLocked() {
 	b.setStateLocked(StateOpen)
-	b.openedAt = b.cfg.Now()
+	b.openedAt = b.cfg.Clock.Now()
 	b.opens.Add(1)
 	b.resetWindowLocked()
 	b.inProbes, b.okProbes = 0, 0
@@ -252,7 +247,7 @@ func (b *Breaker) Stats() BreakerStats {
 		WindowFailures: b.failures,
 	}
 	if b.state == StateOpen {
-		if wait := b.openedAt.Add(b.cfg.OpenFor).Sub(b.cfg.Now()); wait > 0 {
+		if wait := b.openedAt.Add(b.cfg.OpenFor).Sub(b.cfg.Clock.Now()); wait > 0 {
 			s.RetryAfterMS = wait.Milliseconds()
 		}
 	}

@@ -4,26 +4,18 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
-// fakeClock is a manually advanced clock for deterministic state-machine
-// tests.
-type fakeClock struct{ t time.Time }
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func testBreaker(clk *fakeClock) *Breaker {
+func testBreaker(clk *sim.VirtualClock) *Breaker {
 	return NewBreaker(BreakerConfig{
 		Window:         10,
 		MinSamples:     4,
 		FailureRatio:   0.5,
 		OpenFor:        time.Second,
 		HalfOpenProbes: 2,
-		Now:            clk.now,
+		Clock:          clk,
 	})
 }
 
@@ -55,7 +47,7 @@ func mustReject(t *testing.T, b *Breaker, msg string) *Rejection {
 // under mixed traffic, tripped by a failure burst, open while cooling
 // off, half-open probes, closed again on probe success.
 func TestBreakerTripsOnFailureRatio(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	b := testBreaker(clk)
 
 	// Healthy traffic never trips.
@@ -86,14 +78,14 @@ func TestBreakerTripsOnFailureRatio(t *testing.T) {
 	if rej.RetryAfter <= 0 || rej.RetryAfter > time.Second {
 		t.Fatalf("open retry-after = %v", rej.RetryAfter)
 	}
-	clk.advance(400 * time.Millisecond)
+	clk.Advance(400 * time.Millisecond)
 	if rej := mustReject(t, b, "still open"); rej.RetryAfter > 600*time.Millisecond {
 		t.Fatalf("retry-after should shrink with the clock, got %v", rej.RetryAfter)
 	}
 
 	// Cool-off elapses: exactly HalfOpenProbes trial calls pass, the
 	// rest are shed.
-	clk.advance(700 * time.Millisecond)
+	clk.Advance(700 * time.Millisecond)
 	mustAllow(t, b, "probe 1")
 	if got := b.State(); got != StateHalfOpen {
 		t.Fatalf("state after cool-off = %s, want half_open", StateName(got))
@@ -116,7 +108,7 @@ func TestBreakerTripsOnFailureRatio(t *testing.T) {
 // TestBreakerHalfOpenFailureReopens: any probe failure slams the breaker
 // back open and restarts the cool-off.
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	b := testBreaker(clk)
 	for i := 0; i < 4; i++ {
 		mustAllow(t, b, "failing")
@@ -125,7 +117,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	if b.State() != StateOpen {
 		t.Fatalf("precondition: breaker should be open")
 	}
-	clk.advance(time.Second + time.Millisecond)
+	clk.Advance(time.Second + time.Millisecond)
 	mustAllow(t, b, "probe")
 	b.Record(false)
 	if b.State() != StateOpen {
@@ -141,13 +133,13 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 // TestBreakerCancelReturnsProbeSlot: an abandoned probe (client gone,
 // limiter shed) must not wedge half-open.
 func TestBreakerCancelReturnsProbeSlot(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	b := testBreaker(clk)
 	for i := 0; i < 4; i++ {
 		mustAllow(t, b, "failing")
 		b.Record(false)
 	}
-	clk.advance(time.Second + time.Millisecond)
+	clk.Advance(time.Second + time.Millisecond)
 	mustAllow(t, b, "probe 1")
 	mustAllow(t, b, "probe 2")
 	mustReject(t, b, "budget spent")
@@ -163,7 +155,7 @@ func TestBreakerCancelReturnsProbeSlot(t *testing.T) {
 // TestBreakerMinSamples: the ratio cannot trip before MinSamples
 // outcomes are in the window (one early failure is not an outage).
 func TestBreakerMinSamples(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	b := testBreaker(clk) // MinSamples: 4
 	for i := 0; i < 3; i++ {
 		mustAllow(t, b, "early failure")
@@ -194,10 +186,10 @@ func TestBreakerPropertyScriptedSequences(t *testing.T) {
 	)
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		clk := newFakeClock()
+		clk := sim.NewVirtual()
 		b := NewBreaker(BreakerConfig{
 			Window: window, MinSamples: minSamples, FailureRatio: ratio,
-			OpenFor: openFor, HalfOpenProbes: probes, Now: clk.now,
+			OpenFor: openFor, HalfOpenProbes: probes, Clock: clk,
 		})
 		// Model of the closed-state window.
 		var model []bool
@@ -205,7 +197,7 @@ func TestBreakerPropertyScriptedSequences(t *testing.T) {
 		prevState := StateClosed
 		for step := 0; step < 400; step++ {
 			if rng.Intn(4) == 0 {
-				clk.advance(time.Duration(rng.Intn(700)) * time.Millisecond)
+				clk.Advance(time.Duration(rng.Intn(700)) * time.Millisecond)
 			}
 			state := b.State()
 			// Invariant: legal transitions only.

@@ -30,9 +30,6 @@ type QuotaConfig struct {
 	// simulations inject a virtual one so bucket refill runs on virtual
 	// time.
 	Clock sim.Clock
-	// Now overrides the clock directly (tests scripting exact
-	// timestamps). Defaults to Clock.Now.
-	Now func() time.Time
 }
 
 // TokenBuckets is a sharded table of lazily created per-tenant token
@@ -78,9 +75,7 @@ func NewTokenBuckets(cfg QuotaConfig) *TokenBuckets {
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 65536
 	}
-	if cfg.Now == nil {
-		cfg.Now = sim.Or(cfg.Clock).Now
-	}
+	cfg.Clock = sim.Or(cfg.Clock)
 	tb := &TokenBuckets{cfg: cfg, shards: make([]bucketShard, cfg.Shards)}
 	for i := range tb.shards {
 		tb.shards[i].buckets = make(map[string]*bucket)
@@ -122,12 +117,12 @@ func (tb *TokenBuckets) Allow(tenant string) *Rejection {
 				tb.allowed.Add(1)
 				return nil
 			}
-			b = &bucket{tokens: tb.cfg.Burst, last: tb.cfg.Now()}
+			b = &bucket{tokens: tb.cfg.Burst, last: tb.cfg.Clock.Now()}
 			sh.buckets[tenant] = b
 		}
 		sh.mu.Unlock()
 	}
-	now := tb.cfg.Now()
+	now := tb.cfg.Clock.Now()
 	b.mu.Lock()
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens += dt * tb.cfg.Rate

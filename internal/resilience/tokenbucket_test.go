@@ -5,16 +5,18 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
-func testBuckets(clk *fakeClock, rate, burst float64) *TokenBuckets {
-	return NewTokenBuckets(QuotaConfig{Rate: rate, Burst: burst, Now: clk.now})
+func testBuckets(clk *sim.VirtualClock, rate, burst float64) *TokenBuckets {
+	return NewTokenBuckets(QuotaConfig{Rate: rate, Burst: burst, Clock: clk})
 }
 
 // TestTokenBucketBurstThenRefill: a fresh tenant gets exactly Burst
 // tokens, then refills at Rate.
 func TestTokenBucketBurstThenRefill(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	tb := testBuckets(clk, 10, 5)
 
 	for i := 0; i < 5; i++ {
@@ -35,7 +37,7 @@ func TestTokenBucketBurstThenRefill(t *testing.T) {
 	}
 
 	// 250ms refills 2.5 tokens: exactly 2 more requests pass.
-	clk.advance(250 * time.Millisecond)
+	clk.Advance(250 * time.Millisecond)
 	for i := 0; i < 2; i++ {
 		if rej := tb.Allow("alice"); rej != nil {
 			t.Fatalf("post-refill request %d rejected: %v", i, rej)
@@ -49,14 +51,14 @@ func TestTokenBucketBurstThenRefill(t *testing.T) {
 // TestTokenBucketRefillAccuracy: over a long horizon the admitted count
 // converges to burst + rate×time, independent of the polling cadence.
 func TestTokenBucketRefillAccuracy(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	tb := testBuckets(clk, 7, 3)
 
 	admitted := 0
 	// Poll aggressively (every 10ms for 10s); the bucket must admit
 	// exactly burst + floor-ish rate×10s.
 	for i := 0; i < 1000; i++ {
-		clk.advance(10 * time.Millisecond)
+		clk.Advance(10 * time.Millisecond)
 		for tb.Allow("bob") == nil {
 			admitted++
 		}
@@ -75,12 +77,12 @@ func TestTokenBucketRefillAccuracy(t *testing.T) {
 
 // TestTokenBucketCapsAtBurst: idling does not accumulate more than Burst.
 func TestTokenBucketCapsAtBurst(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	tb := testBuckets(clk, 10, 4)
 	if tb.Allow("carol") != nil {
 		t.Fatalf("first request rejected")
 	}
-	clk.advance(time.Hour)
+	clk.Advance(time.Hour)
 	admitted := 0
 	for tb.Allow("carol") == nil {
 		admitted++
@@ -93,7 +95,7 @@ func TestTokenBucketCapsAtBurst(t *testing.T) {
 // TestTokenBucketTenantIsolation: one tenant exhausting its bucket does
 // not affect another's.
 func TestTokenBucketTenantIsolation(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	tb := testBuckets(clk, 5, 2)
 	tb.Allow("greedy")
 	tb.Allow("greedy")
@@ -115,8 +117,8 @@ func TestTokenBucketTenantIsolation(t *testing.T) {
 // TestTokenBucketMaxTenantsDegradesOpen: a full table admits new tenants
 // untracked instead of blocking or evicting.
 func TestTokenBucketMaxTenantsDegradesOpen(t *testing.T) {
-	clk := newFakeClock()
-	tb := NewTokenBuckets(QuotaConfig{Rate: 1, Burst: 1, Shards: 1, MaxTenants: 2, Now: clk.now})
+	clk := sim.NewVirtual()
+	tb := NewTokenBuckets(QuotaConfig{Rate: 1, Burst: 1, Shards: 1, MaxTenants: 2, Clock: clk})
 	for i := 0; i < 10; i++ {
 		tenant := fmt.Sprintf("t%d", i)
 		if rej := tb.Allow(tenant); rej != nil {

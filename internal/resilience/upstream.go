@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Caller is the upstream call shape the guard wraps. It structurally
@@ -36,7 +34,6 @@ type Guard struct {
 	limiter *Limiter
 	breaker *Breaker
 	timeout time.Duration
-	clock   sim.Clock
 
 	calls     atomic.Int64
 	successes atomic.Int64
@@ -48,18 +45,11 @@ type Guard struct {
 // disabled) and a per-call timeout (0 = none beyond the request's own
 // deadline).
 func NewGuard(inner Caller, g *Governor, timeout time.Duration) *Guard {
-	u := &Guard{inner: inner, timeout: timeout, clock: sim.Wall}
+	u := &Guard{inner: inner, timeout: timeout}
 	if g != nil {
 		u.limiter = g.Limiter
 		u.breaker = g.Breaker
 	}
-	return u
-}
-
-// WithClock sets the time source for latency measurement and the
-// per-call timeout (simulations). Returns the guard for chaining.
-func (u *Guard) WithClock(c sim.Clock) *Guard {
-	u.clock = sim.Or(c)
 	return u
 }
 
@@ -93,12 +83,12 @@ func (u *Guard) QueryContext(ctx context.Context, q string) (string, time.Durati
 	cctx := ctx
 	var cancel context.CancelFunc
 	if u.timeout > 0 {
-		cctx, cancel = sim.ContextWithTimeout(ctx, u.clock, u.timeout)
+		cctx, cancel = context.WithTimeout(ctx, u.timeout)
 	}
 	u.calls.Add(1)
-	start := u.clock.Now()
+	start := time.Now()
 	resp, took, err := u.inner.QueryContext(cctx, q)
-	wall := u.clock.Since(start)
+	wall := time.Since(start)
 	if cancel != nil {
 		cancel()
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // scriptedUpstream is a Caller whose behaviour each call is drawn from a
@@ -41,11 +43,11 @@ func (s *scriptedUpstream) QueryContext(ctx context.Context, q string) (string, 
 	return "resp:" + q, s.delay, nil
 }
 
-func guardGovernor(clk *fakeClock) *Governor {
+func guardGovernor(clk *sim.VirtualClock) *Governor {
 	return NewGovernor(GovernorConfig{
-		Limiter: LimiterConfig{MinLimit: 1, MaxLimit: 4, InitialLimit: 4, MaxQueue: 1, Now: clk.now},
+		Limiter: LimiterConfig{MinLimit: 1, MaxLimit: 4, InitialLimit: 4, MaxQueue: 1, Clock: clk},
 		Breaker: BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5,
-			OpenFor: time.Second, HalfOpenProbes: 1, Now: clk.now},
+			OpenFor: time.Second, HalfOpenProbes: 1, Clock: clk},
 	})
 }
 
@@ -53,7 +55,7 @@ func guardGovernor(clk *fakeClock) *Governor {
 // and subsequent calls shed with CacheOnly, then the breaker recovers
 // through a half-open probe once the upstream heals.
 func TestGuardTripsBreakerIntoCacheOnly(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	g := guardGovernor(clk)
 	boom := errors.New("upstream down")
 	up := &scriptedUpstream{script: []error{boom, boom}}
@@ -82,7 +84,7 @@ func TestGuardTripsBreakerIntoCacheOnly(t *testing.T) {
 	}
 
 	// Upstream heals; the cool-off elapses; one probe closes the breaker.
-	clk.advance(time.Second + time.Millisecond)
+	clk.Advance(time.Second + time.Millisecond)
 	resp, _, err := u.QueryContext(context.Background(), "probe")
 	if err != nil || resp != "resp:probe" {
 		t.Fatalf("probe call: %q %v", resp, err)
@@ -99,7 +101,7 @@ func TestGuardTripsBreakerIntoCacheOnly(t *testing.T) {
 // TestGuardTimeoutCountsAsFailure: a call exceeding the guard timeout is
 // recorded as a failure for limiter and breaker.
 func TestGuardTimeoutCountsAsFailure(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	g := guardGovernor(clk)
 	up := &scriptedUpstream{script: []error{errBlockCtx, errBlockCtx}}
 	u := NewGuard(up, g, 5*time.Millisecond)
@@ -125,7 +127,7 @@ func TestGuardTimeoutCountsAsFailure(t *testing.T) {
 // records neither success nor failure — disconnects cannot trip the
 // breaker or shrink the limit.
 func TestGuardClientDisconnectIsNeutral(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	g := guardGovernor(clk)
 	up := &scriptedUpstream{script: []error{errBlockCtx}}
 	u := NewGuard(up, g, 0)
@@ -157,10 +159,10 @@ func TestGuardClientDisconnectIsNeutral(t *testing.T) {
 // TestGuardSaturationShedsWithoutBreakerPollution: limiter saturation
 // rejections must not feed fake outcomes into the breaker window.
 func TestGuardSaturationShedsWithoutBreakerPollution(t *testing.T) {
-	clk := newFakeClock()
+	clk := sim.NewVirtual()
 	g := NewGovernor(GovernorConfig{
-		Limiter: LimiterConfig{MinLimit: 1, MaxLimit: 1, InitialLimit: 1, MaxQueue: 1, Now: clk.now},
-		Breaker: BreakerConfig{Window: 4, MinSamples: 2, OpenFor: time.Second, Now: clk.now},
+		Limiter: LimiterConfig{MinLimit: 1, MaxLimit: 1, InitialLimit: 1, MaxQueue: 1, Clock: clk},
+		Breaker: BreakerConfig{Window: 4, MinSamples: 2, OpenFor: time.Second, Clock: clk},
 	})
 	up := &scriptedUpstream{script: []error{errBlockCtx}}
 	u := NewGuard(up, g, 0)
