@@ -13,7 +13,9 @@
 package cache
 
 import (
+	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +39,13 @@ type Entry struct {
 	lastUsed int64
 	hits     int64
 	seq      int64 // insertion order
+
+	// Under the write lock only: the policy key this entry was last
+	// placed in the eviction heap with, its index in Cache.entries, and
+	// the IDs of the live entries whose Parent it is.
+	key      evictKey
+	pos      int
+	children []int
 }
 
 // Match is a search result: a cached entry and its cosine similarity to
@@ -53,8 +62,8 @@ type Cache struct {
 	capacity int // 0 = unbounded
 	policy   Policy
 
-	entries []*Entry    // dense scan order
-	byID    map[int]int // entry ID -> index in entries
+	entries entryHeap      // eviction min-heap on the policy's key (eviction.go)
+	byID    map[int]*Entry // entry ID -> entry
 	nextID  int
 	clock   int64
 	// idx owns similarity search: the exact index.Flat under New, the
@@ -101,7 +110,7 @@ func newCache(dim, capacity int, policy Policy, idx index.Index) *Cache {
 		dim:      dim,
 		capacity: capacity,
 		policy:   policy,
-		byID:     make(map[int]int),
+		byID:     make(map[int]*Entry),
 		idx:      idx,
 	}
 }
@@ -152,7 +161,9 @@ func (c *Cache) Stats() Stats {
 // returning the new entry's ID. The embedding must have the cache's
 // dimension; parent must be NoParent or a live entry ID. If the cache is
 // full, the eviction policy selects a victim first (cascading to the
-// victim's descendants so no chain ever dangles).
+// victim's descendants so no chain ever dangles): the top of the
+// policy's heap, O(log n) per eviction, and the cascade walks the
+// victim's child lists, so a fill never scans the cache.
 func (c *Cache) Put(query, response string, emb []float32, parent int) (int, error) {
 	if len(emb) != c.dim {
 		return 0, fmt.Errorf("cache: embedding dim %d, want %d", len(emb), c.dim)
@@ -170,7 +181,7 @@ func (c *Cache) Put(query, response string, emb []float32, parent int) (int, err
 		// entry's chain dangling.
 		protected := c.ancestorSet(parent)
 		for len(c.entries) >= c.capacity {
-			victim := c.policy.victim(c.entries)
+			victim := c.victim()
 			if victim == nil {
 				break
 			}
@@ -188,34 +199,43 @@ func (c *Cache) Put(query, response string, emb []float32, parent int) (int, err
 	if err := c.idx.Add(id, emb); err != nil { // Add copies emb
 		return 0, fmt.Errorf("cache: indexing entry: %w", err)
 	}
-	c.clock++
-	c.byID[id] = len(c.entries)
-	c.entries = append(c.entries, &Entry{
-		ID:       id,
-		Query:    query,
-		Response: response,
-		Parent:   parent,
-		lastUsed: c.clock,
-		seq:      c.clock,
-	})
+	c.link(&Entry{ID: id, Query: query, Response: response, Parent: parent})
 	c.puts++
 	return id, nil
 }
 
-// ancestorSet returns id plus all its ancestors; empty for NoParent.
+// link adds e, whose vector the index already holds, as the newest entry:
+// stamped with the next clock tick, pushed on the eviction heap and
+// appended to its parent's child list. Put and LoadFrom both insert
+// through it. Callers hold the write lock.
+func (c *Cache) link(e *Entry) {
+	c.clock++
+	e.lastUsed, e.seq = c.clock, c.clock
+	e.key, _ = c.policy.key(e)
+	heap.Push(&c.entries, e)
+	c.byID[e.ID] = e
+	if p, ok := c.byID[e.Parent]; ok { // never for NoParent, which no entry has as ID
+		p.children = append(p.children, e.ID)
+	}
+}
+
+// ancestorSet returns id plus all its ancestors; nil for NoParent.
 // Callers hold the write lock.
 func (c *Cache) ancestorSet(id int) map[int]bool {
+	if id == NoParent {
+		return nil
+	}
 	set := make(map[int]bool)
 	for id != NoParent {
 		if set[id] {
 			break // defensive: a cycle would otherwise loop forever
 		}
 		set[id] = true
-		idx, ok := c.byID[id]
+		e, ok := c.byID[id]
 		if !ok {
 			break
 		}
-		id = c.entries[idx].Parent
+		id = e.Parent
 	}
 	return set
 }
@@ -246,11 +266,8 @@ func (c *Cache) Vector(id int, dst []float32) ([]float32, bool) {
 func (c *Cache) Get(id int) (*Entry, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	idx, ok := c.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return c.entries[idx], true
+	e, ok := c.byID[id]
+	return e, ok
 }
 
 // Touch records a cache hit on id for the eviction policy. It follows
@@ -258,12 +275,12 @@ func (c *Cache) Get(id int) (*Entry, bool) {
 // it, and updates its counters atomically: under the write lock each hit
 // on a busy tenant waited out the searches in flight while holding back
 // every search that arrived behind it. The policies read the counters
-// under the write lock, which excludes Touch.
+// under the write lock, which excludes Touch; the entry stays where it is
+// in the eviction heap until Put finds its key stale.
 func (c *Cache) Touch(id int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if idx, ok := c.byID[id]; ok {
-		e := c.entries[idx]
+	if e, ok := c.byID[id]; ok {
 		atomic.StoreInt64(&e.lastUsed, atomic.AddInt64(&c.clock, 1))
 		atomic.AddInt64(&e.hits, 1)
 	}
@@ -277,33 +294,27 @@ func (c *Cache) Remove(id int) {
 	c.removeCascade(id)
 }
 
+// removeCascade removes id and its descendants, breadth-first through
+// the child lists, so the order of removals is deterministic.
 func (c *Cache) removeCascade(id int) {
-	if _, ok := c.byID[id]; !ok {
+	root, ok := c.byID[id]
+	if !ok {
 		return
 	}
-	// Collect descendants breadth-first.
-	doomed := map[int]bool{id: true}
-	for changed := true; changed; {
-		changed = false
-		for _, e := range c.entries {
-			if e.Parent != NoParent && doomed[e.Parent] && !doomed[e.ID] {
-				doomed[e.ID] = true
-				changed = true
-			}
-		}
+	if p, ok := c.byID[root.Parent]; ok {
+		// Only the root leaves a live parent behind: every other doomed
+		// entry's parent is doomed too.
+		i := slices.Index(p.children, id)
+		p.children = slices.Delete(p.children, i, i+1)
 	}
-	for did := range doomed {
-		idx, ok := c.byID[did]
-		if !ok {
-			continue
+	for queue := []*Entry{root}; len(queue) > 0; queue = queue[1:] {
+		e := queue[0]
+		for _, cid := range e.children {
+			queue = append(queue, c.byID[cid])
 		}
-		last := len(c.entries) - 1
-		moved := c.entries[last]
-		c.entries[idx] = moved
-		c.byID[moved.ID] = idx
-		c.entries = c.entries[:last]
-		delete(c.byID, did)
-		c.idx.Remove(did)
+		heap.Remove(&c.entries, e.pos)
+		delete(c.byID, e.ID)
+		c.idx.Remove(e.ID)
 		c.evictions++
 	}
 }
@@ -314,17 +325,14 @@ func (c *Cache) Chain(id int) []*Entry {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var rev []*Entry
-	cur, ok := c.byID[id]
+	e, ok := c.byID[id]
 	if !ok {
 		return nil
 	}
-	e := c.entries[cur]
 	for e.Parent != NoParent {
-		idx, ok := c.byID[e.Parent]
-		if !ok {
+		if e, ok = c.byID[e.Parent]; !ok {
 			break
 		}
-		e = c.entries[idx]
 		rev = append(rev, e)
 	}
 	// Reverse to oldest-first.
@@ -366,8 +374,8 @@ func (c *Cache) FindSimilarAppend(emb []float32, k int, tau float32, dst []Match
 	}
 	before := len(dst)
 	for _, h := range hits {
-		if pos, ok := c.byID[h.ID]; ok {
-			dst = append(dst, Match{Entry: c.entries[pos], Score: h.Score})
+		if e, ok := c.byID[h.ID]; ok {
+			dst = append(dst, Match{Entry: e, Score: h.Score})
 		}
 	}
 	*buf = hits[:0]

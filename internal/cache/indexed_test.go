@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -293,5 +294,38 @@ func TestLoadFromWithIndex(t *testing.T) {
 	used.Add(1, unit(8, 1))
 	if _, err := LoadFromWithIndex(st, 8, 0, LRU{}, used); err == nil {
 		t.Fatal("non-empty index accepted")
+	}
+}
+
+// BenchmarkCachePutFull768 times a fill of a full tenant: a 4,096-entry
+// 768-d LRU cache on Adaptive promoted to IVF (FlatMax 1,024), where
+// every Put evicts one entry. One entry is touched per Put, as hits do
+// between fills, so stale heap keys are part of the cost.
+func BenchmarkCachePutFull768(b *testing.B) {
+	const dim, capacity = 768, 4096
+	idx := index.NewAdaptive(dim, index.AdaptiveConfig{FlatMax: 1024})
+	c := NewWithIndex(dim, capacity, LRU{}, idx)
+	vecs := make([][]float32, 512)
+	for i := range vecs {
+		vecs[i] = unit(dim, int64(i))
+	}
+	for i := range capacity {
+		if _, err := c.Put("q", "r", vecs[i%len(vecs)], NoParent); err != nil {
+			b.Fatal(err)
+		}
+	}
+	idx.WaitMigration()
+	if tier := c.ServingTier(); tier != "ivf" {
+		b.Fatalf("serving tier %q, want ivf", tier)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := c.Put("q", "r", vecs[i%len(vecs)], NoParent)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Touch(id - rng.Intn(capacity))
 	}
 }

@@ -206,12 +206,7 @@ func loadEntries(c *Cache, st *store.Store, dim int) error {
 				c.mu.Unlock()
 				return fmt.Errorf("cache: indexing loaded entry %d: %w", w.ID, err)
 			}
-			c.clock++
-			c.byID[w.ID] = len(c.entries)
-			c.entries = append(c.entries, &Entry{
-				ID: w.ID, Query: w.Query, Response: w.Response, Parent: w.Parent,
-				lastUsed: c.clock, seq: c.clock,
-			})
+			c.link(&Entry{ID: w.ID, Query: w.Query, Response: w.Response, Parent: w.Parent})
 			if w.ID >= c.nextID {
 				c.nextID = w.ID + 1
 			}

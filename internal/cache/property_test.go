@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -13,7 +14,9 @@ import (
 //  1. byID is a bijection onto the entries slice,
 //  2. no live entry has a dangling parent,
 //  3. Len never exceeds capacity (when bounded),
-//  4. Chain always terminates and is acyclic.
+//  4. Chain always terminates and is acyclic,
+//  5. every child list holds exactly the entries whose Parent it is,
+//  6. the eviction heap is ordered and every entry's pos is its slot.
 func TestRandomOperationsInvariants(t *testing.T) {
 	for _, capacity := range []int{0, 8, 32} {
 		for _, policy := range []Policy{LRU{}, LFU{}, FIFO{}} {
@@ -65,14 +68,24 @@ func checkInvariants(t *testing.T, c *Cache, capacity, step int) {
 	if capacity > 0 && len(c.entries) > capacity {
 		t.Fatalf("step %d: %d entries exceed capacity %d", step, len(c.entries), capacity)
 	}
+	children := make(map[int][]int)
 	for i, e := range c.entries {
-		if got, ok := c.byID[e.ID]; !ok || got != i {
-			t.Fatalf("step %d: byID[%d] = %d,%v; want %d", step, e.ID, got, ok, i)
+		if got, ok := c.byID[e.ID]; !ok || got != e {
+			t.Fatalf("step %d: byID[%d] = %p,%v; want entry %p", step, e.ID, got, ok, e)
 		}
 		if e.Parent != NoParent {
 			if _, ok := c.byID[e.Parent]; !ok {
 				t.Fatalf("step %d: entry %d has dangling parent %d", step, e.ID, e.Parent)
 			}
+			children[e.Parent] = append(children[e.Parent], e.ID)
+		}
+		checkHeapSlot(t, c, i, step)
+	}
+	// Every child list holds exactly the entries naming it as Parent.
+	for _, e := range c.entries {
+		got, want := slices.Sorted(slices.Values(e.children)), slices.Sorted(slices.Values(children[e.ID]))
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: entry %d children %v, want %v", step, e.ID, got, want)
 		}
 	}
 	// Chains terminate (acyclic) — bounded walk.
@@ -84,11 +97,28 @@ func checkInvariants(t *testing.T, c *Cache, capacity, step int) {
 				t.Fatalf("step %d: cycle through entry %d", step, cur.ID)
 			}
 			seen[cur.ID] = true
-			idx, ok := c.byID[cur.Parent]
+			p, ok := c.byID[cur.Parent]
 			if !ok {
 				break
 			}
-			cur = c.entries[idx]
+			cur = p
 		}
+	}
+}
+
+// checkHeapSlot checks entry i's heap position and order: pos is its
+// index, its stored key is not below its parent slot's, and no stored key
+// is above its live key (keys only grow, which the lazy pop relies on).
+func checkHeapSlot(t *testing.T, c *Cache, i, step int) {
+	t.Helper()
+	e := c.entries[i]
+	if e.pos != i {
+		t.Fatalf("step %d: entry %d at heap slot %d records pos %d", step, e.ID, i, e.pos)
+	}
+	if p := (i - 1) / 2; i > 0 && e.key.less(c.entries[p].key) {
+		t.Fatalf("step %d: heap slot %d key %v below its parent slot's %v", step, i, e.key, c.entries[p].key)
+	}
+	if live, _ := c.policy.key(e); live.less(e.key) {
+		t.Fatalf("step %d: entry %d stored key %v above its live key %v", step, e.ID, e.key, live)
 	}
 }

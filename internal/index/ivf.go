@@ -158,10 +158,24 @@ func (x *IVF) Vector(id int, dst []float32) ([]float32, bool) {
 	return append(dst, x.lists[ref.list].row(ref.pos)...), true
 }
 
+// nearestCentroid scores every centroid with one ScanDot pass, as
+// SearchAppend does, and returns the first best. ScanDot's scores are
+// Dot's bit for bit, so a row joins the list a per-centroid Dot loop
+// would pick.
 func (x *IVF) nearestCentroid(vec []float32) int {
+	sc := x.getScratch()
+	defer x.scratch.Put(sc)
+	scores := sc.scores[:x.centroids.Rows]
+	vecmath.ScanDot(vec, x.centroids.Data, scores)
+	return firstMax(scores)
+}
+
+// firstMax returns the index of the first greatest score above -2 (the
+// floor of any cosine), or 0.
+func firstMax(scores []float32) int {
 	best, bestScore := 0, float32(-2)
-	for i := 0; i < x.centroids.Rows; i++ {
-		if s := vecmath.Dot(vec, x.centroids.Row(i)); s > bestScore {
+	for i, s := range scores {
+		if s > bestScore {
 			best, bestScore = i, s
 		}
 	}
@@ -281,14 +295,10 @@ func sphericalKMeans(data [][]float32, k, dim int, seed int64) *vecmath.Matrix {
 	for iter := 0; iter < 12; iter++ {
 		changed := vecmath.ParallelMapReduce(len(data), func(lo, hi int) float64 {
 			moved := 0.0
+			scores := make([]float32, k)
 			for i := lo; i < hi; i++ {
-				best, bestScore := 0, float32(-2)
-				for c := 0; c < k; c++ {
-					if s := vecmath.Dot(data[i], cents.Row(c)); s > bestScore {
-						best, bestScore = c, s
-					}
-				}
-				if assign[i] != best {
+				vecmath.ScanDot(data[i], cents.Data, scores)
+				if best := firstMax(scores); assign[i] != best {
 					assign[i] = best
 					moved++
 				}

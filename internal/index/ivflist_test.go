@@ -236,3 +236,33 @@ func BenchmarkIVFSearch768(b *testing.B) {
 		dst = x.SearchAppend(probes[i%len(probes)], 5, 0.69, dst[:0])
 	}
 }
+
+// TestNearestCentroidMatchesDotArgmax: Add's list choice, one ScanDot
+// pass over the centroids, is the first maximum of a per-centroid Dot
+// loop. Every odd centroid duplicates the even one before it, so every
+// best score is a tie, which must resolve to the lower index; widths 768
+// and 30 cover the SSE kernel and ScanDot's Dot fallback.
+func TestNearestCentroidMatchesDotArgmax(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, dim := range []int{30, 768} {
+		x := trainedIVF(dim, IVFConfig{NList: 16, Seed: 3}, clustered(rng, 200, 8, dim, 0.3), 200)
+		for i := 1; i < x.centroids.Rows; i += 2 {
+			copy(x.centroids.Row(i), x.centroids.Row(i-1))
+		}
+		for trial := range 500 {
+			vec := unit(rng, dim)
+			if trial%5 == 0 {
+				vec = slices.Clone(x.centroids.Row(rng.Intn(x.centroids.Rows)))
+			}
+			want, bestScore := 0, float32(-2)
+			for c := range x.centroids.Rows {
+				if s := vecmath.Dot(vec, x.centroids.Row(c)); s > bestScore {
+					want, bestScore = c, s
+				}
+			}
+			if got := x.nearestCentroid(vec); got != want || got%2 != 0 {
+				t.Fatalf("dim %d trial %d: nearestCentroid %d, Dot argmax %d (ties go to the even, lower index)", dim, trial, got, want)
+			}
+		}
+	}
+}

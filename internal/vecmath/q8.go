@@ -19,9 +19,10 @@ import (
 //	q·x ≤ s_q·s_x·(q̂·x̂) + err_q·‖x‖ + ‖q̃‖·err_x.
 //
 // ScanQ8 computes q̂·x̂ for many rows. Integer addition modulo 2³² is
-// associative, so the SSE2 kernel dotQ8x4 in scan_amd64.s and the
-// portable loop agree bit for bit in any summation order, and the sums
-// are exact provided d·127² < 2³¹, which is what MaxQ8Dim encodes.
+// associative, so the kernels in scan_amd64.s (SSE2 dotQ8x4, or
+// dotQ8x4AVX2 when the CPU has AVX2) and the portable loop agree bit for
+// bit in any summation order, and the sums are exact provided
+// d·127² < 2³¹, which is what MaxQ8Dim encodes.
 
 // MaxQ8Dim is the largest width whose code dot cannot overflow int32:
 // every code is within ±127, so |q̂·x̂| ≤ d·127².

@@ -45,11 +45,28 @@ func checkScanQ8(t *testing.T, probe []int16, rows []int8, n int) {
 	}
 }
 
-// TestScanQ8MatchesScalar covers the kernel's block path (d a multiple
+// forEachQ8Kernel runs f once under every int8 kernel this CPU has (SSE2
+// and, when CPUID reports it, AVX2 on amd64), logging each, and restores
+// the package-init selection.
+func forEachQ8Kernel(t testing.TB, f func()) {
+	t.Helper()
+	defer restoreQ8Kernel()
+	for _, k := range q8Kernels() {
+		k.use()
+		t.Logf("ScanQ8 kernel: %s", k.name)
+		f()
+	}
+}
+
+// TestScanQ8MatchesScalar covers each kernel's block path (d a multiple
 // of 16, four rows at a time), its row tail and the portable loop for
 // other widths, on random codes and on all-±127 codes, the largest sums
-// the kernel accumulates.
+// the kernels accumulate.
 func TestScanQ8MatchesScalar(t *testing.T) {
+	forEachQ8Kernel(t, func() { checkScanQ8Shapes(t) })
+}
+
+func checkScanQ8Shapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dims := []int{1, 7, 20, 16, 32, 48, 768, 4096}
 	counts := []int{0, 1, 2, 3, 4, 5, 17, 64}
@@ -85,12 +102,15 @@ func TestScanQ8MatchesScalar(t *testing.T) {
 
 // FuzzScanQ8Parity turns arbitrary bytes into a width, a row count, an
 // int16 probe (any value, not only Quantize's ±127) and int8 rows, and
-// checks ScanQ8 against the portable loop, which wraps modulo 2³² exactly
-// as the kernel's lanes do.
+// checks ScanQ8 under every kernel this CPU has against the portable
+// loop, which wraps modulo 2³² exactly as the kernels' lanes do.
 func FuzzScanQ8Parity(f *testing.F) {
 	f.Add([]byte{16, 5, 0x7f, 0x80, 0x01, 0xff})
 	f.Add([]byte{48, 9, 0x00, 0x80, 0x81, 0x7f, 0x80})
 	f.Add([]byte{7, 4, 0x12, 0x34})
+	for _, k := range q8Kernels() {
+		f.Logf("ScanQ8 kernel: %s", k.name)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -108,10 +128,14 @@ func FuzzScanQ8Parity(f *testing.F) {
 			rows[i] = int8(b())
 		}
 		out := make([]int32, n)
-		ScanQ8(probe, rows, out)
-		for i := 0; i < n; i++ {
-			if want := dotQ8(probe, rows[i*d:(i+1)*d]); out[i] != want {
-				t.Fatalf("d=%d n=%d row %d: ScanQ8 %d != %d", d, n, i, out[i], want)
+		defer restoreQ8Kernel()
+		for _, k := range q8Kernels() {
+			k.use()
+			ScanQ8(probe, rows, out)
+			for i := 0; i < n; i++ {
+				if want := dotQ8(probe, rows[i*d:(i+1)*d]); out[i] != want {
+					t.Fatalf("%s d=%d n=%d row %d: ScanQ8 %d != %d", k.name, d, n, i, out[i], want)
+				}
 			}
 		}
 	})
@@ -257,27 +281,37 @@ func TestQuantizeSpecialValues(t *testing.T) {
 	}
 }
 
-// BenchmarkScanQ8 times the int8 scan over 768-d lists of 128 rows:
-// "hot" rescans one list that stays in cache, "cold" scans a random list
-// out of 48 MB of codes each iteration, as an index's probed lists are.
+// BenchmarkScanQ8 times the int8 scan over 768-d lists of 128 rows under
+// each kernel this CPU has: "hot" rescans one list that stays in cache,
+// "12MB" and "cold" scan a random list out of 12 MB (a 4,096-entry
+// 768-d tenant's codes) or 48 MB of codes each iteration, as an index's
+// probed lists are.
 func BenchmarkScanQ8(b *testing.B) {
 	const d, list = 768, 128
 	rng := rand.New(rand.NewSource(9))
 	probe := widen(randCodes(rng, d))
 	out := make([]int32, list)
-	for _, bc := range []struct {
+	footprints := []struct {
 		name  string
 		bytes int
-	}{{"hot", d * list}, {"cold", 48 << 20}} {
-		rows := randCodes(rng, bc.bytes)
-		lists := bc.bytes / (d * list)
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l := rng.Intn(lists) * d * list
-				ScanQ8(probe, rows[l:l+d*list], out)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*list), "ns/row")
-		})
+	}{{"hot", d * list}, {"12MB", 12 << 20}, {"cold", 48 << 20}}
+	codes := make([][]int8, len(footprints))
+	for i, fp := range footprints {
+		codes[i] = randCodes(rng, fp.bytes)
+	}
+	defer restoreQ8Kernel()
+	for _, k := range q8Kernels() {
+		for i, fp := range footprints {
+			rows, lists := codes[i], fp.bytes/(d*list)
+			b.Run(k.name+"/"+fp.name, func(b *testing.B) {
+				k.use()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					l := rng.Intn(lists) * d * list
+					ScanQ8(probe, rows[l:l+d*list], out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*list), "ns/row")
+			})
+		}
 	}
 }

@@ -134,3 +134,87 @@ q8loop:
 	MOVOU X6, 32(AX)
 	MOVOU X7, 48(AX)
 	RET
+
+// func dotQ8x4AVX2(p []int16, rows []int8, acc *[16]int32)
+//
+// dotQ8x4 with one 256-bit step per 16 elements: VPMOVSXBW sign-extends
+// 16 row bytes to words in one instruction, VPMADDWD multiplies them with
+// the 16 probe words into eight int32 lanes, and VPADDD adds those into
+// row k's accumulator Y(4+k). The upper 128-bit half of each accumulator
+// is added onto the lower before the store, so acc receives four int32
+// lanes per row, as from dotQ8x4. Only scanQ8Blocks calls it, and only
+// when hasAVX2 is set.
+TEXT ·dotQ8x4AVX2(SB), NOSPLIT, $0-56
+	MOVQ p_base+0(FP), SI
+	MOVQ p_len+8(FP), CX
+	MOVQ rows_base+24(FP), DI
+	MOVQ acc+48(FP), AX
+
+	LEAQ  (DI)(CX*1), R8  // row 1: the row stride is d bytes
+	LEAQ  (R8)(CX*1), R9  // row 2
+	LEAQ  (R9)(CX*1), R10 // row 3
+	SHRQ  $4, CX          // 16-element steps
+	XORQ  BX, BX          // element offset: bytes into the rows, words into p
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+
+avx2loop:
+	VMOVDQU (SI)(BX*2), Y0 // p[j:j+16]
+
+	VPMOVSXBW (DI)(BX*1), Y1
+	VPMADDWD  Y0, Y1, Y1
+	VPADDD    Y1, Y4, Y4
+
+	VPMOVSXBW (R8)(BX*1), Y2
+	VPMADDWD  Y0, Y2, Y2
+	VPADDD    Y2, Y5, Y5
+
+	VPMOVSXBW (R9)(BX*1), Y3
+	VPMADDWD  Y0, Y3, Y3
+	VPADDD    Y3, Y6, Y6
+
+	VPMOVSXBW (R10)(BX*1), Y8
+	VPMADDWD  Y0, Y8, Y8
+	VPADDD    Y8, Y7, Y7
+
+	ADDQ $16, BX
+	DECQ CX
+	JNZ  avx2loop
+
+	VEXTRACTI128 $1, Y4, X0
+	VPADDD       X0, X4, X4
+	VMOVDQU      X4, 0(AX)
+	VEXTRACTI128 $1, Y5, X1
+	VPADDD       X1, X5, X5
+	VMOVDQU      X5, 16(AX)
+	VEXTRACTI128 $1, Y6, X2
+	VPADDD       X2, X6, X6
+	VMOVDQU      X6, 32(AX)
+	VEXTRACTI128 $1, Y7, X3
+	VPADDD       X3, X7, X7
+	VMOVDQU      X7, 48(AX)
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, a+8(FP)
+	MOVL BX, b+12(FP)
+	MOVL CX, c+16(FP)
+	MOVL DX, d+20(FP)
+	RET
+
+// func xgetbv0() (eax uint32)
+//
+// The low word of XCR0, the register in which the OS enables the
+// processor state it saves on a context switch.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
+	RET

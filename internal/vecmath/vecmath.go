@@ -7,12 +7,14 @@
 // operate on plain []float32 slices (vectors) or on the row-major Matrix
 // type, and are written in Go so the compiler can keep operands in
 // registers, with two exceptions, both many-rows-one-probe passes that
-// score four rows at a time with an SSE kernel on amd64 (scan_amd64.s)
-// and are exact against a portable reference. ScanDot, behind the
-// encoder's projection (Matrix.MulVec) and every index scan (Flat's
-// arena, IVF's lists and centroids), is bit-identical to Dot, which stays the scalar reference. ScanQ8 scores
-// int8 codes (Quantize) with exact int32 sums; IVF bounds each row's
-// exact score with it before scoring the row with Dot. Parallel variants
+// score four rows at a time with an assembly kernel on amd64
+// (scan_amd64.s) and are exact against a portable reference. ScanDot,
+// behind the encoder's projection (Matrix.MulVec) and every index scan
+// (Flat's arena, IVF's lists and centroids), is SSE and bit-identical to
+// Dot, which stays the scalar reference. ScanQ8 scores int8 codes
+// (Quantize) with exact int32 sums, in SSE2, or in AVX2 when CPUID
+// reports the CPU has it; IVF bounds each row's exact score with it
+// before scoring the row with Dot. Parallel variants
 // dispatch work through ParallelFor, a bounded worker pool sized to
 // runtime.GOMAXPROCS(0), following the parallelisation idiom from Effective
 // Go: independent pieces launched per core with a channel to signal
