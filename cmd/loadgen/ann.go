@@ -15,8 +15,8 @@ import (
 // entries the encode and HTTP costs would drown the quantity under test.
 // It builds a clustered synthetic corpus, indexes it under the exact
 // Flat scan and under the Adaptive index core.New gives every tenant
-// (zero config, so its calibrated threshold, its promotion to IVF and
-// every regrowth are the shipped ones), and reports build time, search
+// (zero config, so its threshold of index.DefaultFlatMax, its promotion
+// to IVF and every regrowth are the shipped ones), and reports build time, search
 // latency percentiles and recall@k against the exact Flat ground truth.
 //
 // Gate: Adaptive ≥ 5× Flat at recall@10 ≥ 0.95 on the annN-vector corpus.

@@ -186,7 +186,7 @@ func (c *Cache) Put(query, response string, emb []float32, parent int) (int, err
 				break
 			}
 			if protected[victim.ID] {
-				victim = c.oldestExcluding(protected)
+				victim = c.victimExcluding(protected)
 				if victim == nil {
 					break // every entry is an ancestor: grow past capacity
 				}
@@ -240,14 +240,19 @@ func (c *Cache) ancestorSet(id int) map[int]bool {
 	return set
 }
 
-func (c *Cache) oldestExcluding(protected map[int]bool) *Entry {
+// victimExcluding is victim for a Put whose heap victim is an ancestor of
+// the new entry: a scan for the least live policy key outside protected,
+// or nil when every entry is protected. Callers hold the write lock,
+// which excludes Touch, so the keys read here are stable.
+func (c *Cache) victimExcluding(protected map[int]bool) *Entry {
 	var best *Entry
+	var bestKey evictKey
 	for _, e := range c.entries {
 		if protected[e.ID] {
 			continue
 		}
-		if best == nil || e.seq < best.seq {
-			best = e
+		if k, _ := c.policy.key(e); best == nil || k.less(bestKey) {
+			best, bestKey = e, k
 		}
 	}
 	return best

@@ -89,13 +89,19 @@ func TestEvictionHeapMatchesScanOracle(t *testing.T) {
 						if _, ok := c.Get(parent); !ok {
 							parent = NoParent
 						}
+						// The oracle skips the new entry's ancestors, as Put
+						// does: evicting one would orphan the new entry.
 						var want *Entry
 						if c.Len() >= capacity {
 							c.mu.RLock()
-							want = scanOracles[policy.Name()](c.entries)
-							if c.ancestorSet(parent)[want.ID] {
-								want = nil // protected: the rare oldestExcluding path
+							protected := c.ancestorSet(parent)
+							var candidates []*Entry
+							for _, e := range c.entries {
+								if !protected[e.ID] {
+									candidates = append(candidates, e)
+								}
 							}
+							want = scanOracles[policy.Name()](candidates)
 							c.mu.RUnlock()
 						}
 						id, err := c.Put("q", "r", unit(8, int64(step)), parent)

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -183,6 +184,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("Load accepted garbage input")
+	}
+}
+
+// TestLoadRejectsWrongShapes: a gob that names a registered architecture
+// but carries E, W or B of another length is refused, not adopted.
+func TestLoadRejectsWrongShapes(t *testing.T) {
+	m := NewModel(MPNetSim, 3)
+	for _, tc := range []struct {
+		name string
+		wire modelWire
+	}{
+		{"E short", modelWire{ArchName: "mpnet-sim", E: m.E.Data[1:], W: m.W.Data, B: m.B}},
+		{"W long", modelWire{ArchName: "mpnet-sim", E: m.E.Data, W: append(vecmath.Clone(m.W.Data), 0), B: m.B}},
+		{"B empty", modelWire{ArchName: "mpnet-sim", E: m.E.Data, W: m.W.Data}},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tc.wire); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load accepted weights that do not fit mpnet-sim", tc.name)
+		}
 	}
 }
 

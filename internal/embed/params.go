@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/tokenizer"
 	"repro/internal/vecmath"
 )
 
@@ -67,7 +68,8 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads a model previously written by Save. The architecture is
-// resolved from the registry by name.
+// resolved from the registry by name, and the model takes the decoded
+// weight slices as its own, so a load allocates the weights once.
 func Load(r io.Reader) (*Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&wire); err != nil {
@@ -77,14 +79,17 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := NewModel(cfg, 0)
-	if len(wire.E) != len(m.E.Data) || len(wire.W) != len(m.W.Data) || len(wire.B) != len(m.B) {
+	// The shapes NewModel allocates: E has the anchor row past the vocab.
+	if len(wire.E) != (cfg.Vocab+1)*cfg.EmbDim || len(wire.W) != cfg.OutDim*cfg.EmbDim || len(wire.B) != cfg.OutDim {
 		return nil, fmt.Errorf("embed: stored weights do not match architecture %q", wire.ArchName)
 	}
-	copy(m.E.Data, wire.E)
-	copy(m.W.Data, wire.W)
-	copy(m.B, wire.B)
-	return m, nil
+	return &Model{
+		Cfg: cfg,
+		Tok: tokenizer.New(cfg.Mode, cfg.Vocab),
+		E:   &vecmath.Matrix{Rows: cfg.Vocab + 1, Cols: cfg.EmbDim, Data: wire.E},
+		W:   &vecmath.Matrix{Rows: cfg.OutDim, Cols: cfg.EmbDim, Data: wire.W},
+		B:   wire.B,
+	}, nil
 }
 
 // Projected wraps an Encoder with an affine projection (typically the PCA

@@ -69,6 +69,7 @@ func RunCohort(clients []Client, global []float32, tau float64, agg Aggregator, 
 			res.Failed = append(res.Failed, id)
 			continue
 		}
+		updates[i].ID = id
 		good = append(good, updates[i])
 		res.Trained = append(res.Trained, id)
 		res.Samples += updates[i].Samples

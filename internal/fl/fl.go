@@ -21,7 +21,9 @@ import (
 
 // Update is what a client returns after local training: its new weights,
 // its locally optimal threshold, and its sample count for weighting.
+// RunCohort stamps it with the client's ID.
 type Update struct {
+	ID      int
 	Weights []float32
 	Tau     float64
 	Samples int

@@ -1,19 +1,21 @@
 package fl
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/vecmath"
 )
 
 // Secure aggregation (Bonawitz-style pairwise additive masking, simplified
-// to the honest-but-curious, no-dropout setting): each pair of clients
-// (i, j) in a round derives a shared mask vector from a pairwise seed;
-// client i adds the mask, client j subtracts it. Individual updates reach
-// the server statistically indistinguishable from noise, but the masks
-// cancel exactly in the sum, so the aggregate equals plain FedAvg.
+// to the honest-but-curious setting): each pair of clients (i, j) in a
+// round derives a shared mask vector from a pairwise seed; client i adds
+// the mask, client j subtracts it. Individual updates reach the server
+// statistically indistinguishable from noise, but the masks cancel in
+// the sum, so the aggregate equals plain FedAvg up to float rounding.
+// The roster is fixed once training ends, as the round's survivors, so a
+// dropout never leaves a mask uncancelled; clients that mask before
+// dropouts are known would need Bonawitz's secret-shared mask recovery,
+// which is not modelled.
 //
 // This strengthens the paper's privacy story (§III-A): the server learns
 // only the aggregated model, never an individual client's fine-tuned
@@ -58,88 +60,57 @@ func MaskUpdate(weights []float32, id int, roster []int, roundSeed int64, scale 
 	}
 }
 
-// SecureRoundResult is the outcome of one securely aggregated round.
-type SecureRoundResult struct {
-	// Aggregated is the sample-weighted mean of the clients' (unmasked)
-	// weight vectors — identical to FedAvg on plaintext updates.
-	Aggregated []float32
-	// Tau is the sample-weighted mean threshold (thresholds are scalars
-	// aggregated in the clear, as in the paper).
-	Tau float64
-	// Samples is the total sample count across clients (the n of Eq. 1;
-	// counts are exchanged in the clear to weight the masked updates).
-	Samples int
-	// MaskedUpdates are the individual masked vectors as the server saw
-	// them, exposed for tests and audits.
-	MaskedUpdates [][]float32
+// SecureAgg is FedAvg through pairwise-masked updates. Each update is
+// scaled by its client's share n_k/n of the round's samples and masked
+// against every other update in the round (its roster, read from the
+// updates' IDs); the server only ever holds the masked vectors, whose
+// sum is the sample-weighted mean because the masks cancel. Thresholds
+// and sample counts travel in the clear, as in the paper. RunCohort
+// aggregates only the clients that returned an update, so a round with
+// dropouts masks against the survivors alone and still cancels.
+type SecureAgg struct {
+	// Seed is the round's mask seed; give each round its own.
+	Seed int64
+	// MaskScale is the mask magnitude (zero or negative: 1, far above
+	// typical weight-update magnitudes).
+	MaskScale float64
 }
 
-// RunSecureRound executes one FL round with masked aggregation over the
-// given clients: ship the global state, collect sample counts, have each
-// client scale its update by n_k/n and add its pairwise masks, then sum.
-// MaskScale controls mask magnitude (default 1.0, far above typical
-// weight-update magnitudes).
-func RunSecureRound(clients []Client, globalWeights []float32, globalTau float64, roundSeed int64, maskScale float64) (*SecureRoundResult, error) {
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("fl: secure round needs at least one client")
-	}
-	if maskScale <= 0 {
-		maskScale = 1
-	}
-	// Phase 1: local training (parallel, as in the plain server).
-	updates := make([]Update, len(clients))
-	errs := make([]error, len(clients))
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		wg.Add(1)
-		go func(i int, c Client) {
-			defer wg.Done()
-			updates[i], errs[i] = c.TrainRound(globalWeights, globalTau)
-		}(i, c)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fl: secure round client %d: %w", clients[i].ID(), err)
-		}
-	}
+// Name implements Aggregator.
+func (SecureAgg) Name() string { return "secure" }
+
+// Aggregate implements Aggregator.
+func (a SecureAgg) Aggregate(dst []float32, updates []Update) float64 {
+	clear(dst)
 	total := 0
-	for _, u := range updates {
+	roster := make([]int, len(updates))
+	for i, u := range updates {
 		total += u.Samples
+		roster[i] = u.ID
 	}
 	if total == 0 {
-		return nil, fmt.Errorf("fl: secure round saw zero samples")
+		return 0
 	}
+	var tau float64
+	for _, u := range updates {
+		vecmath.Axpy(1, a.masked(u, roster, total), dst)
+		tau += float64(u.Samples) / float64(total) * u.Tau
+	}
+	return tau
+}
 
-	// Phase 2: clients scale by n_k/n and mask; the server only ever sees
-	// the masked vectors.
-	roster := make([]int, len(clients))
-	for i, c := range clients {
-		roster[i] = c.ID()
+// masked is what client u.ID sends the server: its weights scaled by
+// its share of total samples, plus its pairwise masks for roster.
+func (a SecureAgg) masked(u Update, roster []int, total int) []float32 {
+	scale := a.MaskScale
+	if scale <= 0 {
+		scale = 1
 	}
-	res := &SecureRoundResult{
-		Aggregated:    make([]float32, len(globalWeights)),
-		Samples:       total,
-		MaskedUpdates: make([][]float32, len(clients)),
+	coef := float32(u.Samples) / float32(total)
+	out := make([]float32, len(u.Weights))
+	for j, w := range u.Weights {
+		out[j] = coef * w
 	}
-	for i, u := range updates {
-		if len(u.Weights) != len(globalWeights) {
-			return nil, fmt.Errorf("fl: client %d returned %d weights, want %d",
-				clients[i].ID(), len(u.Weights), len(globalWeights))
-		}
-		coef := float32(u.Samples) / float32(total)
-		masked := make([]float32, len(u.Weights))
-		for j, w := range u.Weights {
-			masked[j] = coef * w
-		}
-		MaskUpdate(masked, clients[i].ID(), roster, roundSeed, maskScale)
-		res.MaskedUpdates[i] = masked
-		res.Tau += float64(u.Samples) / float64(total) * u.Tau
-	}
-
-	// Phase 3: the server sums masked updates; pairwise masks cancel.
-	for _, masked := range res.MaskedUpdates {
-		vecmath.Axpy(1, masked, res.Aggregated)
-	}
-	return res, nil
+	MaskUpdate(out, u.ID, roster, a.Seed, scale)
+	return out
 }

@@ -66,9 +66,9 @@ type Config struct {
 	MinPairs int
 	// Aggregator combines updates (default fl.FedAvg).
 	Aggregator fl.Aggregator
-	// Secure aggregates through pairwise-masked updates
-	// (fl.RunSecureRound) instead of plaintext FedAvg: the coordinator
-	// only ever sees masked per-tenant weight vectors.
+	// Secure aggregates through pairwise-masked updates (fl.SecureAgg,
+	// in place of Aggregator): the coordinator only ever sees masked
+	// per-tenant weight vectors.
 	Secure bool
 	// InitialTau seeds the global threshold before the first round
 	// (default 0.83).
@@ -307,28 +307,20 @@ func (s *Service) RunRound() (RoundReport, error) {
 		return fail(fmt.Errorf("flserve: sampled cohort has no training data"))
 	}
 
-	// 3. Train + aggregate (plaintext FedAvg or masked secure agg).
-	global := s.global.Weights()
-	var newWeights []float32
-	var newTau float64
+	// 3. Train + aggregate (plaintext, or masked secure agg); failed
+	// clients are dropped either way.
+	agg := s.cfg.Aggregator
 	if s.cfg.Secure {
-		res, err := fl.RunSecureRound(clients, global, s.Tau(), s.cfg.Seed+int64(round), 1.0)
-		if err != nil {
-			return fail(err)
-		}
-		newWeights, newTau = res.Aggregated, res.Tau
-		rep.Trained = len(clients)
-		rep.Samples = res.Samples
-	} else {
-		res, err := fl.RunCohort(clients, global, s.Tau(), s.cfg.Aggregator, true)
-		if err != nil {
-			return fail(err)
-		}
-		newWeights, newTau = res.Weights, res.Tau
-		rep.Trained = len(res.Trained)
-		rep.Failed = len(res.Failed)
-		rep.Samples = res.Samples
+		agg = fl.SecureAgg{Seed: s.cfg.Seed + int64(round), MaskScale: 1}
 	}
+	res, err := fl.RunCohort(clients, s.global.Weights(), s.Tau(), agg, true)
+	if err != nil {
+		return fail(err)
+	}
+	newWeights, newTau := res.Weights, res.Tau
+	rep.Trained = len(res.Trained)
+	rep.Failed = len(res.Failed)
+	rep.Samples = res.Samples
 
 	// 4. Commit the version.
 	s.global.SetWeights(newWeights)

@@ -27,8 +27,7 @@ import (
 // RWMutex writer preference, any later reader is ever parked behind a
 // long snapshot pass.
 //
-// The zero-value threshold is DefaultFlatMax: measured once per process
-// from this machine's scan speed, not set.
+// The zero-value threshold is DefaultFlatMax.
 type Adaptive struct {
 	dim     int
 	flatMax int
@@ -42,6 +41,14 @@ type Adaptive struct {
 	journal   []tierOp   // writes since the migration snapshot
 	done      *sync.Cond // on mu; broadcast when a migration finishes
 }
+
+// DefaultFlatMax is the promotion threshold of an Adaptive whose config
+// sets none, at every dimension. It is fixed, not measured, so the tier
+// boundary, and the quality that hangs on it, is the same on every
+// machine. The value is the one every serving encoder (768-d and 4096-d)
+// got when the threshold was timed at startup: at those widths an exact
+// scan of more rows was already past that timing's latency budget.
+const DefaultFlatMax = 1024
 
 // regrowFactor is how far a tenant outgrows its IVF before the tier is
 // rebuilt: past regrowFactor × the entries it was built from.
@@ -84,7 +91,7 @@ func NewAdaptive(dim int, cfg AdaptiveConfig) *Adaptive {
 		panic("index: dim must be positive")
 	}
 	if cfg.FlatMax <= 0 {
-		cfg.FlatMax = DefaultFlatMax(dim)
+		cfg.FlatMax = DefaultFlatMax
 	}
 	a := &Adaptive{dim: dim, flatMax: cfg.FlatMax}
 	a.cur.Store(&tierRef{idx: NewFlat(dim)})

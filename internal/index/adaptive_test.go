@@ -7,21 +7,17 @@ import (
 )
 
 // TestAdaptiveThresholdNormalization pins NewAdaptive's one setting: an
-// unset or negative FlatMax is the calibrated DefaultFlatMax, a positive
-// one is kept as given.
+// unset or negative FlatMax is DefaultFlatMax, a positive one is kept as
+// given.
 func TestAdaptiveThresholdNormalization(t *testing.T) {
 	const dim = 8
-	def := DefaultFlatMax(dim)
-	if def < 1024 || def > 1<<17 {
-		t.Fatalf("DefaultFlatMax(%d) = %d, outside the calibrated band [1024, 128k]", dim, def)
-	}
 	cases := []struct {
 		name    string
 		cfg     AdaptiveConfig
 		flatMax int
 	}{
-		{"defaults", AdaptiveConfig{}, def},
-		{"negative-default", AdaptiveConfig{FlatMax: -7}, def},
+		{"defaults", AdaptiveConfig{}, DefaultFlatMax},
+		{"negative-default", AdaptiveConfig{FlatMax: -7}, DefaultFlatMax},
 		{"explicit", AdaptiveConfig{FlatMax: 150}, 150},
 	}
 	for _, tc := range cases {
@@ -31,26 +27,6 @@ func TestAdaptiveThresholdNormalization(t *testing.T) {
 			}
 		})
 	}
-	// Calibration runs once per process: a second zero-config index is
-	// built from the kept measurement, not a fresh one. Two measurements
-	// agreeing to the last bit of a float64 nanosecond mean do not
-	// happen, and at 64-d FlatMax is far from its clamps.
-	t.Run("calibrated-once", func(t *testing.T) {
-		DefaultFlatMax(64)
-		kept := calibration.ns
-		if kept <= 0 {
-			t.Fatalf("no calibration kept after DefaultFlatMax: %v", kept)
-		}
-		for i := 0; i < 2; i++ {
-			flatMax := NewAdaptive(64, AdaptiveConfig{}).flatMax
-			if calibration.ns != kept {
-				t.Fatalf("NewAdaptive #%d recalibrated: %v → %v ns", i+1, kept, calibration.ns)
-			}
-			if want := FlatMaxFor(kept, 64); flatMax != want {
-				t.Fatalf("NewAdaptive #%d FlatMax %d, want FlatMaxFor of the kept measurement %d", i+1, flatMax, want)
-			}
-		}
-	})
 }
 
 // TestAdaptiveRegrowUnderRacingWrites bulk-loads an Adaptive far past

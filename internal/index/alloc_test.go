@@ -62,7 +62,9 @@ func TestAdaptiveFlatTierSearchAppendZeroAlloc(t *testing.T) {
 		t.Skip("pooled buffers are intentionally dropped under -race")
 	}
 	_, vecs := buildAllocFlat(t, 2000) // the corpus TestFlatSearchAppendZeroAlloc searches
-	a := NewAdaptive(32, AdaptiveConfig{})
+	// A threshold above the corpus size: Flat serves throughout, whatever
+	// DefaultFlatMax is.
+	a := NewAdaptive(32, AdaptiveConfig{FlatMax: 4096})
 	for i, v := range vecs {
 		if err := a.Add(i, v); err != nil {
 			t.Fatal(err)

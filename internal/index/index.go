@@ -2,8 +2,8 @@
 // cache's FindSimilarQueriesinCache step (Algorithm 1).
 //
 // A cache does not choose among them: core.New gives every tenant an
-// Adaptive, and the entry count picks the tier at a threshold measured
-// on the machine (DefaultFlatMax). The two tiers and the wrapper share
+// Adaptive, and the entry count picks the tier at a fixed threshold
+// (DefaultFlatMax, 1,024 entries). The two tiers and the wrapper share
 // one interface:
 //
 //   - Flat: exact brute-force cosine scan, one vecmath.ScanDot pass over

@@ -255,7 +255,7 @@ func nearProbes(rng *rand.Rand, rows [][]float32, count int) [][]float32 {
 
 // BenchmarkFlatSearch768 times one search of a 768-d Flat at the sizes
 // the exact tier serves: 32 rows (a small_tenants tenant), 128, and
-// 1,024 (FlatMax as calibrated on a 2-vCPU guest). Rows are loosely
+// 1,024 (DefaultFlatMax). Rows are loosely
 // clustered as sentence embeddings are, probes sit near stored rows and
 // tau is a serving threshold: a tenant's hit path.
 func BenchmarkFlatSearch768(b *testing.B) {

@@ -362,7 +362,7 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 // walks the same ladder again: every entry searchable, back on IVF.
 func TestRegistryPromotedTenantRevival(t *testing.T) {
 	const dim = 768
-	flatMax := index.DefaultFlatMax(dim)
+	flatMax := index.DefaultFlatMax
 	r, err := NewRegistry(RegistryConfig{
 		Shards: 1, MaxTenants: 1, PersistDir: t.TempDir(),
 		Factory: func(string) *core.Client {

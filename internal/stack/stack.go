@@ -36,11 +36,10 @@
 //
 // Each tenant's similarity search runs on the index its cache's size
 // picks (core.New's default, index.Adaptive): the exact scan, then IVF
-// past a threshold derived from a startup micro-calibration of this
-// machine's scan speed, which Build logs; the IVF is rebuilt, sized to
-// the tenant, each time the tenant quadruples. Every build runs in the
-// background. No flag chooses or tunes a tier, and a revived tenant walks
-// the same ladder.
+// past a fixed threshold of index.DefaultFlatMax entries, which Build
+// logs; the IVF is rebuilt, sized to the tenant, each time the tenant
+// quadruples. Every build runs in the background. No flag chooses or
+// tunes a tier, and a revived tenant walks the same ladder.
 //
 // A tenant encodes its query and searches its cache on its request's
 // goroutine, one text and one probe at a time, as the paper's lookup
@@ -278,10 +277,9 @@ func Build(cfg Config) (_ *Stack, err error) {
 		llm = resilience.NewGuard(upstream, s.Governor, cfg.UpstreamTimeout)
 	}
 
-	// Tenants take core.New's index; naming its threshold here also
-	// takes the ~10 ms calibration off the first request.
+	// Tenants take core.New's index.
 	log.Printf("index tiers at dim %d: flat up to %d entries, then ivf, rebuilt each time the tenant quadruples",
-		enc.Dim(), index.DefaultFlatMax(enc.Dim()))
+		enc.Dim(), index.DefaultFlatMax)
 	s.tenant = core.Options{
 		Encoder:          enc,
 		LLM:              llm,

@@ -305,7 +305,7 @@ func TestDefaultStackTenantSizePicksTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	flatMax := index.DefaultFlatMax(s.Encoder.Dim())
+	flatMax := index.DefaultFlatMax
 	// Only a miss fills the cache, and to an untrained encoder questions
 	// that share words are paraphrases: each is three random "words".
 	rng := rand.New(rand.NewSource(1))
