@@ -55,10 +55,7 @@ func TestHandoffPersistFailureKeepsOwnership(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no tenant mapped to the peer in 256 tries")
 	}
-	ten, err := reg.Get(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ten := reg.Get(victim)
 	if _, err := ten.Client.Insert("question", "answer", cache.NoParent); err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +71,7 @@ func TestHandoffPersistFailureKeepsOwnership(t *testing.T) {
 	if got := reg.Resident(); got != 1 {
 		t.Fatalf("tenant not resident after failed handoff: Resident() = %d", got)
 	}
-	ten, err = reg.Get(victim)
-	if err != nil {
-		t.Fatalf("tenant unservable after failed handoff: %v", err)
-	}
+	ten = reg.Get(victim)
 	if res := ten.Client.Lookup("question", nil); !res.Hit {
 		t.Fatalf("tenant lost its state during failed handoff: %+v", res)
 	}
@@ -109,10 +103,7 @@ func TestHandoffPersistFailureKeepsOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten2, err := reg2.Get(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ten2 := reg2.Get(victim)
 	defer ten2.Release()
 	if res := ten2.Client.Lookup("question", nil); !res.Hit {
 		t.Fatalf("handed-off tenant did not revive from the shared store: %+v", res)

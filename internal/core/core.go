@@ -69,8 +69,8 @@ type Options struct {
 	// IndexFactory builds the vector index backing the cache's
 	// similarity search. Nil, which is what every serving stack passes,
 	// means index.NewAdaptive with its zero config: the cache's size
-	// picks the tier (exact scan, then an IVF rebuilt as the cache grows)
-	// at a threshold measured on this machine. Tests and
+	// picks the tier (exact scan up to the constant index.DefaultFlatMax
+	// entries, then an IVF rebuilt as the cache grows). Tests and
 	// internal/experiments set it to pin one tier. The serving layer
 	// calls it again when reviving a persisted tenant.
 	IndexFactory func(dim int) index.Index

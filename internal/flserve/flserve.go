@@ -290,10 +290,7 @@ func (s *Service) RunRound() (RoundReport, error) {
 		}
 	}()
 	for i, user := range cohortUsers {
-		t, err := s.cfg.Registry.Get(user)
-		if err == nil {
-			pinned = append(pinned, t)
-		}
+		pinned = append(pinned, s.cfg.Registry.Get(user))
 		pairs := s.cfg.Collector.Shard(user)
 		if len(pairs) == 0 {
 			continue

@@ -67,11 +67,7 @@ func (s *Service) rollout(rec ModelRecord, weights []float32) int {
 		go func(id string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			t, err := s.cfg.Registry.Get(id) // pins against eviction
-			if err != nil {
-				s.rollouts.reembedErrors.Add(1)
-				return
-			}
+			t := s.cfg.Registry.Get(id) // pins against eviction
 			defer t.Release()
 			t.Client.SetTau(float32(rec.Tau))
 			n, err := t.Client.Reembed()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -40,6 +39,10 @@ type Tenant struct {
 	// queries and hits count the queries this tenant answered while
 	// resident (serverObs counts them; /v1/stats residents report them).
 	queries, hits atomic.Int64
+
+	// used is the shard clock at this tenant's latest Get, under the
+	// shard lock: eviction takes the unreferenced tenant with the least.
+	used int64
 
 	// sessions maps session IDs to live conversations, capped at
 	// maxTenantSessions with LRU drop. sessMu guards the map and the
@@ -113,8 +116,10 @@ type RegistryConfig struct {
 	// Shards is the number of independently locked shards. Defaults to 16.
 	Shards int
 	// MaxTenants bounds the number of resident tenants across all shards
-	// (0 = unbounded). When a shard exceeds its share, its least recently
-	// used tenant is evicted — persisted first when PersistDir is set.
+	// (0 = unbounded). Each shard holds at most ⌈MaxTenants/Shards⌉; an
+	// activation past that evicts the shard's least recently used
+	// unreferenced tenant (the least use tick), persisted first when
+	// PersistDir is set.
 	MaxTenants int
 	// PersistDir, when non-empty, is where evicted tenants' caches are
 	// written (one store log per tenant) and reloaded from on
@@ -140,9 +145,9 @@ type RegistryConfig struct {
 }
 
 // Registry is the sharded tenant table: userID → Tenant, with lazy
-// creation, LRU idle-tenant eviction, and optional persistence across
-// evictions. All methods are safe for concurrent use; distinct shards
-// never contend.
+// creation, LRU idle-tenant eviction (by use tick), and optional
+// persistence across evictions. All methods are safe for concurrent use;
+// distinct shards never contend.
 type Registry struct {
 	cfg      RegistryConfig
 	fs       store.FS
@@ -165,8 +170,8 @@ type Registry struct {
 
 type regShard struct {
 	mu      sync.Mutex
-	tenants map[string]*list.Element // userID → element in lru
-	lru     *list.List               // front = most recently used; values are *Tenant
+	tenants map[string]*Tenant
+	clock   int64 // bumped by every Get; a tenant's used is its last value
 
 	// Eviction-persist failure backoff: after a failed evict persist the
 	// shard stays over its resident bound and retries no sooner than
@@ -204,7 +209,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		r.perShard = (cfg.MaxTenants + cfg.Shards - 1) / cfg.Shards
 	}
 	for i := range r.shards {
-		r.shards[i] = &regShard{tenants: make(map[string]*list.Element), lru: list.New()}
+		r.shards[i] = &regShard{tenants: make(map[string]*Tenant)}
 	}
 	if cfg.PersistDir != "" {
 		if err := r.fs.MkdirAll(cfg.PersistDir, 0o755); err != nil {
@@ -249,37 +254,36 @@ func (r *Registry) ShardFor(userID string) int {
 }
 
 // Get returns userID's tenant with a reference held — the caller must
-// Release it when done. The tenant is activated if needed: activation
-// reloads a persisted cache when one exists, otherwise calls the factory.
-// Get may evict the shard's least recently used unreferenced tenant to
-// stay within the resident bound. Persistence I/O (evict save, reload)
+// Release it when done. It cannot fail. The tenant is activated if
+// needed: activation reloads a persisted cache when one exists, otherwise
+// calls the factory; a snapshot that will not reload is quarantined and
+// the tenant served cold. Get stamps the tenant with the shard's use tick
+// and may evict the shard's least recently used unreferenced tenant to
+// stay within the resident bound; a failed evict persist keeps the
+// victim resident and backs off. Persistence I/O (evict save, reload)
 // runs under the shard lock, stalling that shard's other users. That is
 // measured: bench's evict_churn workload activates a tenant on one
 // request in three, and its rtt_p95_us is the activation path (three
 // fsyncs per evict plus the snapshot write and re-read). Taking the I/O
 // off the lock is ROADMAP's resident → persisting → evicted state machine.
-func (r *Registry) Get(userID string) (*Tenant, error) {
+func (r *Registry) Get(userID string) *Tenant {
 	sh := r.shards[r.ShardFor(userID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.tenants[userID]; ok {
-		sh.lru.MoveToFront(el)
-		t := el.Value.(*Tenant)
-		t.refs.Add(1)
-		return t, nil
-	}
-	t, err := r.activate(userID)
-	if err != nil {
-		return nil, err
+	sh.clock++
+	t, resident := sh.tenants[userID]
+	if !resident {
+		t = r.activate(userID)
+		sh.tenants[userID] = t
+		r.activations.Add(1)
 	}
 	t.refs.Add(1)
-	sh.tenants[userID] = sh.lru.PushFront(t)
-	r.activations.Add(1)
-	for r.perShard > 0 && sh.lru.Len() > r.perShard {
+	t.used = sh.clock
+	for !resident && r.perShard > 0 && len(sh.tenants) > r.perShard {
 		if !sh.evictRetryAt.IsZero() && r.cfg.Clock.Now().Before(sh.evictRetryAt) {
 			break // recent eviction-persist failure; retry after backoff
 		}
-		before := sh.lru.Len()
+		before := len(sh.tenants)
 		if err := r.evictLocked(sh); err != nil {
 			// Eviction failure (persist I/O) must not fail this request —
 			// the requested tenant activated fine and its reference is
@@ -299,11 +303,11 @@ func (r *Registry) Get(userID string) (*Tenant, error) {
 		}
 		sh.evictFails = 0
 		sh.evictRetryAt = time.Time{}
-		if sh.lru.Len() == before {
+		if len(sh.tenants) == before {
 			break // every tenant is pinned by in-flight requests
 		}
 	}
-	return t, nil
+	return t
 }
 
 // Flush persists every resident tenant's cache and τ (best effort, all
@@ -317,8 +321,7 @@ func (r *Registry) Flush() error {
 	var first error
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			t := el.Value.(*Tenant)
+		for _, t := range sh.tenants {
 			if err := r.persist(t, r.persistPath(t.ID)); err != nil && first == nil {
 				first = err
 			}
@@ -346,12 +349,11 @@ func (r *Registry) Drain(userID string, wait time.Duration) (bool, error) {
 	deadline := r.cfg.Clock.Now().Add(wait)
 	for {
 		sh.mu.Lock()
-		el, ok := sh.tenants[userID]
+		t, ok := sh.tenants[userID]
 		if !ok {
 			sh.mu.Unlock()
 			return false, nil
 		}
-		t := el.Value.(*Tenant)
 		if t.refs.Load() == 0 {
 			if path := r.persistPath(t.ID); path != "" {
 				if err := r.persist(t, path); err != nil {
@@ -359,7 +361,6 @@ func (r *Registry) Drain(userID string, wait time.Duration) (bool, error) {
 					return true, err
 				}
 			}
-			sh.lru.Remove(el)
 			delete(sh.tenants, t.ID)
 			sh.mu.Unlock()
 			r.drains.Add(1)
@@ -377,7 +378,7 @@ func (r *Registry) Drain(userID string, wait time.Duration) (bool, error) {
 // A snapshot that cannot be reloaded is quarantined and the tenant is
 // served cold: one tenant's corrupt file must cost that tenant its cache
 // warmth, not its availability.
-func (r *Registry) activate(userID string) (*Tenant, error) {
+func (r *Registry) activate(userID string) *Tenant {
 	client := r.cfg.Factory(userID)
 	var meta map[string][]byte
 	if path := r.persistPath(userID); path != "" {
@@ -395,7 +396,7 @@ func (r *Registry) activate(userID string) (*Tenant, error) {
 	if r.cfg.Hooks != nil {
 		r.cfg.Hooks.TenantActivated(t, meta)
 	}
-	return t, nil
+	return t
 }
 
 // reload rebuilds fresh's cache contents — and the persisted
@@ -454,30 +455,29 @@ func (r *Registry) quarantine(userID, path string, cause error) {
 	r.logf("server: registry: quarantined unreadable snapshot for %q to %s: %v", userID, qpath, cause)
 }
 
-// evictLocked removes the shard's least recently used tenant with no
-// in-flight references, persisting its cache (and live τ) first when
-// persistence is on. Tenants pinned by in-flight requests are skipped —
-// evicting them would persist a snapshot those requests then mutate
-// invisibly. If every tenant is busy the shard temporarily exceeds its
-// bound. Callers hold sh.mu.
+// evictLocked removes the shard's least recently used tenant (least
+// used tick) with no in-flight references, persisting its cache (and
+// live τ) first when persistence is on. Tenants pinned by in-flight
+// requests are skipped — evicting them would persist a snapshot those
+// requests then mutate invisibly. If every tenant is busy the shard
+// temporarily exceeds its bound. A scan is enough: a shard holds at most
+// ⌈MaxTenants/Shards⌉ tenants, and the victim's persist costs far more
+// than reading their ticks. Callers hold sh.mu.
 func (r *Registry) evictLocked(sh *regShard) error {
-	var el *list.Element
-	for cand := sh.lru.Back(); cand != nil; cand = cand.Prev() {
-		if cand.Value.(*Tenant).refs.Load() == 0 {
-			el = cand
-			break
+	var t *Tenant
+	for _, cand := range sh.tenants {
+		if cand.refs.Load() == 0 && (t == nil || cand.used < t.used) {
+			t = cand
 		}
 	}
-	if el == nil {
+	if t == nil {
 		return nil
 	}
-	t := el.Value.(*Tenant)
 	if path := r.persistPath(t.ID); path != "" {
 		if err := r.persist(t, path); err != nil {
 			return err
 		}
 	}
-	sh.lru.Remove(el)
 	delete(sh.tenants, t.ID)
 	r.evictions.Add(1)
 	return nil
@@ -566,7 +566,7 @@ func (r *Registry) Resident() int {
 	n := 0
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		n += len(sh.tenants)
 		sh.mu.Unlock()
 	}
 	return n
@@ -604,28 +604,24 @@ func (r *Registry) Stats() RegistryStats {
 	}
 }
 
-// IDs returns the user IDs of every resident tenant. Unlike Range, the
-// caller holds no locks afterwards, so it may Get/Release each tenant —
-// the pattern the FL rollout uses to pin tenants while re-embedding.
+// IDs returns the user IDs of every resident tenant, in no particular
+// order. Unlike Range, the caller holds no locks afterwards, so it may
+// Get/Release each tenant — the pattern the FL rollout uses to pin
+// tenants while re-embedding.
 func (r *Registry) IDs() []string {
 	var ids []string
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			ids = append(ids, el.Value.(*Tenant).ID)
-		}
-		sh.mu.Unlock()
-	}
+	r.Range(func(t *Tenant) { ids = append(ids, t.ID) })
 	return ids
 }
 
-// Range calls fn for every resident tenant (shard by shard, under each
-// shard's lock — fn must not call back into the registry).
+// Range calls fn for every resident tenant, in no particular order
+// (shard by shard, under each shard's lock — fn must not call back into
+// the registry).
 func (r *Registry) Range(fn func(*Tenant)) {
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			fn(el.Value.(*Tenant))
+		for _, t := range sh.tenants {
+			fn(t)
 		}
 		sh.mu.Unlock()
 	}

@@ -34,10 +34,7 @@ func tenantSnapshotPath(userID string) string {
 // persisting, and returns after releasing the tenant.
 func teach(t *testing.T, r *Registry, userID string) {
 	t.Helper()
-	ten, err := r.Get(userID)
-	if err != nil {
-		t.Fatalf("Get(%q): %v", userID, err)
-	}
+	ten := r.Get(userID)
 	defer ten.Release()
 	if _, err := ten.Client.Insert("what is "+userID, "answer for "+userID, cache.NoParent); err != nil {
 		t.Fatalf("Insert(%q): %v", userID, err)
@@ -64,10 +61,7 @@ func TestEvictPersistFailureKeepsTenantAndRetries(t *testing.T) {
 	// The disk fills: activating bob wants to evict alice, whose persist
 	// fails. Alice must stay resident — her adapted state is not dropped.
 	fs.SetSpace(0)
-	bob, err := r.Get("bob")
-	if err != nil {
-		t.Fatalf("Get(bob) during full disk: %v", err)
-	}
+	bob := r.Get("bob")
 	bob.Release()
 	if got := r.Resident(); got != 2 {
 		t.Fatalf("Resident() = %d after failed eviction, want 2 (victim retained)", got)
@@ -78,9 +72,7 @@ func TestEvictPersistFailureKeepsTenantAndRetries(t *testing.T) {
 
 	// Within the backoff window further Gets do not re-attempt the
 	// failing persist.
-	if _, err := r.Get("carol"); err != nil {
-		t.Fatal(err)
-	}
+	r.Get("carol")
 	if s := r.Stats(); s.EvictErrors != 1 {
 		t.Fatalf("eviction retried inside backoff window: %+v", s)
 	}
@@ -89,9 +81,7 @@ func TestEvictPersistFailureKeepsTenantAndRetries(t *testing.T) {
 	// the over-bound shard back down, and the victims' snapshots land.
 	fs.AddSpace(1 << 26)
 	clk.Advance(time.Minute)
-	if _, err := r.Get("dave"); err != nil {
-		t.Fatal(err)
-	}
+	r.Get("dave")
 	if got := r.Resident(); got > 2 {
 		t.Fatalf("Resident() = %d after space freed, want <= 2", got)
 	}
@@ -129,10 +119,7 @@ func TestCorruptSnapshotQuarantinedAndServedCold(t *testing.T) {
 	}
 
 	// Activation must serve the tenant cold, not fail the request.
-	ten, err := r.Get("alice")
-	if err != nil {
-		t.Fatalf("Get with corrupt snapshot: %v", err)
-	}
+	ten := r.Get("alice")
 	if res := ten.Client.Lookup("anything", nil); res.Hit {
 		t.Fatalf("cold tenant lookup unexpectedly hit: %+v", res)
 	}
@@ -163,10 +150,7 @@ func TestCorruptSnapshotQuarantinedAndServedCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten2, err := r2.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ten2 := r2.Get("alice")
 	defer ten2.Release()
 	if res := ten2.Client.Lookup("what is alice", nil); !res.Hit {
 		t.Fatalf("revived tenant lost its entry: %+v", res)
@@ -208,10 +192,7 @@ func TestLegacyGobSnapshotRevivesWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ten, err := r.Get("alice")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ten := r.Get("alice")
 		if res := ten.Client.Lookup("what is alice", nil); !res.Hit || res.Response != "answer for alice" {
 			t.Fatalf("pass %d (%s snapshot): tenant revived cold: %+v", pass, want, res)
 		}
@@ -257,10 +238,7 @@ func TestReloadSurfacesRepairedDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ten, err := r2.Get("alice")
-	if err != nil {
-		t.Fatalf("Get over torn snapshot: %v", err)
-	}
+	ten := r2.Get("alice")
 	defer ten.Release()
 	if res := ten.Client.Lookup("what is alice", nil); !res.Hit {
 		t.Fatalf("repaired tenant lost its entry: %+v", res)

@@ -54,15 +54,9 @@ func TestRegistryLazyActivationIsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := r.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a1 := r.Get("alice")
 	a1.Release()
-	a2, err := r.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2 := r.Get("alice")
 	a2.Release()
 	if a1 != a2 {
 		t.Error("repeated Get returned distinct tenants")
@@ -81,19 +75,11 @@ func TestRegistryIdleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(id string) {
-		t.Helper()
-		tn, err := r.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn.Release()
+	// "a" is used again after "b", so "b" is the idle (least recently
+	// used) tenant when "c" activates.
+	for _, id := range []string{"a", "b", "a", "c"} {
+		r.Get(id).Release()
 	}
-	get("a")
-	get("b")
-	// Touch "a" so "b" is the idle (least recently used) tenant.
-	get("a")
-	get("c")
 	st := r.Stats()
 	if st.Resident != 2 {
 		t.Errorf("Resident = %d, want 2", st.Resident)
@@ -116,10 +102,7 @@ func TestRegistryEvictionPersistsAndReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice, err := r.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	alice := r.Get("alice")
 	if _, err := alice.Client.Insert("what is federated learning", "an answer", cache.NoParent); err != nil {
 		t.Fatal(err)
 	}
@@ -127,19 +110,13 @@ func TestRegistryEvictionPersistsAndReloads(t *testing.T) {
 	alice.Release()
 
 	// Activating bob evicts alice (capacity 1), persisting her cache.
-	bob, err := r.Get("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bob := r.Get("bob")
 	bob.Release()
 	if st := r.Stats(); st.Evictions != 1 {
 		t.Fatalf("Evictions = %d, want 1", st.Evictions)
 	}
 
-	revived, err := r.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	revived := r.Get("alice")
 	defer revived.Release()
 	if revived == alice {
 		t.Fatal("revived tenant is the evicted instance; want a reloaded one")
@@ -167,21 +144,12 @@ func TestRegistryEvictionSkipsPinnedTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := r.Get("pinned")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pinned := r.Get("pinned")
 	// While pinned is held, activating two more tenants must evict the
 	// unpinned one, never the pinned one.
-	other, err := r.Get("other")
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := r.Get("other")
 	other.Release()
-	third, err := r.Get("third")
-	if err != nil {
-		t.Fatal(err)
-	}
+	third := r.Get("third")
 	third.Release()
 	resident := make(map[string]bool)
 	r.Range(func(tn *Tenant) { resident[tn.ID] = true })
@@ -193,10 +161,7 @@ func TestRegistryEvictionSkipsPinnedTenants(t *testing.T) {
 	}
 	pinned.Release()
 	// Once released, the tenant is evictable again.
-	fourth, err := r.Get("fourth")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fourth := r.Get("fourth")
 	fourth.Release()
 	resident = make(map[string]bool)
 	r.Range(func(tn *Tenant) { resident[tn.ID] = true })
@@ -218,11 +183,7 @@ func TestRegistryConcurrentGet(t *testing.T) {
 			wg.Add(1)
 			go func(u int) {
 				defer wg.Done()
-				tn, err := r.Get(fmt.Sprintf("user-%d", u))
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				tn := r.Get(fmt.Sprintf("user-%d", u))
 				defer tn.Release()
 				tn.Client.Lookup("warmup", nil)
 			}(u)
@@ -245,10 +206,7 @@ func TestRegistryFlushPersistsResidentTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"alice", "bob"} {
-		tn, err := r.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tn := r.Get(id)
 		if _, err := tn.Client.Insert("query of "+id, "answer for "+id, cache.NoParent); err != nil {
 			t.Fatal(err)
 		}
@@ -265,10 +223,7 @@ func TestRegistryFlushPersistsResidentTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"alice", "bob"} {
-		tn, err := r2.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tn := r2.Get(id)
 		res := tn.Client.Lookup("query of "+id, nil)
 		if !res.Hit || res.Response != "answer for "+id {
 			t.Errorf("%s after restart: hit=%v response=%q", id, res.Hit, res.Response)
@@ -317,10 +272,7 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice, err := r.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	alice := r.Get("alice")
 	queries := make([]string, 10)
 	for i := range queries {
 		queries[i] = fmt.Sprintf("indexed question %d", i)
@@ -334,16 +286,10 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 	}
 	alice.Release()
 
-	bob, err := r.Get("bob") // evicts alice
-	if err != nil {
-		t.Fatal(err)
-	}
+	bob := r.Get("bob") // evicts alice
 	bob.Release()
 
-	revived, err := r.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	revived := r.Get("alice")
 	defer revived.Release()
 	settle()
 	if tier := revived.Client.Cache().ServingTier(); tier != "ivf" {
@@ -383,10 +329,7 @@ func TestRegistryPromotedTenantRevival(t *testing.T) {
 			}
 		}
 	}
-	alice, err := r.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	alice := r.Get("alice")
 	if tier := alice.Client.Cache().ServingTier(); tier != "flat" {
 		t.Fatalf("empty tenant serves from %q, want flat", tier)
 	}
@@ -400,16 +343,10 @@ func TestRegistryPromotedTenantRevival(t *testing.T) {
 	waitIVF(alice, "filled")
 	alice.Release()
 
-	bob, err := r.Get("bob") // evicts alice
-	if err != nil {
-		t.Fatal(err)
-	}
+	bob := r.Get("bob") // evicts alice
 	bob.Release()
 
-	revived, err := r.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	revived := r.Get("alice")
 	defer revived.Release()
 	if st := r.Stats(); st.Reloads != 1 || st.Quarantines != 0 {
 		t.Fatalf("reloads %d quarantines %d, want 1 and 0", st.Reloads, st.Quarantines)

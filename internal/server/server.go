@@ -6,8 +6,8 @@
 // The pieces:
 //
 //   - Registry: a sharded userID→Tenant table with lazy activation, LRU
-//     idle-tenant eviction, and optional persistence of evicted caches
-//     via internal/store.
+//     idle-tenant eviction by a per-shard use tick, and optional
+//     persistence of evicted caches via internal/store.
 //   - serverObs: the one place a serving outcome is counted — obs
 //     counters and histograms exported at GET /metrics, which GET
 //     /v1/stats reads back as JSON, plus per-tenant query and hit
@@ -337,12 +337,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, routeQuery, rej)
 		return
 	}
-	tenant, err := s.cfg.Registry.Get(req.User)
-	if err != nil {
-		o.tracer.Abandon(trace)
-		s.fail(w, routeQuery, http.StatusInternalServerError, "activating tenant: %v", err)
-		return
-	}
+	tenant := s.cfg.Registry.Get(req.User)
 	defer tenant.Release()
 	var res queryResult
 	if req.Session != "" {
@@ -419,11 +414,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, routeFeedback, http.StatusBadRequest, "missed_dup feedback requires query and duplicate_of")
 		return
 	}
-	tenant, err := s.cfg.Registry.Get(req.User)
-	if err != nil {
-		s.fail(w, routeFeedback, http.StatusInternalServerError, "activating tenant: %v", err)
-		return
-	}
+	tenant := s.cfg.Registry.Get(req.User)
 	defer tenant.Release()
 	if kind == FeedbackFalseHit {
 		tenant.Client.ReportFalseHit()
