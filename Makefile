@@ -103,7 +103,7 @@ loadtest-fl:
 # loadtest-ann is the large-cache ANN acceptance run: 200k entries in
 # the Adaptive index every tenant gets (its zero config, so the shipped
 # promotion and regrowths), which must beat the exact Flat scan ≥5× at
-# recall@10 ≥ 0.95 (the run takes about 12 s on a 2-vCPU guest, ~8 s
+# recall@10 ≥ 0.95 (the run takes about 8 s on a 2-vCPU guest, ~3 s
 # of it the adaptive build; the gate is enforced by exit code).
 loadtest-ann:
 	$(GO) run ./cmd/loadgen -scenario ann -ann-queries 300 -accept

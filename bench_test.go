@@ -349,7 +349,6 @@ func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
 	case "adaptive":
 		adaptive := index.NewAdaptive(largeTenantDim, index.AdaptiveConfig{})
 		c = cache.NewWithIndex(largeTenantDim, 0, cache.LRU{}, adaptive)
-		defer adaptive.WaitMigration()
 	default:
 		b.Fatalf("unknown tier %q", tier)
 	}
@@ -364,7 +363,7 @@ func largeTenantCache(b *testing.B, tier string) (*cache.Cache, []float32) {
 // BenchmarkLargeCacheSearch compares the cache's similarity-search path
 // across the index tiers at the large-tenant operating point (20k
 // entries × 64 dims): the exact scan versus a hand-sized IVF and the
-// Adaptive index every tenant gets, settled on whatever tier its size
+// Adaptive index every tenant gets, on whatever tier its size
 // picked. This is the quantity the adaptive tiering trades on — the
 // same FindSimilar call, orders of magnitude apart in work.
 func BenchmarkLargeCacheSearch(b *testing.B) {

@@ -30,7 +30,6 @@ func TestIndexedCacheMatchesFlatCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	adaptive.WaitMigration()
 	if ivf.ServingTier() != "ivf" || flat.ServingTier() != "flat" {
 		t.Fatalf("ServingTier() = %q / %q, want ivf / flat", ivf.ServingTier(), flat.ServingTier())
 	}
@@ -164,7 +163,7 @@ func putVec(dim, perG int, query string) []float32 {
 // adaptive index with a threshold low enough that the promotion and a
 // regrowth (Flat→IVF→regrown IVF: ~1,070 live entries is more than 4 ×
 // the 101 the first IVF is built from) happen mid-traffic, with
-// background builds racing live Put/FindSimilar/Remove.
+// FindSimilar racing the Puts that build them and live Removes.
 func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 	const (
 		dim     = 16
@@ -208,7 +207,6 @@ func TestAdaptiveIndexedCacheConcurrent(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	adaptive.WaitMigration()
 
 	if got := adaptive.Tier(); got != "ivf" {
 		t.Fatalf("tier = %s after %d puts, want ivf", got, writers*perG)
@@ -275,7 +273,6 @@ func TestLoadFromWithIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadFromWithIndex: %v", err)
 	}
-	adaptive.WaitMigration()
 	if revived.ServingTier() != "ivf" || revived.Len() != 20 {
 		t.Fatalf("revived: ServingTier=%q Len=%d", revived.ServingTier(), revived.Len())
 	}
@@ -314,7 +311,6 @@ func BenchmarkCachePutFull768(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	idx.WaitMigration()
 	if tier := c.ServingTier(); tier != "ivf" {
 		b.Fatalf("serving tier %q, want ivf", tier)
 	}

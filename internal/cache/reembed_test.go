@@ -134,7 +134,7 @@ func TestReembedKeepsEntriesAndSwapsVectors(t *testing.T) {
 	}
 }
 
-// BenchmarkReembed768x500 times migrating a 500-entry tenant to a new
+// BenchmarkReembed768x500 times moving a 500-entry tenant to a new
 // model version at the serving dimension: 500 encodes plus the index
 // rebuild, what one FL rollout costs each resident tenant.
 func BenchmarkReembed768x500(b *testing.B) {

@@ -21,6 +21,14 @@ import (
 	"repro/internal/sim"
 )
 
+// The health-probe defaults of a Config that leaves them zero: a dead
+// peer leaves the ring after DefaultDeadAfter missed probes, about
+// 1.5 s at DefaultHeartbeat.
+const (
+	DefaultHeartbeat = 500 * time.Millisecond
+	DefaultDeadAfter = 3
+)
+
 // Config assembles a cluster Node around one serving process.
 type Config struct {
 	// Self is this node's advertised address (host:port) — its identity
@@ -37,10 +45,11 @@ type Config struct {
 	// drained tenant's state is visible to its next owner. Required.
 	Registry *server.Registry
 
-	// Heartbeat is the peer health-probe period. Defaults to 500ms.
+	// Heartbeat is the peer health-probe period. Defaults to
+	// DefaultHeartbeat.
 	Heartbeat time.Duration
 	// DeadAfter is how many consecutive probe failures mark a peer dead
-	// (removing it from the ring). Defaults to 3.
+	// (removing it from the ring). Defaults to DefaultDeadAfter.
 	DeadAfter int
 	// ProbeTimeout bounds one health probe. Defaults to Heartbeat.
 	ProbeTimeout time.Duration
@@ -218,10 +227,10 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: the registry must persist tenants (set PersistDir, on storage all nodes share)")
 	}
 	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 500 * time.Millisecond
+		cfg.Heartbeat = DefaultHeartbeat
 	}
 	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3
+		cfg.DeadAfter = DefaultDeadAfter
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = cfg.Heartbeat

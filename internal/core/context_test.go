@@ -55,7 +55,6 @@ func TestRevivedIVFTenantServesFollowUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.WaitMigration()
 	if tier := revived.ServingTier(); tier != "ivf" {
 		t.Fatalf("revived tenant of %d entries serves from %q, want ivf", revived.Len(), tier)
 	}

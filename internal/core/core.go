@@ -46,6 +46,9 @@ type ContextLLM interface {
 	QueryContext(ctx context.Context, q string) (response string, took time.Duration, err error)
 }
 
+// DefaultTopK is the candidate count of Options that set no TopK.
+const DefaultTopK = 5
+
 // Options configures a Client.
 type Options struct {
 	// Encoder produces query embeddings. Required.
@@ -61,6 +64,7 @@ type Options struct {
 	CtxTau float32
 	// TopK bounds how many similar candidates are context-checked per
 	// query (Algorithm 1 retrieves the top-k similar cached queries).
+	// Defaults to DefaultTopK.
 	TopK int
 	// Capacity bounds the local cache (0 = unbounded); Policy picks
 	// eviction victims (default LRU, as in Figure 1).
@@ -169,7 +173,7 @@ func NewWithCache(opts Options, cc *cache.Cache) *Client {
 		opts.IndexFactory = adaptiveIndex
 	}
 	if opts.TopK <= 0 {
-		opts.TopK = 5
+		opts.TopK = DefaultTopK
 	}
 	if opts.CtxTau == 0 {
 		opts.CtxTau = opts.Tau

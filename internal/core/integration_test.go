@@ -177,7 +177,6 @@ func TestClientWithIVFIndexedCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	adaptive.WaitMigration()
 	if tier := c.cache.ServingTier(); tier != "ivf" {
 		t.Fatalf("20 entries past FlatMax 10 serve from %q, want ivf", tier)
 	}

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/vecmath"
 )
 
 // Adaptive tiers a tenant's index by size: it starts as an exact Flat
@@ -14,18 +12,14 @@ import (
 // once the entry count crosses FlatMax, and regrows that IVF into a
 // fresh one, its lists sized to the tenant, whenever the tenant holds
 // more than regrowFactor times the entries the serving IVF was built
-// from. Each build runs in a background goroutine from a snapshot while
-// the current tier keeps serving. The new IVF is trained on a sample of
-// that snapshot before any row joins it: the first FlatMax rows in
-// Flat's order on the first promotion, an even sample in ID order on a
-// regrowth. A snapshot that concurrent removes emptied builds nothing.
-// Writes that land during the build are journaled and replayed before
-// the atomic swap, so no entry is lost and Search never waits on a
-// build: readers resolve the serving tier through an atomic pointer
-// (never the writer lock), and the snapshot copies incrementally — one
-// short read-lock window per vector — so neither a writer nor, through
-// RWMutex writer preference, any later reader is ever parked behind a
-// long snapshot pass.
+// from. The Add that crosses a limit builds the next tier before it
+// returns, under the writer lock, from the current tier's rows: the new
+// IVF is trained on a sample of them before any row joins it — the first
+// FlatMax rows in Flat's order on the first promotion, an even sample in
+// ID order on a regrowth — and then swapped in. A tier therefore changes
+// at a fill count, never at a time the scheduler picks. Searches never
+// take the writer lock: they resolve the serving tier through an atomic
+// pointer, so a search during a build runs on the complete old tier.
 //
 // The zero-value threshold is DefaultFlatMax.
 type Adaptive struct {
@@ -35,11 +29,8 @@ type Adaptive struct {
 	// cur is the serving tier, resolved lock-free by readers.
 	cur atomic.Pointer[tierRef]
 
-	// mu serialises writers and the migration state below.
-	mu        sync.Mutex
-	migrating bool       // a background build is in flight
-	journal   []tierOp   // writes since the migration snapshot
-	done      *sync.Cond // on mu; broadcast when a migration finishes
+	// mu serialises writers and the builds they run.
+	mu sync.Mutex
 }
 
 // DefaultFlatMax is the promotion threshold of an Adaptive whose config
@@ -58,22 +49,15 @@ const regrowFactor = 4
 type tierIndex interface {
 	Index
 	SearchAppender
-	snapshotter
+	// idList returns the stored IDs, in the tier's own order.
+	idList() []int
 }
 
-// tierRef pairs the serving index with the entry count its build was
-// decided at (the rows it was built from, less any removed meanwhile),
-// for one atomic swap.
+// tierRef pairs the serving index with the entry count it was built
+// from, for one atomic swap.
 type tierRef struct {
 	idx   tierIndex
 	built int // 0 while Flat serves
-}
-
-// tierOp journals one write that happened during a migration build.
-type tierOp struct {
-	id     int
-	vec    []float32 // nil = remove
-	remove bool
 }
 
 // AdaptiveConfig sets the one promotion threshold. The serving stack
@@ -95,7 +79,6 @@ func NewAdaptive(dim int, cfg AdaptiveConfig) *Adaptive {
 	}
 	a := &Adaptive{dim: dim, flatMax: cfg.FlatMax}
 	a.cur.Store(&tierRef{idx: NewFlat(dim)})
-	a.done = sync.NewCond(&a.mu)
 	return a
 }
 
@@ -121,31 +104,26 @@ func (a *Adaptive) Tier() string {
 	return "ivf"
 }
 
-// WaitMigration blocks until no migration is in flight — deterministic
-// sequencing for tests and the load generator.
-func (a *Adaptive) WaitMigration() {
-	a.mu.Lock()
-	for a.migrating {
-		a.done.Wait()
-	}
-	a.mu.Unlock()
-}
-
-// Add implements Index.
+// Add implements Index. The Add that takes the serving tier past its
+// limit — FlatMax for Flat, regrowFactor × its build count for IVF —
+// builds and swaps in the next tier before it returns.
 func (a *Adaptive) Add(id int, vec []float32) error {
 	if len(vec) != a.dim {
 		return fmt.Errorf("index: vector dim %d, want %d", len(vec), a.dim)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.cur.Load().idx.Add(id, vec); err != nil {
+	ref := a.cur.Load()
+	if err := ref.idx.Add(id, vec); err != nil {
 		return err
 	}
-	if a.migrating {
-		a.journal = append(a.journal, tierOp{id: id, vec: vecmath.Clone(vec)})
-		return nil
+	limit := a.flatMax
+	if ref.built > 0 {
+		limit = regrowFactor * ref.built
 	}
-	a.maybePromoteLocked()
+	if n := ref.idx.Len(); n > limit {
+		a.cur.Store(&tierRef{idx: a.build(ref), built: n})
+	}
 	return nil
 }
 
@@ -154,22 +132,18 @@ func (a *Adaptive) Remove(id int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.cur.Load().idx.Remove(id)
-	if a.migrating {
-		a.journal = append(a.journal, tierOp{id: id, remove: true})
-	}
 }
 
 // Search implements Index, lock-free: the serving tier is an atomic load
-// and every tier is internally synchronised, so a migration swap (or a
-// writer stalled behind a snapshot) concurrent with a long search is safe
-// — the search finishes against the (complete) old tier.
+// and every tier is internally synchronised, so a swap concurrent with a
+// long search is safe — the search finishes against the (complete) old
+// tier.
 func (a *Adaptive) Search(vec []float32, k int, tau float32) []Hit {
 	return a.cur.Load().idx.Search(vec, k, tau)
 }
 
 // Vector implements Index through the serving tier, lock-free like
-// Search. That tier holds every live vector even while a build is in
-// flight: writes land on it before they are journaled.
+// Search.
 func (a *Adaptive) Vector(id int, dst []float32) ([]float32, bool) {
 	return a.cur.Load().idx.Vector(id, dst)
 }
@@ -180,131 +154,40 @@ func (a *Adaptive) SearchAppend(vec []float32, k int, tau float32, dst []Hit) []
 	return a.cur.Load().idx.SearchAppend(vec, k, tau, dst)
 }
 
-// maybePromoteLocked kicks off a background build when the serving tier
-// outgrew its limit: FlatMax for Flat, regrowFactor × its build count
-// for IVF. Callers hold a.mu.
-func (a *Adaptive) maybePromoteLocked() {
-	ref := a.cur.Load()
-	n := ref.idx.Len()
-	limit := a.flatMax
-	if ref.built > 0 {
-		limit = regrowFactor * ref.built
-	}
-	if n <= limit {
-		return
-	}
-	a.migrating = true
-	a.journal = a.journal[:0]
-	go a.migrate(ref, n)
-}
-
-// migrate snapshots the serving tier, builds a fresh IVF from it
-// entirely off a.mu, catches up on journaled writes, and swaps the new
-// tier in. The snapshot is incremental — one short read lock for the ID
-// list, then one per vector copy — so the longest the old tier's lock
-// is ever held is a single vector copy: a concurrent writer queues for
-// microseconds, not for the whole O(n·dim) pass (RWMutex writer
-// preference would otherwise park every Search behind that writer).
-// Entries that mutate between the build decision and their copy appear
-// in both the snapshot and the journal — applyOps tolerates the
-// duplicate Adds, vanished IDs simply skip, and replay order makes the
-// journal's last word win.
-func (a *Adaptive) migrate(from *tierRef, n int) {
-	var snap []tierOp
-	for _, id := range from.idx.idList() {
-		if vec, ok := from.idx.Vector(id, nil); ok {
-			snap = append(snap, tierOp{id: id, vec: vec})
-		}
-	}
-	if len(snap) == 0 {
-		// Concurrent removes emptied the snapshot: there is nothing to
-		// train on, so the current tier keeps serving.
-		a.mu.Lock()
-		a.finishMigrationLocked()
-		a.mu.Unlock()
-		a.done.Broadcast()
-		return
-	}
-	var next *IVF
-	if from.built == 0 {
-		// The first promotion trains on the first FlatMax rows in Flat's
-		// own order (insertion order, except that each removal moved the
-		// then-last row into its hole).
-		sample := make([][]float32, min(a.flatMax, len(snap)))
-		for i := range sample {
-			sample[i] = snap[i].vec
-		}
-		next = NewIVF(a.dim, IVFConfig{NList: isqrt(4 * a.flatMax)}, sample)
-	} else {
-		next = regrownIVF(a.dim, snap)
-	}
-	applyOps(next, snap)
-	// Drain the journal in rounds off-lock until one round's residue is
-	// small, then apply that last batch under the lock together with the
-	// swap. With a convergent load (writes slower than the new tier can
-	// absorb them) the under-lock batch is ≤ finalBatchMax, a
-	// milliseconds-scale writer stall; if writes outpace the build
-	// indefinitely the round cap forces the swap anyway and the one-time
-	// writer stall is proportional to the outstanding backlog — searches
-	// stay on the old tier either way.
-	const finalBatchMax = 256
-	for round := 0; ; round++ {
-		a.mu.Lock()
-		if len(a.journal) == 0 {
-			break
-		}
-		batch := a.journal
-		a.journal = nil
-		if len(batch) <= finalBatchMax || round >= 15 {
-			applyOps(next, batch)
-			break
-		}
-		a.mu.Unlock()
-		applyOps(next, batch)
-	}
-	// a.mu is held here (both break paths leave it locked).
-	a.cur.Store(&tierRef{idx: next, built: n})
-	a.finishMigrationLocked()
-	a.mu.Unlock()
-	a.done.Broadcast()
-}
-
-// finishMigrationLocked drops the migration state and re-checks the
-// serving tier. The new tier may immediately qualify for a regrowth (a
-// bulk load that blew past regrowFactor × n while the build ran — later
-// Adds only journal during a migration, so the chain can only continue
-// here). Running it before the flag drop is observable keeps
-// WaitMigration from returning mid-chain on a stale Broadcast. Callers
-// hold a.mu and broadcast a.done after unlocking it.
-func (a *Adaptive) finishMigrationLocked() {
-	a.migrating = false
-	a.journal = nil
-	a.maybePromoteLocked()
-}
-
-// regrownIVF sizes a fresh IVF to the snapshot it is built from —
+// build returns a fresh IVF holding every row of from. The first
+// promotion trains isqrt(4·FlatMax) lists on the first FlatMax rows in
+// Flat's own order (insertion order, except that each removal moved the
+// then-last row into its hole). A regrowth sizes the IVF to the tenant —
 // isqrt(4·rows) lists, IVF's default probes — and trains it on an even
-// sample of it: the rows sorted by ID, every (rows/m)-th of them, where m
-// is 32 rows per list, capped at the snapshot. It sorts snap in place.
-func regrownIVF(dim int, snap []tierOp) *IVF {
-	sort.Slice(snap, func(i, j int) bool { return snap[i].id < snap[j].id })
-	nlist := isqrt(4 * len(snap))
-	sample := make([][]float32, min(32*nlist, len(snap)))
-	for i := range sample {
-		sample[i] = snap[i*len(snap)/len(sample)].vec
+// sample in ID order (every (rows/m)-th row, where m is 32 rows per
+// list, capped at the rows), never in the map order of the IVF it
+// replaces. Callers hold a.mu, so from does not change meanwhile.
+func (a *Adaptive) build(from *tierRef) *IVF {
+	ids := from.idx.idList()
+	nlist := isqrt(4 * a.flatMax)
+	if from.built > 0 {
+		sort.Ints(ids)
+		nlist = isqrt(4 * len(ids))
 	}
-	return NewIVF(dim, IVFConfig{NList: nlist}, sample)
-}
-
-// applyOps replays ops in order. Add errors are expected and ignored: a
-// journaled Add may duplicate a snapshot entry (see migrate), and the
-// journal's later ops supersede earlier state either way.
-func applyOps(idx Index, ops []tierOp) {
-	for _, op := range ops {
-		if op.remove {
-			idx.Remove(op.id)
-		} else {
-			idx.Add(op.id, op.vec)
+	rows := make([]float32, 0, len(ids)*a.dim)
+	for _, id := range ids {
+		rows, _ = from.idx.Vector(id, rows)
+	}
+	row := func(i int) []float32 { return rows[i*a.dim : (i+1)*a.dim] }
+	var sample [][]float32
+	if from.built == 0 {
+		for i := range min(a.flatMax, len(ids)) {
+			sample = append(sample, row(i))
+		}
+	} else {
+		m := min(32*nlist, len(ids))
+		for i := range m {
+			sample = append(sample, row(i*len(ids)/m))
 		}
 	}
+	next := NewIVF(a.dim, IVFConfig{NList: nlist}, sample)
+	for i, id := range ids {
+		next.Add(id, row(i))
+	}
+	return next
 }

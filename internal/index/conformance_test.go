@@ -247,9 +247,6 @@ func TestConformanceRandomOps(t *testing.T) {
 					}
 				}
 			}
-			if a, ok := idx.(*Adaptive); ok {
-				a.WaitMigration()
-			}
 			if idx.Len() != len(o.vecs) {
 				t.Fatalf("%s: Len %d, oracle %d", spec.name, idx.Len(), len(o.vecs))
 			}
@@ -320,7 +317,7 @@ func TestConformanceTieOrdering(t *testing.T) {
 
 // TestConformanceRemovedNeverLeak hammers the remove path: after heavy
 // churn, no removed ID may ever surface again — the leak class of bug
-// (IVF swap-delete bookkeeping, a build journal that drops a Remove).
+// (IVF swap-delete bookkeeping, a tier build that revives a removed row).
 func TestConformanceRemovedNeverLeak(t *testing.T) {
 	const dim = 16
 	for _, spec := range implSpecs() {
@@ -345,9 +342,6 @@ func TestConformanceRemovedNeverLeak(t *testing.T) {
 						t.Fatalf("removed id %d leaked from Search", h.ID)
 					}
 				}
-			}
-			if a, ok := idx.(*Adaptive); ok {
-				a.WaitMigration()
 			}
 			want := 800 - (800+2)/3
 			if idx.Len() != want {
@@ -417,9 +411,6 @@ func TestConformanceConcurrentSearchDuringAdd(t *testing.T) {
 			close(errs)
 			for err := range errs {
 				t.Fatalf("%s: concurrent search: %v", spec.name, err)
-			}
-			if a, ok := idx.(*Adaptive); ok {
-				a.WaitMigration()
 			}
 			removed := (total - 1) / 7
 			if got := idx.Len(); got != total-removed {

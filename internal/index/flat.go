@@ -71,7 +71,7 @@ func (f *Flat) Remove(id int) {
 	delete(f.pos, id)
 }
 
-// idList implements snapshotter.
+// idList implements tierIndex.
 func (f *Flat) idList() []int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

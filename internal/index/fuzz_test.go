@@ -41,7 +41,6 @@ func FuzzSearchParity(f *testing.F) {
 		}
 		flat := NewFlat(dim)
 		ada := NewAdaptive(dim, AdaptiveConfig{FlatMax: 8})
-		defer ada.WaitMigration()
 		o := newOracle()
 		var ids []int
 		nextID := 0

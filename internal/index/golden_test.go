@@ -32,7 +32,6 @@ func TestGoldenRecall(t *testing.T) {
 		name   string
 		build  func(corpus [][]float32) Index
 		tier   string  // where an Adaptive must have stopped
-		settle bool    // wait out a promotion before the next Add
 		golden float64 // recall@10 at the pinned seed, as printed
 	}{
 		{
@@ -46,25 +45,19 @@ func TestGoldenRecall(t *testing.T) {
 			// A tenant far past its first promotion: FlatMax 500 promotes
 			// at 501 rows and regrows at 2,005 into a 90-list IVF, which
 			// trains on all of them (32 per list would be 2,880).
-			// Settled, so each build sees exactly those rows.
 			name:   "adaptive-regrown",
 			build:  func([][]float32) Index { return NewAdaptive(dim, AdaptiveConfig{FlatMax: 500}) },
 			tier:   "ivf",
-			settle: true,
 			golden: 0.836,
 		},
 		{
 			// What a serving tenant runs once it outgrows the exact scan:
 			// every parameter the package default, FlatMax forced to the
-			// 1024 a 768-d tenant gets so 4000 rows stop on the IVF tier.
-			// Settled, so the tier trains on exactly the first 1024 of the
-			// 1025 rows it promotes at:
-			// a load racing the promotion trains it on a prefix of
-			// whatever Flat held by then, in leader-group order.
+			// 1024 a 768-d tenant gets so 4000 rows stop on the IVF tier,
+			// trained on the first 1024 of the 1025 rows it promotes at.
 			name:   "default-ivf-tier",
 			build:  func([][]float32) Index { return NewAdaptive(dim, AdaptiveConfig{FlatMax: 1024}) },
 			tier:   "ivf",
-			settle: true,
 			golden: 0.833,
 		},
 	}
@@ -97,12 +90,8 @@ func TestGoldenRecall(t *testing.T) {
 				if err := idx.Add(i, v); err != nil {
 					t.Fatal(err)
 				}
-				if g.settle {
-					idx.(*Adaptive).WaitMigration()
-				}
 			}
 			if a, ok := idx.(*Adaptive); ok {
-				a.WaitMigration()
 				if tier := a.Tier(); tier != g.tier {
 					t.Fatalf("adaptive on tier %s, want %s", tier, g.tier)
 				}
@@ -187,9 +176,6 @@ func TestGoldenRecallUnderChurn(t *testing.T) {
 
 	for id := 0; id < capacity; id++ {
 		add(id)
-		if id == flatMax {
-			idx.WaitMigration() // train on exactly the first flatMax+1 rows
-		}
 	}
 	if tier := idx.Tier(); tier != "ivf" {
 		t.Fatalf("filled to capacity on tier %s, want ivf", tier)

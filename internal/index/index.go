@@ -18,8 +18,8 @@
 //     entries").
 //   - Adaptive: the tiering wrapper that starts Flat, promotes to IVF
 //     past its threshold and rebuilds that IVF, sized to the tenant, each
-//     time the tenant quadruples, building in the background so searches
-//     keep being served.
+//     time the tenant quadruples. The Add that crosses a threshold builds
+//     the next tier; searches keep being served by the current one.
 //
 // All vectors must be unit-norm (dot product = cosine), which is the
 // contract internal/embed guarantees.
@@ -70,15 +70,6 @@ type SearchAppender interface {
 // layer uses this to label per-tier search latency.
 type TierNamer interface {
 	Tier() string
-}
-
-// snapshotter is the incremental-snapshot contract Adaptive migration
-// uses: idList returns the stored IDs under one short read lock, and the
-// migration then copies each vector with Vector, under its own short read
-// lock. Entries added or removed between calls are reconciled by the
-// migration journal.
-type snapshotter interface {
-	idList() []int
 }
 
 // hitBetter reports whether a ranks before b: descending score, ties by

@@ -13,7 +13,7 @@ import (
 // list of its nearest centroid, and a query scans only the nprobe
 // nearest lists. Recall is tunable via nprobe; nprobe = nlist is an
 // exact scan. An IVF is trained from the moment it exists: Adaptive
-// builds one from a snapshot of the tier it replaces.
+// builds one from the rows of the tier it replaces.
 //
 // Each inverted list is a row arena (swap-deleted on Remove, so scans
 // stay dense) beside an int8 code of every row (vecmath.Quantize). A
@@ -136,7 +136,7 @@ func (x *IVF) Remove(id int) {
 	delete(x.where, id)
 }
 
-// idList implements snapshotter.
+// idList implements tierIndex.
 func (x *IVF) idList() []int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()

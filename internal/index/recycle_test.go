@@ -161,9 +161,6 @@ func TestConformanceRecycleChurn(t *testing.T) {
 			for err := range errs {
 				t.Fatalf("%s: concurrent search during churn: %v", spec.name, err)
 			}
-			if a, ok := idx.(*Adaptive); ok {
-				a.WaitMigration()
-			}
 			if idx.Len() != len(live) {
 				t.Fatalf("%s: Len %d after churn, want %d", spec.name, idx.Len(), len(live))
 			}

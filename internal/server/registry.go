@@ -111,9 +111,13 @@ type TenantHooks interface {
 	TenantMeta(t *Tenant) map[string][]byte
 }
 
+// DefaultShards is the shard count of a RegistryConfig that sets none.
+const DefaultShards = 16
+
 // RegistryConfig sizes the tenant registry.
 type RegistryConfig struct {
-	// Shards is the number of independently locked shards. Defaults to 16.
+	// Shards is the number of independently locked shards. Defaults to
+	// DefaultShards.
 	Shards int
 	// MaxTenants bounds the number of resident tenants across all shards
 	// (0 = unbounded). Each shard holds at most ⌈MaxTenants/Shards⌉; an
@@ -193,7 +197,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		return nil, fmt.Errorf("server: RegistryConfig.Factory is required")
 	}
 	if cfg.Shards <= 0 {
-		cfg.Shards = 16
+		cfg.Shards = DefaultShards
 	}
 	cfg.Clock = sim.Or(cfg.Clock)
 	if cfg.FS == nil {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -245,26 +244,15 @@ func TestRegistryFlushPersistsResidentTenants(t *testing.T) {
 // index.
 func TestRegistryIndexedTenantRevival(t *testing.T) {
 	dir := t.TempDir()
-	var mu sync.Mutex
-	var last *index.Adaptive // the index the factory built most recently
 	factory := func(userID string) *core.Client {
 		return core.New(core.Options{
 			Encoder: &stubEncoder{dim: 16},
 			Tau:     0.9,
 			TopK:    4,
 			IndexFactory: func(dim int) index.Index {
-				mu.Lock()
-				defer mu.Unlock()
-				last = index.NewAdaptive(dim, index.AdaptiveConfig{FlatMax: 8})
-				return last
+				return index.NewAdaptive(dim, index.AdaptiveConfig{FlatMax: 8})
 			},
 		})
-	}
-	settle := func() {
-		mu.Lock()
-		a := last
-		mu.Unlock()
-		a.WaitMigration()
 	}
 	r, err := NewRegistry(RegistryConfig{
 		Shards: 1, MaxTenants: 1, PersistDir: dir, Factory: factory,
@@ -280,7 +268,6 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	settle()
 	if tier := alice.Client.Cache().ServingTier(); tier != "ivf" {
 		t.Fatalf("filled tenant cache serves from %q, want the factory's ivf", tier)
 	}
@@ -291,7 +278,6 @@ func TestRegistryIndexedTenantRevival(t *testing.T) {
 
 	revived := r.Get("alice")
 	defer revived.Release()
-	settle()
 	if tier := revived.Client.Cache().ServingTier(); tier != "ivf" {
 		t.Fatalf("revived tenant cache serves from %q, want the factory's ivf", tier)
 	}
@@ -318,15 +304,13 @@ func TestRegistryPromotedTenantRevival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Promotion runs in the background and the cache exposes only the
-	// serving tier, so that is what there is to wait on.
-	waitIVF := func(tn *Tenant, when string) {
+	// The Insert that crosses the threshold builds the IVF, so the tier
+	// is settled as soon as the fill returns.
+	wantIVF := func(tn *Tenant, when string) {
 		t.Helper()
-		for deadline := time.Now().Add(30 * time.Second); tn.Client.Cache().ServingTier() != "ivf"; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d entries past a Flat threshold of %d still serve from %q",
-					when, tn.Client.Cache().Len(), flatMax, tn.Client.Cache().ServingTier())
-			}
+		if tier := tn.Client.Cache().ServingTier(); tier != "ivf" {
+			t.Fatalf("%s: %d entries past a Flat threshold of %d still serve from %q",
+				when, tn.Client.Cache().Len(), flatMax, tier)
 		}
 	}
 	alice := r.Get("alice")
@@ -340,7 +324,7 @@ func TestRegistryPromotedTenantRevival(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitIVF(alice, "filled")
+	wantIVF(alice, "filled")
 	alice.Release()
 
 	bob := r.Get("bob") // evicts alice
@@ -354,7 +338,7 @@ func TestRegistryPromotedTenantRevival(t *testing.T) {
 	if n := revived.Client.Cache().Len(); n != len(queries) {
 		t.Fatalf("revived %d entries, want %d", n, len(queries))
 	}
-	waitIVF(revived, "revived")
+	wantIVF(revived, "revived")
 	for _, q := range queries {
 		if res := revived.Client.Lookup(q, nil); !res.Hit {
 			t.Fatalf("revived lookup missed %q on tier %s", q, res.Tier)

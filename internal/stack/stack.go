@@ -6,7 +6,9 @@
 //
 // Config is what can be configured, (*Config).Bind is cmd/cacheserve's
 // command line (each Bind line's default argument is the only place a
-// default is written) and Build assembles the process. cmd/cacheserve,
+// default is written, or names the exported constant its package falls
+// back to, such as cluster.DefaultVNodes) and Build assembles the
+// process. cmd/cacheserve,
 // loadgen's scenarios, the root serving benchmarks and
 // examples/federated all Build from Default, so a changed
 // default or wiring reaches every gate. (bench/stack.go still copies the
@@ -38,8 +40,10 @@
 // picks (core.New's default, index.Adaptive): the exact scan, then IVF
 // past a fixed threshold of index.DefaultFlatMax entries, which Build
 // logs; the IVF is rebuilt, sized to the tenant, each time the tenant
-// quadruples. Every build runs in the background. No flag chooses or
-// tunes a tier, and a revived tenant walks the same ladder.
+// quadruples. The Put that crosses a threshold builds the next tier, so
+// that tenant's lookups wait for the build (BenchmarkAdaptivePromote768
+// in internal/index times it). No flag chooses or tunes a tier, and a
+// revived tenant walks the same ladder.
 //
 // A tenant encodes its query and searches its cache on its request's
 // goroutine, one text and one probe at a time, as the paper's lookup
@@ -157,19 +161,19 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 
 	fs.Float64Var(&c.Tau, "tau", 0.83, "similarity threshold τ")
 	fs.Float64Var(&c.CtxTau, "ctx-tau", 0, "context-turn threshold (0 = same as -tau)")
-	fs.IntVar(&c.TopK, "topk", 5, "candidates context-checked per query")
+	fs.IntVar(&c.TopK, "topk", core.DefaultTopK, "candidates context-checked per query")
 	fs.IntVar(&c.Capacity, "tenant-capacity", 4096, "cache entries per tenant (0 = unbounded)")
 	fs.Float64Var(&c.FeedbackStep, "feedback-step", 0.01, "τ increase per false-hit report (0 disables)")
 
-	fs.IntVar(&c.Shards, "shards", 16, "tenant registry shards")
+	fs.IntVar(&c.Shards, "shards", server.DefaultShards, "tenant registry shards")
 	fs.IntVar(&c.MaxTenants, "max-tenants", 0, "resident tenant bound (0 = unbounded)")
 	fs.StringVar(&c.PersistDir, "persist-dir", "", "directory for evicted tenants' caches (empty = drop on eviction)")
 
 	fs.BoolVar(&c.Cluster, "cluster", false, "cluster mode: shard tenants across peers on a consistent-hash ring")
 	fs.StringVar(&c.Peers, "peers", "", "cluster: comma-separated peer addresses (host:port)")
 	fs.IntVar(&c.VNodes, "vnodes", cluster.DefaultVNodes, "cluster: virtual nodes per ring member")
-	fs.DurationVar(&c.ClusterHeartbeat, "cluster-heartbeat", 500*time.Millisecond, "cluster: peer health-probe period")
-	fs.IntVar(&c.ClusterDeadAfter, "cluster-dead-after", 3, "cluster: consecutive probe failures before a peer is dead")
+	fs.DurationVar(&c.ClusterHeartbeat, "cluster-heartbeat", cluster.DefaultHeartbeat, "cluster: peer health-probe period")
+	fs.IntVar(&c.ClusterDeadAfter, "cluster-dead-after", cluster.DefaultDeadAfter, "cluster: consecutive probe failures before a peer is dead")
 
 	fs.Float64Var(&c.Governor.Quota.Rate, "quota-rate", 0, "per-tenant admission quota in requests/second (0 disables quotas)")
 	fs.Float64Var(&c.Governor.Quota.Burst, "quota-burst", 0, "per-tenant quota burst capacity (0 = same as -quota-rate)")

@@ -335,14 +335,11 @@ func TestDefaultStackTenantSizePicksTier(t *testing.T) {
 		}
 		return rows
 	}
-	// The promotion runs in the background; the stats row is what an
-	// operator would watch.
+	// The miss that filled the last entry built the IVF; the stats row
+	// is what an operator would watch.
 	rows := residents()
-	for deadline := time.Now().Add(30 * time.Second); rows["big"].Tier != "ivf"; rows = residents() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d entries past a Flat threshold of %d still serve from %q", rows["big"].Entries, flatMax, rows["big"].Tier)
-		}
-		time.Sleep(time.Millisecond)
+	if rows["big"].Tier != "ivf" {
+		t.Fatalf("%d entries past a Flat threshold of %d still serve from %q", rows["big"].Entries, flatMax, rows["big"].Tier)
 	}
 	if rows["big"].Entries != flatMax+1 || rows["small"].Tier != "flat" || rows["small"].Entries != 32 {
 		t.Errorf("/v1/stats residents: %+v", rows)
