@@ -74,19 +74,6 @@ type Cache struct {
 	// hitBufs recycles the []index.Hit scratch FindSimilarAppend hands
 	// to the index, so a warmed search allocates nothing but its result.
 	hitBufs sync.Pool
-
-	// Lifetime counters; searches/hits are atomic because FindSimilar
-	// runs under the read lock.
-	puts, evictions int
-	searches, hits  atomic.Int64
-}
-
-// Stats counts cache operations.
-type Stats struct {
-	Puts      int
-	Searches  int
-	Hits      int // searches that returned at least one match
-	Evictions int
 }
 
 // New creates a cache for embeddings of the given dimension. capacity
@@ -130,32 +117,14 @@ func (c *Cache) Len() int {
 
 // ServingTier reports which index tier currently answers FindSimilar
 // searches ("flat" for the built-in exact scan; index.Adaptive reports
-// whichever tier it has promoted to), or "" when the installed index
-// does not name one. The index never changes after construction and
-// TierNamer implementations synchronise internally, so no cache lock is
-// taken — this is safe on the query hot path.
-func (c *Cache) ServingTier() string {
-	if tn, ok := c.idx.(index.TierNamer); ok {
-		return tn.Tier()
-	}
-	return ""
-}
+// whichever tier it has promoted to). The index never changes after
+// construction and synchronises internally, so no cache lock is taken —
+// this is safe on the query hot path.
+func (c *Cache) ServingTier() string { return c.idx.Tier() }
 
 // IndexRows reports the number of vectors the backing index holds. The
 // index synchronises internally, so no cache lock is taken.
 func (c *Cache) IndexRows() int { return c.idx.Len() }
-
-// Stats returns a snapshot of the operation counters.
-func (c *Cache) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return Stats{
-		Puts:      c.puts,
-		Searches:  int(c.searches.Load()),
-		Hits:      int(c.hits.Load()),
-		Evictions: c.evictions,
-	}
-}
 
 // Put inserts a query/response with its embedding and parent link,
 // returning the new entry's ID. The embedding must have the cache's
@@ -200,7 +169,6 @@ func (c *Cache) Put(query, response string, emb []float32, parent int) (int, err
 		return 0, fmt.Errorf("cache: indexing entry: %w", err)
 	}
 	c.link(&Entry{ID: id, Query: query, Response: response, Parent: parent})
-	c.puts++
 	return id, nil
 }
 
@@ -320,7 +288,6 @@ func (c *Cache) removeCascade(id int) {
 		heap.Remove(&c.entries, e.pos)
 		delete(c.byID, e.ID)
 		c.idx.Remove(e.ID)
-		c.evictions++
 	}
 }
 
@@ -363,7 +330,6 @@ func (c *Cache) FindSimilarAppend(emb []float32, k int, tau float32, dst []Match
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.searches.Add(1)
 	if len(c.entries) == 0 || k <= 0 {
 		return dst
 	}
@@ -371,13 +337,7 @@ func (c *Cache) FindSimilarAppend(emb []float32, k int, tau float32, dst []Match
 	if buf == nil {
 		buf = new([]index.Hit)
 	}
-	var hits []index.Hit
-	if sa, ok := c.idx.(index.SearchAppender); ok {
-		hits = sa.SearchAppend(emb, k, tau, (*buf)[:0])
-	} else {
-		hits = append((*buf)[:0], c.idx.Search(emb, k, tau)...)
-	}
-	before := len(dst)
+	hits := c.idx.SearchAppend(emb, k, tau, (*buf)[:0])
 	for _, h := range hits {
 		if e, ok := c.byID[h.ID]; ok {
 			dst = append(dst, Match{Entry: e, Score: h.Score})
@@ -385,9 +345,6 @@ func (c *Cache) FindSimilarAppend(emb []float32, k int, tau float32, dst []Match
 	}
 	*buf = hits[:0]
 	c.hitBufs.Put(buf)
-	if len(dst) > before {
-		c.hits.Add(1)
-	}
 	return dst
 }
 

@@ -265,18 +265,6 @@ func TestStorageAccounting(t *testing.T) {
 	}
 }
 
-func TestStatsCounters(t *testing.T) {
-	c := New(4, 0, LRU{})
-	e := unit(4, 1)
-	c.Put("q", "r", e, NoParent)
-	c.FindSimilar(e, 1, 0.9)        // hit
-	c.FindSimilar(unit(4, 9), 1, 2) // impossible threshold: miss
-	s := c.Stats()
-	if s.Puts != 1 || s.Searches != 2 || s.Hits != 1 {
-		t.Fatalf("Stats = %+v", s)
-	}
-}
-
 func TestConcurrentPutAndSearch(t *testing.T) {
 	c := New(16, 0, LRU{})
 	var wg sync.WaitGroup

@@ -152,7 +152,6 @@ func TestContextCheckDuringEvictionAndReembed(t *testing.T) {
 					case !res.Hit && i < stable:
 						t.Errorf("stable follow-up %d missed during a re-embed", i)
 					}
-					c.Recycle(&res)
 					done.Add(1)
 				}
 			}
@@ -188,7 +187,6 @@ func TestContextualHitAllocs(t *testing.T) {
 		if !res.Hit {
 			t.Fatal("follow-up missed")
 		}
-		c.Recycle(&res)
 	}
 	followUp()
 	followUp()

@@ -12,8 +12,9 @@
 //   - Session: stateful conversations. Session.Ask tracks the conversation
 //     history and parent entry, so contextual queries are cached with their
 //     chain automatically.
-//   - Client.Lookup / Client.Insert: the stateless primitives used by the
-//     benchmark harness, where probes arrive with explicit contexts.
+//   - Client.Lookup / Client.Insert: the stateless primitives that
+//     internal/experiments and cmd/meancache use, where probes arrive with
+//     explicit contexts.
 package core
 
 import (
@@ -30,21 +31,23 @@ import (
 	"repro/internal/vecmath"
 )
 
-// LLM is the upstream web service MeanCache fronts. Query returns the
-// response text and how long the service took (simulated or wall-clock).
+// LLM is the upstream web service MeanCache fronts; a miss calls
+// QueryContext. It returns the response text and how long the service
+// took (simulated or wall-clock). Implementations honour ctx's deadline
+// and cancellation and report failures as errors, so the request's
+// context reaches the upstream call and shed decisions
+// (resilience.Rejection) surface to the serving layer. llmsim.Service,
+// llmsim.Client and resilience.Guard implement it.
 type LLM interface {
-	Query(q string) (response string, took time.Duration)
-}
-
-// ContextLLM is the context-aware upstream interface. Implementations
-// honour ctx's deadline/cancellation and report failures as real errors
-// instead of error-text responses. When Options.LLM also implements
-// ContextLLM (llmsim.Service, llmsim.Client and resilience.Guard all do),
-// the miss path uses it — the request's context reaches the upstream call
-// and shed decisions (resilience.Rejection) surface to the serving layer.
-type ContextLLM interface {
 	QueryContext(ctx context.Context, q string) (response string, took time.Duration, err error)
 }
+
+// ContextLLM is LLM.
+//
+// Deprecated: LLM has only the context-aware method now. The alias stays
+// only because the frozen bench/trace.go names it, and goes in the
+// benchmark PR that re-captures BENCHMARK.json.
+type ContextLLM = LLM
 
 // DefaultTopK is the candidate count of Options that set no TopK.
 const DefaultTopK = 5
@@ -87,10 +90,10 @@ type Options struct {
 	// at τ − DegradedTauDelta. A stale-ish cached answer beats a 503
 	// while the upstream heals. Zero disables the degraded retry.
 	DegradedTauDelta float32
-	// Searcher, when non-nil, routes Lookup's similarity search through
-	// a substitute for the direct FindSimilarAppend (nil), such as a
-	// timing decorator; its matches must be identical. The degraded
-	// (cache-only) retry path always searches directly.
+	// Searcher, when non-nil, routes every similarity search — Lookup's
+	// and the degraded (cache-only) retry's — through a substitute for
+	// the direct FindSimilarAppend (nil), such as a timing decorator; its
+	// matches must be identical.
 	Searcher cache.Searcher
 	// Deprecated: MaintenanceGate is read by nothing. The field stays
 	// only because the frozen bench/stack.go sets it, and goes in the
@@ -125,9 +128,9 @@ type Client struct {
 	// probeBufs and matchBufs are bounded free lists (channel-backed, so
 	// recycling a slice never boxes it into an interface) for the two
 	// per-request buffers of the query hot path: the probe embedding and
-	// the candidate match list. Lookup draws from them; the serving layer
-	// returns probe buffers via Recycle once the response is written.
-	// Callers that never Recycle simply allocate per call, as before.
+	// the candidate match list. A query takes one of each and returns
+	// both before it returns: the probe once the miss path's fill has
+	// copied it, the match list once a candidate is picked.
 	probeBufs chan []float32
 	matchBufs chan []cache.Match
 
@@ -230,12 +233,8 @@ type Result struct {
 	// context filtering.
 	Candidates int
 	// Tier names the index tier that served the search ("flat" or
-	// "ivf"; "" when the index does not report one).
+	// "ivf").
 	Tier string
-	// ProbeEmbedding is the submitted query's embedding, exposed so the
-	// miss path can enrol the response without encoding the query a
-	// second time (the serving hot path cares).
-	ProbeEmbedding []float32
 	// Degraded marks a hit served in cache-only degraded mode: the
 	// upstream was unavailable and the match cleared only the relaxed
 	// threshold (τ − DegradedTauDelta), not τ itself.
@@ -270,46 +269,23 @@ func (c *Client) putProbeBuf(buf []float32) {
 	}
 }
 
-// Recycle returns res's probe-embedding buffer to the client's pool and
-// clears the field. Call it once the Result is fully consumed (the
-// serving layer does, after writing the response); never touch
-// res.ProbeEmbedding afterwards. Recycling is optional — skipping it
-// just costs the allocation Lookup always used to pay.
-func (c *Client) Recycle(res *Result) {
-	if res.ProbeEmbedding == nil {
-		return
-	}
-	c.putProbeBuf(res.ProbeEmbedding)
-	res.ProbeEmbedding = nil
-}
-
 // Lookup runs the cache-decision half of Algorithm 1: embed q, find similar
 // cached queries, and verify the context chain of each candidate against
 // ctxTexts (the conversation history, oldest first; empty for standalone
 // queries). It performs no insertion and no LLM call.
 func (c *Client) Lookup(q string, ctxTexts []string) Result {
+	res, probe := c.lookup(q, ctxTexts)
+	c.putProbeBuf(probe)
+	return res
+}
+
+// lookup is Lookup handing back the probe embedding, a pooled buffer the
+// caller must return with putProbeBuf exactly once.
+func (c *Client) lookup(q string, ctxTexts []string) (Result, []float32) {
 	start := time.Now()
-	eq := c.encodeProbe(q)
-	encDone := time.Since(start)
-	var mbuf []cache.Match
-	select {
-	case mbuf = <-c.matchBufs:
-	default:
-	}
-	matches := c.opts.Searcher.FindSimilar(c.cache, eq, c.opts.TopK, c.Tau(), mbuf[:0])
-	var res Result
-	if m, ok := c.pickMatch(matches, ctxTexts); ok {
-		res = Result{
-			Response: m.Entry.Response,
-			Hit:      true,
-			Entry:    m.Entry,
-			Score:    m.Score,
-		}
-	}
-	res.ProbeEmbedding = eq
-	res.Candidates = len(matches)
-	res.Tier = c.cache.ServingTier()
-	res.EncodeTime = encDone
+	probe := c.encodeProbe(q)
+	res := Result{EncodeTime: time.Since(start), Tier: c.cache.ServingTier()}
+	res.Candidates = c.match(&res, probe, ctxTexts, c.Tau())
 	res.SearchTime = time.Since(start)
 	res.Latency = res.SearchTime
 	c.searchNanos.Add(int64(res.SearchTime))
@@ -317,7 +293,27 @@ func (c *Client) Lookup(q string, ctxTexts []string) Result {
 	if res.Hit {
 		c.cacheHits.Add(1)
 	}
-	return res
+	return res, probe
+}
+
+// match is Algorithm 1's search and context check at threshold tau: it
+// finds probe's similar cached queries through Options.Searcher and makes
+// res a hit on the first whose context chain agrees with ctxTexts. It
+// returns the number of candidates the search found.
+func (c *Client) match(res *Result, probe []float32, ctxTexts []string, tau float32) int {
+	var mbuf []cache.Match
+	select {
+	case mbuf = <-c.matchBufs:
+	default:
+	}
+	matches := c.opts.Searcher.FindSimilar(c.cache, probe, c.opts.TopK, tau, mbuf[:0])
+	if m, ok := c.pickMatch(matches, ctxTexts); ok {
+		res.Response = m.Entry.Response
+		res.Hit = true
+		res.Entry = m.Entry
+		res.Score = m.Score
+	}
+	return len(matches)
 }
 
 // pickMatch returns the best of matches whose context chain agrees with
@@ -402,55 +398,45 @@ func (c *Client) Query(q string) (Result, error) {
 }
 
 // QueryContext is Query with the request's context threaded through to
-// the upstream call (when Options.LLM implements ContextLLM): client
-// disconnects cancel the in-flight LLM call, deadlines propagate, and
-// upstream shed decisions surface as *resilience.Rejection errors.
+// the upstream call: client disconnects cancel the in-flight LLM call,
+// deadlines propagate, and upstream shed decisions surface as
+// *resilience.Rejection errors.
 func (c *Client) QueryContext(ctx context.Context, q string) (Result, error) {
 	return c.queryWithContext(ctx, q, nil, cache.NoParent)
 }
 
 func (c *Client) queryWithContext(ctx context.Context, q string, ctxTexts []string, parent int) (Result, error) {
-	res := c.Lookup(q, ctxTexts)
+	res, probe := c.lookup(q, ctxTexts)
+	defer c.putProbeBuf(probe)
 	if res.Hit {
 		return res, nil
 	}
 	if c.opts.LLM == nil {
 		return res, fmt.Errorf("core: cache miss and no LLM configured")
 	}
-	var (
-		resp string
-		took time.Duration
-	)
-	if cl, ok := c.opts.LLM.(ContextLLM); ok {
-		var err error
-		resp, took, err = cl.QueryContext(ctx, q)
-		if err != nil {
-			res.UpstreamTime = took
-			// Breaker open: the upstream is unreachable but the cache is
-			// not — retry the lookup at the relaxed degraded threshold
-			// before giving up on the request.
-			if rej, isRej := resilience.AsRejection(err); isRej && rej.CacheOnly {
-				if c.degradedLookup(&res, ctxTexts) {
-					return res, nil
-				}
-			}
-			return res, err
+	resp, took, err := c.opts.LLM.QueryContext(ctx, q)
+	if err != nil {
+		res.UpstreamTime = took
+		// Breaker open: the upstream is unreachable but the cache is
+		// not — retry the lookup at the relaxed degraded threshold
+		// before giving up on the request.
+		if rej, isRej := resilience.AsRejection(err); isRej && rej.CacheOnly && c.degradedLookup(&res, probe, ctxTexts) {
+			return res, nil
 		}
-	} else {
-		resp, took = c.opts.LLM.Query(q)
+		return res, err
 	}
 	c.llmQueries.Add(1)
 	res.UpstreamTime = took
-	// Reuse the embedding Lookup already computed rather than paying a
+	// Reuse the embedding lookup already computed rather than paying a
 	// second encode on every miss.
 	fillStart := time.Now()
-	id, err := c.cache.Put(q, resp, res.ProbeEmbedding, parent)
+	id, err := c.cache.Put(q, resp, probe, parent)
 	if err != nil && parent != cache.NoParent {
 		// The conversational parent was evicted since the session last
 		// touched it. Re-root rather than failing the query forever: the
 		// entry is cached standalone and the session chains from it.
 		parent = cache.NoParent
-		id, err = c.cache.Put(q, resp, res.ProbeEmbedding, parent)
+		id, err = c.cache.Put(q, resp, probe, parent)
 	}
 	if err != nil {
 		return res, fmt.Errorf("core: enrolling response: %w", err)
@@ -463,32 +449,18 @@ func (c *Client) queryWithContext(ctx context.Context, q string, ctxTexts []stri
 	return res, nil
 }
 
-// degradedLookup retries a missed lookup at the relaxed degraded
-// threshold (τ − DegradedTauDelta), reusing the probe embedding res
-// already carries. It mutates res into a degraded hit and returns true
-// when a context-consistent match clears the relaxed bar.
-func (c *Client) degradedLookup(res *Result, ctxTexts []string) bool {
-	if c.opts.DegradedTauDelta <= 0 || res.ProbeEmbedding == nil {
+// degradedLookup retries a missed lookup of probe at the relaxed
+// degraded threshold (τ − DegradedTauDelta). It mutates res into a
+// degraded hit and returns true when a context-consistent match clears
+// the relaxed bar.
+func (c *Client) degradedLookup(res *Result, probe []float32, ctxTexts []string) bool {
+	if c.opts.DegradedTauDelta <= 0 {
 		return false
 	}
-	tau := c.Tau() - c.opts.DegradedTauDelta
-	if tau < 0 {
-		tau = 0
-	}
+	tau := max(c.Tau()-c.opts.DegradedTauDelta, 0)
 	start := time.Now()
-	var mbuf []cache.Match
-	select {
-	case mbuf = <-c.matchBufs:
-	default:
-	}
-	matches := c.cache.FindSimilarAppend(res.ProbeEmbedding, c.opts.TopK, tau, mbuf[:0])
-	if m, ok := c.pickMatch(matches, ctxTexts); ok {
-		res.Response = m.Entry.Response
-		res.Hit = true
-		res.Degraded = true
-		res.Entry = m.Entry
-		res.Score = m.Score
-	}
+	c.match(res, probe, ctxTexts, tau)
+	res.Degraded = res.Hit
 	res.SearchTime += time.Since(start)
 	res.Latency = res.SearchTime + res.UpstreamTime
 	if res.Hit {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,9 +62,9 @@ type stubLLM struct {
 	took  time.Duration
 }
 
-func (l *stubLLM) Query(q string) (string, time.Duration) {
+func (l *stubLLM) QueryContext(_ context.Context, q string) (string, time.Duration, error) {
 	l.calls++
-	return "llm says: " + q, l.took
+	return "llm says: " + q, l.took, nil
 }
 
 func newTestClient(t *testing.T, enc *stubEncoder, llm LLM) *Client {

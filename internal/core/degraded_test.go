@@ -42,7 +42,7 @@ func (s *stubEncoder) aliasNear(seed int64, sim float32, base string, texts ...s
 	}
 }
 
-// flakyLLM is a ContextLLM whose availability the test toggles: healthy
+// flakyLLM is an LLM whose availability the test toggles: healthy
 // it answers; down it returns a cache-only rejection (as a breaker-open
 // guard would); failing it returns a plain error.
 type flakyLLM struct {
@@ -61,12 +61,6 @@ func (l *flakyLLM) QueryContext(ctx context.Context, q string) (string, time.Dur
 		return "", 0, errors.New("upstream exploded")
 	}
 	return "llm says: " + q, 50 * time.Millisecond, nil
-}
-
-// Query adapts to the legacy interface (Options.LLM is typed LLM).
-func (l *flakyLLM) Query(q string) (string, time.Duration) {
-	r, took, _ := l.QueryContext(context.Background(), q)
-	return r, took
 }
 
 // TestDegradedCacheOnlyServing: with the upstream breaker open, a near
@@ -149,7 +143,6 @@ func TestQueryContextCancelPropagates(t *testing.T) {
 // ctxProbeLLM errors with the context's error, proving ctx reached it.
 type ctxProbeLLM struct{}
 
-func (ctxProbeLLM) Query(q string) (string, time.Duration) { return "unreachable", 0 }
 func (ctxProbeLLM) QueryContext(ctx context.Context, q string) (string, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return "", 0, err

@@ -2,6 +2,7 @@ package flserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -34,7 +35,9 @@ var tinyArch = embed.Arch{
 
 type stubLLM struct{}
 
-func (stubLLM) Query(q string) (string, time.Duration) { return "ans: " + q, 0 }
+func (stubLLM) QueryContext(_ context.Context, q string) (string, time.Duration, error) {
+	return "ans: " + q, 0, nil
+}
 
 func quickCfg() train.Config {
 	cfg := train.DefaultConfig()

@@ -119,7 +119,10 @@ func TestAdaptiveRegrowUnderRacingWrites(t *testing.T) {
 	if n := a.Len(); n != len(oracle) {
 		t.Fatalf("Len = %d, want %d", n, len(oracle))
 	}
-	got := a.cur.Load().idx.idList()
+	var got []int
+	for _, r := range a.cur.Load().idx.rows(nil) {
+		got = append(got, r.id)
+	}
 	sort.Ints(got)
 	want := make([]int, 0, len(oracle))
 	for id := range oracle {
@@ -127,11 +130,11 @@ func TestAdaptiveRegrowUnderRacingWrites(t *testing.T) {
 	}
 	sort.Ints(want)
 	if len(got) != len(want) {
-		t.Fatalf("idList has %d entries, want %d", len(got), len(want))
+		t.Fatalf("rows has %d entries, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("idList[%d] = %d, want %d", i, got[i], want[i])
+			t.Fatalf("rows[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 	for id, v := range oracle {

@@ -53,6 +53,15 @@ func withCap[T any](s []T, c int) []T {
 // row returns row i, a view into the arena.
 func (a *arena) row(i int) []float32 { return a.vecs[i*a.dim : (i+1)*a.dim] }
 
+// rows appends each live row's ID and a view of its vector to dst, in
+// arena order.
+func (a *arena) rows(dst []idRow) []idRow {
+	for i, id := range a.ids {
+		dst = append(dst, idRow{id: id, vec: a.row(i)})
+	}
+	return dst
+}
+
 // swapDelete removes row i, moving the last row into its place. It
 // returns the id that moved into position i, and whether a move
 // happened, so the caller can fix its position map. The vacated tail

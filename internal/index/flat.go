@@ -37,7 +37,7 @@ func (f *Flat) Len() int {
 	return len(f.ids)
 }
 
-// Tier implements TierNamer.
+// Tier implements Index.
 func (f *Flat) Tier() string { return "flat" }
 
 // Add implements Index.
@@ -71,11 +71,11 @@ func (f *Flat) Remove(id int) {
 	delete(f.pos, id)
 }
 
-// idList implements tierIndex.
-func (f *Flat) idList() []int {
+// rows implements tierIndex, in arena order.
+func (f *Flat) rows(dst []idRow) []idRow {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return append([]int(nil), f.ids...)
+	return f.arena.rows(dst)
 }
 
 // Vector implements Index.

@@ -46,6 +46,9 @@ type Index interface {
 	// Search returns up to k hits with score >= tau, ordered by
 	// descending score with ties broken by ascending ID.
 	Search(vec []float32, k int, tau float32) []Hit
+	// SearchAppend is Search appending its hits into a caller-owned
+	// buffer: the allocation-free form the serving hot path uses.
+	SearchAppend(vec []float32, k int, tau float32, dst []Hit) []Hit
 	// Vector appends the vector stored under id to dst and returns the
 	// extended slice; ok is false (and dst returned as is) when id is
 	// absent. The index is the only place a cached vector lives, so this
@@ -55,20 +58,9 @@ type Index interface {
 	Len() int
 	// Dim reports the vector dimensionality.
 	Dim() int
-}
-
-// SearchAppender is the optional allocation-free search surface: Search
-// appending its hits into a caller-owned buffer. Flat and IVF implement
-// it, and Adaptive hands it through to whichever of them is serving.
-type SearchAppender interface {
-	SearchAppend(vec []float32, k int, tau float32, dst []Hit) []Hit
-}
-
-// TierNamer is the optional serving-tier identity: implementations
-// report which tier answers their searches ("flat", "ivf").
-// Adaptive reports whichever tier currently serves. The observability
-// layer uses this to label per-tier search latency.
-type TierNamer interface {
+	// Tier names the tier that answers searches ("flat" or "ivf"; an
+	// Adaptive reports whichever currently serves). The observability
+	// layer labels per-tier search latency with it.
 	Tier() string
 }
 

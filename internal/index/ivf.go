@@ -100,7 +100,7 @@ func (x *IVF) Len() int {
 	return len(x.where)
 }
 
-// Tier implements TierNamer.
+// Tier implements Index.
 func (x *IVF) Tier() string { return "ivf" }
 
 // Add implements Index: the row joins its nearest centroid's list.
@@ -136,15 +136,14 @@ func (x *IVF) Remove(id int) {
 	delete(x.where, id)
 }
 
-// idList implements tierIndex.
-func (x *IVF) idList() []int {
+// rows implements tierIndex, list by list.
+func (x *IVF) rows(dst []idRow) []idRow {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	out := make([]int, 0, len(x.where))
-	for id := range x.where {
-		out = append(out, id)
+	for _, l := range x.lists {
+		dst = l.rows(dst)
 	}
-	return out
+	return dst
 }
 
 // Vector implements Index.

@@ -81,7 +81,8 @@ func (s *Server) Close() error {
 }
 
 // Client queries a remote simulated LLM service over HTTP. It implements
-// the same Query contract as Service, so MeanCache can front either.
+// the same QueryContext contract as Service (core.LLM), so MeanCache can
+// front either.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -95,22 +96,12 @@ func NewClient(addr string) *Client {
 	}
 }
 
-// Query sends q to the remote service. took includes the network round
-// trip, which is the point: server-side caches still pay this cost on
-// every query, user-side caches do not (§I, problem 2). Errors are folded
-// into the response text for compatibility with the legacy LLM interface;
-// serving paths use QueryContext, which reports them properly.
-func (c *Client) Query(q string) (response string, took time.Duration) {
-	resp, took, err := c.QueryContext(context.Background(), q)
-	if err != nil {
-		return fmt.Sprintf("error: %v", err), took
-	}
-	return resp, took
-}
-
-// QueryContext sends q to the remote service under ctx's deadline and
-// surfaces transport and server failures as real errors, so the caller's
-// circuit breaker and concurrency limiter see the upstream's true health.
+// QueryContext sends q to the remote service under ctx's deadline. took
+// includes the network round trip, which is the point: server-side caches
+// still pay this cost on every query, user-side caches do not (§I,
+// problem 2). Transport and server failures surface as errors, so the
+// caller's circuit breaker and concurrency limiter see the upstream's
+// true health.
 func (c *Client) QueryContext(ctx context.Context, q string) (response string, took time.Duration, err error) {
 	start := time.Now()
 	body, err := json.Marshal(QueryRequest{Query: q})

@@ -1,6 +1,7 @@
 package llmsim
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -98,7 +99,10 @@ func TestHTTPServerRoundTrip(t *testing.T) {
 
 	c := NewClient(srv.Addr())
 	direct, directDur := svc.Query("http round trip test")
-	viaHTTP, httpDur := c.Query("http round trip test")
+	viaHTTP, httpDur, err := c.QueryContext(context.Background(), "http round trip test")
+	if err != nil {
+		t.Fatalf("QueryContext: %v", err)
+	}
 	if viaHTTP != direct {
 		t.Fatalf("HTTP response %q differs from direct %q", viaHTTP, direct)
 	}
@@ -114,9 +118,9 @@ func TestHTTPServerRoundTrip(t *testing.T) {
 
 func TestHTTPClientErrorPath(t *testing.T) {
 	c := NewClient("127.0.0.1:1") // nothing listening
-	resp, _ := c.Query("will fail")
-	if !strings.HasPrefix(resp, "error:") {
-		t.Fatalf("expected error response, got %q", resp)
+	resp, _, err := c.QueryContext(context.Background(), "will fail")
+	if err == nil {
+		t.Fatalf("expected an error, got response %q", resp)
 	}
 }
 

@@ -18,9 +18,10 @@
 //     mode: hits are still answered (at a relaxed τ), misses are shed
 //     with Retry-After instead of being queued into a dead upstream.
 //
-// Background work (FL rounds, rollout re-embeds, index tier builds) is
-// not admitted here: flserve bounds its own re-embeds, and each tier
-// build runs on one background goroutine per tenant.
+// Work off the request path is not admitted here either: flserve bounds
+// its own FL rounds and rollout re-embeds, and an index tier build runs
+// inside the cache fill whose Add crosses the tier's threshold
+// (index.Adaptive), on that request's goroutine.
 //
 // Every type is safe for concurrent use and keeps its hot path
 // allocation-free; admission checks are designed to ride the PR 5

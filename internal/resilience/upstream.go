@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// Caller is the upstream call shape the guard wraps. It structurally
-// matches core.ContextLLM and the llmsim service/client, so this
-// package depends on neither.
+// Caller is the upstream call shape the guard wraps. It has core.LLM's
+// one method, which the llmsim service and client implement, so this
+// package depends on neither, and a Guard is itself a Caller.
 type Caller interface {
 	QueryContext(ctx context.Context, q string) (response string, took time.Duration, err error)
 }
@@ -27,8 +27,7 @@ type Caller interface {
 //     the request's own deadline; an expiry counts as a failure for
 //     both the limiter and the breaker.
 //
-// Guard implements both QueryContext (core.ContextLLM) and the legacy
-// Query (core.LLM), so it drops into core.Options.LLM directly.
+// Guard implements core.LLM, so it drops into core.Options.LLM directly.
 type Guard struct {
 	inner   Caller
 	limiter *Limiter
@@ -124,17 +123,6 @@ func (u *Guard) QueryContext(ctx context.Context, q string) (string, time.Durati
 	}
 	u.successes.Add(1)
 	return resp, took, nil
-}
-
-// Query adapts the guard to the legacy context-free LLM interface
-// (errors become error-text responses, matching llmsim.Client). Serving
-// paths use QueryContext; this exists for harness callers only.
-func (u *Guard) Query(q string) (string, time.Duration) {
-	resp, took, err := u.QueryContext(context.Background(), q)
-	if err != nil {
-		return fmt.Sprintf("error: %v", err), took
-	}
-	return resp, took
 }
 
 // GuardStats snapshots the guard's call counters.

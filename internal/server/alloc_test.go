@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +18,9 @@ import (
 
 type instantAllocLLM struct{}
 
-func (instantAllocLLM) Query(q string) (string, time.Duration) { return "r", 0 }
+func (instantAllocLLM) QueryContext(context.Context, string) (string, time.Duration, error) {
+	return "r", 0, nil
+}
 
 type nopBody struct{ *bytes.Reader }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -19,7 +20,9 @@ import (
 
 type slowObsLLM struct{ d time.Duration }
 
-func (l slowObsLLM) Query(q string) (string, time.Duration) { return "answer:" + q, l.d }
+func (l slowObsLLM) QueryContext(_ context.Context, q string) (string, time.Duration, error) {
+	return "answer:" + q, l.d, nil
+}
 
 // TestServerObservability drives the full instrumented request path and
 // checks all three observability surfaces: /metrics (parseable, with the

@@ -380,9 +380,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Tau:           tenant.Client.Tau(),
 	})
 	o.observeQuery(trace, req.User, &res.Result, decodeDur, respondStart, time.Since(t0))
-	// The response is on the wire; return the probe-embedding buffer to
-	// the tenant's pool.
-	tenant.Client.Recycle(&res.Result)
 }
 
 // queryResult pairs a core.Result with the error from producing it, so

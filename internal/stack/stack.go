@@ -97,14 +97,6 @@ import (
 	"repro/internal/train"
 )
 
-// Upstream is the LLM service misses go to: core.LLM for the tenants,
-// resilience.Caller for the guard a limiter, breaker or timeout puts
-// around it. llmsim.Service and llmsim.Client both satisfy it.
-type Upstream interface {
-	core.LLM
-	resilience.Caller
-}
-
 // Config is everything a cacheserve can be told. All but the last two
 // fields are set by flags (see Bind). A section that configures one
 // package is that package's own config struct, which Build hands through,
@@ -146,7 +138,7 @@ type Config struct {
 	Encoder embed.Encoder
 	// LLM, when non-nil, replaces Upstream/Sleep: the overload scenario
 	// keeps its *llmsim.Service to slow and fail it.
-	LLM Upstream
+	LLM core.LLM
 }
 
 // Bind registers cacheserve's command line on fs, each flag writing into
@@ -275,10 +267,9 @@ func Build(cfg Config) (_ *Stack, err error) {
 	// limiter + circuit breaker on the upstream miss path (the Guard
 	// below).
 	s.Governor = resilience.NewGovernor(cfg.Governor)
-	upstream := newUpstream(cfg)
-	var llm core.LLM = upstream
+	llm := newUpstream(cfg)
 	if s.Governor.Limiter != nil || s.Governor.Breaker != nil || cfg.UpstreamTimeout > 0 {
-		llm = resilience.NewGuard(upstream, s.Governor, cfg.UpstreamTimeout)
+		llm = resilience.NewGuard(llm, s.Governor, cfg.UpstreamTimeout)
 	}
 
 	// Tenants take core.New's index.
@@ -420,7 +411,7 @@ func loadEncoder(cfg Config) (embed.Encoder, error) {
 
 // newUpstream resolves the LLM service: the caller's, a network llmsim,
 // or an in-process simulator (virtual time unless cfg.Sleep).
-func newUpstream(cfg Config) Upstream {
+func newUpstream(cfg Config) core.LLM {
 	if cfg.LLM != nil {
 		return cfg.LLM
 	}
