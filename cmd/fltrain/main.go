@@ -37,7 +37,7 @@ func main() {
 		epochs   = flag.Int("epochs", 6, "local epochs per round")
 		clientID = flag.Int("id", 0, "client ID (client mode)")
 		seed     = flag.Int64("seed", 1, "master seed")
-		outPath  = flag.String("o", "model.gob", "output path for the trained global model")
+		outPath  = flag.String("o", "model.bin", "output path for the trained global model")
 	)
 	flag.Parse()
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	meancache                            # fresh untrained encoder, local LLM sim
-//	meancache -model model.gob -tau 0.8  # FL-trained encoder from fltrain
+//	meancache -model model.bin -tau 0.8  # FL-trained encoder from fltrain
 //	meancache -cache ~/.meancache.db     # persistent cache across runs
 //	meancache -llm 127.0.0.1:8080        # front a remote llmsim HTTP service
 //

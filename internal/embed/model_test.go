@@ -2,10 +2,12 @@ package embed
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/tokenizer"
@@ -162,21 +164,215 @@ func TestWeightsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: a saved and reloaded model holds E, W and B
+// bit for bit and encodes bit-identically, and the file is the three
+// weight blocks behind a short header: 4 bytes per weight plus 12 per
+// block.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := NewModel(MPNetSim, 11)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
+	if want := 2 + len(MPNetSim.Name) + 4*m.WeightCount() + 3*12; buf.Len() != want {
+		t.Fatalf("saved model is %d bytes, want %d", buf.Len(), want)
+	}
 	m2, err := Load(&buf)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	ea := m.Encode("persistent model")
-	eb := m2.Encode("persistent model")
-	for i := range ea {
-		if ea[i] != eb[i] {
+	sameModel(t, m2, m)
+}
+
+// sameModel fails t unless got holds want's architecture and weights,
+// bit for bit, and encodes text bit-identically.
+func sameModel(t *testing.T, got, want *Model) {
+	t.Helper()
+	if got.Cfg != want.Cfg {
+		t.Fatalf("loaded architecture %+v, want %+v", got.Cfg, want.Cfg)
+	}
+	for _, p := range []struct {
+		name      string
+		got, want []float32
+	}{{"E", got.E.Data, want.E.Data}, {"W", got.W.Data, want.W.Data}, {"B", got.B, want.B}} {
+		if len(p.got) != len(p.want) {
+			t.Fatalf("%s holds %d weights, want %d", p.name, len(p.got), len(p.want))
+		}
+		for i := range p.want {
+			if math.Float32bits(p.got[i]) != math.Float32bits(p.want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", p.name, i, p.got[i], p.want[i])
+			}
+		}
+	}
+	ea, eb := got.Encode("persistent model"), want.Encode("persistent model")
+	for i := range eb {
+		if math.Float32bits(ea[i]) != math.Float32bits(eb[i]) {
 			t.Fatal("loaded model produces different embeddings")
+		}
+	}
+}
+
+// TestLoadLegacyGob: a model saved as one gob stream, the format every
+// release before the block codec wrote, still loads to the same weights.
+func TestLoadLegacyGob(t *testing.T) {
+	m := NewModel(MPNetSim, 12)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(modelWire{ArchName: m.Cfg.Name, E: m.E.Data, W: m.W.Data, B: m.B}); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("Load of a legacy gob model: %v", err)
+	}
+	sameModel(t, m2, m)
+}
+
+// TestLoadRejectsCorruptModel: a flipped byte anywhere, a truncated
+// file, bytes after the last block and a block whose declared length
+// does not fit the named architecture are each refused with an error. A
+// wrong declared length is refused before the block is allocated.
+func TestLoadRejectsCorruptModel(t *testing.T) {
+	m := NewModel(MPNetSim, 13)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	eLen := 2 + len(MPNetSim.Name) // offset of E's declared length
+	nE := len(m.E.Data)
+	load := func(name string, raw []byte) {
+		t.Helper()
+		if _, err := Load(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: Load accepted a corrupt model", name)
+		}
+	}
+	for _, off := range []int{3, eLen + 3, eLen + 8 + 4*nE/2, eLen + 8 + 4*nE + 1, len(good) - 4*len(m.B) - 6, len(good) - 1} {
+		bad := bytes.Clone(good)
+		bad[off] ^= 0x10
+		load(fmt.Sprintf("byte %d flipped", off), bad)
+	}
+	for _, n := range []int{1, eLen, eLen + 8 + 4*nE/2, eLen + 8 + 4*nE + 2, len(good) - 1} {
+		load(fmt.Sprintf("truncated to %d bytes", n), good[:n])
+	}
+	load("a trailing byte", append(bytes.Clone(good), 0))
+	load("an unregistered architecture", append([]byte{modelFormat, 4}, "bert"...))
+
+	// A tinyArch model names mpnet-sim but declares tiny blocks; so do
+	// mpnet-sim's own bytes with E's length off by one.
+	var tiny bytes.Buffer
+	if err := NewModel(tinyArch, 1).Save(&tiny); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"tiny blocks under mpnet-sim", tiny.Bytes()},
+		{"E declared one short", withDeclaredLength(good, eLen, uint64(nE-1))},
+		{"E declared one long", withDeclaredLength(good, eLen, uint64(nE+1))},
+		{"E declared 2^63", withDeclaredLength(good, eLen, 1<<63)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		load(tc.name, tc.raw)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes, want under 1 MiB", tc.name, alloc)
+		}
+	}
+}
+
+// withDeclaredLength returns a copy of raw with the block length at off
+// set to n.
+func withDeclaredLength(raw []byte, off int, n uint64) []byte {
+	bad := bytes.Clone(raw)
+	binary.LittleEndian.PutUint64(bad[off:], n)
+	return bad
+}
+
+// TestLoadAllocatesWeightsOnce: loading a saved mpnet-sim allocates its
+// weights once plus a small fixed amount (the chunk and read buffers),
+// where the gob decode allocated about five copies.
+func TestLoadAllocatesWeightsOnce(t *testing.T) {
+	m := NewModel(MPNetSim, 14)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m2, err := Load(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*m.WeightCount()+1<<20)
+	t.Logf("Load allocated %d bytes for %d bytes of weights", alloc, 4*m2.WeightCount())
+	if alloc > limit {
+		t.Fatalf("Load allocated %d bytes, want at most %d (one copy of the weights + 1 MiB)", alloc, limit)
+	}
+}
+
+// FuzzLoadModel: arbitrary bytes never panic Load, and never make it
+// allocate more than one copy of the weights of the architecture the
+// bytes name (plus 1 MiB); a gob stream names its architecture only
+// inside the value it decodes, so it is held to the largest registered
+// one.
+func FuzzLoadModel(f *testing.F) {
+	// The seeds are short, so the fuzzer minimises quickly: no
+	// registered architecture is small enough for a whole model to be
+	// one. A header declaring mpnet-sim's E exactly makes Load allocate E
+	// before the bytes run out; one declaring another length is refused
+	// before it.
+	hdr := append([]byte{modelFormat, byte(len(MPNetSim.Name))}, MPNetSim.Name...)
+	f.Add(binary.LittleEndian.AppendUint64(bytes.Clone(hdr), uint64(modelShapes(MPNetSim)[0])))
+	f.Add(append(binary.LittleEndian.AppendUint64(bytes.Clone(hdr), 2), 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40, 1, 2, 3, 4))
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(modelWire{ArchName: MPNetSim.Name, E: []float32{1, 2}, W: []float32{3}, B: []float32{4}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy.Bytes())
+	f.Add([]byte("not a model"))
+	f.Add([]byte{modelFormat})
+	largest := 0
+	for _, a := range []Arch{MPNetSim, AlbertSim, Llama2Sim} {
+		largest = max(largest, a.WeightCount())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		limit := uint64(4*largest + 1<<20)
+		if len(raw) >= 2 && raw[0] == modelFormat && int(raw[1]) <= len(raw)-2 {
+			limit = 1 << 20
+			if cfg, err := ArchByName(string(raw[2 : 2+int(raw[1])])); err == nil {
+				limit += uint64(4 * cfg.WeightCount())
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Load(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+			t.Fatalf("Load of %d bytes allocated %d, want at most %d", len(raw), alloc, limit)
+		}
+		if err == nil && m.WeightCount() != m.Cfg.WeightCount() {
+			t.Fatalf("loaded a %s model with %d weights, want %d", m.Cfg.Name, m.WeightCount(), m.Cfg.WeightCount())
+		}
+	})
+}
+
+// BenchmarkLoadMPNetSim times Load of a saved mpnet-sim from memory.
+func BenchmarkLoadMPNetSim(b *testing.B) {
+	var buf bytes.Buffer
+	if err := NewModel(MPNetSim, 15).Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Load(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

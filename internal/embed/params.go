@@ -2,9 +2,14 @@ package embed
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
+	"runtime"
 
 	"repro/internal/tokenizer"
 	"repro/internal/vecmath"
@@ -45,51 +50,204 @@ func (m *Model) Weights() []float32 {
 	return w
 }
 
-// modelWire is the gob-encoded persistent form of a model.
+// modelFormat is the first byte of a model file:
+//
+//	modelFormat(1) len(1) arch name
+//	block(E) block(W) block(B)
+//
+// and nothing after it, where each block is what WriteWeightBlock
+// writes. Earlier versions wrote one gob stream (modelWire); those still
+// load, but are never written. A gob stream opens with its first
+// message's byte count, which encoding/gob writes as a single byte
+// ≤ 0x7f or as 0xf8–0xff followed by the count, so 0x81 never starts
+// one and the first byte alone tells the two formats apart (the cache's
+// entry records use the same byte for the same reason).
+const modelFormat byte = 0x81
+
+// modelWire is the legacy gob form of a model, read by Load only.
 type modelWire struct {
 	ArchName string
 	E, W     []float32
 	B        []float32
 }
 
-// Save writes the model (architecture name + weights) to w.
+// Save writes the model (architecture name + weights) to w in the
+// checksummed block format Load reads.
 func (m *Model) Save(w io.Writer) error {
+	name := m.Cfg.Name
+	if len(name) > 255 {
+		return fmt.Errorf("embed: architecture name %q is longer than 255 bytes", name)
+	}
 	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(modelWire{
-		ArchName: m.Cfg.Name,
-		E:        m.E.Data,
-		W:        m.W.Data,
-		B:        m.B,
-	}); err != nil {
-		return fmt.Errorf("embed: encoding model: %w", err)
+	bw.WriteByte(modelFormat)
+	bw.WriteByte(byte(len(name)))
+	bw.WriteString(name)
+	for _, v := range [][]float32{m.E.Data, m.W.Data, m.B} {
+		if err := WriteWeightBlock(bw, v); err != nil {
+			return fmt.Errorf("embed: writing model: %w", err)
+		}
 	}
 	return bw.Flush()
 }
 
-// Load reads a model previously written by Save. The architecture is
-// resolved from the registry by name, and the model takes the decoded
-// weight slices as its own, so a load allocates the weights once.
+// Load reads a model written by Save, or a legacy gob model. The
+// architecture is resolved from the registry by name, and every block's
+// declared length is checked against that architecture's shapes before
+// anything is allocated for it, so a load allocates the weights once and
+// a file can never make it allocate more than its architecture holds. A
+// checksum mismatch, a truncated file or bytes after the last block are
+// refused with an error.
 func Load(r io.Reader) (*Model, error) {
+	br := bufio.NewReader(r)
+	first, err := br.Peek(1)
+	if err != nil {
+		return nil, fmt.Errorf("embed: reading model: %w", err)
+	}
+	if first[0] != modelFormat {
+		return loadGob(br)
+	}
+	var hdr [2]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("embed: reading model header: %w", err)
+	}
+	name := make([]byte, hdr[1])
+	if _, err := io.ReadFull(br, name); err != nil {
+		return nil, fmt.Errorf("embed: reading model header: %w", err)
+	}
+	cfg, err := ArchByName(string(name))
+	if err != nil {
+		return nil, err
+	}
+	var blocks [3][]float32
+	for i, n := range modelShapes(cfg) {
+		if blocks[i], err = ReadWeightBlock(br, n); err != nil {
+			return nil, fmt.Errorf("embed: reading %s model: %w", cfg.Name, err)
+		}
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("embed: %s model has bytes after its last block", cfg.Name)
+	}
+	return loaded(cfg, blocks[0], blocks[1], blocks[2]), nil
+}
+
+// loadGob reads the legacy gob form.
+func loadGob(r io.Reader) (*Model, error) {
 	var wire modelWire
-	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("embed: decoding model: %w", err)
 	}
 	cfg, err := ArchByName(wire.ArchName)
 	if err != nil {
 		return nil, err
 	}
-	// The shapes NewModel allocates: E has the anchor row past the vocab.
-	if len(wire.E) != (cfg.Vocab+1)*cfg.EmbDim || len(wire.W) != cfg.OutDim*cfg.EmbDim || len(wire.B) != cfg.OutDim {
+	if shapes := modelShapes(cfg); len(wire.E) != shapes[0] || len(wire.W) != shapes[1] || len(wire.B) != shapes[2] {
 		return nil, fmt.Errorf("embed: stored weights do not match architecture %q", wire.ArchName)
 	}
+	// The decode went through about four copies of the weights, and the
+	// GC pacer sets its next heap goal from the heap it last marked: a
+	// cycle that landed mid-decode would let a serving process's heap
+	// grow to that peak before its next cycle. Collecting here, with
+	// only the weights live, sets the goal from the model. A block-format
+	// load makes no such garbage, and collecting after it raised the
+	// serving peak slightly, so only this path collects.
+	runtime.GC()
+	return loaded(cfg, wire.E, wire.W, wire.B), nil
+}
+
+// modelShapes is the length of E, W and B that NewModel allocates for
+// cfg: E has the anchor row past the vocab.
+func modelShapes(cfg Arch) [3]int {
+	return [3]int{(cfg.Vocab + 1) * cfg.EmbDim, cfg.OutDim * cfg.EmbDim, cfg.OutDim}
+}
+
+// WeightCount reports how many scalar parameters a model of a holds,
+// without building one.
+func (a Arch) WeightCount() int {
+	s := modelShapes(a)
+	return s[0] + s[1] + s[2]
+}
+
+// loaded builds a model of cfg that takes e, w and b, already checked
+// against modelShapes, as its own.
+func loaded(cfg Arch, e, w, b []float32) *Model {
 	return &Model{
 		Cfg: cfg,
 		Tok: tokenizer.New(cfg.Mode, cfg.Vocab),
-		E:   &vecmath.Matrix{Rows: cfg.Vocab + 1, Cols: cfg.EmbDim, Data: wire.E},
-		W:   &vecmath.Matrix{Rows: cfg.OutDim, Cols: cfg.EmbDim, Data: wire.W},
-		B:   wire.B,
-	}, nil
+		E:   &vecmath.Matrix{Rows: cfg.Vocab + 1, Cols: cfg.EmbDim, Data: e},
+		W:   &vecmath.Matrix{Rows: cfg.OutDim, Cols: cfg.EmbDim, Data: w},
+		B:   b,
+	}
+}
+
+// blockChunk is the byte size of the buffer a weight block is encoded
+// and decoded through, so neither side holds a second copy of the
+// weights as bytes.
+const blockChunk = 64 << 10
+
+// WriteWeightBlock writes v to w as one weight block:
+//
+//	n uint64 | n × float32 bits | crc32
+//
+// all little-endian, where the CRC-32 (IEEE) covers n and the bits. It is
+// the one on-disk and on-wire form of a weight vector: the model file
+// holds three, and the FL model registry stores each version's weights
+// as one.
+func WriteWeightBlock(w io.Writer, v []float32) error {
+	buf := make([]byte, 0, min(8+4*len(v), blockChunk))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(v)))
+	var sum uint32
+	for {
+		k := min(len(v), (cap(buf)-len(buf))/4)
+		for _, x := range v[:k] {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+		}
+		v = v[k:]
+		sum = crc32.Update(sum, crc32.IEEETable, buf)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		if len(v) == 0 {
+			break
+		}
+		buf = buf[:0]
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(buf[:0], sum))
+	return err
+}
+
+// ReadWeightBlock reads one block written by WriteWeightBlock that must
+// hold exactly n values. The declared count is checked against n before
+// the result is allocated, the bits are decoded straight into it through
+// a small chunk buffer, and a checksum mismatch is an error.
+func ReadWeightBlock(r io.Reader, n int) ([]float32, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("reading weight block length: %w", err)
+	}
+	if got := binary.LittleEndian.Uint64(hdr[:]); got != uint64(n) {
+		return nil, fmt.Errorf("weight block holds %d values, want %d", got, n)
+	}
+	sum := crc32.ChecksumIEEE(hdr[:])
+	v := make([]float32, n)
+	buf := make([]byte, min(4*n, blockChunk))
+	for i := 0; i < n; {
+		b := buf[:4*min(n-i, len(buf)/4)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("reading weight block: %w", err)
+		}
+		sum = crc32.Update(sum, crc32.IEEETable, b)
+		for j := 0; j < len(b); j += 4 {
+			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[j:]))
+			i++
+		}
+	}
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return nil, fmt.Errorf("reading weight block checksum: %w", err)
+	}
+	if binary.LittleEndian.Uint32(hdr[:4]) != sum {
+		return nil, errors.New("weight block checksum mismatch")
+	}
+	return v, nil
 }
 
 // Projected wraps an Encoder with an affine projection (typically the PCA

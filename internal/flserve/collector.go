@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash/fnv"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -222,7 +223,8 @@ func (c *Collector) Shard(user string) []dataset.Pair {
 }
 
 // Eligible lists tenants whose shards hold at least minPairs examples —
-// the sampling frame for cohort selection. Order is unspecified.
+// the sampling frame for cohort selection — in sorted order, so a
+// seeded draw from it is a function of the seed.
 func (c *Collector) Eligible(minPairs int) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -235,6 +237,7 @@ func (c *Collector) Eligible(minPairs int) []string {
 			out = append(out, user)
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -269,11 +272,12 @@ func (c *Collector) Stats() CollectorStats {
 func shardKey(user string) string { return "flshard/" + hex.EncodeToString([]byte(user)) }
 
 // SaveTo persists every dirty shard into st (one gob record per tenant,
-// pairs in chronological order), so collected examples survive a
-// serving-process restart. Called by the coordinator after each round and
-// on shutdown. The dirty flag clears only after a successful write — and
-// only if the shard did not change while the write was in flight — so a
-// failed or raced persistence retries next time.
+// tenants in sorted order, pairs in chronological order), so collected
+// examples survive a serving-process restart. Called by the coordinator
+// after each round and on shutdown. The dirty flag clears only after a
+// successful write — and only if the shard did not change while the
+// write was in flight — so a failed or raced persistence retries next
+// time.
 func (c *Collector) SaveTo(st *store.Store) error {
 	c.mu.RLock()
 	users := make([]string, 0, len(c.tenants))
@@ -281,6 +285,7 @@ func (c *Collector) SaveTo(st *store.Store) error {
 		users = append(users, u)
 	}
 	c.mu.RUnlock()
+	sort.Strings(users)
 	for _, user := range users {
 		ts := c.shard(user)
 		ts.mu.Lock()

@@ -2,7 +2,9 @@ package flserve
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/server"
@@ -163,5 +165,33 @@ func TestModelRegistryLineageAndPrune(t *testing.T) {
 	}
 	if rec.Version != versions[2] {
 		t.Fatalf("re-commit produced %s, want %s", rec.Version, versions[2])
+	}
+}
+
+// TestCohortReplaysFromSeed: with 20 eligible tenants, ten draws of a
+// 4-tenant cohort from one seed pick one cohort. Eligible listed tenants
+// in map order, and the seeded shuffle then picked a different cohort on
+// most draws.
+func TestCohortReplaysFromSeed(t *testing.T) {
+	c := NewCollector(CollectorConfig{MaxPairs: 16, Seed: 1})
+	for u := 0; u < 20; u++ {
+		for i := 0; i < 4; i++ {
+			c.ObserveQuery(fmt.Sprintf("user-%02d", u), fmt.Sprintf("q%d", i), true, fmt.Sprintf("m%d", i), 0.9)
+		}
+	}
+	var first []string
+	for draw := 0; draw < 10; draw++ {
+		eligible := c.Eligible(4)
+		if len(eligible) != 20 {
+			t.Fatalf("Eligible(4) lists %d tenants, want 20", len(eligible))
+		}
+		got := drawCohort(rand.New(rand.NewSource(7)), eligible, 4)
+		if draw == 0 {
+			first = got
+			continue
+		}
+		if !slices.Equal(got, first) {
+			t.Fatalf("draw %d picked cohort %v, draw 0 picked %v", draw, got, first)
+		}
 	}
 }

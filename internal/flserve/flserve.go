@@ -275,8 +275,7 @@ func (s *Service) RunRound() (RoundReport, error) {
 	if len(eligible) == 0 {
 		return fail(fmt.Errorf("flserve: no tenant has %d collected pairs yet", s.cfg.MinPairs))
 	}
-	s.rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
-	cohortUsers := eligible[:min(s.cfg.Cohort, len(eligible))]
+	cohortUsers := drawCohort(s.rng, eligible, s.cfg.Cohort)
 	rep.Cohort = len(cohortUsers)
 
 	// 2. Build one FL client per cohort member around its private shard.
@@ -360,6 +359,14 @@ func (s *Service) RunRound() (RoundReport, error) {
 	rep.TookMillis = s.cfg.Clock.Since(start).Milliseconds()
 	s.pushHistory(rep)
 	return rep, nil
+}
+
+// drawCohort shuffles eligible with rng and returns its first n tenants
+// (all of them when fewer are eligible). Eligible lists tenants in
+// sorted order, so the cohort is a function of rng's seed.
+func drawCohort(rng *rand.Rand, eligible []string, n int) []string {
+	rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
+	return eligible[:min(n, len(eligible))]
 }
 
 // Round reports the next round number (rounds completed so far).

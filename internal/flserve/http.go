@@ -32,8 +32,9 @@ type Status struct {
 //	POST /v1/fl/round   run one round now; returns the RoundReport
 //	GET  /v1/fl/status  rounds, versions, collector + rollout counters
 //	GET  /v1/model      latest (or ?version=) model metadata;
-//	                    ?weights=1 streams the encoder gob (embed.Load
-//	                    reads it back)
+//	                    ?weights=1 streams the encoder's model file
+//	                    (embed.Save's checksummed weight blocks;
+//	                    embed.Load reads it back)
 func (s *Service) Register(srv *server.Server) {
 	srv.Handle("POST /v1/fl/round", http.HandlerFunc(s.handleRound))
 	srv.Handle("GET /v1/fl/status", http.HandlerFunc(s.handleStatus))

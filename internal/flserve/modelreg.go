@@ -6,9 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/embed"
@@ -42,9 +46,19 @@ type ModelRecord struct {
 	Samples int `json:"samples"`
 }
 
-// modelWire is the persisted form of a version (record + payload).
-// Versions written when the wire also carried a PCA basis still decode:
-// gob skips the fields this type lacks.
+// A version is stored under two keys: its record under modelKeyPrefix,
+// as recordFormat followed by the record's JSON, and its weights under
+// weightsKeyPrefix, as one embed weight block (a length, the raw
+// float32 bits and a CRC-32). Opening a store reads the records only,
+// and the serving version's weights once. Versions stored before this
+// layout hold one gob stream (modelWire: record and weights) under
+// modelKeyPrefix; they still open, but are never written. 0x81 never
+// starts a gob stream, so the first byte tells the two apart.
+const recordFormat byte = 0x81
+
+// modelWire is the legacy gob form of a version. Versions written when
+// the wire also carried a PCA basis still decode: gob skips the fields
+// this type lacks.
 type modelWire struct {
 	Record  ModelRecord
 	Weights []float32
@@ -69,8 +83,9 @@ type ModelRegistry struct {
 }
 
 const (
-	modelKeyPrefix = "fsmodel/"
-	latestKey      = "fsmodel-latest"
+	modelKeyPrefix   = "fsmodel/"
+	weightsKeyPrefix = "fsweights/"
+	latestKey        = "fsmodel-latest"
 )
 
 // NewModelRegistry builds a registry for versions of the given
@@ -87,41 +102,78 @@ func NewModelRegistry(st *store.Store, maxVersions int, arch embed.Arch) (*Model
 		return r, nil
 	}
 	// Replay persisted versions in round order.
-	type stored struct {
-		key  string
-		wire modelWire
-	}
-	var all []stored
+	var all []ModelRecord
 	for _, key := range st.Keys() {
-		if len(key) <= len(modelKeyPrefix) || key[:len(modelKeyPrefix)] != modelKeyPrefix {
+		if !strings.HasPrefix(key, modelKeyPrefix) {
 			continue
 		}
 		raw, err := st.Get(key)
 		if err != nil {
 			return nil, err
 		}
-		var w modelWire
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
+		rec, err := decodeRecord(raw)
+		if err != nil {
 			return nil, fmt.Errorf("flserve: decoding persisted model %s: %w", key, err)
 		}
-		all = append(all, stored{key, w})
+		all = append(all, rec)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].wire.Record.Round < all[j].wire.Record.Round })
-	for _, s := range all {
-		r.records[s.wire.Record.Version] = s.wire.Record
-		r.order = append(r.order, s.wire.Record.Version)
+	sort.Slice(all, func(i, j int) bool { return all[i].Round < all[j].Round })
+	for _, rec := range all {
+		r.records[rec.Version] = rec
+		r.order = append(r.order, rec.Version)
 	}
 	if raw, err := st.Get(latestKey); err == nil {
-		v := string(raw)
-		if raw, err := st.Get(modelKeyPrefix + v); err == nil {
-			var w modelWire
-			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err == nil {
-				r.latest = v
-				r.weights = w.Weights
+		if v := string(raw); r.records[v].Version != "" {
+			w, err := r.storedWeights(v, st.Reader)
+			if err != nil {
+				return nil, err
 			}
+			r.latest = v
+			r.weights = w
 		}
 	}
 	return r, nil
+}
+
+// decodeRecord parses a version's record value, in either format.
+func decodeRecord(raw []byte) (ModelRecord, error) {
+	var rec ModelRecord
+	if len(raw) > 0 && raw[0] == recordFormat {
+		err := json.Unmarshal(raw[1:], &rec)
+		return rec, err
+	}
+	var w modelWire
+	err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w)
+	return w.Record, err
+}
+
+// storedWeights reads version's weights through open, one of the
+// store's readers: its weight block, or the weights inside a legacy gob
+// record. Either must hold exactly the architecture's weight count.
+func (r *ModelRegistry) storedWeights(version string, open func(key string) (io.Reader, error)) ([]float32, error) {
+	n := r.arch.WeightCount()
+	rd, err := open(weightsKeyPrefix + version)
+	if err == nil {
+		w, err := embed.ReadWeightBlock(rd, n)
+		if err != nil {
+			return nil, fmt.Errorf("flserve: reading version %q weights: %w", version, err)
+		}
+		return w, nil
+	}
+	if !errors.Is(err, store.ErrNotFound) {
+		return nil, err
+	}
+	if rd, err = open(modelKeyPrefix + version); err != nil {
+		return nil, fmt.Errorf("flserve: version %q payload pruned: %w", version, err)
+	}
+	var w modelWire
+	if err := gob.NewDecoder(rd).Decode(&w); err != nil {
+		return nil, fmt.Errorf("flserve: decoding version %q: %w", version, err)
+	}
+	if len(w.Weights) != n {
+		return nil, fmt.Errorf("flserve: version %q holds %d weights, arch wants %d", version, len(w.Weights), n)
+	}
+	return w.Weights, nil
 }
 
 // versionID content-addresses a model.
@@ -154,11 +206,21 @@ func (r *ModelRegistry) Commit(rec ModelRecord, weights []float32) (ModelRecord,
 		rec = prev
 	}
 	if r.st != nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(modelWire{Record: rec, Weights: weights}); err != nil {
+		// Weights before the record, and the record before the latest
+		// pointer: a crash between two puts leaves at worst an orphan
+		// block, never a record or a pointer without its weights.
+		var block bytes.Buffer
+		if err := embed.WriteWeightBlock(&block, weights); err != nil {
 			return rec, err
 		}
-		if err := r.st.Put(modelKeyPrefix+rec.Version, buf.Bytes()); err != nil {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			return rec, fmt.Errorf("flserve: encoding model record: %w", err)
+		}
+		if err := r.st.Put(weightsKeyPrefix+rec.Version, block.Bytes()); err != nil {
+			return rec, err
+		}
+		if err := r.st.Put(modelKeyPrefix+rec.Version, append([]byte{recordFormat}, raw...)); err != nil {
 			return rec, err
 		}
 		if err := r.st.Put(latestKey, []byte(rec.Version)); err != nil {
@@ -179,6 +241,9 @@ func (r *ModelRegistry) Commit(rec ModelRecord, weights []float32) (ModelRecord,
 		delete(r.records, old)
 		if r.st != nil {
 			if err := r.st.Delete(modelKeyPrefix + old); err != nil {
+				return rec, err
+			}
+			if err := r.st.Delete(weightsKeyPrefix + old); err != nil {
 				return rec, err
 			}
 		}
@@ -249,15 +314,16 @@ func (r *ModelRegistry) Model(version string) (*embed.Model, error) {
 		if st == nil {
 			return nil, fmt.Errorf("flserve: version %q payload no longer resident", version)
 		}
-		raw, err := st.Get(modelKeyPrefix + version)
+		// Copied out under the store's lock: a Compact racing this read
+		// cannot cut it short.
+		w, err := r.storedWeights(version, func(key string) (io.Reader, error) {
+			raw, err := st.Get(key)
+			return bytes.NewReader(raw), err
+		})
 		if err != nil {
-			return nil, fmt.Errorf("flserve: version %q payload pruned: %w", version, err)
-		}
-		var w modelWire
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
 			return nil, err
 		}
-		weights = w.Weights
+		weights = w
 	}
 	m := embed.NewModel(r.arch, 0)
 	if len(weights) != m.WeightCount() {

@@ -3,6 +3,9 @@ package flserve
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/embed"
@@ -125,5 +128,86 @@ func TestRegistryLoadsVersionsWithABasis(t *testing.T) {
 		if got[i] != w[i] {
 			t.Fatalf("weight %d = %v, want %v", i, got[i], w[i])
 		}
+	}
+}
+
+// TestRegistryOpenReadsServingWeightsOnce: opening a store that holds
+// three versions reads their records and the latest version's weight
+// block, so it allocates one copy of the weights plus slack, and serves
+// the latest weights bit for bit. The gob layout decoded every version's
+// weights to read its record, and the latest one twice.
+func TestRegistryOpenReadsServingWeightsOnce(t *testing.T) {
+	arch := tinyArch
+	arch.Vocab, arch.EmbDim = 16383, 64 // 1 Mi weights: large against the 1 MiB slack
+	st, err := store.Open(filepath.Join(t.TempDir(), "fl.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg, err := NewModelRegistry(st, 5, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last []float32
+	for round := 0; round < 3; round++ {
+		last = embed.NewModel(arch, int64(round)).Weights()
+		if _, err := reg.Commit(ModelRecord{Round: round, Arch: arch.Name, Dim: arch.OutDim, Tau: 0.8}, last); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	reopened, err := NewModelRegistry(st, 5, arch)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*arch.WeightCount()+1<<20)
+	t.Logf("opening 3 versions allocated %d bytes for %d bytes of weights per version", alloc, 4*arch.WeightCount())
+	if alloc > limit {
+		t.Fatalf("opening 3 versions allocated %d bytes, want at most %d (one weight copy + 1 MiB)", alloc, limit)
+	}
+	if hist := reopened.History(0); len(hist) != 3 || hist[0].Round != 2 {
+		t.Fatalf("reopened history = %+v, want rounds 2, 1, 0", hist)
+	}
+	got := reopened.LatestWeights()
+	if len(got) != len(last) {
+		t.Fatalf("reopened latest holds %d weights, want %d", len(got), len(last))
+	}
+	for i := range last {
+		if math.Float32bits(got[i]) != math.Float32bits(last[i]) {
+			t.Fatalf("reopened weight %d = %v, want %v", i, got[i], last[i])
+		}
+	}
+}
+
+// TestRegistryRefusesCorruptWeights: a serving version whose weight
+// block fails its checksum is refused when the store opens, not served.
+func TestRegistryRefusesCorruptWeights(t *testing.T) {
+	st, err := store.OpenFS(faultfs.New(), "fl.store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg, err := NewModelRegistry(st, 5, tinyArch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := reg.Commit(ModelRecord{Arch: tinyArch.Name, Dim: tinyArch.OutDim, Tau: 0.8}, embed.NewModel(tinyArch, 1).Weights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := st.Get(weightsKeyPrefix + rec.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block[len(block)/2] ^= 1
+	if err := st.Put(weightsKeyPrefix+rec.Version, block); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewModelRegistry(st, 5, tinyArch); err == nil {
+		t.Fatal("opened a store whose serving weights fail their checksum")
 	}
 }

@@ -149,6 +149,20 @@ func TestBuildModes(t *testing.T) {
 	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// enc's model file, and a copy with one weight byte flipped.
+	var saved bytes.Buffer
+	if err := enc.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	modelFile, corruptFile := filepath.Join(t.TempDir(), "m.bin"), filepath.Join(t.TempDir(), "corrupt.bin")
+	corrupt := bytes.Clone(saved.Bytes())
+	corrupt[len(corrupt)/2] ^= 1
+	if err := os.WriteFile(modelFile, saved.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(corruptFile, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		set     func(c *Config)
@@ -218,6 +232,14 @@ func TestBuildModes(t *testing.T) {
 		{name: "model missing", set: func(c *Config) {
 			c.Encoder, c.Model = nil, filepath.Join(notADir, "m.gob")
 		}, wantErr: "opening model"},
+		{name: "model file", set: func(c *Config) { c.Encoder, c.Model = nil, modelFile }, check: func(t *testing.T, s *Stack) {
+			if m, ok := s.Encoder.(*embed.Model); !ok || m.Name() != "albert-sim" || m.B[0] != enc.B[0] {
+				t.Errorf("-model served %v, want the saved albert-sim", s.Encoder.Name())
+			}
+		}},
+		{name: "model fails its checksum", set: func(c *Config) {
+			c.Encoder, c.Model = nil, corruptFile
+		}, wantErr: "checksum mismatch"},
 		{name: "quota, limiter, breaker, timeout", set: func(c *Config) {
 			c.Governor.Quota.Rate, c.Governor.Limiter.MaxLimit, c.Governor.Breaker.Window = 1000, 8, 10
 			c.UpstreamTimeout = time.Second

@@ -378,6 +378,20 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return val, nil
 }
 
+// Reader returns a reader over the value stored under key, or
+// ErrNotFound. It reads the log in place, so a value of megabytes is
+// never held whole; a Compact or Close after the call makes its reads
+// fail rather than return other bytes.
+func (s *Store) Reader(key string) (io.Reader, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ref, ok := s.index[key]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return io.NewSectionReader(s.f, ref.off, int64(ref.length)), nil
+}
+
 // Delete removes key. Deleting a missing key is a no-op.
 func (s *Store) Delete(key string) error {
 	s.mu.Lock()

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -40,6 +41,37 @@ func TestGetMissing(t *testing.T) {
 	defer s.Close()
 	if _, err := s.Get("nope"); err != ErrNotFound {
 		t.Fatalf("Get(missing) err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestReaderReadsValueInPlace: Reader streams the value Get returns,
+// reports a missing key as ErrNotFound, and a reader that outlives a
+// Compact fails rather than read the rewritten log.
+func TestReaderReadsValueInPlace(t *testing.T) {
+	s, _ := openTemp(t)
+	defer s.Close()
+	s.Put("a", []byte("first value"))
+	s.Put("b", []byte("second value"))
+	r, err := s.Reader("b")
+	if err != nil {
+		t.Fatalf("Reader: %v", err)
+	}
+	got, err := io.ReadAll(r)
+	if err != nil || string(got) != "second value" {
+		t.Fatalf("Reader read %q, %v; want \"second value\"", got, err)
+	}
+	if _, err := s.Reader("nope"); err != ErrNotFound {
+		t.Fatalf("Reader(missing) err = %v, want ErrNotFound", err)
+	}
+	stale, err := s.Reader("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(stale); err == nil {
+		t.Fatalf("a reader opened before Compact read %q after it", got)
 	}
 }
 
