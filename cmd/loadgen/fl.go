@@ -185,6 +185,9 @@ func runFL(t *target, e env) ([]gate, error) {
 	var rows []row
 	requestErrors := 0
 	var feedbackErrors atomic.Int64
+	// roundMS is the time of the round whose model the next phase runs
+	// under, so it lands on that phase's row (the baseline row has none).
+	var roundMS int64
 	for ph := 0; ph <= e.flRounds; ph++ {
 		p := newPhase()
 		p.duration = drive(w.phaseJobs(), e.concurrency, func(j job) {
@@ -203,7 +206,7 @@ func runFL(t *target, e env) ([]gate, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fetching /v1/fl/status (is cacheserve running with -fl?): %w", err)
 		}
-		r := row{label: "baseline", version: "(frozen)", tau: st.Tau, p: p}
+		r := row{label: "baseline", version: "(frozen)", tau: st.Tau, p: p, roundMS: roundMS}
 		if ph > 0 {
 			r.label = fmt.Sprintf("round %d", ph)
 			r.version = ""
@@ -221,7 +224,7 @@ func runFL(t *target, e env) ([]gate, error) {
 			if err := rounds.postJSON("/v1/fl/round", nil, &rep); err != nil {
 				return nil, fmt.Errorf("FL round %d: %w (%s)", ph+1, err, rep.Error)
 			}
-			r.roundMS = rep.TookMillis
+			roundMS = rep.TookMillis
 			log.Printf("round %d: version %s tau=%.3f trained=%d/%d eligible=%d reembedded=%d entries in %dms",
 				ph+1, rep.Version, rep.Tau, rep.Trained, rep.Cohort, rep.Eligible, rep.Reembedded, rep.TookMillis)
 		}

@@ -42,21 +42,21 @@ func (e *testEncoder) Dim() int     { return e.dim }
 func (e *testEncoder) Name() string { return "test-hash" }
 
 // reviveRecorder observes tenant revivals cluster-wide: which node
-// revived which tenant, and with what persisted metadata.
+// revived which tenant, and with what persisted model version.
 type reviveRecorder struct {
 	mu      sync.Mutex
-	revived map[string]map[string][]byte // user → meta at last revival
-	node    map[string]string            // user → node that revived it
+	revived map[string]string // user → model version at last revival
+	node    map[string]string // user → node that revived it
 }
 
 func newReviveRecorder() *reviveRecorder {
 	return &reviveRecorder{
-		revived: make(map[string]map[string][]byte),
+		revived: make(map[string]string),
 		node:    make(map[string]string),
 	}
 }
 
-func (rr *reviveRecorder) meta(user string) map[string][]byte {
+func (rr *reviveRecorder) version(user string) string {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
 	return rr.revived[user]
@@ -69,26 +69,23 @@ func (rr *reviveRecorder) revivedOn(user string) string {
 }
 
 // testHooks is one node's server.TenantHooks: it stamps a model version
-// into every persisted tenant (mirroring the FL coordinator's
-// modelver record) and reports revivals to the shared recorder.
+// on every tenant it activates (as the FL coordinator does), which the
+// registry persists with the tenant, and reports revivals — activations
+// that found a persisted stamp — to the shared recorder.
 type testHooks struct {
 	node     string
 	version  string
 	recorder *reviveRecorder
 }
 
-func (h *testHooks) TenantActivated(t *server.Tenant, meta map[string][]byte) {
-	if meta == nil || h.recorder == nil {
-		return
+func (h *testHooks) TenantActivated(t *server.Tenant) {
+	if v := t.ModelVersion(); v != "" && h.recorder != nil {
+		h.recorder.mu.Lock()
+		h.recorder.revived[t.ID] = v
+		h.recorder.node[t.ID] = h.node
+		h.recorder.mu.Unlock()
 	}
-	h.recorder.mu.Lock()
-	h.recorder.revived[t.ID] = meta
-	h.recorder.node[t.ID] = h.node
-	h.recorder.mu.Unlock()
-}
-
-func (h *testHooks) TenantMeta(*server.Tenant) map[string][]byte {
-	return map[string][]byte{"modelver": []byte(h.version)}
+	t.SetModelVersion(h.version)
 }
 
 // startTestCluster boots an n-node in-process cluster over a shared

@@ -164,6 +164,30 @@ func TestWeightsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromWeightsAdoptsWeights: a model built from a flat weight vector
+// holds it in place, not a copy, and encodes as the model the vector was
+// taken from; a vector of the wrong length is refused.
+func TestFromWeightsAdoptsWeights(t *testing.T) {
+	m := NewModel(tinyArch, 5)
+	w := m.Weights()
+	m2, err := FromWeights(tinyArch, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &m2.E.Data[0] != &w[0] || &m2.B[len(m2.B)-1] != &w[len(w)-1] {
+		t.Fatal("FromWeights copied the weights instead of adopting them")
+	}
+	ea, eb := m.Encode("some query text"), m2.Encode("some query text")
+	for i := range ea {
+		if ea[i] != eb[i] {
+			t.Fatal("FromWeights(Weights()) did not transfer the model")
+		}
+	}
+	if _, err := FromWeights(tinyArch, w[1:]); err == nil {
+		t.Fatal("FromWeights accepted a vector one weight short")
+	}
+}
+
 // TestSaveLoadRoundTrip: a saved and reloaded model holds E, W and B
 // bit for bit and encodes bit-identically, and the file is the three
 // weight blocks behind a short header: 4 bytes per weight plus 12 per

@@ -50,6 +50,19 @@ func (m *Model) Weights() []float32 {
 	return w
 }
 
+// FromWeights builds a model of arch around w, flat parameters in
+// CopyWeights' order (E, W, B). The model adopts w as its own storage:
+// nothing is copied and nothing is drawn from an RNG, so the caller must
+// not modify w afterwards.
+func FromWeights(arch Arch, w []float32) (*Model, error) {
+	s := modelShapes(arch)
+	if len(w) != s[0]+s[1]+s[2] {
+		return nil, fmt.Errorf("embed: %d weights for architecture %s, want %d", len(w), arch.Name, s[0]+s[1]+s[2])
+	}
+	ew := s[0] + s[1]
+	return loaded(arch, w[:s[0]:s[0]], w[s[0]:ew:ew], w[ew:]), nil
+}
+
 // modelFormat is the first byte of a model file:
 //
 //	modelFormat(1) len(1) arch name

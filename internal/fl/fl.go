@@ -210,7 +210,10 @@ var _ Client = (*LocalClient)(nil)
 // labelled pairs. Its validation subset drives the optimal-threshold
 // search of §III-A.2.
 type LocalClient struct {
-	id       int
+	id   int
+	arch embed.Arch
+	// model is built by the first TrainRound, around the global weights
+	// it receives, and overwritten in place by every later one.
 	model    *embed.Model
 	trainSet []trainPair
 	valSet   []trainPair

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -14,7 +15,9 @@ type trainPair = dataset.Pair
 // architecture of the server's global model (same weight layout). pairs is
 // the client's private data; a fraction is held out as the validation set
 // for the threshold search (§IV-A.1: each client uses its validation data
-// to determine the optimal cosine threshold).
+// to determine the optimal cosine threshold). seed, offset by the
+// client's ID, seeds its local batch order; the model itself is built
+// from the global weights of the client's first round.
 func NewLocalClient(id int, arch embed.Arch, seed int64, pairs []dataset.Pair, cfg train.Config, beta float64) *LocalClient {
 	nVal := len(pairs) / 5
 	if nVal < 2 {
@@ -28,7 +31,7 @@ func NewLocalClient(id int, arch embed.Arch, seed int64, pairs []dataset.Pair, c
 	cfg.Seed = seed + int64(id)*101
 	return &LocalClient{
 		id:       id,
-		model:    embed.NewModel(arch, seed),
+		arch:     arch,
 		trainSet: pairs[nVal:],
 		valSet:   pairs[:nVal],
 		cfg:      cfg,
@@ -63,11 +66,16 @@ func (c *LocalClient) Samples() int { return len(c.trainSet) }
 // the local shard (multitask contrastive + MNRL), search the local optimal
 // threshold on the validation shard, and return both.
 func (c *LocalClient) TrainRound(globalWeights []float32, globalTau float64) (Update, error) {
-	if len(globalWeights) != c.model.WeightCount() {
+	if len(globalWeights) != c.arch.WeightCount() {
 		return Update{}, fmt.Errorf("fl: client %d: got %d weights, model has %d",
-			c.id, len(globalWeights), c.model.WeightCount())
+			c.id, len(globalWeights), c.arch.WeightCount())
 	}
-	c.model.SetWeights(globalWeights)
+	if c.model == nil {
+		// The length is checked above, so FromWeights cannot refuse it.
+		c.model, _ = embed.FromWeights(c.arch, slices.Clone(globalWeights))
+	} else {
+		c.model.SetWeights(globalWeights)
+	}
 	if len(c.trainSet) > 0 {
 		tr := train.NewTrainer(c.model, train.NewSGD(c.cfg.LR), c.cfg)
 		tr.Train(c.trainSet)

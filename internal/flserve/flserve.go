@@ -9,6 +9,13 @@
 // running process and re-embeds cached entries in the background, two
 // tenants at a time, without blocking queries (rollout.go).
 //
+// Each piece of state has one owner. The global model is the registry's
+// latest committed model: the serving encoder holds that same model once
+// it is rolled out, a round trains from the serving model's weights, and
+// Tau is the serving version's τ_global. Which version embedded a
+// tenant's cache is the tenant's own (server.Tenant.ModelVersion), and
+// the tenant registry persists it with the cache.
+//
 // The subsystem lives inside cmd/cacheserve: enable it with -fl. Rounds
 // run on a timer (-fl-interval) or on demand (POST /v1/fl/round); state
 // is inspectable at GET /v1/fl/status and GET /v1/model.
@@ -16,7 +23,6 @@ package flserve
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -40,11 +46,8 @@ type Config struct {
 	Collector *Collector
 	// Encoder is the live serving encoder; rollouts swap new global
 	// models into it. Required. Its current encoder must be a trainable
-	// *embed.Model of Arch (possibly reached through the registry's
-	// latest version at startup).
+	// *embed.Model: its architecture is the one being federated.
 	Encoder *embed.Swappable
-	// Arch is the trainable encoder architecture being federated.
-	Arch embed.Arch
 	// Store, when non-nil, persists model versions and collected shards
 	// across restarts.
 	Store *store.Store
@@ -88,16 +91,12 @@ type Config struct {
 type Service struct {
 	cfg    Config
 	models *ModelRegistry
-	global *embed.Model // authoritative global weights (coordinator copy)
-
-	// tau is math.Float64bits of the current global threshold; atomic so
-	// tenant-activation hooks (which can fire inside RunRound's registry
-	// calls, while s.mu is held) read it without deadlocking.
-	tau atomic.Uint64
 
 	// serving is the record of the version the serving encoder holds
 	// (nil while it is still the seed model). Set only by serve, so it
 	// trails a commit until that commit's rollout swaps the encoder in.
+	// Atomic so tenant-activation hooks (which can fire inside RunRound's
+	// registry calls, while mu is held) read it without deadlocking.
 	serving atomic.Pointer[ModelRecord]
 
 	mu sync.Mutex // serialises rounds (held for a full round's duration)
@@ -107,13 +106,6 @@ type Service struct {
 	stateMu sync.Mutex
 	round   int
 	history []RoundReport
-
-	// tenantVersions: userID -> model version the tenant's entries were
-	// last confirmed migrated to (grows with the distinct-user population;
-	// entries are tiny). Guarded by tvMu, touched from rollout goroutines
-	// and registry lifecycle hooks.
-	tvMu           sync.Mutex
-	tenantVersions map[string]string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -147,8 +139,13 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Registry == nil || cfg.Collector == nil || cfg.Encoder == nil {
 		return nil, fmt.Errorf("flserve: Registry, Collector and Encoder are required")
 	}
-	if !cfg.Arch.Trainable {
-		return nil, fmt.Errorf("flserve: architecture %s is frozen and cannot be federated", cfg.Arch.Name)
+	cur, ok := cfg.Encoder.Current().(*embed.Model)
+	if !ok {
+		return nil, fmt.Errorf("flserve: serving encoder %s is not a trainable model", cfg.Encoder.Name())
+	}
+	arch := cur.Cfg
+	if !arch.Trainable {
+		return nil, fmt.Errorf("flserve: architecture %s is frozen and cannot be federated", arch.Name)
 	}
 	if cfg.Train.Epochs == 0 {
 		cfg.Train = train.DefaultConfig()
@@ -170,37 +167,26 @@ func New(cfg Config) (*Service, error) {
 		cfg.InitialTau = 0.83
 	}
 	cfg.Clock = sim.Or(cfg.Clock)
-	models, err := NewModelRegistry(cfg.Store, cfg.MaxVersions, cfg.Arch)
+	models, err := NewModelRegistry(cfg.Store, cfg.MaxVersions, arch)
 	if err != nil {
 		return nil, err
 	}
 	s := &Service{
-		cfg:            cfg,
-		models:         models,
-		tenantVersions: make(map[string]string),
-		stop:           make(chan struct{}),
-		rng:            rand.New(rand.NewSource(cfg.Seed)),
-	}
-	s.setTau(cfg.InitialTau)
-	// The coordinator's global model starts from the serving encoder's
-	// current weights, or resumes from the persisted latest version.
-	s.global = embed.NewModel(cfg.Arch, cfg.Seed)
-	if cur, ok := cfg.Encoder.Current().(*embed.Model); ok && cur.Cfg.Name == cfg.Arch.Name {
-		s.global.SetWeights(cur.Weights())
+		cfg:    cfg,
+		models: models,
+		stop:   make(chan struct{}),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if rec, ok := models.Latest(); ok {
-		if rec.Arch != cfg.Arch.Name {
-			return nil, fmt.Errorf("flserve: persisted model arch %q != configured %q", rec.Arch, cfg.Arch.Name)
+		if rec.Arch != arch.Name {
+			return nil, fmt.Errorf("flserve: persisted model arch %q != serving %q", rec.Arch, arch.Name)
 		}
-		w := models.LatestWeights()
-		if len(w) != s.global.WeightCount() {
-			return nil, fmt.Errorf("flserve: persisted model holds %d weights, arch %s wants %d",
-				len(w), cfg.Arch.Name, s.global.WeightCount())
+		m, err := models.Model(rec.Version)
+		if err != nil {
+			return nil, err
 		}
-		s.global.SetWeights(w)
-		s.setTau(rec.Tau)
 		s.round = rec.Round + 1
-		s.serve(rec, w)
+		s.serve(rec, m)
 	}
 	if cfg.Store != nil {
 		if err := cfg.Collector.LoadFrom(cfg.Store); err != nil {
@@ -213,11 +199,20 @@ func New(cfg Config) (*Service, error) {
 // Models exposes the version registry.
 func (s *Service) Models() *ModelRegistry { return s.models }
 
-// Tau reports the current global threshold. Lock-free: safe from tenant
+// Tau reports the current global threshold: the serving version's, or
+// InitialTau while the seed model serves. Lock-free: safe from tenant
 // lifecycle hooks that run while a round is in progress.
-func (s *Service) Tau() float64 { return math.Float64frombits(s.tau.Load()) }
+func (s *Service) Tau() float64 {
+	if rec := s.serving.Load(); rec != nil {
+		return rec.Tau
+	}
+	return s.cfg.InitialTau
+}
 
-func (s *Service) setTau(tau float64) { s.tau.Store(math.Float64bits(tau)) }
+// servingModel is the model every tenant encodes with, and the one a
+// round trains from: New refuses any other encoder, and serve swaps in
+// only models.
+func (s *Service) servingModel() *embed.Model { return s.cfg.Encoder.Current().(*embed.Model) }
 
 // Start launches the periodic round loop when Interval is configured.
 func (s *Service) Start() {
@@ -297,47 +292,50 @@ func (s *Service) RunRound() (RoundReport, error) {
 		// Shards arrive in traffic order; shuffle so the client's held-out
 		// validation slice mixes labels and recency.
 		s.rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-		clients = append(clients, fl.NewLocalClient(i, s.cfg.Arch, s.cfg.Seed+int64(round)*7919, pairs, s.cfg.Train, s.cfg.Beta))
+		clients = append(clients, fl.NewLocalClient(i, s.models.arch, s.cfg.Seed+int64(round)*7919, pairs, s.cfg.Train, s.cfg.Beta))
 	}
 	if len(clients) == 0 {
 		return fail(fmt.Errorf("flserve: sampled cohort has no training data"))
 	}
 
-	// 3. Train + aggregate (plaintext, or masked secure agg); failed
-	// clients are dropped either way.
+	// 3. Train from the serving model + aggregate (plaintext, or masked
+	// secure agg); failed clients are dropped either way.
 	agg := s.cfg.Aggregator
 	if s.cfg.Secure {
 		agg = fl.SecureAgg{Seed: s.cfg.Seed + int64(round), MaskScale: 1}
 	}
-	res, err := fl.RunCohort(clients, s.global.Weights(), s.Tau(), agg, true)
+	res, err := fl.RunCohort(clients, s.servingModel().Weights(), s.Tau(), agg, true)
 	if err != nil {
 		return fail(err)
 	}
-	newWeights, newTau := res.Weights, res.Tau
 	rep.Trained = len(res.Trained)
 	rep.Failed = len(res.Failed)
 	rep.Samples = res.Samples
 
-	// 4. Commit the version.
-	s.global.SetWeights(newWeights)
-	s.setTau(newTau)
+	// 4. Commit the version. Nothing changes before the commit succeeds:
+	// a failed one leaves the next round training from the serving model.
+	arch := s.models.arch
 	rec, err := s.models.Commit(ModelRecord{
 		Round:   round,
-		Arch:    s.cfg.Arch.Name,
-		Dim:     s.cfg.Arch.OutDim,
-		Tau:     newTau,
+		Arch:    arch.Name,
+		Dim:     arch.OutDim,
+		Tau:     res.Tau,
 		Cohort:  len(clients),
 		Samples: rep.Samples,
-	}, newWeights)
+	}, res.Weights)
 	if err != nil {
 		return fail(err)
 	}
 	rep.Version = rec.Version
-	rep.Tau = newTau
+	rep.Tau = rec.Tau
 
-	// 5. Hot rollout: swap the serving encoder, then re-embed resident
+	// 5. Hot rollout: swap the committed model in, then re-embed resident
 	// tenants (bounded parallelism; queries keep flowing).
-	rep.Reembedded = s.rollout(rec, newWeights)
+	m, err := s.models.Model(rec.Version)
+	if err != nil {
+		return fail(err)
+	}
+	rep.Reembedded = s.rollout(rec, m)
 
 	// 6. Persist collected shards so a restart keeps the training data.
 	// Each round's commit and prune leave dead records in the log, so it

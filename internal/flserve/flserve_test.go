@@ -6,17 +6,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/embed"
+	"repro/internal/fl"
 	"repro/internal/server"
 	"repro/internal/store"
+	"repro/internal/store/faultfs"
 	"repro/internal/tokenizer"
 	"repro/internal/train"
 )
@@ -100,7 +105,6 @@ func newHarnessWrapped(t *testing.T, persistDir string, maxTenants, shards int, 
 		Registry:  reg,
 		Collector: coll,
 		Encoder:   swap,
-		Arch:      tinyArch,
 		Store:     st,
 		Train:     quickCfg(),
 		Cohort:    2,
@@ -443,5 +447,181 @@ func TestSecureRoundMatchesConfig(t *testing.T) {
 	}
 	if !rep.Secure || rep.Version == "" {
 		t.Fatalf("secure round report: %+v", rep)
+	}
+}
+
+// differing counts the positions where a and b hold different bits.
+func differing(a, b []float32) int {
+	if len(a) != len(b) {
+		return max(len(a), len(b))
+	}
+	n := 0
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			n++
+		}
+	}
+	return n
+}
+
+// recordingAgg is FedAvg that also records every update it combines.
+// With no local epochs a client returns the weights the round sent it,
+// so the updates show which weights the round trained from.
+type recordingAgg struct {
+	fl.FedAvg
+	updates []fl.Update
+}
+
+func (a *recordingAgg) Aggregate(dst []float32, updates []fl.Update) float64 {
+	a.updates = append(a.updates, updates...)
+	return a.FedAvg.Aggregate(dst, updates)
+}
+
+// TestFailedRoundLeavesGlobalUnchanged: a round whose commit the store
+// refuses (ENOSPC) changes nothing. The serving weights, Tau and
+// /v1/fl/status's τ stay on the last committed version, and the next
+// round trains from that version's weights, not from the ones the failed
+// round aggregated.
+func TestFailedRoundLeavesGlobalUnchanged(t *testing.T) {
+	fs := faultfs.New()
+	st, err := store.OpenFS(fs, "fl.store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, "", 0, st)
+	h.seedTraffic(2)
+	first, err := h.svc.RunRound()
+	if err != nil {
+		t.Fatalf("round 1: %v", err)
+	}
+	committed, err := h.svc.Models().Model(first.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := committed.Weights()
+
+	fs.SetSpace(16)
+	if _, err := h.svc.RunRound(); err == nil {
+		t.Fatal("round 2 committed past the store's space")
+	}
+	if n := differing(h.swap.Current().(*embed.Model).Weights(), want); n > 0 {
+		t.Errorf("after a failed commit the serving model differs from the committed one in %d of %d weights", n, len(want))
+	}
+	if got := h.svc.Tau(); got != first.Tau {
+		t.Errorf("Tau = %v after a failed commit, want the committed %v", got, first.Tau)
+	}
+	var status Status
+	h.get("/v1/fl/status", &status)
+	if status.Tau != first.Tau || status.Current == nil || status.Current.Version != first.Version {
+		t.Errorf("status after a failed commit: tau %v, current %+v; want tau %v at version %s",
+			status.Tau, status.Current, first.Tau, first.Version)
+	}
+
+	// The failed write wedged the store: reopen it, as a restart would,
+	// and run the next round with no local epochs.
+	fs.SetSpace(-1)
+	st.Close()
+	if st, err = store.OpenFS(fs, "fl.store"); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	h.svc.models.mu.Lock()
+	h.svc.models.st = st
+	h.svc.models.mu.Unlock()
+	h.svc.cfg.Store = st
+	h.svc.cfg.Train.Epochs = 0
+	agg := &recordingAgg{}
+	h.svc.cfg.Aggregator = agg
+	if _, err := h.svc.RunRound(); err != nil {
+		t.Fatalf("round after the failed one: %v", err)
+	}
+	if len(agg.updates) == 0 {
+		t.Fatal("the round combined no updates")
+	}
+	for _, u := range agg.updates {
+		if n := differing(u.Weights, want); n > 0 {
+			t.Fatalf("client %d trained from weights that differ from the committed version in %d of %d", u.ID, n, len(want))
+		}
+	}
+}
+
+// TestServiceHoldsOneWeightCopy: New keeps no copy of the serving
+// model's weights (an mpnet-sim model holds 13.2 MB of them), and after a
+// round the committed model is the very model the serving encoder holds.
+func TestServiceHoldsOneWeightCopy(t *testing.T) {
+	swap := embed.NewSwappable(embed.NewModel(embed.MPNetSim, 1))
+	reg, err := server.NewRegistry(server.RegistryConfig{Factory: func(string) *core.Client { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll := NewCollector(CollectorConfig{})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	svc, err := New(Config{Registry: reg, Collector: coll, Encoder: swap})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New over an mpnet-sim encoder allocated %d bytes", alloc)
+	if alloc >= 1<<20 {
+		t.Errorf("New over an mpnet-sim encoder allocated %d bytes, want under 1 MiB", alloc)
+	}
+
+	h := newHarness(t, "", 0, nil)
+	h.seedTraffic(2)
+	rep, err := h.svc.RunRound()
+	if err != nil {
+		t.Fatalf("round: %v", err)
+	}
+	m, err := h.svc.Models().Model(rep.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur, ok := h.swap.Current().(*embed.Model); !ok || cur != m {
+		t.Fatal("the serving encoder holds a different model than the registry's latest version")
+	}
+}
+
+// TestRoundReplaysFromSeed: two services built from one seed and fed the
+// same traffic draw the same cohort from the same eligible tenants and
+// commit the same model, bit for bit, under one pinned version ID. The
+// report's counts and the coordinator's RNG state pin the draw; the
+// weights pin which tenants' shards trained.
+func TestRoundReplaysFromSeed(t *testing.T) {
+	var (
+		eligible [2][]string
+		reps     [2]RoundReport
+		weights  [2][]float32
+		next     [2]int64
+	)
+	for i := range reps {
+		h := newHarness(t, "", 0, nil)
+		h.seedTraffic(6)
+		eligible[i] = h.coll.Eligible(h.svc.cfg.MinPairs)
+		rep, err := h.svc.RunRound()
+		if err != nil {
+			t.Fatalf("service %d: round: %v", i, err)
+		}
+		m, err := h.svc.Models().Model(rep.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.TookMillis = 0
+		reps[i], weights[i], next[i] = rep, m.Weights(), h.svc.rng.Int63()
+	}
+	if !slices.Equal(eligible[0], eligible[1]) {
+		t.Fatalf("eligible tenants %v and %v", eligible[0], eligible[1])
+	}
+	if reps[0] != reps[1] || next[0] != next[1] {
+		t.Fatalf("one seed, two rounds: %+v (next draw %d) and %+v (next draw %d)", reps[0], next[0], reps[1], next[1])
+	}
+	if n := differing(weights[0], weights[1]); n > 0 {
+		t.Fatalf("the committed models differ in %d of %d weights", n, len(weights[0]))
+	}
+	if pinned := "53e978a6754b42d9"; reps[0].Version != pinned {
+		t.Fatalf("round committed version %s, want %s", reps[0].Version, pinned)
 	}
 }

@@ -66,10 +66,10 @@ type modelWire struct {
 
 // ModelRegistry is the versioned, content-addressed store of global
 // models the online FL loop produces. It keeps the last maxVersions
-// versions (metadata in memory, the latest payload hot, older payloads in
-// the optional store); versions beyond the retention bound are pruned
-// entirely — Lookup, History and Model all stop resolving them, with or
-// without a store.
+// versions (metadata in memory, the latest version as one model, older
+// payloads in the optional store); versions beyond the retention bound
+// are pruned entirely — Lookup, History and Model all stop resolving
+// them, with or without a store.
 type ModelRegistry struct {
 	maxVersions int
 	arch        embed.Arch // shared by every committed version
@@ -79,7 +79,10 @@ type ModelRegistry struct {
 	order   []string     // commit order, oldest first
 	records map[string]ModelRecord
 	latest  string
-	weights []float32 // hot payload of the latest version
+	// model is the latest version, read-only: it is the model the
+	// serving encoder holds once the version is rolled out, and the one a
+	// round trains from.
+	model *embed.Model
 }
 
 const (
@@ -124,12 +127,12 @@ func NewModelRegistry(st *store.Store, maxVersions int, arch embed.Arch) (*Model
 	}
 	if raw, err := st.Get(latestKey); err == nil {
 		if v := string(raw); r.records[v].Version != "" {
-			w, err := r.storedWeights(v, st.Reader)
+			m, err := r.storedModel(v, st.Reader)
 			if err != nil {
 				return nil, err
 			}
 			r.latest = v
-			r.weights = w
+			r.model = m
 		}
 	}
 	return r, nil
@@ -147,10 +150,11 @@ func decodeRecord(raw []byte) (ModelRecord, error) {
 	return w.Record, err
 }
 
-// storedWeights reads version's weights through open, one of the
-// store's readers: its weight block, or the weights inside a legacy gob
-// record. Either must hold exactly the architecture's weight count.
-func (r *ModelRegistry) storedWeights(version string, open func(key string) (io.Reader, error)) ([]float32, error) {
+// storedModel builds version's model from the weights it reads through
+// open, one of the store's readers: its weight block, or the weights
+// inside a legacy gob record. Either must hold exactly the
+// architecture's weight count.
+func (r *ModelRegistry) storedModel(version string, open func(key string) (io.Reader, error)) (*embed.Model, error) {
 	n := r.arch.WeightCount()
 	rd, err := open(weightsKeyPrefix + version)
 	if err == nil {
@@ -158,7 +162,7 @@ func (r *ModelRegistry) storedWeights(version string, open func(key string) (io.
 		if err != nil {
 			return nil, fmt.Errorf("flserve: reading version %q weights: %w", version, err)
 		}
-		return w, nil
+		return embed.FromWeights(r.arch, w)
 	}
 	if !errors.Is(err, store.ErrNotFound) {
 		return nil, err
@@ -170,10 +174,11 @@ func (r *ModelRegistry) storedWeights(version string, open func(key string) (io.
 	if err := gob.NewDecoder(rd).Decode(&w); err != nil {
 		return nil, fmt.Errorf("flserve: decoding version %q: %w", version, err)
 	}
-	if len(w.Weights) != n {
-		return nil, fmt.Errorf("flserve: version %q holds %d weights, arch wants %d", version, len(w.Weights), n)
+	m, err := embed.FromWeights(r.arch, w.Weights)
+	if err != nil {
+		return nil, fmt.Errorf("flserve: version %q: %w", version, err)
 	}
-	return w.Weights, nil
+	return m, nil
 }
 
 // versionID content-addresses a model.
@@ -191,11 +196,16 @@ func versionID(arch string, tau float64, weights []float32) string {
 }
 
 // Commit registers a freshly aggregated model and returns its record.
-// The version is written to the store first; only once it is stored does
-// the latest pointer advance, so a failed commit leaves the registry
-// unchanged.
+// The registry adopts weights as the latest version's model, so the
+// caller must not modify them afterwards. The version is written to the
+// store first; only once it is stored does the latest version advance,
+// so a failed commit leaves the registry unchanged.
 // Payloads older than maxVersions are then pruned from the store.
 func (r *ModelRegistry) Commit(rec ModelRecord, weights []float32) (ModelRecord, error) {
+	m, err := embed.FromWeights(r.arch, weights)
+	if err != nil {
+		return rec, fmt.Errorf("flserve: committing a model: %w", err)
+	}
 	rec.Version = versionID(rec.Arch, rec.Tau, weights)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -232,7 +242,7 @@ func (r *ModelRegistry) Commit(rec ModelRecord, weights []float32) (ModelRecord,
 		r.order = append(r.order, rec.Version)
 	}
 	r.latest = rec.Version
-	r.weights = append([]float32(nil), weights...)
+	r.model = m
 	// Prune versions beyond the retention bound — consistently in both
 	// in-memory and persisted modes, so the registry stays bounded.
 	for len(r.order) > r.maxVersions && r.order[0] != r.latest {
@@ -262,17 +272,6 @@ func (r *ModelRegistry) Latest() (ModelRecord, bool) {
 	return r.records[r.latest], true
 }
 
-// LatestWeights returns a copy of the current version's weight vector
-// (nil before the first commit).
-func (r *ModelRegistry) LatestWeights() []float32 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.weights) == 0 {
-		return nil
-	}
-	return append([]float32(nil), r.weights...)
-}
-
 // Lookup returns the record for a specific version.
 func (r *ModelRegistry) Lookup(version string) (ModelRecord, bool) {
 	r.mu.RLock()
@@ -295,41 +294,30 @@ func (r *ModelRegistry) History(n int) []ModelRecord {
 	return out
 }
 
-// Model materialises a committed version as the trainable model rebuilt
-// from its stored weights. Only the latest version's payload is
-// guaranteed hot; older versions are read from the store.
+// Model returns a committed version's model. The latest version's is the
+// registry's own, shared with the serving encoder once rolled out:
+// callers must not modify it. Older versions are rebuilt from the store.
 func (r *ModelRegistry) Model(version string) (*embed.Model, error) {
 	r.mu.RLock()
 	_, ok := r.records[version]
-	var weights []float32
-	if ok && version == r.latest {
-		weights = append([]float32(nil), r.weights...)
+	latest := r.model
+	if version != r.latest {
+		latest = nil
 	}
 	st := r.st
 	r.mu.RUnlock()
-	if !ok {
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("flserve: unknown model version %q", version)
+	case latest != nil:
+		return latest, nil
+	case st == nil:
+		return nil, fmt.Errorf("flserve: version %q payload no longer resident", version)
 	}
-	if weights == nil {
-		if st == nil {
-			return nil, fmt.Errorf("flserve: version %q payload no longer resident", version)
-		}
-		// Copied out under the store's lock: a Compact racing this read
-		// cannot cut it short.
-		w, err := r.storedWeights(version, func(key string) (io.Reader, error) {
-			raw, err := st.Get(key)
-			return bytes.NewReader(raw), err
-		})
-		if err != nil {
-			return nil, err
-		}
-		weights = w
-	}
-	m := embed.NewModel(r.arch, 0)
-	if len(weights) != m.WeightCount() {
-		return nil, fmt.Errorf("flserve: version %q holds %d weights, arch wants %d",
-			version, len(weights), m.WeightCount())
-	}
-	m.SetWeights(weights)
-	return m, nil
+	// Copied out under the store's lock: a Compact racing this read
+	// cannot cut it short.
+	return r.storedModel(version, func(key string) (io.Reader, error) {
+		raw, err := st.Get(key)
+		return bytes.NewReader(raw), err
+	})
 }

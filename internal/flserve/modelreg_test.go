@@ -15,7 +15,7 @@ import (
 
 // TestFailedCommitLeavesRegistryUnchanged: Commit stores a version
 // before it advances the registry, so a commit the store refuses (here
-// ENOSPC) leaves Latest, its weights and the history on the version
+// ENOSPC) leaves Latest, its model and the history on the version
 // before it.
 func TestFailedCommitLeavesRegistryUnchanged(t *testing.T) {
 	fs := faultfs.New()
@@ -45,8 +45,12 @@ func TestFailedCommitLeavesRegistryUnchanged(t *testing.T) {
 	if got, ok := reg.Latest(); !ok || got.Version != first.Version {
 		t.Fatalf("Latest after a failed commit = %+v, want version %s", got, first.Version)
 	}
-	if got := reg.LatestWeights(); got[0] != w[0] {
-		t.Fatalf("LatestWeights[0] = %v after a failed commit, want %v", got[0], w[0])
+	m, err := reg.Model(first.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Weights(); got[0] != w[0] {
+		t.Fatalf("latest weight 0 = %v after a failed commit, want %v", got[0], w[0])
 	}
 	if hist := reg.History(0); len(hist) != 1 {
 		t.Fatalf("history holds %d versions after a failed commit, want 1", len(hist))
@@ -172,7 +176,12 @@ func TestRegistryOpenReadsServingWeightsOnce(t *testing.T) {
 	if hist := reopened.History(0); len(hist) != 3 || hist[0].Round != 2 {
 		t.Fatalf("reopened history = %+v, want rounds 2, 1, 0", hist)
 	}
-	got := reopened.LatestWeights()
+	rec, _ := reopened.Latest()
+	m, err := reopened.Model(rec.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.Weights()
 	if len(got) != len(last) {
 		t.Fatalf("reopened latest holds %d weights, want %d", len(got), len(last))
 	}

@@ -32,15 +32,14 @@ type RolloutStats struct {
 // waits on a rollout.
 const rolloutParallel = 2
 
-// serve swaps rec's weights into the shared serving encoder (a single
-// atomic pointer: every subsequent encode in every tenant uses them) and
-// then records rec as the serving version. That order means a tenant
-// revived between the two is re-embedded by the new encoder and stamped
-// with the old version, so its next revival re-embeds again; the reverse
-// order would stamp old-space vectors with the new version.
-func (s *Service) serve(rec ModelRecord, weights []float32) {
-	m := embed.NewModel(s.cfg.Arch, 0)
-	m.SetWeights(weights)
+// serve swaps m, rec's model as the registry holds it, into the shared
+// serving encoder (a single atomic pointer: every subsequent encode in
+// every tenant uses it) and then records rec as the serving version,
+// which also makes rec's τ the one Tau reports. That order means a
+// tenant revived between the two is re-embedded by the new encoder and
+// stamped with the old version, so its next revival re-embeds again; the
+// reverse order would stamp old-space vectors with the new version.
+func (s *Service) serve(rec ModelRecord, m *embed.Model) {
 	s.cfg.Encoder.Swap(m)
 	s.serving.Store(&rec)
 }
@@ -52,9 +51,11 @@ func (s *Service) serve(rec ModelRecord, weights []float32) {
 // once, each in short write-locked batches, so queries are never
 // blocked; until a tenant's migration completes, its probes (already in
 // the new space) score against old-space vectors — a brief recall dip,
-// never an outage. Returns the number of entries migrated.
-func (s *Service) rollout(rec ModelRecord, weights []float32) int {
-	s.serve(rec, weights)
+// never an outage. Returns the number of entries migrated. The order of
+// IDs does not matter: each tenant's re-embed and stamp depend on that
+// tenant alone.
+func (s *Service) rollout(rec ModelRecord, m *embed.Model) int {
+	s.serve(rec, m)
 	s.rollouts.swaps.Add(1)
 
 	ids := s.cfg.Registry.IDs()
@@ -76,7 +77,7 @@ func (s *Service) rollout(rec ModelRecord, weights []float32) int {
 				return
 			}
 			migrated.Add(int64(n))
-			s.noteTenantVersion(id, rec.Version)
+			t.SetModelVersion(rec.Version)
 			s.rollouts.tenantsReembedded.Add(1)
 			s.rollouts.entriesReembedded.Add(int64(n))
 		}(id)
@@ -85,84 +86,45 @@ func (s *Service) rollout(rec ModelRecord, weights []float32) int {
 	return int(migrated.Load())
 }
 
-// modelVerMetaKey records, in each tenant's persisted store, which model
-// version its cache entries were embedded under.
-const modelVerMetaKey = "modelver"
-
-// noteTenantVersion records the model version a tenant's cache entries
-// were last confirmed migrated to. TenantMeta stamps THIS version on
-// eviction — never models.Latest(), which may be ahead of a tenant whose
-// re-embed failed, that was evicted mid-rollout, or that was revived
-// between a commit and its rollout's encoder swap; an out-of-date (or
-// absent) stamp makes revival re-embed, which is always safe.
-func (s *Service) noteTenantVersion(user, version string) {
-	s.tvMu.Lock()
-	s.tenantVersions[user] = version
-	s.tvMu.Unlock()
-}
-
-// tenantVersion reports the last confirmed version ("" = never migrated).
-func (s *Service) tenantVersion(user string) string {
-	s.tvMu.Lock()
-	defer s.tvMu.Unlock()
-	return s.tenantVersions[user]
-}
-
-// serviceHooks are the registry lifecycle hooks that keep
-// evicted-and-revived tenants consistent with rollouts: persistence
-// stamps the current model version next to the cache, and activation
-// re-embeds any cache whose stamp is stale (the tenant was on disk when a
-// rollout happened). LateHooks hands them to the registry.
-type serviceHooks struct{ s *Service }
-
-// TenantActivated implements server.TenantHooks. It runs under the shard
-// lock, so the synchronous re-embed stalls only that shard — and only for
-// tenants revived across a model boundary. It compares against, and
-// stamps, the version the serving encoder holds: a version committed but
-// not yet swapped in is not what the re-embed encodes with.
-func (h serviceHooks) TenantActivated(t *server.Tenant, meta map[string][]byte) {
-	cur := h.s.serving.Load()
-	if cur == nil {
-		return // the serving encoder is still the seed model
-	}
-	if meta != nil && string(meta[modelVerMetaKey]) == cur.Version {
-		h.s.noteTenantVersion(t.ID, cur.Version)
-		return // persisted under the serving model
+// tenantActivated is the registry lifecycle hook (through LateHooks)
+// that keeps evicted-and-revived tenants consistent with rollouts: it
+// re-embeds any cache whose model-version stamp is not the serving
+// version (the tenant was on disk when a rollout happened). It runs under
+// the shard lock, so the synchronous re-embed stalls only that shard —
+// and only for tenants revived across a model boundary (a fresh tenant's
+// cache is empty).
+//
+// A tenant is stamped only once its entries are confirmed in the serving
+// version's space, by a rollout's re-embed or by this hook. The stamp is
+// the version the serving encoder holds, never models.Latest(), which may
+// be ahead of a tenant whose re-embed failed, that was evicted
+// mid-rollout, or that was revived between a commit and its rollout's
+// encoder swap: a version committed but not yet swapped in is not what
+// the re-embed encodes with. An out-of-date (or absent) stamp makes
+// revival re-embed, which is always safe.
+func (s *Service) tenantActivated(t *server.Tenant) {
+	cur := s.serving.Load()
+	if cur == nil || t.ModelVersion() == cur.Version {
+		return // the seed model serves, or the cache is in its space already
 	}
 	t.Client.SetTau(float32(cur.Tau))
-	if meta == nil && t.Client.Cache().Len() == 0 {
-		// Fresh tenant with an empty cache: entries it inserts will use
-		// the serving encoder already.
-		h.s.noteTenantVersion(t.ID, cur.Version)
+	n, err := t.Client.Reembed()
+	if err != nil {
+		s.rollouts.reembedErrors.Add(1)
 		return
 	}
-	if n, err := t.Client.Reembed(); err != nil {
-		h.s.rollouts.reembedErrors.Add(1)
-	} else {
-		h.s.noteTenantVersion(t.ID, cur.Version)
-		if n > 0 {
-			h.s.rollouts.activationsMigrated.Add(1)
-			h.s.rollouts.entriesReembedded.Add(int64(n))
-		}
+	t.SetModelVersion(cur.Version)
+	if n > 0 {
+		s.rollouts.activationsMigrated.Add(1)
+		s.rollouts.entriesReembedded.Add(int64(n))
 	}
-}
-
-// TenantMeta implements server.TenantHooks. The stamp is the version the
-// tenant's entries were last confirmed migrated to, not the registry's
-// latest — see noteTenantVersion.
-func (h serviceHooks) TenantMeta(t *server.Tenant) map[string][]byte {
-	ver := h.s.tenantVersion(t.ID)
-	if ver == "" {
-		return nil
-	}
-	return map[string][]byte{modelVerMetaKey: []byte(ver)}
 }
 
 // LateHooks adapts a Service that may not exist yet into
 // server.TenantHooks: the tenant registry is constructed before the
 // coordinator (each references the other), so callers wire a LateHooks
 // into server.RegistryConfig.Hooks and Bind the service once built.
-// Unbound, every hook is a no-op.
+// Unbound, the hook is a no-op.
 type LateHooks struct {
 	svc atomic.Pointer[Service]
 }
@@ -171,18 +133,10 @@ type LateHooks struct {
 func (l *LateHooks) Bind(s *Service) { l.svc.Store(s) }
 
 // TenantActivated implements server.TenantHooks.
-func (l *LateHooks) TenantActivated(t *server.Tenant, meta map[string][]byte) {
+func (l *LateHooks) TenantActivated(t *server.Tenant) {
 	if s := l.svc.Load(); s != nil {
-		serviceHooks{s}.TenantActivated(t, meta)
+		s.tenantActivated(t)
 	}
-}
-
-// TenantMeta implements server.TenantHooks.
-func (l *LateHooks) TenantMeta(t *server.Tenant) map[string][]byte {
-	if s := l.svc.Load(); s != nil {
-		return serviceHooks{s}.TenantMeta(t)
-	}
-	return nil
 }
 
 // RolloutSnapshot returns rollout counters.

@@ -145,6 +145,17 @@ func TestRolloutBoundsReembedsAndRevivalsProceed(t *testing.T) {
 	}
 }
 
+// modelVersion reads a resident tenant's model-version stamp ("" when it
+// is not resident) without activating it.
+func (h *harness) modelVersion(user string) (v string) {
+	h.reg.Range(func(t *server.Tenant) {
+		if t.ID == user {
+			v = t.ModelVersion()
+		}
+	})
+	return v
+}
+
 // TestActivationStampsServingVersion: a version committed but not yet
 // rolled out is not what the serving encoder holds, so a tenant revived
 // in that window keeps the serving version's stamp. Stamping the
@@ -158,7 +169,7 @@ func TestActivationStampsServingVersion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round: %v", err)
 	}
-	if got := h.svc.tenantVersion("user-a"); got != rep.Version {
+	if got := h.modelVersion("user-a"); got != rep.Version {
 		t.Fatalf("rollout stamped user-a %q, want %q", got, rep.Version)
 	}
 	if ok, err := h.reg.Drain("user-a", time.Second); !ok || err != nil {
@@ -166,7 +177,11 @@ func TestActivationStampsServingVersion(t *testing.T) {
 	}
 
 	// Commit a second version without rolling it out.
-	w := h.svc.Models().LatestWeights()
+	m, err := h.svc.Models().Model(rep.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.Weights()
 	w[0] += 1
 	next, err := h.svc.Models().Commit(ModelRecord{
 		Round: rep.Round + 1, Arch: tinyArch.Name, Dim: tinyArch.OutDim, Tau: rep.Tau,
@@ -177,7 +192,7 @@ func TestActivationStampsServingVersion(t *testing.T) {
 
 	before := h.svc.RolloutSnapshot()
 	h.query("user-a", "what is the capital of atlantis") // revives user-a
-	if got := h.svc.tenantVersion("user-a"); got != rep.Version {
+	if got := h.modelVersion("user-a"); got != rep.Version {
 		t.Fatalf("revived user-a stamped %q, want the serving version %q (committed, not served: %q)",
 			got, rep.Version, next.Version)
 	}

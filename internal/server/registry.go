@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,11 +26,15 @@ import (
 // request after eviction when no persisted cache exists).
 type TenantFactory func(userID string) *core.Client
 
-// Tenant is one user's serving state: their MeanCache client plus the
-// conversation sessions routed to them.
+// Tenant is one user's serving state: their MeanCache client, the
+// version of the encoder model its cached entries were embedded with, and
+// the conversation sessions routed to them.
 type Tenant struct {
 	ID     string
 	Client *core.Client
+
+	// modelVersion is ModelVersion's value (nil: "").
+	modelVersion atomic.Pointer[string]
 
 	// refs counts in-flight requests holding this tenant (Registry.Get
 	// takes a reference; Release drops it). Eviction skips referenced
@@ -57,6 +63,20 @@ type Tenant struct {
 // Release drops the reference taken by Registry.Get. Call it when the
 // request is done with the tenant.
 func (t *Tenant) Release() { t.refs.Add(-1) }
+
+// ModelVersion reports the version of the encoder model the tenant's
+// cached entries were embedded with, as the online FL coordinator last
+// stamped it ("" before any stamp). The registry persists it with the
+// cache and restores it on revival, before TenantHooks.TenantActivated.
+func (t *Tenant) ModelVersion() string {
+	if v := t.modelVersion.Load(); v != nil {
+		return *v
+	}
+	return ""
+}
+
+// SetModelVersion stamps the tenant's cache as embedded with version.
+func (t *Tenant) SetModelVersion(version string) { t.modelVersion.Store(&version) }
 
 type tenantSession struct {
 	mu       sync.Mutex
@@ -95,20 +115,15 @@ func (t *Tenant) session(id string) *tenantSession {
 }
 
 // TenantHooks lets an optional subsystem (the online FL coordinator)
-// observe tenant lifecycle and piggyback records on tenant persistence.
-// Hook methods run under the owning shard's lock: they must not call back
-// into the registry and should return quickly (TenantActivated may do
-// bounded per-tenant work, e.g. re-embedding a revived cache whose
-// persisted model version is stale — that stalls only the one shard).
+// observe tenant activation. The hook runs under the owning shard's
+// lock: it must not call back into the registry and should return
+// quickly (it may do bounded per-tenant work, e.g. re-embedding a revived
+// cache whose model version is stale — that stalls only the one shard).
 type TenantHooks interface {
-	// TenantActivated fires when a tenant becomes resident. meta holds
-	// the "meta/"-namespaced records from its persisted store, keyed
-	// without the prefix (nil for a fresh tenant with no persisted
-	// state). The "tau" key is reserved by the registry.
-	TenantActivated(t *Tenant, meta map[string][]byte)
-	// TenantMeta contributes extra records persisted with the tenant's
-	// cache on eviction/flush, stored under "meta/<key>".
-	TenantMeta(t *Tenant) map[string][]byte
+	// TenantActivated fires when a tenant becomes resident: fresh from
+	// the factory, or revived with its persisted cache, τ and model
+	// version already restored.
+	TenantActivated(t *Tenant)
 }
 
 // DefaultShards is the shard count of a RegistryConfig that sets none.
@@ -131,8 +146,7 @@ type RegistryConfig struct {
 	PersistDir string
 	// Factory builds new tenants. Required.
 	Factory TenantFactory
-	// Hooks, when non-nil, observes tenant activation and contributes
-	// persisted metadata.
+	// Hooks, when non-nil, observes tenant activation.
 	Hooks TenantHooks
 	// Clock is the time source Drain's in-flight wait polls on and
 	// eviction-retry backoff elapses against. Nil defaults to the wall
@@ -314,10 +328,12 @@ func (r *Registry) Get(userID string) *Tenant {
 	return t
 }
 
-// Flush persists every resident tenant's cache and τ (best effort, all
-// shards), without evicting anyone. Call it on shutdown so a restart with
-// the same PersistDir resumes warm; a no-op when persistence is off. The
-// first error is returned after attempting every tenant.
+// Flush persists every resident tenant's cache, τ and model version
+// (best effort, all shards), without evicting anyone. Call it on shutdown
+// so a restart with the same PersistDir resumes warm; a no-op when
+// persistence is off. Each shard's tenants are persisted in ID order, so
+// the order of writes follows from the resident set. The first error is
+// returned after attempting every tenant.
 func (r *Registry) Flush() error {
 	if r.cfg.PersistDir == "" {
 		return nil
@@ -325,8 +341,8 @@ func (r *Registry) Flush() error {
 	var first error
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		for _, t := range sh.tenants {
-			if err := r.persist(t, r.persistPath(t.ID)); err != nil && first == nil {
+		for _, id := range slices.Sorted(maps.Keys(sh.tenants)) {
+			if err := r.persist(sh.tenants[id], r.persistPath(id)); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -383,35 +399,31 @@ func (r *Registry) Drain(userID string, wait time.Duration) (bool, error) {
 // served cold: one tenant's corrupt file must cost that tenant its cache
 // warmth, not its availability.
 func (r *Registry) activate(userID string) *Tenant {
-	client := r.cfg.Factory(userID)
-	var meta map[string][]byte
+	t := &Tenant{ID: userID, Client: r.cfg.Factory(userID), sessions: make(map[string]*tenantSession)}
 	if path := r.persistPath(userID); path != "" {
 		if _, err := r.fs.Stat(path); err == nil {
-			revived, m, err := r.reload(userID, client)
-			if err != nil {
+			if err := r.reload(t); err != nil {
 				r.quarantine(userID, path, err)
 			} else {
-				client, meta = revived, m
 				r.reloads.Add(1)
 			}
 		}
 	}
-	t := &Tenant{ID: userID, Client: client, sessions: make(map[string]*tenantSession)}
 	if r.cfg.Hooks != nil {
-		r.cfg.Hooks.TenantActivated(t, meta)
+		r.cfg.Hooks.TenantActivated(t)
 	}
 	return t
 }
 
-// reload rebuilds fresh's cache contents — and the persisted
-// feedback-adapted τ — from the tenant's persisted store, returning the
-// revived client plus the store's "meta/" records (for lifecycle hooks).
-// The factory-built client supplies everything else (encoder, LLM,
-// context threshold).
-func (r *Registry) reload(userID string, fresh *core.Client) (*core.Client, map[string][]byte, error) {
+// reload replaces the factory-built t.Client with one holding the
+// tenant's persisted cache contents and feedback-adapted τ, and restores
+// t's model version. The factory-built client supplies everything else
+// (encoder, LLM, context threshold). On error t is left as it was.
+func (r *Registry) reload(t *Tenant) error {
+	userID, fresh := t.ID, t.Client
 	st, err := store.OpenFS(r.fs, r.persistPath(userID))
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: opening persisted cache for %q: %w", userID, err)
+		return fmt.Errorf("server: opening persisted cache for %q: %w", userID, err)
 	}
 	defer st.Close()
 	if rep := st.Report(); rep.Dirty() {
@@ -426,20 +438,16 @@ func (r *Registry) reload(userID string, fresh *core.Client) (*core.Client, map[
 	dim, capacity := fresh.Cache().Dim(), fresh.Cache().Capacity()
 	cc, err := cache.LoadFromWithIndex(st, dim, capacity, opts.Policy, opts.IndexFactory(dim))
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: reloading cache for %q: %w", userID, err)
+		return fmt.Errorf("server: reloading cache for %q: %w", userID, err)
 	}
 	if raw, err := st.Get(tauKey); err == nil && len(raw) == 4 {
 		opts.Tau = math.Float32frombits(binary.LittleEndian.Uint32(raw))
 	}
-	meta := make(map[string][]byte)
-	for _, key := range st.Keys() {
-		if name, ok := strings.CutPrefix(key, metaPrefix); ok {
-			if raw, err := st.Get(key); err == nil {
-				meta[name] = raw
-			}
-		}
+	if raw, err := st.Get(modelVersionKey); err == nil {
+		t.SetModelVersion(string(raw))
 	}
-	return core.NewWithCache(opts, cc), meta, nil
+	t.Client = core.NewWithCache(opts, cc)
+	return nil
 }
 
 // quarantine moves a snapshot that failed to reload out of the way
@@ -487,16 +495,15 @@ func (r *Registry) evictLocked(sh *regShard) error {
 	return nil
 }
 
-// metaPrefix namespaces tenant metadata records within a persisted store,
-// alongside the cache's "entry/" records. The registry's own τ record and
-// hook-contributed records both live here.
-const metaPrefix = "meta/"
+// A tenant's persisted store holds, next to the cache's "entry/" records,
+// its feedback-adapted threshold, so eviction does not reset what the
+// user taught the system, and its model version (only once stamped).
+const (
+	tauKey          = "meta/tau"
+	modelVersionKey = "meta/modelver"
+)
 
-// tauKey stores the tenant's feedback-adapted threshold next to the cache
-// entries, so eviction does not reset what the user taught the system.
-const tauKey = metaPrefix + "tau"
-
-// persist writes t's full state — cache entries, live τ, hook metadata —
+// persist writes t's full state — cache entries, live τ, model version —
 // to a fresh store at a unique temp path, then renames it over the
 // tenant's store log atomically. Writers therefore race whole files, not
 // interleaved appends: in cluster mode two nodes can transiently persist
@@ -522,12 +529,8 @@ func (r *Registry) persist(t *Tenant, path string) error {
 		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(t.Client.Tau()))
 		err = st.Put(tauKey, buf[:])
 	}
-	if err == nil && r.cfg.Hooks != nil {
-		for name, val := range r.cfg.Hooks.TenantMeta(t) {
-			if err = st.Put(metaPrefix+name, val); err != nil {
-				break
-			}
-		}
+	if v := t.ModelVersion(); err == nil && v != "" {
+		err = st.Put(modelVersionKey, []byte(v))
 	}
 	if err == nil {
 		// Data must be durable before the rename destroys the previous

@@ -9,11 +9,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -249,5 +253,99 @@ func TestReloadSurfacesRepairedDamage(t *testing.T) {
 	}
 	if s.Quarantines != 0 {
 		t.Fatalf("repairable damage quarantined: %+v", s)
+	}
+}
+
+// activationLog is a TenantHooks that records each activated tenant's
+// model version as the hook sees it.
+type activationLog struct{ seen []string }
+
+func (l *activationLog) TenantActivated(t *Tenant) {
+	l.seen = append(l.seen, t.ID+"="+t.ModelVersion())
+}
+
+// TestRevivedTenantKeepsModelVersion: a tenant's model-version stamp is
+// persisted with its cache and restored before the activation hook runs,
+// both from a snapshot the registry wrote and from one whose τ and
+// model-version records were written directly, as snapshots were when
+// the version reached the store through a hook. A fresh tenant has no
+// stamp.
+func TestRevivedTenantKeepsModelVersion(t *testing.T) {
+	fs := faultfs.New()
+	hooks := &activationLog{}
+	r, err := NewRegistry(RegistryConfig{Shards: 1, PersistDir: faultPersistDir, Factory: testFactory(nil), FS: fs, Hooks: hooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	teach(t, r, "stamped")
+	ten := r.Get("stamped")
+	ten.SetModelVersion("v1")
+	ten.Release()
+	if ok, err := r.Drain("stamped", 0); !ok || err != nil {
+		t.Fatalf("Drain: resident=%v err=%v", ok, err)
+	}
+	ten = r.Get("stamped")
+	if got := ten.ModelVersion(); got != "v1" {
+		t.Errorf("revived tenant's model version = %q, want v1", got)
+	}
+	if res := ten.Client.Lookup("what is stamped", nil); !res.Hit {
+		t.Error("revived tenant lost its cache")
+	}
+	ten.Release()
+
+	st, err := store.OpenFS(fs, tenantSnapshotPath("written"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tau := binary.LittleEndian.AppendUint32(nil, math.Float32bits(0.9))
+	if err := st.Put("meta/tau", tau); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("meta/modelver", []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ten = r.Get("written")
+	if got, tau := ten.ModelVersion(), ten.Client.Tau(); got != "v0" || tau != 0.9 {
+		t.Errorf("tenant revived from directly written records: model version %q, τ %v; want v0, 0.9", got, tau)
+	}
+	ten.Release()
+
+	ten = r.Get("fresh")
+	if got := ten.ModelVersion(); got != "" {
+		t.Errorf("fresh tenant's model version = %q, want none", got)
+	}
+	ten.Release()
+	if want := []string{"stamped=", "stamped=v1", "written=v0", "fresh="}; !slices.Equal(hooks.seen, want) {
+		t.Errorf("activation hook saw %v, want %v", hooks.seen, want)
+	}
+}
+
+// TestFlushOrderFromSeed: Flush persists a shard's tenants in ID order,
+// so two registries holding the same tenants write their snapshots in
+// one order, flush after flush. In map order the logs differ on almost
+// every run.
+func TestFlushOrderFromSeed(t *testing.T) {
+	var logs [2][]string
+	for i := range logs {
+		persists := &renameLog{FS: faultfs.New()}
+		r, err := NewRegistry(RegistryConfig{Shards: 1, PersistDir: faultPersistDir, Factory: testFactory(nil), FS: persists})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < 20; u++ {
+			r.Get(fmt.Sprintf("u%02d", u)).Release()
+		}
+		for flush := 0; flush < 2; flush++ {
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		logs[i] = persists.ids
+	}
+	if len(logs[0]) != 40 || !slices.Equal(logs[0], logs[1]) {
+		t.Fatalf("two flushes of the same 20 tenants persisted\n%v\nand\n%v", logs[0], logs[1])
 	}
 }

@@ -8,8 +8,10 @@ package server
 
 import (
 	"container/list"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/store/faultfs"
 )
 
@@ -147,15 +150,26 @@ func (o *lruOracle) resident() []string {
 	return ids
 }
 
-// persistLog records the tenants whose persist reached the metadata
-// hook, which persist calls only after the cache and τ are written: on
-// a full disk it is never reached.
-type persistLog struct{ ids []string }
+// renameLog is a store.FS that records, in order, the tenants whose
+// persist completed: the rename of a written and synced temp store onto
+// a tenant's snapshot path. On a full disk the writes fail first and the
+// rename is never reached. Quarantine renames (onto *.quarantine) are
+// not persists and are not recorded.
+type renameLog struct {
+	store.FS
+	ids []string
+}
 
-func (l *persistLog) TenantActivated(*Tenant, map[string][]byte) {}
-func (l *persistLog) TenantMeta(t *Tenant) map[string][]byte {
-	l.ids = append(l.ids, t.ID)
-	return nil
+func (l *renameLog) Rename(oldpath, newpath string) error {
+	err := l.FS.Rename(oldpath, newpath)
+	if name, ok := strings.CutSuffix(filepath.Base(newpath), ".cache"); ok && err == nil {
+		id, herr := hex.DecodeString(name)
+		if herr != nil {
+			return fmt.Errorf("renameLog: snapshot %s is not a hex user ID: %w", newpath, herr)
+		}
+		l.ids = append(l.ids, string(id))
+	}
+	return err
 }
 
 func TestRegistryVictimsMatchLRUOracle(t *testing.T) {
@@ -179,11 +193,11 @@ func TestRegistryVictimsMatchLRUOracle(t *testing.T) {
 func replayAgainstOracle(t *testing.T, shards, maxTenants, users int, seed int64, steps int) *lruOracle {
 	fs := faultfs.New()
 	clk := sim.NewVirtual()
-	hooks := &persistLog{}
+	persists := &renameLog{FS: fs}
 	var failed []string // victims named by the registry's evict-failure log
 	r, err := NewRegistry(RegistryConfig{
 		Shards: shards, MaxTenants: maxTenants, PersistDir: faultPersistDir,
-		Factory: testFactory(nil), Hooks: hooks, Clock: clk, FS: fs,
+		Factory: testFactory(nil), Clock: clk, FS: persists,
 		Logf: func(format string, args ...any) {
 			msg := fmt.Sprintf(format, args...)
 			if !strings.Contains(msg, "eviction persist failed") {
@@ -248,8 +262,8 @@ func replayAgainstOracle(t *testing.T, shards, maxTenants, users int, seed int64
 		if want := o.resident(); !slices.Equal(ids, want) {
 			t.Fatalf("step %d %s: resident %v, oracle %v", step, op, ids, want)
 		}
-		if !slices.Equal(hooks.ids, o.persisted) {
-			t.Fatalf("step %d %s: persisted %v, oracle %v", step, op, hooks.ids, o.persisted)
+		if !slices.Equal(persists.ids, o.persisted) {
+			t.Fatalf("step %d %s: persisted %v, oracle %v", step, op, persists.ids, o.persisted)
 		}
 		if !slices.Equal(failed, o.failed) {
 			t.Fatalf("step %d %s: failed evict victims %v, oracle %v", step, op, failed, o.failed)

@@ -245,7 +245,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 	// With FL on, the base model serves through a swappable holder so
 	// round rollouts can replace it atomically under live traffic.
 	var swap *embed.Swappable
-	var flArch embed.Arch
 	var collector *flserve.Collector
 	var flHooks *flserve.LateHooks
 	if cfg.FL {
@@ -253,7 +252,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		if !ok || !m.Trainable() {
 			return nil, fmt.Errorf("-fl requires a trainable encoder (got %s)", enc.Name())
 		}
-		flArch = m.Cfg
 		swap = embed.NewSwappable(m)
 		enc = swap
 		collector = flserve.NewCollector(flserve.CollectorConfig{Seed: cfg.Seed})
@@ -309,7 +307,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 			Registry:   s.Registry,
 			Collector:  collector,
 			Encoder:    swap,
-			Arch:       flArch,
 			Store:      s.flStore,
 			Train:      trainCfg,
 			Beta:       cfg.FLBeta,
