@@ -25,7 +25,7 @@ test:
 # covered by `test` instead.
 race:
 	$(GO) test -race ./internal/core/ ./internal/server/ ./internal/cache/ \
-		./internal/store/... ./internal/fl/ ./internal/flserve/ ./internal/llmsim/ \
+		./internal/store/... ./internal/embed/ ./internal/fl/ ./internal/flserve/ ./internal/llmsim/ \
 		./internal/index/ ./internal/cluster/ ./internal/obs/ ./internal/resilience/ \
 		./internal/sim/ ./internal/sim/scenario/ ./internal/stack/
 

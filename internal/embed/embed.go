@@ -22,9 +22,18 @@ package embed
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/tokenizer"
 )
+
+// pinnedBytes is the weight memory Pin holds outside the Go heap. Like
+// the runtime's own memory statistics it is process-wide.
+var pinnedBytes atomic.Int64
+
+// PinnedBytes reports the bytes of model weights this process holds in
+// Pin's read-only mappings, unreleased.
+func PinnedBytes() int64 { return pinnedBytes.Load() }
 
 // Encoder converts text into a dense L2-normalised embedding vector.
 // Implementations must be deterministic: equal text yields equal vectors.

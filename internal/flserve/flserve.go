@@ -264,6 +264,15 @@ func (s *Service) RunRound() (RoundReport, error) {
 		return rep, err
 	}
 
+	// An earlier failed write (an ENOSPC at a commit, say) wedged the
+	// store; the model registry holds the same *Store, so reopening it
+	// here recovers both, and the round commits once space is free.
+	if st := s.cfg.Store; st != nil && st.Wedged() != nil {
+		if err := st.Reopen(); err != nil {
+			return fail(fmt.Errorf("flserve: reopening the wedged FL store: %w", err))
+		}
+	}
+
 	// 1. Sample the cohort from tenants with enough collected examples.
 	eligible := s.cfg.Collector.Eligible(s.cfg.MinPairs)
 	rep.Eligible = len(eligible)

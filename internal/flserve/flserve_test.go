@@ -517,23 +517,18 @@ func TestFailedRoundLeavesGlobalUnchanged(t *testing.T) {
 			status.Tau, status.Current, first.Tau, first.Version)
 	}
 
-	// The failed write wedged the store: reopen it, as a restart would,
-	// and run the next round with no local epochs.
+	// The failed write wedged the store. With space free again the next
+	// round reopens it in place and trains from the committed version,
+	// with no local epochs (so it re-commits that version's content); the
+	// two after it train again and commit new versions.
 	fs.SetSpace(-1)
-	st.Close()
-	if st, err = store.OpenFS(fs, "fl.store"); err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	h.svc.models.mu.Lock()
-	h.svc.models.st = st
-	h.svc.models.mu.Unlock()
-	h.svc.cfg.Store = st
+	epochs, aggregator := h.svc.cfg.Train.Epochs, h.svc.cfg.Aggregator
 	h.svc.cfg.Train.Epochs = 0
 	agg := &recordingAgg{}
 	h.svc.cfg.Aggregator = agg
-	if _, err := h.svc.RunRound(); err != nil {
-		t.Fatalf("round after the failed one: %v", err)
+	third, err := h.svc.RunRound()
+	if err != nil {
+		t.Fatalf("round 3, on free space: %v", err)
 	}
 	if len(agg.updates) == 0 {
 		t.Fatal("the round combined no updates")
@@ -542,6 +537,21 @@ func TestFailedRoundLeavesGlobalUnchanged(t *testing.T) {
 		if n := differing(u.Weights, want); n > 0 {
 			t.Fatalf("client %d trained from weights that differ from the committed version in %d of %d", u.ID, n, len(want))
 		}
+	}
+	h.svc.cfg.Train.Epochs, h.svc.cfg.Aggregator = epochs, aggregator
+	versions := []string{third.Version}
+	for round := 4; round <= 5; round++ {
+		rep, err := h.svc.RunRound()
+		if err != nil {
+			t.Fatalf("round %d, on free space: %v", round, err)
+		}
+		if slices.Contains(versions, rep.Version) {
+			t.Fatalf("round %d committed %s again after %q: it trained, so its model is new", round, rep.Version, versions)
+		}
+		versions = append(versions, rep.Version)
+	}
+	if latest, err := st.Get(latestKey); err != nil || string(latest) != versions[2] {
+		t.Errorf("the store's latest version is %q (%v), want round 5's %s", latest, err, versions[2])
 	}
 }
 

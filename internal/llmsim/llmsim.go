@@ -14,14 +14,14 @@ package llmsim
 import (
 	"context"
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro/internal/tokenizer"
 )
@@ -64,10 +64,8 @@ func DefaultConfig() Config {
 // seed, so duplicate queries receive identical responses — which is what
 // makes caching them sound.
 type Service struct {
-	cfg Config
-
-	mu      sync.Mutex
-	queries int
+	cfg     Config
+	queries atomic.Int64
 
 	// slowdown (float bits, default 1.0) multiplies response times, and
 	// failing forces errors — the degradation knobs the overload harness
@@ -105,11 +103,7 @@ func (s *Service) SetFailing(v bool) { s.failing.Store(v) }
 
 // Queries reports how many queries the service has processed — the load
 // metric a cache is meant to reduce.
-func (s *Service) Queries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queries
-}
+func (s *Service) Queries() int { return int(s.queries.Load()) }
 
 // Query generates the response to q and the (simulated) time it took.
 // In Sleep mode the call blocks for that duration.
@@ -126,21 +120,20 @@ func (s *Service) QueryContext(ctx context.Context, q string) (response string, 
 	if err := ctx.Err(); err != nil {
 		return "", 0, err
 	}
-	s.mu.Lock()
-	s.queries++
-	s.mu.Unlock()
+	s.queries.Add(1)
 	if s.failing.Load() {
 		return "", s.cfg.BaseLatency, ErrInduced
 	}
 
-	response = s.respond(q)
-	tokens := len(strings.Fields(response))
-	took = s.cfg.BaseLatency + time.Duration(tokens)*s.cfg.PerToken
+	rng := rngPool.Get().(*rand.Rand)
+	response = s.respond(q, rng)
+	took = s.cfg.BaseLatency + time.Duration(countFields(response))*s.cfg.PerToken
 	if s.cfg.JitterFrac > 0 {
-		rng := rand.New(rand.NewSource(s.cfg.Seed ^ int64(hash(q))))
+		rng.Seed(s.cfg.Seed ^ int64(hash(q)))
 		j := 1 + s.cfg.JitterFrac*(2*rng.Float64()-1)
 		took = time.Duration(float64(took) * j)
 	}
+	rngPool.Put(rng)
 	if factor := math.Float64frombits(s.slowdown.Load()); factor != 1 {
 		took = time.Duration(float64(took) * factor)
 	}
@@ -156,20 +149,43 @@ func (s *Service) QueryContext(ctx context.Context, q string) (response string, 
 	return response, took, nil
 }
 
+// rngPool holds the generators QueryContext re-seeds in place: a
+// generator carries 4.9 KB of state, and building two per call was
+// nearly half of the bytes a serving process allocated. Seed resets a generator to
+// exactly the state rand.New(rand.NewSource(seed)) starts in, so a
+// pooled one draws the same numbers a fresh one would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // respond deterministically synthesises a response whose length depends on
-// the query, bounded by MaxTokens.
-func (s *Service) respond(q string) string {
+// the query, bounded by MaxTokens. It seeds rng from q.
+func (s *Service) respond(q string, rng *rand.Rand) string {
 	words := tokenizer.Normalize(q)
-	h := hash(q) ^ uint64(s.cfg.Seed)
-	rng := rand.New(rand.NewSource(int64(h)))
+	rng.Seed(int64(hash(q) ^ uint64(s.cfg.Seed)))
 	n := s.cfg.MaxTokens/2 + rng.Intn(s.cfg.MaxTokens/2+1)
-	var b strings.Builder
-	fmt.Fprintf(&b, "Regarding %q:", strings.Join(firstN(words, 4), " "))
+	// Sized for the preamble plus n of responseVocab's words (at most
+	// 13 bytes each, with their space), so the text is built in place.
+	b := make([]byte, 0, len(q)+16+14*n)
+	b = append(b, "Regarding "...)
+	b = strconv.AppendQuote(b, strings.Join(firstN(words, 4), " "))
+	b = append(b, ':')
 	for i := 0; i < n; i++ {
-		b.WriteByte(' ')
-		b.WriteString(responseVocab[rng.Intn(len(responseVocab))])
+		b = append(b, ' ')
+		b = append(b, responseVocab[rng.Intn(len(responseVocab))]...)
 	}
-	return b.String()
+	return string(b)
+}
+
+// countFields is len(strings.Fields(s)) without building the slice.
+func countFields(s string) int {
+	n, inField := 0, false
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if !space && !inField {
+			n++
+		}
+		inField = !space
+	}
+	return n
 }
 
 func firstN(words []string, n int) []string {
@@ -187,8 +203,12 @@ var responseVocab = []string{
 	"consider", "edge", "cases", "before", "deploying", "this", "solution",
 }
 
+// hash is 64-bit FNV-1a, as hash/fnv computes it, without its allocation.
 func hash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }

@@ -81,6 +81,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -215,6 +216,8 @@ type Stack struct {
 
 	cfg     Config
 	flStore *store.Store
+	// unpin releases the pinned serving model (a no-op when none is).
+	unpin func()
 	// The tenant template and the optional registry and server seams.
 	// Their gate, hooks and observer interfaces are assigned
 	// only when the implementation exists: a disabled feature must be a
@@ -231,7 +234,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 	if cfg.Cluster && cfg.PersistDir == "" {
 		return nil, errors.New("-cluster requires -persist-dir (on storage all nodes share: tenant handoff travels through it)")
 	}
-	s := &Stack{cfg: cfg}
+	s := &Stack{cfg: cfg, unpin: func() {}}
 	defer func() {
 		if err != nil {
 			s.Close() // the build error is the one worth reporting
@@ -241,6 +244,13 @@ func Build(cfg Config) (_ *Stack, err error) {
 	enc, err := loadEncoder(cfg)
 	if err != nil {
 		return nil, err
+	}
+	// A model this stack built and never replaces serves from read-only
+	// memory outside the GC heap (embed.Pin). An FL rollout replaces the
+	// model, so FL keeps it on the heap; a caller's encoder is the
+	// caller's.
+	if m, ok := enc.(*embed.Model); ok && cfg.Encoder == nil && !cfg.FL {
+		enc, s.unpin = embed.Pin(m)
 	}
 	// With FL on, the base model serves through a swappable holder so
 	// round rollouts can replace it atomically under live traffic.
@@ -332,6 +342,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 		trace.Node = cfg.Addr
 	}
 	tracer := obs.NewTracer(trace)
+	registerMemoryMetrics(metrics)
 
 	s.Server, err = server.New(server.Config{
 		Registry: s.Registry,
@@ -379,6 +390,23 @@ func Build(cfg Config) (_ *Stack, err error) {
 		s.FL.Start()
 	}
 	return s, nil
+}
+
+// registerMemoryMetrics exports, read at scrape time, what sets the
+// process's peak memory: the GC's heap goal and the live heap it is
+// derived from, and the model weights pinned outside the heap.
+func registerMemoryMetrics(reg *obs.Registry) {
+	read := func(name string) func() float64 {
+		return func() float64 {
+			s := []metrics.Sample{{Name: name}}
+			metrics.Read(s)
+			return float64(s[0].Value.Uint64())
+		}
+	}
+	reg.GaugeFunc("go_gc_heap_goal_bytes", "Heap size the GC aims to finish its current cycle under.", read("/gc/heap/goal:bytes"))
+	reg.GaugeFunc("go_gc_heap_live_bytes", "Heap bytes the last GC cycle marked live.", read("/gc/heap/live:bytes"))
+	reg.GaugeFunc("meancache_model_pinned_bytes", "Encoder weight bytes held read-only outside the GC heap.",
+		func() float64 { return float64(embed.PinnedBytes()) })
 }
 
 // loadEncoder resolves the base encoder: the caller's, a trained model
@@ -436,8 +464,12 @@ func (s *Stack) Serve() error {
 
 // Close shuts down in dependency order: listener, cluster loops, FL
 // rounds (persisting their shards), a flush of every resident tenant to
-// PersistDir, and only then the FL store. It works on a partly built
-// stack and reports every step that failed.
+// PersistDir, the FL store, and last the pinned model. It works on a
+// partly built stack and reports every step that failed.
+//
+// The pinned model is released only once the listener has drained, and
+// a use of it after that faults: a caller serving Handler in-process
+// must stop before it calls Close.
 func (s *Stack) Close() error {
 	var errs []error
 	failed := func(step string, err error) {
@@ -445,10 +477,12 @@ func (s *Stack) Close() error {
 			errs = append(errs, fmt.Errorf("%s: %w", step, err))
 		}
 	}
+	drained := true
 	if s.Server != nil {
 		// Fails only on the 2s drain deadline (a client kept a connection
-		// open); the flush below must run either way.
-		_ = s.Server.Close()
+		// open); the flush below must run either way, but a handler may
+		// still be encoding, so the model stays pinned.
+		drained = s.Server.Close() == nil
 	}
 	if s.Node != nil {
 		s.Node.Close()
@@ -461,6 +495,9 @@ func (s *Stack) Close() error {
 	}
 	if s.flStore != nil {
 		failed("closing FL store", s.flStore.Close())
+	}
+	if drained {
+		s.unpin()
 	}
 	return errors.Join(errs...)
 }

@@ -461,3 +461,84 @@ func TestDefaultStackHitAllocs(t *testing.T) {
 		t.Fatalf("default-stack hit path allocates %v per request, budget 10", n)
 	}
 }
+
+// TestBuildPinsTheServingModel: a stack that loads its model from a file
+// with FL off serves it pinned outside the GC heap (embed.Pin), reports
+// the pinned bytes and the GC's heap goal and live heap on /metrics,
+// and releases the pin in Close; with FL on, rollouts replace the model,
+// so it serves a heap model behind the swappable holder and pins nothing.
+func TestBuildPinsTheServingModel(t *testing.T) {
+	m := embed.NewModel(embed.AlbertSim, 1)
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	modelFile := filepath.Join(t.TempDir(), "m.bin")
+	if err := os.WriteFile(modelFile, saved.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	weights := int64(4 * m.WeightCount())
+	if p, release := embed.Pin(m); p == m {
+		t.Skip("Pin keeps heap models on this platform")
+	} else {
+		release()
+	}
+	if n := embed.PinnedBytes(); n != 0 {
+		t.Fatalf("%d bytes pinned before the test: an earlier stack was not closed", n)
+	}
+
+	cfg := Default()
+	cfg.Model = modelFile
+	s, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Encoder.(*embed.Model); !ok || s.tenant.Encoder != s.Encoder {
+		t.Errorf("tenants encode through %T, want the pinned *embed.Model", s.tenant.Encoder)
+	}
+	if got := embed.PinnedBytes(); got != weights {
+		t.Errorf("Build pinned %d bytes, want the model's %d bytes of weights", got, weights)
+	}
+	h := s.Handler()
+	query(t, h, "u", "what is federated learning")
+	if qr := query(t, h, "u", "what is federated learning"); !qr.Hit {
+		t.Error("the pinned model's repeat missed")
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	exp, err := obs.ParseExposition(rec.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"go_gc_heap_goal_bytes", "go_gc_heap_live_bytes"} {
+		if v, ok := exp.Value(name, nil); !ok || v <= 0 {
+			t.Errorf("/metrics %s = %v (present %v), want a positive byte count", name, v, ok)
+		}
+	}
+	if v, ok := exp.Value("meancache_model_pinned_bytes", nil); !ok || int64(v) != weights {
+		t.Errorf("/metrics meancache_model_pinned_bytes = %v (present %v), want 4 × %d weights = %d", v, ok, m.WeightCount(), weights)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := embed.PinnedBytes(); got != 0 {
+		t.Errorf("%d bytes still pinned after Close", got)
+	}
+
+	cfg.FL, cfg.FLInterval = true, time.Hour
+	s, err = Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	swap, ok := s.Encoder.(*embed.Swappable)
+	if !ok {
+		t.Fatalf("with FL on tenants encode through %T, want *embed.Swappable", s.Encoder)
+	}
+	if _, ok := swap.Current().(*embed.Model); !ok {
+		t.Errorf("FL serves %T, want a heap *embed.Model", swap.Current())
+	}
+	if got := embed.PinnedBytes(); got != 0 {
+		t.Errorf("an FL stack pinned %d bytes: rollouts replace its model", got)
+	}
+}

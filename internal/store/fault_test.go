@@ -206,6 +206,63 @@ func TestENOSPCLeavesStoreReopenable(t *testing.T) {
 	mustPut(t, st3, "c", "gamma")
 }
 
+// TestReopenRecoversWedgedStore: Reopen recovers a store wedged by
+// ENOSPC in place. It refuses while the log cannot be opened (the store
+// stays wedged and readable), then truncates the torn record, clears the
+// wedge and accepts writes, and the log replays to exactly the records
+// written before the fault and after the Reopen.
+func TestReopenRecoversWedgedStore(t *testing.T) {
+	fs := faultfs.New()
+	st := mustOpen(t, fs)
+	mustPut(t, st, "a", "alpha")
+	mustPut(t, st, "b", "beta")
+	fs.SetSpace(4)
+	if err := st.Put("c", bytes.Repeat([]byte("x"), 64)); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Put on full disk: got %v, want ENOSPC", err)
+	}
+	if err := st.Put("d", []byte("delta")); !errors.Is(err, store.ErrWedged) {
+		t.Fatalf("Put after ENOSPC: got %v, want ErrWedged", err)
+	}
+
+	fs.Inject(faultfs.Fault{Op: faultfs.OpOpen, Path: "wal.cache"})
+	if err := st.Reopen(); err == nil {
+		t.Fatal("Reopen succeeded although the log could not be opened")
+	}
+	if err := st.Wedged(); !errors.Is(err, store.ErrWedged) {
+		t.Fatalf("after a failed Reopen Wedged() = %v, want ErrWedged", err)
+	}
+	wantState(t, st, map[string]string{"a": "alpha", "b": "beta"})
+
+	fs.SetSpace(-1)
+	if err := st.Reopen(); err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	if err := st.Wedged(); err != nil {
+		t.Fatalf("Wedged() = %v after Reopen", err)
+	}
+	if rep := st.Report(); rep.TailTruncated != 4 || rep.Records != 2 {
+		t.Errorf("Reopen report %+v, want 2 records and the 4-byte torn record truncated", rep)
+	}
+	wantState(t, st, map[string]string{"a": "alpha", "b": "beta"})
+	mustPut(t, st, "c", "gamma")
+	if err := st.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := mustOpen(t, fs)
+	defer st2.Close()
+	if rep := st2.Report(); rep.Dirty() {
+		t.Errorf("the log written after Reopen needed repair: %+v", rep)
+	}
+	wantState(t, st2, map[string]string{"b": "beta", "c": "gamma"})
+}
+
 func TestMidLogCorruptionSalvagesTail(t *testing.T) {
 	fs := faultfs.New()
 	st := mustOpen(t, fs)

@@ -13,12 +13,13 @@
 // log where a good one stood.
 //
 // Write and fsync failures wedge the store: every subsequent mutation
-// returns ErrWedged until the store is reopened. A failed write may leave
-// partial record bytes in the write buffer or the file; appending after
-// them would bury garbage mid-log, and a failed fsync may have already
-// dropped the very pages it was asked to persist (the fsyncgate failure
-// mode), so retrying either in place would turn one lost write into
-// silent corruption. Reads keep working on a wedged store.
+// returns ErrWedged until the store is reopened (Reopen does so in
+// place). A failed write may leave partial record bytes in the write
+// buffer or the file; appending after them would bury garbage mid-log,
+// and a failed fsync may have already dropped the very pages it was
+// asked to persist (the fsyncgate failure mode), so retrying either in
+// place would turn one lost write into silent corruption. Reads keep
+// working on a wedged store.
 //
 // All I/O flows through the FS seam (fs.go); faultfs injects scripted
 // failures and power-fail crash points through the same interface the
@@ -134,9 +135,32 @@ func OpenFS(fsys FS, path string) (*Store, error) {
 	return s, nil
 }
 
-// Report describes what Open found and repaired. It does not change
-// after Open.
-func (s *Store) Report() OpenReport { return s.report }
+// Reopen recovers s in place, as closing it and opening its path again
+// would: the log is replayed, a torn tail truncated and the wedge
+// cleared, so every holder of s sees the recovered store. Every
+// mutation flushes before it returns, so the only buffered bytes Reopen
+// drops are a wedged write's partial record. If the log cannot be
+// opened, s is left as it was and the error returned.
+func (s *Store) Reopen() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fresh, err := OpenFS(s.fs, s.path)
+	if err != nil {
+		return err
+	}
+	s.f.Close()
+	s.f, s.w, s.index = fresh.f, fresh.w, fresh.index
+	s.garbage, s.size, s.report = fresh.garbage, fresh.size, fresh.report
+	s.wedged, s.dirSynced = nil, false
+	return nil
+}
+
+// Report describes what the last Open or Reopen found and repaired.
+func (s *Store) Report() OpenReport {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.report
+}
 
 // Wedged returns the error that wedged the store, or nil.
 func (s *Store) Wedged() error {
@@ -380,8 +404,8 @@ func (s *Store) Get(key string) ([]byte, error) {
 
 // Reader returns a reader over the value stored under key, or
 // ErrNotFound. It reads the log in place, so a value of megabytes is
-// never held whole; a Compact or Close after the call makes its reads
-// fail rather than return other bytes.
+// never held whole; a Compact, Reopen or Close after the call makes its
+// reads fail rather than return other bytes.
 func (s *Store) Reader(key string) (io.Reader, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
