@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/tokenizer"
@@ -189,9 +190,9 @@ func TestFromWeightsAdoptsWeights(t *testing.T) {
 }
 
 // TestSaveLoadRoundTrip: a saved and reloaded model holds E, W and B
-// bit for bit and encodes bit-identically, and the file is the three
-// weight blocks behind a short header: 4 bytes per weight plus 12 per
-// block.
+// bit for bit and encodes bit-identically, loaded on the heap or pinned,
+// and the file is the three weight blocks behind a short header: 4 bytes
+// per weight plus 12 per block.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := NewModel(MPNetSim, 11)
 	var buf bytes.Buffer
@@ -201,11 +202,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if want := 2 + len(MPNetSim.Name) + 4*m.WeightCount() + 3*12; buf.Len() != want {
 		t.Fatalf("saved model is %d bytes, want %d", buf.Len(), want)
 	}
-	m2, err := Load(&buf)
+	m2, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	sameModel(t, m2, m)
+	samePinnedLoad(t, buf.Bytes(), m)
+}
+
+// samePinnedLoad fails t unless LoadPinned reads raw to want's weights
+// and counts them as pinned until its release.
+func samePinnedLoad(t *testing.T, raw []byte, want *Model) {
+	t.Helper()
+	before := PinnedBytes()
+	p, release, err := LoadPinned(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("LoadPinned: %v", err)
+	}
+	sameModel(t, p, want)
+	if got, weights := PinnedBytes()-before, int64(4*want.WeightCount()); got != weights && got != 0 {
+		t.Errorf("LoadPinned pinned %d bytes, want the %d bytes of weights", got, weights)
+	}
+	release()
+	if got := PinnedBytes(); got != before {
+		t.Errorf("PinnedBytes = %d after release, want %d", got, before)
+	}
 }
 
 // sameModel fails t unless got holds want's architecture and weights,
@@ -244,11 +265,12 @@ func TestLoadLegacyGob(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(modelWire{ArchName: m.Cfg.Name, E: m.E.Data, W: m.W.Data, B: m.B}); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf)
+	m2, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Load of a legacy gob model: %v", err)
 	}
 	sameModel(t, m2, m)
+	samePinnedLoad(t, buf.Bytes(), m)
 }
 
 // TestLoadRejectsCorruptModel: a flipped byte anywhere, a truncated
@@ -264,10 +286,17 @@ func TestLoadRejectsCorruptModel(t *testing.T) {
 	good := buf.Bytes()
 	eLen := 2 + len(MPNetSim.Name) // offset of E's declared length
 	nE := len(m.E.Data)
+	pinnedBefore := PinnedBytes()
 	load := func(name string, raw []byte) {
 		t.Helper()
 		if _, err := Load(bytes.NewReader(raw)); err == nil {
 			t.Errorf("%s: Load accepted a corrupt model", name)
+		}
+		if _, _, err := LoadPinned(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: LoadPinned accepted a corrupt model", name)
+		}
+		if got := PinnedBytes(); got != pinnedBefore {
+			t.Errorf("%s: a refused LoadPinned left PinnedBytes at %d, want %d", name, got, pinnedBefore)
 		}
 	}
 	for _, off := range []int{3, eLen + 3, eLen + 8 + 4*nE/2, eLen + 8 + 4*nE + 1, len(good) - 4*len(m.B) - 6, len(good) - 1} {
@@ -336,6 +365,49 @@ func TestLoadAllocatesWeightsOnce(t *testing.T) {
 	t.Logf("Load allocated %d bytes for %d bytes of weights", alloc, 4*m2.WeightCount())
 	if alloc > limit {
 		t.Fatalf("Load allocated %d bytes, want at most %d (one copy of the weights + 1 MiB)", alloc, limit)
+	}
+}
+
+// TestLoadPinnedAllocatesNoWeights: a pinned load of a saved mpnet-sim
+// allocates under 1 MiB on the heap (the chunk and read buffers), where
+// Load allocates its 13.2 MB of weights.
+func TestLoadPinnedAllocatesNoWeights(t *testing.T) {
+	m := NewModel(MPNetSim, 15)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	allocs := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	before := allocs()
+	heap, err := Load(bytes.NewReader(raw))
+	loadAlloc := allocs() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = allocs()
+	p, release, err := LoadPinned(bytes.NewReader(raw))
+	pinAlloc := allocs() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if p.E == nil || heap.E == nil {
+		t.Fatal("a load returned no weights")
+	}
+	if PinnedBytes() == 0 {
+		t.Skipf("no anonymous mappings on %s: LoadPinned loads on the heap", runtime.GOOS)
+	}
+	t.Logf("heap allocated: Load %d bytes, LoadPinned %d bytes, for %d bytes of weights", loadAlloc, pinAlloc, 4*m.WeightCount())
+	if pinAlloc >= 1<<20 {
+		t.Errorf("LoadPinned allocated %d bytes on the heap, want under 1 MiB", pinAlloc)
+	}
+	if loadAlloc < uint64(4*m.WeightCount()) {
+		t.Errorf("Load allocated %d bytes, less than its %d bytes of weights: the baseline measures nothing", loadAlloc, 4*m.WeightCount())
 	}
 }
 

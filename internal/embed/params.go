@@ -112,35 +112,100 @@ func (m *Model) Save(w io.Writer) error {
 // refused with an error.
 func Load(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("embed: reading model: %w", err)
-	}
-	if first[0] != modelFormat {
-		return loadGob(br)
-	}
-	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("embed: reading model header: %w", err)
-	}
-	name := make([]byte, hdr[1])
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("embed: reading model header: %w", err)
-	}
-	cfg, err := ArchByName(string(name))
+	cfg, legacy, err := readModelHeader(br)
 	if err != nil {
 		return nil, err
 	}
+	if legacy {
+		return loadGob(br)
+	}
+	return loadBlocks(br, cfg)
+}
+
+// LoadPinned is Load into a pinned model (see Pin): a block-format
+// file's weights are read straight into the mapping, so the load
+// allocates no copy of them on the heap, and every check Load makes is
+// made. A legacy gob model is loaded on the heap and then pinned. Where
+// no mapping can be made the model is Load's and release a no-op.
+func LoadPinned(r io.Reader) (m *Model, release func(), err error) {
+	br := bufio.NewReader(r)
+	cfg, legacy, err := readModelHeader(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	if legacy {
+		if m, err = loadGob(br); err != nil {
+			return nil, nil, err
+		}
+		m, release = Pin(m)
+		return m, release, nil
+	}
+	m, release, err = pinned(cfg, func(w []float32) error {
+		return readBlocks(br, cfg, func(_, n int) error {
+			v := w[:n]
+			w = w[n:]
+			return readWeightBlock(br, n, func() []float32 { return v })
+		})
+	})
+	if m == nil && err == nil {
+		m, err = loadBlocks(br, cfg)
+		release = func() {}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, release, nil
+}
+
+// readModelHeader reads a block-format model's header and resolves its
+// architecture, or reports a legacy gob stream, of which it reads
+// nothing.
+func readModelHeader(br *bufio.Reader) (cfg Arch, legacy bool, err error) {
+	first, err := br.Peek(1)
+	if err != nil {
+		return Arch{}, false, fmt.Errorf("embed: reading model: %w", err)
+	}
+	if first[0] != modelFormat {
+		return Arch{}, true, nil
+	}
+	var hdr [2]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return Arch{}, false, fmt.Errorf("embed: reading model header: %w", err)
+	}
+	name := make([]byte, hdr[1])
+	if _, err := io.ReadFull(br, name); err != nil {
+		return Arch{}, false, fmt.Errorf("embed: reading model header: %w", err)
+	}
+	cfg, err = ArchByName(string(name))
+	return cfg, false, err
+}
+
+// loadBlocks reads cfg's three weight blocks onto the heap, allocating
+// each once its declared length has been checked.
+func loadBlocks(br *bufio.Reader, cfg Arch) (*Model, error) {
 	var blocks [3][]float32
+	err := readBlocks(br, cfg, func(i, n int) (err error) {
+		blocks[i], err = ReadWeightBlock(br, n)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return loaded(cfg, blocks[0], blocks[1], blocks[2]), nil
+}
+
+// readBlocks calls read for each of cfg's weight blocks in file order
+// with its index and length, then requires the end of the file.
+func readBlocks(br *bufio.Reader, cfg Arch, read func(i, n int) error) error {
 	for i, n := range modelShapes(cfg) {
-		if blocks[i], err = ReadWeightBlock(br, n); err != nil {
-			return nil, fmt.Errorf("embed: reading %s model: %w", cfg.Name, err)
+		if err := read(i, n); err != nil {
+			return fmt.Errorf("embed: reading %s model: %w", cfg.Name, err)
 		}
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("embed: %s model has bytes after its last block", cfg.Name)
+		return fmt.Errorf("embed: %s model has bytes after its last block", cfg.Name)
 	}
-	return loaded(cfg, blocks[0], blocks[1], blocks[2]), nil
+	return nil
 }
 
 // loadGob reads the legacy gob form.
@@ -233,20 +298,31 @@ func WriteWeightBlock(w io.Writer, v []float32) error {
 // the result is allocated, the bits are decoded straight into it through
 // a small chunk buffer, and a checksum mismatch is an error.
 func ReadWeightBlock(r io.Reader, n int) ([]float32, error) {
+	var v []float32
+	err := readWeightBlock(r, n, func() []float32 {
+		v = make([]float32, n)
+		return v
+	})
+	return v, err
+}
+
+// readWeightBlock reads a block of n values into the slice dst returns,
+// calling dst only once the declared count has matched n.
+func readWeightBlock(r io.Reader, n int, dst func() []float32) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("reading weight block length: %w", err)
+		return fmt.Errorf("reading weight block length: %w", err)
 	}
 	if got := binary.LittleEndian.Uint64(hdr[:]); got != uint64(n) {
-		return nil, fmt.Errorf("weight block holds %d values, want %d", got, n)
+		return fmt.Errorf("weight block holds %d values, want %d", got, n)
 	}
 	sum := crc32.ChecksumIEEE(hdr[:])
-	v := make([]float32, n)
+	v := dst()
 	buf := make([]byte, min(4*n, blockChunk))
 	for i := 0; i < n; {
 		b := buf[:4*min(n-i, len(buf)/4)]
 		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, fmt.Errorf("reading weight block: %w", err)
+			return fmt.Errorf("reading weight block: %w", err)
 		}
 		sum = crc32.Update(sum, crc32.IEEETable, b)
 		for j := 0; j < len(b); j += 4 {
@@ -255,12 +331,12 @@ func ReadWeightBlock(r io.Reader, n int) ([]float32, error) {
 		}
 	}
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return nil, fmt.Errorf("reading weight block checksum: %w", err)
+		return fmt.Errorf("reading weight block checksum: %w", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[:4]) != sum {
-		return nil, errors.New("weight block checksum mismatch")
+		return errors.New("weight block checksum mismatch")
 	}
-	return v, nil
+	return nil
 }
 
 // Projected wraps an Encoder with an affine projection (typically the PCA

@@ -2,6 +2,6 @@
 
 package embed
 
-// Pin returns m and a no-op where there are no anonymous mappings to
-// move its weights into: they stay on the Go heap.
-func Pin(m *Model) (*Model, func()) { return m, func() {} }
+// pinned makes no mapping where there are no anonymous mappings to move
+// weights into: Pin keeps the heap model and LoadPinned loads one.
+func pinned(Arch, func([]float32) error) (*Model, func(), error) { return nil, nil, nil }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -200,10 +201,14 @@ func TestFig10CompressionSavings(t *testing.T) {
 			t.Errorf("cell %s/%d has zero storage", c.System, c.Cached)
 		}
 	}
-	// Compressed search must not be slower than raw search.
-	if res.SpeedupPct < 0 {
-		t.Errorf("compressed search slower than raw: %.0f%%", res.SpeedupPct)
+	// Compressed search must score fewer floats than raw search: at the
+	// same cached rows the exact scan's work is rows × width, so the ratio
+	// is the widths', PCADim/768. The wall-clock speed-up is only logged: it
+	// compares two means timed one after the other on a shared machine.
+	if want := float64(quickLab.Cfg.PCADim) / 768; math.Abs(res.ScanRatio-want) > 1e-9 {
+		t.Errorf("compressed search scores %.4f× the floats of raw search, want %.4f (%d/768)", res.ScanRatio, want, quickLab.Cfg.PCADim)
 	}
+	t.Logf("floats scored per search: compressed/raw = %.4f; wall-clock search speed-up %.0f%%", res.ScanRatio, res.SpeedupPct)
 	// Compression costs accuracy on this synthetic corpus, more than in
 	// the paper: at quickLab's seed the compressed MPNet cache scores
 	// F0.5 0.44/0.46/0.40 at 400/800/1200 entries against 0.81/0.84/0.86

@@ -42,6 +42,7 @@ func exactIndex(dim int) index.Index { return index.NewFlat(dim) }
 type meanCacheSystem struct {
 	name   string
 	client *core.Client
+	scans  *scanCounter
 	// ids maps workload cached-index -> cache entry ID, for parent links.
 	ids []int
 }
@@ -49,15 +50,47 @@ type meanCacheSystem struct {
 // NewMeanCacheSystem builds a System around a MeanCache client using enc
 // and tau.
 func NewMeanCacheSystem(name string, enc embed.Encoder, tau float64) System {
-	return &meanCacheSystem{
-		name: name,
-		client: core.New(core.Options{
-			Encoder:      enc,
-			Tau:          float32(tau),
-			TopK:         5,
-			IndexFactory: exactIndex,
-		}),
+	m := &meanCacheSystem{name: name}
+	m.client = core.New(core.Options{
+		Encoder: enc,
+		Tau:     float32(tau),
+		TopK:    5,
+		IndexFactory: func(dim int) index.Index {
+			m.scans = &scanCounter{Index: exactIndex(dim)}
+			return m.scans
+		},
+	})
+	return m
+}
+
+// scanCounter counts what an exact index's searches score: each search
+// scores every component of every stored row.
+type scanCounter struct {
+	index.Index
+	searches, floats int64
+}
+
+func (c *scanCounter) count() {
+	c.searches++
+	c.floats += int64(c.Len() * c.Dim())
+}
+
+func (c *scanCounter) Search(vec []float32, k int, tau float32) []index.Hit {
+	c.count()
+	return c.Index.Search(vec, k, tau)
+}
+
+func (c *scanCounter) SearchAppend(vec []float32, k int, tau float32, dst []index.Hit) []index.Hit {
+	c.count()
+	return c.Index.SearchAppend(vec, k, tau, dst)
+}
+
+// floatsPerSearch is the mean number of floats a search scored.
+func (m *meanCacheSystem) floatsPerSearch() float64 {
+	if m.scans.searches == 0 {
+		return 0
 	}
+	return float64(m.scans.floats) / float64(m.scans.searches)
 }
 
 func (m *meanCacheSystem) Name() string { return m.name }

@@ -3,6 +3,7 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -54,7 +55,8 @@ type tierIndex interface {
 	Index
 	// rows appends every stored row to dst: Flat in arena order, IVF
 	// list by list. Each vector is a view into the tier's arena, valid
-	// until the tier's next write.
+	// until the tier's next write and only while the tier is reachable:
+	// an IVF list's rows are unmapped when it is collected.
 	rows(dst []idRow) []idRow
 }
 
@@ -196,5 +198,6 @@ func (a *Adaptive) build(from *tierRef) *IVF {
 	for _, r := range rows {
 		next.Add(r.id, r.vec)
 	}
+	runtime.KeepAlive(from) // rows are views into its tier
 	return next
 }

@@ -5,7 +5,9 @@ import "repro/internal/vecmath"
 // arena is a dense row store: ids and row-major vectors, parallel. Rows
 // append at the end and swap-delete on removal, so the live rows are
 // always the first len(ids) rows and a scan is one linear pass. Flat is
-// an arena; every IVF list is an arena plus its int8 code columns.
+// an arena whose vectors are on the Go heap; every IVF list is an arena
+// plus its int8 code columns, its vectors and codes in an anonymous
+// mapping outside the heap (see ivfList.grow).
 type arena struct {
 	dim  int
 	ids  []int
@@ -28,10 +30,19 @@ func (a *arena) firstRows() int {
 	return rows
 }
 
+// full reports whether the next add must grow the arena.
+func (a *arena) full() bool { return len(a.vecs)+a.dim > cap(a.vecs) }
+
+// grownRows is the row capacity a full arena grows to.
+func (a *arena) grownRows() int {
+	n := len(a.ids)
+	return n + max(n/4, a.firstRows())
+}
+
 // add appends a row. vec is copied.
 func (a *arena) add(id int, vec []float32) {
-	if n := len(a.ids); len(a.vecs)+a.dim > cap(a.vecs) {
-		rows := n + max(n/4, a.firstRows())
+	if a.full() {
+		rows := a.grownRows()
 		a.ids = withCap(a.ids, rows)
 		a.vecs = withCap(a.vecs, rows*a.dim)
 	}

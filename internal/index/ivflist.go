@@ -2,6 +2,8 @@ package index
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"repro/internal/vecmath"
 )
@@ -11,6 +13,16 @@ import (
 // and quantisation error bound from vecmath.Quantize. The code columns
 // move with their rows on every swap-delete, so a scan is one linear pass
 // over the codes.
+//
+// The arena's vectors and the codes share one private anonymous mapping
+// outside the Go heap (newRowMem; on the heap where a platform has no
+// mappings): the collector neither scans them nor counts them toward
+// its heap goal, and capacity no row has reached is never faulted in.
+// A grow unmaps the old mapping at once; a list that is dropped unmaps
+// its mapping in a cleanup once it is unreachable. Every view of the
+// rows (scan, row, rows) must therefore be used while its list is
+// reachable, and never across a write: writers hold IVF.mu's write
+// lock, readers its read lock.
 type ivfList struct {
 	arena
 	norms   []float32
@@ -18,22 +30,56 @@ type ivfList struct {
 	scales  []float32
 	errs    []float32
 	normMax float32 // ≥ max(norms) over finite norms; stale-high after removals (safe)
+
+	mem  []byte          // the mapping vecs and codes live in; nil while they are on the heap
+	free runtime.Cleanup // unmaps mem once the list is unreachable
 }
+
+// mappedBytes is the memory IVF lists hold in anonymous mappings,
+// process-wide like the runtime's own memory statistics.
+var mappedBytes atomic.Int64
+
+// MappedBytes reports the bytes of row vectors and codes this process's
+// IVF lists hold in anonymous mappings outside the Go heap, counting
+// capacity not yet filled (which costs address space, not memory).
+func MappedBytes() int64 { return mappedBytes.Load() }
 
 // add appends a row, quantising it. The codes keep the arena's row
 // capacity.
 func (l *ivfList) add(id int, vec []float32) {
 	n := len(l.ids)
+	if l.full() {
+		l.grow(l.grownRows())
+	}
 	l.arena.add(id, vec)
 	norm := vecmath.Norm(vec)
 	l.norms = append(l.norms, norm)
 	if norm > l.normMax { // not for a NaN norm: that row's err is +Inf
 		l.normMax = norm
 	}
-	l.codes = withCap(l.codes, cap(l.vecs))[:len(l.vecs)]
+	l.codes = l.codes[:len(l.vecs)]
 	scale, err := vecmath.Quantize(vec, l.codes[n*l.dim:])
 	l.scales = append(l.scales, scale)
 	l.errs = append(l.errs, err)
+}
+
+// grow moves the list's vectors and codes into room for rows rows and
+// unmaps the mapping they leave, so a view of the old rows taken before
+// the grow faults. The caller holds the write lock, so no reader holds
+// such a view.
+func (l *ivfList) grow(rows int) {
+	vecs, codes, mem := newRowMem(rows * l.dim)
+	l.vecs = vecs[:copy(vecs, l.vecs)]
+	l.codes = codes[:copy(codes, l.codes)]
+	l.ids = withCap(l.ids, rows)
+	if l.mem != nil {
+		l.free.Stop()
+		freeRowMem(l.mem)
+	}
+	l.mem = mem
+	if mem != nil {
+		l.free = runtime.AddCleanup(l, freeRowMem, mem)
+	}
 }
 
 // swapDelete is arena.swapDelete carrying the code columns along; the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/vecmath"
 )
@@ -123,12 +124,19 @@ func TestIVFPrefilterMatchesDenseScan(t *testing.T) {
 }
 
 // checkListColumns fails t unless every list row's norm, code, scale and
-// error bound are exactly what quantising its vector gives, and every
-// vacated code byte past the live rows is zero.
+// error bound are exactly what quantising its vector gives, every
+// vacated code byte past the live rows is zero, and, where the platform
+// has anonymous mappings, every list's rows and codes live in its
+// mapping.
 func checkListColumns(t *testing.T, x *IVF) {
 	t.Helper()
 	code := make([]int8, x.dim)
 	for li, l := range x.lists {
+		if mappable && cap(l.vecs) > 0 && (len(l.mem) != 5*cap(l.vecs) ||
+			unsafe.Pointer(unsafe.SliceData(l.vecs)) != unsafe.Pointer(&l.mem[0]) ||
+			unsafe.Pointer(unsafe.SliceData(l.codes)) != unsafe.Pointer(&l.mem[4*cap(l.vecs)])) {
+			t.Fatalf("list %d: rows and codes are not in the list's mapping", li)
+		}
 		for i := range l.ids {
 			row := l.row(i)
 			scale, err := vecmath.Quantize(row, code)

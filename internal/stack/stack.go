@@ -241,17 +241,11 @@ func Build(cfg Config) (_ *Stack, err error) {
 		}
 	}()
 
-	enc, err := loadEncoder(cfg)
+	enc, unpin, err := loadEncoder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// A model this stack built and never replaces serves from read-only
-	// memory outside the GC heap (embed.Pin). An FL rollout replaces the
-	// model, so FL keeps it on the heap; a caller's encoder is the
-	// caller's.
-	if m, ok := enc.(*embed.Model); ok && cfg.Encoder == nil && !cfg.FL {
-		enc, s.unpin = embed.Pin(m)
-	}
+	s.unpin = unpin
 	// With FL on, the base model serves through a swappable holder so
 	// round rollouts can replace it atomically under live traffic.
 	var swap *embed.Swappable
@@ -393,45 +387,71 @@ func Build(cfg Config) (_ *Stack, err error) {
 }
 
 // registerMemoryMetrics exports, read at scrape time, what sets the
-// process's peak memory: the GC's heap goal and the live heap it is
-// derived from, and the model weights pinned outside the heap.
+// process's peak memory and what the collector costs: the GC's heap goal
+// and the live heap it is derived from, its cycles and CPU time, the
+// model weights pinned outside the heap and the IVF rows mapped outside
+// it.
 func registerMemoryMetrics(reg *obs.Registry) {
 	read := func(name string) func() float64 {
 		return func() float64 {
 			s := []metrics.Sample{{Name: name}}
 			metrics.Read(s)
+			if s[0].Value.Kind() == metrics.KindFloat64 {
+				return s[0].Value.Float64()
+			}
 			return float64(s[0].Value.Uint64())
 		}
 	}
 	reg.GaugeFunc("go_gc_heap_goal_bytes", "Heap size the GC aims to finish its current cycle under.", read("/gc/heap/goal:bytes"))
 	reg.GaugeFunc("go_gc_heap_live_bytes", "Heap bytes the last GC cycle marked live.", read("/gc/heap/live:bytes"))
+	reg.CounterFunc("go_gc_cycles_total", "GC cycles completed since the process started.", read("/gc/cycles/total:gc-cycles"))
+	reg.CounterFunc("go_gc_cpu_seconds_total", "CPU time spent in the GC, estimated by the runtime.", read("/cpu/classes/gc/total:cpu-seconds"))
 	reg.GaugeFunc("meancache_model_pinned_bytes", "Encoder weight bytes held read-only outside the GC heap.",
 		func() float64 { return float64(embed.PinnedBytes()) })
+	reg.GaugeFunc("meancache_index_mapped_bytes", "IVF row and code bytes held in anonymous mappings outside the GC heap.",
+		func() float64 { return float64(index.MappedBytes()) })
 }
 
 // loadEncoder resolves the base encoder: the caller's, a trained model
-// from disk, or an untrained one of the named architecture.
-func loadEncoder(cfg Config) (embed.Encoder, error) {
+// from disk, or an untrained one of the named architecture, and the func
+// that releases it. A model this stack builds and never replaces serves
+// from read-only memory outside the GC heap (embed.Pin): a model file is
+// read straight into that memory (embed.LoadPinned). An FL rollout
+// replaces the model, so FL keeps it on the heap; a caller's encoder is
+// the caller's.
+func loadEncoder(cfg Config) (embed.Encoder, func(), error) {
+	noop := func() {}
 	if cfg.Encoder != nil {
-		return cfg.Encoder, nil
+		return cfg.Encoder, noop, nil
 	}
 	if cfg.Model == "" {
 		a, err := embed.ArchByName(cfg.Arch)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return embed.NewModel(a, cfg.Seed), nil
+		m := embed.NewModel(a, cfg.Seed)
+		if cfg.FL {
+			return m, noop, nil
+		}
+		enc, release := embed.Pin(m)
+		return enc, release, nil
 	}
 	f, err := os.Open(cfg.Model)
 	if err != nil {
-		return nil, fmt.Errorf("opening model: %w", err)
+		return nil, nil, fmt.Errorf("opening model: %w", err)
 	}
 	defer f.Close()
-	m, err := embed.Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("loading model: %w", err)
+	var m *embed.Model
+	release := noop
+	if cfg.FL {
+		m, err = embed.Load(f)
+	} else {
+		m, release, err = embed.LoadPinned(f)
 	}
-	return m, nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("loading model: %w", err)
+	}
+	return m, release, nil
 }
 
 // newUpstream resolves the LLM service: the caller's, a network llmsim,

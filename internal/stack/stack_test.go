@@ -463,9 +463,10 @@ func TestDefaultStackHitAllocs(t *testing.T) {
 }
 
 // TestBuildPinsTheServingModel: a stack that loads its model from a file
-// with FL off serves it pinned outside the GC heap (embed.Pin), reports
-// the pinned bytes and the GC's heap goal and live heap on /metrics,
-// and releases the pin in Close; with FL on, rollouts replace the model,
+// with FL off serves it pinned outside the GC heap (embed.LoadPinned),
+// reports the pinned bytes, the GC's heap goal, live heap, cycles and
+// CPU time and the IVF rows' mapped bytes on /metrics, and releases the
+// pin in Close; with FL on, rollouts replace the model,
 // so it serves a heap model behind the swappable holder and pins nothing.
 func TestBuildPinsTheServingModel(t *testing.T) {
 	m := embed.NewModel(embed.AlbertSim, 1)
@@ -513,6 +514,11 @@ func TestBuildPinsTheServingModel(t *testing.T) {
 	for _, name := range []string{"go_gc_heap_goal_bytes", "go_gc_heap_live_bytes"} {
 		if v, ok := exp.Value(name, nil); !ok || v <= 0 {
 			t.Errorf("/metrics %s = %v (present %v), want a positive byte count", name, v, ok)
+		}
+	}
+	for _, name := range []string{"go_gc_cycles_total", "go_gc_cpu_seconds_total", "meancache_index_mapped_bytes"} {
+		if v, ok := exp.Value(name, nil); !ok || v < 0 {
+			t.Errorf("/metrics %s = %v (present %v), want a count of at least 0", name, v, ok)
 		}
 	}
 	if v, ok := exp.Value("meancache_model_pinned_bytes", nil); !ok || int64(v) != weights {
