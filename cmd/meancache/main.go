@@ -167,13 +167,21 @@ func restore(client *core.Client, snapshot *cache.Cache) {
 	}
 }
 
+// persist appends the session's cache to the log as one synced batch
+// (the whole cache: restore gave its entries new IDs) and compacts the
+// log once it is more than twice its live bytes, so the file stays
+// within twice the cache however many sessions save into it.
 func persist(client *core.Client, st *store.Store, path string) {
 	if st == nil {
 		return
 	}
-	if err := client.Cache().SaveTo(st); err != nil {
+	res, err := client.Cache().AppendTo(st, nil)
+	if err != nil {
 		log.Printf("persisting cache: %v", err)
 		return
+	}
+	if res.CompactErr != nil {
+		log.Printf("compacting %s: %v", path, res.CompactErr)
 	}
 	fmt.Printf("persisted %d entries to %s\n", client.Cache().Len(), path)
 }

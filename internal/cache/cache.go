@@ -74,6 +74,18 @@ type Cache struct {
 	// hitBufs recycles the []index.Hit scratch FindSimilarAppend hands
 	// to the index, so a warmed search allocates nothing but its result.
 	hitBufs sync.Pool
+
+	// epoch moves, under the write lock, whenever Reembed replaces
+	// vectors: an entry record written at an older epoch may hold a
+	// stale embedding.
+	epoch uint64
+	// logMu serialises AppendTo. log is what the store log the cache
+	// last loaded from or appended to held then (persist.go); nil when
+	// unknown. rewrite: a sync of that log failed, so the next
+	// AppendTo rewrites it into a new file.
+	logMu   sync.Mutex
+	log     *logMark
+	rewrite bool
 }
 
 // New creates a cache for embeddings of the given dimension. capacity

@@ -19,6 +19,10 @@ import (
 // already carries the new embedding is harmless, and the pass count is
 // bounded, so a write-heavy cache cannot livelock the migration.
 //
+// Each applied batch moves the cache's epoch, so the next AppendTo
+// mirrors the whole cache instead of trusting entry records written
+// with the old vectors.
+//
 // Reembed takes no concurrency token of its own: how many tenants migrate
 // at once is the caller's bound (flserve's rollout runs a fixed number).
 //
@@ -73,6 +77,7 @@ func (c *Cache) Reembed(encode func(string) []float32) (int, error) {
 		for lo := 0; lo < len(items); lo += applyChunk {
 			hi := min(lo+applyChunk, len(items))
 			c.mu.Lock()
+			c.epoch++
 			for i := lo; i < hi; i++ {
 				it := items[i]
 				done[it.id] = true

@@ -188,6 +188,15 @@ func registerRegistryMetrics(reg *obs.Registry, r *Registry) {
 	reg.CounterFunc("meancache_registry_evict_errors_total",
 		"Eviction persistence failures.",
 		stat(func(s RegistryStats) float64 { return float64(s.EvictErrors) }))
+	reg.CounterFunc("meancache_registry_persist_appends_total",
+		"Tenant persists that appended the cache's changes since its log was last read or written.",
+		stat(func(s RegistryStats) float64 { return float64(s.PersistAppends) }))
+	reg.CounterFunc("meancache_registry_persist_rewrites_total",
+		"Tenant persists that appended the whole cache (first persist, a log changed elsewhere, a re-embed).",
+		stat(func(s RegistryStats) float64 { return float64(s.PersistRewrites) }))
+	reg.CounterFunc("meancache_registry_compactions_total",
+		"Tenant log compactions after a persist (the log held more garbage than live bytes).",
+		stat(func(s RegistryStats) float64 { return float64(s.Compactions) }))
 	reg.CounterFunc("meancache_store_recovered_truncations_total",
 		"Tenant reloads that repaired a torn log tail (crash recovery).",
 		stat(func(s RegistryStats) float64 { return float64(s.RecoveredTruncations) }))

@@ -184,6 +184,11 @@ type Registry struct {
 	quarantines          atomic.Int64
 	recoveredTruncations atomic.Int64
 	salvagedRecords      atomic.Int64
+	// Persists by the batch they appended (a tenant's changes, or its
+	// whole cache) and the log compactions that followed them.
+	persistAppends  atomic.Int64
+	persistRewrites atomic.Int64
+	compactions     atomic.Int64
 }
 
 type regShard struct {
@@ -238,10 +243,12 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	return r, nil
 }
 
-// sweepOrphanedTemps removes persist temp files abandoned by a crash
-// between CreateTemp and rename, which would otherwise accumulate in a
-// long-lived persist dir. Only stale temps go: in cluster mode the dir
-// is shared, and a young temp may be a live peer's in-flight persist.
+// sweepOrphanedTemps removes temp files abandoned by a crash, which
+// would otherwise accumulate in a long-lived persist dir: a log
+// compaction's rewrite (<log>.compact), and the temp snapshots
+// (<log>.tmp-*) that persists wrote before they appended to the log.
+// Only stale temps go: in cluster mode the dir is shared, and a young
+// temp may be a live peer's compaction in flight.
 func sweepOrphanedTemps(fsys store.FS, dir string) {
 	const staleAfter = time.Hour
 	entries, err := fsys.ReadDir(dir)
@@ -249,7 +256,7 @@ func sweepOrphanedTemps(fsys store.FS, dir string) {
 		return
 	}
 	for _, e := range entries {
-		if e.IsDir() || !strings.Contains(e.Name(), ".cache.tmp-") {
+		if name := e.Name(); e.IsDir() || !strings.Contains(name, ".cache.tmp-") && !strings.HasSuffix(name, ".cache.compact") {
 			continue
 		}
 		if info, err := e.Info(); err == nil && time.Since(info.ModTime()) > staleAfter {
@@ -278,11 +285,12 @@ func (r *Registry) ShardFor(userID string) int {
 // the tenant served cold. Get stamps the tenant with the shard's use tick
 // and may evict the shard's least recently used unreferenced tenant to
 // stay within the resident bound; a failed evict persist keeps the
-// victim resident and backs off. Persistence I/O (evict save, reload)
+// victim resident and backs off. Persistence I/O (evict persist, reload)
 // runs under the shard lock, stalling that shard's other users. That is
 // measured: bench's evict_churn workload activates a tenant on one
-// request in three, and its rtt_p95_us is the activation path (three
-// fsyncs per evict plus the snapshot write and re-read). Taking the I/O
+// request in three, and its rtt_p95_us is the activation path: the
+// victim's log re-read, one appended batch and two fsyncs (the log and
+// its directory), then the revived tenant's log read. Taking the I/O
 // off the lock is ROADMAP's resident → persisting → evicted state machine.
 func (r *Registry) Get(userID string) *Tenant {
 	sh := r.shards[r.ShardFor(userID)]
@@ -402,9 +410,7 @@ func (r *Registry) activate(userID string) *Tenant {
 	t := &Tenant{ID: userID, Client: r.cfg.Factory(userID), sessions: make(map[string]*tenantSession)}
 	if path := r.persistPath(userID); path != "" {
 		if _, err := r.fs.Stat(path); err == nil {
-			if err := r.reload(t); err != nil {
-				r.quarantine(userID, path, err)
-			} else {
+			if r.reload(t, path) {
 				r.reloads.Add(1)
 			}
 		}
@@ -418,12 +424,16 @@ func (r *Registry) activate(userID string) *Tenant {
 // reload replaces the factory-built t.Client with one holding the
 // tenant's persisted cache contents and feedback-adapted τ, and restores
 // t's model version. The factory-built client supplies everything else
-// (encoder, LLM, context threshold). On error t is left as it was.
-func (r *Registry) reload(t *Tenant) error {
+// (encoder, LLM, context threshold). It holds the log's lock throughout,
+// since replay truncates a torn tail in place. A log that will not
+// reload is quarantined and t left as it was; reload reports whether t
+// was revived.
+func (r *Registry) reload(t *Tenant, path string) bool {
 	userID, fresh := t.ID, t.Client
-	st, err := store.OpenFS(r.fs, r.persistPath(userID))
+	st, err := store.OpenLocked(r.fs, path)
 	if err != nil {
-		return fmt.Errorf("server: opening persisted cache for %q: %w", userID, err)
+		r.quarantine(userID, path, fmt.Errorf("server: opening persisted cache for %q: %w", userID, err))
+		return false
 	}
 	defer st.Close()
 	if rep := st.Report(); rep.Dirty() {
@@ -438,7 +448,8 @@ func (r *Registry) reload(t *Tenant) error {
 	dim, capacity := fresh.Cache().Dim(), fresh.Cache().Capacity()
 	cc, err := cache.LoadFromWithIndex(st, dim, capacity, opts.Policy, opts.IndexFactory(dim))
 	if err != nil {
-		return fmt.Errorf("server: reloading cache for %q: %w", userID, err)
+		r.quarantine(userID, path, fmt.Errorf("server: reloading cache for %q: %w", userID, err))
+		return false
 	}
 	if raw, err := st.Get(tauKey); err == nil && len(raw) == 4 {
 		opts.Tau = math.Float32frombits(binary.LittleEndian.Uint32(raw))
@@ -447,7 +458,7 @@ func (r *Registry) reload(t *Tenant) error {
 		t.SetModelVersion(string(raw))
 	}
 	t.Client = core.NewWithCache(opts, cc)
-	return nil
+	return true
 }
 
 // quarantine moves a snapshot that failed to reload out of the way
@@ -495,65 +506,53 @@ func (r *Registry) evictLocked(sh *regShard) error {
 	return nil
 }
 
-// A tenant's persisted store holds, next to the cache's "entry/" records,
-// its feedback-adapted threshold, so eviction does not reset what the
-// user taught the system, and its model version (only once stamped).
+// A tenant's persisted store holds, next to the cache's "entry/" and
+// "meta/gen" records, its feedback-adapted threshold, so eviction does
+// not reset what the user taught the system, and its model version
+// (empty until the FL coordinator stamps one).
 const (
 	tauKey          = "meta/tau"
 	modelVersionKey = "meta/modelver"
 )
 
-// persist writes t's full state — cache entries, live τ, model version —
-// to a fresh store at a unique temp path, then renames it over the
-// tenant's store log atomically. Writers therefore race whole files, not
-// interleaved appends: in cluster mode two nodes can transiently persist
-// the same tenant through shared storage (a degraded local-fallback serve
-// racing the owner's handoff), and last-writer-wins with a consistent
-// store is the invariant revival depends on. A fresh store is compact by
-// construction, so repeated evict/revive cycles do not grow the log.
+// persist appends t's state to the tenant's store log as one committed
+// batch and syncs it: the cache's changes since this registry last read
+// or wrote that log (cache.AppendTo; its whole cache when the log is not
+// as it left it), τ and the model version. The log's lock is held for
+// the whole persist. In cluster mode two nodes can transiently persist
+// the same tenant through shared storage (a degraded local-fallback
+// serve racing the owner's handoff): the lock orders them, and the
+// second finds the log changed and mirrors its whole cache, so the log
+// revives to one node's state, the last writer's. The log is compacted
+// once it holds more garbage than live bytes, so repeated evict/revive
+// cycles do not grow it.
 func (r *Registry) persist(t *Tenant, path string) error {
-	dir, base := filepath.Split(path)
-	tmp, tmpf, err := store.CreateTemp(r.fs, dir, base+".tmp-*")
+	st, err := store.OpenLocked(r.fs, path)
 	if err != nil {
-		return fmt.Errorf("server: creating temp store for %q: %w", t.ID, err)
+		return fmt.Errorf("server: opening the log of evicted tenant %q: %w", t.ID, err)
 	}
-	tmpf.Close()
-	st, err := store.OpenFS(r.fs, tmp)
-	if err != nil {
-		r.fs.Remove(tmp)
-		return fmt.Errorf("server: opening persist store for %q: %w", t.ID, err)
-	}
-	err = t.Client.Cache().SaveTo(st)
-	if err == nil {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(t.Client.Tau()))
-		err = st.Put(tauKey, buf[:])
-	}
-	if v := t.ModelVersion(); err == nil && v != "" {
-		err = st.Put(modelVersionKey, []byte(v))
-	}
-	if err == nil {
-		// Data must be durable before the rename destroys the previous
-		// good store, or an OS crash could leave the tenant's path
-		// pointing at a truncated file.
-		err = st.Sync()
-	}
+	var b store.Batch
+	var tau [4]byte
+	binary.LittleEndian.PutUint32(tau[:], math.Float32bits(t.Client.Tau()))
+	b.Put(tauKey, tau[:])
+	b.Put(modelVersionKey, []byte(t.ModelVersion()))
+	res, err := t.Client.Cache().AppendTo(st, &b)
 	if cerr := st.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		err = r.fs.Rename(tmp, path)
-	}
 	if err != nil {
-		r.fs.Remove(tmp)
 		return fmt.Errorf("server: persisting evicted tenant %q: %w", t.ID, err)
 	}
-	// The rename must itself be durable before the caller is allowed to
-	// drop the tenant: without the directory fsync an OS crash may
-	// resurrect the previous (stale or absent) snapshot, which for a
-	// drain would mean releasing ownership of state that never landed.
-	if err := r.fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("server: fsyncing persist dir for %q: %w", t.ID, err)
+	if res.Whole {
+		r.persistRewrites.Add(1)
+	} else {
+		r.persistAppends.Add(1)
+	}
+	if res.Compacted {
+		r.compactions.Add(1)
+	}
+	if res.CompactErr != nil {
+		r.logf("server: registry: compacting the log of %q failed after its persist landed: %v", t.ID, res.CompactErr)
 	}
 	return nil
 }
@@ -592,6 +591,11 @@ type RegistryStats struct {
 	Quarantines          int64 `json:"quarantines,omitempty"`
 	RecoveredTruncations int64 `json:"recovered_truncations,omitempty"`
 	SalvagedRecords      int64 `json:"salvaged_records,omitempty"`
+	// Persists that appended a tenant's changes, those that appended
+	// its whole cache, and the log compactions after them.
+	PersistAppends  int64 `json:"persist_appends,omitempty"`
+	PersistRewrites int64 `json:"persist_rewrites,omitempty"`
+	Compactions     int64 `json:"compactions,omitempty"`
 }
 
 // Stats snapshots registry counters.
@@ -608,6 +612,10 @@ func (r *Registry) Stats() RegistryStats {
 		Quarantines:          r.quarantines.Load(),
 		RecoveredTruncations: r.recoveredTruncations.Load(),
 		SalvagedRecords:      r.salvagedRecords.Load(),
+
+		PersistAppends:  r.persistAppends.Load(),
+		PersistRewrites: r.persistRewrites.Load(),
+		Compactions:     r.compactions.Load(),
 	}
 }
 

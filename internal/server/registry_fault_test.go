@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,7 +168,8 @@ func TestCorruptSnapshotQuarantinedAndServedCold(t *testing.T) {
 // TestLegacyGobSnapshotRevivesWarm is the upgrade path at the registry: a
 // snapshot whose entries are gob streams (what every release before the
 // binary entry format wrote) is a reload, not a quarantine, and the next
-// persist rewrites it in the current format.
+// persist rewrites it in the current format: the log then holds no
+// legacy record, though the cache's entries are the ones it read.
 func TestLegacyGobSnapshotRevivesWarm(t *testing.T) {
 	fs := faultfs.New()
 	st, err := store.OpenFS(fs, tenantSnapshotPath("alice"))
@@ -207,6 +209,16 @@ func TestLegacyGobSnapshotRevivesWarm(t *testing.T) {
 		if err := r.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		st, err := store.OpenFS(fs, tenantSnapshotPath("alice"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range st.Keys() {
+			if raw, err := st.Get(key); err != nil || strings.HasPrefix(key, "entry/") && raw[0] != 0x81 {
+				t.Fatalf("pass %d: after the persist, record %s is %q, %v; want the current entry format", pass, key, raw, err)
+			}
+		}
+		st.Close()
 	}
 }
 
@@ -330,7 +342,7 @@ func TestRevivedTenantKeepsModelVersion(t *testing.T) {
 func TestFlushOrderFromSeed(t *testing.T) {
 	var logs [2][]string
 	for i := range logs {
-		persists := &renameLog{FS: faultfs.New()}
+		persists := &syncLog{FS: faultfs.New()}
 		r, err := NewRegistry(RegistryConfig{Shards: 1, PersistDir: faultPersistDir, Factory: testFactory(nil), FS: persists})
 		if err != nil {
 			t.Fatal(err)

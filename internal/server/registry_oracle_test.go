@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -150,24 +151,38 @@ func (o *lruOracle) resident() []string {
 	return ids
 }
 
-// renameLog is a store.FS that records, in order, the tenants whose
-// persist completed: the rename of a written and synced temp store onto
-// a tenant's snapshot path. On a full disk the writes fail first and the
-// rename is never reached. Quarantine renames (onto *.quarantine) are
-// not persists and are not recorded.
-type renameLog struct {
+// syncLog is a store.FS that records, in order, the tenants whose
+// persist completed: the sync of a tenant's log after its batch, the
+// persist's durability barrier. On a full disk the batch's write fails
+// first and the sync is never reached. Syncs of other files (a
+// compaction's rewrite) are not persists and are not recorded.
+type syncLog struct {
 	store.FS
 	ids []string
 }
 
-func (l *renameLog) Rename(oldpath, newpath string) error {
-	err := l.FS.Rename(oldpath, newpath)
-	if name, ok := strings.CutSuffix(filepath.Base(newpath), ".cache"); ok && err == nil {
+func (l *syncLog) OpenFile(name string, flag int, perm os.FileMode) (store.File, error) {
+	f, err := l.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &syncLogFile{File: f, log: l, name: name}, nil
+}
+
+type syncLogFile struct {
+	store.File
+	log  *syncLog
+	name string
+}
+
+func (f *syncLogFile) Sync() error {
+	err := f.File.Sync()
+	if name, ok := strings.CutSuffix(filepath.Base(f.name), ".cache"); ok && err == nil {
 		id, herr := hex.DecodeString(name)
 		if herr != nil {
-			return fmt.Errorf("renameLog: snapshot %s is not a hex user ID: %w", newpath, herr)
+			return fmt.Errorf("syncLog: log %s is not a hex user ID: %w", f.name, herr)
 		}
-		l.ids = append(l.ids, string(id))
+		f.log.ids = append(f.log.ids, string(id))
 	}
 	return err
 }
@@ -193,7 +208,7 @@ func TestRegistryVictimsMatchLRUOracle(t *testing.T) {
 func replayAgainstOracle(t *testing.T, shards, maxTenants, users int, seed int64, steps int) *lruOracle {
 	fs := faultfs.New()
 	clk := sim.NewVirtual()
-	persists := &renameLog{FS: fs}
+	persists := &syncLog{FS: fs}
 	var failed []string // victims named by the registry's evict-failure log
 	r, err := NewRegistry(RegistryConfig{
 		Shards: shards, MaxTenants: maxTenants, PersistDir: faultPersistDir,

@@ -90,6 +90,9 @@ type inode struct {
 	// durable is frozen until the file is truncated or recreated.
 	gated bool
 	mtime time.Time
+	// lock is the file's advisory lock (Lock); it moves with the file
+	// on rename, as flock's does.
+	lock sync.Mutex
 }
 
 // CrashFile is the per-file component of a CrashPoint.
@@ -455,6 +458,24 @@ func (f *FS) SyncDir(dir string) error {
 	}
 	f.mutated()
 	return nil
+}
+
+// Lock implements store.Locker: an exclusive lock on the handle's file,
+// held until the returned release.
+func (f *FS) Lock(name string, sf store.File) (func(), error) {
+	h, ok := sf.(*file)
+	if !ok {
+		return nil, fmt.Errorf("faultfs: cannot lock a %T", sf)
+	}
+	h.ino.lock.Lock()
+	f.mu.Lock()
+	current := f.files[filepath.Clean(name)] == h.ino
+	f.mu.Unlock()
+	if !current {
+		h.ino.lock.Unlock()
+		return nil, store.ErrLockMoved
+	}
+	return h.ino.lock.Unlock, nil
 }
 
 type file struct {

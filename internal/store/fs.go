@@ -1,12 +1,8 @@
 package store
 
 import (
-	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
-	"sync/atomic"
 )
 
 // FS is the filesystem seam every store (and the registry's persistence
@@ -77,27 +73,4 @@ func (osFS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// tempSeq makes CreateTemp names unique within a process; the pid keeps
-// them unique across processes sharing a cluster persist dir.
-var tempSeq atomic.Uint64
-
-// CreateTemp creates a new file in dir whose name is pattern with the
-// final "*" replaced by a unique suffix — os.CreateTemp, but through the
-// FS seam so fault injection sees temp-file creation too.
-func CreateTemp(fsys FS, dir, pattern string) (string, File, error) {
-	prefix, suffix, _ := strings.Cut(pattern, "*")
-	for try := 0; try < 10000; try++ {
-		name := filepath.Join(dir, fmt.Sprintf("%s%d-%d%s", prefix, os.Getpid(), tempSeq.Add(1), suffix))
-		f, err := fsys.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
-		if os.IsExist(err) {
-			continue
-		}
-		if err != nil {
-			return "", nil, err
-		}
-		return name, f, nil
-	}
-	return "", nil, fmt.Errorf("store: could not create temp file from pattern %q", pattern)
 }

@@ -8,6 +8,8 @@ package store_test
 // completed durability barrier (Sync or Compact), at most the operation
 // in flight. That single invariant is both halves of crash consistency:
 // every synced Put survives, and no phantom or reordered data appears.
+// A committed Batch is one operation of the workload, so the invariant
+// also says that every crash recovers a whole number of batches.
 
 import (
 	"fmt"
@@ -48,9 +50,28 @@ func TestPowerfailProperty(t *testing.T) {
 	seqAfter := []int{fs.Seq()}             // seqAfter[i] = fs.Seq() after op i
 	syncedAfter := []int{0}                 // syncedAfter[i] = last durable op index after op i
 
+	batches := 0
 	for i := 1; i <= numOps; i++ {
 		synced := syncedAfter[i-1]
 		switch roll := rng.Float64(); {
+		case roll < 0.20:
+			// A batch of puts and deletes, some on one key twice.
+			var b store.Batch
+			for n := 2 + rng.Intn(5); n > 0; n-- {
+				k := fmt.Sprintf("key-%d", rng.Intn(numKeys))
+				if rng.Float64() < 0.7 {
+					v := fmt.Sprintf("val-%d-%d", i, rng.Intn(1<<20))
+					b.Put(k, []byte(v))
+					state[k] = v
+				} else {
+					b.Delete(k)
+					delete(state, k)
+				}
+			}
+			if err := st.Commit(&b); err != nil {
+				t.Fatalf("op %d Commit: %v", i, err)
+			}
+			batches++
 		case roll < 0.70:
 			k := fmt.Sprintf("key-%d", rng.Intn(numKeys))
 			v := fmt.Sprintf("val-%d-%d", i, rng.Intn(1<<20))
@@ -148,7 +169,10 @@ func TestPowerfailProperty(t *testing.T) {
 	if checked < 2*numOps {
 		t.Fatalf("property checked only %d recoveries", checked)
 	}
-	t.Logf("verified %d crash-point recoveries across %d crash points", checked, len(cps))
+	if batches == 0 {
+		t.Fatal("the workload committed no batch")
+	}
+	t.Logf("verified %d crash-point recoveries across %d crash points (%d batches in the workload)", checked, len(cps), batches)
 }
 
 func mapsEqual(a, b map[string]string) bool {

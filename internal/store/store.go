@@ -7,10 +7,13 @@
 // corrupt region mid-log is skipped to the next CRC-valid record boundary
 // so the data beyond it is salvaged rather than discarded — and reports
 // what it did through OpenReport. Deletes are tombstone records, so the
-// log replays to the exact live set. Compact rewrites the log to reclaim
-// space from overwritten and deleted entries, fsyncing the rewrite and
-// the directory around the swap so a crash can never leave a truncated
-// log where a good one stood.
+// log replays to the exact live set. Commit appends a Batch of puts and
+// deletes framed by a begin and a commit record, and replay applies a
+// batch only once its commit is intact, so a crash leaves all of a batch
+// or none of it. Compact rewrites the log to reclaim space from
+// overwritten and deleted entries, fsyncing the rewrite and the
+// directory around the swap so a crash can never leave a truncated log
+// where a good one stood.
 //
 // Write and fsync failures wedge the store: every subsequent mutation
 // returns ErrWedged until the store is reopened (Reopen does so in
@@ -51,6 +54,10 @@ var ErrWedged = errors.New("store: wedged by an earlier write failure (reopen to
 const (
 	opPut    byte = 1
 	opDelete byte = 2
+	// A batch's frames: records with an empty key and a 4-byte value,
+	// the number of records between the two frames.
+	opBegin  byte = 3
+	opCommit byte = 4
 
 	maxKeyLen = 1 << 20
 	maxValLen = 1 << 30
@@ -89,13 +96,16 @@ type Store struct {
 	path string
 	fs   FS
 	f    File
-	w    *bufio.Writer
+	// w buffers Put and Delete records; made on first use, since a
+	// store that only commits batches never needs it.
+	w *bufio.Writer
+	// lock is the exclusive lock OpenLocked took on the log, nil for a
+	// store opened by Open.
+	lock *fileLock
 	// index maps live keys to their value offsets in the log.
-	index map[string]recordRef
-	// garbage counts superseded bytes, driving compaction heuristics.
-	garbage int64
-	size    int64
-	report  OpenReport
+	index  map[string]recordRef
+	size   int64
+	report OpenReport
 	// wedged is set by the first write/fsync failure; see ErrWedged.
 	wedged error
 	// dirSynced records that the log's directory entry has been fsynced
@@ -114,25 +124,75 @@ func Open(path string) (*Store, error) { return OpenFS(OS, path) }
 
 // OpenFS is Open on an injected filesystem — the seam the fault-injection
 // suites use. Production callers use Open (the os passthrough).
-func OpenFS(fsys FS, path string) (*Store, error) {
+func OpenFS(fsys FS, path string) (*Store, error) { return open(fsys, path, false) }
+
+// OpenLocked is OpenFS for a log that several stores may write: it takes
+// an exclusive lock on the log (see Locker) before replaying it and holds
+// it until Close, so a second OpenLocked of the same log waits. Replay
+// truncates a torn tail in place, so a reader takes the lock too.
+func OpenLocked(fsys FS, path string) (*Store, error) { return open(fsys, path, true) }
+
+func open(fsys FS, path string, locked bool) (*Store, error) {
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating directory: %w", err)
 	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening %s: %w", path, err)
+	for try := 0; ; try++ {
+		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("store: opening %s: %w", path, err)
+		}
+		s := &Store{path: path, fs: fsys, f: f, index: make(map[string]recordRef)}
+		if locked {
+			s.lock, err = lockFile(fsys, path, f)
+			if errors.Is(err, ErrLockMoved) && try < maxLockTries {
+				// A Compact renamed a new log over path while we
+				// waited: lock that one instead.
+				f.Close()
+				continue
+			}
+			if err != nil {
+				f.Close()
+				return nil, fmt.Errorf("store: locking %s: %w", path, err)
+			}
+		}
+		if err := s.replay(); err != nil {
+			s.closeFile()
+			return nil, err
+		}
+		if _, err := f.Seek(s.size, io.SeekStart); err != nil {
+			s.closeFile()
+			return nil, fmt.Errorf("store: seeking to log end: %w", err)
+		}
+		return s, nil
 	}
-	s := &Store{path: path, fs: fsys, f: f, index: make(map[string]recordRef)}
-	if err := s.replay(); err != nil {
-		f.Close()
-		return nil, err
+}
+
+// maxLockTries bounds how often OpenLocked follows a log that Compact
+// renamed over its path while it waited for the lock.
+const maxLockTries = 100
+
+// closeFile releases the lock, if s holds one, and closes the log.
+func (s *Store) closeFile() error {
+	s.lock.release()
+	s.lock = nil
+	return s.f.Close()
+}
+
+// writer returns the buffered writer Put and Delete append through,
+// making it on first use.
+func (s *Store) writer() *bufio.Writer {
+	if s.w == nil {
+		s.w = bufio.NewWriter(s.f)
 	}
-	if _, err := f.Seek(s.size, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seeking to log end: %w", err)
+	return s.w
+}
+
+// flush writes out what Put or Delete left buffered.
+func (s *Store) flush() error {
+	if s.w == nil {
+		return nil
 	}
-	s.w = bufio.NewWriter(f)
-	return s, nil
+	return s.w.Flush()
 }
 
 // Reopen recovers s in place, as closing it and opening its path again
@@ -140,17 +200,24 @@ func OpenFS(fsys FS, path string) (*Store, error) {
 // cleared, so every holder of s sees the recovered store. Every
 // mutation flushes before it returns, so the only buffered bytes Reopen
 // drops are a wedged write's partial record. If the log cannot be
-// opened, s is left as it was and the error returned.
+// opened, s is left as it was and the error returned; a store from
+// OpenLocked gives its lock up first, and keeps it only if the reopen
+// succeeds.
 func (s *Store) Reopen() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh, err := OpenFS(s.fs, s.path)
+	locked := s.lock != nil
+	if locked {
+		s.lock.release()
+		s.lock = nil
+	}
+	fresh, err := open(s.fs, s.path, locked)
 	if err != nil {
 		return err
 	}
 	s.f.Close()
-	s.f, s.w, s.index = fresh.f, fresh.w, fresh.index
-	s.garbage, s.size, s.report = fresh.garbage, fresh.size, fresh.report
+	s.f, s.w, s.index, s.lock = fresh.f, fresh.w, fresh.index, fresh.lock
+	s.size, s.report = fresh.size, fresh.report
 	s.wedged, s.dirSynced = nil, false
 	return nil
 }
@@ -179,17 +246,43 @@ func (s *Store) wedge(cause error) {
 // record layout:
 //
 //	op(1) keyLen(4) valLen(4) key val crc32(4 over everything before it)
+//
+// A batch is a begin frame, its records and a commit frame. Replay holds
+// a batch's records back until its commit frame and drops a batch that
+// has none: the torn tail of a crashed Commit, truncated like a torn
+// record. After a damaged region the records up to the next frame are
+// held back the same way: a commit frame shows they were the rest of a
+// batch whose begin was lost, and they are dropped; a begin frame or the
+// end of the log shows they were plain records, and they are applied.
 func (s *Store) replay() error {
 	size, err := s.f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fmt.Errorf("store: sizing log: %w", err)
 	}
-	var off int64
-	salvaging := false
+	var (
+		off       int64
+		salvaging bool
+		held      []heldRecord      // records waiting for a frame to decide them
+		batchAt   int64        = -1 // offset of the open batch's begin frame
+		// afterDamage: held records follow a damaged region, not a
+		// begin frame.
+		afterDamage bool
+	)
+	apply := func() {
+		for _, h := range held {
+			s.applyRecord(h.op, h.key, recordRef{off: h.valOff, length: h.valLen})
+			s.report.Records++
+			if salvaging {
+				s.report.SalvagedRecords++
+			}
+		}
+		held = held[:0]
+	}
+	drop := func() { held = held[:0] }
 	r := bufio.NewReader(io.NewSectionReader(s.f, 0, size))
 	var body []byte // record scratch, grown to the largest record and reused
 	for off < size {
-		rec, key, valOff, valLen, err := readRecord(r, off, &body)
+		rec, key, val, err := readRecord(r, &body)
 		if err == io.EOF {
 			break
 		}
@@ -197,9 +290,14 @@ func (s *Store) replay() error {
 			// Damaged bytes at off. Salvage-scan for the next CRC-valid
 			// record boundary: bit rot mid-log must not discard the
 			// intact records beyond it. If nothing intact follows, this
-			// is a torn tail — truncate to the last good record.
+			// is a torn tail — truncate to the last good record, or to
+			// the begin frame of the batch it tore.
 			next := s.scanForRecord(off+1, size)
 			if next < 0 {
+				if batchAt >= 0 {
+					drop()
+					off, batchAt = batchAt, -1
+				}
 				if terr := s.f.Truncate(off); terr != nil {
 					return fmt.Errorf("store: truncating corrupt tail: %w", terr)
 				}
@@ -207,34 +305,86 @@ func (s *Store) replay() error {
 				size = off
 				break
 			}
+			drop()
+			batchAt, afterDamage = -1, true
 			s.report.CorruptRegions++
 			s.report.CorruptSkipped += next - off
-			s.garbage += next - off
 			salvaging = true
 			off = next
 			r = bufio.NewReader(io.NewSectionReader(s.f, off, size-off))
 			continue
 		}
+		valOff := off + 9 + int64(len(key))
 		switch rec {
-		case opPut:
-			if old, ok := s.index[key]; ok {
-				s.garbage += int64(old.length)
+		case opBegin:
+			if batchAt >= 0 {
+				drop() // a batch with no commit frame before the next
+			} else if afterDamage {
+				apply()
 			}
-			s.index[key] = recordRef{off: valOff, length: valLen}
-		case opDelete:
-			if old, ok := s.index[key]; ok {
-				s.garbage += int64(old.length)
-				delete(s.index, key)
+			batchAt, afterDamage = off, false
+		case opCommit:
+			if batchAt >= 0 && int(binary.LittleEndian.Uint32(val)) == len(held) {
+				apply()
+			} else {
+				drop()
+			}
+			batchAt, afterDamage = -1, false
+		default:
+			if batchAt >= 0 || afterDamage {
+				held = append(held, heldRecord{op: rec, key: key, valOff: valOff, valLen: int32(len(val))})
+				break
+			}
+			s.applyRecord(rec, key, recordRef{off: valOff, length: int32(len(val))})
+			s.report.Records++
+			if salvaging {
+				s.report.SalvagedRecords++
 			}
 		}
-		s.report.Records++
-		if salvaging {
-			s.report.SalvagedRecords++
-		}
-		off = valOff + int64(valLen) + 4 // skip crc
+		off = valOff + int64(len(val)) + 4 // skip crc
 	}
+	if off == size && batchAt >= 0 {
+		// The log ends inside a batch: a Commit cut off before its
+		// commit frame landed.
+		drop()
+		if err := s.f.Truncate(batchAt); err != nil {
+			return fmt.Errorf("store: truncating torn batch: %w", err)
+		}
+		s.report.TailTruncated = size - batchAt
+		off = batchAt
+	}
+	apply()
 	s.size = off
 	return nil
+}
+
+// heldRecord is a record replay has read but not yet applied.
+type heldRecord struct {
+	op     byte
+	key    string
+	valOff int64
+	valLen int32
+}
+
+// applyRecord applies a put or delete to the index.
+func (s *Store) applyRecord(op byte, key string, ref recordRef) {
+	if op == opPut {
+		s.index[key] = ref
+	} else {
+		delete(s.index, key)
+	}
+}
+
+// validHeader reports whether a record header could be real: a known
+// op, lengths in bounds, and a frame's empty key and 4-byte count.
+func validHeader(op byte, keyLen, valLen int32) bool {
+	switch op {
+	case opPut, opDelete:
+		return keyLen >= 0 && valLen >= 0 && keyLen <= maxKeyLen && valLen <= maxValLen
+	case opBegin, opCommit:
+		return keyLen == 0 && valLen == 4
+	}
+	return false
 }
 
 // scanForRecord returns the smallest offset in [from, size) at which a
@@ -249,15 +399,12 @@ func (s *Store) scanForRecord(from, size int64) int64 {
 		if rem := size - base; rem < int64(n) {
 			n = int(rem)
 		}
-		m, err := s.f.ReadAt(buf[:n], base)
+		m, _ := s.f.ReadAt(buf[:n], base)
 		if m <= 0 {
-			if err != nil {
-				return -1
-			}
 			return -1
 		}
 		for i := 0; i < m; i++ {
-			if buf[i] != opPut && buf[i] != opDelete {
+			if buf[i] < opPut || buf[i] > opCommit {
 				continue
 			}
 			if cand := base + int64(i); s.validRecordAt(cand, size) {
@@ -275,10 +422,9 @@ func (s *Store) validRecordAt(off, size int64) bool {
 	if _, err := s.f.ReadAt(hdr[:], off); err != nil {
 		return false
 	}
-	op := hdr[0]
 	keyLen := int32(binary.LittleEndian.Uint32(hdr[1:5]))
 	valLen := int32(binary.LittleEndian.Uint32(hdr[5:9]))
-	if (op != opPut && op != opDelete) || keyLen < 0 || valLen < 0 || keyLen > maxKeyLen || valLen > maxValLen {
+	if !validHeader(hdr[0], keyLen, valLen) {
 		return false
 	}
 	total := 9 + int64(keyLen) + int64(valLen) + 4
@@ -295,10 +441,10 @@ func (s *Store) validRecordAt(off, size int64) bool {
 	return crc.Sum32() == binary.LittleEndian.Uint32(body[keyLen+valLen:])
 }
 
-// readRecord reads and CRC-checks the record at off. Nothing returned
-// aliases *scratch (the key is copied into a string), so the caller
-// passes the same scratch for every record.
-func readRecord(r *bufio.Reader, off int64, scratch *[]byte) (op byte, key string, valOff int64, valLen int32, err error) {
+// readRecord reads and CRC-checks the next record. The key is copied
+// into a string; val aliases *scratch, which the caller passes again
+// for every record.
+func readRecord(r *bufio.Reader, scratch *[]byte) (op byte, key string, val []byte, err error) {
 	var hdr [9]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -308,8 +454,8 @@ func readRecord(r *bufio.Reader, off int64, scratch *[]byte) (op byte, key strin
 	}
 	op = hdr[0]
 	keyLen := int32(binary.LittleEndian.Uint32(hdr[1:5]))
-	valLen = int32(binary.LittleEndian.Uint32(hdr[5:9]))
-	if op != opPut && op != opDelete || keyLen < 0 || valLen < 0 || keyLen > maxKeyLen || valLen > maxValLen {
+	valLen := int32(binary.LittleEndian.Uint32(hdr[5:9]))
+	if !validHeader(op, keyLen, valLen) {
 		err = errors.New("store: invalid record header")
 		return
 	}
@@ -331,13 +477,11 @@ func readRecord(r *bufio.Reader, off int64, scratch *[]byte) (op byte, key strin
 		err = errors.New("store: checksum mismatch")
 		return
 	}
-	key = string(buf[:keyLen])
-	valOff = off + 9 + int64(keyLen)
-	return
+	return op, string(buf[:keyLen]), buf[keyLen : keyLen+valLen], nil
 }
 
-func appendRecord(w io.Writer, op byte, key string, val []byte) (int, error) {
-	var hdr [9]byte
+// recordHeader returns the header and trailing checksum of a record.
+func recordHeader(op byte, key string, val []byte) (hdr [9]byte, sum [4]byte) {
 	hdr[0] = op
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(key)))
 	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(val)))
@@ -345,8 +489,12 @@ func appendRecord(w io.Writer, op byte, key string, val []byte) (int, error) {
 	crc.Write(hdr[:])
 	crc.Write([]byte(key))
 	crc.Write(val)
-	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
+	return hdr, sum
+}
+
+func appendRecord(w io.Writer, op byte, key string, val []byte) (int, error) {
+	hdr, sum := recordHeader(op, key, val)
 	n := 0
 	for _, chunk := range [][]byte{hdr[:], []byte(key), val, sum[:]} {
 		m, err := w.Write(chunk)
@@ -368,7 +516,7 @@ func (s *Store) Put(key string, val []byte) error {
 	if s.wedged != nil {
 		return s.wedged
 	}
-	n, err := appendRecord(s.w, opPut, key, val)
+	n, err := appendRecord(s.writer(), opPut, key, val)
 	if err != nil {
 		s.wedge(err)
 		return fmt.Errorf("store: appending put: %w", err)
@@ -376,9 +524,6 @@ func (s *Store) Put(key string, val []byte) error {
 	if err := s.w.Flush(); err != nil {
 		s.wedge(err)
 		return fmt.Errorf("store: flushing put: %w", err)
-	}
-	if old, ok := s.index[key]; ok {
-		s.garbage += int64(old.length)
 	}
 	s.index[key] = recordRef{off: s.size + 9 + int64(len(key)), length: int32(len(val))}
 	s.size += int64(n)
@@ -426,7 +571,7 @@ func (s *Store) Delete(key string) error {
 	if _, ok := s.index[key]; !ok {
 		return nil
 	}
-	n, err := appendRecord(s.w, opDelete, key, nil)
+	n, err := appendRecord(s.writer(), opDelete, key, nil)
 	if err != nil {
 		s.wedge(err)
 		return fmt.Errorf("store: appending delete: %w", err)
@@ -435,7 +580,6 @@ func (s *Store) Delete(key string) error {
 		s.wedge(err)
 		return fmt.Errorf("store: flushing delete: %w", err)
 	}
-	s.garbage += int64(s.index[key].length)
 	delete(s.index, key)
 	s.size += int64(n)
 	return nil
@@ -479,13 +623,16 @@ func (s *Store) LiveBytes() int64 {
 	return n
 }
 
-// Compact rewrites the log with only live records, reclaiming garbage.
-// Put never compacts on its own; the FL coordinator (flserve) calls it
-// after a round's writes once the log is more than twice LiveBytes. The
-// rewrite goes to a sibling temp file that atomically replaces the
-// log — fsynced before the rename and with the directory fsynced after
-// it, so an OS crash at any point yields either the old log or the
-// complete new one, never a truncated or missing file.
+// Compact rewrites the log with only live records, reclaiming the space
+// of overwritten and deleted ones and of batch frames. Put never
+// compacts on its own: the FL coordinator (flserve) and the registry
+// call it once the log is more than twice LiveBytes. The rewrite goes to
+// a sibling temp file that atomically replaces the log — fsynced before
+// the rename and with the directory fsynced after it, so an OS crash at
+// any point yields either the old log or the complete new one, never a
+// truncated or missing file. A store from OpenLocked locks the rewrite
+// before the rename makes it the log, so no other opener can take the
+// new log while this store still holds the old one.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -497,7 +644,9 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("store: creating compaction file: %w", err)
 	}
+	var lock *fileLock // the rewrite's own lock, when the lock is per file
 	abort := func(err error, what string) error {
+		lock.release()
 		tmp.Close()
 		s.fs.Remove(tmpPath)
 		return fmt.Errorf("store: compaction %s: %w", what, err)
@@ -532,37 +681,32 @@ func (s *Store) Compact() error {
 	if err := tmp.Sync(); err != nil {
 		return abort(err, "fsync")
 	}
-	if err := tmp.Close(); err != nil {
-		s.fs.Remove(tmpPath)
-		return fmt.Errorf("store: closing compaction file: %w", err)
+	if s.lock != nil && s.lock.perFile {
+		if lock, err = lockFile(s.fs, tmpPath, tmp); err != nil {
+			return abort(err, "lock")
+		}
 	}
 	if err := s.fs.Rename(tmpPath, s.path); err != nil {
-		s.fs.Remove(tmpPath)
-		return fmt.Errorf("store: swapping compacted log: %w", err)
+		return abort(err, "swap")
 	}
-	// Past the rename the old log is unlinked: any further failure
-	// wedges the store (reads continue against the old inode, whose
-	// live content matches the index).
+	// Past the rename the rewrite is the log: the store carries on with
+	// its handle (positioned at its end by the writes above) and lets
+	// the old one go. A path lock covers the new log as it did the old.
+	if lock != nil {
+		s.lock.release()
+		s.lock = lock
+	}
+	s.f.Close()
+	s.f = tmp
+	s.w = nil
+	s.index = newIndex
+	s.size = off
+	// Any further failure wedges the store: the rename may not be
+	// durable yet.
 	if err := s.fs.SyncDir(filepath.Dir(s.path)); err != nil {
 		s.wedge(err)
 		return fmt.Errorf("store: fsyncing directory after compaction swap: %w", err)
 	}
-	f, err := s.fs.OpenFile(s.path, os.O_RDWR, 0o644)
-	if err != nil {
-		s.wedge(err)
-		return fmt.Errorf("store: reopening compacted log: %w", err)
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		s.wedge(err)
-		return fmt.Errorf("store: seeking compacted log: %w", err)
-	}
-	s.f.Close()
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	s.index = newIndex
-	s.size = off
-	s.garbage = 0
 	s.dirSynced = true
 	return nil
 }
@@ -580,7 +724,7 @@ func (s *Store) Sync() error {
 	if s.wedged != nil {
 		return s.wedged
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.flush(); err != nil {
 		s.wedge(err)
 		return fmt.Errorf("store: sync flush: %w", err)
 	}
@@ -605,12 +749,12 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wedged != nil {
-		return s.f.Close()
+		return s.closeFile()
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.flush(); err != nil {
 		s.wedge(err)
-		s.f.Close()
+		s.closeFile()
 		return fmt.Errorf("store: final flush: %w", err)
 	}
-	return s.f.Close()
+	return s.closeFile()
 }
