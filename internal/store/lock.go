@@ -24,6 +24,11 @@ type Locker interface {
 // one its name names; OpenLocked opens the name again.
 var ErrLockMoved = errors.New("store: locked file was replaced at its path")
 
+// errLockUnsupported is Lock's report that the filesystem refuses file
+// locks; OpenLocked falls back to the in-process path lock rather than
+// fail every persist.
+var errLockUnsupported = errors.New("store: file locks unsupported")
+
 // fileLock is the lock a store from OpenLocked holds on its log.
 type fileLock struct {
 	unlock func()
@@ -42,10 +47,12 @@ func (l *fileLock) release() {
 func lockFile(fsys FS, name string, f File) (*fileLock, error) {
 	if l, ok := fsys.(Locker); ok {
 		unlock, err := l.Lock(name, f)
-		if err != nil {
+		if err == nil {
+			return &fileLock{unlock: unlock, perFile: true}, nil
+		}
+		if !errors.Is(err, errLockUnsupported) {
 			return nil, err
 		}
-		return &fileLock{unlock: unlock, perFile: true}, nil
 	}
 	return &fileLock{unlock: lockPath(name)}, nil
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // Lock implements Locker with flock(2) on f's descriptor: exclusive
-// across processes, and across handles within one.
+// across processes, and across handles within one. A filesystem that
+// refuses flock gets the in-process path lock instead.
 func (osFS) Lock(name string, f File) (func(), error) {
 	of, ok := f.(*os.File)
 	if !ok {
@@ -21,9 +22,13 @@ func (osFS) Lock(name string, f File) (func(), error) {
 		if err == nil {
 			break
 		}
-		if err != syscall.EINTR {
-			return nil, &os.PathError{Op: "flock", Path: name, Err: err}
+		switch err {
+		case syscall.EINTR:
+			continue
+		case syscall.EOPNOTSUPP, syscall.ENOLCK, syscall.ENOSYS:
+			return nil, errLockUnsupported
 		}
+		return nil, &os.PathError{Op: "flock", Path: name, Err: err}
 	}
 	unlock := func() { syscall.Flock(fd, syscall.LOCK_UN) }
 	held, err := of.Stat()
